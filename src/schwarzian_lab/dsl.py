@@ -20,7 +20,10 @@ and ``log``; anything else is a parse error.
 
 Parse failures raise :class:`ParseError` with a character offset into the
 source; evaluation failures raise :class:`EvalError` carrying the source
-span of the offending subexpression.
+span of the offending subexpression.  Inputs are bounded so that no source
+can exhaust the stack or run unbounded work: at most :data:`MAX_DEPTH`
+levels of nesting, number literals within the double range, and integer
+exponents of magnitude at most :data:`MAX_EXPONENT`.
 
 One compiled tree walker evaluates every expression.  It runs on plain
 jets for :func:`eval_jet` and :func:`eval_jet_seeded`, and on the
@@ -30,6 +33,7 @@ yields the same values together with their error bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from typing import Callable, NamedTuple, Tuple
@@ -61,6 +65,8 @@ from .jets import (
 )
 
 __all__ = [
+    "MAX_DEPTH",
+    "MAX_EXPONENT",
     "Span",
     "Node",
     "Var",
@@ -87,6 +93,14 @@ __all__ = [
 ]
 
 Span = Tuple[int, int]
+
+# The parser recurses up to four frames per parenthesis, function call or
+# unary minus, and compiling, evaluating, printing and pickling a tree
+# recurse a few frames per level of it, so both nestings are capped well
+# inside the interpreter's default limit of 1000 frames.
+MAX_DEPTH = 100
+# jet_pow_int multiplies |k| times
+MAX_EXPONENT = 1000
 
 _NO_SPAN: Span = (0, 0)
 
@@ -245,7 +259,10 @@ def lex_number(source: str, pos: int) -> tuple[str, int]:
             raise ParseError(j, "expected digits after the decimal point", "digits")
         while j < n and source[j] in _DIGITS:
             j += 1
-    return source[pos:j], j
+    text = source[pos:j]
+    if not math.isfinite(float(text)):
+        raise ParseError(pos, "number literal is beyond the double range", "at most 1.8e308")
+    return text, j
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -293,6 +310,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # parentheses, calls and unary minuses now open
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -307,6 +325,15 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(tok.pos, f"expected {kind!r}", kind)
         return self.advance()
+
+    def nest(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(
+                pos,
+                f"more than {MAX_DEPTH} nested parentheses, calls and unary minuses",
+                "a shallower expression",
+            )
 
     def expression(self) -> Node:
         left = self.term()
@@ -342,7 +369,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "-":
             self.advance()
+            self.nest(tok.pos)
             operand = self.factor()
+            self.depth -= 1
             return Neg(operand, span=(tok.pos, operand.span[1]))
         base = self.primary()
         if self.peek().kind == "^":
@@ -354,6 +383,7 @@ class _Parser:
     def int_literal(self) -> tuple[int, int]:
         sign = 1
         tok = self.peek()
+        start = tok.pos
         if tok.kind == "-":
             self.advance()
             sign = -1
@@ -363,7 +393,12 @@ class _Parser:
                 tok.pos, "exponent must be an integer literal", "an integer"
             )
         self.advance()
-        return sign * int(tok.text), tok.pos + len(tok.text)
+        k = int(tok.text)
+        if k > MAX_EXPONENT:
+            raise ParseError(
+                start, f"exponent magnitude exceeds {MAX_EXPONENT}", "a smaller exponent"
+            )
+        return sign * k, tok.pos + len(tok.text)
 
     def primary(self) -> Node:
         tok = self.peek()
@@ -381,13 +416,17 @@ class _Parser:
             if tok.text == "i":
                 return ImagUnit(span=(tok.pos, end))
             self.expect("(")
+            self.nest(tok.pos)
             arg = self.expression()
+            self.depth -= 1
             rp = self.expect(")")
             span = (tok.pos, rp.pos + 1)
             return Exp(arg, span=span) if tok.text == "exp" else Log(arg, span=span)
         if tok.kind == "(":
             self.advance()
+            self.nest(tok.pos)
             inner = self.expression()
+            self.depth -= 1
             rp = self.expect(")")
             return replace(inner, span=(tok.pos, rp.pos + 1))
         raise ParseError(tok.pos, "expected a primary expression", _PRIMARY_EXPECTED)
@@ -402,7 +441,23 @@ def parse(source: str) -> FamilyExpr:
         raise ParseError(
             tail.pos, f"unexpected token {tail.text!r}", "end of input or an operator"
         )
+    _check_depth(root)
     return FamilyExpr(root, source)
+
+
+def _check_depth(root: Node) -> None:
+    # a chain like z+z+...+z deepens the tree without deepening the
+    # parser's recursion, so the tree is measured on its own, iteratively
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ParseError(
+                node.span[0],
+                f"expression tree deeper than {MAX_DEPTH} operators",
+                "a shallower expression",
+            )
+        stack.extend((c, depth + 1) for c in vars(node).values() if isinstance(c, Node))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
-from .dsl import EvalError, FamilyExpr, eval_jet
-from .jets import DivisionByZeroAtPoint, OverflowAtPoint
+from .dsl import EvalError, FamilyExpr, eval_jet, eval_jet_seeded
+from .jets import ComplexJet3, OverflowAtPoint, jet_var
 from .schwarzian import CriticalPointError, schwarzian, spherical_derivative
 
 __all__ = [
@@ -145,10 +145,6 @@ class GridSpec:
         ys[-1] = self.im_max
         return ys
 
-    def point(self, index: int) -> complex:
-        """Grid point for a row-major index (x fastest)."""
-        return complex(self.x_coords()[index % self.nx], self.y_coords()[index // self.nx])
-
 
 @dataclass(frozen=True)
 class PointStats:
@@ -206,30 +202,76 @@ def _neighborhood(
 
 
 def _flag_for(exc: EvalError) -> str:
-    cause = exc.__cause__
-    if isinstance(cause, DivisionByZeroAtPoint):
-        return "Pole"
-    if isinstance(cause, OverflowAtPoint):
-        return "Overflow"
-    return "Pole"
+    return "Overflow" if isinstance(exc.__cause__, OverflowAtPoint) else "Pole"
 
 
-def _marty_stat(expr: FamilyExpr, n: int, w: complex) -> float:
-    return spherical_derivative(eval_jet(expr, n, w))
+def _seed_sample(w: complex, radius: float) -> ComplexJet3:
+    return jet_var(w)
 
 
-def _sd_stat(expr: FamilyExpr, n: int, w: complex, h: float) -> float:
+def _seed_stencil(w: complex, radius: float) -> tuple:
+    # the five points of the S' stencil, a real step h apart
+    h = radius / 8.0
+    return h, tuple(jet_var(p) for p in (w, w + h, w - h, w + 2.0 * h, w - 2.0 * h))
+
+
+def _jet(expr: FamilyExpr, n: int, zj: ComplexJet3) -> ComplexJet3:
+    # by the module-level name, which bench/tracer.py rebinds to count calls
+    return eval_jet_seeded(expr, n, zj)
+
+
+def _marty_stat(expr: FamilyExpr, n: int, zj: ComplexJet3) -> float:
+    return spherical_derivative(eval_jet_seeded(expr, n, zj))
+
+
+def _sd_stat(expr: FamilyExpr, n: int, stencil: tuple) -> float:
     # spherical derivative of z -> S_{f_n}(z); S' comes from a five-point
     # stencil with a real step, which equals the complex derivative for
     # analytic S
-    s0 = schwarzian(eval_jet(expr, n, w))
-    sp1 = schwarzian(eval_jet(expr, n, w + h))
-    sm1 = schwarzian(eval_jet(expr, n, w - h))
-    sp2 = schwarzian(eval_jet(expr, n, w + 2.0 * h))
-    sm2 = schwarzian(eval_jet(expr, n, w - 2.0 * h))
+    h, jets = stencil
+    s0, sp1, sm1, sp2, sm2 = [schwarzian(eval_jet_seeded(expr, n, j)) for j in jets]
     ds = (-sp2 + 8.0 * sp1 - 8.0 * sm1 + sm2) / (12.0 * h)
     m = abs(s0)
     return abs(ds) / (1.0 + m * m)
+
+
+# the statistic of each grid command: ``seed_jets`` builds one sample's
+# variable jets, once per grid point, and ``measure`` evaluates at one n
+_STATS = {
+    "jet": (_seed_sample, _jet),
+    "marty": (_seed_sample, _marty_stat),
+    "sd": (_seed_stencil, _sd_stat),
+}
+
+
+def _sweep(kind: str, expr: FamilyExpr, grid: GridSpec, n_values, offset: float, indices):
+    """Sample the grid points ``indices`` in order; every grid command's loop.
+
+    Yields (z, rows) per point, where rows[k] holds one outcome per
+    neighborhood sample at n_values[k]: the statistic ``kind`` names, or
+    the flag ("Pole", "Overflow", "CriticalPoint") of the sample's first
+    failed evaluation.  Each sample's variable jets are built once.
+    """
+    seed_jets, measure = _STATS[kind]
+    xs = grid.x_coords()
+    ys = grid.y_coords()
+    radius = grid.neighborhood_radius
+    for index in indices:
+        z = complex(xs[index % grid.nx], ys[index // grid.nx])
+        samples = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
+        seeds = [seed_jets(w, radius) for w in samples]
+        rows = []
+        for n in n_values:
+            row = []
+            for s in seeds:
+                try:
+                    row.append(measure(expr, n, s))
+                except EvalError as exc:
+                    row.append(_flag_for(exc))
+                except CriticalPointError:
+                    row.append("CriticalPoint")
+            rows.append(row)
+        yield z, rows
 
 
 def _lsq_slope(xs: list[float], ys: list[float]) -> float:
@@ -259,40 +301,17 @@ def _growth_slope(
     return _lsq_slope(xs, ys)
 
 
-def _point_stats(
-    kind: str,
-    expr: FamilyExpr,
-    grid: GridSpec,
-    n_values: tuple[int, ...],
-    offset: float,
-    index: int,
-    xs: list[float],
-    ys: list[float],
-) -> PointStats:
-    z = complex(xs[index % grid.nx], ys[index // grid.nx])
-    samples = _neighborhood(
-        z, grid.neighborhood_radius, grid.neighborhood_samples, offset, index
-    )
-    h = grid.neighborhood_radius / 8.0
+def _point_stats(z: complex, rows: list, n_values: tuple[int, ...]) -> PointStats:
     flags: set[str] = set()
     per_n: dict[int, float] = {}
     sup = 0.0
     argmax = -1
-    for n in n_values:
+    for n, row in zip(n_values, rows):
         best = -1.0
-        for w in samples:
-            try:
-                if kind == "marty":
-                    stat = _marty_stat(expr, n, w)
-                else:
-                    stat = _sd_stat(expr, n, w, h)
-            except EvalError as exc:
-                flags.add(_flag_for(exc))
-                continue
-            except CriticalPointError:
-                flags.add("CriticalPoint")
-                continue
-            if stat > best:
+        for stat in row:
+            if isinstance(stat, str):
+                flags.add(stat)
+            elif stat > best:
                 best = stat
         if best >= 0.0:
             per_n[n] = best
@@ -305,10 +324,9 @@ def _point_stats(
 
 def _scan_chunk(payload) -> list[PointStats]:
     kind, expr, grid, n_values, offset, indices = payload
-    xs = grid.x_coords()
-    ys = grid.y_coords()
     return [
-        _point_stats(kind, expr, grid, n_values, offset, p, xs, ys) for p in indices
+        _point_stats(z, rows, n_values)
+        for z, rows in _sweep(kind, expr, grid, n_values, offset, indices)
     ]
 
 
@@ -468,7 +486,11 @@ def local_bound_estimate(
 
 @dataclass(frozen=True)
 class FloorCheckReport:
-    """Result of a |f_n'| >= epsilon sweep over grid neighborhoods."""
+    """Result of a |f_n'| >= epsilon sweep over grid neighborhoods.
+
+    M2, M3 and max_abs_schwarzian are the maxima of |f''|, |f'''| and |S|
+    over the same samples, wherever S is defined.
+    """
 
     grid: GridSpec
     n_values: tuple[int, ...]
@@ -476,6 +498,9 @@ class FloorCheckReport:
     passes: tuple[tuple[bool, ...], ...]  # [point][n index]
     min_abs_derivative: float
     flags: tuple[frozenset[str], ...]
+    M2: float
+    M3: float
+    max_abs_schwarzian: float
 
     @property
     def all_pass(self) -> bool:
@@ -498,31 +523,31 @@ def derivative_floor_check(
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     ns = _validate_n_values(n_values)
-    offset = _seed_offset(seed)
-    xs = grid.x_coords()
-    ys = grid.y_coords()
     rows = []
     flag_rows = []
     global_min = math.inf
-    for index in range(grid.nx * grid.ny):
-        z = complex(xs[index % grid.nx], ys[index // grid.nx])
-        samples = _neighborhood(
-            z, grid.neighborhood_radius, grid.neighborhood_samples, offset, index
-        )
+    m2 = m3 = max_s = 0.0
+    for _, jet_rows in _sweep("jet", f, grid, ns, _seed_offset(seed), range(grid.nx * grid.ny)):
         flags: set[str] = set()
         row = []
-        for n in ns:
+        for jets in jet_rows:
             low = math.inf
             clean = True
-            for w in samples:
-                try:
-                    mag = abs(eval_jet(f, n, w).d1)
-                except EvalError as exc:
-                    flags.add(_flag_for(exc))
+            for jet in jets:
+                if isinstance(jet, str):
+                    flags.add(jet)
                     clean = False
                     continue
+                mag = abs(jet.d1)
                 if mag < low:
                     low = mag
+                try:
+                    s = abs(schwarzian(jet))
+                except CriticalPointError:
+                    continue
+                m2 = max(m2, abs(jet.d2))
+                m3 = max(m3, abs(jet.d3))
+                max_s = max(max_s, s)
             if low < global_min:
                 global_min = low
             row.append(clean and low >= epsilon)
@@ -530,7 +555,9 @@ def derivative_floor_check(
         flag_rows.append(frozenset(flags))
     if not math.isfinite(global_min):
         global_min = math.nan
-    return FloorCheckReport(grid, ns, epsilon, tuple(rows), global_min, tuple(flag_rows))
+    return FloorCheckReport(
+        grid, ns, epsilon, tuple(rows), global_min, tuple(flag_rows), m2, m3, max_s
+    )
 
 
 def value_bound_check(f: FamilyExpr, n_values, zeta: complex, L: float) -> bool:
@@ -600,44 +627,16 @@ def check_theorem_hypotheses(
     """Run both hypothesis checks and the derived Schwarzian bound.
 
     Composes :func:`derivative_floor_check`, :func:`value_bound_check` and
-    :func:`sd_bound_from_hypotheses` over one grid, measuring M2, M3 and
-    the maximum |S_{f_n}| on the same neighborhood samples.
+    :func:`sd_bound_from_hypotheses` over one grid; the floor sweep's jets
+    also give M2, M3 and the maximum |S_{f_n}|.
     """
     ns = _validate_n_values(n_values)
     floor = derivative_floor_check(f, ns, grid, epsilon, seed=seed)
     value_ok = value_bound_check(f, ns, zeta, L)
-    offset = _seed_offset(seed)
-    xs = grid.x_coords()
-    ys = grid.y_coords()
-    m2 = 0.0
-    m3 = 0.0
-    max_s = 0.0
-    for index in range(grid.nx * grid.ny):
-        z = complex(xs[index % grid.nx], ys[index // grid.nx])
-        samples = _neighborhood(
-            z, grid.neighborhood_radius, grid.neighborhood_samples, offset, index
-        )
-        for n in ns:
-            for w in samples:
-                try:
-                    jet = eval_jet(f, n, w)
-                    s = abs(schwarzian(jet))
-                except (EvalError, CriticalPointError):
-                    continue
-                m2 = max(m2, abs(jet.d2))
-                m3 = max(m3, abs(jet.d3))
-                max_s = max(max_s, s)
-    bound = sd_bound_from_hypotheses(m2, m3, epsilon)
+    bound = sd_bound_from_hypotheses(floor.M2, floor.M3, epsilon)
+    max_s = floor.max_abs_schwarzian
     sound = max_s <= bound * (1.0 + 1e-9)
     return HypothesesReport(
-        epsilon,
-        L,
-        floor.all_pass,
-        value_ok,
-        floor.min_abs_derivative,
-        m2,
-        m3,
-        bound,
-        max_s,
-        sound,
+        epsilon, L, floor.all_pass, value_ok, floor.min_abs_derivative,
+        floor.M2, floor.M3, bound, max_s, sound,
     )

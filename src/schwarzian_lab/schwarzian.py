@@ -24,6 +24,7 @@ from .jets import (
     BoundedJet,
     ComplexJet3,
     DivisionByZeroAtPoint,
+    OverflowAtPoint,
     bounded_div,
     bounded_exact,
     bounded_mobius,
@@ -341,7 +342,8 @@ def check_composition_law(
 
     The left side evaluates g's tree with its variable seeded by the jet of
     f, so the composed jet comes from the chain rule and not from any reuse
-    of the right side.
+    of the right side.  Raises :class:`OverflowAtPoint` when either side
+    leaves the finite range, as when f'(z)^2 overflows.
     """
     jf = eval_jet(f, n, z)
     try:
@@ -357,6 +359,11 @@ def check_composition_law(
     lhs = schwarzian(composed)
     square = jf.d1 * jf.d1
     rhs = s_g * square + s_f
+    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+        # e.g. S_g = 0 times an overflowed f'^2: 0 * inf is nan, no verdict
+        raise OverflowAtPoint(
+            f"composition law sides not finite: lhs {lhs}, rhs {rhs}", complex(z)
+        )
 
     def error_bound() -> float:
         bf = _bounded_at(f, n, z)

@@ -134,6 +134,42 @@ def test_eval_parse_error_exits_2(capsys):
     assert "error" in err and "offset 3" in err
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        "(" * 600 + "z" + ")" * 600,
+        "+".join(["z"] * 3000),
+        "-" * 600 + "z",
+        "z+" + "9" * 400,
+        "z^" + "2" * 5000,
+        "z^1000000",
+    ],
+    ids=["parentheses", "flat-sum", "unary-minus", "literal", "exponent-digits", "exponent"],
+)
+def test_family_past_the_input_limits_exits_2(capsys, family):
+    code, out, err = run_cli(capsys, "eval", f"--family={family}", "--n", "1", "--z", "0.5+0i")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse error at offset")
+
+
+def test_complex_literal_past_the_double_range_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--family", "z", "--n", "1", "--z", "1" + "0" * 400])
+    assert info.value.code == 2
+    assert "double range" in capsys.readouterr().err
+
+
+def test_composition_overflow_exits_3(capsys):
+    # S_g f'^2 is 0 * inf there: a refusal, not a failed identity
+    code, out, err = run_cli(
+        capsys, "identity", "composition", "--family", "exp(exp(n)+z*n)",
+        "--family", "(n+i-exp(n))*(3*z*-i)", "--n", "6", "--z", "0+0i",
+    )
+    assert (code, out) == (3, "")
+    assert "OverflowAtPoint" in err
+
+
 def test_eval_evaluation_error_exits_3(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--family", "log(z)", "--n", "1", "--z", "0+0i"

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schwarzian_lab import GridSpec, marty_scan
 from schwarzian_lab.dsl import (
+    MAX_DEPTH,
+    MAX_EXPONENT,
     Add,
     ConstNum,
     Div,
@@ -350,3 +353,63 @@ def test_family_pickles_without_compiled_cache():
 def test_source_is_preserved_for_reference():
     expr = parse("exp(n*z)")
     assert expr.source == "exp(n*z)"
+
+
+# ---------------------------------------------------------------------------
+# input limits
+
+
+def _calls(depth: int) -> str:
+    # log(exp(...)) pairs, an odd level wrapped in one more exp
+    inner = "log(exp(" * (depth // 2) + "z" + "))" * (depth // 2)
+    return f"exp({inner})" if depth % 2 else inner
+
+
+_NESTINGS = {
+    "parentheses": lambda d: "(" * d + "z" + ")" * d,
+    "unary minus": lambda d: "-" * d + "z",
+    "calls": _calls,
+    "flat sum": lambda d: "+".join(["z"] * (d + 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_nesting_at_the_depth_limit_runs_everywhere(shape):
+    f = parse(_NESTINGS[shape](MAX_DEPTH))
+    jet = eval_jet(f, 1, 0.25)
+    assert eval_jet_bounded(f, 1, bounded_exact(jet_var(0.25))).jet == jet
+    assert parse(pretty_print(f)) == f
+    assert pickle.loads(pickle.dumps(f)) == f
+
+
+def test_pool_workers_take_a_family_at_the_depth_limit():
+    f = parse(_NESTINGS["flat sum"](MAX_DEPTH))
+    g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 1)
+    ns = range(1, 9)
+    assert marty_scan(f, g, ns, workers=2) == marty_scan(f, g, ns)
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_nesting_past_the_depth_limit_is_a_parse_error(shape):
+    with pytest.raises(ParseError) as info:
+        parse(_NESTINGS[shape](MAX_DEPTH + 1))
+    assert f"than {MAX_DEPTH}" in info.value.message
+
+
+def test_literal_limit_is_the_double_range():
+    assert parse("1" + "0" * 308).root == ConstNum(complex(1e308))
+    with pytest.raises(ParseError) as info:
+        parse("z+1" + "0" * 309)
+    assert info.value.position == 2
+    assert parse("0." + "0" * 400 + "1").root == ConstNum(0j)
+
+
+def test_exponent_limit():
+    assert eval_jet(parse(f"z^{MAX_EXPONENT}"), 1, 1.0).d3 == MAX_EXPONENT * 999 * 998
+    assert eval_jet(parse(f"z^-{MAX_EXPONENT}"), 1, 1.0).v == 1.0
+    for text in (f"z^{MAX_EXPONENT + 1}", f"z^-{MAX_EXPONENT + 1}"):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == 2
+    with pytest.raises(ParseError):
+        parse("z^" + "7" * 5000)

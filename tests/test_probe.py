@@ -5,9 +5,12 @@ import math
 import pytest
 
 from schwarzian_lab import (
+    CriticalPointError,
+    EvalError,
     FloorCheckReport,
     GridSpec,
     MartyGridReport,
+    OverflowAtPoint,
     PointStats,
     SegmentEvaluationError,
     Verdict,
@@ -15,13 +18,16 @@ from schwarzian_lab import (
     check_theorem_hypotheses,
     classify,
     derivative_floor_check,
+    eval_jet,
     local_bound_estimate,
     marty_scan,
     parse,
+    schwarzian,
     sd_bound_from_hypotheses,
     sd_family_scan,
     value_bound_check,
 )
+from schwarzian_lab import probe
 from schwarzian_lab.probe import _neighborhood, _seed_offset
 
 
@@ -63,10 +69,12 @@ def test_grid_coordinates_hit_endpoints_exactly():
 
 def test_grid_point_is_row_major_x_fastest():
     g = GridSpec(-1.0, 1.0, -0.3, 0.3, 5, 3)
-    assert g.point(0) == complex(-1.0, -0.3)
-    assert g.point(4) == complex(1.0, -0.3)
-    assert g.point(5) == complex(-1.0, 0.0)
-    assert g.point(14) == complex(1.0, 0.3)
+    points = marty_scan(parse("z"), g, (1,)).points
+    assert len(points) == 15
+    assert points[0].z == complex(-1.0, -0.3)
+    assert points[4].z == complex(1.0, -0.3)
+    assert points[5].z == complex(-1.0, 0.0)
+    assert points[14].z == complex(1.0, 0.3)
 
 
 def test_grid_single_column():
@@ -398,3 +406,96 @@ def test_theorem_hypotheses_floor_failure():
     assert not rep.floor_ok
     assert not rep.passed
     assert rep.value_ok
+
+
+_HYP_GRID = GridSpec(-0.17, 0.17, -0.17, 0.17, 3, 2, neighborhood_radius=0.001)
+
+
+def test_theorem_hypotheses_evaluates_each_sample_once(monkeypatch):
+    # one evaluation per (point, n, sample) for the floor, M2, M3 and
+    # max |S| together, plus one per n for the value bound at zeta
+    calls = []
+    for name in ("eval_jet", "eval_jet_seeded"):
+        real = getattr(probe, name, None)
+        if real is not None:
+            def counted(*args, _real=real, **kwargs):
+                calls.append(args[1])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(probe, name, counted)
+    ns = range(1, 6)
+    rep = check_theorem_hypotheses(parse("z + (z^2)/n"), ns, _HYP_GRID, 0.5, 0.0, 0.1)
+    samples = _HYP_GRID.nx * _HYP_GRID.ny * _HYP_GRID.neighborhood_samples
+    assert len(calls) == samples * len(ns) + len(ns)
+    assert rep.passed
+
+
+def test_theorem_hypotheses_identical_across_reruns():
+    f = parse("exp(z/(n*z+1)) + 1/z")
+    args = (range(1, 9), _HYP_GRID, 0.5, 1.0, 2.0)
+    first = check_theorem_hypotheses(f, *args, seed=3)
+    assert check_theorem_hypotheses(f, *args, seed=3) == first
+    assert check_theorem_hypotheses(parse(f.source), *args, seed=3) == first
+
+
+def test_floor_sweep_matches_per_sample_evaluation():
+    # the loops the sampling kernel replaced, evaluating every sample
+    # anew: the floor, M2, M3 and max |S| must agree bit for bit
+    f = parse("exp(n*z) + 1/z")
+    g = GridSpec(-0.1, 0.1, -0.1, 0.1, 3, 3)
+    ns = (1, 2, 8000)
+    offset = _seed_offset(7)
+    passes, flags = [], []
+    low_all, m2, m3, max_s = math.inf, 0.0, 0.0, 0.0
+    for index in range(9):
+        z = complex(g.x_coords()[index % 3], g.y_coords()[index // 3])
+        point_flags = set()
+        row = []
+        for n in ns:
+            low, clean = math.inf, True
+            for w in _neighborhood(z, g.neighborhood_radius, 9, offset, index):
+                try:
+                    jet = eval_jet(f, n, w)
+                except EvalError as exc:
+                    point_flags.add(
+                        "Overflow" if isinstance(exc.__cause__, OverflowAtPoint) else "Pole"
+                    )
+                    clean = False
+                    continue
+                low = min(low, abs(jet.d1))
+                try:
+                    s = abs(schwarzian(jet))
+                except CriticalPointError:
+                    continue
+                m2, m3, max_s = max(m2, abs(jet.d2)), max(m3, abs(jet.d3)), max(max_s, s)
+            low_all = min(low_all, low)
+            row.append(clean and low >= 0.5)
+        passes.append(tuple(row))
+        flags.append(frozenset(point_flags))
+    rep = derivative_floor_check(f, ns, g, 0.5, seed=7)
+    assert rep.passes == tuple(passes) and rep.flags == tuple(flags)
+    assert {"Pole", "Overflow"} <= set().union(*flags)
+    assert (rep.min_abs_derivative, rep.M2, rep.M3) == (low_all, m2, m3)
+    assert rep.max_abs_schwarzian == max_s
+
+
+def test_sd_statistic_matches_per_sample_stencil():
+    # the sd kernel reuses each sample's five stencil jets across n; the
+    # statistic must equal the stencil evaluated from scratch
+    f = parse("exp(z/(n*z+1))")
+    g = GridSpec(0.1, 0.3, -0.1, 0.1, 2, 2, neighborhood_samples=3)
+    ns = (1, 2, 3, 4)
+    rep = sd_family_scan(f, g, ns, seed=2)
+    offset = _seed_offset(2)
+    h = g.neighborhood_radius / 8.0
+    for index, p in enumerate(rep.points):
+        best = {}
+        for n in ns:
+            for w in _neighborhood(p.z, g.neighborhood_radius, 3, offset, index):
+                s0, sp1, sm1, sp2, sm2 = (
+                    schwarzian(eval_jet(f, n, w + k * h)) for k in (0, 1, -1, 2, -2)
+                )
+                ds = (-sp2 + 8.0 * sp1 - 8.0 * sm1 + sm2) / (12.0 * h)
+                best[n] = max(best.get(n, -1.0), abs(ds) / (1.0 + abs(s0) ** 2))
+        assert p.sup_stat == max(best.values())
+        assert p.argmax_n == max(best, key=best.get)

@@ -16,6 +16,7 @@ from schwarzian_lab import (
     FamilyExpr,
     GuardViolation,
     Mobius,
+    OverflowAtPoint,
     PoleOfMobius,
     check_composition_law,
     check_conjugation,
@@ -290,6 +291,17 @@ def test_composition_labels_outer_critical_point():
     assert info.value.point == 0.0
 
 
+def test_composition_overflowing_square_refuses():
+    # f' = 6 exp(exp(6)) ~ 1e176 squares to inf while S_g = 0 for the
+    # affine g, so S_g f'^2 was 0 * inf = nan on a side that equals S_f = -18
+    f = parse("exp(exp(n)+z*n)")
+    g = parse("(n+i-exp(n))*(3*z*-i)")
+    with pytest.raises(OverflowAtPoint) as info:
+        check_composition_law(f, g, 6, 0.0)
+    assert info.value.point == 0.0
+    assert check_composition_law(g, f, 6, 0.0).passed
+
+
 # ---------------------------------------------------------------------------
 # reciprocal checker
 
@@ -409,19 +421,23 @@ def test_property_mobius_schwarzian_vanishes(a, b, c, d, z):
     z=_pt,
 )
 # once falsified: S_f = 0 exactly, and the quotient-rule Moebius jet put
-# lhs at 6.1e-7
+# lhs at 1.2e-9 (n = 6)
 @example(seed=2326, a=1 + 0j, b=0j, c=1 + 0j, d=1 + 0j, z=0j)
+# once falsified: the guards saw f_5(0) = -100, the check ran f_1(0) = 0,
+# the pole of 1/w
+@example(seed=3414, a=0j, b=1 + 0j, c=1 + 0j, d=0j, z=0j)
 def test_property_invariance_for_random_families(seed, a, b, c, d, z):
     rng = random.Random(seed)
     f = support.random_family(rng)
     m = _mobius_or_reject(a, b, c, d)
+    # the guards below must see the f_n that is checked
+    n = rng.randint(1, 8)
     try:
-        jf = eval_jet(f, rng.randint(1, 8), z)
+        jf = eval_jet(f, n, z)
     except EvalError:
         assume(False)
     assume(abs(jf.d1) >= 1e-6)
     assume(abs(m.c * jf.v + m.d) >= 0.1)
-    n = rng.randint(1, 8)
     try:
         rep = check_mobius_invariance(f, n, m, z)
     except (EvalError, CriticalPointError):
@@ -430,6 +446,8 @@ def test_property_invariance_for_random_families(seed, a, b, c, d, z):
 
 
 @given(seed=st.integers(0, 10**6), z=_pt)
+# once falsified: S_g f'^2 was 0 * inf = nan; now refused as an overflow
+@example(seed=657733, z=0j)
 def test_property_composition_both_orders(seed, z):
     rng = random.Random(seed)
     f = support.random_family(rng)
@@ -438,7 +456,7 @@ def test_property_composition_both_orders(seed, z):
     for first, second in ((f, g), (g, f)):
         try:
             rep = check_composition_law(first, second, n, z)
-        except (EvalError, CriticalPointError):
+        except (EvalError, CriticalPointError, OverflowAtPoint):
             continue
         assume(abs(rep.lhs) <= 1e8)
         assert rep.passed
