@@ -1,10 +1,11 @@
 """Command-line surface: eval, identity checks, grid scans, bound checks.
 
 Every subcommand is a thin adapter over the library: arguments are parsed
-and validated here, all numerics happen in the other modules, and results
-are serialized by the ``*_to_csv`` / ``*_to_json`` helpers below (public
-so tests can compare CLI output against direct library calls byte for
-byte).
+and validated here, and all numerics happen in the other modules.  Each
+handler turns its result into rows (dicts) and one writer prints them:
+``rows_to_csv`` or ``rows_to_json``, which decide every cell's format by
+the value's type.  The writer and the row builders are public so tests can
+compare CLI output against direct library calls byte for byte.
 
 Exit codes: 0 success/pass, 1 identity or bound check failed, 2 parse or
 configuration error, 3 evaluation error, 4 I/O error.
@@ -23,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .dsl import EvalError, FamilyExpr, ParseError, eval_jet, lex_number, parse
 from .jets import JetError
@@ -32,6 +34,7 @@ from .probe import (
     DEFAULT_RADIUS,
     DEFAULT_SAMPLES,
     DEFAULT_SLOPE_THRESHOLD,
+    MAX_WORKERS,
     GridSpec,
     HypothesesReport,
     LocalBoundReport,
@@ -67,16 +70,12 @@ __all__ = [
     "parse_complex",
     "format_complex",
     "eval_record",
-    "record_to_csv",
-    "record_to_json",
-    "identity_to_csv",
-    "identity_to_json",
-    "report_to_csv",
-    "report_to_json",
-    "bounds_to_csv",
-    "bounds_to_json",
-    "hypotheses_to_csv",
-    "hypotheses_to_json",
+    "identity_row",
+    "scan_rows",
+    "bound_rows",
+    "hypotheses_row",
+    "rows_to_csv",
+    "rows_to_json",
     "main",
 ]
 
@@ -149,21 +148,8 @@ def _mobius_from_text(text: str, n: float) -> Mobius:
     return Mobius(*coeffs)
 
 
-def _float_cell(x: float) -> str:
-    return repr(float(x))
-
-
-def _json_float(x: float):
-    # strict JSON has no inf/nan; fall back to their repr strings
-    return float(x) if math.isfinite(x) else repr(float(x))
-
-
-def _bool_cell(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 # ---------------------------------------------------------------------------
-# serializers (shared between the CLI and tests)
+# rows and the one writer (shared between the CLI and tests)
 
 
 def eval_record(f: FamilyExpr, n: float, z: complex) -> dict:
@@ -187,169 +173,88 @@ def eval_record(f: FamilyExpr, n: float, z: complex) -> dict:
     }
 
 
-def record_to_csv(record: dict) -> str:
-    return ",".join(record) + "\n" + ",".join(record.values()) + "\n"
+def identity_row(report: IdentityReport, fmt: str) -> dict:
+    """The report's fields; ``error_bound`` and ``rule`` appear in JSON only."""
+    row = asdict(report)
+    if fmt == "csv":
+        del row["error_bound"], row["rule"]
+    return row
 
 
-def record_to_json(record: dict) -> str:
-    return json.dumps(record, indent=2) + "\n"
-
-
-def _identity_row(report: IdentityReport) -> dict:
-    return {
-        "lhs": format_complex(report.lhs),
-        "rhs": format_complex(report.rhs),
-        "abs_gap": report.abs_gap,
-        "rel_gap": report.rel_gap,
-        "passed": report.passed,
-        "tolerance_used": report.tolerance_used,
-    }
-
-
-def identity_to_csv(report: IdentityReport) -> str:
-    row = _identity_row(report)
-    cells = [
-        row["lhs"],
-        row["rhs"],
-        _float_cell(row["abs_gap"]),
-        _float_cell(row["rel_gap"]),
-        _bool_cell(row["passed"]),
-        _float_cell(row["tolerance_used"]),
-    ]
-    return ",".join(row) + "\n" + ",".join(cells) + "\n"
-
-
-def identity_to_json(report: IdentityReport) -> str:
-    row = {
-        key: _json_float(value) if type(value) is float else value
-        for key, value in _identity_row(report).items()
-    }
-    bound = report.error_bound
-    row["error_bound"] = None if bound is None else _json_float(bound)
-    row["rule"] = report.rule
-    return json.dumps(row, indent=2) + "\n"
-
-
-SCAN_CSV_HEADER = "re,im,sup_stat,argmax_n,growth_slope,flags,verdict"
-
-
-def report_to_csv(report: MartyGridReport, verdicts: list[NormalityVerdict]) -> str:
-    lines = [SCAN_CSV_HEADER]
-    for point, verdict in zip(report.points, verdicts):
-        lines.append(
-            ",".join(
-                (
-                    format(point.z.real, ".17g"),
-                    format(point.z.imag, ".17g"),
-                    _float_cell(point.sup_stat),
-                    str(point.argmax_n),
-                    _float_cell(point.growth_slope),
-                    ";".join(sorted(point.flags)),
-                    verdict.verdict.value,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def report_to_json(report: MartyGridReport, verdicts: list[NormalityVerdict]) -> str:
-    rows = [
+def scan_rows(
+    report: MartyGridReport, verdicts: list[NormalityVerdict], fmt: str
+) -> list[dict]:
+    """One row per grid point; re/im are 17-digit text in CSV, numbers in JSON."""
+    coord = (lambda x: format(x, ".17g")) if fmt == "csv" else float
+    return [
         {
-            "re": point.z.real,
-            "im": point.z.imag,
-            "sup_stat": _json_float(point.sup_stat),
+            "re": coord(point.z.real),
+            "im": coord(point.z.imag),
+            "sup_stat": point.sup_stat,
             "argmax_n": point.argmax_n,
-            "growth_slope": _json_float(point.growth_slope),
+            "growth_slope": point.growth_slope,
             "flags": ";".join(sorted(point.flags)),
             "verdict": verdict.verdict.value,
         }
         for point, verdict in zip(report.points, verdicts)
     ]
-    return json.dumps(rows, indent=2) + "\n"
 
 
-def bounds_to_csv(reports: list[LocalBoundReport]) -> str:
-    lines = ["n,K_estimate,bound_rhs,observed,passed,value_at_z0"]
-    for r in reports:
-        lines.append(
-            ",".join(
-                (
-                    str(r.n),
-                    _float_cell(r.K_estimate),
-                    _float_cell(r.bound_rhs),
-                    _float_cell(r.observed),
-                    _bool_cell(r.passed),
-                    format_complex(r.value_at_z0),
-                )
-            )
-        )
+def bound_rows(reports: list[LocalBoundReport]) -> list[dict]:
+    """One row per n, the report's fields in order."""
+    return [asdict(r) for r in reports]
+
+
+def hypotheses_row(report: HypothesesReport) -> dict:
+    """The report's fields in order, then ``passed``."""
+    return {**asdict(report), "passed": report.passed}
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, complex):
+        return format_complex(value)
+    return str(value)
+
+
+def _json_value(value):
+    # strict JSON has no inf/nan; they fall back to their repr strings
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if isinstance(value, complex):
+        return format_complex(value)
+    return value
+
+
+def rows_to_csv(rows) -> str:
+    """A header line, then one line per row; a dict is a single row."""
+    rows = [rows] if isinstance(rows, dict) else rows
+    lines = [",".join(rows[0])] + [",".join(map(_cell, row.values())) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def bounds_to_json(reports: list[LocalBoundReport]) -> str:
-    rows = [
-        {
-            "n": r.n,
-            "K_estimate": r.K_estimate,
-            "bound_rhs": r.bound_rhs,
-            "observed": r.observed,
-            "passed": r.passed,
-            "value_at_z0": format_complex(r.value_at_z0),
-        }
-        for r in reports
-    ]
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def _hypotheses_row(report: HypothesesReport) -> dict:
-    return {
-        "epsilon": report.epsilon,
-        "L": report.L,
-        "floor_ok": report.floor_ok,
-        "value_ok": report.value_ok,
-        "min_abs_derivative": _json_float(report.min_abs_derivative),
-        "M2": report.M2,
-        "M3": report.M3,
-        "sd_bound": _json_float(report.sd_bound),
-        "max_abs_schwarzian": report.max_abs_schwarzian,
-        "sound": report.sound,
-        "passed": report.passed,
-    }
-
-
-def hypotheses_to_csv(report: HypothesesReport) -> str:
-    row = _hypotheses_row(report)
-    cells = []
-    for value in row.values():
-        if isinstance(value, bool):
-            cells.append(_bool_cell(value))
-        elif isinstance(value, str):
-            cells.append(value)
-        else:
-            cells.append(_float_cell(value))
-    return ",".join(row) + "\n" + ",".join(cells) + "\n"
-
-
-def hypotheses_to_json(report: HypothesesReport) -> str:
-    return json.dumps(_hypotheses_row(report), indent=2) + "\n"
+def rows_to_json(rows) -> str:
+    """A dict as one JSON object, a list of dicts as an array of them."""
+    if isinstance(rows, dict):
+        data = {key: _json_value(value) for key, value in rows.items()}
+    else:
+        data = [{key: _json_value(value) for key, value in row.items()} for row in rows]
+    return json.dumps(data, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
 
-class _FamilyText(argparse.Action):
+class _AppendFamily(argparse.Action):
+    # --family and --catalog share one list, so f and g keep their order;
+    # a catalog name (the option with choices) resolves to its text
     def __call__(self, parser, namespace, values, option_string=None):
-        items = list(getattr(namespace, self.dest) or [])
-        items.append(("text", values))
-        setattr(namespace, self.dest, items)
-
-
-class _CatalogName(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = list(getattr(namespace, self.dest) or [])
-        items.append(("catalog", values))
-        setattr(namespace, self.dest, items)
+        text = CATALOG[values] if self.choices else values
+        setattr(namespace, self.dest, [*(getattr(namespace, self.dest) or []), text])
 
 
 def _complex_arg(text: str) -> complex:
@@ -375,7 +280,7 @@ def _add_family_options(sub: argparse.ArgumentParser, what: str) -> None:
     sub.add_argument(
         "--family",
         dest="family_specs",
-        action=_FamilyText,
+        action=_AppendFamily,
         metavar="TEXT",
         default=None,
         help=f"family expression in z and n; {what}",
@@ -383,7 +288,7 @@ def _add_family_options(sub: argparse.ArgumentParser, what: str) -> None:
     sub.add_argument(
         "--catalog",
         dest="family_specs",
-        action=_CatalogName,
+        action=_AppendFamily,
         choices=sorted(CATALOG),
         default=None,
         help="use a named built-in family instead of --family",
@@ -415,7 +320,7 @@ def _resolve_families(specs, count: int, command: str) -> list[FamilyExpr]:
             f"{command} needs exactly {count} {plural} "
             f"(via --family/--catalog), got {len(specs)}"
         )
-    return [parse(CATALOG[v] if kind == "catalog" else v) for kind, v in specs]
+    return [parse(text) for text in specs]
 
 
 def _resolve_seed(seed) -> int:
@@ -430,13 +335,13 @@ def _resolve_workers(workers) -> int:
         if workers < 1:
             raise ValueError("--workers must be at least 1")
         return workers
-    return os.cpu_count() or 1
+    return min(os.cpu_count() or 1, MAX_WORKERS)
 
 
-def _n_range(args) -> tuple:
+def _n_range(args) -> range:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValueError("need 1 <= n-min <= n-max")
-    return tuple(range(args.n_min, args.n_max + 1))
+    return range(args.n_min, args.n_max + 1)
 
 
 def _emit(text: str, out_path) -> None:
@@ -451,15 +356,12 @@ def _emit(text: str, out_path) -> None:
 # subcommand handlers
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple:
     family = _resolve_families(args.family_specs, 1, "eval")[0]
-    record = eval_record(family, args.n, args.z)
-    text = record_to_csv(record) if args.format == "csv" else record_to_json(record)
-    _emit(text, args.out)
-    return 0
+    return eval_record(family, args.n, args.z), 0
 
 
-def _cmd_identity(args) -> int:
+def _cmd_identity(args) -> tuple:
     kind = args.kind
     tols = {"tol_abs": args.tol_abs, "tol_rel": args.tol_rel}
     if kind == "mobius-invariance":
@@ -482,15 +384,13 @@ def _cmd_identity(args) -> int:
             raise ValueError("conjugation needs --phi a,b,c,d")
         phi = _mobius_from_text(args.phi, args.n)
         report = check_conjugation(f, g, phi, args.n, args.z, **tols)
-    text = identity_to_csv(report) if args.format == "csv" else identity_to_json(report)
-    _emit(text, args.out)
-    return 0 if report.passed else 1
+    return identity_row(report, args.format), 0 if report.passed else 1
 
 
-def _cmd_scan(args, scan) -> int:
+def _cmd_scan(args) -> tuple:
     family = _resolve_families(args.family_specs, 1, "scan")[0]
     grid = GridSpec(*args.grid, args.radius, args.samples)
-    report = scan(
+    report = args.scan(
         family,
         grid,
         _n_range(args),
@@ -498,25 +398,18 @@ def _cmd_scan(args, scan) -> int:
         workers=_resolve_workers(args.workers),
     )
     verdicts = classify(report, args.slope_threshold, args.decay_threshold, args.cap)
-    if args.format == "csv":
-        text = report_to_csv(report, verdicts)
-    else:
-        text = report_to_json(report, verdicts)
-    _emit(text, args.out)
-    return 0
+    return scan_rows(report, verdicts, args.format), 0
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> tuple:
     family = _resolve_families(args.family_specs, 1, "bound")[0]
     reports = local_bound_estimate(
         family, _n_range(args), args.z0, args.z, args.segment_samples
     )
-    text = bounds_to_csv(reports) if args.format == "csv" else bounds_to_json(reports)
-    _emit(text, args.out)
-    return 0 if all(r.passed for r in reports) else 1
+    return bound_rows(reports), 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_hypotheses(args) -> int:
+def _cmd_hypotheses(args) -> tuple:
     family = _resolve_families(args.family_specs, 1, "hypotheses")[0]
     grid = GridSpec(*args.grid, args.radius, args.samples)
     report = check_theorem_hypotheses(
@@ -528,12 +421,7 @@ def _cmd_hypotheses(args) -> int:
         args.L,
         seed=_resolve_seed(args.seed),
     )
-    if args.format == "csv":
-        text = hypotheses_to_csv(report)
-    else:
-        text = hypotheses_to_json(report)
-    _emit(text, args.out)
-    return 0 if report.passed else 1
+    return hypotheses_row(report), 0 if report.passed else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -609,9 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.handler is _cmd_scan:
-            return _cmd_scan(args, args.scan)
-        return args.handler(args)
+        rows, code = args.handler(args)
+        _emit(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows), args.out)
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

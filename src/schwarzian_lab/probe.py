@@ -20,6 +20,7 @@ The verdicts are heuristics about candidates, not proofs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
@@ -39,6 +40,11 @@ __all__ = [
     "DEFAULT_SLOPE_THRESHOLD",
     "DEFAULT_DECAY_THRESHOLD",
     "DEFAULT_CAP",
+    "MAX_GRID_POINTS",
+    "MAX_N_VALUES",
+    "MAX_SAMPLES",
+    "MAX_SEGMENT_SAMPLES",
+    "MAX_WORKERS",
     "GridSpec",
     "PointStats",
     "MartyGridReport",
@@ -66,6 +72,15 @@ DEFAULT_SEED = 0
 DEFAULT_SLOPE_THRESHOLD = 0.5
 DEFAULT_DECAY_THRESHOLD = 0.1
 DEFAULT_CAP = 1e6
+
+# upper limits on the counts that size allocations and process pools, so a
+# short argument cannot ask for unbounded memory or processes; each is
+# checked before anything it sizes is built
+MAX_GRID_POINTS = 250_000  # nx * ny, a 500x500 grid
+MAX_N_VALUES = 1024  # length of the n sweep
+MAX_SAMPLES = 128  # neighborhood samples per grid point
+MAX_SEGMENT_SAMPLES = 100_000  # samples along a bound-check segment
+MAX_WORKERS = 64  # scan processes
 
 # statistics at or below this are treated as numerically zero when
 # fitting growth slopes; fitting the log of roundoff noise is meaningless
@@ -114,10 +129,14 @@ class GridSpec:
             raise ValueError("grid ranges must satisfy re_min < re_max, im_min < im_max")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("nx and ny must be positive")
+        if self.nx * self.ny > MAX_GRID_POINTS:
+            raise ValueError(f"a grid has at most {MAX_GRID_POINTS} points (nx * ny)")
         if self.neighborhood_radius <= 0.0:
             raise ValueError("neighborhood_radius must be positive")
         if self.neighborhood_samples < 1:
             raise ValueError("neighborhood_samples must be positive")
+        if self.neighborhood_samples > MAX_SAMPLES:
+            raise ValueError(f"neighborhood_samples must be at most {MAX_SAMPLES}")
         cell = min(
             (self.re_max - self.re_min) / max(self.nx - 1, 1),
             (self.im_max - self.im_min) / max(self.ny - 1, 1),
@@ -331,9 +350,12 @@ def _scan_chunk(payload) -> list[PointStats]:
 
 
 def _validate_n_values(n_values) -> tuple[int, ...]:
-    ns = tuple(n_values)
+    # one past the limit is enough to refuse; a long range is never built
+    ns = tuple(itertools.islice(n_values, MAX_N_VALUES + 1))
     if not ns:
         raise ValueError("n_values must be nonempty")
+    if len(ns) > MAX_N_VALUES:
+        raise ValueError(f"at most {MAX_N_VALUES} n values")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_values must be sorted strictly ascending")
     return ns
@@ -347,6 +369,8 @@ def _scan(
     seed: int,
     workers: int,
 ) -> MartyGridReport:
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be at most {MAX_WORKERS}")
     ns = _validate_n_values(n_values if n_values is not None else DEFAULT_N_VALUES)
     offset = _seed_offset(seed)
     total = grid.nx * grid.ny
@@ -455,6 +479,8 @@ def local_bound_estimate(
     """
     if segment_samples < 2:
         raise ValueError("segment_samples must be at least 2")
+    if segment_samples > MAX_SEGMENT_SAMPLES:
+        raise ValueError(f"segment_samples must be at most {MAX_SEGMENT_SAMPLES}")
     ns = _validate_n_values(n_values)
     z0 = complex(z0)
     z = complex(z)
@@ -580,13 +606,23 @@ def sd_bound_from_hypotheses(M2: float, M3: float, epsilon: float) -> float:
     """Schwarzian bound M3/eps + 1.5 (M2/eps)^2 from derivative bounds.
 
     With |f''| <= M2, |f'''| <= M3 and |f'| >= epsilon on a region, the
-    triangle inequality bounds |S_f| there by this quantity.
+    triangle inequality bounds |S_f| there by this quantity.  Raises
+    :class:`OverflowAtPoint` when it leaves the finite double range, since
+    an infinite bound says nothing.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if M2 < 0.0 or M3 < 0.0:
         raise ValueError("derivative bounds must be nonnegative")
-    return M3 / epsilon + 1.5 * (M2 / epsilon) ** 2
+    try:
+        bound = M3 / epsilon + 1.5 * (M2 / epsilon) ** 2
+    except OverflowError:  # float ** raises where * would give inf
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise OverflowAtPoint(
+            f"Schwarzian bound not finite: M2 {M2!r}, M3 {M3!r}, epsilon {epsilon!r}"
+        )
+    return bound
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from schwarzian_lab import (
     sd_bound_from_hypotheses,
     sd_family_scan,
 )
-from schwarzian_lab.cli import report_to_csv
+from schwarzian_lab.cli import rows_to_csv, scan_rows
 from schwarzian_lab.dsl import EvalError
 from schwarzian_lab.schwarzian import CriticalPointError
 
@@ -263,13 +263,17 @@ def test_11_segment_bound_on_random_families():
     assert time.perf_counter() - t0 < 30.0
 
 
+def _scan_csv(report):
+    return rows_to_csv(scan_rows(report, classify(report), "csv"))
+
+
 def test_12_scans_bit_identical_across_runs_and_workers(
     exp_nz_marty_41, example2_sd_41
 ):
     marty_report, _ = exp_nz_marty_41
     sd_report, _ = example2_sd_41
-    marty_csv = report_to_csv(marty_report, classify(marty_report))
-    sd_csv = report_to_csv(sd_report, classify(sd_report))
+    marty_csv = _scan_csv(marty_report)
+    sd_csv = _scan_csv(sd_report)
 
     grid_m = GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)
     grid_s = GridSpec(-0.5, 0.5, -0.5, 0.5, 41, 41)
@@ -278,11 +282,11 @@ def test_12_scans_bit_identical_across_runs_and_workers(
     f_s = parse("exp(z/(n*z+1))")
 
     rerun = marty_scan(f_m, grid_m, ns, seed=0, workers=1)
-    assert report_to_csv(rerun, classify(rerun)) == marty_csv
+    assert _scan_csv(rerun) == marty_csv
     spread = marty_scan(f_m, grid_m, ns, seed=0, workers=8)
-    assert report_to_csv(spread, classify(spread)) == marty_csv
+    assert _scan_csv(spread) == marty_csv
 
     rerun = sd_family_scan(f_s, grid_s, ns, seed=0, workers=1)
-    assert report_to_csv(rerun, classify(rerun)) == sd_csv
+    assert _scan_csv(rerun) == sd_csv
     spread = sd_family_scan(f_s, grid_s, ns, seed=0, workers=8)
-    assert report_to_csv(spread, classify(spread)) == sd_csv
+    assert _scan_csv(spread) == sd_csv

@@ -28,7 +28,15 @@ from schwarzian_lab import (
     value_bound_check,
 )
 from schwarzian_lab import probe
-from schwarzian_lab.probe import _neighborhood, _seed_offset
+from schwarzian_lab.probe import (
+    MAX_GRID_POINTS,
+    MAX_N_VALUES,
+    MAX_SAMPLES,
+    MAX_SEGMENT_SAMPLES,
+    MAX_WORKERS,
+    _neighborhood,
+    _seed_offset,
+)
 
 
 def verdicts(report, **kw):
@@ -383,6 +391,15 @@ def test_sd_bound_formula():
         sd_bound_from_hypotheses(-1.0, 1.0, 1.0)
 
 
+def test_sd_bound_past_the_double_range_refuses():
+    # (M2/eps)^2 overflows: float ** raises OverflowError, + gives inf
+    with pytest.raises(OverflowAtPoint):
+        sd_bound_from_hypotheses(1e160, 0.0, 0.1)
+    with pytest.raises(OverflowAtPoint):
+        sd_bound_from_hypotheses(0.0, 1e308, 1e-3)
+    assert sd_bound_from_hypotheses(2.0**500, 0.0, 1.0) == 1.5 * 2.0**1000
+
+
 def test_theorem_hypotheses_pass_case():
     # z + z^2/n on a small disk around 0: f' = 1 + 2z/n stays above 1/2,
     # f(0) = 0 for every n, M2 = 2/n peaks at 2 and M3 vanishes, so the
@@ -499,3 +516,54 @@ def test_sd_statistic_matches_per_sample_stencil():
                 best[n] = max(best.get(n, -1.0), abs(ds) / (1.0 + abs(s0) ** 2))
         assert p.sup_stat == max(best.values())
         assert p.argmax_n == max(best, key=best.get)
+
+
+# ---------------------------------------------------------------------------
+# limits on the counts that size allocations and process pools; each check
+# runs before the allocation or pool it guards
+
+
+def test_grid_point_limit():
+    GridSpec(0, 1, 0, 1, 500, 500, 1e-4)
+    assert 500 * 500 == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="at most 250000 points"):
+        GridSpec(0, 1, 0, 1, MAX_GRID_POINTS + 1, 1)
+
+
+def test_neighborhood_sample_limit():
+    grid = GridSpec(0, 1, 0, 1, 1, 1, 0.05, MAX_SAMPLES)
+    assert len(marty_scan(parse("z"), grid, (1,)).points) == 1
+    with pytest.raises(ValueError, match="at most 128"):
+        GridSpec(0, 1, 0, 1, 1, 1, 0.05, MAX_SAMPLES + 1)
+
+
+def test_n_range_limit():
+    grid = GridSpec(0, 1, 0, 1, 1, 1, 0.05, 1)
+    report = marty_scan(parse("z"), grid, range(1, MAX_N_VALUES + 1))
+    assert len(report.n_values) == MAX_N_VALUES
+    for call in (
+        lambda ns: marty_scan(parse("z"), grid, ns),
+        lambda ns: local_bound_estimate(parse("z"), ns, 0, 1),
+        lambda ns: check_theorem_hypotheses(parse("z"), ns, grid, 0.5, 0, 1.0),
+    ):
+        with pytest.raises(ValueError, match="at most 1024 n values"):
+            call(range(1, MAX_N_VALUES + 2))
+    # a range far past the limit is refused without being built
+    with pytest.raises(ValueError, match="at most 1024 n values"):
+        marty_scan(parse("z"), grid, range(1, 10**12))
+
+
+def test_segment_sample_limit():
+    (report,) = local_bound_estimate(parse("z"), (1,), 0, 1, MAX_SEGMENT_SAMPLES)
+    assert report.K_estimate == 1.0
+    with pytest.raises(ValueError, match="at most 100000"):
+        local_bound_estimate(parse("z"), (1,), 0, 1, MAX_SEGMENT_SAMPLES + 1)
+
+
+def test_worker_limit():
+    # one grid point never starts a pool, whatever the worker count
+    grid = GridSpec(0, 1, 0, 1, 1, 1, 0.05, 1)
+    assert len(marty_scan(parse("z"), grid, (1,), workers=MAX_WORKERS).points) == 1
+    for scan in (marty_scan, sd_family_scan):
+        with pytest.raises(ValueError, match="at most 64"):
+            scan(parse("z"), grid, (1,), workers=MAX_WORKERS + 1)
