@@ -25,10 +25,19 @@ can exhaust the stack or run unbounded work: at most :data:`MAX_DEPTH`
 levels of nesting, number literals within the double range, and integer
 exponents of magnitude at most :data:`MAX_EXPONENT`.
 
-One compiled tree walker evaluates every expression.  It runs on plain
-jets for :func:`eval_jet` and :func:`eval_jet_seeded`, and on the
-bounded twins of the jet operations for :func:`eval_jet_bounded`, which
-yields the same values together with their error bounds.
+One compiled tree walker evaluates every expression, over a batch of
+lanes at once: a lane is one evaluation, (n, seed jet, point), and each
+node's closure runs once per batch, with its jet operation applied to all
+lanes by a lane kernel from ``jets``.  :func:`eval_jet_lanes` returns one
+entry per lane, its jet or the :class:`EvalError` of its first failure;
+:func:`eval_jet`, :func:`eval_jet_seeded` and :func:`eval_jet_bounded`
+are one-lane calls that raise that error.  The first failure is the one a
+recursive evaluation would raise: a node's left operand before its right,
+and both before the node's own operation.  Later nodes pass a failed
+lane's error through untouched and never raise it, so one lane's failure
+leaves the other lanes' jets bit-identical.  The bounded walker, behind
+:func:`eval_jet_bounded`, runs the ``bounded_*`` twins of the operations
+lane by lane and yields the same jets together with their error bounds.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from .jets import (
     BoundedJet,
     ComplexJet3,
     JetError,
+    _as_jet,
     bounded_add,
     bounded_const,
     bounded_div,
@@ -50,23 +60,23 @@ from .jets import (
     bounded_log,
     bounded_mul,
     bounded_neg,
-    bounded_pow_int,
     bounded_sub,
-    jet_add,
     jet_const,
-    jet_div,
-    jet_exp,
-    jet_log,
-    jet_mul,
-    jet_neg,
     jet_pow_int,
-    jet_sub,
     jet_var,
+    lanes_add,
+    lanes_div,
+    lanes_exp,
+    lanes_log,
+    lanes_mul,
+    lanes_neg,
+    lanes_sub,
 )
 
 __all__ = [
     "MAX_DEPTH",
     "MAX_EXPONENT",
+    "LANE_BLOCK",
     "Span",
     "Node",
     "Var",
@@ -89,6 +99,7 @@ __all__ = [
     "eval_jet",
     "eval_jet_seeded",
     "eval_jet_bounded",
+    "eval_jet_lanes",
     "lex_number",
 ]
 
@@ -536,11 +547,22 @@ def pretty_print(expr: FamilyExpr | Node) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-_Compiled = Callable[[ComplexJet3, ComplexJet3, complex], ComplexJet3]
+# lanes walked at once: a node keeps one list of this many jets alive
+# while its other operand is evaluated, so this bounds the memory a
+# batch can take at MAX_DEPTH lists of it
+LANE_BLOCK = 1024
+
+# (n jets, variable jets) -> one entry per lane: a jet, or the EvalError of
+# the lane's first failure
+_Compiled = Callable[[list, list], list]
 
 
 class _Ops(NamedTuple):
-    """The arithmetic the walker runs on."""
+    """The arithmetic the walker runs on, one lane operation per node kind.
+
+    ``lift`` and ``const`` make one value at compile time; every other
+    entry takes its operands' lane lists and the node's ``fail``.
+    """
 
     lift: Callable  # an exactly known ComplexJet3 into this arithmetic
     const: Callable
@@ -551,11 +573,34 @@ class _Ops(NamedTuple):
     div: Callable
     exp: Callable
     log: Callable
-    pow_int: Callable
 
 
 def _same(j: ComplexJet3) -> ComplexJet3:
     return j
+
+
+def _per_lane(op: Callable) -> Callable:
+    """Lift a one-jet operation to lanes, with the kernels' failure rule.
+
+    A lane whose operand failed keeps that failure (the left operand's,
+    where both did); a lane the operation fails on gets ``fail(exc)``.
+    """
+
+    def run(*args):
+        *operands, fail = args
+        out = []
+        for lane in zip(*operands):
+            failed = [x for x in lane if isinstance(x, EvalError)]
+            if failed:
+                out.append(failed[0])
+                continue
+            try:
+                out.append(op(*lane))
+            except JetError as exc:
+                out.append(fail(exc))
+        return out
+
+    return run
 
 
 def _ops(bounded: bool) -> _Ops:
@@ -564,66 +609,61 @@ def _ops(bounded: bool) -> _Ops:
     # count jet operations per layer) reaches the compiled walker
     if bounded:
         return _Ops(
-            bounded_exact, bounded_const, bounded_neg, bounded_add, bounded_sub,
-            bounded_mul, bounded_div, bounded_exp, bounded_log, bounded_pow_int,
+            bounded_exact, bounded_const, *map(_per_lane, (
+                bounded_neg, bounded_add, bounded_sub, bounded_mul,
+                bounded_div, bounded_exp, bounded_log,
+            )),
         )
     return _Ops(
-        _same, jet_const, jet_neg, jet_add, jet_sub, jet_mul, jet_div,
-        jet_exp, jet_log, jet_pow_int,
+        _same, jet_const, lanes_neg, lanes_add, lanes_sub, lanes_mul, lanes_div,
+        lanes_exp, lanes_log,
     )
 
 
-def _compile(node: Node, ops: _Ops) -> _Compiled:
-    if isinstance(node, Var):
-        return lambda nj, zj, z: zj
-    if isinstance(node, Param):
-        return lambda nj, zj, z: nj
-    if isinstance(node, ImagUnit):
-        cj = ops.lift(jet_const(1j))
-        return lambda nj, zj, z: cj
-    if isinstance(node, ConstNum):
-        cj = ops.const(node.value)
-        return lambda nj, zj, z: cj
-    if isinstance(node, Neg):
-        fa = _compile(node.operand, ops)
-        neg = ops.neg
-        return lambda nj, zj, z: neg(fa(nj, zj, z))
+def _failure(span: Span) -> Callable[[JetError], EvalError]:
+    # the lane's point is filled in once the batch is done
+    def fail(exc: JetError) -> EvalError:
+        err = EvalError(span, str(exc))
+        err.__cause__ = exc
+        return err
 
-    span = node.span
+    return fail
+
+
+def _compile(node: Node, ops: _Ops) -> _Compiled:
+    # each closure maps the lanes' n jets N and variable jets Z to one
+    # entry per lane: operands run lhs first, then the node's own operation
+    if isinstance(node, Var):
+        return lambda N, Z: Z
+    if isinstance(node, Param):
+        return lambda N, Z: N
+    if isinstance(node, (ImagUnit, ConstNum)):
+        cj = ops.lift(jet_const(1j)) if isinstance(node, ImagUnit) else ops.const(node.value)
+        return lambda N, Z: [cj] * len(Z)
+
+    fail = _failure(node.span)
     if isinstance(node, (Add, Sub, Mul, Div)):
         fa = _compile(node.lhs, ops)
         fb = _compile(node.rhs, ops)
         op = {Add: ops.add, Sub: ops.sub, Mul: ops.mul, Div: ops.div}[type(node)]
-
-        def run_binary(nj, zj, z, fa=fa, fb=fb, op=op, span=span):
-            a = fa(nj, zj, z)
-            b = fb(nj, zj, z)
-            try:
-                return op(a, b)
-            except JetError as exc:
-                raise EvalError(span, str(exc), z) from exc
-
-        return run_binary
-    if isinstance(node, (Exp, Log)):
-        fa = _compile(node.arg, ops)
-        op = ops.exp if isinstance(node, Exp) else ops.log
-
-        def run_unary(nj, zj, z, fa=fa, op=op, span=span):
-            try:
-                return op(fa(nj, zj, z))
-            except JetError as exc:
-                raise EvalError(span, str(exc), z) from exc
-
-        return run_unary
+        return lambda N, Z: op(fa(N, Z), fb(N, Z), fail)
+    if isinstance(node, (Neg, Exp, Log)):
+        fa = _compile(node.arg if isinstance(node, (Exp, Log)) else node.operand, ops)
+        op = {Neg: ops.neg, Exp: ops.exp, Log: ops.log}[type(node)]
+        return lambda N, Z: op(fa(N, Z), fail)
     if isinstance(node, PowInt):
         fa = _compile(node.base, ops)
         k = node.exponent
+        one = ops.lift(jet_const(1.0))
+        mul, div = ops.mul, ops.div
 
-        def run_pow(nj, zj, z, fa=fa, k=k, pow_int=ops.pow_int, span=span):
-            try:
-                return pow_int(fa(nj, zj, z), k)
-            except JetError as exc:
-                raise EvalError(span, str(exc), z) from exc
+        def run_pow(N, Z):
+            U = fa(N, Z)
+            # x^0 is one, but a failed base still fails
+            ones = [u if isinstance(u, EvalError) else one for u in U] if k <= 0 else None
+            return jet_pow_int(
+                U, k, lambda A, B: mul(A, B, fail), lambda A, B: div(A, B, fail), ones
+            )
 
         return run_pow
     raise TypeError(f"not an expression node: {node!r}")
@@ -637,6 +677,46 @@ def _compiled(expr: FamilyExpr) -> _Compiled:
     return fn
 
 
+def _walk(fn: _Compiled, nj, seeds, points) -> list:
+    # ``points`` labels the failed lanes; None labels each with its seed's value
+    out = []
+    for start in range(0, len(seeds), LANE_BLOCK):
+        Z = seeds[start : start + LANE_BLOCK]
+        out += fn([nj] * len(Z), Z)
+    try:
+        return list(map(_as_jet, out))
+    except TypeError:  # some lane failed: an EvalError is not iterable
+        pass
+    for k, j in enumerate(out):
+        if isinstance(j, EvalError):
+            j.point = seeds[k].v if points is None else points[k]
+        else:
+            out[k] = _as_jet(j)
+    return out
+
+
+def _one_lane(fn: _Compiled, nj, seed, point, finish=_as_jet):
+    # the one lane's jet, or its failure raised
+    (j,) = fn([nj], [seed])
+    if isinstance(j, EvalError):
+        j.point = point
+        raise j
+    return finish(j)
+
+
+def eval_jet_lanes(expr: FamilyExpr, n: float, seeds, points=None) -> list:
+    """Evaluate f_n once per lane in one walk of the expression tree.
+
+    Lane k has the variable leaf seeded by ``seeds[k]``, a jet, as in
+    :func:`eval_jet_seeded`; ``points[k]`` (default ``seeds[k].v``) only
+    labels its errors.  Returns one entry per lane: its
+    :class:`ComplexJet3`, or the :class:`EvalError` of its first failure,
+    which is the one the single evaluation would raise.  Each lane's jet
+    is bit-identical to the single evaluation's.
+    """
+    return _walk(_compiled(expr), jet_const(complex(n)), seeds, points)
+
+
 def eval_jet(expr: FamilyExpr, n: float, z: complex) -> ComplexJet3:
     """Evaluate the order-3 jet of f_n at z.
 
@@ -644,7 +724,7 @@ def eval_jet(expr: FamilyExpr, n: float, z: complex) -> ComplexJet3:
     number with zero imaginary part.
     """
     z = complex(z)
-    return _compiled(expr)(jet_const(complex(n)), jet_var(z), z)
+    return _one_lane(_compiled(expr), jet_const(complex(n)), jet_var(z), z)
 
 
 def eval_jet_seeded(
@@ -656,7 +736,7 @@ def eval_jet_seeded(
     composition f_n(g(z)) by the chain rule; ``point`` only labels errors.
     """
     at = seed.v if point is None else point
-    return _compiled(expr)(jet_const(complex(n)), seed, at)
+    return _one_lane(_compiled(expr), jet_const(complex(n)), seed, at)
 
 
 def eval_jet_bounded(
@@ -674,4 +754,5 @@ def eval_jet_bounded(
     """
     at = seed.jet.v if point is None else point
     nj = bounded_exact(jet_const(complex(n)))
-    return _compile(expr.root, _ops(bounded=True))(nj, seed, at)
+    fn = _compile(expr.root, _ops(bounded=True))
+    return _one_lane(fn, nj, seed, at, finish=_same)  # bounded ops build BoundedJets

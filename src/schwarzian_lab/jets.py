@@ -11,6 +11,15 @@ Jets never hold non-finite components: an operation that would produce
 whose denominator magnitude sits at or below the floor raises
 :class:`DivisionByZeroAtPoint`.
 
+Every formula is written once, as a lane kernel (``lanes_*``) that runs
+one operation over a batch of lanes.  A lane holds one jet, or the failure
+of an earlier operation on it, which later kernels pass through untouched;
+a lane the kernel itself fails on gets ``fail(exc)`` in place of a jet, so
+one lane's failure never stops the others.  The ``jet_*`` functions are
+one-lane calls of the kernels that raise the failure instead.  A kernel
+runs the same float operations in the same order whatever the batch, so a
+lane's jet is bit-identical to the one-lane result.
+
 Each operation also has a ``bounded_*`` twin on :class:`BoundedJet`, which
 computes the bit-identical jet and, beside it, a first-order running
 error bound per component (Higham, *Accuracy and Stability of Numerical
@@ -22,6 +31,7 @@ The expression walker in ``dsl`` runs on either set.
 from __future__ import annotations
 
 import cmath
+from functools import partial
 from typing import NamedTuple
 
 __all__ = [
@@ -42,6 +52,13 @@ __all__ = [
     "jet_log",
     "jet_pow_int",
     "jet_mobius",
+    "lanes_add",
+    "lanes_sub",
+    "lanes_neg",
+    "lanes_mul",
+    "lanes_div",
+    "lanes_exp",
+    "lanes_log",
     "UNIT_ROUNDOFF",
     "BoundedJet",
     "bounded_exact",
@@ -90,10 +107,179 @@ class ComplexJet3(NamedTuple):
     d3: complex
 
 
-def _checked(v: complex, d1: complex, d2: complex, d3: complex) -> ComplexJet3:
-    if _isfinite(v) and _isfinite(d1) and _isfinite(d2) and _isfinite(d3):
-        return ComplexJet3(v, d1, d2, d3)
-    raise OverflowAtPoint("jet component overflowed the finite range")
+_OVERFLOW = "jet component overflowed the finite range"
+# a lane's jet is built as a plain 4-tuple; _as_jet names it at the end
+_as_jet = partial(tuple.__new__, ComplexJet3)
+
+
+def _raise(exc: JetError):
+    raise exc
+
+
+# ---------------------------------------------------------------------------
+# lane kernels
+#
+# Each kernel runs one jet operation over a batch of lanes.  An entry of
+# an operand list is either a jet (any 4-tuple) or the failure of an
+# earlier operation on that lane, which passes through unchanged; where
+# both operands failed, the left one's failure is kept.  A lane the
+# operation itself fails on becomes ``fail(exc)`` for its JetError.  The
+# scalar jet_* functions are one-lane calls of these kernels with a
+# ``fail`` that raises, so every formula exists once.
+
+
+def lanes_add(A: list, B: list, fail) -> list:
+    out = []
+    append = out.append
+    for a, b in zip(A, B):
+        try:
+            av, a1, a2, a3 = a
+            bv, b1, b2, b3 = b
+        except TypeError:  # a failed operand
+            append(b if isinstance(a, tuple) else a)
+            continue
+        v, d1, d2, d3 = av + bv, a1 + b1, a2 + b2, a3 + b3
+        if _isfinite(v) and _isfinite(d1) and _isfinite(d2) and _isfinite(d3):
+            append((v, d1, d2, d3))
+        else:
+            append(fail(OverflowAtPoint(_OVERFLOW)))
+    return out
+
+
+def lanes_sub(A: list, B: list, fail) -> list:
+    out = []
+    append = out.append
+    for a, b in zip(A, B):
+        try:
+            av, a1, a2, a3 = a
+            bv, b1, b2, b3 = b
+        except TypeError:
+            append(b if isinstance(a, tuple) else a)
+            continue
+        v, d1, d2, d3 = av - bv, a1 - b1, a2 - b2, a3 - b3
+        if _isfinite(v) and _isfinite(d1) and _isfinite(d2) and _isfinite(d3):
+            append((v, d1, d2, d3))
+        else:
+            append(fail(OverflowAtPoint(_OVERFLOW)))
+    return out
+
+
+def lanes_neg(A: list, fail) -> list:
+    """Negation; it cannot fail, so ``fail`` is unused."""
+    out = []
+    append = out.append
+    for a in A:
+        try:
+            av, a1, a2, a3 = a
+        except TypeError:
+            append(a)
+            continue
+        append((-av, -a1, -a2, -a3))
+    return out
+
+
+def lanes_mul(A: list, B: list, fail) -> list:
+    """Leibniz product rule through order three.
+
+    Sums are associated symmetrically so that swapping the operands yields
+    the identical floating-point result.
+    """
+    out = []
+    append = out.append
+    for a, b in zip(A, B):
+        try:
+            av, a1, a2, a3 = a
+            bv, b1, b2, b3 = b
+        except TypeError:
+            append(b if isinstance(a, tuple) else a)
+            continue
+        v = av * bv
+        d1 = a1 * bv + av * b1
+        d2 = (a2 * bv + av * b2) + 2.0 * (a1 * b1)
+        d3 = (a3 * bv + av * b3) + 3.0 * (a2 * b1 + a1 * b2)
+        if _isfinite(v) and _isfinite(d1) and _isfinite(d2) and _isfinite(d3):
+            append((v, d1, d2, d3))
+        else:
+            append(fail(OverflowAtPoint(_OVERFLOW)))
+    return out
+
+
+def _chain_lanes(U: list, outer, param, fail) -> list:
+    # order-3 chain rule: outer(u.v, param) gives the outer function's
+    # value and first three derivatives at u.v, or raises a JetError
+    out = []
+    append = out.append
+    for u in U:
+        try:
+            uv, u1, u2, u3 = u
+        except TypeError:
+            append(u)
+            continue
+        try:
+            w0, w1, w2, w3 = outer(uv, param)
+        except JetError as exc:
+            append(fail(exc))
+            continue
+        d1 = w1 * u1
+        d2 = w2 * (u1 * u1) + w1 * u2
+        d3 = w3 * (u1 * u1 * u1) + 3.0 * (w2 * (u1 * u2)) + w1 * u3
+        if _isfinite(w0) and _isfinite(d1) and _isfinite(d2) and _isfinite(d3):
+            append((w0, d1, d2, d3))
+        else:
+            append(fail(OverflowAtPoint(_OVERFLOW)))
+    return out
+
+
+def _reciprocal(bv: complex, floor: float) -> tuple:
+    if abs(bv) <= floor:
+        raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
+    w = 1.0 / bv
+    w2 = w * w
+    return w, -w2, 2.0 * (w2 * w), -6.0 * (w2 * w2)
+
+
+def _exponential(uv: complex, guard: float) -> tuple:
+    if abs(uv.real) > guard:
+        raise OverflowAtPoint("exp argument outside the overflow guard", uv)
+    e = cmath.exp(uv)
+    return e, e, e, e
+
+
+def _logarithm(uv: complex, floor: float) -> tuple:
+    if abs(uv) <= floor:
+        raise DivisionByZeroAtPoint("log of (near-)zero value", uv)
+    w = 1.0 / uv
+    w2 = w * w
+    return cmath.log(uv), w, -w2, 2.0 * (w2 * w)
+
+
+def _mobius(w: complex, coefficients: tuple) -> tuple:
+    a, b, c, d, floor = coefficients
+    den = c * w + d
+    if abs(den) <= floor:
+        raise DivisionByZeroAtPoint("Moebius map evaluated at its pole", den)
+    r = 1.0 / den
+    r2 = r * r
+    return (a * w + b) * r, r2, -2.0 * c * r2 * r, 6.0 * c * c * r2 * r2
+
+
+def lanes_div(A: list, B: list, fail, floor: float = DIVISION_FLOOR) -> list:
+    """Quotient a/b, computed as a times the reciprocal jet of b."""
+    return lanes_mul(A, _chain_lanes(B, _reciprocal, floor, fail), fail)
+
+
+def lanes_exp(U: list, fail, guard: float = EXP_REAL_GUARD) -> list:
+    """Exponential; guards |Re u| to stay inside finite doubles."""
+    return _chain_lanes(U, _exponential, guard, fail)
+
+
+def lanes_log(U: list, fail, floor: float = DIVISION_FLOOR) -> list:
+    """Principal-branch logarithm."""
+    return _chain_lanes(U, _logarithm, floor, fail)
+
+
+# ---------------------------------------------------------------------------
+# one jet at a time
 
 
 def jet_var(z0: complex) -> ComplexJet3:
@@ -113,67 +299,35 @@ def jet_const(c: complex) -> ComplexJet3:
 
 
 def jet_add(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
-    return _checked(a.v + b.v, a.d1 + b.d1, a.d2 + b.d2, a.d3 + b.d3)
+    return _as_jet(lanes_add((a,), (b,), _raise)[0])
 
 
 def jet_sub(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
-    return _checked(a.v - b.v, a.d1 - b.d1, a.d2 - b.d2, a.d3 - b.d3)
+    return _as_jet(lanes_sub((a,), (b,), _raise)[0])
 
 
 def jet_neg(a: ComplexJet3) -> ComplexJet3:
-    return ComplexJet3(-a.v, -a.d1, -a.d2, -a.d3)
+    return _as_jet(lanes_neg((a,), _raise)[0])
 
 
 def jet_mul(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
-    """Leibniz product rule through order three.
-
-    Sums are associated symmetrically so that swapping the operands yields
-    the identical floating-point result.
-    """
-    v = a.v * b.v
-    d1 = a.d1 * b.v + a.v * b.d1
-    d2 = (a.d2 * b.v + a.v * b.d2) + 2.0 * (a.d1 * b.d1)
-    d3 = (a.d3 * b.v + a.v * b.d3) + 3.0 * (a.d2 * b.d1 + a.d1 * b.d2)
-    return _checked(v, d1, d2, d3)
-
-
-def _chain(u: ComplexJet3, w0: complex, w1: complex, w2: complex, w3: complex) -> ComplexJet3:
-    # order-3 chain rule: w0..w3 are the outer function's value and
-    # derivatives taken at u.v
-    u1, u2, u3 = u.d1, u.d2, u.d3
-    d1 = w1 * u1
-    d2 = w2 * (u1 * u1) + w1 * u2
-    d3 = w3 * (u1 * u1 * u1) + 3.0 * (w2 * (u1 * u2)) + w1 * u3
-    return _checked(w0, d1, d2, d3)
+    """Leibniz product rule through order three (see :func:`lanes_mul`)."""
+    return _as_jet(lanes_mul((a,), (b,), _raise)[0])
 
 
 def jet_div(a: ComplexJet3, b: ComplexJet3, floor: float = DIVISION_FLOOR) -> ComplexJet3:
     """Quotient a/b, computed as a times the reciprocal jet of b."""
-    bv = b.v
-    if abs(bv) <= floor:
-        raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
-    w = 1.0 / bv
-    w2 = w * w
-    recip = _chain(b, w, -w2, 2.0 * (w2 * w), -6.0 * (w2 * w2))
-    return jet_mul(a, recip)
+    return _as_jet(lanes_div((a,), (b,), _raise, floor)[0])
 
 
 def jet_exp(u: ComplexJet3, guard: float = EXP_REAL_GUARD) -> ComplexJet3:
     """Exponential of a jet; guards |Re u| to stay inside finite doubles."""
-    if abs(u.v.real) > guard:
-        raise OverflowAtPoint("exp argument outside the overflow guard", u.v)
-    e = cmath.exp(u.v)
-    return _chain(u, e, e, e, e)
+    return _as_jet(lanes_exp((u,), _raise, guard)[0])
 
 
 def jet_log(u: ComplexJet3, floor: float = DIVISION_FLOOR) -> ComplexJet3:
     """Principal-branch logarithm of a jet."""
-    uv = u.v
-    if abs(uv) <= floor:
-        raise DivisionByZeroAtPoint("log of (near-)zero value", uv)
-    w = 1.0 / uv
-    w2 = w * w
-    return _chain(u, cmath.log(uv), w, -w2, 2.0 * (w2 * w))
+    return _as_jet(lanes_log((u,), _raise, floor)[0])
 
 
 _ONE = ComplexJet3(1.0 + 0.0j, 0.0j, 0.0j, 0.0j)
@@ -185,7 +339,7 @@ def jet_pow_int(
     """Integer power by repeated multiplication; negative k via reciprocal.
 
     ``mul``, ``div`` and ``one`` let :func:`bounded_pow_int` run the same
-    steps on bounded jets.
+    steps on bounded jets, and the expression walker on lanes.
     """
     if k < 0:
         return div(one, jet_pow_int(u, -k, mul, div, one))
@@ -209,13 +363,7 @@ def jet_mobius(
     a (c u + d) and c (a u + b), which grow with |u| while the difference
     stays ad - bc = 1, and lose digits to the cancellation.
     """
-    w = u.v
-    den = c * w + d
-    if abs(den) <= floor:
-        raise DivisionByZeroAtPoint("Moebius map evaluated at its pole", den)
-    r = 1.0 / den
-    r2 = r * r
-    return _chain(u, (a * w + b) * r, r2, -2.0 * c * r2 * r, 6.0 * c * c * r2 * r2)
+    return _as_jet(_chain_lanes((u,), _mobius, (a, b, c, d, floor), _raise)[0])
 
 
 # ---------------------------------------------------------------------------

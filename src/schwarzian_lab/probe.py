@@ -20,6 +20,7 @@ The verdicts are heuristics about candidates, not proofs.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -28,8 +29,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
-from .dsl import EvalError, FamilyExpr, eval_jet, eval_jet_seeded
-from .jets import ComplexJet3, OverflowAtPoint, jet_var
+from .dsl import EvalError, FamilyExpr, eval_jet, eval_jet_lanes
+from .jets import OverflowAtPoint, jet_var
 from .schwarzian import CriticalPointError, schwarzian, spherical_derivative
 
 __all__ = [
@@ -224,42 +225,58 @@ def _flag_for(exc: EvalError) -> str:
     return "Overflow" if isinstance(exc.__cause__, OverflowAtPoint) else "Pole"
 
 
-def _seed_sample(w: complex, radius: float) -> ComplexJet3:
-    return jet_var(w)
+def _seed_sample(w: complex, h: float) -> tuple:
+    return (jet_var(w),)
 
 
-def _seed_stencil(w: complex, radius: float) -> tuple:
+def _seed_stencil(w: complex, h: float) -> tuple:
     # the five points of the S' stencil, a real step h apart
-    h = radius / 8.0
-    return h, tuple(jet_var(p) for p in (w, w + h, w - h, w + 2.0 * h, w - 2.0 * h))
+    return tuple(jet_var(p) for p in (w, w + h, w - h, w + 2.0 * h, w - 2.0 * h))
 
 
-def _jet(expr: FamilyExpr, n: int, zj: ComplexJet3) -> ComplexJet3:
-    # by the module-level name, which bench/tracer.py rebinds to count calls
-    return eval_jet_seeded(expr, n, zj)
+def _jet_row(out: list, h: float) -> list:
+    return [_flag_for(j) if isinstance(j, EvalError) else j for j in out]
 
 
-def _marty_stat(expr: FamilyExpr, n: int, zj: ComplexJet3) -> float:
-    return spherical_derivative(eval_jet_seeded(expr, n, zj))
+def _marty_row(out: list, h: float) -> list:
+    return [_flag_for(j) if isinstance(j, EvalError) else spherical_derivative(j) for j in out]
 
 
-def _sd_stat(expr: FamilyExpr, n: int, stencil: tuple) -> float:
+def _sd_stat(lanes: list, h: float) -> float:
     # spherical derivative of z -> S_{f_n}(z); S' comes from a five-point
     # stencil with a real step, which equals the complex derivative for
     # analytic S
-    h, jets = stencil
-    s0, sp1, sm1, sp2, sm2 = [schwarzian(eval_jet_seeded(expr, n, j)) for j in jets]
+    s = []
+    for j in lanes:  # the first failed lane decides, in stencil order
+        if isinstance(j, EvalError):
+            raise j
+        s.append(schwarzian(j))
+    s0, sp1, sm1, sp2, sm2 = s
     ds = (-sp2 + 8.0 * sp1 - 8.0 * sm1 + sm2) / (12.0 * h)
     m = abs(s0)
     return abs(ds) / (1.0 + m * m)
 
 
+def _sd_row(out: list, h: float) -> list:
+    row = []
+    for k in range(0, len(out), 5):  # a sample's five stencil lanes
+        try:
+            row.append(_sd_stat(out[k : k + 5], h))
+        except EvalError as exc:
+            row.append(_flag_for(exc))
+        except CriticalPointError:
+            row.append("CriticalPoint")
+    return row
+
+
 # the statistic of each grid command: ``seed_jets`` builds one sample's
-# variable jets, once per grid point, and ``measure`` evaluates at one n
+# lanes, its variable jets, once per grid point, and ``row`` reads one
+# outcome per sample from the lanes' entries at one n, the statistic or
+# the flag of the sample's first failure; both take the stencil step
 _STATS = {
-    "jet": (_seed_sample, _jet),
-    "marty": (_seed_sample, _marty_stat),
-    "sd": (_seed_stencil, _sd_stat),
+    "jet": (_seed_sample, _jet_row),
+    "marty": (_seed_sample, _marty_row),
+    "sd": (_seed_stencil, _sd_row),
 }
 
 
@@ -269,27 +286,20 @@ def _sweep(kind: str, expr: FamilyExpr, grid: GridSpec, n_values, offset: float,
     Yields (z, rows) per point, where rows[k] holds one outcome per
     neighborhood sample at n_values[k]: the statistic ``kind`` names, or
     the flag ("Pole", "Overflow", "CriticalPoint") of the sample's first
-    failed evaluation.  Each sample's variable jets are built once.
+    failed evaluation.  Each sample's variable jets are built once, and
+    one batch evaluation per (point, n) runs all of the point's lanes.
     """
-    seed_jets, measure = _STATS[kind]
+    seed_jets, row_of = _STATS[kind]
     xs = grid.x_coords()
     ys = grid.y_coords()
     radius = grid.neighborhood_radius
+    h = radius / 8.0  # the S' stencil's step
     for index in indices:
         z = complex(xs[index % grid.nx], ys[index // grid.nx])
         samples = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
-        seeds = [seed_jets(w, radius) for w in samples]
-        rows = []
-        for n in n_values:
-            row = []
-            for s in seeds:
-                try:
-                    row.append(measure(expr, n, s))
-                except EvalError as exc:
-                    row.append(_flag_for(exc))
-                except CriticalPointError:
-                    row.append("CriticalPoint")
-            rows.append(row)
+        lanes = [j for w in samples for j in seed_jets(w, h)]
+        # by the module-level name, which bench/tracer.py rebinds to count calls
+        rows = [row_of(eval_jet_lanes(expr, n, lanes), h) for n in n_values]
         yield z, rows
 
 
@@ -381,7 +391,8 @@ def _scan(
             (kind, f, grid, ns, offset, indices[k : k + chunk])
             for k in range(0, total, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # fork only as many processes as there are chunks to run
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             parts = list(pool.map(_scan_chunk, payloads))
         stats = [s for part in parts for s in part]
     else:
@@ -485,22 +496,27 @@ def local_bound_estimate(
     z0 = complex(z0)
     z = complex(z)
     length = abs(z - z0)
-    steps = [k / (segment_samples - 1) for k in range(segment_samples)]
+    steps = (k / (segment_samples - 1) for k in range(segment_samples))
+    points = [z0, z] + [z0 + t * (z - z0) for t in steps]
+    # a segment past the double range has a non-finite point, which
+    # jet_var refuses once every earlier lane of an n evaluated cleanly
+    finite = list(itertools.takewhile(cmath.isfinite, points))
+    seeds = [jet_var(p) for p in finite]
     reports = []
     flagged = []
     for n in ns:
-        try:
-            j0 = eval_jet(f, n, z0)
-            j1 = eval_jet(f, n, z)
-            k_est = 0.0
-            for t in steps:
-                jt = eval_jet(f, n, z0 + t * (z - z0))
-                mag = abs(jt.d1)
-                if mag > k_est:
-                    k_est = mag
-        except EvalError:
+        out = eval_jet_lanes(f, n, seeds, finite)
+        if any(isinstance(j, EvalError) for j in out):
             flagged.append(n)
             continue
+        if len(finite) < len(points):
+            jet_var(points[len(finite)])
+        j0, j1 = out[0], out[1]
+        k_est = 0.0
+        for jt in out[2:]:
+            mag = abs(jt.d1)
+            if mag > k_est:
+                k_est = mag
         observed = abs(j1.v - j0.v)
         rhs = k_est * length
         passed = observed <= rhs * (1.0 + 1e-9) + 1e-12

@@ -4,8 +4,9 @@ Most tests drive ``main(argv)`` in process and compare its output byte for
 byte against the public row builders and writer applied to direct library
 calls; the CLI must add nothing of its own.  Those comparisons cannot see a
 change in the writer itself, so literal golden outputs pin the bytes of
-every subcommand in both formats.  One test exercises the installed
-console script end to end.
+every subcommand in both formats, and of the scans and hypothesis checks
+of families whose samples fail, flags and refusals included.  One test
+exercises the installed console script end to end.
 """
 
 import json
@@ -647,6 +648,148 @@ def test_golden_output_bytes(capsys, case):
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
     assert (code, err) == (0, "")
     assert out == expected
+
+
+# families whose samples fail: each scan row keeps the flags of its first
+# failures, and a refusal keeps its message
+_FLAG_FAMILIES = {
+    "near-pole": ("z^2+1/(z-0.1)", "0,0.2,0,0.2,3,1"),
+    "log": ("log(z)*n", "-0.1,0.1,0,0.1,3,1"),
+    "exp-exp": ("exp(n*exp(z))", "5.5,6.5,-0.5,0.5,2,1"),
+    "pole-everywhere": ("1/(z-z)", "0,1,0,1,2,1"),
+    "power-and-log": ("z^-3+log(z-n)", "0,1,0,1,2,2"),
+}
+_FLAG_COMMON = ("--radius", "0.1", "--samples", "3", "--n-max", "4", "--format", "csv")
+_FLAG_EXTRA = {
+    "scan-marty": ("--workers", "1", "--seed", "0"),
+    "scan-sd": ("--workers", "1", "--seed", "0"),
+    "hypotheses": ("--epsilon", "0.5", "--zeta", "0.3+0.2i", "--L", "10"),
+}
+
+_GOLDEN_FLAGS = {
+    "scan-marty-near-pole": (
+        0,
+        "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+        "0,0,0.9987180082830034,1,nan,,inconclusive\n"
+        "0.10000000000000001,0,0.9974131995178173,1,inf,Pole,divergent\n"
+        "0.20000000000000001,0,0.9986695942899733,1,nan,,inconclusive\n",
+        "",
+    ),
+    "scan-sd-near-pole": (
+        0,
+        "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+        "0,0,9.8123555943518,1,nan,,inconclusive\n"
+        "0.10000000000000001,0,2.5224136513660125,1,inf,Pole,divergent\n"
+        "0.20000000000000001,0,4.647636030785832,1,nan,,inconclusive\n",
+        "",
+    ),
+    "hypotheses-near-pole": (
+        1,
+        "epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,"
+        "max_abs_schwarzian,sound,passed\n"
+        "0.5,10.0,false,true,24.610048847772962,15966.848391293393,"
+        "957238.7951407627,1531555962.893572,6.273413053364201,true,false\n",
+        "",
+    ),
+    "scan-marty-log": (
+        0,
+        "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+        "-0.10000000000000001,0,1.5031467342344498,1,nan,,inconclusive\n"
+        "0,0,1.3564995093382262,1,inf,Pole,divergent\n"
+        "0.10000000000000001,0,1.629250404473794,1,nan,,inconclusive\n",
+        "",
+    ),
+    "scan-sd-log": (
+        0,
+        "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+        "-0.10000000000000001,0,0.7893922646597352,1,nan,,inconclusive\n"
+        "0,0,0.40036089053580964,3,inf,Pole,divergent\n"
+        "0.10000000000000001,0,0.7918197925498537,1,nan,,inconclusive\n",
+        "",
+    ),
+    "hypotheses-log": (
+        1,
+        "epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,"
+        "max_abs_schwarzian,sound,passed\n"
+        "0.5,10.0,false,true,5.019114433709718,1597.6973389982327,"
+        "63861.89006039561,15443544.502372995,199.71216737477906,true,false\n",
+        "",
+    ),
+    "scan-marty-exp-exp": (
+        0,
+        "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+        "5.5,-0.5,4.684990163606155e-84,1,nan,Overflow,inconclusive\n"
+        "6.5,-0.5,0.0,-1,nan,Overflow,inconclusive\n",
+        "",
+    ),
+    "scan-sd-exp-exp": (
+        0,
+        "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+        "5.5,-0.5,8.114538586107994e-05,1,nan,Overflow,inconclusive\n"
+        "6.5,-0.5,9.041295426392883e-06,1,nan,Overflow,inconclusive\n",
+        "",
+    ),
+    "hypotheses-exp-exp": (
+        3,
+        "",
+        "error: OverflowAtPoint: Schwarzian bound not finite: M2 3.2342156365426963e+285,"
+        " M3 2.3798356385296316e+288, epsilon 0.5\n",
+    ),
+    "scan-marty-pole-everywhere": (
+        0,
+        "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+        "0,0,0.0,-1,inf,Pole,divergent\n"
+        "1,0,0.0,-1,inf,Pole,divergent\n",
+        "",
+    ),
+    "scan-sd-pole-everywhere": (
+        0,
+        "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+        "0,0,0.0,-1,inf,Pole,divergent\n"
+        "1,0,0.0,-1,inf,Pole,divergent\n",
+        "",
+    ),
+    "hypotheses-pole-everywhere": (
+        3,
+        "",
+        "error: EvalError: evaluation error at source span 0..7: "
+        "division by (near-)zero denominator\n",
+    ),
+    "scan-marty-power-and-log": (
+        0,
+        "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+        "0,0,0.030187538222028385,4,inf,Pole,divergent\n"
+        "1,0,2.1513097610914804,1,inf,Pole,divergent\n"
+        "0,1,0.3227577023893736,1,nan,,inconclusive\n"
+        "1,1,0.48544938797143455,1,nan,,inconclusive\n",
+        "",
+    ),
+    "scan-sd-power-and-log": (
+        0,
+        "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+        "0,0,0.05007563227767185,4,inf,Pole,divergent\n"
+        "1,0,13.60762491669119,3,inf,Pole,divergent\n"
+        "0,1,3.8018818232755556,2,nan,,inconclusive\n"
+        "1,1,1.7000645702098194,1,nan,,inconclusive\n",
+        "",
+    ),
+    "hypotheses-power-and-log": (
+        1,
+        "epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,"
+        "max_abs_schwarzian,sound,passed\n"
+        "0.5,10.0,false,false,0.40311288741492746,1200001.046993641,"
+        "60000000.329158895,8640135076715.665,400.0537122948339,true,false\n",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FLAG_FAMILIES))
+@pytest.mark.parametrize("command", sorted(_FLAG_EXTRA))
+def test_golden_flag_bytes(capsys, command, family):
+    text, grid = _FLAG_FAMILIES[family]
+    argv = (command, "--family", text, f"--grid={grid}", *_FLAG_COMMON, *_FLAG_EXTRA[command])
+    assert run_cli(capsys, *argv) == _GOLDEN_FLAGS[f"{command}-{family}"]
 
 
 def _raise_on_constant(name):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from schwarzian_lab import GridSpec, marty_scan
 from schwarzian_lab.dsl import (
+    LANE_BLOCK,
     MAX_DEPTH,
     MAX_EXPONENT,
     Add,
@@ -27,11 +28,28 @@ from schwarzian_lab.dsl import (
     Var,
     eval_jet,
     eval_jet_bounded,
+    eval_jet_lanes,
     eval_jet_seeded,
     parse,
     pretty_print,
 )
-from schwarzian_lab.jets import bounded_exact, jet_var
+from schwarzian_lab.jets import (
+    ComplexJet3,
+    DivisionByZeroAtPoint,
+    JetError,
+    OverflowAtPoint,
+    bounded_exact,
+    jet_add,
+    jet_const,
+    jet_div,
+    jet_exp,
+    jet_log,
+    jet_mul,
+    jet_neg,
+    jet_pow_int,
+    jet_sub,
+    jet_var,
+)
 from support import (
     assert_fd_close,
     compose_family,
@@ -329,6 +347,122 @@ def test_seeded_evaluation_defaults_point_to_seed_value():
     with pytest.raises(EvalError) as info:
         eval_jet_seeded(g, 1.0, jet_var(0j))
     assert info.value.point == 0j
+
+
+# ---------------------------------------------------------------------------
+# lanes: one tree walk for a batch of evaluations
+
+
+def _reference(node, nj, zj, at):
+    # one jet at a time, raising the first failure: lhs, then rhs, then op
+    if isinstance(node, Var):
+        return zj
+    if isinstance(node, Param):
+        return nj
+    if isinstance(node, (ImagUnit, ConstNum)):
+        return jet_const(1j if isinstance(node, ImagUnit) else node.value)
+    if isinstance(node, Neg):
+        return jet_neg(_reference(node.operand, nj, zj, at))
+    if isinstance(node, PowInt):
+        args, op = (_reference(node.base, nj, zj, at), node.exponent), jet_pow_int
+    elif isinstance(node, (Exp, Log)):
+        args, op = (_reference(node.arg, nj, zj, at),), jet_exp if isinstance(node, Exp) else jet_log
+    else:
+        args = (_reference(node.lhs, nj, zj, at), _reference(node.rhs, nj, zj, at))
+        op = {Add: jet_add, Sub: jet_sub, Mul: jet_mul, Div: jet_div}[type(node)]
+    try:
+        return op(*args)
+    except JetError as exc:
+        raise EvalError(node.span, str(exc), at) from exc
+
+
+def _raised(evaluate):
+    try:
+        return evaluate()
+    except EvalError as exc:
+        return exc
+
+
+def _outcome(j):
+    """A jet's component bits (signed zeros apart), or an error's fields."""
+    if isinstance(j, EvalError):
+        return ("error", j.span, j.message, j.point, type(j.__cause__))
+    assert type(j) is ComplexJet3
+    return ("jet", tuple((c.real.hex(), c.imag.hex()) for c in j))
+
+
+def _random_seed(rng):
+    # poles of the random families' shifted denominators, exp arguments
+    # past the guard, and derivatives large enough to overflow
+    roll = rng.random()
+    if roll < 0.2:
+        v = complex(rng.choice((-4, -3, -2, 0)))
+    else:
+        v = random_point(rng, 400.0 if roll < 0.35 else 3.0)
+    scales = [10.0 ** rng.uniform(-1, 200 if rng.random() < 0.2 else 1) for _ in range(3)]
+    return ComplexJet3(v, *(random_point(rng, r) for r in scales))
+
+
+def test_lanes_match_one_lane_calls_and_the_reference_walk():
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(150):
+        f = parse(pretty_print(random_family(rng, depth=3)))
+        n = rng.randint(1, 6)
+        seeds = [_random_seed(rng) for _ in range(12)]
+        points = [s.v + 1 for s in seeds]
+        lanes = eval_jet_lanes(f, n, seeds, points)
+        assert len(lanes) == len(seeds)
+        nj = jet_const(n)
+        for lane, seed, at in zip(lanes, seeds, points):
+            got = _outcome(lane)
+            assert got == _outcome(_raised(lambda: eval_jet_seeded(f, n, seed, point=at)))
+            assert got == _outcome(_raised(lambda: _reference(f.root, nj, seed, at)))
+            kinds.add(got[-1] if got[0] == "error" else "jet")
+    assert kinds == {"jet", OverflowAtPoint, DivisionByZeroAtPoint}
+
+
+def test_lhs_overflow_beats_rhs_pole():
+    f = parse("exp(z*1000) + 1/(z-z)")
+    over, pole = eval_jet_lanes(f, 1, [jet_var(1.0), jet_var(0.5)])
+    assert (over.span, type(over.__cause__), over.point) == ((0, 11), OverflowAtPoint, 1.0)
+    assert (pole.span, type(pole.__cause__), pole.point) == ((14, 21), DivisionByZeroAtPoint, 0.5)
+
+
+@pytest.mark.parametrize("k", [0, -2, 3])
+def test_power_of_a_failing_base_still_fails(k):
+    f = parse(f"(1/(z-z))^{k}")
+    (lane,) = eval_jet_lanes(f, 1, [jet_var(2.0)])
+    assert (lane.span, type(lane.__cause__)) == ((0, 9), DivisionByZeroAtPoint)
+    with pytest.raises(EvalError) as info:
+        eval_jet(f, 1, 2.0)
+    assert info.value.span == (0, 9)
+    assert eval_jet(parse("z^0"), 1, 2.0) == jet_const(1.0)
+
+
+def test_failing_lanes_leave_clean_lanes_unchanged():
+    f = parse("exp(n*z)/z + log(z-1)^-2")
+    clean = [0.5 + 0.5j, -2.0, 3.0 - 1.0j]
+    mixed = [0.0, clean[0], 1.0, 2.0, clean[1], 300.0, clean[2]]
+    mixed_out = eval_jet_lanes(f, 3, [jet_var(w) for w in mixed])
+    clean_out = eval_jet_lanes(f, 3, [jet_var(w) for w in clean])
+    kept = [j for w, j in zip(mixed, mixed_out) if w in clean]
+    assert [_outcome(j) for j in kept] == [_outcome(j) for j in clean_out]
+    failed = [j for w, j in zip(mixed, mixed_out) if w not in clean]
+    assert [type(j.__cause__) for j in failed] == [
+        DivisionByZeroAtPoint, DivisionByZeroAtPoint, DivisionByZeroAtPoint, OverflowAtPoint
+    ]
+
+
+def test_lanes_past_one_block_match_one_lane_calls():
+    # a long batch is walked LANE_BLOCK lanes at a time
+    f = parse("1/(z-1) + log(z)*n")
+    points = [complex(k % 7 - 3, k % 5 - 2) / 2 for k in range(2 * LANE_BLOCK + 3)]
+    lanes = eval_jet_lanes(f, 2, [jet_var(w) for w in points])
+    assert [_outcome(j) for j in lanes] == [
+        _outcome(_raised(lambda: eval_jet(f, 2, w))) for w in points
+    ]
+    assert sum(isinstance(j, EvalError) for j in lanes) > 2
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,22 @@ def test_scan_is_deterministic_and_worker_independent():
     assert other != base
 
 
+def test_pool_is_no_larger_than_its_chunks(monkeypatch):
+    # a 2-point grid makes 2 chunks; 8 workers would fork 6 idle processes
+    sizes = []
+    real = probe.ProcessPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(probe, "ProcessPoolExecutor", recording)
+    g = GridSpec(0, 1, 0, 1, 2, 1, 0.05, 1)
+    ns = range(1, 9)
+    assert marty_scan(parse("z"), g, ns, workers=8) == marty_scan(parse("z"), g, ns)
+    assert sizes == [2]
+
+
 # ---------------------------------------------------------------------------
 # segment bound check
 
@@ -325,6 +341,18 @@ def test_local_bound_flags_overflowing_members():
     with pytest.raises(SegmentEvaluationError) as info:
         local_bound_estimate(f, range(1, 33), 0.0, 30.0)
     assert info.value.flagged == tuple(range(24, 33))
+
+
+def test_local_bound_segment_past_the_double_range():
+    # z - z0 overflows, so the segment's sample points are not finite: a
+    # member that fails at an endpoint is flagged, as evaluating one point
+    # at a time finds first; otherwise the first such point is refused
+    big = "1" + "0" * 308
+    with pytest.raises(SegmentEvaluationError) as info:
+        local_bound_estimate(parse(f"1/(z+{big})"), (1, 2), -1e308, 1e308)
+    assert info.value.flagged == (1, 2)
+    with pytest.raises(ValueError, match="finite point"):
+        local_bound_estimate(parse("z"), (1, 2), -1e308, 1e308)
 
 
 def test_local_bound_rejects_short_sampling():
@@ -429,21 +457,25 @@ _HYP_GRID = GridSpec(-0.17, 0.17, -0.17, 0.17, 3, 2, neighborhood_radius=0.001)
 
 
 def test_theorem_hypotheses_evaluates_each_sample_once(monkeypatch):
-    # one evaluation per (point, n, sample) for the floor, M2, M3 and
+    # one evaluated lane per (point, n, sample) for the floor, M2, M3 and
     # max |S| together, plus one per n for the value bound at zeta
-    calls = []
-    for name in ("eval_jet", "eval_jet_seeded"):
-        real = getattr(probe, name, None)
-        if real is not None:
-            def counted(*args, _real=real, **kwargs):
-                calls.append(args[1])
-                return _real(*args, **kwargs)
+    lanes = []
+    real_lanes, real_jet = probe.eval_jet_lanes, probe.eval_jet
 
-            monkeypatch.setattr(probe, name, counted)
+    def counted_lanes(expr, n, seeds, *args):
+        lanes.append(len(seeds))
+        return real_lanes(expr, n, seeds, *args)
+
+    def counted_jet(*args):
+        lanes.append(1)
+        return real_jet(*args)
+
+    monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
+    monkeypatch.setattr(probe, "eval_jet", counted_jet)
     ns = range(1, 6)
     rep = check_theorem_hypotheses(parse("z + (z^2)/n"), ns, _HYP_GRID, 0.5, 0.0, 0.1)
     samples = _HYP_GRID.nx * _HYP_GRID.ny * _HYP_GRID.neighborhood_samples
-    assert len(calls) == samples * len(ns) + len(ns)
+    assert sum(lanes) == samples * len(ns) + len(ns)
     assert rep.passed
 
 
