@@ -677,8 +677,27 @@ def _compiled(expr: FamilyExpr) -> _Compiled:
     return fn
 
 
-def _walk(fn: _Compiled, nj, seeds, points) -> list:
-    # ``points`` labels the failed lanes; None labels each with its seed's value
+def _one_lane(fn: _Compiled, nj, seed, point, finish=_as_jet):
+    # the one lane's jet, or its failure raised
+    (j,) = fn([nj], [seed])
+    if isinstance(j, EvalError):
+        j.point = point
+        raise j
+    return finish(j)
+
+
+def eval_jet_lanes(expr: FamilyExpr, n: float, seeds) -> list:
+    """Evaluate f_n once per lane in one walk of the expression tree.
+
+    Lane k has the variable leaf seeded by ``seeds[k]``, a jet, as in
+    :func:`eval_jet_seeded`; the seed's value labels the lane's errors.
+    Returns one entry per lane: its :class:`ComplexJet3`, or the
+    :class:`EvalError` of its first failure, which is the one the single
+    evaluation would raise.  Each lane's jet is bit-identical to the
+    single evaluation's.  The lanes are walked LANE_BLOCK at a time.
+    """
+    fn = _compiled(expr)
+    nj = jet_const(complex(n))
     out = []
     for start in range(0, len(seeds), LANE_BLOCK):
         Z = seeds[start : start + LANE_BLOCK]
@@ -689,32 +708,10 @@ def _walk(fn: _Compiled, nj, seeds, points) -> list:
         pass
     for k, j in enumerate(out):
         if isinstance(j, EvalError):
-            j.point = seeds[k].v if points is None else points[k]
+            j.point = seeds[k].v
         else:
             out[k] = _as_jet(j)
     return out
-
-
-def _one_lane(fn: _Compiled, nj, seed, point, finish=_as_jet):
-    # the one lane's jet, or its failure raised
-    (j,) = fn([nj], [seed])
-    if isinstance(j, EvalError):
-        j.point = point
-        raise j
-    return finish(j)
-
-
-def eval_jet_lanes(expr: FamilyExpr, n: float, seeds, points=None) -> list:
-    """Evaluate f_n once per lane in one walk of the expression tree.
-
-    Lane k has the variable leaf seeded by ``seeds[k]``, a jet, as in
-    :func:`eval_jet_seeded`; ``points[k]`` (default ``seeds[k].v``) only
-    labels its errors.  Returns one entry per lane: its
-    :class:`ComplexJet3`, or the :class:`EvalError` of its first failure,
-    which is the one the single evaluation would raise.  Each lane's jet
-    is bit-identical to the single evaluation's.
-    """
-    return _walk(_compiled(expr), jet_const(complex(n)), seeds, points)
 
 
 def eval_jet(expr: FamilyExpr, n: float, z: complex) -> ComplexJet3:

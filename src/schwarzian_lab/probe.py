@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
-from .dsl import EvalError, FamilyExpr, eval_jet, eval_jet_lanes
+from .dsl import LANE_BLOCK, EvalError, FamilyExpr, eval_jet, eval_jet_lanes
 from .jets import OverflowAtPoint, jet_var
 from .schwarzian import CriticalPointError, schwarzian, spherical_derivative
 
@@ -476,6 +476,26 @@ class LocalBoundReport:
     value_at_z0: complex
 
 
+def _segment_jets(f: FamilyExpr, n: int, z0: complex, z: complex, samples: int):
+    """Yield the jets of f_n at z0, at z, then at the segment's samples.
+
+    The points are evaluated LANE_BLOCK at a time, so memory does not grow
+    with the segment.  Raises the first failed lane's EvalError, and
+    ValueError at a non-finite point (a segment past the double range)
+    once every point before it evaluated cleanly.
+    """
+    steps = (k / (samples - 1) for k in range(samples))
+    points = itertools.chain((z0, z), (z0 + t * (z - z0) for t in steps))
+    while block := list(itertools.islice(points, LANE_BLOCK)):
+        finite = list(itertools.takewhile(cmath.isfinite, block))
+        for j in eval_jet_lanes(f, n, [jet_var(p) for p in finite]):
+            if isinstance(j, EvalError):
+                raise j
+            yield j
+        if len(finite) < len(block):
+            raise ValueError("jet_var requires a finite point")
+
+
 def local_bound_estimate(
     f: FamilyExpr,
     n_values,
@@ -496,27 +516,20 @@ def local_bound_estimate(
     z0 = complex(z0)
     z = complex(z)
     length = abs(z - z0)
-    steps = (k / (segment_samples - 1) for k in range(segment_samples))
-    points = [z0, z] + [z0 + t * (z - z0) for t in steps]
-    # a segment past the double range has a non-finite point, which
-    # jet_var refuses once every earlier lane of an n evaluated cleanly
-    finite = list(itertools.takewhile(cmath.isfinite, points))
-    seeds = [jet_var(p) for p in finite]
     reports = []
     flagged = []
     for n in ns:
-        out = eval_jet_lanes(f, n, seeds, finite)
-        if any(isinstance(j, EvalError) for j in out):
+        try:
+            jets = _segment_jets(f, n, z0, z, segment_samples)
+            j0, j1 = next(jets), next(jets)
+            k_est = 0.0
+            for jt in jets:
+                mag = abs(jt.d1)
+                if mag > k_est:
+                    k_est = mag
+        except EvalError:
             flagged.append(n)
             continue
-        if len(finite) < len(points):
-            jet_var(points[len(finite)])
-        j0, j1 = out[0], out[1]
-        k_est = 0.0
-        for jt in out[2:]:
-            mag = abs(jt.d1)
-            if mag > k_est:
-                k_est = mag
         observed = abs(j1.v - j0.v)
         rhs = k_est * length
         passed = observed <= rhs * (1.0 + 1e-9) + 1e-12

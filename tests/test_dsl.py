@@ -410,14 +410,13 @@ def test_lanes_match_one_lane_calls_and_the_reference_walk():
         f = parse(pretty_print(random_family(rng, depth=3)))
         n = rng.randint(1, 6)
         seeds = [_random_seed(rng) for _ in range(12)]
-        points = [s.v + 1 for s in seeds]
-        lanes = eval_jet_lanes(f, n, seeds, points)
+        lanes = eval_jet_lanes(f, n, seeds)
         assert len(lanes) == len(seeds)
         nj = jet_const(n)
-        for lane, seed, at in zip(lanes, seeds, points):
+        for lane, seed in zip(lanes, seeds):
             got = _outcome(lane)
-            assert got == _outcome(_raised(lambda: eval_jet_seeded(f, n, seed, point=at)))
-            assert got == _outcome(_raised(lambda: _reference(f.root, nj, seed, at)))
+            assert got == _outcome(_raised(lambda: eval_jet_seeded(f, n, seed)))
+            assert got == _outcome(_raised(lambda: _reference(f.root, nj, seed, seed.v)))
             kinds.add(got[-1] if got[0] == "error" else "jet")
     assert kinds == {"jet", OverflowAtPoint, DivisionByZeroAtPoint}
 

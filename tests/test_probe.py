@@ -343,6 +343,33 @@ def test_local_bound_flags_overflowing_members():
     assert info.value.flagged == tuple(range(24, 33))
 
 
+def test_local_bound_long_segment_is_walked_in_blocks(monkeypatch):
+    # a segment of three blocks equals evaluating one point at a time, and
+    # no evaluation holds more than LANE_BLOCK lanes
+    sizes = []
+    real_lanes = probe.eval_jet_lanes
+
+    def counted_lanes(expr, n, seeds):
+        sizes.append(len(seeds))
+        return real_lanes(expr, n, seeds)
+
+    monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
+    samples = 2 * probe.LANE_BLOCK + 5
+    f = parse("1/(z-n) + exp(z)*z^3")
+    z0, z = -0.5 + 0.25j, 2.0 - 0.75j
+    (rep,) = local_bound_estimate(f, (3,), z0, z, segment_samples=samples)
+    assert sizes == [probe.LANE_BLOCK, probe.LANE_BLOCK, 7]
+    k_est = max(
+        abs(eval_jet(f, 3, z0 + k / (samples - 1) * (z - z0)).d1) for k in range(samples)
+    )
+    assert rep.K_estimate == k_est
+    assert rep.observed == abs(eval_jet(f, 3, z).v - eval_jet(f, 3, z0).v)
+    # on 0..2 the pole z = 1 of n = 1 is sample 1025 of 2051, in the second block
+    with pytest.raises(SegmentEvaluationError) as info:
+        local_bound_estimate(f, (1, 3), 0.0, 2.0, segment_samples=samples - 2)
+    assert info.value.flagged == (1,)
+
+
 def test_local_bound_segment_past_the_double_range():
     # z - z0 overflows, so the segment's sample points are not finite: a
     # member that fails at an endpoint is flagged, as evaluating one point
