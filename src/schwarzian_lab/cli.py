@@ -20,6 +20,7 @@ an entry may also be ``n`` or ``-n`` to denote the current family index.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -390,7 +391,9 @@ def _cmd_identity(args) -> tuple:
 def _cmd_scan(args) -> tuple:
     family = _resolve_families(args.family_specs, 1, "scan")[0]
     grid = GridSpec(*args.grid, args.radius, args.samples)
-    report = args.scan(
+    # by name at call time: the parser is built once per process, and a
+    # rebound module name (a test's monkeypatch, a tracer) must still count
+    report = globals()[args.scan](
         family,
         grid,
         _n_range(args),
@@ -424,7 +427,10 @@ def _cmd_hypotheses(args) -> tuple:
     return hypotheses_row(report), 0 if report.passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves it unchanged, and every
+    # default that depends on the environment is resolved after parsing
     top = argparse.ArgumentParser(
         prog="schwarzian-lab",
         description="Schwarzian derivative identities and normal-family grid probes.",
@@ -455,8 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_id.set_defaults(handler=_cmd_identity)
 
     for name, scan, stat_help in (
-        ("scan-marty", marty_scan, "spherical derivative of f_n"),
-        ("scan-sd", sd_family_scan, "spherical derivative of the Schwarzian of f_n"),
+        ("scan-marty", "marty_scan", "spherical derivative of f_n"),
+        ("scan-sd", "sd_family_scan", "spherical derivative of the Schwarzian of f_n"),
     ):
         p_scan = sub.add_parser(name, help=f"grid scan of the {stat_help}")
         _add_family_options(p_scan, "exactly one")

@@ -25,52 +25,51 @@ can exhaust the stack or run unbounded work: at most :data:`MAX_DEPTH`
 levels of nesting, number literals within the double range, and integer
 exponents of magnitude at most :data:`MAX_EXPONENT`.
 
-One compiled tree walker evaluates every expression, over a batch of
-lanes at once: a lane is one evaluation, (n, seed jet, point), and each
-node's closure runs once per batch, with its jet operation applied to all
-lanes by a lane kernel from ``jets``.  :func:`eval_jet_lanes` returns one
-entry per lane, its jet or the :class:`EvalError` of its first failure;
-:func:`eval_jet`, :func:`eval_jet_seeded` and :func:`eval_jet_bounded`
-are one-lane calls that raise that error.  The first failure is the one a
-recursive evaluation would raise: a node's left operand before its right,
-and both before the node's own operation.  Later nodes pass a failed
-lane's error through untouched and never raise it, so one lane's failure
-leaves the other lanes' jets bit-identical.  The bounded walker, behind
-:func:`eval_jet_bounded`, runs the ``bounded_*`` twins of the operations
-lane by lane and yields the same jets together with their error bounds.
+Evaluation runs generated code: ``codegen`` writes each family's
+functions from templates, once per process, as sympy's ``lambdify`` does:
+
+- The lane function evaluates a batch of lanes, each one evaluation of
+  f_n at a point (the variable seeded with ``jets.jet_var``), in one loop
+  of straight-line code.  It runs the jet formulas of ``jets`` on symbolic
+  values, so each node's operation is inlined in postorder, and it folds
+  what is exactly known before run time: n, literals and i have zero
+  derivatives, z's first derivative is one, so most of a product's terms
+  vanish, and the parts that depend on n alone are computed once per
+  batch.  Every fold is exact in IEEE arithmetic, signed zeros included.
+  Finiteness is checked only where a value that left the finite range
+  could turn finite again (before 1/x, log and exp, and x^0) and at the
+  output.
+- The one-call function calls one ``jet_*`` operation per node, and its
+  bounded template the ``bounded_*`` twins.  It serves single
+  evaluations, other seeds (composition), the first lanes of a family
+  before its lane function pays for itself, and every lane the lane
+  function hands back: any lane that failed, or might have.
+
+:func:`eval_jet_lanes` returns one entry per lane, its jet or the
+:class:`EvalError` of its first failure; :func:`eval_jet`,
+:func:`eval_jet_seeded` and :func:`eval_jet_bounded` are one-lane calls
+that raise that error.  The first failure is the one a recursive
+evaluation would raise: a node's left operand before its right, and both
+before the node's own operation.  One lane's failure leaves the other
+lanes' jets bit-identical, and every path gives the same bits.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from typing import Callable, NamedTuple, Tuple
+from typing import Tuple
 
 from .jets import (
+    ZERO,
     BoundedJet,
     ComplexJet3,
-    JetError,
     _as_jet,
-    bounded_add,
-    bounded_const,
-    bounded_div,
     bounded_exact,
-    bounded_exp,
-    bounded_log,
-    bounded_mul,
-    bounded_neg,
-    bounded_sub,
     jet_const,
-    jet_pow_int,
     jet_var,
-    lanes_add,
-    lanes_div,
-    lanes_exp,
-    lanes_log,
-    lanes_mul,
-    lanes_neg,
-    lanes_sub,
 )
 
 __all__ = [
@@ -545,173 +544,51 @@ def pretty_print(expr: FamilyExpr | Node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation, by the functions ``codegen`` generates for each family
 
-# lanes walked at once: a node keeps one list of this many jets alive
-# while its other operand is evaluated, so this bounds the memory a
-# batch can take at MAX_DEPTH lists of it
+# lanes evaluated at once: bounds the memory of one batch
 LANE_BLOCK = 1024
 
-# (n jets, variable jets) -> one entry per lane: a jet, or the EvalError of
-# the lane's first failure
-_Compiled = Callable[[list, list], list]
 
+def _evaluate(expr: FamilyExpr, n: float, seeds, point=None) -> list:
+    # one entry per seed: its jet, or the EvalError of its first failure,
+    # labelled with ``point`` or else the seed's value
+    fam = _family(expr)
+    N = complex(n)
+    if not cmath.isfinite(N):
+        jet_const(N)  # raises its ValueError
+    nj = _as_jet((N, ZERO, ZERO, ZERO))
 
-class _Ops(NamedTuple):
-    """The arithmetic the walker runs on, one lane operation per node kind.
+    def redo(seed):
+        return fam.calls(nj, seed, seed[0] if point is None else point)
 
-    ``lift`` and ``const`` make one value at compile time; every other
-    entry takes its operands' lane lists and the node's ``fail``.
-    """
-
-    lift: Callable  # an exactly known ComplexJet3 into this arithmetic
-    const: Callable
-    neg: Callable
-    add: Callable
-    sub: Callable
-    mul: Callable
-    div: Callable
-    exp: Callable
-    log: Callable
-
-
-def _same(j: ComplexJet3) -> ComplexJet3:
-    return j
-
-
-def _per_lane(op: Callable) -> Callable:
-    """Lift a one-jet operation to lanes, with the kernels' failure rule.
-
-    A lane whose operand failed keeps that failure (the left operand's,
-    where both did); a lane the operation fails on gets ``fail(exc)``.
-    """
-
-    def run(*args):
-        *operands, fail = args
-        out = []
-        for lane in zip(*operands):
-            failed = [x for x in lane if isinstance(x, EvalError)]
-            if failed:
-                out.append(failed[0])
-                continue
-            try:
-                out.append(op(*lane))
-            except JetError as exc:
-                out.append(fail(exc))
-        return out
-
-    return run
-
-
-def _ops(bounded: bool) -> _Ops:
-    # built from this module's names each time a family is compiled, not
-    # once at import, so that rebinding them (bench/tracer.py does, to
-    # count jet operations per layer) reaches the compiled walker
-    if bounded:
-        return _Ops(
-            bounded_exact, bounded_const, *map(_per_lane, (
-                bounded_neg, bounded_add, bounded_sub, bounded_mul,
-                bounded_div, bounded_exp, bounded_log,
-            )),
-        )
-    return _Ops(
-        _same, jet_const, lanes_neg, lanes_add, lanes_sub, lanes_mul, lanes_div,
-        lanes_exp, lanes_log,
-    )
-
-
-def _failure(span: Span) -> Callable[[JetError], EvalError]:
-    # the lane's point is filled in once the batch is done
-    def fail(exc: JetError) -> EvalError:
-        err = EvalError(span, str(exc))
-        err.__cause__ = exc
-        return err
-
-    return fail
-
-
-def _compile(node: Node, ops: _Ops) -> _Compiled:
-    # each closure maps the lanes' n jets N and variable jets Z to one
-    # entry per lane: operands run lhs first, then the node's own operation
-    if isinstance(node, Var):
-        return lambda N, Z: Z
-    if isinstance(node, Param):
-        return lambda N, Z: N
-    if isinstance(node, (ImagUnit, ConstNum)):
-        cj = ops.lift(jet_const(1j)) if isinstance(node, ImagUnit) else ops.const(node.value)
-        return lambda N, Z: [cj] * len(Z)
-
-    fail = _failure(node.span)
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        fa = _compile(node.lhs, ops)
-        fb = _compile(node.rhs, ops)
-        op = {Add: ops.add, Sub: ops.sub, Mul: ops.mul, Div: ops.div}[type(node)]
-        return lambda N, Z: op(fa(N, Z), fb(N, Z), fail)
-    if isinstance(node, (Neg, Exp, Log)):
-        fa = _compile(node.arg if isinstance(node, (Exp, Log)) else node.operand, ops)
-        op = {Neg: ops.neg, Exp: ops.exp, Log: ops.log}[type(node)]
-        return lambda N, Z: op(fa(N, Z), fail)
-    if isinstance(node, PowInt):
-        fa = _compile(node.base, ops)
-        k = node.exponent
-        one = ops.lift(jet_const(1.0))
-        mul, div = ops.mul, ops.div
-
-        def run_pow(N, Z):
-            U = fa(N, Z)
-            # x^0 is one, but a failed base still fails
-            ones = [u if isinstance(u, EvalError) else one for u in U] if k <= 0 else None
-            return jet_pow_int(
-                U, k, lambda A, B: mul(A, B, fail), lambda A, B: div(A, B, fail), ones
-            )
-
-        return run_pow
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _compiled(expr: FamilyExpr) -> _Compiled:
-    fn = expr._compiled
-    if fn is None:
-        fn = _compile(expr.root, _ops(bounded=False))
-        expr._compiled = fn
-    return fn
-
-
-def _one_lane(fn: _Compiled, nj, seed, point, finish=_as_jet):
-    # the one lane's jet, or its failure raised
-    (j,) = fn([nj], [seed])
-    if isinstance(j, EvalError):
-        j.point = point
-        raise j
-    return finish(j)
+    # the lane function takes n real, so that N's imaginary part is +0
+    fn = fam.lanes_for(len(seeds)) if isinstance(n, (int, float)) else None
+    out = []
+    for start in range(0, len(seeds), LANE_BLOCK):
+        block = seeds[start : start + LANE_BLOCK]
+        got = None if fn is None else fn(N, block, redo)
+        out += map(redo, block) if got is None else got
+    return out
 
 
 def eval_jet_lanes(expr: FamilyExpr, n: float, seeds) -> list:
-    """Evaluate f_n once per lane in one walk of the expression tree.
+    """Evaluate f_n once per lane, a batch of lanes per generated call.
 
     Lane k has the variable leaf seeded by ``seeds[k]``, a jet, as in
     :func:`eval_jet_seeded`; the seed's value labels the lane's errors.
     Returns one entry per lane: its :class:`ComplexJet3`, or the
     :class:`EvalError` of its first failure, which is the one the single
     evaluation would raise.  Each lane's jet is bit-identical to the
-    single evaluation's.  The lanes are walked LANE_BLOCK at a time.
+    single evaluation's.  The lanes are evaluated LANE_BLOCK at a time.
     """
-    fn = _compiled(expr)
-    nj = jet_const(complex(n))
-    out = []
-    for start in range(0, len(seeds), LANE_BLOCK):
-        Z = seeds[start : start + LANE_BLOCK]
-        out += fn([nj] * len(Z), Z)
-    try:
-        return list(map(_as_jet, out))
-    except TypeError:  # some lane failed: an EvalError is not iterable
-        pass
-    for k, j in enumerate(out):
-        if isinstance(j, EvalError):
-            j.point = seeds[k].v
-        else:
-            out[k] = _as_jet(j)
-    return out
+    return _evaluate(expr, n, seeds)
+
+
+def _one(j):
+    if isinstance(j, EvalError):
+        raise j
+    return j
 
 
 def eval_jet(expr: FamilyExpr, n: float, z: complex) -> ComplexJet3:
@@ -720,8 +597,7 @@ def eval_jet(expr: FamilyExpr, n: float, z: complex) -> ComplexJet3:
     The family index n is real and enters the arithmetic as a complex
     number with zero imaginary part.
     """
-    z = complex(z)
-    return _one_lane(_compiled(expr), jet_const(complex(n)), jet_var(z), z)
+    return _one(_evaluate(expr, n, [jet_var(z)])[0])
 
 
 def eval_jet_seeded(
@@ -732,8 +608,7 @@ def eval_jet_seeded(
     Seeding with the jet of another function g at z computes the jet of the
     composition f_n(g(z)) by the chain rule; ``point`` only labels errors.
     """
-    at = seed.v if point is None else point
-    return _one_lane(_compiled(expr), jet_const(complex(n)), seed, at)
+    return _one(_evaluate(expr, n, [seed], point)[0])
 
 
 def eval_jet_bounded(
@@ -746,10 +621,11 @@ def eval_jet_bounded(
     at the seed's exact value, with the seed's own ``err`` carried in and
     every literal taken as known only to half an ulp (``n`` and ``i`` are
     exact).  Seed with ``bounded_exact(jet_var(z))`` for f_n at a point z.
-    The walker is compiled anew on each call, since bounds are wanted
-    only where a fixed tolerance could not decide.
     """
     at = seed.jet.v if point is None else point
     nj = bounded_exact(jet_const(complex(n)))
-    fn = _compile(expr.root, _ops(bounded=True))
-    return _one_lane(fn, nj, seed, at, finish=_same)  # bounded ops build BoundedJets
+    return _one(_family(expr).bounded_calls(nj, seed, at))
+
+
+# codegen reads the node classes above
+from .codegen import family as _family  # noqa: E402

@@ -9,23 +9,21 @@ without symbolic differentiation.
 Jets never hold non-finite components: an operation that would produce
 ``inf`` or ``nan`` raises :class:`OverflowAtPoint` instead, and a division
 whose denominator magnitude sits at or below the floor raises
-:class:`DivisionByZeroAtPoint`.
+:class:`DivisionByZeroAtPoint`.  A denominator whose magnitude is past the
+double range, where ``abs`` itself would overflow, raises
+:class:`OverflowAtPoint`; :func:`modulus` is that ``abs`` for every caller.
 
-Every formula is written once, as a lane kernel (``lanes_*``) that runs
-one operation over a batch of lanes.  A lane holds one jet, or the failure
-of an earlier operation on it, which later kernels pass through untouched;
-a lane the kernel itself fails on gets ``fail(exc)`` in place of a jet, so
-one lane's failure never stops the others.  The ``jet_*`` functions are
-one-lane calls of the kernels that raise the failure instead.  A kernel
-runs the same float operations in the same order whatever the batch, so a
-lane's jet is bit-identical to the one-lane result.
+Every formula is written once, as a function of plain operands (the
+``_sum`` ... ``_logarithm`` section below).  The ``jet_*`` operations run
+them on complex numbers and check the result; ``dsl`` runs the same
+functions on symbolic operands to generate each expression's straight-line
+evaluator, so both run the same float operations in the same order.
 
 Each operation also has a ``bounded_*`` twin on :class:`BoundedJet`, which
 computes the bit-identical jet and, beside it, a first-order running
 error bound per component (Higham, *Accuracy and Stability of Numerical
 Algorithms*, ch. 3): the error carried in by the operands, propagated
 through the operation's derivatives, plus the operation's own rounding.
-The expression walker in ``dsl`` runs on either set.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ __all__ = [
     "OverflowAtPoint",
     "DIVISION_FLOOR",
     "EXP_REAL_GUARD",
+    "modulus",
     "jet_var",
     "jet_const",
     "jet_add",
@@ -52,13 +51,6 @@ __all__ = [
     "jet_log",
     "jet_pow_int",
     "jet_mobius",
-    "lanes_add",
-    "lanes_sub",
-    "lanes_neg",
-    "lanes_mul",
-    "lanes_div",
-    "lanes_exp",
-    "lanes_log",
     "UNIT_ROUNDOFF",
     "BoundedJet",
     "bounded_exact",
@@ -108,178 +100,100 @@ class ComplexJet3(NamedTuple):
 
 
 _OVERFLOW = "jet component overflowed the finite range"
-# a lane's jet is built as a plain 4-tuple; _as_jet names it at the end
+# a jet is built as a plain 4-tuple; _as_jet names it
 _as_jet = partial(tuple.__new__, ComplexJet3)
 
+# d1..d3 of every jet_var: a jet whose derivatives are these very objects
+# is the identity map's, which the evaluator in dsl specializes for
+VAR_D1 = 1.0 + 0.0j
+ZERO = 0.0j
 
-def _raise(exc: JetError):
-    raise exc
+
+def modulus(w: complex) -> float:
+    """``abs(w)``, raising OverflowAtPoint where |w| is past the double range.
+
+    ``abs`` of a finite complex raises a bare OverflowError once its
+    modulus overflows (both parts near 1.5e308).
+    """
+    try:
+        return abs(w)
+    except OverflowError:
+        raise OverflowAtPoint("modulus overflowed the finite range", w) from None
 
 
 # ---------------------------------------------------------------------------
-# lane kernels
+# formulas
 #
-# Each kernel runs one jet operation over a batch of lanes.  An entry of
-# an operand list is either a jet (any 4-tuple) or the failure of an
-# earlier operation on that lane, which passes through unchanged; where
-# both operands failed, the left one's failure is kept.  A lane the
-# operation itself fails on becomes ``fail(exc)`` for its JetError.  The
-# scalar jet_* functions are one-lane calls of these kernels with a
-# ``fail`` that raises, so every formula exists once.
+# Each takes and returns plain 4-tuples of operands that support +, - and
+# * with complex numbers and floats: complex numbers here, symbolic values
+# when dsl generates an evaluator from them.  Sums are associated
+# symmetrically so that swapping a product's operands yields the identical
+# floating-point result.
 
 
-def lanes_add(A: list, B: list, fail) -> list:
-    out = []
-    append = out.append
-    for a, b in zip(A, B):
-        try:
-            av, a1, a2, a3 = a
-            bv, b1, b2, b3 = b
-        except TypeError:  # a failed operand
-            append(b if isinstance(a, tuple) else a)
-            continue
-        v, d1, d2, d3 = av + bv, a1 + b1, a2 + b2, a3 + b3
-        if _isfinite(v) and _isfinite(d1) and _isfinite(d2) and _isfinite(d3):
-            append((v, d1, d2, d3))
-        else:
-            append(fail(OverflowAtPoint(_OVERFLOW)))
-    return out
+def _sum(a, b) -> tuple:
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]
 
 
-def lanes_sub(A: list, B: list, fail) -> list:
-    out = []
-    append = out.append
-    for a, b in zip(A, B):
-        try:
-            av, a1, a2, a3 = a
-            bv, b1, b2, b3 = b
-        except TypeError:
-            append(b if isinstance(a, tuple) else a)
-            continue
-        v, d1, d2, d3 = av - bv, a1 - b1, a2 - b2, a3 - b3
-        if _isfinite(v) and _isfinite(d1) and _isfinite(d2) and _isfinite(d3):
-            append((v, d1, d2, d3))
-        else:
-            append(fail(OverflowAtPoint(_OVERFLOW)))
-    return out
+def _difference(a, b) -> tuple:
+    return a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]
 
 
-def lanes_neg(A: list, fail) -> list:
-    """Negation; it cannot fail, so ``fail`` is unused."""
-    out = []
-    append = out.append
-    for a in A:
-        try:
-            av, a1, a2, a3 = a
-        except TypeError:
-            append(a)
-            continue
-        append((-av, -a1, -a2, -a3))
-    return out
+def _negation(a) -> tuple:
+    return -a[0], -a[1], -a[2], -a[3]
 
 
-def lanes_mul(A: list, B: list, fail) -> list:
-    """Leibniz product rule through order three.
-
-    Sums are associated symmetrically so that swapping the operands yields
-    the identical floating-point result.
-    """
-    out = []
-    append = out.append
-    for a, b in zip(A, B):
-        try:
-            av, a1, a2, a3 = a
-            bv, b1, b2, b3 = b
-        except TypeError:
-            append(b if isinstance(a, tuple) else a)
-            continue
-        v = av * bv
-        d1 = a1 * bv + av * b1
-        d2 = (a2 * bv + av * b2) + 2.0 * (a1 * b1)
-        d3 = (a3 * bv + av * b3) + 3.0 * (a2 * b1 + a1 * b2)
-        if _isfinite(v) and _isfinite(d1) and _isfinite(d2) and _isfinite(d3):
-            append((v, d1, d2, d3))
-        else:
-            append(fail(OverflowAtPoint(_OVERFLOW)))
-    return out
+def _product(a, b) -> tuple:
+    """Leibniz product rule through order three."""
+    av, a1, a2, a3 = a
+    bv, b1, b2, b3 = b
+    return (
+        av * bv,
+        a1 * bv + av * b1,
+        (a2 * bv + av * b2) + 2.0 * (a1 * b1),
+        (a3 * bv + av * b3) + 3.0 * (a2 * b1 + a1 * b2),
+    )
 
 
-def _chain_lanes(U: list, outer, param, fail) -> list:
-    # order-3 chain rule: outer(u.v, param) gives the outer function's
-    # value and first three derivatives at u.v, or raises a JetError
-    out = []
-    append = out.append
-    for u in U:
-        try:
-            uv, u1, u2, u3 = u
-        except TypeError:
-            append(u)
-            continue
-        try:
-            w0, w1, w2, w3 = outer(uv, param)
-        except JetError as exc:
-            append(fail(exc))
-            continue
-        d1 = w1 * u1
-        d2 = w2 * (u1 * u1) + w1 * u2
-        d3 = w3 * (u1 * u1 * u1) + 3.0 * (w2 * (u1 * u2)) + w1 * u3
-        if _isfinite(w0) and _isfinite(d1) and _isfinite(d2) and _isfinite(d3):
-            append((w0, d1, d2, d3))
-        else:
-            append(fail(OverflowAtPoint(_OVERFLOW)))
-    return out
+def _chain(u, w) -> tuple:
+    """Order-3 chain rule: ``w`` holds the outer function's value and first
+    three derivatives at u's value."""
+    _, u1, u2, u3 = u
+    w0, w1, w2, w3 = w
+    return (
+        w0,
+        w1 * u1,
+        w2 * (u1 * u1) + w1 * u2,
+        w3 * (u1 * u1 * u1) + 3.0 * (w2 * (u1 * u2)) + w1 * u3,
+    )
 
 
-def _reciprocal(bv: complex, floor: float) -> tuple:
-    if abs(bv) <= floor:
-        raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
-    w = 1.0 / bv
+def _reciprocal(w) -> tuple:
+    """1/x and its derivatives at x, from w = 1/x."""
     w2 = w * w
     return w, -w2, 2.0 * (w2 * w), -6.0 * (w2 * w2)
 
 
-def _exponential(uv: complex, guard: float) -> tuple:
-    if abs(uv.real) > guard:
-        raise OverflowAtPoint("exp argument outside the overflow guard", uv)
-    e = cmath.exp(uv)
+def _exponential(e) -> tuple:
+    """exp and its derivatives at u, from e = exp(u)."""
     return e, e, e, e
 
 
-def _logarithm(uv: complex, floor: float) -> tuple:
-    if abs(uv) <= floor:
-        raise DivisionByZeroAtPoint("log of (near-)zero value", uv)
-    w = 1.0 / uv
+def _logarithm(lg, w) -> tuple:
+    """log and its derivatives at u, from lg = log(u) and w = 1/u."""
     w2 = w * w
-    return cmath.log(uv), w, -w2, 2.0 * (w2 * w)
-
-
-def _mobius(w: complex, coefficients: tuple) -> tuple:
-    a, b, c, d, floor = coefficients
-    den = c * w + d
-    if abs(den) <= floor:
-        raise DivisionByZeroAtPoint("Moebius map evaluated at its pole", den)
-    r = 1.0 / den
-    r2 = r * r
-    return (a * w + b) * r, r2, -2.0 * c * r2 * r, 6.0 * c * c * r2 * r2
-
-
-def lanes_div(A: list, B: list, fail, floor: float = DIVISION_FLOOR) -> list:
-    """Quotient a/b, computed as a times the reciprocal jet of b."""
-    return lanes_mul(A, _chain_lanes(B, _reciprocal, floor, fail), fail)
-
-
-def lanes_exp(U: list, fail, guard: float = EXP_REAL_GUARD) -> list:
-    """Exponential; guards |Re u| to stay inside finite doubles."""
-    return _chain_lanes(U, _exponential, guard, fail)
-
-
-def lanes_log(U: list, fail, floor: float = DIVISION_FLOOR) -> list:
-    """Principal-branch logarithm."""
-    return _chain_lanes(U, _logarithm, floor, fail)
+    return lg, w, -w2, 2.0 * (w2 * w)
 
 
 # ---------------------------------------------------------------------------
 # one jet at a time
+
+
+def _checked(j: tuple) -> ComplexJet3:
+    v, d1, d2, d3 = j
+    if _isfinite(v) and _isfinite(d1) and _isfinite(d2) and _isfinite(d3):
+        return _as_jet(j)
+    raise OverflowAtPoint(_OVERFLOW)
 
 
 def jet_var(z0: complex) -> ComplexJet3:
@@ -287,7 +201,7 @@ def jet_var(z0: complex) -> ComplexJet3:
     z0 = complex(z0)
     if not _isfinite(z0):
         raise ValueError("jet_var requires a finite point")
-    return ComplexJet3(z0, 1.0 + 0.0j, 0.0j, 0.0j)
+    return ComplexJet3(z0, VAR_D1, ZERO, ZERO)
 
 
 def jet_const(c: complex) -> ComplexJet3:
@@ -295,42 +209,55 @@ def jet_const(c: complex) -> ComplexJet3:
     c = complex(c)
     if not _isfinite(c):
         raise ValueError("jet_const requires a finite value")
-    return ComplexJet3(c, 0.0j, 0.0j, 0.0j)
+    return ComplexJet3(c, ZERO, ZERO, ZERO)
 
 
 def jet_add(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
-    return _as_jet(lanes_add((a,), (b,), _raise)[0])
+    return _checked(_sum(a, b))
 
 
 def jet_sub(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
-    return _as_jet(lanes_sub((a,), (b,), _raise)[0])
+    return _checked(_difference(a, b))
 
 
 def jet_neg(a: ComplexJet3) -> ComplexJet3:
-    return _as_jet(lanes_neg((a,), _raise)[0])
+    return _as_jet(_negation(a))
 
 
 def jet_mul(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
-    """Leibniz product rule through order three (see :func:`lanes_mul`)."""
-    return _as_jet(lanes_mul((a,), (b,), _raise)[0])
+    """Leibniz product rule through order three."""
+    return _checked(_product(a, b))
+
+
+def _reciprocal_jet(b: ComplexJet3, floor: float) -> ComplexJet3:
+    bv = b[0]
+    if modulus(bv) <= floor:
+        raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
+    return _checked(_chain(b, _reciprocal(1.0 / bv)))
 
 
 def jet_div(a: ComplexJet3, b: ComplexJet3, floor: float = DIVISION_FLOOR) -> ComplexJet3:
     """Quotient a/b, computed as a times the reciprocal jet of b."""
-    return _as_jet(lanes_div((a,), (b,), _raise, floor)[0])
+    return jet_mul(a, _reciprocal_jet(b, floor))
 
 
 def jet_exp(u: ComplexJet3, guard: float = EXP_REAL_GUARD) -> ComplexJet3:
     """Exponential of a jet; guards |Re u| to stay inside finite doubles."""
-    return _as_jet(lanes_exp((u,), _raise, guard)[0])
+    uv = u[0]
+    if abs(uv.real) > guard:
+        raise OverflowAtPoint("exp argument outside the overflow guard", uv)
+    return _checked(_chain(u, _exponential(cmath.exp(uv))))
 
 
 def jet_log(u: ComplexJet3, floor: float = DIVISION_FLOOR) -> ComplexJet3:
     """Principal-branch logarithm of a jet."""
-    return _as_jet(lanes_log((u,), _raise, floor)[0])
+    uv = u[0]
+    if modulus(uv) <= floor:
+        raise DivisionByZeroAtPoint("log of (near-)zero value", uv)
+    return _checked(_chain(u, _logarithm(cmath.log(uv), 1.0 / uv)))
 
 
-_ONE = ComplexJet3(1.0 + 0.0j, 0.0j, 0.0j, 0.0j)
+_ONE = ComplexJet3(1.0 + 0.0j, ZERO, ZERO, ZERO)
 
 
 def jet_pow_int(
@@ -339,7 +266,7 @@ def jet_pow_int(
     """Integer power by repeated multiplication; negative k via reciprocal.
 
     ``mul``, ``div`` and ``one`` let :func:`bounded_pow_int` run the same
-    steps on bounded jets, and the expression walker on lanes.
+    steps on bounded jets.
     """
     if k < 0:
         return div(one, jet_pow_int(u, -k, mul, div, one))
@@ -363,7 +290,13 @@ def jet_mobius(
     a (c u + d) and c (a u + b), which grow with |u| while the difference
     stays ad - bc = 1, and lose digits to the cancellation.
     """
-    return _as_jet(_chain_lanes((u,), _mobius, (a, b, c, d, floor), _raise)[0])
+    w = u[0]
+    den = c * w + d
+    if modulus(den) <= floor:
+        raise DivisionByZeroAtPoint("Moebius map evaluated at its pole", den)
+    r = 1.0 / den
+    r2 = r * r
+    return _checked(_chain(u, ((a * w + b) * r, r2, -2.0 * c * r2 * r, 6.0 * c * c * r2 * r2)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +336,7 @@ _EXACT = (0.0, 0.0, 0.0, 0.0)
 
 
 def _mags(j: ComplexJet3) -> Err:
-    return (abs(j.v), abs(j.d1), abs(j.d2), abs(j.d3))
+    return (modulus(j.v), modulus(j.d1), modulus(j.d2), modulus(j.d3))
 
 
 def _leibniz(a: Err, b: Err) -> Err:
@@ -462,7 +395,7 @@ def bounded_exact(j: ComplexJet3) -> BoundedJet:
 def bounded_const(c: complex) -> BoundedJet:
     """A literal, known only to half an ulp: the rounding of its text."""
     j = jet_const(c)
-    return BoundedJet(j, (_U * abs(j.v), 0.0, 0.0, 0.0))
+    return BoundedJet(j, (_U * modulus(j.v), 0.0, 0.0, 0.0))
 
 
 def bounded_neg(a: BoundedJet) -> BoundedJet:
@@ -490,7 +423,7 @@ def bounded_mul(a: BoundedJet, b: BoundedJet) -> BoundedJet:
 
 def bounded_div(a: BoundedJet, b: BoundedJet) -> BoundedJet:
     j = jet_div(a.jet, b.jet)
-    m = 1.0 / abs(b.jet.v)
+    m = 1.0 / modulus(b.jet.v)
     m2 = m * m
     recip, recip_err = _chain_bound(
         b, (m, m2, 2.0 * m2 * m, 6.0 * m2 * m2, 24.0 * m2 * m2 * m), _C_CHAIN * _U
@@ -500,7 +433,7 @@ def bounded_div(a: BoundedJet, b: BoundedJet) -> BoundedJet:
 
 def bounded_exp(u: BoundedJet) -> BoundedJet:
     j = jet_exp(u.jet)
-    e = abs(j.v)
+    e = modulus(j.v)
     return BoundedJet(j, _chain_bound(u, (e, e, e, e, e), _C_CHAIN * _U)[1])
 
 
@@ -511,10 +444,10 @@ def bounded_log(u: BoundedJet) -> BoundedJet:
     uv = u.jet.v
     if uv.real < 0.0 and abs(uv.imag) <= u.err[0]:
         return BoundedJet(j, (float("inf"),) * 4)
-    m = 1.0 / abs(uv)
+    m = 1.0 / modulus(uv)
     m2 = m * m
     _, (e0, e1, e2, e3) = _chain_bound(
-        u, (abs(j.v), m, m2, 2.0 * m2 * m, 6.0 * m2 * m2), _C_CHAIN * _U
+        u, (modulus(j.v), m, m2, 2.0 * m2 * m, 6.0 * m2 * m2), _C_CHAIN * _U
     )
     return BoundedJet(j, (e0 + _LOG_ABS, e1, e2, e3))
 
@@ -539,19 +472,19 @@ def bounded_mobius(
     """
     j = jet_mobius(u.jet, a, b, c, d)
     w = u.jet.v
-    r = 1.0 / abs(c * w + d)
+    r = 1.0 / modulus(c * w + d)
     r2 = r * r
-    cr = abs(c) * r
-    kappa = (abs(c) * abs(w) + abs(d)) * r
+    cr = modulus(c) * r
+    kappa = (modulus(c) * modulus(w) + modulus(d)) * r
     mag, (e0, e1, e2, e3) = _chain_bound(
         u,
-        (abs(j.v), r2, 2.0 * cr * r2, 6.0 * cr * cr * r2, 24.0 * cr * cr * cr * r2),
+        (modulus(j.v), r2, 2.0 * cr * r2, 6.0 * cr * cr * r2, 24.0 * cr * cr * cr * r2),
         (_C_CHAIN + 16.0 * kappa) * _U,
     )
     # the value multiplies r by a w + b, itself rounded at |a w| + |b|
-    e0 += 4.0 * _U * (abs(a) * abs(w) + abs(b)) * r
+    e0 += 4.0 * _U * (modulus(a) * modulus(w) + modulus(b)) * r
     ad, bc = a * d, b * c
-    det_dev = abs(ad - bc - 1.0) + 4.0 * _U * (abs(ad) + abs(bc))
+    det_dev = modulus(ad - bc - 1.0) + 4.0 * _U * (modulus(ad) + modulus(bc))
     return BoundedJet(
         j, (e0, e1 + det_dev * mag[1], e2 + det_dev * mag[2], e3 + det_dev * mag[3])
     )

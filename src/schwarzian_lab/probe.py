@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dsl import LANE_BLOCK, EvalError, FamilyExpr, eval_jet, eval_jet_lanes
-from .jets import OverflowAtPoint, jet_var
+from .jets import OverflowAtPoint, jet_var, modulus
 from .schwarzian import CriticalPointError, schwarzian, spherical_derivative
 
 __all__ = [
@@ -239,7 +239,13 @@ def _jet_row(out: list, h: float) -> list:
 
 
 def _marty_row(out: list, h: float) -> list:
-    return [_flag_for(j) if isinstance(j, EvalError) else spherical_derivative(j) for j in out]
+    row = []
+    for j in out:
+        try:
+            row.append(_flag_for(j) if isinstance(j, EvalError) else spherical_derivative(j))
+        except OverflowAtPoint:  # |f| or |f'| past the double range
+            row.append("Overflow")
+    return row
 
 
 def _sd_stat(lanes: list, h: float) -> float:
@@ -253,8 +259,8 @@ def _sd_stat(lanes: list, h: float) -> float:
         s.append(schwarzian(j))
     s0, sp1, sm1, sp2, sm2 = s
     ds = (-sp2 + 8.0 * sp1 - 8.0 * sm1 + sm2) / (12.0 * h)
-    m = abs(s0)
-    return abs(ds) / (1.0 + m * m)
+    m = modulus(s0)
+    return modulus(ds) / (1.0 + m * m)
 
 
 def _sd_row(out: list, h: float) -> list:
@@ -266,6 +272,8 @@ def _sd_row(out: list, h: float) -> list:
             row.append(_flag_for(exc))
         except CriticalPointError:
             row.append("CriticalPoint")
+        except OverflowAtPoint:  # |S| or |S'| past the double range
+            row.append("Overflow")
     return row
 
 
@@ -515,7 +523,7 @@ def local_bound_estimate(
     ns = _validate_n_values(n_values)
     z0 = complex(z0)
     z = complex(z)
-    length = abs(z - z0)
+    length = modulus(z - z0)
     reports = []
     flagged = []
     for n in ns:
@@ -524,13 +532,13 @@ def local_bound_estimate(
             j0, j1 = next(jets), next(jets)
             k_est = 0.0
             for jt in jets:
-                mag = abs(jt.d1)
+                mag = modulus(jt.d1)
                 if mag > k_est:
                     k_est = mag
-        except EvalError:
+            observed = modulus(j1.v - j0.v)
+        except (EvalError, OverflowAtPoint):
             flagged.append(n)
             continue
-        observed = abs(j1.v - j0.v)
         rhs = k_est * length
         passed = observed <= rhs * (1.0 + 1e-9) + 1e-12
         reports.append(LocalBoundReport(n, k_est, rhs, observed, passed, j0.v))
@@ -593,15 +601,22 @@ def derivative_floor_check(
                     flags.add(jet)
                     clean = False
                     continue
-                mag = abs(jet.d1)
+                try:
+                    mag = modulus(jet.d1)
+                    d2, d3 = modulus(jet.d2), modulus(jet.d3)
+                    s = modulus(schwarzian(jet))
+                except CriticalPointError:
+                    s = None
+                except OverflowAtPoint:  # a modulus past the double range
+                    flags.add("Overflow")
+                    clean = False
+                    continue
                 if mag < low:
                     low = mag
-                try:
-                    s = abs(schwarzian(jet))
-                except CriticalPointError:
+                if s is None:
                     continue
-                m2 = max(m2, abs(jet.d2))
-                m3 = max(m3, abs(jet.d3))
+                m2 = max(m2, d2)
+                m3 = max(m3, d3)
                 max_s = max(max_s, s)
             if low < global_min:
                 global_min = low
@@ -619,7 +634,7 @@ def value_bound_check(f: FamilyExpr, n_values, zeta: complex, L: float) -> bool:
     """True when max over n of |f_n(zeta)| is at most L."""
     ns = _validate_n_values(n_values)
     zeta = complex(zeta)
-    return max(abs(eval_jet(f, n, zeta).v) for n in ns) <= L
+    return max(modulus(eval_jet(f, n, zeta).v) for n in ns) <= L
 
 
 def cauchy_derivative_bound(M: float, r: float, k: int) -> float:

@@ -34,6 +34,7 @@ from .jets import (
     jet_mobius,
     jet_sub,
     jet_var,
+    modulus,
 )
 
 __all__ = [
@@ -114,19 +115,28 @@ class DegenerateMobiusError(ValueError):
 
 
 def spherical_derivative(j: ComplexJet3) -> float:
-    """Marty's statistic |f'| / (1 + |f|^2) from a jet."""
-    m = abs(j.v)
-    return abs(j.d1) / (1.0 + m * m)
+    """Marty's statistic |f'| / (1 + |f|^2) from a jet.
+
+    Raises OverflowAtPoint where |f| or |f'| is past the double range.
+    """
+    try:
+        m, d = abs(j.v), abs(j.d1)
+    except OverflowError:  # abs past the double range: modulus raises the typed error
+        m, d = modulus(j.v), modulus(j.d1)
+    return d / (1.0 + m * m)
 
 
 def schwarzian(j: ComplexJet3, floor: float = CRITICAL_POINT_FLOOR) -> complex:
     """Schwarzian derivative from an order-3 jet."""
-    if abs(j.d1) <= floor:
+    d1 = j.d1
+    # |f'| <= floor needs both parts within it, and testing them first keeps
+    # abs away from a modulus past the double range, where it raises
+    if abs(d1.real) <= floor and abs(d1.imag) <= floor and abs(d1) <= floor:
         raise CriticalPointError(
-            f"Schwarzian undefined: |f'| = {abs(j.d1):.3e} at or below floor {floor:.3e}"
+            f"Schwarzian undefined: |f'| = {abs(d1):.3e} at or below floor {floor:.3e}"
         )
-    r = j.d2 / j.d1
-    return j.d3 / j.d1 - 1.5 * (r * r)
+    r = j.d2 / d1
+    return j.d3 / d1 - 1.5 * (r * r)
 
 
 @dataclass(frozen=True)
@@ -153,8 +163,8 @@ class Mobius:
         )
         det = a * d - b * c
         # ad - bc cancels catastrophically when |ad| + |bc| dwarfs it.
-        scale = abs(a * d) + abs(b * c)
-        if abs(det) <= 1e-12 * max(1.0, scale):
+        scale = modulus(a * d) + modulus(b * c)
+        if modulus(det) <= 1e-12 * max(1.0, scale):
             raise DegenerateMobiusError(
                 f"degenerate coefficients: ad - bc = {det!r}"
             )
@@ -250,8 +260,8 @@ def _report(
     tol_rel: float,
     error_bound: Callable[[], float],
 ) -> IdentityReport:
-    abs_gap = abs(lhs - rhs)
-    denom = max(abs(lhs), abs(rhs))
+    abs_gap = modulus(lhs - rhs)
+    denom = max(modulus(lhs), modulus(rhs))
     rel_gap = abs_gap / denom if denom > 0.0 else 0.0
     if abs_gap <= tol_abs:
         return IdentityReport(lhs, rhs, abs_gap, rel_gap, True, tol_abs, None, "abs")
@@ -276,16 +286,16 @@ def _schwarzian_error(b: BoundedJet) -> float:
     """
     j = b.jet
     _, e1, e2, e3 = b.err
-    m1 = abs(j.d1)
-    q2 = abs(j.d2) / m1
-    q3 = abs(j.d3) / m1
+    m1 = modulus(j.d1)
+    q2 = modulus(j.d2) / m1
+    q3 = modulus(j.d3) / m1
     propagated = (e3 + 3.0 * q2 * e2 + (q3 + 3.0 * q2 * q2) * e1) / m1
     return propagated + 24.0 * _U * (q3 + 1.5 * q2 * q2)
 
 
 def _product_error(x: complex, ex: float, y: complex, ey: float) -> float:
     # error of the computed x*y when x and y carry errors ex and ey
-    return abs(x) * ey + ex * abs(y) + 3.0 * _U * abs(x * y)
+    return modulus(x) * ey + ex * modulus(y) + 3.0 * _U * modulus(x * y)
 
 
 def _bounded_at(f: FamilyExpr, n: float, z: complex) -> BoundedJet:
@@ -303,10 +313,10 @@ def _apply_error(m: Mobius, z: complex, w: complex) -> float:
     Numerator and denominator each round within 4U of |a z| + |b| and
     |c z| + |d|; the quotient adds 8U.
     """
-    az = abs(z)
-    num_err = 4.0 * _U * (abs(m.a) * az + abs(m.b))
-    den_err = 4.0 * _U * (abs(m.c) * az + abs(m.d))
-    return (num_err + abs(w) * den_err) / abs(m.c * z + m.d) + 8.0 * _U * abs(w)
+    az = modulus(z)
+    num_err = 4.0 * _U * (modulus(m.a) * az + modulus(m.b))
+    den_err = 4.0 * _U * (modulus(m.c) * az + modulus(m.d))
+    return (num_err + modulus(w) * den_err) / modulus(m.c * z + m.d) + 8.0 * _U * modulus(w)
 
 
 def check_mobius_invariance(
@@ -372,7 +382,7 @@ def check_composition_law(
         e_sg = _schwarzian_error(bg)
         e_square = _product_error(jf.d1, bf.err[1], jf.d1, bf.err[1])
         e_term = _product_error(s_g, e_sg, square, e_square)
-        e_rhs = e_term + _schwarzian_error(bf) + _U * abs(rhs)
+        e_rhs = e_term + _schwarzian_error(bf) + _U * modulus(rhs)
         return e_lhs + e_rhs
 
     return _report(lhs, rhs, tol_abs, tol_rel, error_bound)
@@ -393,7 +403,7 @@ def check_reciprocal(
     omitted value is first shifted away, which changes no Schwarzian.
     """
     jf = eval_jet(f, n, z)
-    if abs(jf.v - omitted) <= guard:
+    if modulus(jf.v - omitted) <= guard:
         raise GuardViolation(
             f"f(z) = {jf.v} is within {guard:.1e} of the omitted value {omitted}"
         )
@@ -432,7 +442,7 @@ def check_conjugation(
     if not (cmath.isfinite(phi_of_fz) and cmath.isfinite(phi_of_z)):
         raise PoleOfMobius(complex(z))
     jg = eval_jet(g, n, phi_of_z)
-    gap = abs(phi_of_fz - jg.v)
+    gap = modulus(phi_of_fz - jg.v)
     if gap > conj_tol:
         raise ConjugacyViolated(gap, conj_tol)
     jphi = mobius_jet(phi, z)

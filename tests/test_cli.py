@@ -10,6 +10,7 @@ exercises the installed console script end to end.
 """
 
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from schwarzian_lab import (
     parse,
     schwarzian,
 )
+from schwarzian_lab import cli
 from schwarzian_lab.cli import (
     CATALOG,
     SEED_ENV_VAR,
@@ -870,3 +872,172 @@ def test_module_entry_point_error_code():
         text=True,
     )
     assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# signed zeros that reach a log on the negative real axis, or the output
+#
+# Literal bytes recorded before the evaluator was generated from the jet
+# formulas, which folds exactly known terms away: a signed zero can move a
+# log across its branch cut.  ``eval`` runs one call per node, ``bound``'s
+# segments run the generated lane function.
+
+_SIGNED_ZERO_GOLDENS = [
+    (['eval', '--family=log(0*z-1)', '--n=1', '--z=1+1i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n0+3.1415926535897931i,0-0i,0-0i,0+0i,CriticalPointError,0.0\n', ''),
+    (['eval', '--family=log(0*z-1)', '--n=1', '--z=-1+1i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n0+3.1415926535897931i,0-0i,0-0i,0+0i,CriticalPointError,0.0\n', ''),
+    (['eval', '--family=log(0*z-1)', '--n=1', '--z=1-1i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n0+3.1415926535897931i,0-0i,0-0i,0+0i,CriticalPointError,0.0\n', ''),
+    (['eval', '--family=log(0*z-1)', '--n=1', '--z=-1-1i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n0-3.1415926535897931i,0-0i,0-0i,0+0i,CriticalPointError,0.0\n', ''),
+    (['eval', '--family=log(-z)', '--n=1', '--z=2+0i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n0.69314718055994529-3.1415926535897931i,0.5+0i,-0.25+0i,0.25+0i,0.125+0i,0.04405264059183325\n', ''),
+    (['eval', '--family=log(z*0*n-n)', '--n=3', '--z=-0.5-2i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n1.0986122886681098+3.1415926535897931i,0-0i,0-0i,0+0i,CriticalPointError,0.0\n', ''),
+    (['eval', '--family=log(-(z-z)-1)*z', '--n=1', '--z=0.25+0.5i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n1.5707963267948966-0.78539816339744828i,0-3.1415926535897931i,0+0i,0+0i,-0+0i,0.7691966935624623\n', ''),
+    (['eval', '--family=log((z-z)*i-1)+n*z', '--n=-0', '--z=-0.5+0.5i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n0+3.1415926535897931i,0+0i,0+0i,0+0i,CriticalPointError,0.0\n', ''),
+    (['eval', '--family=-(z-z)*n+log(z*i*i)', '--n=2', '--z=1-0i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n0+3.1415926535897931i,1+0i,-1+0i,2+0i,0.5+0i,0.09199966835037524\n', ''),
+    (['eval', '--family=log(exp(n*z)*0-1)', '--n=-1', '--z=0.5-0.5i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n0+3.1415926535897931i,0-0i,0-0i,0+0i,CriticalPointError,0.0\n', ''),
+    (['eval', '--family=n*z', '--n=-0', '--z=-1+1i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n0-0i,-0+0i,0+0i,0+0i,CriticalPointError,0.0\n', ''),
+    (['eval', '--family=n*z', '--n=-0', '--z=1-1i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n0+0i,0+0i,0+0i,0+0i,CriticalPointError,0.0\n', ''),
+    (['eval', '--family=exp(n*z)', '--n=-0', '--z=-1+0.5i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n1-0i,0+0i,0+0i,0+0i,CriticalPointError,0.0\n', ''),
+    (['eval', '--family=z*n-z*n', '--n=0', '--z=-1-1i', '--format', 'csv'],
+     0, 'v,d1,d2,d3,schwarzian,spherical\n0+0i,0+0i,0+0i,0+0i,CriticalPointError,0.0\n', ''),
+    (['identity', 'composition', '--family=log(0*z-1)+z^2', '--family=z*i-n', '--n=2', '--z=-0.5-0.5i', '--format', 'csv'],
+     0, 'lhs,rhs,abs_gap,rel_gap,passed,tolerance_used\n0+3i,0+3i,0.0,0.0,true,1e-10\n', ''),
+    (['identity', 'composition', '--family=n*z-z^3', '--family=log(z*0-n)*z', '--n=-0', '--z=0.5+0.25i', '--format', 'json'],
+     3, '', 'error: EvalError: evaluation error at source span 0..10: log of (near-)zero value\n'),
+    (['bound', '--family=log(0*z-1)', '--n-max=2', '--z0=-1-1i', '--z=1+1i', '--format', 'csv'],
+     1, 'n,K_estimate,bound_rhs,observed,passed,value_at_z0\n1,0.0,0.0,6.283185307179586,false,0-3.1415926535897931i\n2,0.0,0.0,6.283185307179586,false,0-3.1415926535897931i\n', ''),
+    (['bound', '--family=log(0*z-1)', '--n-max=2', '--z0=-1+1i', '--z=1-1i', '--format', 'csv'],
+     0, 'n,K_estimate,bound_rhs,observed,passed,value_at_z0\n1,0.0,0.0,0.0,true,0+3.1415926535897931i\n2,0.0,0.0,0.0,true,0+3.1415926535897931i\n', ''),
+    (['bound', '--family=log(z*0*n-n)+z', '--n-max=2', '--z0=-0.5-2i', '--z=0.5+1i', '--format', 'csv'],
+     0, 'n,K_estimate,bound_rhs,observed,passed,value_at_z0\n1,1.0,3.1622776601683795,3.1622776601683795,true,-0.5+1.1415926535897931i\n2,1.0,3.1622776601683795,3.1622776601683795,true,0.19314718055994529+1.1415926535897931i\n', ''),
+    (['bound', '--family=log(-(z-z)-1)*z', '--n-max=1', '--z0=0.25+0.5i', '--z=-0.25-0.5i', '--format', 'csv'],
+     0, 'n,K_estimate,bound_rhs,observed,passed,value_at_z0\n1,3.141592653589793,3.5124073655203634,3.512407365520363,true,1.5707963267948966-0.78539816339744828i\n', ''),
+    (['bound', '--family=log(exp(n*z)*0-1)', '--n-max=2', '--z0=0.5-0.5i', '--z=0.5+0.5i', '--format', 'csv'],
+     0, 'n,K_estimate,bound_rhs,observed,passed,value_at_z0\n1,0.0,0.0,0.0,true,0+3.1415926535897931i\n2,0.0,0.0,0.0,true,0+3.1415926535897931i\n', ''),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", _SIGNED_ZERO_GOLDENS)
+def test_signed_zero_golden_bytes(capsys, argv, code, out, err):
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
+# ---------------------------------------------------------------------------
+# moduli past the double range
+#
+# abs() of a finite complex raises OverflowError once both parts near
+# 1.5e308; every subcommand maps that to the Overflow failure it reports.
+
+_BIG = "15" + "0" * 307  # 1.5e308, a literal within the double range
+_GRID = "--grid=-1,1,-1,1,3,3"
+_PAST = "modulus overflowed the finite range"
+
+
+@pytest.mark.parametrize(
+    "argv,code,text",
+    [
+        (["eval", f"--family=1/((1+i)*{_BIG})", "--n=1", "--z=0+0i"], 3,
+         f"EvalError: evaluation error at source span 0..{len(_BIG) + 10}: {_PAST}"),
+        (["eval", f"--family=(1+i)*{_BIG}*z", "--n=1", "--z=1+0i"], 3,
+         f"OverflowAtPoint: {_PAST}"),
+        (["scan-marty", f"--family=1/((1+i)*{_BIG})+z", _GRID, "--n-max=4", "--workers=1"], 0,
+         "Overflow"),
+        (["scan-marty", f"--family=(1+i)*{_BIG}*z", _GRID, "--n-max=4", "--workers=2"], 0,
+         "Overflow"),
+        (["scan-sd", f"--family=1/((1+i)*{_BIG})+z", _GRID, "--n-max=4", "--workers=1"], 0,
+         "Overflow"),
+        (["hypotheses", f"--family=(1+i)*{_BIG}*z", _GRID, "--n-max=3", "--epsilon=0.1",
+          "--zeta=0+0i", "--L=1"], 1, '"floor_ok": false'),
+        (["hypotheses", f"--family=1/((1+i)*{_BIG})+z", _GRID, "--n-max=3", "--epsilon=0.1",
+          "--zeta=0+0i", "--L=1"], 3, _PAST),
+        (["bound", f"--family=(1+i)*{_BIG}*z", "--n-max=2", "--z0=0+0i", "--z=1+0i"], 3,
+         "SegmentEvaluationError: segment evaluation failed for n in [1, 2]"),
+        (["identity", "mobius-invariance", f"--family=1/((1+i)*{_BIG})+z", "--n=1",
+          "--z=0.5+0i", "--mobius=1,0,0,1"], 3, _PAST),
+        (["identity", "reciprocal", f"--family=1/((1+i)*{_BIG})+z", "--n=1", "--z=0.5+0i",
+          "--omit=5"], 3, _PAST),
+        (["identity", "composition", "--family=z", f"--family=1/((1+i)*{_BIG})+z", "--n=1",
+          "--z=0.5+0i"], 3, _PAST),
+        (["identity", "conjugation", f"--family=1/((1+i)*{_BIG})+z", "--family=z",
+          "--n=1", "--z=0.5+0i", "--phi=1,0,0,1"], 3, _PAST),
+    ],
+)
+def test_modulus_past_the_double_range_keeps_the_exit_contract(capsys, argv, code, text):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in err
+    assert text in (err if code == 3 else out)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+_EVERY_SUBCOMMAND = [
+    ["eval", "--family", "exp(n*z)", "--n", "3", "--z", "0+0i"],
+    ["identity", "mobius-invariance", "--family", "exp(n*z)", "--n", "2", "--z", "0.3+0i",
+     "--mobius", "3,1,1,-2", "--format", "csv"],
+    ["identity", "composition", "--family", "z^2", "--family", "exp(z)", "--n", "1", "--z", "1+0i"],
+    ["identity", "reciprocal", "--catalog", "example3", "--n", "1", "--z", "1+1i", "--omit", "0"],
+    ["identity", "conjugation", "--catalog", "example4-f", "--catalog", "example4-g", "--n", "4",
+     "--z", "0.2+0i", "--phi", "n,0,0,1"],
+    ["scan-marty", "--catalog", "example1", "--grid=-1,1,-1,1,3,3", "--n-max", "8",
+     "--workers", "1", "--format", "json"],
+    ["scan-sd", "--catalog", "example2", "--grid=-0.5,0.5,-0.5,0.5,3,3", "--n-max", "8",
+     "--workers", "1"],
+    ["bound", "--family", "(z^2)/n", "--n-max", "2", "--z0", "0+0i", "--z", "0.5+0i"],
+    ["hypotheses", "--family", "z + (z^2)/n", "--grid=-0.17,0.17,-0.17,0.17,3,3",
+     "--radius", "0.001", "--n-max", "4", "--epsilon", "0.5", "--zeta", "0+0i", "--L", "0.1"],
+    ["eval", "--family", "1/z"],
+    ["scan-marty", "--catalog", "nope"],
+]
+
+
+def _run_or_exit(capsys, argv):
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:  # argparse's own errors
+        return (exc.code, *capsys.readouterr())
+
+
+def test_cached_parser_gives_a_fresh_parsers_bytes(capsys):
+    fresh = []
+    for argv in _EVERY_SUBCOMMAND:
+        cli._build_parser.cache_clear()
+        fresh.append(_run_or_exit(capsys, argv))
+    before = cli._build_parser.cache_info().misses
+    order = random.Random(5).sample(range(len(_EVERY_SUBCOMMAND)), len(_EVERY_SUBCOMMAND))
+    for k in order * 2:
+        assert _run_or_exit(capsys, _EVERY_SUBCOMMAND[k]) == fresh[k]
+    assert cli._build_parser.cache_info().misses == before
+
+
+def test_cached_parser_keeps_families_apart(capsys):
+    run_cli(capsys, "identity", "composition", "--family", "z^2", "--family", "exp(z)",
+            "--n", "1", "--z", "1+0i")
+    args = cli._build_parser().parse_args(["eval", "--family", "z", "--n", "1", "--z", "0+0i"])
+    assert args.family_specs == ["z"]
+    assert run_cli(capsys, "eval", "--family", "z", "--n", "1", "--z", "0+0i")[0] == 0
+
+
+def test_cached_parser_resolves_the_seed_and_the_scan_per_call(capsys, monkeypatch):
+    argv = ["scan-marty", "--catalog", "example1", "--grid=-1,1,-1,1,3,3", "--n-max", "8",
+            "--workers", "1"]
+    run_cli(capsys, *argv)  # the parser now exists
+    monkeypatch.setenv(SEED_ENV_VAR, "7")
+    seeded = run_cli(capsys, *argv, "--seed", "7")
+    assert run_cli(capsys, *argv) == seeded != run_cli(capsys, *argv, "--seed", "0")
+    seen = []
+    monkeypatch.setattr(cli, "marty_scan", lambda *a, **k: seen.append(a) or marty_scan(*a, **k))
+    run_cli(capsys, *argv)
+    assert len(seen) == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schwarzian_lab import GridSpec, marty_scan
+from schwarzian_lab import GridSpec, codegen, marty_scan
 from schwarzian_lab.dsl import (
     LANE_BLOCK,
     MAX_DEPTH,
@@ -34,11 +34,21 @@ from schwarzian_lab.dsl import (
     pretty_print,
 )
 from schwarzian_lab.jets import (
+    BoundedJet,
     ComplexJet3,
     DivisionByZeroAtPoint,
     JetError,
     OverflowAtPoint,
+    bounded_add,
+    bounded_const,
+    bounded_div,
     bounded_exact,
+    bounded_exp,
+    bounded_log,
+    bounded_mul,
+    bounded_neg,
+    bounded_pow_int,
+    bounded_sub,
     jet_add,
     jet_const,
     jet_div,
@@ -465,6 +475,206 @@ def test_lanes_past_one_block_match_one_lane_calls():
 
 
 # ---------------------------------------------------------------------------
+# the generated functions against a recursive reference
+#
+# The references walk the tree themselves and call one jets operation per
+# node; they share no code with the source generator in codegen.
+
+_BOUNDED_OPS = {
+    Add: bounded_add, Sub: bounded_sub, Mul: bounded_mul, Div: bounded_div,
+    Neg: bounded_neg, Exp: bounded_exp, Log: bounded_log, PowInt: bounded_pow_int,
+}
+
+
+def _reference_bounded(node, nb, zb, at):
+    if isinstance(node, Var):
+        return zb
+    if isinstance(node, Param):
+        return nb
+    if isinstance(node, ImagUnit):
+        return bounded_exact(jet_const(1j))
+    if isinstance(node, ConstNum):
+        return bounded_const(node.value)
+    if isinstance(node, PowInt):
+        args = (_reference_bounded(node.base, nb, zb, at), node.exponent)
+    elif isinstance(node, (Neg, Exp, Log)):
+        child = node.operand if isinstance(node, Neg) else node.arg
+        args = (_reference_bounded(child, nb, zb, at),)
+    else:
+        args = (_reference_bounded(node.lhs, nb, zb, at), _reference_bounded(node.rhs, nb, zb, at))
+    try:
+        return _BOUNDED_OPS[type(node)](*args)
+    except JetError as exc:
+        raise EvalError(node.span, str(exc), at) from exc
+
+
+def _zero_prone_tree(rng, depth):
+    # trees rich in the shapes whose derivatives are signed zeros (x - x,
+    # 0 * x, negations) and in powers on both sides of the inlined ones
+    if depth <= 0 or rng.random() < 0.15:
+        return rng.choice((Var(), Var(), Param(), ImagUnit(), ConstNum(0j), ConstNum(2 + 0j)))
+    child = depth - 1
+    roll = rng.random()
+    if roll < 0.15:
+        x = _zero_prone_tree(rng, child)
+        return Sub(x, x)
+    if roll < 0.25:
+        return Mul(ConstNum(0j), _zero_prone_tree(rng, child))
+    if roll < 0.35:
+        return Neg(_zero_prone_tree(rng, child))
+    if roll < 0.45:
+        k = rng.choice((0, -1, 2, -3, codegen._INLINE_POWER + 1, -codegen._INLINE_POWER - 2))
+        return PowInt(_zero_prone_tree(rng, child), k)
+    if roll < 0.8:
+        op = rng.choice((Add, Sub, Mul, Div))
+        return op(_zero_prone_tree(rng, child), _zero_prone_tree(rng, child))
+    return rng.choice((Exp, Log))(_zero_prone_tree(rng, child))
+
+
+_SPECIAL_POINTS = (
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-1.0, -0.0),
+    -1 + 0j, -2 + 0j, -3 + 0j, -4 + 0j, 1e-200 + 0j, 1e150 + 1e150j, 700 + 1j,
+)
+# n = 0 and -0 make the lane function defer every lane; tiny and huge n
+# underflow and overflow its loop-invariant products
+_SPECIAL_NS = (-0.0, 0.0, -1.5, 1e-170, 1e200, 0.5)
+
+
+def _draw(rng):
+    f = random_family(rng, depth=3) if rng.random() < 0.5 else FamilyExpr(
+        _zero_prone_tree(rng, 3)
+    )
+    f = parse(pretty_print(f))  # real source spans
+    n = rng.choice(_SPECIAL_NS) if rng.random() < 0.3 else rng.randint(1, 6)
+    points = [
+        rng.choice(_SPECIAL_POINTS) if rng.random() < 0.3
+        else random_point(rng, rng.choice((1.0, 3.0, 400.0)))
+        for _ in range(9)
+    ]
+    return f, n, points
+
+
+def test_generated_lane_function_matches_the_reference_bit_for_bit():
+    rng = random.Random(61)
+    kinds = set()
+    signed_zeros = 0
+    for _ in range(250):
+        f, n, points = _draw(rng)
+        seeds = [jet_var(w) for w in points]
+        nj = jet_const(n)
+        want = [_outcome(_raised(lambda: _reference(f.root, nj, s, s.v))) for s in seeds]
+        fn = codegen.family(f).lanes
+        got = None if fn is None else fn(complex(n), seeds, lambda s: s)  # a redone lane: its seed
+        for k, seed in enumerate(seeds):
+            if want[k][0] == "error" or got is None:
+                # every failing lane is redone through the one-call-per-node path
+                assert got is None or got[k] is seed
+            elif got[k] is not seed:
+                assert _outcome(got[k]) == want[k]
+        # the public call, which redoes lanes, gives the reference outcome
+        # on every lane, errors with their spans, messages, points and causes
+        batch = seeds * 8  # past the lanes a family runs before generating
+        assert [_outcome(j) for j in eval_jet_lanes(f, n, batch)] == want * 8
+        for w in want:
+            kinds.add(w[-1] if w[0] == "error" else "jet")
+            signed_zeros += w[0] == "jet" and any("-0x0.0p+0" in p for c in w[1] for p in c)
+    assert kinds == {"jet", OverflowAtPoint, DivisionByZeroAtPoint}
+    assert signed_zeros > 50
+
+
+# one family per rule of the generator: a literal -1 is not 1, a zero
+# only vanishes into +0 while finite, a non-finite value stays visible
+# through 1/x, x^0 and a product with zero, n = 0 and -0 defer every lane
+_SHARP_FAMILIES = (
+    "-1*z", "z*(0-1)", "0*z^8+1", "0*z^8*n", "1/(z^8)", "exp(0-z^8)", "log(z^8)", "(z^8)^0",
+    "(1/(z^8))^0+z", "z^8-z^8+1", "(z-z)*n", "-(z-z)*n", "z*i*i", "log(0*z-1)", "log(-z)",
+    "n*z", "exp(n*z)", "log(z*0*n-n)", "1/(z*0+n)", "(z^4)^9", "z^-9", "exp(z/(n*z+1))",
+    "1/(z*1000000000000000000000)", "exp(z*1000000000000000000000*i)", "(z-n)*(n-z)",
+    "(z-1)/(1-z)",
+)
+_SHARP_POINTS = (
+    0.5 - 0.25j, -1 + 0j, complex(-1.0, -0.0), 1e50 + 0j, 1e40 + 1e40j, 1e-310 + 0j, 0j,
+    complex(-0.0, -0.0), -3 - 1j, 1e300 + 0j,
+)
+
+
+@pytest.mark.parametrize("text", _SHARP_FAMILIES)
+def test_generated_lane_function_on_each_rule(text):
+    f = parse(text)
+    seeds = [jet_var(w) for w in _SHARP_POINTS] * 8
+    for n in (2, -1, 0.0, -0.0, 1e-170):
+        nj = jet_const(n)
+        want = [_outcome(_raised(lambda: _reference(f.root, nj, s, s.v))) for s in seeds]
+        assert [_outcome(j) for j in eval_jet_lanes(f, n, seeds)] == want
+
+
+def test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit():
+    # non-identity seeds, as in composition, and bounded seeds with errors
+    rng = random.Random(62)
+    kinds = set()
+    for _ in range(150):
+        f, n, points = _draw(rng)
+        nj = jet_const(n)
+        for w in points[:4]:
+            seed = _random_seed(rng) if rng.random() < 0.7 else jet_var(w)
+            want = _outcome(_raised(lambda: _reference(f.root, nj, seed, w)))
+            assert _outcome(_raised(lambda: eval_jet_seeded(f, n, seed, point=w))) == want
+            bseed = BoundedJet(seed, (rng.choice((0.0, 1e-16)) * abs(seed.v), 0.0, 1e-18, 0.0))
+            nb = bounded_exact(nj)
+            ref = _raised(lambda: _reference_bounded(f.root, nb, bseed, w))
+            got = _raised(lambda: eval_jet_bounded(f, n, bseed, point=w))
+            if isinstance(ref, EvalError):
+                assert _outcome(got) == _outcome(ref)
+            else:
+                assert _outcome(got.jet) == _outcome(ref.jet) == want
+                assert [e.hex() for e in got.err] == [e.hex() for e in ref.err]
+            kinds.add(want[-1] if want[0] == "error" else "jet")
+        # a batch big enough for the lane function hands other seeds back
+        seeds = [_random_seed(rng) for _ in range(4)]
+        want = [_outcome(_raised(lambda: _reference(f.root, nj, s, s.v))) for s in seeds]
+        assert [_outcome(j) for j in eval_jet_lanes(f, n, seeds * 16)] == want * 16
+    assert kinds == {"jet", OverflowAtPoint, DivisionByZeroAtPoint}
+
+
+def test_n_times_z_makes_no_product_with_the_derivatives_of_n():
+    # n's d1..d3 are exactly zero and z's d1 is exactly one, so n*z's jet is
+    # (n z, n, 0, 0): one product, and n itself as the first derivative
+    source, namespace = codegen._lanes_source(parse("n*z").root)
+    products = [line.strip() for line in source.splitlines() if " * " in line]
+    assert products == ["t0 = N * zv"]
+    assert "append(as_jet((t0, N, k0, k0)))" in source
+    assert namespace["k0"] == 0j
+    # exp(n*z) computes n^2 and n^3 once per batch, before the loop
+    source, _ = codegen._lanes_source(parse("exp(n*z)").root)
+    prelude, loop = source.split("    for s in Z:\n", 1)
+    assert "= N * N" in prelude and "N * N" not in loop
+
+
+def test_a_family_is_generated_once_per_process(monkeypatch):
+    made = []
+    real = codegen._lanes_function
+    monkeypatch.setattr(codegen, "_lanes_function", lambda root: made.append(root) or real(root))
+    text = "exp(z/(n*z+17))-n"
+    seeds = [jet_var(0.25j + k / 100) for k in range(100)]
+    first = eval_jet_lanes(parse(text), 2, seeds)
+    # a fresh parse, and a worker's unpickled copy, reuse the generated function
+    for f in (parse(text), pickle.loads(pickle.dumps(parse(text)))):
+        assert f._compiled is None
+        assert eval_jet_lanes(f, 2, seeds) == first
+    assert len(made) == 1
+    # the same tree with other spans is another family: its errors differ
+    spaced = parse("exp(z/(n*z+17)) - n")
+    assert spaced == parse(text) and codegen.family(spaced) is not codegen.family(parse(text))
+
+
+def test_one_lane_calls_generate_no_lane_function(monkeypatch):
+    monkeypatch.setattr(codegen, "_lanes_function", None)  # would fail if called
+    f = parse("log(z*z-n)/(z+n)")
+    for k in range(codegen._LANES_BEFORE_GENERATING - 1):
+        eval_jet(f, 3, 0.1 + k / 7)
+
+
+# ---------------------------------------------------------------------------
 # FamilyExpr behavior
 
 
@@ -513,6 +723,13 @@ def test_nesting_at_the_depth_limit_runs_everywhere(shape):
     assert eval_jet_bounded(f, 1, bounded_exact(jet_var(0.25))).jet == jet
     assert parse(pretty_print(f)) == f
     assert pickle.loads(pickle.dumps(f)) == f
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_lane_function_at_the_depth_limit(shape):
+    f = parse(_NESTINGS[shape](MAX_DEPTH))
+    assert codegen.family(f).lanes is not None
+    assert eval_jet_lanes(f, 1, [jet_var(0.25)] * 64) == [eval_jet(f, 1, 0.25)] * 64
 
 
 def test_pool_workers_take_a_family_at_the_depth_limit():

@@ -28,6 +28,7 @@ from schwarzian_lab import (
     value_bound_check,
 )
 from schwarzian_lab import probe
+from schwarzian_lab.jets import ComplexJet3
 from schwarzian_lab.probe import (
     MAX_GRID_POINTS,
     MAX_N_VALUES,
@@ -192,6 +193,13 @@ def test_sd_scan_critical_point_flag():
     assert "CriticalPoint" in p.flags
     # the family ignores n, so the clean samples give a flat slope
     assert p.growth_slope == pytest.approx(0.0, abs=1e-9)
+
+
+def test_sd_statistic_past_the_double_range_is_an_overflow_flag():
+    # S = d3/d1 = 1.5e308 (1 + i) is finite, but its modulus overflows
+    huge = ComplexJet3(0j, 1 + 0j, 0j, complex(1.5e308, 1.5e308))
+    clean = ComplexJet3(0j, 1 + 0j, 0j, 1 + 0j)
+    assert probe._sd_row([huge] * 5 + [clean] * 5, 0.01) == ["Overflow", 0.0]
 
 
 # ---------------------------------------------------------------------------
