@@ -1,10 +1,12 @@
-"""Python source generated once per family: the evaluators behind ``dsl``.
+"""Python source generated once per family: the lane function behind ``dsl``.
 
-One tree walk, :func:`_generate`, writes each family's functions from
-templates, as sympy's ``lambdify`` does, and :func:`family` keeps them per
-process.
+The lane function evaluates a batch of lanes of one family in one loop of
+straight-line code, as sympy's ``lambdify`` compiles an expression, and
+:func:`family` keeps it per process.  ``dsl`` evaluates everything else
+by walking the tree: single points, other seeds, bounded jets, a family's
+first lanes, and every lane the lane function hands back.
 
-The lane function runs the jet formulas of ``jets`` on symbolic values
+It runs the jet formulas of ``jets`` on symbolic values
 (``_Sym``) to write straight-line source.  A symbolic value knows, per
 float part, either the part exactly (a float) or what little is certain
 of it before run time (a ``_Part``).  An operation whose result is then
@@ -27,7 +29,6 @@ from .dsl import (
     Add,
     ConstNum,
     Div,
-    EvalError,
     Exp,
     FamilyExpr,
     ImagUnit,
@@ -37,7 +38,6 @@ from .dsl import (
     Node,
     Param,
     PowInt,
-    Span,
     Sub,
     Var,
 )
@@ -57,34 +57,20 @@ from .jets import (
     _product,
     _reciprocal,
     _sum,
-    bounded_add,
-    bounded_const,
-    bounded_div,
-    bounded_exact,
-    bounded_exp,
-    bounded_log,
-    bounded_mul,
-    bounded_neg,
-    bounded_pow_int,
-    bounded_sub,
-    jet_add,
     jet_const,
-    jet_div,
-    jet_exp,
-    jet_log,
-    jet_mul,
-    jet_neg,
     jet_pow_int,
-    jet_sub,
     modulus,
 )
 
 # generated families kept per process: a scan evaluates one family, an
 # identity check two, and each kept family holds its compiled code
 _CACHE_SIZE = 4
-# lanes a family runs through its one-call-per-node function before its
-# lane function is generated; generating and compiling that costs about
-# as much as this many lanes save
+# lanes a family runs through dsl's tree walk before its lane function is
+# generated.  On random depth-3 families (2 cores, Python 3.11.7) a lane
+# costs 14 to 25 us by the walk and 1.5 to 4 us by the lane function, and
+# generating and compiling it 1.0 to 2.1 ms (quartiles), so the two break
+# even at 67 to 130 lanes, 95 in the median.  A bound batch (258 lanes at
+# the default 256 segment samples) generates at once either way.
 _LANES_BEFORE_GENERATING = 64
 # an integer power up to this exponent is written out as products; a
 # larger one calls jet_pow_int
@@ -217,25 +203,6 @@ class _LiteralFails(Exception):
     """A subexpression of literals alone fails, so every lane fails."""
 
 
-def _generate(node: Node, template):
-    """The one tree walk behind every generated function.
-
-    Each node's operands are visited left before right, then the node
-    itself; ``template`` turns leaves and nodes into its own values.
-    """
-    if isinstance(node, Var):
-        return template.var
-    if isinstance(node, Param):
-        return template.param()
-    if isinstance(node, ImagUnit):
-        return template.literal(1j, exact=True)
-    if isinstance(node, ConstNum):
-        return template.literal(node.value, exact=False)
-    fields = [v for k, v in vars(node).items() if k != "span"]
-    args = [_generate(v, template) if isinstance(v, Node) else v for v in fields]
-    return template.apply(node, *args)
-
-
 def _inverse(w: complex) -> complex:
     return 1.0 / w
 
@@ -253,7 +220,7 @@ def _exp_refused(w: complex) -> bool:
 
 
 class _Lanes:
-    """Template of the lane function: the jet formulas on symbolic values.
+    """Writer of the lane function: the jet formulas on symbolic values.
 
     Its values are jets whose parts are complex constants or ``_Sym``s.
     """
@@ -372,14 +339,22 @@ class _Lanes:
             raise _LiteralFails
         return jet
 
-    # -- leaves and nodes ----------------------------------------------
+    # -- nodes ---------------------------------------------------------
 
-    def param(self):
-        self.n_used = True
-        return self.n, ZERO, ZERO, ZERO
-
-    def literal(self, value, exact: bool):
-        return jet_const(value)
+    def walk(self, node: Node) -> tuple:
+        """A node's jet: its operands left before right, then the node."""
+        kind = type(node)
+        if kind is Var:
+            return self.var
+        if kind is Param:
+            self.n_used = True
+            return self.n, ZERO, ZERO, ZERO
+        if kind is ImagUnit:
+            return jet_const(1j)
+        if kind is ConstNum:
+            return jet_const(node.value)
+        fields = [v for k, v in vars(node).items() if k != "span"]
+        return self.apply(node, *(self.walk(v) if isinstance(v, Node) else v for v in fields))
 
     def reciprocal(self, b: tuple) -> tuple:
         self.guard(b[0], f"abs({{}}) <= {DIVISION_FLOOR!r}", _below_floor)
@@ -459,7 +434,7 @@ def _lanes_source(root: Node) -> tuple:
     """
     t = _Lanes()
     try:
-        out = _generate(root, t)
+        out = t.walk(root)
     except _LiteralFails:
         return None, None
     parts = ", ".join(map(t.text, out))
@@ -494,91 +469,15 @@ def _lanes_source(root: Node) -> tuple:
     return "\n".join(src) + "\n", namespace
 
 
-class _Calls:
-    """Template of the one-lane function: one jets call per node.
-
-    Its values are the source names of jets.
-    """
-
-    var = "seed"
-
-    def __init__(self, bounded: bool):
-        self.bounded = bounded
-        self.consts: dict = {}
-        self.lines: list[str] = []
-
-    def param(self) -> str:
-        return "N"
-
-    def literal(self, value, exact: bool) -> str:
-        # a number literal is known to half an ulp, i exactly
-        name = f"k{len(self.consts)}"
-        if not self.bounded:
-            self.consts[name] = jet_const(value)
-        else:
-            self.consts[name] = bounded_exact(jet_const(value)) if exact else bounded_const(value)
-        return name
-
-    def apply(self, node: Node, *args) -> str:
-        name = f"t{len(self.lines)}"
-        call = f"{_CALLS[type(node)]}({', '.join(map(str, args))})"
-        self.lines.append(f"span = {node.span!r}; {name} = {call}")
-        return name
-
-
-_CALLS = {
-    Add: "add", Sub: "sub", Mul: "mul", Div: "div", Neg: "neg", Exp: "exp", Log: "log",
-    PowInt: "pow_int",
-}
-_JET_CALLS = dict(
-    add=jet_add, sub=jet_sub, mul=jet_mul, div=jet_div, neg=jet_neg, exp=jet_exp, log=jet_log,
-    pow_int=jet_pow_int,
-)
-_BOUNDED_CALLS = dict(
-    add=bounded_add, sub=bounded_sub, mul=bounded_mul, div=bounded_div, neg=bounded_neg,
-    exp=bounded_exp, log=bounded_log, pow_int=bounded_pow_int,
-)
-
-
-def _failure(span: Span, exc: JetError, point) -> EvalError:
-    err = EvalError(span, str(exc), point)
-    err.__cause__ = exc.with_traceback(None)  # so that no failed lane keeps frames alive
-    return err
-
-
-def _calls_function(root: Node, bounded: bool):
-    """Compile the one-lane function that calls one jet operation per node.
-
-    ``fn(N, seed, point)`` returns f_n's jet with the variable seeded by
-    ``seed`` and n's jet ``N``, or the EvalError of the first failure: a
-    node's operands run before the node, the left before the right.  With
-    ``bounded`` it runs the ``bounded_*`` twins on BoundedJets.
-    """
-    t = _Calls(bounded)
-    result = _generate(root, t)
-    src = [
-        "def evaluate(N, seed, point):", "    span = None", "    try:",
-        *("        " + line for line in t.lines or ["pass"]),
-        "    except JetError as exc:", "        return failure(span, exc, point)",
-        f"    return {result}" if bounded else f"    return as_jet({result})",
-    ]
-    namespace = dict(
-        t.consts, **(_BOUNDED_CALLS if bounded else _JET_CALLS),
-        JetError=JetError, failure=_failure, as_jet=_as_jet,
-    )
-    exec(compile("\n".join(src) + "\n", "<family calls>", "exec"), namespace)
-    return namespace["evaluate"]
-
-
 class _Family:
-    """The generated functions of one tree, each built on first use."""
+    """The lane function of one tree, built once it pays for itself."""
 
     def __init__(self, root: Node):
         self.root = root
         self.pending = _LANES_BEFORE_GENERATING
 
     def lanes_for(self, count: int):
-        """The lane function for a batch of ``count``, or None for calls."""
+        """The lane function for a batch of ``count``, or None to walk the tree."""
         if self.pending > count:
             self.pending -= count
             return None
@@ -588,17 +487,8 @@ class _Family:
     def lanes(self):
         return _lanes_function(self.root)
 
-    @cached_property
-    def calls(self):
-        return _calls_function(self.root, bounded=False)
 
-    @cached_property
-    def bounded_calls(self):
-        return _calls_function(self.root, bounded=True)
-
-
-# (tree, its spans) -> _Family; equal trees with other spans report other
-# spans, so the spans are part of the key
+# (tree, its spans) -> _Family
 _FAMILIES: dict = {}
 
 
@@ -612,7 +502,7 @@ def _spans(root: Node) -> tuple:
 
 
 def family(expr: FamilyExpr) -> _Family:
-    """The generated functions of a family, shared by equal trees with equal spans."""
+    """The lane function of a family, shared by equal trees with equal spans."""
     fam = expr._compiled
     if fam is None:
         key = (expr.root, _spans(expr.root))

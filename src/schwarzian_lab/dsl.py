@@ -25,25 +25,26 @@ can exhaust the stack or run unbounded work: at most :data:`MAX_DEPTH`
 levels of nesting, number literals within the double range, and integer
 exponents of magnitude at most :data:`MAX_EXPONENT`.
 
-Evaluation runs generated code: ``codegen`` writes each family's
-functions from templates, once per process, as sympy's ``lambdify`` does:
+Evaluation takes one of two paths, which give the same bits:
 
-- The lane function evaluates a batch of lanes, each one evaluation of
-  f_n at a point (the variable seeded with ``jets.jet_var``), in one loop
-  of straight-line code.  It runs the jet formulas of ``jets`` on symbolic
-  values, so each node's operation is inlined in postorder, and it folds
-  what is exactly known before run time: n, literals and i have zero
-  derivatives, z's first derivative is one, so most of a product's terms
-  vanish, and the parts that depend on n alone are computed once per
-  batch.  Every fold is exact in IEEE arithmetic, signed zeros included.
-  Finiteness is checked only where a value that left the finite range
-  could turn finite again (before 1/x, log and exp, and x^0) and at the
-  output.
-- The one-call function calls one ``jet_*`` operation per node, and its
-  bounded template the ``bounded_*`` twins.  It serves single
-  evaluations, other seeds (composition), the first lanes of a family
-  before its lane function pays for itself, and every lane the lane
-  function hands back: any lane that failed, or might have.
+- A tree walk calls one ``jet_*`` operation per node, or with bounded
+  jets the ``bounded_*`` twins.  It evaluates bounded jets, a family's
+  first lanes, before its lane function pays for itself (so a one-off
+  evaluation compiles nothing), and every lane the lane function hands
+  back: a seed other than the variable's (composition), and any lane
+  that failed, or might have.
+- The lane function, which ``codegen`` generates once per family and
+  process, as sympy's ``lambdify`` does, evaluates a batch of lanes, each
+  one evaluation of f_n at a point (the variable seeded with
+  ``jets.jet_var``), in one loop of straight-line code.  It runs the jet
+  formulas of ``jets`` on symbolic values, so each node's operation is
+  inlined in postorder, and it folds what is exactly known before run
+  time: n, literals and i have zero derivatives, z's first derivative is
+  one, so most of a product's terms vanish, and the parts that depend on
+  n alone are computed once per batch.  Every fold is exact in IEEE
+  arithmetic, signed zeros included.  Finiteness is checked only where a
+  value that left the finite range could turn finite again (before 1/x,
+  log and exp, and x^0) and at the output.
 
 :func:`eval_jet_lanes` returns one entry per lane, its jet or the
 :class:`EvalError` of its first failure; :func:`eval_jet`,
@@ -56,19 +57,35 @@ lanes' jets bit-identical, and every path gives the same bits.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from typing import Tuple
 
 from .jets import (
-    ZERO,
     BoundedJet,
     ComplexJet3,
+    JetError,
     _as_jet,
+    bounded_add,
+    bounded_const,
+    bounded_div,
     bounded_exact,
+    bounded_exp,
+    bounded_log,
+    bounded_mul,
+    bounded_neg,
+    bounded_pow_int,
+    bounded_sub,
+    jet_add,
     jet_const,
+    jet_div,
+    jet_exp,
+    jet_log,
+    jet_mul,
+    jet_neg,
+    jet_pow_int,
+    jet_sub,
     jet_var,
 )
 
@@ -544,30 +561,73 @@ def pretty_print(expr: FamilyExpr | Node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation, by the functions ``codegen`` generates for each family
+# evaluation: a tree walk, or the lane function ``codegen`` generates
 
 # lanes evaluated at once: bounds the memory of one batch
 LANE_BLOCK = 1024
+
+# the operation the walk calls per node: the jets operations, or their
+# bounded twins, which take a number literal as known to half an ulp
+_JET_OPS = {
+    ConstNum: jet_const, Add: jet_add, Sub: jet_sub, Mul: jet_mul, Div: jet_div,
+    Neg: jet_neg, Exp: jet_exp, Log: jet_log, PowInt: jet_pow_int,
+}
+_BOUNDED_OPS = {
+    ConstNum: bounded_const, Add: bounded_add, Sub: bounded_sub, Mul: bounded_mul,
+    Div: bounded_div, Neg: bounded_neg, Exp: bounded_exp, Log: bounded_log,
+    PowInt: bounded_pow_int,
+}
+_I = jet_const(1j)
+_BOUNDED_I = bounded_exact(_I)  # i is exact
+
+
+def _walk(node: Node, ops: dict, leaves: dict, point):
+    # one operation per node, its operands first, the left before the
+    # right; the first failure raises its EvalError, labelled with point
+    kind = type(node)
+    if kind in leaves:
+        return leaves[kind]
+    if kind is ConstNum:
+        return ops[kind](node.value)
+    if kind is PowInt:
+        args = (_walk(node.base, ops, leaves, point), node.exponent)
+    elif kind is Neg:
+        args = (_walk(node.operand, ops, leaves, point),)
+    elif kind is Exp or kind is Log:
+        args = (_walk(node.arg, ops, leaves, point),)
+    else:
+        args = (_walk(node.lhs, ops, leaves, point), _walk(node.rhs, ops, leaves, point))
+    try:
+        return ops[kind](*args)
+    except JetError as exc:
+        raise EvalError(node.span, str(exc), point) from exc
+
+
+def _walked(root: Node, ops: dict, leaves: dict, point):
+    """The walk's value, or the EvalError of its first failure."""
+    try:
+        return _walk(root, ops, leaves, point)
+    except EvalError as err:
+        # so that no failed lane keeps frames alive
+        err.__cause__.with_traceback(None)
+        return err.with_traceback(None)
 
 
 def _evaluate(expr: FamilyExpr, n: float, seeds, point=None) -> list:
     # one entry per seed: its jet, or the EvalError of its first failure,
     # labelled with ``point`` or else the seed's value
-    fam = _family(expr)
-    N = complex(n)
-    if not cmath.isfinite(N):
-        jet_const(N)  # raises its ValueError
-    nj = _as_jet((N, ZERO, ZERO, ZERO))
+    nj = jet_const(n)  # refuses an n that is not finite
 
     def redo(seed):
-        return fam.calls(nj, seed, seed[0] if point is None else point)
+        leaves = {Var: _as_jet(seed), Param: nj, ImagUnit: _I}
+        return _walked(expr.root, _JET_OPS, leaves, seed[0] if point is None else point)
 
     # the lane function takes n real, so that N's imaginary part is +0
-    fn = fam.lanes_for(len(seeds)) if isinstance(n, (int, float)) else None
+    fn = _family(expr).lanes_for(len(seeds)) if isinstance(n, (int, float)) else None
     out = []
     for start in range(0, len(seeds), LANE_BLOCK):
         block = seeds[start : start + LANE_BLOCK]
-        got = None if fn is None else fn(N, block, redo)
+        got = None if fn is None else fn(nj.v, block, redo)
         out += map(redo, block) if got is None else got
     return out
 
@@ -622,9 +682,8 @@ def eval_jet_bounded(
     every literal taken as known only to half an ulp (``n`` and ``i`` are
     exact).  Seed with ``bounded_exact(jet_var(z))`` for f_n at a point z.
     """
-    at = seed.jet.v if point is None else point
-    nj = bounded_exact(jet_const(complex(n)))
-    return _one(_family(expr).bounded_calls(nj, seed, at))
+    leaves = {Var: seed, Param: bounded_exact(jet_const(n)), ImagUnit: _BOUNDED_I}
+    return _one(_walked(expr.root, _BOUNDED_OPS, leaves, seed.jet.v if point is None else point))
 
 
 # codegen reads the node classes above

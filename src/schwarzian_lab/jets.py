@@ -15,9 +15,10 @@ double range, where ``abs`` itself would overflow, raises
 
 Every formula is written once, as a function of plain operands (the
 ``_sum`` ... ``_logarithm`` section below).  The ``jet_*`` operations run
-them on complex numbers and check the result; ``dsl`` runs the same
-functions on symbolic operands to generate each expression's straight-line
-evaluator, so both run the same float operations in the same order.
+them on complex numbers and check the result, one call per node of
+``dsl``'s tree walk; ``codegen`` runs the same functions on symbolic
+operands to generate each family's straight-line lane function, so both
+paths run the same float operations in the same order.
 
 Each operation also has a ``bounded_*`` twin on :class:`BoundedJet`, which
 computes the bit-identical jet and, beside it, a first-order running
@@ -206,8 +207,12 @@ def jet_var(z0: complex) -> ComplexJet3:
 
 def jet_const(c: complex) -> ComplexJet3:
     """Jet of a constant function."""
-    c = complex(c)
-    if not _isfinite(c):
+    try:
+        c = complex(c)
+        finite = _isfinite(c)
+    except OverflowError:  # an integer past the double range
+        finite = False
+    if not finite:
         raise ValueError("jet_const requires a finite value")
     return ComplexJet3(c, ZERO, ZERO, ZERO)
 

@@ -376,6 +376,10 @@ def _validate_n_values(n_values) -> tuple[int, ...]:
         raise ValueError(f"at most {MAX_N_VALUES} n values")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_values must be sorted strictly ascending")
+    try:
+        float(ns[0]), float(ns[-1])  # sorted, so these bound the rest
+    except OverflowError:
+        raise ValueError("n values must lie within the double range") from None
     return ns
 
 

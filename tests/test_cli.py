@@ -981,6 +981,28 @@ def test_modulus_past_the_double_range_keeps_the_exit_contract(capsys, argv, cod
 
 
 # ---------------------------------------------------------------------------
+# an integer n past the double range
+
+_HUGE_N = ["--n-min=1" + "0" * 400, "--n-max=1" + "0" * 400]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-marty", "--family=exp(n*z)", _GRID, *_HUGE_N],
+        ["scan-sd", "--family=exp(n*z)", _GRID, *_HUGE_N],
+        ["hypotheses", "--family=z+(z^2)/n", _GRID, *_HUGE_N, "--epsilon=0.1",
+         "--zeta=0+0i", "--L=1"],
+        ["bound", "--family=z", *_HUGE_N, "--z0=0+0i", "--z=1+0i"],
+    ],
+)
+def test_n_past_the_double_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: n values must lie within the double range\n"
+
+
+# ---------------------------------------------------------------------------
 # one parser per process
 
 _EVERY_SUBCOMMAND = [

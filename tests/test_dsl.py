@@ -461,6 +461,8 @@ def test_failing_lanes_leave_clean_lanes_unchanged():
     assert [type(j.__cause__) for j in failed] == [
         DivisionByZeroAtPoint, DivisionByZeroAtPoint, DivisionByZeroAtPoint, OverflowAtPoint
     ]
+    # a kept error keeps no frames alive
+    assert all(j.__traceback__ is None is j.__cause__.__traceback__ for j in failed)
 
 
 def test_lanes_past_one_block_match_one_lane_calls():
@@ -475,10 +477,10 @@ def test_lanes_past_one_block_match_one_lane_calls():
 
 
 # ---------------------------------------------------------------------------
-# the generated functions against a recursive reference
+# the tree walk and the lane function against a recursive reference
 #
 # The references walk the tree themselves and call one jets operation per
-# node; they share no code with the source generator in codegen.
+# node; they share no code with dsl's walk or codegen's generator.
 
 _BOUNDED_OPS = {
     Add: bounded_add, Sub: bounded_sub, Mul: bounded_mul, Div: bounded_div,
@@ -567,7 +569,7 @@ def test_generated_lane_function_matches_the_reference_bit_for_bit():
         got = None if fn is None else fn(complex(n), seeds, lambda s: s)  # a redone lane: its seed
         for k, seed in enumerate(seeds):
             if want[k][0] == "error" or got is None:
-                # every failing lane is redone through the one-call-per-node path
+                # every failing lane is redone by the tree walk
                 assert got is None or got[k] is seed
             elif got[k] is not seed:
                 assert _outcome(got[k]) == want[k]
@@ -672,6 +674,36 @@ def test_one_lane_calls_generate_no_lane_function(monkeypatch):
     f = parse("log(z*z-n)/(z+n)")
     for k in range(codegen._LANES_BEFORE_GENERATING - 1):
         eval_jet(f, 3, 0.1 + k / 7)
+
+
+def test_one_lane_evaluations_compile_nothing(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(codegen, "_FAMILIES", {})
+    monkeypatch.setattr(
+        codegen, "compile", lambda *a: compiled.append(a) or compile(*a), raising=False
+    )
+    f = parse("exp(z/(n*z+3))*log(z+2)^2 - i*z")
+    jet = eval_jet(f, 2, 0.5j)
+    assert eval_jet_seeded(f, 2, jet_var(0.5j)) == jet
+    assert eval_jet_bounded(f, 2, bounded_exact(jet_var(0.5j))).jet == jet
+    assert compiled == []
+    # a batch big enough for the lane function compiles it, through that name
+    eval_jet_lanes(f, 2, [jet_var(0.5j)] * codegen._LANES_BEFORE_GENERATING)
+    assert len(compiled) == 1
+
+
+@pytest.mark.parametrize(
+    "n", [10**400, -(10**400), float("inf"), float("nan")], ids=["1e400", "-1e400", "inf", "nan"]
+)
+def test_n_past_the_double_range_is_a_value_error(n):
+    f = parse("n*z")
+    for evaluate in (
+        lambda: eval_jet(f, n, 0.5),
+        lambda: eval_jet_lanes(f, n, [jet_var(0.5)] * 100),
+        lambda: eval_jet_bounded(f, n, bounded_exact(jet_var(0.5))),
+    ):
+        with pytest.raises(ValueError, match="^jet_const requires a finite value$"):
+            evaluate()
 
 
 # ---------------------------------------------------------------------------

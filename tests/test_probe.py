@@ -155,6 +155,8 @@ def test_scan_rejects_bad_n_values():
         marty_scan(f, _POINT_GRID, (3, 1))
     with pytest.raises(ValueError):
         marty_scan(f, _POINT_GRID, (2, 2, 3))
+    with pytest.raises(ValueError, match="double range"):
+        marty_scan(f, _POINT_GRID, (1, 10**400))
 
 
 # ---------------------------------------------------------------------------
