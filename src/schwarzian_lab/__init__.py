@@ -2,10 +2,11 @@
 
 The package is layered: ``jets`` propagates order-3 derivative jets
 through complex arithmetic, ``dsl`` parses and evaluates one-parameter
-family expressions in z and n, by a tree walk or, for batches, by the
-lane function ``codegen`` generates for each family, ``schwarzian`` provides the Schwarzian and
-spherical derivatives with their Mobius algebra and identity checks, and
-``probe`` runs grid scans and bound checks on top.  ``cli`` exposes it all
+family expressions in z and n, a batch of points by the lane function
+``codegen`` generates for each family and a single point by a tree
+walk, ``schwarzian`` provides the Schwarzian and spherical derivatives
+with their Mobius algebra and identity checks, and ``probe`` runs grid
+scans and bound checks on top.  ``cli`` exposes it all
 as the ``schwarzian-lab`` command.
 """
 

@@ -2,9 +2,10 @@
 
 The lane function evaluates a batch of lanes of one family in one loop of
 straight-line code, as sympy's ``lambdify`` compiles an expression, and
-:func:`family` keeps it per process.  ``dsl`` evaluates everything else
-by walking the tree: single points, other seeds, bounded jets, a family's
-first lanes, and every lane the lane function hands back.
+:func:`family` keeps it per process.  ``dsl.eval_jet_lanes`` runs it on
+every batch, a family's first included; ``dsl`` walks the tree for the
+single-point calls (one point, another seed, bounded jets) and for every
+lane the lane function hands back.
 
 It runs the jet formulas of ``jets`` on symbolic values
 (``_Sym``) to write straight-line source.  A symbolic value knows, per
@@ -65,13 +66,6 @@ from .jets import (
 # generated families kept per process: a scan evaluates one family, an
 # identity check two, and each kept family holds its compiled code
 _CACHE_SIZE = 4
-# lanes a family runs through dsl's tree walk before its lane function is
-# generated.  On random depth-3 families (2 cores, Python 3.11.7) a lane
-# costs 14 to 25 us by the walk and 1.5 to 4 us by the lane function, and
-# generating and compiling it 1.0 to 2.1 ms (quartiles), so the two break
-# even at 67 to 130 lanes, 95 in the median.  A bound batch (258 lanes at
-# the default 256 segment samples) generates at once either way.
-_LANES_BEFORE_GENERATING = 64
 # an integer power up to this exponent is written out as products; a
 # larger one calls jet_pow_int
 _INLINE_POWER = 8
@@ -470,46 +464,28 @@ def _lanes_source(root: Node) -> tuple:
 
 
 class _Family:
-    """The lane function of one tree, built once it pays for itself."""
+    """The lane function of one tree, generated on its first batch."""
 
     def __init__(self, root: Node):
         self.root = root
-        self.pending = _LANES_BEFORE_GENERATING
-
-    def lanes_for(self, count: int):
-        """The lane function for a batch of ``count``, or None to walk the tree."""
-        if self.pending > count:
-            self.pending -= count
-            return None
-        return self.lanes
 
     @cached_property
     def lanes(self):
         return _lanes_function(self.root)
 
 
-# (tree, its spans) -> _Family
+# tree -> _Family
 _FAMILIES: dict = {}
 
 
-def _spans(root: Node) -> tuple:
-    spans, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        spans.append(node.span)
-        stack.extend(c for c in vars(node).values() if isinstance(c, Node))
-    return tuple(spans)
-
-
 def family(expr: FamilyExpr) -> _Family:
-    """The lane function of a family, shared by equal trees with equal spans."""
+    """The lane function of a family, shared by equal trees."""
     fam = expr._compiled
     if fam is None:
-        key = (expr.root, _spans(expr.root))
-        fam = _FAMILIES.get(key)
+        fam = _FAMILIES.get(expr.root)
         if fam is None:
             if len(_FAMILIES) >= _CACHE_SIZE:
                 del _FAMILIES[next(iter(_FAMILIES))]
-            fam = _FAMILIES[key] = _Family(expr.root)
+            fam = _FAMILIES[expr.root] = _Family(expr.root)
         expr._compiled = fam
     return fam

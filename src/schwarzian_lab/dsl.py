@@ -25,31 +25,32 @@ can exhaust the stack or run unbounded work: at most :data:`MAX_DEPTH`
 levels of nesting, number literals within the double range, and integer
 exponents of magnitude at most :data:`MAX_EXPONENT`.
 
-Evaluation takes one of two paths, which give the same bits:
+Evaluation takes one of two paths, chosen by the call, which give the
+same bits:
 
-- A tree walk calls one ``jet_*`` operation per node, or with bounded
-  jets the ``bounded_*`` twins.  It evaluates bounded jets, a family's
-  first lanes, before its lane function pays for itself (so a one-off
-  evaluation compiles nothing), and every lane the lane function hands
-  back: a seed other than the variable's (composition), and any lane
-  that failed, or might have.
-- The lane function, which ``codegen`` generates once per family and
-  process, as sympy's ``lambdify`` does, evaluates a batch of lanes, each
-  one evaluation of f_n at a point (the variable seeded with
-  ``jets.jet_var``), in one loop of straight-line code.  It runs the jet
-  formulas of ``jets`` on symbolic values, so each node's operation is
-  inlined in postorder, and it folds what is exactly known before run
-  time: n, literals and i have zero derivatives, z's first derivative is
-  one, so most of a product's terms vanish, and the parts that depend on
-  n alone are computed once per batch.  Every fold is exact in IEEE
-  arithmetic, signed zeros included.  Finiteness is checked only where a
-  value that left the finite range could turn finite again (before 1/x,
-  log and exp, and x^0) and at the output.
+- :func:`eval_jet_lanes` evaluates a batch of lanes, each one evaluation
+  of f_n at a point (the variable seeded with ``jets.jet_var``), by the
+  lane function that ``codegen`` generates once per family and process,
+  as sympy's ``lambdify`` does, from the family's first batch on.  It is
+  one loop of straight-line code that runs the jet formulas of ``jets``
+  on symbolic values, so each node's operation is inlined in postorder,
+  and it folds what is exactly known before run time: n, literals and i
+  have zero derivatives, z's first derivative is one, so most of a
+  product's terms vanish, and the parts that depend on n alone are
+  computed once per batch.  Every fold is exact in IEEE arithmetic,
+  signed zeros included.  Finiteness is checked only where a value that
+  left the finite range could turn finite again (before 1/x, log and
+  exp, and x^0) and at the output.
+- The single-point calls, :func:`eval_jet`, :func:`eval_jet_seeded` and
+  :func:`eval_jet_bounded`, walk the tree, one ``jet_*`` operation per
+  node, or with bounded jets the ``bounded_*`` twins, so a one-off
+  evaluation compiles nothing.  The walk also redoes every lane the lane
+  function hands back: a seed other than the variable's (composition),
+  and any lane that failed, or might have.
 
 :func:`eval_jet_lanes` returns one entry per lane, its jet or the
-:class:`EvalError` of its first failure; :func:`eval_jet`,
-:func:`eval_jet_seeded` and :func:`eval_jet_bounded` are one-lane calls
-that raise that error.  The first failure is the one a recursive
+:class:`EvalError` of its first failure; the single-point calls raise
+that error.  The first failure is the one a recursive
 evaluation would raise: a node's left operand before its right, and both
 before the node's own operation.  One lane's failure leaves the other
 lanes' jets bit-identical, and every path gives the same bits.
@@ -92,7 +93,6 @@ from .jets import (
 __all__ = [
     "MAX_DEPTH",
     "MAX_EXPONENT",
-    "LANE_BLOCK",
     "Span",
     "Node",
     "Var",
@@ -563,9 +563,6 @@ def pretty_print(expr: FamilyExpr | Node) -> str:
 # ---------------------------------------------------------------------------
 # evaluation: a tree walk, or the lane function ``codegen`` generates
 
-# lanes evaluated at once: bounds the memory of one batch
-LANE_BLOCK = 1024
-
 # the operation the walk calls per node: the jets operations, or their
 # bounded twins, which take a number literal as known to half an ulp
 _JET_OPS = {
@@ -613,39 +610,31 @@ def _walked(root: Node, ops: dict, leaves: dict, point):
         return err.with_traceback(None)
 
 
-def _evaluate(expr: FamilyExpr, n: float, seeds, point=None) -> list:
-    # one entry per seed: its jet, or the EvalError of its first failure,
-    # labelled with ``point`` or else the seed's value
-    nj = jet_const(n)  # refuses an n that is not finite
-
-    def redo(seed):
-        leaves = {Var: _as_jet(seed), Param: nj, ImagUnit: _I}
-        return _walked(expr.root, _JET_OPS, leaves, seed[0] if point is None else point)
-
-    # the lane function takes n real, so that N's imaginary part is +0
-    fn = _family(expr).lanes_for(len(seeds)) if isinstance(n, (int, float)) else None
-    out = []
-    for start in range(0, len(seeds), LANE_BLOCK):
-        block = seeds[start : start + LANE_BLOCK]
-        got = None if fn is None else fn(nj.v, block, redo)
-        out += map(redo, block) if got is None else got
-    return out
-
-
 def eval_jet_lanes(expr: FamilyExpr, n: float, seeds) -> list:
-    """Evaluate f_n once per lane, a batch of lanes per generated call.
+    """Evaluate f_n once per lane, by the family's generated lane function.
 
     Lane k has the variable leaf seeded by ``seeds[k]``, a jet, as in
     :func:`eval_jet_seeded`; the seed's value labels the lane's errors.
     Returns one entry per lane: its :class:`ComplexJet3`, or the
     :class:`EvalError` of its first failure, which is the one the single
     evaluation would raise.  Each lane's jet is bit-identical to the
-    single evaluation's.  The lanes are evaluated LANE_BLOCK at a time.
+    single evaluation's.
     """
-    return _evaluate(expr, n, seeds)
+    nj = jet_const(n)  # refuses an n that is not finite
+
+    def redo(seed):
+        leaves = {Var: _as_jet(seed), Param: nj, ImagUnit: _I}
+        return _walked(expr.root, _JET_OPS, leaves, seed[0])
+
+    # the lane function takes n real, so that N's imaginary part is +0
+    fn = _family(expr).lanes if isinstance(n, (int, float)) else None
+    got = None if fn is None else fn(nj.v, seeds, redo)
+    return list(map(redo, seeds)) if got is None else got
 
 
-def _one(j):
+def _at_point(expr: FamilyExpr, ops: dict, leaves: dict, point):
+    # one evaluation by the walk, raising the EvalError of its first failure
+    j = _walked(expr.root, ops, leaves, point)
     if isinstance(j, EvalError):
         raise j
     return j
@@ -657,7 +646,8 @@ def eval_jet(expr: FamilyExpr, n: float, z: complex) -> ComplexJet3:
     The family index n is real and enters the arithmetic as a complex
     number with zero imaginary part.
     """
-    return _one(_evaluate(expr, n, [jet_var(z)])[0])
+    seed = jet_var(z)
+    return _at_point(expr, _JET_OPS, {Var: seed, Param: jet_const(n), ImagUnit: _I}, seed.v)
 
 
 def eval_jet_seeded(
@@ -668,7 +658,8 @@ def eval_jet_seeded(
     Seeding with the jet of another function g at z computes the jet of the
     composition f_n(g(z)) by the chain rule; ``point`` only labels errors.
     """
-    return _one(_evaluate(expr, n, [seed], point)[0])
+    leaves = {Var: _as_jet(seed), Param: jet_const(n), ImagUnit: _I}
+    return _at_point(expr, _JET_OPS, leaves, seed[0] if point is None else point)
 
 
 def eval_jet_bounded(
@@ -683,7 +674,7 @@ def eval_jet_bounded(
     exact).  Seed with ``bounded_exact(jet_var(z))`` for f_n at a point z.
     """
     leaves = {Var: seed, Param: bounded_exact(jet_const(n)), ImagUnit: _BOUNDED_I}
-    return _one(_walked(expr.root, _BOUNDED_OPS, leaves, seed.jet.v if point is None else point))
+    return _at_point(expr, _BOUNDED_OPS, leaves, seed.jet.v if point is None else point)
 
 
 # codegen reads the node classes above

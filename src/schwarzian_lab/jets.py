@@ -126,10 +126,10 @@ def modulus(w: complex) -> float:
 # formulas
 #
 # Each takes and returns plain 4-tuples of operands that support +, - and
-# * with complex numbers and floats: complex numbers here, symbolic values
-# when dsl generates an evaluator from them.  Sums are associated
-# symmetrically so that swapping a product's operands yields the identical
-# floating-point result.
+# * with complex numbers and floats: complex numbers here, magnitudes for
+# the error bounds below, symbolic values when codegen generates the lane
+# function from them.  Sums are associated symmetrically so that swapping
+# a product's operands yields the identical floating-point result.
 
 
 def _sum(a, b) -> tuple:
@@ -344,22 +344,11 @@ def _mags(j: ComplexJet3) -> Err:
     return (modulus(j.v), modulus(j.d1), modulus(j.d2), modulus(j.d3))
 
 
-def _leibniz(a: Err, b: Err) -> Err:
-    # jet_mul's formula on magnitudes
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        a0 * b0,
-        a1 * b0 + a0 * b1,
-        a2 * b0 + a0 * b2 + 2.0 * (a1 * b1),
-        a3 * b0 + a0 * b3 + 3.0 * (a2 * b1 + a1 * b2),
-    )
-
-
 def _product_err(a: Err, ea: Err, b: Err, eb: Err) -> Err:
+    # jet_mul's formula on magnitudes
     return tuple(
         p + q + _C_MUL * _U * m
-        for p, q, m in zip(_leibniz(a, eb), _leibniz(ea, b), _leibniz(a, b))
+        for p, q, m in zip(_product(a, eb), _product(ea, b), _product(a, b))
     )
 
 
@@ -371,23 +360,17 @@ def _chain_bound(u: BoundedJet, w: tuple, rho: float) -> tuple[Err, Err]:
     relative rounding of the outer derivatives and the chain formula.
     """
     e0, e1, e2, e3 = u.err
-    _, m1, m2, m3 = _mags(u.jet)
-    w0, w1, w2, w3, w4 = w
-    m11 = m1 * m1
-    mag = (
-        w0,
-        w1 * m1,
-        w2 * m11 + w1 * m2,
-        w3 * (m11 * m1) + 3.0 * (w2 * (m1 * m2)) + w1 * m3,
-    )
+    mags = _mags(u.jet)
+    w1 = w[1]
+    mag = _chain(mags, w[:4])
+    # the chain rule's coefficients of e0: its output with the outer
+    # derivatives one order up
+    c0, c1, c2, c3 = _chain(mags, w[1:])
     propagated = (
-        w1 * e0,
-        w2 * m1 * e0 + w1 * e1,
-        (w3 * m11 + w2 * m2) * e0 + 2.0 * (w2 * m1) * e1 + w1 * e2,
-        (w4 * (m11 * m1) + 3.0 * (w3 * (m1 * m2)) + w2 * m3) * e0
-        + 3.0 * (w3 * m11 + w2 * m2) * e1
-        + 3.0 * (w2 * m1) * e2
-        + w1 * e3,
+        c0 * e0,
+        c1 * e0 + w1 * e1,
+        c2 * e0 + 2.0 * c1 * e1 + w1 * e2,
+        c3 * e0 + 3.0 * c2 * e1 + 3.0 * c1 * e2 + w1 * e3,
     )
     return mag, tuple(p + rho * m for p, m in zip(propagated, mag))
 

@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
-from .dsl import LANE_BLOCK, EvalError, FamilyExpr, eval_jet, eval_jet_lanes
+from .dsl import EvalError, FamilyExpr, eval_jet, eval_jet_lanes
 from .jets import OverflowAtPoint, jet_var, modulus
 from .schwarzian import CriticalPointError, schwarzian, spherical_derivative
 
@@ -46,6 +46,7 @@ __all__ = [
     "MAX_SAMPLES",
     "MAX_SEGMENT_SAMPLES",
     "MAX_WORKERS",
+    "LANE_BLOCK",
     "GridSpec",
     "PointStats",
     "MartyGridReport",
@@ -82,6 +83,10 @@ MAX_N_VALUES = 1024  # length of the n sweep
 MAX_SAMPLES = 128  # neighborhood samples per grid point
 MAX_SEGMENT_SAMPLES = 100_000  # samples along a bound-check segment
 MAX_WORKERS = 64  # scan processes
+
+# segment points evaluated in one batch, so that the memory of a bound
+# check does not grow with its segment
+LANE_BLOCK = 1024
 
 # statistics at or below this are treated as numerically zero when
 # fitting growth slopes; fitting the log of roundoff noise is meaningless
@@ -150,20 +155,20 @@ class GridSpec:
             )
 
     def x_coords(self) -> list[float]:
-        if self.nx == 1:
-            return [self.re_min]
-        dx = (self.re_max - self.re_min) / (self.nx - 1)
-        xs = [self.re_min + k * dx for k in range(self.nx)]
-        xs[-1] = self.re_max
-        return xs
+        return _axis(self.re_min, self.re_max, self.nx)
 
     def y_coords(self) -> list[float]:
-        if self.ny == 1:
-            return [self.im_min]
-        dy = (self.im_max - self.im_min) / (self.ny - 1)
-        ys = [self.im_min + k * dy for k in range(self.ny)]
-        ys[-1] = self.im_max
-        return ys
+        return _axis(self.im_min, self.im_max, self.ny)
+
+
+def _axis(lo: float, hi: float, count: int) -> list[float]:
+    # count equispaced coordinates, both ends exact
+    if count == 1:
+        return [lo]
+    step = (hi - lo) / (count - 1)
+    out = [lo + k * step for k in range(count)]
+    out[-1] = hi
+    return out
 
 
 @dataclass(frozen=True)

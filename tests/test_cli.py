@@ -10,10 +10,12 @@ exercises the installed console script end to end.
 """
 
 import json
+import os
 import random
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -865,11 +867,14 @@ def test_installed_console_script():
 
 
 def test_module_entry_point_error_code():
+    # the child imports the package this suite imports, installed or not
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "schwarzian_lab.cli", "eval", "--family", "z +",
          "--n", "1", "--z", "0+0i"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 2
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from schwarzian_lab import GridSpec, codegen, marty_scan
 from schwarzian_lab.dsl import (
-    LANE_BLOCK,
     MAX_DEPTH,
     MAX_EXPONENT,
     Add,
@@ -60,6 +59,7 @@ from schwarzian_lab.jets import (
     jet_sub,
     jet_var,
 )
+from schwarzian_lab.probe import LANE_BLOCK
 from support import (
     assert_fd_close,
     compose_family,
@@ -466,7 +466,7 @@ def test_failing_lanes_leave_clean_lanes_unchanged():
 
 
 def test_lanes_past_one_block_match_one_lane_calls():
-    # a long batch is walked LANE_BLOCK lanes at a time
+    # a batch of more than LANE_BLOCK lanes, the block a bound segment uses
     f = parse("1/(z-1) + log(z)*n")
     points = [complex(k % 7 - 3, k % 5 - 2) / 2 for k in range(2 * LANE_BLOCK + 3)]
     lanes = eval_jet_lanes(f, 2, [jet_var(w) for w in points])
@@ -575,7 +575,7 @@ def test_generated_lane_function_matches_the_reference_bit_for_bit():
                 assert _outcome(got[k]) == want[k]
         # the public call, which redoes lanes, gives the reference outcome
         # on every lane, errors with their spans, messages, points and causes
-        batch = seeds * 8  # past the lanes a family runs before generating
+        batch = seeds * 8
         assert [_outcome(j) for j in eval_jet_lanes(f, n, batch)] == want * 8
         for w in want:
             kinds.add(w[-1] if w[0] == "error" else "jet")
@@ -631,7 +631,7 @@ def test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit():
                 assert _outcome(got.jet) == _outcome(ref.jet) == want
                 assert [e.hex() for e in got.err] == [e.hex() for e in ref.err]
             kinds.add(want[-1] if want[0] == "error" else "jet")
-        # a batch big enough for the lane function hands other seeds back
+        # the lane function hands other seeds back
         seeds = [_random_seed(rng) for _ in range(4)]
         want = [_outcome(_raised(lambda: _reference(f.root, nj, s, s.v))) for s in seeds]
         assert [_outcome(j) for j in eval_jet_lanes(f, n, seeds * 16)] == want * 16
@@ -664,15 +664,15 @@ def test_a_family_is_generated_once_per_process(monkeypatch):
         assert f._compiled is None
         assert eval_jet_lanes(f, 2, seeds) == first
     assert len(made) == 1
-    # the same tree with other spans is another family: its errors differ
+    # the same tree with other spans shares it: a redone lane walks the caller's tree
     spaced = parse("exp(z/(n*z+17)) - n")
-    assert spaced == parse(text) and codegen.family(spaced) is not codegen.family(parse(text))
+    assert spaced == parse(text) and codegen.family(spaced) is codegen.family(parse(text))
 
 
 def test_one_lane_calls_generate_no_lane_function(monkeypatch):
     monkeypatch.setattr(codegen, "_lanes_function", None)  # would fail if called
     f = parse("log(z*z-n)/(z+n)")
-    for k in range(codegen._LANES_BEFORE_GENERATING - 1):
+    for k in range(100):
         eval_jet(f, 3, 0.1 + k / 7)
 
 
@@ -687,9 +687,55 @@ def test_one_lane_evaluations_compile_nothing(monkeypatch):
     assert eval_jet_seeded(f, 2, jet_var(0.5j)) == jet
     assert eval_jet_bounded(f, 2, bounded_exact(jet_var(0.5j))).jet == jet
     assert compiled == []
-    # a batch big enough for the lane function compiles it, through that name
-    eval_jet_lanes(f, 2, [jet_var(0.5j)] * codegen._LANES_BEFORE_GENERATING)
+    # a batch, even of one lane, compiles the lane function, through that name
+    eval_jet_lanes(f, 2, [jet_var(0.5j)])
     assert len(compiled) == 1
+
+
+def test_a_fresh_family_runs_its_lane_function_from_its_first_batch(monkeypatch):
+    runs, compiled = [], []
+    real = codegen._lanes_function
+
+    def spied(root):
+        fn = real(root)
+        return lambda N, Z, redo: runs.append(len(Z)) or fn(N, Z, redo)
+
+    monkeypatch.setattr(codegen, "_FAMILIES", {})
+    monkeypatch.setattr(codegen, "_lanes_function", spied)
+    monkeypatch.setattr(
+        codegen, "compile", lambda *a: compiled.append(a) or compile(*a), raising=False
+    )
+    f = parse("exp(z/(n*z+5))*log(z+2) - i*z")
+    points = [0.25j + k / 8 for k in range(9)]
+    for _ in range(3):
+        lanes = eval_jet_lanes(f, 2, [jet_var(w) for w in points])
+        assert lanes == [eval_jet(f, 2, w) for w in points]
+    assert runs == [9, 9, 9]
+    assert len(compiled) == 1
+
+
+def test_one_lane_calls_never_run_the_lane_function(monkeypatch):
+    def refuse(N, Z, redo):
+        raise AssertionError("a one-lane call ran the lane function")
+
+    monkeypatch.setattr(codegen, "_FAMILIES", {})
+    f = parse("exp(z/(n*z+5))*log(z+2) - i*z")
+    points = [0.25j + k / 8 for k in range(9)]
+    eval_jet_lanes(f, 2, [jet_var(w) for w in points])
+    fam = codegen.family(f)
+    assert fam.lanes is not None
+    monkeypatch.setattr(fam, "lanes", refuse)
+    with pytest.raises(AssertionError, match="ran the lane function"):
+        eval_jet_lanes(f, 2, [jet_var(points[0])])
+    rng = random.Random(63)
+    nj = jet_const(2)
+    for _ in range(8):  # 72 calls of each kind
+        for w in points:
+            want = _outcome(_reference(f.root, nj, jet_var(w), w))
+            assert _outcome(eval_jet(f, 2, w)) == want
+            seed = _random_seed(rng)
+            want = _outcome(_raised(lambda: _reference(f.root, nj, seed, seed.v)))
+            assert _outcome(_raised(lambda: eval_jet_seeded(f, 2, seed))) == want
 
 
 @pytest.mark.parametrize(
