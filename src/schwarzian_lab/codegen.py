@@ -2,10 +2,14 @@
 
 The lane function evaluates a batch of lanes of one family in one loop of
 straight-line code, as sympy's ``lambdify`` compiles an expression, and
-:func:`family` keeps it per process.  ``dsl.eval_jet_lanes`` runs it on
-every batch, a family's first included; ``dsl`` walks the tree for the
-single-point calls (one point, another seed, bounded jets) and for every
-lane the lane function hands back.
+:func:`family` keeps it per process and :class:`Statistic`.
+``dsl.eval_jet_lanes`` runs it on every batch, a family's first included;
+``dsl`` walks the tree for the single-point calls (one point, another
+seed, bounded jets) and for every lane the lane function hands back.
+A grid scan's lane function returns the scan's statistic, not jets: it
+runs the statistic's formulas inline on each lane's jet and keeps only
+the batch's largest statistic and the flags of its failed samples; the
+``hypotheses`` and ``bound`` checks get the jets.
 
 It runs the jet formulas of ``jets`` on symbolic values
 (``_Sym``) to write straight-line source.  A symbolic value knows, per
@@ -25,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .dsl import (
     Add,
@@ -219,7 +224,8 @@ class _Lanes:
     Its values are jets whose parts are complex constants or ``_Sym``s.
     """
 
-    def __init__(self):
+    def __init__(self, redo: list):
+        self.redo = redo  # the lines that redo a lane and take the next
         self.consts: dict = {}  # bound name -> constant
         self.names: dict = {}  # constant bits -> bound name
         self.prelude: list[str] = []  # loop-invariant lines
@@ -299,9 +305,10 @@ class _Lanes:
     # -- checks --------------------------------------------------------
 
     def check(self, lane: bool, condition: str) -> None:
-        """Fail where ``condition`` holds: the lane, or the whole batch."""
-        fail = ["    append(redo(s))", "    continue"] if lane else ["    return None"]
-        self.block(lane).extend([f"if {condition}:", *fail])
+        """Fail where ``condition`` holds: redo the lane, or leave the
+        prelude, so that every lane of the batch is redone."""
+        fail = self.redo if lane else ["raise JetError('a loop-invariant part failed')"]
+        self.block(lane).extend([f"if {condition}:", *("    " + line for line in fail)])
 
     def guard(self, u, test: str, refused) -> None:
         """The check before an opaque function of u: ``test`` in the
@@ -403,58 +410,170 @@ class _Lanes:
         return out
 
 
-def _lanes_function(root: Node):
-    """Compile the lane function of a tree, or None if it always fails."""
-    source, namespace = _lanes_source(root)
-    if source is None:
-        return None
+class Statistic(NamedTuple):
+    """A scan statistic, which a lane function returns in place of jets.
+
+    Each sample of a batch takes ``width`` consecutive lanes.  ``lane`` is
+    the formula of a lane's value from its jet's parts, value first, and
+    ``sample`` that of a sample's statistic from its lanes' values and
+    ``step``; without ``sample`` a lane's value is its sample's statistic.
+    Both are written once, on plain operands, as the ``jets`` formulas are:
+    the lane function runs them inline.  ``walked`` is the value of a lane
+    the walk redid, from its jet or EvalError: ``lane``'s formula, or the
+    lane's flag.  ``guard`` formats, with the parts' names, a condition
+    under which ``lane`` may fail; the lane is then redone.  An
+    OverflowError in ``sample``, a modulus past the double range, flags
+    the sample "Overflow".
+    """
+
+    width: int
+    lane: Callable
+    walked: Callable
+    guard: str = ""
+    sample: Callable | None = None
+    step: float = 0.0
+
+
+def _binary(form: str) -> tuple:
+    # an operator and its reflection on _Tail values
+    return (lambda a, b: a.op(form, a, b)), (lambda a, b: a.op(form, b, a))
+
+
+class _Tail:
+    """A run-time value of a statistic's formula.
+
+    Each operation writes one line, in the order Python evaluates the
+    formula, and folds nothing, so the lines compute what the formula
+    computes on numbers.
+    """
+
+    __slots__ = ("lines", "name")
+
+    def __init__(self, lines: list, name: str):
+        self.lines = lines
+        self.name = name
+
+    def op(self, form: str, *args) -> "_Tail":
+        name = f"x{len(self.lines)}"
+        texts = (x.name if type(x) is _Tail else f"({x!r})" for x in args)
+        self.lines.append(f"{name} = " + form.format(*texts))
+        return _Tail(self.lines, name)
+
+    __add__, __radd__ = _binary("{} + {}")
+    __sub__, __rsub__ = _binary("{} - {}")
+    __mul__, __rmul__ = _binary("{} * {}")
+    __truediv__, __rtruediv__ = _binary("{} / {}")
+
+    def __neg__(self):
+        return self.op("-{}", self)
+
+    def __abs__(self):
+        return self.op("abs({})", self)
+
+
+def _indent(lines, depth: int = 1) -> list:
+    return ["    " * depth + line for line in lines]
+
+
+def _lanes_function(root: Node, stat: Statistic | None = None):
+    """Compile the lane function of a tree and statistic."""
+    source, namespace = _lanes_source(root, stat)
     exec(compile(source, "<family lanes>", "exec"), namespace)
     return namespace["lanes"]
 
 
-def _lanes_source(root: Node) -> tuple:
-    """The lane function's source and namespace; (None, None) if it always fails.
+def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
+    """The lane function's source and namespace.
 
     ``fn(N, Z, redo)`` evaluates f_n at each seed of ``Z`` with the
-    variable's jet (``jets.jet_var``), N being complex(n); any other seed,
-    and any lane whose evaluation fails, gets ``redo(seed)`` in place of
-    its jet.  It returns None when a loop-invariant part fails, so that
-    every lane is redone.  A lane is redone when a node of it leaves the
+    variable's jet (``jets.jet_var``), N being complex(n), or None for an
+    n that is not real; any other seed, and any lane whose evaluation
+    fails, gets ``redo(seed)`` in place of its outcome.  Without a
+    statistic it returns the lanes' jets.  With one, ``redo`` gives a
+    lane's value or flag, and it returns ``(best, flags)``: the largest
+    statistic over the samples, -1.0 if none has one, and the flags of the
+    failed samples.  Every lane is redone when a loop-invariant part fails,
+    or n, where the family uses it, is 0 or not real.  A lane is redone when a node of it leaves the
     finite range: such a value reaches the output, where the parts not
     known finite are checked, or the check before an opaque function
     (exp, log, 1/x), the only places where a non-finite value can turn
-    finite again; ``x^0`` checks its base.  So a redone lane is not always
-    a failed one, but every failed lane is redone.
+    finite again; ``x^0`` checks its base.  The statistic's guard, and an
+    exception in its formula, redo a lane too.  So a redone lane is not
+    always a failed one, but every failed lane is redone.
     """
-    t = _Lanes()
+    # each lane's outcome is kept (jets, or the lane values a sample
+    # formula combines), or only the largest statistic
+    by_lane = stat is None or stat.sample is not None
+    if by_lane:
+        keep, redo = ["append({})"], ["append(redo(s))"]
+        acc = ["out = []", "append = out.append"]
+    else:
+        keep = ["if {0} > best:", "    best = {0}"]
+        redo = ["got = redo(s)", "if type(got) is str:", "    add(got)", "elif got > best:",
+                "    best = got"]
+        acc = ["best = -1.0", "flags = set()", "add = flags.add"]
+    t = _Lanes([*redo, "continue"])
     try:
         out = t.walk(root)
-    except _LiteralFails:
-        return None, None
-    parts = ", ".join(map(t.text, out))
-    unchecked = " + ".join(x.name for x in t.unchecked(out))
-    invariant = " + ".join(x.name for x in t.invariants if not x.finite())
-    prelude = (["if not N.real:", "    return None"] if t.n_used else []) + t.prelude
-    if invariant:
-        prelude += [f"if not isfinite({invariant}):", "    return None"]
-    result = f"append(as_jet(({parts})))"
-    if unchecked:
-        result = f"if isfinite({unchecked}):\n    {result}\nelse:\n    append(redo(s))"
+    except _LiteralFails:  # every lane is redone
+        out = None
+    if out is None:
+        setup, loop = [], ["for s in Z:", *_indent(redo)]
+    else:
+        parts = list(map(t.text, out))
+        unchecked = " + ".join(x.name for x in t.unchecked(out))
+        invariant = " + ".join(x.name for x in t.invariants if not x.finite())
+        if invariant:
+            t.check(False, f"not isfinite({invariant})")
+        checks = []
+        if unchecked:
+            checks += [f"if not isfinite({unchecked}):", *_indent(t.redo)]
+        if stat is None:
+            value = f"as_jet(({', '.join(parts)}))"
+        else:
+            if stat.guard:
+                checks += [f"if {stat.guard.format(*parts)}:", *_indent(t.redo)]
+            value = stat.lane(tuple(_Tail(checks, p) for p in parts)).name
+        # a lane whose seed is not the variable's, and every lane before the
+        # prelude has passed, is redone: var_d1 is None until then
+        if t.n_used:
+            setup = [
+                "var_d1 = None", "try:", "    if N is None or not N.real:",
+                "        raise JetError('n is 0 or not real')", *_indent(t.prelude),
+                "except (OverflowError, JetError):", "    pass", "else:", "    var_d1 = VAR_D1",
+            ]
+        else:
+            setup = ["var_d1 = VAR_D1"]
+        loop = [
+            "for s in Z:", "    zv, z1, z2, z3 = s",
+            "    if z1 is not var_d1 or z2 is not ZERO or z3 is not ZERO:", *_indent(t.redo, 2),
+            "    try:", *_indent(t.body + checks or ["pass"], 2),
+            "    except (OverflowError, JetError):", *_indent(t.redo, 2),
+            *_indent([line.format(value) for line in keep]),
+        ]
+    if stat is None:
+        end = ["return out"]
+    elif not by_lane:
+        end = ["return best, flags"]
+    else:
+        lines, names = [], [f"w{k}" for k in range(stat.width)]
+        value = stat.sample(*(_Tail(lines, w) for w in names), stat.step).name
+        end = [
+            "best = -1.0", "flags = set()", f"for k in range(0, len(out), {stat.width}):",
+            f"    group = out[k:k + {stat.width}]",
+            "    for got in group:  # the first failed lane decides",
+            "        if type(got) is str:", "            flags.add(got)", "            break",
+            "    else:", f"        {', '.join(names)} = group", "        try:", *_indent(lines, 3),
+            "        except OverflowError:  # a modulus past the double range",
+            "            flags.add('Overflow')", "            continue",
+            f"        if {value} > best:", f"            best = {value}",
+            "return best, flags",
+        ]
     src = [
         "def lanes(N, Z, redo, *, " + "".join(f"{k}={k}, " for k in t.consts)
         + "isfinite=isfinite, exp=exp, log=log, as_jet=as_jet, pow_int=pow_int,"
         + " VAR_D1=VAR_D1, ZERO=ZERO):",
-        "    try:", *("        " + line for line in prelude or ["pass"]),
-        "    except (OverflowError, JetError):", "        return None",
-        "    out = []", "    append = out.append", "    for s in Z:",
-        "        zv, z1, z2, z3 = s",
-        "        if z1 is not VAR_D1 or z2 is not ZERO or z3 is not ZERO:",
-        "            append(redo(s))", "            continue",
-        "        try:", *("            " + line for line in t.body or ["pass"]),
-        "        except (OverflowError, JetError):",
-        "            append(redo(s))", "            continue",
-        *("        " + line for line in result.split("\n")),
-        "    return out",
+        *_indent(setup + acc + loop + end),
     ]
     namespace = dict(
         t.consts, isfinite=cmath.isfinite, exp=cmath.exp, log=cmath.log, as_jet=_as_jet,
@@ -464,28 +583,30 @@ def _lanes_source(root: Node) -> tuple:
 
 
 class _Family:
-    """The lane function of one tree, generated on its first batch."""
+    """The lane function of one tree and statistic, generated on its first batch."""
 
-    def __init__(self, root: Node):
+    def __init__(self, root: Node, stat: Statistic | None):
         self.root = root
+        self.stat = stat
 
     @cached_property
     def lanes(self):
-        return _lanes_function(self.root)
+        return _lanes_function(self.root, self.stat)
 
 
-# tree -> _Family
+# (tree, statistic) -> _Family
 _FAMILIES: dict = {}
 
 
-def family(expr: FamilyExpr) -> _Family:
-    """The lane function of a family, shared by equal trees."""
+def family(expr: FamilyExpr, stat: Statistic | None = None) -> _Family:
+    """The lane function of a family and statistic, shared by equal trees."""
     fam = expr._compiled
-    if fam is None:
-        fam = _FAMILIES.get(expr.root)
+    if fam is None or fam.stat is not stat:
+        key = (expr.root, stat)
+        fam = _FAMILIES.get(key)
         if fam is None:
             if len(_FAMILIES) >= _CACHE_SIZE:
                 del _FAMILIES[next(iter(_FAMILIES))]
-            fam = _FAMILIES[expr.root] = _Family(expr.root)
+            fam = _FAMILIES[key] = _Family(expr.root, stat)
         expr._compiled = fam
     return fam

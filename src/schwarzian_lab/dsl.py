@@ -30,8 +30,11 @@ same bits:
 
 - :func:`eval_jet_lanes` evaluates a batch of lanes, each one evaluation
   of f_n at a point (the variable seeded with ``jets.jet_var``), by the
-  lane function that ``codegen`` generates once per family and process,
-  as sympy's ``lambdify`` does, from the family's first batch on.  It is
+  lane function that ``codegen`` generates once per family, statistic and
+  process, as sympy's ``lambdify`` does, from the family's first batch
+  on.  A grid scan's lane function returns the scan's statistic, the
+  batch's maximum and the flags of its failed samples, in place of the
+  jets, which the ``hypotheses`` and ``bound`` checks get.  It is
   one loop of straight-line code that runs the jet formulas of ``jets``
   on symbolic values, so each node's operation is inlined in postorder,
   and it folds what is exactly known before run time: n, literals and i
@@ -610,7 +613,7 @@ def _walked(root: Node, ops: dict, leaves: dict, point):
         return err.with_traceback(None)
 
 
-def eval_jet_lanes(expr: FamilyExpr, n: float, seeds) -> list:
+def eval_jet_lanes(expr: FamilyExpr, n: float, seeds, stat=None):
     """Evaluate f_n once per lane, by the family's generated lane function.
 
     Lane k has the variable leaf seeded by ``seeds[k]``, a jet, as in
@@ -619,17 +622,22 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, seeds) -> list:
     :class:`EvalError` of its first failure, which is the one the single
     evaluation would raise.  Each lane's jet is bit-identical to the
     single evaluation's.
+
+    With a ``stat`` (a ``codegen.Statistic``) the lane function computes
+    that statistic in place of the jets and returns ``(best, flags)``: the
+    largest statistic over the batch's samples, -1.0 if no sample has one,
+    and the set of flags of the samples that failed.  A lane it redoes
+    takes its value, or its flag, from the same formula on the walk's jet.
     """
     nj = jet_const(n)  # refuses an n that is not finite
 
     def redo(seed):
         leaves = {Var: _as_jet(seed), Param: nj, ImagUnit: _I}
-        return _walked(expr.root, _JET_OPS, leaves, seed[0])
+        j = _walked(expr.root, _JET_OPS, leaves, seed[0])
+        return j if stat is None else stat.walked(j)
 
     # the lane function takes n real, so that N's imaginary part is +0
-    fn = _family(expr).lanes if isinstance(n, (int, float)) else None
-    got = None if fn is None else fn(nj.v, seeds, redo)
-    return list(map(redo, seeds)) if got is None else got
+    return _family(expr, stat).lanes(nj.v if isinstance(n, (int, float)) else None, seeds, redo)
 
 
 def _at_point(expr: FamilyExpr, ops: dict, leaves: dict, point):

@@ -293,15 +293,28 @@ def jet_mobius(
     with r = 1/(c w + d) they are r^2, -2c r^3 and 6c^2 r^4.  The quotient
     rule on (a u + b)/(c u + d) would instead find d1 as the difference of
     a (c u + d) and c (a u + b), which grow with |u| while the difference
-    stays ad - bc = 1, and lose digits to the cancellation.
+    stays ad - bc = 1, and lose digits to the cancellation.  The chain is
+    taken in u's derivatives scaled by r, s, p, q = r u1, r u2, r u3:
+
+        d1 = r s,  d2 = r (p - 2c s^2),  d3 = r (6c^2 s^3 - 6c s p + q),
+
+    so that a large u, whose r^2 underflows while u1^3 overflows, meets no
+    0 * inf.
     """
     w = u[0]
     den = c * w + d
     if modulus(den) <= floor:
         raise DivisionByZeroAtPoint("Moebius map evaluated at its pole", den)
     r = 1.0 / den
-    r2 = r * r
-    return _checked(_chain(u, ((a * w + b) * r, r2, -2.0 * c * r2 * r, 6.0 * c * c * r2 * r2)))
+    _, u1, u2, u3 = u
+    s, p, q = r * u1, r * u2, r * u3
+    cs = c * s
+    return _checked((
+        (a * w + b) * r,
+        r * s,
+        r * (p - 2.0 * (cs * s)),
+        r * (6.0 * (cs * cs * s) - 6.0 * (cs * p) + q),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +472,17 @@ def bounded_mobius(
     as a relative error of d1..d3.
     """
     j = jet_mobius(u.jet, a, b, c, d)
-    w = u.jet.v
+    w, u1, u2, u3 = u.jet
     r = 1.0 / modulus(c * w + d)
-    r2 = r * r
-    cr = modulus(c) * r
-    kappa = (modulus(c) * modulus(w) + modulus(d)) * r
+    mc = modulus(c)
+    cr = mc * r
+    kappa = (mc * modulus(w) + modulus(d)) * r
+    # jet_mobius's scaling: u's derivatives and errors times r, and the
+    # map's k-th derivative, k! |c|^(k-1) r^(k+1), over r^k
+    scaled = BoundedJet(_as_jet((w, r * u1, r * u2, r * u3)), tuple(r * e for e in u.err))
     mag, (e0, e1, e2, e3) = _chain_bound(
-        u,
-        (modulus(j.v), r2, 2.0 * cr * r2, 6.0 * cr * cr * r2, 24.0 * cr * cr * cr * r2),
+        scaled,
+        (modulus(j.v), r, 2.0 * cr, 6.0 * mc * cr, 24.0 * mc * mc * cr),
         (_C_CHAIN + 16.0 * kappa) * _U,
     )
     # the value multiplies r by a w + b, itself rounded at |a w| + |b|

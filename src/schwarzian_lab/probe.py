@@ -15,6 +15,13 @@ candidate.  Evaluation failures never poison a scan; they become flags
 ("Pole", "Overflow", "CriticalPoint") on the affected grid point and the
 failing samples are excluded from the statistics.
 
+Each (point, n) is one batch evaluation of the point's samples.  For a
+scan the family's generated lane function computes the statistic itself,
+f# or the stencil's, from the ``codegen.Statistic`` below, and returns
+only the largest over the samples and the set of flags; a lane it redoes
+gets its statistic from the same formula in ``schwarzian``.  The
+``hypotheses`` check reads jets from the same kind of batch.
+
 The verdicts are heuristics about candidates, not proofs.
 """
 
@@ -29,9 +36,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
+from .codegen import Statistic
 from .dsl import EvalError, FamilyExpr, eval_jet, eval_jet_lanes
 from .jets import OverflowAtPoint, jet_var, modulus
-from .schwarzian import CriticalPointError, schwarzian, spherical_derivative
+from .schwarzian import (
+    CRITICAL_POINT_FLOOR,
+    CriticalPointError,
+    _schwarzian,
+    _spherical,
+    schwarzian,
+    spherical_derivative,
+)
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -239,80 +254,79 @@ def _seed_stencil(w: complex, h: float) -> tuple:
     return tuple(jet_var(p) for p in (w, w + h, w - h, w + 2.0 * h, w - 2.0 * h))
 
 
-def _jet_row(out: list, h: float) -> list:
-    return [_flag_for(j) if isinstance(j, EvalError) else j for j in out]
+def _marty_walked(j) -> float | str:
+    # f# of a lane the walk redid, or its flag
+    if isinstance(j, EvalError):
+        return _flag_for(j)
+    try:
+        return spherical_derivative(j)
+    except OverflowAtPoint:  # |f| or |f'| past the double range
+        return "Overflow"
 
 
-def _marty_row(out: list, h: float) -> list:
-    row = []
-    for j in out:
-        try:
-            row.append(_flag_for(j) if isinstance(j, EvalError) else spherical_derivative(j))
-        except OverflowAtPoint:  # |f| or |f'| past the double range
-            row.append("Overflow")
-    return row
+def _sd_walked(j) -> complex | str:
+    # S of a lane the walk redid, or its flag
+    if isinstance(j, EvalError):
+        return _flag_for(j)
+    try:
+        return schwarzian(j)
+    except CriticalPointError:
+        return "CriticalPoint"
 
 
-def _sd_stat(lanes: list, h: float) -> float:
+def _stencil(s0, sp1, sm1, sp2, sm2, h: float) -> float:
     # spherical derivative of z -> S_{f_n}(z); S' comes from a five-point
     # stencil with a real step, which equals the complex derivative for
     # analytic S
-    s = []
-    for j in lanes:  # the first failed lane decides, in stencil order
-        if isinstance(j, EvalError):
-            raise j
-        s.append(schwarzian(j))
-    s0, sp1, sm1, sp2, sm2 = s
     ds = (-sp2 + 8.0 * sp1 - 8.0 * sm1 + sm2) / (12.0 * h)
-    m = modulus(s0)
-    return modulus(ds) / (1.0 + m * m)
+    return _spherical((s0, ds))
 
 
-def _sd_row(out: list, h: float) -> list:
-    row = []
-    for k in range(0, len(out), 5):  # a sample's five stencil lanes
-        try:
-            row.append(_sd_stat(out[k : k + 5], h))
-        except EvalError as exc:
-            row.append(_flag_for(exc))
-        except CriticalPointError:
-            row.append("CriticalPoint")
-        except OverflowAtPoint:  # |S| or |S'| past the double range
-            row.append("Overflow")
-    return row
+_MARTY = Statistic(1, _spherical, _marty_walked)
+# a lane whose |f'| may be at or below the critical-point floor is redone,
+# and schwarzian decides
+_CRITICAL_GUARD = " and ".join(
+    f"abs({{1}}.{part}) <= {CRITICAL_POINT_FLOOR!r}" for part in ("real", "imag")
+)
 
 
-# the statistic of each grid command: ``seed_jets`` builds one sample's
-# lanes, its variable jets, once per grid point, and ``row`` reads one
-# outcome per sample from the lanes' entries at one n, the statistic or
-# the flag of the sample's first failure; both take the stencil step
+def _sd(h: float) -> Statistic:
+    return Statistic(5, _schwarzian, _sd_walked, _CRITICAL_GUARD, _stencil, h)
+
+
+# each grid command's sample lanes and statistic: ``seed_jets`` builds one
+# sample's lanes, its variable jets, once per grid point, and ``stat`` is
+# the statistic of the stencil step h, or None for the jets themselves
 _STATS = {
-    "jet": (_seed_sample, _jet_row),
-    "marty": (_seed_sample, _marty_row),
-    "sd": (_seed_stencil, _sd_row),
+    "jet": (_seed_sample, lambda h: None),
+    "marty": (_seed_sample, lambda h: _MARTY),
+    "sd": (_seed_stencil, _sd),
 }
 
 
 def _sweep(kind: str, expr: FamilyExpr, grid: GridSpec, n_values, offset: float, indices):
     """Sample the grid points ``indices`` in order; every grid command's loop.
 
-    Yields (z, rows) per point, where rows[k] holds one outcome per
-    neighborhood sample at n_values[k]: the statistic ``kind`` names, or
-    the flag ("Pole", "Overflow", "CriticalPoint") of the sample's first
-    failed evaluation.  Each sample's variable jets are built once, and
-    one batch evaluation per (point, n) runs all of the point's lanes.
+    Yields (z, rows) per point, with one batch evaluation per (point, n)
+    of all the point's lanes.  For the statistic ``kind`` names, rows[k] is
+    the batch's (best, flags) at n_values[k]: the largest statistic over
+    the neighborhood samples, -1.0 if none has one, and the flags ("Pole",
+    "Overflow", "CriticalPoint") of the samples that failed.  For "jet" it
+    is one jet or EvalError per sample.  Each sample's variable jets are
+    built once.
     """
-    seed_jets, row_of = _STATS[kind]
+    seed_jets, stat_of = _STATS[kind]
     xs = grid.x_coords()
     ys = grid.y_coords()
     radius = grid.neighborhood_radius
     h = radius / 8.0  # the S' stencil's step
+    stat = stat_of(h)
     for index in indices:
         z = complex(xs[index % grid.nx], ys[index // grid.nx])
         samples = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
         lanes = [j for w in samples for j in seed_jets(w, h)]
         # by the module-level name, which bench/tracer.py rebinds to count calls
-        rows = [row_of(eval_jet_lanes(expr, n, lanes), h) for n in n_values]
+        rows = [eval_jet_lanes(expr, n, lanes, stat) for n in n_values]
         yield z, rows
 
 
@@ -348,13 +362,8 @@ def _point_stats(z: complex, rows: list, n_values: tuple[int, ...]) -> PointStat
     per_n: dict[int, float] = {}
     sup = 0.0
     argmax = -1
-    for n, row in zip(n_values, rows):
-        best = -1.0
-        for stat in row:
-            if isinstance(stat, str):
-                flags.add(stat)
-            elif stat > best:
-                best = stat
+    for n, (best, failed) in zip(n_values, rows):
+        flags |= failed
         if best >= 0.0:
             per_n[n] = best
             if best > sup:
@@ -606,8 +615,8 @@ def derivative_floor_check(
             low = math.inf
             clean = True
             for jet in jets:
-                if isinstance(jet, str):
-                    flags.add(jet)
+                if isinstance(jet, EvalError):
+                    flags.add(_flag_for(jet))
                     clean = False
                     continue
                 try:

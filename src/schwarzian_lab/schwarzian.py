@@ -114,16 +114,34 @@ class DegenerateMobiusError(ValueError):
     """Coefficients with ad - bc (numerically) zero."""
 
 
+# The two statistics, each written once as a formula on a jet's parts
+# (value first), with the builtin abs, which raises OverflowError past the
+# double range.  The functions below run them on complex numbers; a scan's
+# generated lane function runs the same formulas inline (codegen.Statistic).
+
+
+def _spherical(j) -> float:
+    m = abs(j[0])
+    return abs(j[1]) / (1.0 + m * m)
+
+
+def _schwarzian(j) -> complex:
+    d1 = j[1]
+    r = j[2] / d1
+    return j[3] / d1 - 1.5 * (r * r)
+
+
 def spherical_derivative(j: ComplexJet3) -> float:
     """Marty's statistic |f'| / (1 + |f|^2) from a jet.
 
     Raises OverflowAtPoint where |f| or |f'| is past the double range.
     """
     try:
-        m, d = abs(j.v), abs(j.d1)
-    except OverflowError:  # abs past the double range: modulus raises the typed error
-        m, d = modulus(j.v), modulus(j.d1)
-    return d / (1.0 + m * m)
+        return _spherical(j)
+    except OverflowError:  # abs past the double range
+        for w in (j.v, j.d1):
+            modulus(w)  # raises the typed error, labelled with the value
+        raise
 
 
 def schwarzian(j: ComplexJet3, floor: float = CRITICAL_POINT_FLOOR) -> complex:
@@ -135,8 +153,7 @@ def schwarzian(j: ComplexJet3, floor: float = CRITICAL_POINT_FLOOR) -> complex:
         raise CriticalPointError(
             f"Schwarzian undefined: |f'| = {abs(d1):.3e} at or below floor {floor:.3e}"
         )
-    r = j.d2 / d1
-    return j.d3 / d1 - 1.5 * (r * r)
+    return _schwarzian(j)
 
 
 @dataclass(frozen=True)

@@ -295,9 +295,10 @@ def test_identity_zero_tolerance_fails(capsys):
     code, out, _ = run_cli(
         capsys,
         "identity", "mobius-invariance",
-        "--family", "exp(n*z)", "--n", "2", "--z", "0.3+0i",
+        "--family", "exp(n*z)", "--n", "2", "--z", "0.5+0i",
         "--mobius", "3,1,1,-2", "--tol-abs", "0", "--tol-rel", "0",
     )
+    # S is -2 exactly; the moved jet's S reads -2.0000000000001137
     assert code == 1
     assert json.loads(out)["passed"] is False
 
@@ -585,13 +586,13 @@ _GOLDEN = {
     "identity-csv": (
         _GOLDEN_IDENTITY, "csv",
         "lhs,rhs,abs_gap,rel_gap,passed,tolerance_used\n"
-        "0.39669421487603262+0i,0.39669421487603307+0i,4.440892098500626e-16,"
-        "1.1194748831636996e-15,true,1e-10\n",
+        "0.39669421487603129+0i,0.39669421487603307+0i,1.7763568394002505e-15,"
+        "4.477899532654798e-15,true,1e-10\n",
     ),
     "identity-json": (
         _GOLDEN_IDENTITY, "json",
-        '{\n  "lhs": "0.39669421487603262+0i",\n  "rhs": "0.39669421487603307+0i",\n'
-        '  "abs_gap": 4.440892098500626e-16,\n  "rel_gap": 1.1194748831636996e-15,\n'
+        '{\n  "lhs": "0.39669421487603129+0i",\n  "rhs": "0.39669421487603307+0i",\n'
+        '  "abs_gap": 1.7763568394002505e-15,\n  "rel_gap": 4.477899532654798e-15,\n'
         '  "passed": true,\n  "tolerance_used": 1e-10,\n  "error_bound": null,\n'
         '  "rule": "abs"\n}\n',
     ),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schwarzian_lab import GridSpec, codegen, marty_scan
+from schwarzian_lab import GridSpec, codegen, marty_scan, probe
 from schwarzian_lab.dsl import (
     MAX_DEPTH,
     MAX_EXPONENT,
@@ -60,6 +60,7 @@ from schwarzian_lab.jets import (
     jet_var,
 )
 from schwarzian_lab.probe import LANE_BLOCK
+from schwarzian_lab.schwarzian import CriticalPointError, schwarzian, spherical_derivative
 from support import (
     assert_fd_close,
     compose_family,
@@ -638,6 +639,118 @@ def test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit():
     assert kinds == {"jet", OverflowAtPoint, DivisionByZeroAtPoint}
 
 
+# ---------------------------------------------------------------------------
+# the scan statistics the lane function returns in place of jets, against
+# eval_jet with spherical_derivative or schwarzian and the five-point stencil
+
+_STAT_NS = (-0.0, 1, 2.5, 1e200)
+
+
+def _flag(exc):
+    return "Overflow" if isinstance(exc.__cause__, OverflowAtPoint) else "Pole"
+
+
+def _marty_reference(f, n, points):
+    best, flags = -1.0, set()
+    for w in points:
+        try:
+            x = spherical_derivative(eval_jet(f, n, w))
+        except EvalError as exc:
+            flags.add(_flag(exc))
+        except OverflowAtPoint:
+            flags.add("Overflow")
+        else:
+            best = x if x > best else best
+    return best, flags
+
+
+def _sd_reference(f, n, points, h):
+    best, flags = -1.0, set()
+    for w in points:
+        s = []
+        for p in (w, w + h, w - h, w + 2.0 * h, w - 2.0 * h):
+            try:  # the first failed lane decides, in stencil order
+                s.append(schwarzian(eval_jet(f, n, p)))
+            except EvalError as exc:
+                flags.add(_flag(exc))
+                break
+            except CriticalPointError:
+                flags.add("CriticalPoint")
+                break
+        else:
+            s0, sp1, sm1, sp2, sm2 = s
+            ds = (-sp2 + 8.0 * sp1 - 8.0 * sm1 + sm2) / (12.0 * h)
+            try:
+                m = abs(s0)
+                x = abs(ds) / (1.0 + m * m)
+            except OverflowError:
+                flags.add("Overflow")
+            else:
+                best = x if x > best else best
+    return best, flags
+
+
+def _stat_outcomes(f, n, stat, seeds):
+    # the lane function with a redo that records the lanes it is given,
+    # and the public call
+    redone = []
+
+    def redo(seed):
+        redone.append(seed)
+        return stat.walked(_raised(lambda: eval_jet_seeded(f, n, seed)))
+
+    got = codegen.family(f, stat).lanes(complex(n), seeds, redo)
+    assert eval_jet_lanes(f, n, seeds, stat) == got
+    return (got[0].hex(), got[1]), len(redone)
+
+
+def test_fused_statistics_match_the_reference_bit_for_bit():
+    rng = random.Random(64)
+    flags, redone, clean = set(), 0, 0
+    for _ in range(120):
+        f, _, points = _draw(rng)
+        h = rng.choice((0.05 / 8, 0.001, 0.1))
+        sd_seeds = [j for w in points for j in probe._seed_stencil(w, h)]
+        for n in _STAT_NS:
+            for stat, seeds, want in (
+                (probe._MARTY, [jet_var(w) for w in points], _marty_reference(f, n, points)),
+                (probe._sd(h), sd_seeds, _sd_reference(f, n, points, h)),
+            ):
+                got, k = _stat_outcomes(f, n, stat, seeds)
+                assert got == (want[0].hex(), want[1])
+                flags |= want[1]
+                redone += k
+                clean += len(seeds) - k
+    assert flags == {"Pole", "Overflow", "CriticalPoint"}
+    # n = -0 redoes every lane; the other n take the fast path or fail
+    assert redone > 5000 and clean > 5000
+
+
+@pytest.mark.parametrize(
+    "text,points,want",
+    [
+        # f'(0) = 0 and a pole at h = 0.01: the stencil's first failure
+        # decides, a critical point at 0 and the pole at 0.01
+        ("z^2+z^3/(z-0.01)", [0j], {"CriticalPoint"}),
+        ("z^2+z^3/(z-0.01)", [0.01 + 0j], {"Pole"}),
+        # both parts of f' = 2z within the floor, its modulus not: the
+        # guard redoes the lane, and S is defined
+        ("z^2", [complex(0.45e-12, 0.45e-12)], set()),
+        # S(0) = 1.5e308 (1 + i): the stencil's |S| overflows
+        ("z+(1+i)*" + "25" + "0" * 306 + "*z^3", [0j], {"Overflow"}),
+    ],
+)
+def test_fused_sd_statistic_on_each_rule(text, points, want):
+    f = parse(text)
+    h = 0.01
+    seeds = [j for w in points for j in probe._seed_stencil(w, h)]
+    for n in (1, -0.0):
+        reference = _sd_reference(f, n, points, h)
+        assert reference[1] == want
+        got, _ = _stat_outcomes(f, n, probe._sd(h), seeds)
+        assert got == (reference[0].hex(), reference[1])
+
+
 def test_n_times_z_makes_no_product_with_the_derivatives_of_n():
     # n's d1..d3 are exactly zero and z's d1 is exactly one, so n*z's jet is
     # (n z, n, 0, 0): one product, and n itself as the first derivative
@@ -655,7 +768,9 @@ def test_n_times_z_makes_no_product_with_the_derivatives_of_n():
 def test_a_family_is_generated_once_per_process(monkeypatch):
     made = []
     real = codegen._lanes_function
-    monkeypatch.setattr(codegen, "_lanes_function", lambda root: made.append(root) or real(root))
+    monkeypatch.setattr(
+        codegen, "_lanes_function", lambda root, stat: made.append(root) or real(root, stat)
+    )
     text = "exp(z/(n*z+17))-n"
     seeds = [jet_var(0.25j + k / 100) for k in range(100)]
     first = eval_jet_lanes(parse(text), 2, seeds)
@@ -696,8 +811,8 @@ def test_a_fresh_family_runs_its_lane_function_from_its_first_batch(monkeypatch)
     runs, compiled = [], []
     real = codegen._lanes_function
 
-    def spied(root):
-        fn = real(root)
+    def spied(root, stat):
+        fn = real(root, stat)
         return lambda N, Z, redo: runs.append(len(Z)) or fn(N, Z, redo)
 
     monkeypatch.setattr(codegen, "_FAMILIES", {})

@@ -19,6 +19,7 @@ from schwarzian_lab import (
     classify,
     derivative_floor_check,
     eval_jet,
+    eval_jet_lanes,
     local_bound_estimate,
     marty_scan,
     parse,
@@ -198,10 +199,12 @@ def test_sd_scan_critical_point_flag():
 
 
 def test_sd_statistic_past_the_double_range_is_an_overflow_flag():
-    # S = d3/d1 = 1.5e308 (1 + i) is finite, but its modulus overflows
+    # S = d3/d1 = 1.5e308 (1 + i) is finite, but its modulus overflows; the
+    # family z hands each seed back, so each sample's five lanes are one jet
     huge = ComplexJet3(0j, 1 + 0j, 0j, complex(1.5e308, 1.5e308))
     clean = ComplexJet3(0j, 1 + 0j, 0j, 1 + 0j)
-    assert probe._sd_row([huge] * 5 + [clean] * 5, 0.01) == ["Overflow", 0.0]
+    got = eval_jet_lanes(parse("z"), 1, [huge] * 5 + [clean] * 5, probe._sd(0.01))
+    assert got == (0.0, {"Overflow"})
 
 
 # ---------------------------------------------------------------------------

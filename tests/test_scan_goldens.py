@@ -1,0 +1,240 @@
+"""Literal bytes of the grid commands on families whose samples fail.
+
+Recorded before the scan statistic and the per-n maximum moved into the
+generated lane function, so they hold that code to the bytes the walk and
+the Python statistic printed: a pole, ``Overflow`` from an ``exp`` window
+past the guard, a ``CriticalPoint`` at the origin, and a Schwarzian whose
+modulus is past the double range (its neighbours' statistic is nan, so
+they keep no maximum).  Each scan runs at one and at two workers, which
+must print the same bytes.
+"""
+
+import contextlib
+import io
+
+import pytest
+
+from schwarzian_lab.cli import main
+
+_BIG = "25" + "0" * 306  # 2.5e307: S(0) = 1.5e308 (1 + i), |S(0)| overflows
+_FAMILIES = {
+    "pole": ("1/(z-n)", "0,2,0,1,3,1"),
+    "exp-window": ("exp(n*z)", "80,240,-1,1,3,1"),
+    "critical": ("z^2+n*z^3", "-0.5,0.5,0,1,3,1"),
+    "s-overflow": (f"z+(1+i)*{_BIG}*z^3", "-0.5,0.5,0,1,3,1"),
+}
+_COMMON = ("--radius", "0.1", "--samples", "3", "--n-max", "8")
+_EXTRA = {
+    "scan-marty": ("--seed", "0"),
+    "scan-sd": ("--seed", "0"),
+    "hypotheses": ("--epsilon", "0.5", "--zeta", "0.3+0.2i", "--L", "10"),
+}
+
+_GOLDEN = {
+    ('scan-marty', 'pole', 'csv'): (
+        0,
+        're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
+        '0,0,0.5449484277928933,1,-1.9754792641627321,,bounded\n'
+        '1,0,0.9900990099009902,1,-2.3161790235611197,Pole,bounded\n'
+        '2,0,0.99009900990099,2,-2.8441648222276075,Pole,bounded\n',
+        '',
+    ),
+    ('scan-marty', 'pole', 'json'): (
+        0,
+        '[\n'
+        '  {\n    "re": 0.0,\n    "im": 0.0,\n    "sup_stat": 0.5449484277928933,\n    "argmax_n": 1,\n    "growth_slope": -1.9754792641627321,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 1.0,\n    "im": 0.0,\n    "sup_stat": 0.9900990099009902,\n    "argmax_n": 1,\n    "growth_slope": -2.3161790235611197,\n    "flags": "Pole",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 2.0,\n    "im": 0.0,\n    "sup_stat": 0.99009900990099,\n    "argmax_n": 2,\n    "growth_slope": -2.8441648222276075,\n    "flags": "Pole",\n    "verdict": "bounded"\n  }\n'
+        ']\n',
+        '',
+    ),
+    ('scan-sd', 'pole', 'csv'): (
+        0,
+        're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
+        '0,0,4.14483262526725e-14,1,0.0,,bounded\n'
+        '1,0,1.0366026016367814e-11,1,0.0,Pole,bounded\n'
+        '2,0,1.1097414880187387e-11,2,0.0,Pole,bounded\n',
+        '',
+    ),
+    ('scan-sd', 'pole', 'json'): (
+        0,
+        '[\n'
+        '  {\n    "re": 0.0,\n    "im": 0.0,\n    "sup_stat": 4.14483262526725e-14,\n    "argmax_n": 1,\n    "growth_slope": 0.0,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 1.0,\n    "im": 0.0,\n    "sup_stat": 1.0366026016367814e-11,\n    "argmax_n": 1,\n    "growth_slope": 0.0,\n    "flags": "Pole",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 2.0,\n    "im": 0.0,\n    "sup_stat": 1.1097414880187387e-11,\n    "argmax_n": 2,\n    "growth_slope": 0.0,\n    "flags": "Pole",\n    "verdict": "bounded"\n  }\n'
+        ']\n',
+        '',
+    ),
+    ('hypotheses', 'pole', 'csv'): (
+        1,
+        'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
+        '0.5,10.0,false,true,0.01525187987514473,2000.0000000000114,60000.00000000046,24120000.000000276,1.6077746776921858e-13,true,false\n',
+        '',
+    ),
+    ('hypotheses', 'pole', 'json'): (
+        1,
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": true,\n  "min_abs_derivative": 0.01525187987514473,\n  "M2": 2000.0000000000114,\n  "M3": 60000.00000000046,\n  "sd_bound": 24120000.000000276,\n  "max_abs_schwarzian": 1.6077746776921858e-13,\n  "sound": true,\n  "passed": false\n}\n',
+        '',
+    ),
+    ('scan-marty', 'exp-window', 'csv'): (
+        0,
+        're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
+        '80,-1,1.989152693344028e-35,1,0.0,,bounded\n'
+        '160,-1,3.257488532207521e-70,1,nan,Overflow,inconclusive\n'
+        '240,-1,6.3967171808912655e-105,1,nan,Overflow,inconclusive\n',
+        '',
+    ),
+    ('scan-marty', 'exp-window', 'json'): (
+        0,
+        '[\n'
+        '  {\n    "re": 80.0,\n    "im": -1.0,\n    "sup_stat": 1.989152693344028e-35,\n    "argmax_n": 1,\n    "growth_slope": 0.0,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 160.0,\n    "im": -1.0,\n    "sup_stat": 3.257488532207521e-70,\n    "argmax_n": 1,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  },\n'
+        '  {\n    "re": 240.0,\n    "im": -1.0,\n    "sup_stat": 6.3967171808912655e-105,\n    "argmax_n": 1,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  }\n'
+        ']\n',
+        '',
+    ),
+    ('scan-sd', 'exp-window', 'csv'): (
+        0,
+        're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
+        '80,-1,2.0633176747026692e-14,3,0.0,,bounded\n'
+        '160,-1,1.3436194738141579e-14,3,nan,Overflow,inconclusive\n'
+        '240,-1,5.875862291237822e-16,2,nan,Overflow,inconclusive\n',
+        '',
+    ),
+    ('scan-sd', 'exp-window', 'json'): (
+        0,
+        '[\n'
+        '  {\n    "re": 80.0,\n    "im": -1.0,\n    "sup_stat": 2.0633176747026692e-14,\n    "argmax_n": 3,\n    "growth_slope": 0.0,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 160.0,\n    "im": -1.0,\n    "sup_stat": 1.3436194738141579e-14,\n    "argmax_n": 3,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  },\n'
+        '  {\n    "re": 240.0,\n    "im": -1.0,\n    "sup_stat": 5.875862291237822e-16,\n    "argmax_n": 2,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  }\n'
+        ']\n',
+        '',
+    ),
+    ('hypotheses', 'exp-window', 'csv'): (
+        3,
+        '',
+        'error: OverflowAtPoint: Schwarzian bound not finite: M2 1.1444371239114386e+280, M3 9.155496991291508e+280, epsilon 0.5\n',
+    ),
+    ('hypotheses', 'exp-window', 'json'): (
+        3,
+        '',
+        'error: OverflowAtPoint: Schwarzian bound not finite: M2 1.1444371239114386e+280, M3 9.155496991291508e+280, epsilon 0.5\n',
+    ),
+    ('scan-marty', 'critical', 'csv'): (
+        0,
+        're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
+        '-0.5,0,3.2,8,0.3252111082196208,,inconclusive\n'
+        '0,0,0.38286627428436865,8,0.481760997877905,,inconclusive\n'
+        '0.5,0,3.1891644635219936,8,0.363952261346188,,inconclusive\n',
+        '',
+    ),
+    ('scan-marty', 'critical', 'json'): (
+        0,
+        '[\n'
+        '  {\n    "re": -0.5,\n    "im": 0.0,\n    "sup_stat": 3.2,\n    "argmax_n": 8,\n    "growth_slope": 0.3252111082196208,\n    "flags": "",\n    "verdict": "inconclusive"\n  },\n'
+        '  {\n    "re": 0.0,\n    "im": 0.0,\n    "sup_stat": 0.38286627428436865,\n    "argmax_n": 8,\n    "growth_slope": 0.481760997877905,\n    "flags": "",\n    "verdict": "inconclusive"\n  },\n'
+        '  {\n    "re": 0.5,\n    "im": 0.0,\n    "sup_stat": 3.1891644635219936,\n    "argmax_n": 8,\n    "growth_slope": 0.363952261346188,\n    "flags": "",\n    "verdict": "inconclusive"\n  }\n'
+        ']\n',
+        '',
+    ),
+    ('scan-sd', 'critical', 'csv'): (
+        0,
+        're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
+        '-0.5,0,0.3130517877691931,1,0.09637409596026503,,bounded\n'
+        '0,0,0.1286333382119622,1,-0.38489464626551095,CriticalPoint,bounded\n'
+        '0.5,0,0.4402549894681473,1,-0.078334326196238,,bounded\n',
+        '',
+    ),
+    ('scan-sd', 'critical', 'json'): (
+        0,
+        '[\n'
+        '  {\n    "re": -0.5,\n    "im": 0.0,\n    "sup_stat": 0.3130517877691931,\n    "argmax_n": 1,\n    "growth_slope": 0.09637409596026503,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 0.0,\n    "im": 0.0,\n    "sup_stat": 0.1286333382119622,\n    "argmax_n": 1,\n    "growth_slope": -0.38489464626551095,\n    "flags": "CriticalPoint",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 0.5,\n    "im": 0.0,\n    "sup_stat": 0.4402549894681473,\n    "argmax_n": 1,\n    "growth_slope": -0.078334326196238,\n    "flags": "",\n    "verdict": "bounded"\n  }\n'
+        ']\n',
+        '',
+    ),
+    ('hypotheses', 'critical', 'csv'): (
+        1,
+        'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
+        '0.5,10.0,false,true,0.0,30.738331208236897,48.0,5765.070032803622,261.3020352255983,true,false\n',
+        '',
+    ),
+    ('hypotheses', 'critical', 'json'): (
+        1,
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": true,\n  "min_abs_derivative": 0.0,\n  "M2": 30.738331208236897,\n  "M3": 48.0,\n  "sd_bound": 5765.070032803622,\n  "max_abs_schwarzian": 261.3020352255983,\n  "sound": true,\n  "passed": false\n}\n',
+        '',
+    ),
+    ('scan-marty', 's-overflow', 'csv'): (
+        0,
+        're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
+        '-0.5,0,0.0,-1,0.0,,bounded\n'
+        '0,0,1.0,1,0.0,,bounded\n'
+        '0.5,0,0.0,-1,0.0,,bounded\n',
+        '',
+    ),
+    ('scan-marty', 's-overflow', 'json'): (
+        0,
+        '[\n'
+        '  {\n    "re": -0.5,\n    "im": 0.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": 0.0,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 0.0,\n    "im": 0.0,\n    "sup_stat": 1.0,\n    "argmax_n": 1,\n    "growth_slope": 0.0,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 0.5,\n    "im": 0.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": 0.0,\n    "flags": "",\n    "verdict": "bounded"\n  }\n'
+        ']\n',
+        '',
+    ),
+    ('scan-sd', 's-overflow', 'csv'): (
+        0,
+        're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
+        '-0.5,0,0.0,-1,nan,,inconclusive\n'
+        '0,0,0.0,-1,nan,Overflow,inconclusive\n'
+        '0.5,0,0.0,-1,nan,,inconclusive\n',
+        '',
+    ),
+    ('scan-sd', 's-overflow', 'json'): (
+        0,
+        '[\n'
+        '  {\n    "re": -0.5,\n    "im": 0.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": "nan",\n    "flags": "",\n    "verdict": "inconclusive"\n  },\n'
+        '  {\n    "re": 0.0,\n    "im": 0.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  },\n'
+        '  {\n    "re": 0.5,\n    "im": 0.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": "nan",\n    "flags": "",\n    "verdict": "inconclusive"\n  }\n'
+        ']\n',
+        '',
+    ),
+    ('hypotheses', 's-overflow', 'csv'): (
+        1,
+        'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
+        '0.5,10.0,false,false,nan,0.0,0.0,0.0,0.0,true,false\n',
+        '',
+    ),
+    ('hypotheses', 's-overflow', 'json'): (
+        1,
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": "nan",\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": true,\n  "passed": false\n}\n',
+        '',
+    ),
+}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_CASES = [
+    (command, family, fmt, workers)
+    for command, family, fmt in _GOLDEN
+    for workers in ((None,) if command == "hypotheses" else (1, 2))
+]
+
+
+@pytest.mark.parametrize(
+    "command,family,fmt,workers",
+    _CASES,
+    ids=[f"{c}-{f}-{fmt}" + (f"-w{w}" if w else "") for c, f, fmt, w in _CASES],
+)
+def test_flag_heavy_grid_bytes(command, family, fmt, workers):
+    text, grid = _FAMILIES[family]
+    argv = [command, "--family", text, f"--grid={grid}", *_COMMON, *_EXTRA[command]]
+    if workers is not None:
+        argv += ["--workers", str(workers)]
+    assert _run([*argv, "--format", fmt]) == _GOLDEN[command, family, fmt]

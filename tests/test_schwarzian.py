@@ -237,13 +237,14 @@ def test_invariance_critical_point_propagates():
 
 
 def test_report_clause_order_and_tolerance_used():
+    # S is -2 exactly; the moved jet's S is 1.1e-13 off it
     f = parse("exp(n*z)")
     m = Mobius(3, 1, 1, -2)
-    rep = check_mobius_invariance(f, 2, m, 0.3, tol_abs=1.0, tol_rel=1e-8)
+    rep = check_mobius_invariance(f, 2, m, 0.5, tol_abs=1.0, tol_rel=1e-8)
     assert rep.passed and rep.tolerance_used == 1.0
-    rep = check_mobius_invariance(f, 2, m, 0.3, tol_abs=0.0, tol_rel=1e-8)
+    rep = check_mobius_invariance(f, 2, m, 0.5, tol_abs=0.0, tol_rel=1e-8)
     assert rep.passed and rep.tolerance_used == 1e-8
-    rep = check_mobius_invariance(f, 2, m, 0.3, tol_abs=0.0, tol_rel=0.0)
+    rep = check_mobius_invariance(f, 2, m, 0.5, tol_abs=0.0, tol_rel=0.0)
     assert not rep.passed
     assert rep.rel_gap == rep.abs_gap / max(abs(rep.lhs), abs(rep.rhs))
 
@@ -426,6 +427,10 @@ def test_property_mobius_schwarzian_vanishes(a, b, c, d, z):
 # once falsified: the guards saw f_5(0) = -100, the check ran f_1(0) = 0,
 # the pole of 1/w
 @example(seed=3414, a=0j, b=1 + 0j, c=1 + 0j, d=0j, z=0j)
+# once falsified: exp((n+z)^3) at n = 8, |f(0)| = 2.3e222; the Moebius
+# jet's r^2 underflowed while f'^3 overflowed, where it is now a
+# critical point
+@example(seed=2425, a=0j, b=1 + 0j, c=1 + 0j, d=0j, z=0j)
 def test_property_invariance_for_random_families(seed, a, b, c, d, z):
     rng = random.Random(seed)
     f = support.random_family(rng)
