@@ -5,8 +5,10 @@ generated lane function, so they hold that code to the bytes the walk and
 the Python statistic printed: a pole, ``Overflow`` from an ``exp`` window
 past the guard, a ``CriticalPoint`` at the origin, and a Schwarzian whose
 modulus is past the double range (its neighbours' statistic is nan, so
-they keep no maximum).  Each scan runs at one and at two workers, which
-must print the same bytes.
+they keep no maximum).  The ``hypotheses`` goldens cover each rule of its
+floor sweep: the families above and the ones below them, recorded before
+that sweep moved into the lane function too.  Each scan runs at one and at
+two workers, which must print the same bytes.
 """
 
 import contextlib
@@ -17,11 +19,24 @@ import pytest
 from schwarzian_lab.cli import main
 
 _BIG = "25" + "0" * 306  # 2.5e307: S(0) = 1.5e308 (1 + i), |S(0)| overflows
+
 _FAMILIES = {
     "pole": ("1/(z-n)", "0,2,0,1,3,1"),
     "exp-window": ("exp(n*z)", "80,240,-1,1,3,1"),
     "critical": ("z^2+n*z^3", "-0.5,0.5,0,1,3,1"),
     "s-overflow": (f"z+(1+i)*{_BIG}*z^3", "-0.5,0.5,0,1,3,1"),
+    # the floor sweep's other rules, recorded before it moved into the lane
+    # function: |f'| past the double range (n >= 7); |S| past it with finite
+    # parts at the origin; S = -inf + nan i there, which counts as inf, and
+    # nan + nan i, which counts as nothing; f' = 2z with both parts within
+    # the critical-point floor and its modulus past it, where S is defined;
+    # and a critical lane whose |f''| overflows, which counts for nothing
+    "d1-overflow": (f"(1+i)*2{'0' * 307}*n*z", "-0.5,0.5,0,1,3,1"),
+    "s-modulus": (f"0.00000000001*z+52{'0' * 141}*(1+0.41421356*i)*z^2", "-0.5,0.5,0,1,3,1"),
+    "s-inf": (f"0.00000000001*z+5{'0' * 143}*z^2", "-0.5,0.5,0,1,3,1"),
+    "s-nan": (f"0.00000000001*z+5{'0' * 143}*(1+i)*z^2", "-0.5,0.5,0,1,3,1"),
+    "guard": ("z^2+n*z^3", "4.5e-13,1,4.5e-13,1,1,1"),
+    "critical-d2": (f"(1+i)*75{'0' * 306}*z^2", "-0.5,0.5,0,1,3,1"),
 }
 _COMMON = ("--radius", "0.1", "--samples", "3", "--n-max", "8")
 _EXTRA = {
@@ -206,6 +221,72 @@ _GOLDEN = {
         '',
     ),
     ('hypotheses', 's-overflow', 'json'): (
+        1,
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": "nan",\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": true,\n  "passed": false\n}\n',
+        '',
+    ),
+    ('hypotheses', 'd1-overflow', 'csv'): (
+        1,
+        'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
+        '0.5,10.0,false,false,2.82842712474619e+307,0.0,0.0,0.0,0.0,true,false\n',
+        '',
+    ),
+    ('hypotheses', 'd1-overflow', 'json'): (
+        1,
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 2.82842712474619e+307,\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": true,\n  "passed": false\n}\n',
+        '',
+    ),
+    ('hypotheses', 's-modulus', 'csv'): (
+        1,
+        'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
+        '0.5,10.0,false,false,1.12568788735962e+142,1.1256878873596199e+143,0.0,7.603039318488985e+286,150.0,true,false\n',
+        '',
+    ),
+    ('hypotheses', 's-modulus', 'json'): (
+        1,
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.12568788735962e+142,\n  "M2": 1.1256878873596199e+143,\n  "M3": 0.0,\n  "sd_bound": 7.603039318488985e+286,\n  "max_abs_schwarzian": 150.0,\n  "sound": true,\n  "passed": false\n}\n',
+        '',
+    ),
+    ('hypotheses', 's-inf', 'csv'): (
+        1,
+        'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
+        '0.5,10.0,false,false,1e-11,1e+144,0.0,6e+288,inf,false,false\n',
+        '',
+    ),
+    ('hypotheses', 's-inf', 'json'): (
+        1,
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1e-11,\n  "M2": 1e+144,\n  "M3": 0.0,\n  "sd_bound": 6e+288,\n  "max_abs_schwarzian": "inf",\n  "sound": false,\n  "passed": false\n}\n',
+        '',
+    ),
+    ('hypotheses', 's-nan', 'csv'): (
+        1,
+        'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
+        '0.5,10.0,false,false,1e-11,1.414213562373095e+144,0.0,1.2e+289,149.99999999999994,true,false\n',
+        '',
+    ),
+    ('hypotheses', 's-nan', 'json'): (
+        1,
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1e-11,\n  "M2": 1.414213562373095e+144,\n  "M3": 0.0,\n  "sd_bound": 1.2e+289,\n  "max_abs_schwarzian": 149.99999999999994,\n  "sound": true,\n  "passed": false\n}\n',
+        '',
+    ),
+    ('hypotheses', 'guard', 'csv'): (
+        1,
+        'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
+        '0.5,10.0,false,true,1.2727922061366447e-12,6.620916932785384,48.0,359.01924618506536,3.703703703717037e+24,false,false\n',
+        '',
+    ),
+    ('hypotheses', 'guard', 'json'): (
+        1,
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": true,\n  "min_abs_derivative": 1.2727922061366447e-12,\n  "M2": 6.620916932785384,\n  "M3": 48.0,\n  "sd_bound": 359.01924618506536,\n  "max_abs_schwarzian": 3.703703703717037e+24,\n  "sound": false,\n  "passed": false\n}\n',
+        '',
+    ),
+    ('hypotheses', 'critical-d2', 'csv'): (
+        1,
+        'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
+        '0.5,10.0,false,false,nan,0.0,0.0,0.0,0.0,true,false\n',
+        '',
+    ),
+    ('hypotheses', 'critical-d2', 'json'): (
         1,
         '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": "nan",\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": true,\n  "passed": false\n}\n',
         '',
