@@ -6,10 +6,12 @@ straight-line code, as sympy's ``lambdify`` compiles an expression, and
 ``dsl.eval_jet_lanes`` runs it on every batch, a family's first included;
 ``dsl`` walks the tree for the single-point calls (one point, another
 seed, bounded jets) and for every lane the lane function hands back.
-A grid scan's lane function returns the scan's statistic, not jets: it
-runs the statistic's formulas inline on each lane's jet and keeps only
-the batch's largest statistic and the flags of its failed samples; the
-``hypotheses`` and ``bound`` checks get the jets.
+A grid command's lane function returns its statistic, not jets: it runs
+the statistic's formulas inline on each lane's jet and keeps only the
+batch's largest statistic, or the largest of each of its slots, and the
+flags of its failed samples.  The scans keep one slot; the ``hypotheses``
+floor sweep keeps four: -|f'|, |f''|, |f'''| and |S|.  Only the ``bound``
+check gets the jets.
 
 It runs the jet formulas of ``jets`` on symbolic values
 (``_Sym``) to write straight-line source.  A symbolic value knows, per
@@ -411,7 +413,7 @@ class _Lanes:
 
 
 class Statistic(NamedTuple):
-    """A scan statistic, which a lane function returns in place of jets.
+    """A statistic that a lane function returns in place of jets.
 
     Each sample of a batch takes ``width`` consecutive lanes.  ``lane`` is
     the formula of a lane's value from its jet's parts, value first, and
@@ -423,7 +425,12 @@ class Statistic(NamedTuple):
     lane's flag.  ``guard`` formats, with the parts' names, a condition
     under which ``lane`` may fail; the lane is then redone.  An
     OverflowError in ``sample``, a modulus past the double range, flags
-    the sample "Overflow".
+    the sample "Overflow", and so does a nan from ``sample``, which some
+    intermediate past the double range made.
+
+    Without ``sample``, a lane's value may be a tuple, one value per slot
+    of ``start``, and the lane function keeps the largest of each slot,
+    from the slot's start.
     """
 
     width: int
@@ -432,6 +439,7 @@ class Statistic(NamedTuple):
     guard: str = ""
     sample: Callable | None = None
     step: float = 0.0
+    start: tuple = (-1.0,)
 
 
 def _binary(form: str) -> tuple:
@@ -475,6 +483,11 @@ def _indent(lines, depth: int = 1) -> list:
     return ["    " * depth + line for line in lines]
 
 
+def _fold(best: list, values: list) -> list:
+    # keep the larger of each slot and its value; a nan never wins
+    return [line for b, v in zip(best, values) for line in (f"if {v} > {b}:", f"    {b} = {v}")]
+
+
 def _lanes_function(root: Node, stat: Statistic | None = None):
     """Compile the lane function of a tree and statistic."""
     source, namespace = _lanes_source(root, stat)
@@ -492,7 +505,8 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     statistic it returns the lanes' jets.  With one, ``redo`` gives a
     lane's value or flag, and it returns ``(best, flags)``: the largest
     statistic over the samples, -1.0 if none has one, and the flags of the
-    failed samples.  Every lane is redone when a loop-invariant part fails,
+    failed samples; with several slots, the largest of each slot, then the
+    flags.  Every lane is redone when a loop-invariant part fails,
     or n, where the family uses it, is 0 or not real.  A lane is redone when a node of it leaves the
     finite range: such a value reaches the output, where the parts not
     known finite are checked, or the check before an opaque function
@@ -502,16 +516,22 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     always a failed one, but every failed lane is redone.
     """
     # each lane's outcome is kept (jets, or the lane values a sample
-    # formula combines), or only the largest statistic
+    # formula combines), or only the largest of each slot
     by_lane = stat is None or stat.sample is not None
     if by_lane:
-        keep, redo = ["append({})"], ["append(redo(s))"]
+        redo = ["append(redo(s))"]
         acc = ["out = []", "append = out.append"]
     else:
-        keep = ["if {0} > best:", "    best = {0}"]
-        redo = ["got = redo(s)", "if type(got) is str:", "    add(got)", "elif got > best:",
-                "    best = got"]
-        acc = ["best = -1.0", "flags = set()", "add = flags.add"]
+        best = ["best", *(f"best{k}" for k in range(1, len(stat.start)))]
+        got = ["got"] if len(best) == 1 else [f"g{k}" for k in range(len(best))]
+        fold = _fold(best, got)
+        redo = ["got = redo(s)", "if type(got) is str:", "    add(got)"]
+        if len(best) == 1:
+            redo += ["el" + fold[0], fold[1]]
+        else:
+            redo += ["else:", *_indent([f"{', '.join(got)} = got", *fold])]
+        acc = [*(f"{b} = {x!r}" for b, x in zip(best, stat.start)), "flags = set()",
+               "add = flags.add"]
     t = _Lanes([*redo, "continue"])
     try:
         out = t.walk(root)
@@ -529,11 +549,15 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
         if unchecked:
             checks += [f"if not isfinite({unchecked}):", *_indent(t.redo)]
         if stat is None:
-            value = f"as_jet(({', '.join(parts)}))"
+            keep = [f"append(as_jet(({', '.join(parts)})))"]
         else:
             if stat.guard:
                 checks += [f"if {stat.guard.format(*parts)}:", *_indent(t.redo)]
-            value = stat.lane(tuple(_Tail(checks, p) for p in parts)).name
+            value = stat.lane(tuple(_Tail(checks, p) for p in parts))
+            if by_lane:
+                keep = [f"append({value.name})"]
+            else:
+                keep = _fold(best, [x.name for x in (value if type(value) is tuple else (value,))])
         # a lane whose seed is not the variable's, and every lane before the
         # prelude has passed, is redone: var_d1 is None until then
         if t.n_used:
@@ -549,12 +573,12 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
             "    if z1 is not var_d1 or z2 is not ZERO or z3 is not ZERO:", *_indent(t.redo, 2),
             "    try:", *_indent(t.body + checks or ["pass"], 2),
             "    except (OverflowError, JetError):", *_indent(t.redo, 2),
-            *_indent([line.format(value) for line in keep]),
+            *_indent(keep),
         ]
     if stat is None:
         end = ["return out"]
     elif not by_lane:
-        end = ["return best, flags"]
+        end = [f"return {', '.join(best)}, flags"]
     else:
         lines, names = [], [f"w{k}" for k in range(stat.width)]
         value = stat.sample(*(_Tail(lines, w) for w in names), stat.step).name
@@ -567,6 +591,8 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
             "        except OverflowError:  # a modulus past the double range",
             "            flags.add('Overflow')", "            continue",
             f"        if {value} > best:", f"            best = {value}",
+            f"        elif {value} != {value}:  # an intermediate past the double range",
+            "            flags.add('Overflow')",
             "return best, flags",
         ]
     src = [
@@ -577,7 +603,7 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     ]
     namespace = dict(
         t.consts, isfinite=cmath.isfinite, exp=cmath.exp, log=cmath.log, as_jet=_as_jet,
-        pow_int=jet_pow_int, VAR_D1=VAR_D1, ZERO=ZERO, JetError=JetError,
+        pow_int=jet_pow_int, VAR_D1=VAR_D1, ZERO=ZERO, JetError=JetError, inf=math.inf,
     )
     return "\n".join(src) + "\n", namespace
 

@@ -32,9 +32,10 @@ same bits:
   of f_n at a point (the variable seeded with ``jets.jet_var``), by the
   lane function that ``codegen`` generates once per family, statistic and
   process, as sympy's ``lambdify`` does, from the family's first batch
-  on.  A grid scan's lane function returns the scan's statistic, the
-  batch's maximum and the flags of its failed samples, in place of the
-  jets, which the ``hypotheses`` and ``bound`` checks get.  It is
+  on.  A grid command's lane function returns its statistic, the batch's
+  maximum (of each slot, for the ``hypotheses`` floor sweep) and the
+  flags of its failed samples, in place of the jets, which only the
+  ``bound`` check gets.  It is
   one loop of straight-line code that runs the jet formulas of ``jets``
   on symbolic values, so each node's operation is inlined in postorder,
   and it folds what is exactly known before run time: n, literals and i
@@ -626,7 +627,9 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, seeds, stat=None):
     With a ``stat`` (a ``codegen.Statistic``) the lane function computes
     that statistic in place of the jets and returns ``(best, flags)``: the
     largest statistic over the batch's samples, -1.0 if no sample has one,
-    and the set of flags of the samples that failed.  A lane it redoes
+    and the set of flags of the samples that failed.  A statistic of
+    several slots returns the largest of each slot, from the slot's start
+    value, then the flags: ``(best, best1, ..., flags)``.  A lane it redoes
     takes its value, or its flag, from the same formula on the walk's jet.
     """
     nj = jet_const(n)  # refuses an n that is not finite

@@ -15,12 +15,13 @@ candidate.  Evaluation failures never poison a scan; they become flags
 ("Pole", "Overflow", "CriticalPoint") on the affected grid point and the
 failing samples are excluded from the statistics.
 
-Each (point, n) is one batch evaluation of the point's samples.  For a
-scan the family's generated lane function computes the statistic itself,
-f# or the stencil's, from the ``codegen.Statistic`` below, and returns
-only the largest over the samples and the set of flags; a lane it redoes
-gets its statistic from the same formula in ``schwarzian``.  The
-``hypotheses`` check reads jets from the same kind of batch.
+Each (point, n) is one batch evaluation of the point's samples.  The
+family's generated lane function computes the statistic itself, from the
+``codegen.Statistic`` below, and returns only the largest over the samples
+and the set of flags; a lane it redoes gets its statistic from the same
+formula.  For a scan that is f# or the stencil's.  For the ``hypotheses``
+floor sweep it is -|f'|, |f''|, |f'''| and |S|, the largest of each kept
+apart, so that min |f'| is an exact negation.  Only ``bound`` reads jets.
 
 The verdicts are heuristics about candidates, not proofs.
 """
@@ -42,6 +43,7 @@ from .jets import OverflowAtPoint, jet_var, modulus
 from .schwarzian import (
     CRITICAL_POINT_FLOOR,
     CriticalPointError,
+    _critical,
     _schwarzian,
     _spherical,
     schwarzian,
@@ -294,13 +296,42 @@ def _sd(h: float) -> Statistic:
     return Statistic(5, _schwarzian, _sd_walked, _CRITICAL_GUARD, _stencil, h)
 
 
+def _stencil_step(grid: GridSpec) -> float:
+    # the S' stencil's real step h
+    return grid.neighborhood_radius / 8.0
+
+
+def _floor(j, critical: bool = False) -> tuple:
+    # a lane's -|f'|, |f''|, |f'''| and |S|, of which the floor sweep keeps
+    # the largest over the batch: the largest -|f'| is min |f'| negated,
+    # exactly.  A critical lane has no S and counts toward min |f'| alone:
+    # -1.0 never wins the other slots
+    low, m2, m3 = -abs(j[1]), abs(j[2]), abs(j[3])
+    if critical:
+        return low, -1.0, -1.0, -1.0
+    return low, m2, m3, abs(_schwarzian(j))
+
+
+def _floor_walked(j) -> tuple | str:
+    # _floor of a lane the walk redid, or its flag
+    if isinstance(j, EvalError):
+        return _flag_for(j)
+    try:
+        return _floor(j, _critical(j.d1))
+    except OverflowError:  # a modulus past the double range
+        return "Overflow"
+
+
+# a lane that may be critical is redone, as for sd, and the walk decides
+_FLOOR = Statistic(1, _floor, _floor_walked, _CRITICAL_GUARD, start=(-math.inf, -1.0, -1.0, -1.0))
+
 # each grid command's sample lanes and statistic: ``seed_jets`` builds one
 # sample's lanes, its variable jets, once per grid point, and ``stat`` is
-# the statistic of the stencil step h, or None for the jets themselves
+# the statistic of the stencil step h
 _STATS = {
-    "jet": (_seed_sample, lambda h: None),
     "marty": (_seed_sample, lambda h: _MARTY),
     "sd": (_seed_stencil, _sd),
+    "floor": (_seed_sample, lambda h: _FLOOR),
 }
 
 
@@ -309,17 +340,17 @@ def _sweep(kind: str, expr: FamilyExpr, grid: GridSpec, n_values, offset: float,
 
     Yields (z, rows) per point, with one batch evaluation per (point, n)
     of all the point's lanes.  For the statistic ``kind`` names, rows[k] is
-    the batch's (best, flags) at n_values[k]: the largest statistic over
-    the neighborhood samples, -1.0 if none has one, and the flags ("Pole",
-    "Overflow", "CriticalPoint") of the samples that failed.  For "jet" it
-    is one jet or EvalError per sample.  Each sample's variable jets are
-    built once.
+    what the batch at n_values[k] keeps: the largest statistic over the
+    neighborhood samples, -1.0 if none has one (for "floor", the largest
+    of each of its four slots), then the flags ("Pole", "Overflow",
+    "CriticalPoint") of the samples that failed.  Each sample's variable
+    jets are built once.
     """
     seed_jets, stat_of = _STATS[kind]
     xs = grid.x_coords()
     ys = grid.y_coords()
     radius = grid.neighborhood_radius
-    h = radius / 8.0  # the S' stencil's step
+    h = _stencil_step(grid)
     stat = stat_of(h)
     for index in indices:
         z = complex(xs[index % grid.nx], ys[index // grid.nx])
@@ -454,6 +485,8 @@ def sd_family_scan(
     workers: int = 1,
 ) -> MartyGridReport:
     """Same sweep with the statistic taken on z -> S_{f_n}(z) instead."""
+    if _stencil_step(grid) == 0.0:
+        raise ValueError("neighborhood_radius is too small: the S' stencil's step radius/8 is 0")
     return _scan("sd", f, grid, n_values, seed, workers)
 
 
@@ -608,37 +641,18 @@ def derivative_floor_check(
     flag_rows = []
     global_min = math.inf
     m2 = m3 = max_s = 0.0
-    for _, jet_rows in _sweep("jet", f, grid, ns, _seed_offset(seed), range(grid.nx * grid.ny)):
+    for _, stat_rows in _sweep("floor", f, grid, ns, _seed_offset(seed), range(grid.nx * grid.ny)):
         flags: set[str] = set()
         row = []
-        for jets in jet_rows:
-            low = math.inf
-            clean = True
-            for jet in jets:
-                if isinstance(jet, EvalError):
-                    flags.add(_flag_for(jet))
-                    clean = False
-                    continue
-                try:
-                    mag = modulus(jet.d1)
-                    d2, d3 = modulus(jet.d2), modulus(jet.d3)
-                    s = modulus(schwarzian(jet))
-                except CriticalPointError:
-                    s = None
-                except OverflowAtPoint:  # a modulus past the double range
-                    flags.add("Overflow")
-                    clean = False
-                    continue
-                if mag < low:
-                    low = mag
-                if s is None:
-                    continue
-                m2 = max(m2, d2)
-                m3 = max(m3, d3)
-                max_s = max(max_s, s)
+        for neg_low, d2, d3, s, failed in stat_rows:
+            low = -neg_low  # inf where no sample had a value
             if low < global_min:
                 global_min = low
-            row.append(clean and low >= epsilon)
+            flags |= failed
+            row.append(not failed and low >= epsilon)
+            m2 = max(m2, d2)
+            m3 = max(m3, d3)
+            max_s = max(max_s, s)
         rows.append(tuple(row))
         flag_rows.append(frozenset(flags))
     if not math.isfinite(global_min):

@@ -144,12 +144,16 @@ def spherical_derivative(j: ComplexJet3) -> float:
         raise
 
 
+def _critical(d1: complex, floor: float = CRITICAL_POINT_FLOOR) -> bool:
+    # |f'| <= floor needs both parts within it, and testing them first keeps
+    # abs away from a modulus past the double range, where it raises
+    return abs(d1.real) <= floor and abs(d1.imag) <= floor and abs(d1) <= floor
+
+
 def schwarzian(j: ComplexJet3, floor: float = CRITICAL_POINT_FLOOR) -> complex:
     """Schwarzian derivative from an order-3 jet."""
     d1 = j.d1
-    # |f'| <= floor needs both parts within it, and testing them first keeps
-    # abs away from a modulus past the double range, where it raises
-    if abs(d1.real) <= floor and abs(d1.imag) <= floor and abs(d1) <= floor:
+    if _critical(d1, floor):
         raise CriticalPointError(
             f"Schwarzian undefined: |f'| = {abs(d1):.3e} at or below floor {floor:.3e}"
         )

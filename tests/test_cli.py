@@ -32,7 +32,7 @@ from schwarzian_lab import (
     parse,
     schwarzian,
 )
-from schwarzian_lab import cli
+from schwarzian_lab import cli, probe
 from schwarzian_lab.cli import (
     CATALOG,
     SEED_ENV_VAR,
@@ -984,6 +984,37 @@ def test_modulus_past_the_double_range_keeps_the_exit_contract(capsys, argv, cod
     assert got == code
     assert "Traceback" not in err
     assert text in (err if code == 3 else out)
+
+
+# ---------------------------------------------------------------------------
+# a radius whose S' stencil step, radius/8, underflows to 0
+
+_TINY_RADIUS = ["--family=exp(z)", "--grid=0,1,0,1,2,1", "--radius=1e-323", "--n-max=2",
+                "--samples=2"]
+
+
+def test_scan_sd_refuses_a_radius_whose_stencil_step_is_zero(capsys, monkeypatch):
+    # refused before any evaluation or pool
+    calls = []
+    monkeypatch.setattr(probe, "eval_jet_lanes", lambda *a: calls.append(a))
+    monkeypatch.setattr(probe, "ProcessPoolExecutor", lambda **k: calls.append(k))
+    for workers in ("1", "2"):
+        code, out, err = run_cli(capsys, "scan-sd", *_TINY_RADIUS, f"--workers={workers}")
+        assert (code, out) == (2, "")
+        assert err == "error: neighborhood_radius is too small: the S' stencil's step radius/8 is 0\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-marty", *_TINY_RADIUS, "--workers=1"],
+        ["hypotheses", *_TINY_RADIUS, "--epsilon=0.5", "--zeta=0+0i", "--L=10"],
+    ],
+)
+def test_the_other_grid_commands_take_a_radius_whose_stencil_step_is_zero(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1) and out and err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import cmath
+import math
 import pickle
 import random
 
@@ -58,6 +59,7 @@ from schwarzian_lab.jets import (
     jet_pow_int,
     jet_sub,
     jet_var,
+    modulus,
 )
 from schwarzian_lab.probe import LANE_BLOCK
 from schwarzian_lab.schwarzian import CriticalPointError, schwarzian, spherical_derivative
@@ -686,7 +688,10 @@ def _sd_reference(f, n, points, h):
             except OverflowError:
                 flags.add("Overflow")
             else:
-                best = x if x > best else best
+                if x > best:
+                    best = x
+                elif x != x:  # nan: an intermediate past the double range
+                    flags.add("Overflow")
     return best, flags
 
 
@@ -701,7 +706,7 @@ def _stat_outcomes(f, n, stat, seeds):
 
     got = codegen.family(f, stat).lanes(complex(n), seeds, redo)
     assert eval_jet_lanes(f, n, seeds, stat) == got
-    return (got[0].hex(), got[1]), len(redone)
+    return (*(x.hex() for x in got[:-1]), got[-1]), len(redone)
 
 
 def test_fused_statistics_match_the_reference_bit_for_bit():
@@ -738,6 +743,8 @@ def test_fused_statistics_match_the_reference_bit_for_bit():
         ("z^2", [complex(0.45e-12, 0.45e-12)], set()),
         # S(0) = 1.5e308 (1 + i): the stencil's |S| overflows
         ("z+(1+i)*" + "25" + "0" * 306 + "*z^3", [0j], {"Overflow"}),
+        # d3 / d1 overflows to inf where S is finite, so the statistic is nan
+        ("z+(1+i)*" + "25" + "0" * 306 + "*z^3", [-0.5 + 0j], {"Overflow"}),
     ],
 )
 def test_fused_sd_statistic_on_each_rule(text, points, want):
@@ -749,6 +756,92 @@ def test_fused_sd_statistic_on_each_rule(text, points, want):
         assert reference[1] == want
         got, _ = _stat_outcomes(f, n, probe._sd(h), seeds)
         assert got == (reference[0].hex(), reference[1])
+
+
+# ---------------------------------------------------------------------------
+# the hypotheses floor sweep the lane function folds, against the loop over
+# jets it replaced: eval_jet, then modulus of f', f'', f''' and schwarzian
+
+
+def _floor_reference(f, n, points):
+    # min |f'|, M2, M3 and max |S| of one batch, the last three from 0.0
+    low, m2, m3, max_s, flags = math.inf, 0.0, 0.0, 0.0, set()
+    for w in points:
+        try:
+            jet = eval_jet(f, n, w)
+        except EvalError as exc:
+            flags.add(_flag(exc))
+            continue
+        try:
+            mag = modulus(jet.d1)
+            d2, d3 = modulus(jet.d2), modulus(jet.d3)
+            s = modulus(schwarzian(jet))
+        except CriticalPointError:
+            s = None
+        except OverflowAtPoint:
+            flags.add("Overflow")
+            continue
+        if mag < low:
+            low = mag
+        if s is None:
+            continue
+        m2 = max(m2, d2)
+        m3 = max(m3, d3)
+        max_s = max(max_s, s)
+    return (*(x.hex() for x in (low, m2, m3, max_s)), flags)
+
+
+def _floor_outcomes(f, n, points):
+    # the fold as derivative_floor_check reads it, and how many lanes it redid
+    got, redone = _stat_outcomes(f, n, probe._FLOOR, [jet_var(w) for w in points])
+    neg_low, *slots = (float.fromhex(x) for x in got[:-1])
+    return ((-neg_low).hex(), *(max(0.0, x).hex() for x in slots), got[-1]), redone
+
+
+def test_fused_floor_sweep_matches_the_jet_loop_bit_for_bit():
+    rng = random.Random(65)
+    flags, redone, clean = set(), 0, 0
+    for _ in range(150):
+        f, _, points = _draw(rng)
+        for n in _STAT_NS:
+            got, k = _floor_outcomes(f, n, points)
+            want = _floor_reference(f, n, points)
+            assert got == want
+            flags |= want[-1]
+            redone += k
+            clean += len(points) - k
+    assert flags == {"Pole", "Overflow"}
+    # n = -0 redoes every lane; the other n take the fast path or fail
+    assert redone > 1000 and clean > 1000
+
+
+@pytest.mark.parametrize(
+    "text,points,redone",
+    [
+        # f'(0) = 0: the critical lane counts toward min |f'| alone, though
+        # its |f''| = 2 is the batch's largest
+        ("z^2-z^3", [0j, 0.1 + 0j], 1),
+        # both parts of f' = 2z within the floor, its modulus not: the guard
+        # redoes the lane, and S is defined
+        ("z^2", [complex(0.45e-12, 0.45e-12), 0.5 + 0j], 1),
+        # |f'| past the double range at 2, |f''| within it
+        ("(1+i)*4" + "0" * 307 + "*z^2", [1 + 0j, 2 + 0j], 2),
+        # |f'''| past it on every lane, a critical one included
+        ("z^2+(1+i)*25" + "0" * 306 + "*z^3", [0j, 0.1 + 0j], 2),
+        # at 0: |S| past it with finite parts; S = -inf + nan i, which counts
+        # as inf; S = nan + nan i, which counts for nothing
+        ("0.00000000001*z+52" + "0" * 141 + "*(1+0.41421356*i)*z^2", [0j, 0.1 + 0j], 1),
+        ("0.00000000001*z+5" + "0" * 143 + "*z^2", [0j, 0.1 + 0j], 0),
+        ("0.00000000001*z+5" + "0" * 143 + "*(1+i)*z^2", [0j, 0.1 + 0j], 0),
+        # a pole on one lane
+        ("1/(z-0.5)", [0j, 0.5 + 0j], 1),
+    ],
+)
+def test_fused_floor_sweep_on_each_rule(text, points, redone):
+    f = parse(text)
+    got, ran = _floor_outcomes(f, 1, points)
+    assert got == _floor_reference(f, 1, points)
+    assert ran == redone
 
 
 def test_n_times_z_makes_no_product_with_the_derivatives_of_n():

@@ -4,8 +4,8 @@ Recorded before the scan statistic and the per-n maximum moved into the
 generated lane function, so they hold that code to the bytes the walk and
 the Python statistic printed: a pole, ``Overflow`` from an ``exp`` window
 past the guard, a ``CriticalPoint`` at the origin, and a Schwarzian whose
-modulus is past the double range (its neighbours' statistic is nan, so
-they keep no maximum).  The ``hypotheses`` goldens cover each rule of its
+modulus is past the double range (its neighbours' statistic is nan,
+which flags them ``Overflow`` too).  The ``hypotheses`` goldens cover each rule of its
 floor sweep: the families above and the ones below them, recorded before
 that sweep moved into the lane function too.  Each scan runs at one and at
 two workers, which must print the same bytes.
@@ -200,17 +200,17 @@ _GOLDEN = {
     ('scan-sd', 's-overflow', 'csv'): (
         0,
         're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
-        '-0.5,0,0.0,-1,nan,,inconclusive\n'
+        '-0.5,0,0.0,-1,nan,Overflow,inconclusive\n'
         '0,0,0.0,-1,nan,Overflow,inconclusive\n'
-        '0.5,0,0.0,-1,nan,,inconclusive\n',
+        '0.5,0,0.0,-1,nan,Overflow,inconclusive\n',
         '',
     ),
     ('scan-sd', 's-overflow', 'json'): (
         0,
         '[\n'
-        '  {\n    "re": -0.5,\n    "im": 0.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": "nan",\n    "flags": "",\n    "verdict": "inconclusive"\n  },\n'
+        '  {\n    "re": -0.5,\n    "im": 0.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  },\n'
         '  {\n    "re": 0.0,\n    "im": 0.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  },\n'
-        '  {\n    "re": 0.5,\n    "im": 0.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": "nan",\n    "flags": "",\n    "verdict": "inconclusive"\n  }\n'
+        '  {\n    "re": 0.5,\n    "im": 0.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  }\n'
         ']\n',
         '',
     ),
