@@ -1100,3 +1100,81 @@ def test_cached_parser_resolves_the_seed_and_the_scan_per_call(capsys, monkeypat
     monkeypatch.setattr(cli, "marty_scan", lambda *a, **k: seen.append(a) or marty_scan(*a, **k))
     run_cli(capsys, *argv)
     assert len(seen) == 1
+
+
+# ---------------------------------------------------------------------------
+# sample points past the double range, and segments that fail
+#
+# Literal bytes recorded before the lane function took points in place of
+# the variable's jets.  A grid point whose samples (the S' stencil's five
+# points per sample, for ``scan-sd``) are not all finite is refused with
+# exit 2 before any of its batches runs.  A ``bound`` segment flags n
+# (exit 3) when f_n(z0), f_n(z) or a sample fails, and is refused (exit 2)
+# at its first point past the double range once every point before it
+# evaluated cleanly.
+
+_E308 = "1" + "0" * 308  # 1e308
+_FINITE = "error: jet_var requires a finite point\n"
+_HYP = ["--epsilon=0.5", "--zeta=0.3+0.2i", "--L=10"]
+_EXTRA_OF = {"scan-marty": [], "scan-sd": [], "hypotheses": _HYP}
+
+_NONFINITE_GOLDENS = [
+    *(
+        ([cmd, "--family=n", "--grid=0,1,0,1,2,1", f"--radius={r}", "--n-max=3", *_EXTRA_OF[cmd]],
+         2, "", _FINITE)
+        for cmd in _EXTRA_OF for r in ("inf", "nan")
+    ),
+    *(
+        ([cmd, "--family=n", "--grid=1.7e308,1.75e308,0,1,2,1", "--radius=1e308", "--n-max=3",
+          "--samples=3", *_EXTRA_OF[cmd]], 2, "", _FINITE)
+        for cmd in _EXTRA_OF
+    ),
+    # one sample, the grid point itself, is finite; the S' stencil's
+    # z + radius/8 is not
+    (["scan-marty", "--family=z", "--grid=1.7e308,1.75e308,0,1,2,1", "--radius=1e308",
+      "--n-max=3", "--samples=1", "--format=csv"],
+     0, "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+        "1.6999999999999999e+308,0,0.0,-1,nan,,inconclusive\n"
+        "1.75e+308,0,0.0,-1,nan,,inconclusive\n", ""),
+    (["scan-sd", "--family=z", "--grid=1.7e308,1.75e308,0,1,2,1", "--radius=1e308",
+      "--n-max=3", "--samples=1", "--format=csv"], 2, "", _FINITE),
+    (["hypotheses", "--family=z", "--grid=1.7e308,1.75e308,0,1,2,1", "--radius=1e308",
+      "--n-max=3", "--samples=1", "--format=csv", *_HYP],
+     0, "epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,"
+        "sound,passed\n0.5,10.0,true,true,1.0,0.0,0.0,0.0,0.0,true,true\n", ""),
+    # f(z0) fails, for every n and for n = 1 only
+    (["bound", "--family=1/z", "--n-max=2", "--z0=0+0i", "--z=1+0i"],
+     3, "", "error: SegmentEvaluationError: segment evaluation failed for n in [1, 2]\n"),
+    (["bound", "--family=1/(z-n)", "--n-max=2", "--z0=1+0i", "--z=1.5+0i", "--format=csv"],
+     3, "", "error: SegmentEvaluationError: segment evaluation failed for n in [1]\n"),
+    # f(z) fails
+    (["bound", "--family=1/(z-1)", "--n-max=2", "--z0=0+0i", "--z=1+0i", "--segment-samples=7"],
+     3, "", "error: SegmentEvaluationError: segment evaluation failed for n in [1, 2]\n"),
+    (["bound", "--family=1/(z-2*n)", "--n-max=2", "--z0=3+0i", "--z=4+0i", "--format=csv"],
+     3, "", "error: SegmentEvaluationError: segment evaluation failed for n in [2]\n"),
+    # z - z0 overflows, so every sample is past the double range: refused
+    # once f(z0) and f(z) are clean, for n = 2 after n = 1 was flagged, and
+    # flagged when f(z0) fails for every n
+    (["bound", "--family=z", "--n-max=2", f"--z0=-{_E308}+0i", f"--z={_E308}+0i"], 2, "", _FINITE),
+    (["bound", f"--family=1/(z/n+{_E308})", "--n-max=2", f"--z0=-{_E308}+0i", f"--z={_E308}+0i"],
+     2, "", _FINITE),
+    (["bound", f"--family=1/(z+{_E308})", "--n-max=2", f"--z0=-{_E308}+0i", f"--z={_E308}+0i"],
+     3, "", "error: SegmentEvaluationError: segment evaluation failed for n in [1, 2]\n"),
+    # a pole in the middle of the segment, on a sample and between samples
+    (["bound", "--family=1/(z-0.5)", "--n-max=2", "--z0=0+0i", "--z=1+0i",
+      "--segment-samples=3"],
+     3, "", "error: SegmentEvaluationError: segment evaluation failed for n in [1, 2]\n"),
+    (["bound", "--family=1/(z-0.5)+z^2", "--n-max=2", "--z0=0+0i", "--z=1+0i",
+      "--segment-samples=4", "--format=csv"],
+     0, "n,K_estimate,bound_rhs,observed,passed,value_at_z0\n"
+        "1,35.33333333333333,35.33333333333333,5.0,true,-2+0i\n"
+        "2,35.33333333333333,35.33333333333333,5.0,true,-2+0i\n", ""),
+]
+
+
+@pytest.mark.filterwarnings("ignore:neighborhood_radius spans")
+@pytest.mark.parametrize(
+    "argv,code,out,err", _NONFINITE_GOLDENS, ids=[str(k) for k in range(len(_NONFINITE_GOLDENS))]
+)
+def test_nonfinite_points_and_failing_segments_golden_bytes(capsys, argv, code, out, err):
+    assert run_cli(capsys, *argv) == (code, out, err)
