@@ -46,7 +46,6 @@ from .probe import (
     PointStats,
     SegmentEvaluationError,
     Verdict,
-    cauchy_derivative_bound,
     check_theorem_hypotheses,
     classify,
     derivative_floor_check,
@@ -142,7 +141,6 @@ __all__ = [
     "local_bound_estimate",
     "derivative_floor_check",
     "value_bound_check",
-    "cauchy_derivative_bound",
     "sd_bound_from_hypotheses",
     "check_theorem_hypotheses",
 ]

@@ -1,17 +1,17 @@
 """Python source generated once per family: the lane function behind ``dsl``.
 
-The lane function evaluates a batch of lanes of one family in one loop of
-straight-line code, as sympy's ``lambdify`` compiles an expression, and
-:func:`family` keeps it per process and :class:`Statistic`.
-``dsl.eval_jet_lanes`` runs it on every batch, a family's first included;
-``dsl`` walks the tree for the single-point calls (one point, another
-seed, bounded jets) and for every lane the lane function hands back.
-A grid command's lane function returns its statistic, not jets: it runs
-the statistic's formulas inline on each lane's jet and keeps only the
-batch's largest statistic, or the largest of each of its slots, and the
-flags of its failed samples.  The scans keep one slot; the ``hypotheses``
-floor sweep keeps four: -|f'|, |f''|, |f'''| and |S|.  Only the ``bound``
-check gets the jets.
+The lane function evaluates f_n at a batch of finite points of one
+family, one lane per point, in one loop of straight-line code, as sympy's
+``lambdify`` compiles an expression, and :func:`family` keeps it per
+process and :class:`Statistic`.  ``dsl.eval_jet_lanes`` runs it on every
+batch, a family's first included; ``dsl`` walks the tree for the
+single-point calls (one point, another seed, bounded jets) and for every
+lane the lane function hands back.  A program command's lane function
+returns its statistic, not jets: it runs the statistic's formulas inline
+on each lane's jet and keeps only the batch's largest statistic, or the
+largest of each of its slots, and the flags of its failed samples.  The
+scans and ``bound`` (max |f'|) keep one slot; the ``hypotheses`` floor
+sweep keeps four: -|f'|, |f''|, |f'''| and |S|.
 
 It runs the jet formulas of ``jets`` on symbolic values
 (``_Sym``) to write straight-line source.  A symbolic value knows, per
@@ -37,6 +37,7 @@ from .dsl import (
     Add,
     ConstNum,
     Div,
+    EvalError,
     Exp,
     FamilyExpr,
     ImagUnit,
@@ -69,6 +70,7 @@ from .jets import (
     jet_pow_int,
     modulus,
 )
+from .schwarzian import CRITICAL_POINT_FLOOR, _critical
 
 # generated families kept per process: a scan evaluates one family, an
 # identity check two, and each kept family holds its compiled code
@@ -206,6 +208,15 @@ class _LiteralFails(Exception):
 
 def _inverse(w: complex) -> complex:
     return 1.0 / w
+
+
+def _not_finite(names: list) -> str:
+    # a condition that holds where some part is not finite; a sum of finite
+    # parts can overflow, so each part is tested only once the sum fails
+    if len(names) == 1:
+        return f"not isfinite({names[0]})"
+    each = " and ".join(f"isfinite({x})" for x in names)
+    return f"not isfinite({' + '.join(names)}) and not ({each})"
 
 
 def _below_floor(w: complex) -> bool:
@@ -386,7 +397,7 @@ class _Lanes:
             # x^0 is one, but a failed base still fails: check what is dropped
             parts = self.unchecked(u)
             if parts:
-                self.check(True, f"not isfinite({' + '.join(map(self.text, parts))})")
+                self.check(True, _not_finite([self.text(x) for x in parts]))
             return jet_const(1.0)
         if abs(k) > _INLINE_POWER:
             return self.power_call(u, k)
@@ -412,6 +423,13 @@ class _Lanes:
         return out
 
 
+# a lane whose f' may be critical (``schwarzian._critical``) is redone, and
+# the walk decides: the test of its two parts, formatted with the parts' names
+_CRITICAL_GUARD = " and ".join(
+    f"abs({{1}}.{part}) <= {CRITICAL_POINT_FLOOR!r}" for part in ("real", "imag")
+)
+
+
 class Statistic(NamedTuple):
     """A statistic that a lane function returns in place of jets.
 
@@ -420,13 +438,12 @@ class Statistic(NamedTuple):
     ``sample`` that of a sample's statistic from its lanes' values and
     ``step``; without ``sample`` a lane's value is its sample's statistic.
     Both are written once, on plain operands, as the ``jets`` formulas are:
-    the lane function runs them inline.  ``walked`` is the value of a lane
-    the walk redid, from its jet or EvalError: ``lane``'s formula, or the
-    lane's flag.  ``guard`` formats, with the parts' names, a condition
-    under which ``lane`` may fail; the lane is then redone.  An
-    OverflowError in ``sample``, a modulus past the double range, flags
-    the sample "Overflow", and so does a nan from ``sample``, which some
-    intermediate past the double range made.
+    the lane function runs them inline.  With ``critical``, a lane whose f'
+    is critical takes ``critical(jet)`` in place of ``lane``'s formula, and
+    a lane whose f' may be is redone.  An OverflowError in ``sample``, a
+    modulus past the double range, flags the sample "Overflow", and so does
+    a nan from ``sample``, which some intermediate past the double range
+    made.
 
     Without ``sample``, a lane's value may be a tuple, one value per slot
     of ``start``, and the lane function keeps the largest of each slot,
@@ -435,11 +452,23 @@ class Statistic(NamedTuple):
 
     width: int
     lane: Callable
-    walked: Callable
-    guard: str = ""
+    critical: Callable | None = None
     sample: Callable | None = None
     step: float = 0.0
     start: tuple = (-1.0,)
+
+    def walked(self, j):
+        """The value of a lane the walk redid, from its jet or EvalError,
+        or the lane's flag: "Pole" or "Overflow" for an EvalError, and
+        "Overflow" for a modulus past the double range."""
+        if isinstance(j, EvalError):
+            return "Overflow" if isinstance(j.__cause__, OverflowAtPoint) else "Pole"
+        try:
+            if self.critical is not None and _critical(j[1]):
+                return self.critical(j)
+            return self.lane(j)
+        except OverflowError:
+            return "Overflow"
 
 
 def _binary(form: str) -> tuple:
@@ -498,34 +527,36 @@ def _lanes_function(root: Node, stat: Statistic | None = None):
 def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     """The lane function's source and namespace.
 
-    ``fn(N, Z, redo)`` evaluates f_n at each seed of ``Z`` with the
-    variable's jet (``jets.jet_var``), N being complex(n), or None for an
-    n that is not real; any other seed, and any lane whose evaluation
-    fails, gets ``redo(seed)`` in place of its outcome.  Without a
-    statistic it returns the lanes' jets.  With one, ``redo`` gives a
+    ``fn(N, Z, redo)`` evaluates f_n at each point of ``Z``, an iterable
+    of finite complex points that it reads once, N being complex(n), or
+    None for an n that is not real; a lane whose evaluation fails gets
+    ``redo(point)`` in place of its outcome.  Without a statistic it
+    returns the lanes' jets.  With one, ``redo`` gives a
     lane's value or flag, and it returns ``(best, flags)``: the largest
     statistic over the samples, -1.0 if none has one, and the flags of the
     failed samples; with several slots, the largest of each slot, then the
-    flags.  Every lane is redone when a loop-invariant part fails,
-    or n, where the family uses it, is 0 or not real.  A lane is redone when a node of it leaves the
-    finite range: such a value reaches the output, where the parts not
+    flags.  Every lane is redone, before the loop, which then has none,
+    when a loop-invariant part fails or n, where the family uses it, is 0
+    or not real.  A lane is redone when a node of it leaves the finite
+    range: such a value reaches the output, where the parts not
     known finite are checked, or the check before an opaque function
     (exp, log, 1/x), the only places where a non-finite value can turn
-    finite again; ``x^0`` checks its base.  The statistic's guard, and an
-    exception in its formula, redo a lane too.  So a redone lane is not
-    always a failed one, but every failed lane is redone.
+    finite again; ``x^0`` checks its base.  A statistic's critical guard,
+    and an exception in its formula, redo a lane too.  So a redone lane is not
+    always a failed one, but every failed lane is redone.  A sum of parts
+    is checked as a whole, and each part only where the sum is not finite.
     """
     # each lane's outcome is kept (jets, or the lane values a sample
     # formula combines), or only the largest of each slot
     by_lane = stat is None or stat.sample is not None
     if by_lane:
-        redo = ["append(redo(s))"]
+        redo = ["append(redo(zv))"]
         acc = ["out = []", "append = out.append"]
     else:
         best = ["best", *(f"best{k}" for k in range(1, len(stat.start)))]
         got = ["got"] if len(best) == 1 else [f"g{k}" for k in range(len(best))]
         fold = _fold(best, got)
-        redo = ["got = redo(s)", "if type(got) is str:", "    add(got)"]
+        redo = ["got = redo(zv)", "if type(got) is str:", "    add(got)"]
         if len(best) == 1:
             redo += ["el" + fold[0], fold[1]]
         else:
@@ -538,40 +569,35 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     except _LiteralFails:  # every lane is redone
         out = None
     if out is None:
-        setup, loop = [], ["for s in Z:", *_indent(redo)]
+        setup, loop = [], ["for zv in Z:", *_indent(redo)]
     else:
         parts = list(map(t.text, out))
-        unchecked = " + ".join(x.name for x in t.unchecked(out))
-        invariant = " + ".join(x.name for x in t.invariants if not x.finite())
+        unchecked = [x.name for x in t.unchecked(out)]
+        invariant = [x.name for x in t.invariants if not x.finite()]
         if invariant:
-            t.check(False, f"not isfinite({invariant})")
+            t.check(False, _not_finite(invariant))
         checks = []
         if unchecked:
-            checks += [f"if not isfinite({unchecked}):", *_indent(t.redo)]
+            checks += [f"if {_not_finite(unchecked)}:", *_indent(t.redo)]
         if stat is None:
             keep = [f"append(as_jet(({', '.join(parts)})))"]
         else:
-            if stat.guard:
-                checks += [f"if {stat.guard.format(*parts)}:", *_indent(t.redo)]
+            if stat.critical is not None:
+                checks += [f"if {_CRITICAL_GUARD.format(*parts)}:", *_indent(t.redo)]
             value = stat.lane(tuple(_Tail(checks, p) for p in parts))
             if by_lane:
                 keep = [f"append({value.name})"]
             else:
                 keep = _fold(best, [x.name for x in (value if type(value) is tuple else (value,))])
-        # a lane whose seed is not the variable's, and every lane before the
-        # prelude has passed, is redone: var_d1 is None until then
-        if t.n_used:
-            setup = [
-                "var_d1 = None", "try:", "    if N is None or not N.real:",
-                "        raise JetError('n is 0 or not real')", *_indent(t.prelude),
-                "except (OverflowError, JetError):", "    pass", "else:", "    var_d1 = VAR_D1",
-            ]
-        else:
-            setup = ["var_d1 = VAR_D1"]
+        # where the prelude fails, every lane is redone in order, and the
+        # loop gets none
+        setup = [
+            "try:", "    if N is None or not N.real:", "        raise JetError('n is 0 or not real')",
+            *_indent(t.prelude), "except (OverflowError, JetError):", "    for zv in Z:",
+            *_indent(redo, 2), "    Z = ()",
+        ] if t.n_used else []
         loop = [
-            "for s in Z:", "    zv, z1, z2, z3 = s",
-            "    if z1 is not var_d1 or z2 is not ZERO or z3 is not ZERO:", *_indent(t.redo, 2),
-            "    try:", *_indent(t.body + checks or ["pass"], 2),
+            "for zv in Z:", "    try:", *_indent(t.body + checks or ["pass"], 2),
             "    except (OverflowError, JetError):", *_indent(t.redo, 2),
             *_indent(keep),
         ]
@@ -597,13 +623,12 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
         ]
     src = [
         "def lanes(N, Z, redo, *, " + "".join(f"{k}={k}, " for k in t.consts)
-        + "isfinite=isfinite, exp=exp, log=log, as_jet=as_jet, pow_int=pow_int,"
-        + " VAR_D1=VAR_D1, ZERO=ZERO):",
-        *_indent(setup + acc + loop + end),
+        + "isfinite=isfinite, exp=exp, log=log, as_jet=as_jet, pow_int=pow_int):",
+        *_indent(acc + setup + loop + end),
     ]
     namespace = dict(
         t.consts, isfinite=cmath.isfinite, exp=cmath.exp, log=cmath.log, as_jet=_as_jet,
-        pow_int=jet_pow_int, VAR_D1=VAR_D1, ZERO=ZERO, JetError=JetError, inf=math.inf,
+        pow_int=jet_pow_int, JetError=JetError, inf=math.inf,
     )
     return "\n".join(src) + "\n", namespace
 

@@ -29,28 +29,27 @@ Evaluation takes one of two paths, chosen by the call, which give the
 same bits:
 
 - :func:`eval_jet_lanes` evaluates a batch of lanes, each one evaluation
-  of f_n at a point (the variable seeded with ``jets.jet_var``), by the
-  lane function that ``codegen`` generates once per family, statistic and
-  process, as sympy's ``lambdify`` does, from the family's first batch
-  on.  A grid command's lane function returns its statistic, the batch's
-  maximum (of each slot, for the ``hypotheses`` floor sweep) and the
-  flags of its failed samples, in place of the jets, which only the
-  ``bound`` check gets.  It is
-  one loop of straight-line code that runs the jet formulas of ``jets``
-  on symbolic values, so each node's operation is inlined in postorder,
-  and it folds what is exactly known before run time: n, literals and i
-  have zero derivatives, z's first derivative is one, so most of a
-  product's terms vanish, and the parts that depend on n alone are
-  computed once per batch.  Every fold is exact in IEEE arithmetic,
-  signed zeros included.  Finiteness is checked only where a value that
-  left the finite range could turn finite again (before 1/x, log and
-  exp, and x^0) and at the output.
+  of f_n at a finite point, by the lane function that ``codegen``
+  generates once per family, statistic and process, as sympy's
+  ``lambdify`` does, from the family's first batch on.  Every program
+  command's lane function returns its statistic, the batch's maximum (of
+  each slot, for the ``hypotheses`` floor sweep) and the flags of its
+  failed samples, in place of the jets; no program path reads jets from
+  a batch.  It is one loop of straight-line code that runs the jet
+  formulas of ``jets`` on symbolic values, so each node's operation is
+  inlined in postorder, and it folds what is exactly known before run
+  time: n, literals and i have zero derivatives, z's first derivative is
+  one, so most of a product's terms vanish, and the parts that depend on
+  n alone are computed once per batch.  Every fold is exact in IEEE
+  arithmetic, signed zeros included.  Finiteness is checked only where a
+  value that left the finite range could turn finite again (before 1/x,
+  log and exp, and x^0) and at the output.
 - The single-point calls, :func:`eval_jet`, :func:`eval_jet_seeded` and
   :func:`eval_jet_bounded`, walk the tree, one ``jet_*`` operation per
   node, or with bounded jets the ``bounded_*`` twins, so a one-off
-  evaluation compiles nothing.  The walk also redoes every lane the lane
-  function hands back: a seed other than the variable's (composition),
-  and any lane that failed, or might have.
+  evaluation compiles nothing.  The walk also redoes, from
+  ``jets.jet_var`` at its point, every lane the lane function hands back:
+  any lane that failed, or might have.
 
 :func:`eval_jet_lanes` returns one entry per lane, its jet or the
 :class:`EvalError` of its first failure; the single-point calls raise
@@ -614,15 +613,17 @@ def _walked(root: Node, ops: dict, leaves: dict, point):
         return err.with_traceback(None)
 
 
-def eval_jet_lanes(expr: FamilyExpr, n: float, seeds, stat=None):
-    """Evaluate f_n once per lane, by the family's generated lane function.
+def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat=None):
+    """Evaluate f_n at each of ``points``, by the family's generated lane function.
 
-    Lane k has the variable leaf seeded by ``seeds[k]``, a jet, as in
-    :func:`eval_jet_seeded`; the seed's value labels the lane's errors.
-    Returns one entry per lane: its :class:`ComplexJet3`, or the
-    :class:`EvalError` of its first failure, which is the one the single
-    evaluation would raise.  Each lane's jet is bit-identical to the
-    single evaluation's.
+    ``points`` is an iterable of finite complex points, read once, so it
+    may be a generator: lane k evaluates f_n at the k-th, as
+    :func:`eval_jet` does, and a point that is not finite is the caller's
+    to refuse.  Without a ``stat`` it returns one entry per lane: its
+    :class:`ComplexJet3`, or the :class:`EvalError` of its first failure,
+    which is the one the single evaluation would raise.  Each lane's jet
+    is bit-identical to the single evaluation's.  No program path asks for
+    the jets; the tests compare them with the tree walk's.
 
     With a ``stat`` (a ``codegen.Statistic``) the lane function computes
     that statistic in place of the jets and returns ``(best, flags)``: the
@@ -634,13 +635,13 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, seeds, stat=None):
     """
     nj = jet_const(n)  # refuses an n that is not finite
 
-    def redo(seed):
-        leaves = {Var: _as_jet(seed), Param: nj, ImagUnit: _I}
-        j = _walked(expr.root, _JET_OPS, leaves, seed[0])
+    def redo(point):
+        seed = jet_var(point)
+        j = _walked(expr.root, _JET_OPS, {Var: seed, Param: nj, ImagUnit: _I}, seed.v)
         return j if stat is None else stat.walked(j)
 
     # the lane function takes n real, so that N's imaginary part is +0
-    return _family(expr, stat).lanes(nj.v if isinstance(n, (int, float)) else None, seeds, redo)
+    return _family(expr, stat).lanes(nj.v if isinstance(n, (int, float)) else None, points, redo)
 
 
 def _at_point(expr: FamilyExpr, ops: dict, leaves: dict, point):

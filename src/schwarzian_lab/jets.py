@@ -104,8 +104,7 @@ _OVERFLOW = "jet component overflowed the finite range"
 # a jet is built as a plain 4-tuple; _as_jet names it
 _as_jet = partial(tuple.__new__, ComplexJet3)
 
-# d1..d3 of every jet_var: a jet whose derivatives are these very objects
-# is the identity map's, which the evaluator in dsl specializes for
+# the identity map's first derivative, and every other zero derivative
 VAR_D1 = 1.0 + 0.0j
 ZERO = 0.0j
 
@@ -234,30 +233,30 @@ def jet_mul(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
     return _checked(_product(a, b))
 
 
-def _reciprocal_jet(b: ComplexJet3, floor: float) -> ComplexJet3:
+def _reciprocal_jet(b: ComplexJet3) -> ComplexJet3:
     bv = b[0]
-    if modulus(bv) <= floor:
+    if modulus(bv) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
     return _checked(_chain(b, _reciprocal(1.0 / bv)))
 
 
-def jet_div(a: ComplexJet3, b: ComplexJet3, floor: float = DIVISION_FLOOR) -> ComplexJet3:
+def jet_div(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
     """Quotient a/b, computed as a times the reciprocal jet of b."""
-    return jet_mul(a, _reciprocal_jet(b, floor))
+    return jet_mul(a, _reciprocal_jet(b))
 
 
-def jet_exp(u: ComplexJet3, guard: float = EXP_REAL_GUARD) -> ComplexJet3:
+def jet_exp(u: ComplexJet3) -> ComplexJet3:
     """Exponential of a jet; guards |Re u| to stay inside finite doubles."""
     uv = u[0]
-    if abs(uv.real) > guard:
+    if abs(uv.real) > EXP_REAL_GUARD:
         raise OverflowAtPoint("exp argument outside the overflow guard", uv)
     return _checked(_chain(u, _exponential(cmath.exp(uv))))
 
 
-def jet_log(u: ComplexJet3, floor: float = DIVISION_FLOOR) -> ComplexJet3:
+def jet_log(u: ComplexJet3) -> ComplexJet3:
     """Principal-branch logarithm of a jet."""
     uv = u[0]
-    if modulus(uv) <= floor:
+    if modulus(uv) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("log of (near-)zero value", uv)
     return _checked(_chain(u, _logarithm(cmath.log(uv), 1.0 / uv)))
 
@@ -283,10 +282,7 @@ def jet_pow_int(
     return acc
 
 
-def jet_mobius(
-    u: ComplexJet3, a: complex, b: complex, c: complex, d: complex,
-    floor: float = DIVISION_FLOOR,
-) -> ComplexJet3:
+def jet_mobius(u: ComplexJet3, a: complex, b: complex, c: complex, d: complex) -> ComplexJet3:
     """Jet of (a w + b)/(c w + d) applied after u, for ad - bc = 1.
 
     The chain rule takes the map's closed-form derivatives at w = u.v:
@@ -303,7 +299,7 @@ def jet_mobius(
     """
     w = u[0]
     den = c * w + d
-    if modulus(den) <= floor:
+    if modulus(den) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("Moebius map evaluated at its pole", den)
     r = 1.0 / den
     _, u1, u2, u3 = u

@@ -15,13 +15,16 @@ candidate.  Evaluation failures never poison a scan; they become flags
 ("Pole", "Overflow", "CriticalPoint") on the affected grid point and the
 failing samples are excluded from the statistics.
 
-Each (point, n) is one batch evaluation of the point's samples.  The
-family's generated lane function computes the statistic itself, from the
-``codegen.Statistic`` below, and returns only the largest over the samples
-and the set of flags; a lane it redoes gets its statistic from the same
-formula.  For a scan that is f# or the stencil's.  For the ``hypotheses``
-floor sweep it is -|f'|, |f''|, |f'''| and |S|, the largest of each kept
-apart, so that min |f'| is an exact negation.  Only ``bound`` reads jets.
+Each (point, n) is one batch evaluation of the point's sample points,
+which must all be finite, and each n of ``bound`` one batch of its
+segment's points, streamed.  The family's generated lane function
+computes the statistic itself, from the ``codegen.Statistic`` below, and
+returns only the largest over the samples and the set of flags; a lane it
+redoes gets its statistic from the same formula.  For a scan that is f#
+or the stencil's, and for ``bound`` |f'|.  For the ``hypotheses`` floor
+sweep it is -|f'|, |f''|, |f'''| and |S|, the largest of each kept apart,
+so that min |f'| is an exact negation.  No command reads jets from a
+batch.
 
 The verdicts are heuristics about candidates, not proofs.
 """
@@ -39,16 +42,8 @@ from enum import Enum
 
 from .codegen import Statistic
 from .dsl import EvalError, FamilyExpr, eval_jet, eval_jet_lanes
-from .jets import OverflowAtPoint, jet_var, modulus
-from .schwarzian import (
-    CRITICAL_POINT_FLOOR,
-    CriticalPointError,
-    _critical,
-    _schwarzian,
-    _spherical,
-    schwarzian,
-    spherical_derivative,
-)
+from .jets import OverflowAtPoint, modulus
+from .schwarzian import _schwarzian, _spherical
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -63,7 +58,6 @@ __all__ = [
     "MAX_SAMPLES",
     "MAX_SEGMENT_SAMPLES",
     "MAX_WORKERS",
-    "LANE_BLOCK",
     "GridSpec",
     "PointStats",
     "MartyGridReport",
@@ -79,7 +73,6 @@ __all__ = [
     "local_bound_estimate",
     "derivative_floor_check",
     "value_bound_check",
-    "cauchy_derivative_bound",
     "sd_bound_from_hypotheses",
     "check_theorem_hypotheses",
 ]
@@ -100,10 +93,6 @@ MAX_N_VALUES = 1024  # length of the n sweep
 MAX_SAMPLES = 128  # neighborhood samples per grid point
 MAX_SEGMENT_SAMPLES = 100_000  # samples along a bound-check segment
 MAX_WORKERS = 64  # scan processes
-
-# segment points evaluated in one batch, so that the memory of a bound
-# check does not grow with its segment
-LANE_BLOCK = 1024
 
 # statistics at or below this are treated as numerically zero when
 # fitting growth slopes; fitting the log of roundoff noise is meaningless
@@ -243,39 +232,6 @@ def _neighborhood(
     return pts
 
 
-def _flag_for(exc: EvalError) -> str:
-    return "Overflow" if isinstance(exc.__cause__, OverflowAtPoint) else "Pole"
-
-
-def _seed_sample(w: complex, h: float) -> tuple:
-    return (jet_var(w),)
-
-
-def _seed_stencil(w: complex, h: float) -> tuple:
-    # the five points of the S' stencil, a real step h apart
-    return tuple(jet_var(p) for p in (w, w + h, w - h, w + 2.0 * h, w - 2.0 * h))
-
-
-def _marty_walked(j) -> float | str:
-    # f# of a lane the walk redid, or its flag
-    if isinstance(j, EvalError):
-        return _flag_for(j)
-    try:
-        return spherical_derivative(j)
-    except OverflowAtPoint:  # |f| or |f'| past the double range
-        return "Overflow"
-
-
-def _sd_walked(j) -> complex | str:
-    # S of a lane the walk redid, or its flag
-    if isinstance(j, EvalError):
-        return _flag_for(j)
-    try:
-        return schwarzian(j)
-    except CriticalPointError:
-        return "CriticalPoint"
-
-
 def _stencil(s0, sp1, sm1, sp2, sm2, h: float) -> float:
     # spherical derivative of z -> S_{f_n}(z); S' comes from a five-point
     # stencil with a real step, which equals the complex derivative for
@@ -284,16 +240,15 @@ def _stencil(s0, sp1, sm1, sp2, sm2, h: float) -> float:
     return _spherical((s0, ds))
 
 
-_MARTY = Statistic(1, _spherical, _marty_walked)
-# a lane whose |f'| may be at or below the critical-point floor is redone,
-# and schwarzian decides
-_CRITICAL_GUARD = " and ".join(
-    f"abs({{1}}.{part}) <= {CRITICAL_POINT_FLOOR!r}" for part in ("real", "imag")
-)
+def _critical_point(j) -> str:
+    return "CriticalPoint"
+
+
+_MARTY = Statistic(1, _spherical)
 
 
 def _sd(h: float) -> Statistic:
-    return Statistic(5, _schwarzian, _sd_walked, _CRITICAL_GUARD, _stencil, h)
+    return Statistic(5, _schwarzian, _critical_point, _stencil, h)
 
 
 def _stencil_step(grid: GridSpec) -> float:
@@ -301,63 +256,61 @@ def _stencil_step(grid: GridSpec) -> float:
     return grid.neighborhood_radius / 8.0
 
 
-def _floor(j, critical: bool = False) -> tuple:
+def _floor(j) -> tuple:
     # a lane's -|f'|, |f''|, |f'''| and |S|, of which the floor sweep keeps
     # the largest over the batch: the largest -|f'| is min |f'| negated,
-    # exactly.  A critical lane has no S and counts toward min |f'| alone:
-    # -1.0 never wins the other slots
+    # exactly
     low, m2, m3 = -abs(j[1]), abs(j[2]), abs(j[3])
-    if critical:
-        return low, -1.0, -1.0, -1.0
     return low, m2, m3, abs(_schwarzian(j))
 
 
-def _floor_walked(j) -> tuple | str:
-    # _floor of a lane the walk redid, or its flag
-    if isinstance(j, EvalError):
-        return _flag_for(j)
-    try:
-        return _floor(j, _critical(j.d1))
-    except OverflowError:  # a modulus past the double range
-        return "Overflow"
+def _floor_critical(j) -> tuple:
+    # a critical lane has no S and counts toward min |f'| alone: -1.0 never
+    # wins the other slots.  Its |f''| and |f'''| are still taken, so that
+    # one past the double range flags the lane "Overflow", as on any other
+    low, _, _ = -abs(j[1]), abs(j[2]), abs(j[3])
+    return low, -1.0, -1.0, -1.0
 
 
-# a lane that may be critical is redone, as for sd, and the walk decides
-_FLOOR = Statistic(1, _floor, _floor_walked, _CRITICAL_GUARD, start=(-math.inf, -1.0, -1.0, -1.0))
+_FLOOR = Statistic(1, _floor, _floor_critical, start=(-math.inf, -1.0, -1.0, -1.0))
 
-# each grid command's sample lanes and statistic: ``seed_jets`` builds one
-# sample's lanes, its variable jets, once per grid point, and ``stat`` is
-# the statistic of the stencil step h
-_STATS = {
-    "marty": (_seed_sample, lambda h: _MARTY),
-    "sd": (_seed_stencil, _sd),
-    "floor": (_seed_sample, lambda h: _FLOOR),
-}
+
+def _slope(j) -> float:
+    # |f'|, whose largest over a segment is bound's K, from 0.0
+    return abs(j[1])
+
+
+_BOUND = Statistic(1, _slope, start=(0.0,))
 
 
 def _sweep(kind: str, expr: FamilyExpr, grid: GridSpec, n_values, offset: float, indices):
     """Sample the grid points ``indices`` in order; every grid command's loop.
 
     Yields (z, rows) per point, with one batch evaluation per (point, n)
-    of all the point's lanes.  For the statistic ``kind`` names, rows[k] is
-    what the batch at n_values[k] keeps: the largest statistic over the
-    neighborhood samples, -1.0 if none has one (for "floor", the largest
-    of each of its four slots), then the flags ("Pole", "Overflow",
-    "CriticalPoint") of the samples that failed.  Each sample's variable
-    jets are built once.
+    of all the point's sample points.  For the statistic ``kind`` names,
+    rows[k] is what the batch at n_values[k] keeps: the largest statistic
+    over the neighborhood samples, -1.0 if none has one (for "floor", the
+    largest of each of its four slots), then the flags ("Pole",
+    "Overflow", "CriticalPoint") of the samples that failed.  Each point's
+    sample points, five per sample for "sd", are built once; a point whose
+    sample points are not all finite raises ValueError before any of its
+    batches runs.
     """
-    seed_jets, stat_of = _STATS[kind]
     xs = grid.x_coords()
     ys = grid.y_coords()
     radius = grid.neighborhood_radius
     h = _stencil_step(grid)
-    stat = stat_of(h)
+    stat = _sd(h) if kind == "sd" else {"marty": _MARTY, "floor": _FLOOR}[kind]
     for index in indices:
         z = complex(xs[index % grid.nx], ys[index // grid.nx])
-        samples = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
-        lanes = [j for w in samples for j in seed_jets(w, h)]
+        points = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
+        if kind == "sd":
+            # the five points of the S' stencil, a real step h apart
+            points = [p for w in points for p in (w, w + h, w - h, w + 2.0 * h, w - 2.0 * h)]
+        if not all(map(cmath.isfinite, points)):
+            raise ValueError("jet_var requires a finite point")
         # by the module-level name, which bench/tracer.py rebinds to count calls
-        rows = [eval_jet_lanes(expr, n, lanes, stat) for n in n_values]
+        rows = [eval_jet_lanes(expr, n, points, stat) for n in n_values]
         yield z, rows
 
 
@@ -535,26 +488,6 @@ class LocalBoundReport:
     value_at_z0: complex
 
 
-def _segment_jets(f: FamilyExpr, n: int, z0: complex, z: complex, samples: int):
-    """Yield the jets of f_n at z0, at z, then at the segment's samples.
-
-    The points are evaluated LANE_BLOCK at a time, so memory does not grow
-    with the segment.  Raises the first failed lane's EvalError, and
-    ValueError at a non-finite point (a segment past the double range)
-    once every point before it evaluated cleanly.
-    """
-    steps = (k / (samples - 1) for k in range(samples))
-    points = itertools.chain((z0, z), (z0 + t * (z - z0) for t in steps))
-    while block := list(itertools.islice(points, LANE_BLOCK)):
-        finite = list(itertools.takewhile(cmath.isfinite, block))
-        for j in eval_jet_lanes(f, n, [jet_var(p) for p in finite]):
-            if isinstance(j, EvalError):
-                raise j
-            yield j
-        if len(finite) < len(block):
-            raise ValueError("jet_var requires a finite point")
-
-
 def local_bound_estimate(
     f: FamilyExpr,
     n_values,
@@ -575,24 +508,30 @@ def local_bound_estimate(
     z0 = complex(z0)
     z = complex(z)
     length = modulus(z - z0)
+    last = segment_samples - 1
     reports = []
     flagged = []
     for n in ns:
+        # the segment's points, streamed into one batch up to the first one
+        # past the double range, which takewhile leaves in ``past``
+        points = (z0 + (k / last) * (z - z0) for k in range(segment_samples))
+        past: list = []
+        finite = itertools.takewhile(lambda p: cmath.isfinite(p) or past.append(p), points)
         try:
-            jets = _segment_jets(f, n, z0, z, segment_samples)
-            j0, j1 = next(jets), next(jets)
-            k_est = 0.0
-            for jt in jets:
-                mag = modulus(jt.d1)
-                if mag > k_est:
-                    k_est = mag
-            observed = modulus(j1.v - j0.v)
+            v0, v1 = eval_jet(f, n, z0).v, eval_jet(f, n, z).v
+            k_est, failed = eval_jet_lanes(f, n, finite, _BOUND)
+            if not failed:
+                if past:  # once every point before it evaluated cleanly
+                    raise ValueError("jet_var requires a finite point")
+                observed = modulus(v1 - v0)
         except (EvalError, OverflowAtPoint):
+            failed = True
+        if failed:
             flagged.append(n)
             continue
         rhs = k_est * length
         passed = observed <= rhs * (1.0 + 1e-9) + 1e-12
-        reports.append(LocalBoundReport(n, k_est, rhs, observed, passed, j0.v))
+        reports.append(LocalBoundReport(n, k_est, rhs, observed, passed, v0))
     if flagged:
         raise SegmentEvaluationError(flagged)
     return reports
@@ -667,15 +606,6 @@ def value_bound_check(f: FamilyExpr, n_values, zeta: complex, L: float) -> bool:
     ns = _validate_n_values(n_values)
     zeta = complex(zeta)
     return max(modulus(eval_jet(f, n, zeta).v) for n in ns) <= L
-
-
-def cauchy_derivative_bound(M: float, r: float, k: int) -> float:
-    """Cauchy estimate M k! / r^k for the k-th derivative, k in 1..3."""
-    if k not in (1, 2, 3):
-        raise ValueError("k must be 1, 2 or 3")
-    if M < 0.0 or r <= 0.0:
-        raise ValueError("need M >= 0 and r > 0")
-    return M * math.factorial(k) / r**k
 
 
 def sd_bound_from_hypotheses(M2: float, M3: float, epsilon: float) -> float:

@@ -144,18 +144,21 @@ def spherical_derivative(j: ComplexJet3) -> float:
         raise
 
 
-def _critical(d1: complex, floor: float = CRITICAL_POINT_FLOOR) -> bool:
+def _critical(d1: complex) -> bool:
     # |f'| <= floor needs both parts within it, and testing them first keeps
-    # abs away from a modulus past the double range, where it raises
+    # abs away from a modulus past the double range, where it raises; the
+    # lane function's critical guard (codegen) tests the same two parts
+    floor = CRITICAL_POINT_FLOOR
     return abs(d1.real) <= floor and abs(d1.imag) <= floor and abs(d1) <= floor
 
 
-def schwarzian(j: ComplexJet3, floor: float = CRITICAL_POINT_FLOOR) -> complex:
+def schwarzian(j: ComplexJet3) -> complex:
     """Schwarzian derivative from an order-3 jet."""
     d1 = j.d1
-    if _critical(d1, floor):
+    if _critical(d1):
         raise CriticalPointError(
-            f"Schwarzian undefined: |f'| = {abs(d1):.3e} at or below floor {floor:.3e}"
+            f"Schwarzian undefined: |f'| = {abs(d1):.3e} at or below floor "
+            f"{CRITICAL_POINT_FLOOR:.3e}"
         )
     return _schwarzian(j)
 
@@ -416,7 +419,6 @@ def check_reciprocal(
     z: complex,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-    guard: float = RECIPROCAL_GUARD,
 ) -> IdentityReport:
     """Compare S of 1/(f - w) against S of f at z, w the omitted value.
 
@@ -424,9 +426,9 @@ def check_reciprocal(
     omitted value is first shifted away, which changes no Schwarzian.
     """
     jf = eval_jet(f, n, z)
-    if modulus(jf.v - omitted) <= guard:
+    if modulus(jf.v - omitted) <= RECIPROCAL_GUARD:
         raise GuardViolation(
-            f"f(z) = {jf.v} is within {guard:.1e} of the omitted value {omitted}"
+            f"f(z) = {jf.v} is within {RECIPROCAL_GUARD:.1e} of the omitted value {omitted}"
         )
     shifted = jet_sub(jf, jet_const(omitted))
     lhs = schwarzian(jet_div(jet_const(1.0), shifted))
@@ -449,12 +451,11 @@ def check_conjugation(
     z: complex,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-    conj_tol: float = CONJUGACY_TOL,
 ) -> IdentityReport:
     """Check S_g(phi(z)) phi'(z)^2 = S_f(z) for phi-conjugate families.
 
     First verifies the semiconjugacy phi(f(z)) = g(phi(z)) pointwise to
-    ``conj_tol`` and raises :class:`ConjugacyViolated` when it fails, since
+    :data:`CONJUGACY_TOL` and raises :class:`ConjugacyViolated` when it fails, since
     the identity is meaningless for unrelated families.
     """
     jf = eval_jet(f, n, z)
@@ -464,8 +465,8 @@ def check_conjugation(
         raise PoleOfMobius(complex(z))
     jg = eval_jet(g, n, phi_of_z)
     gap = modulus(phi_of_fz - jg.v)
-    if gap > conj_tol:
-        raise ConjugacyViolated(gap, conj_tol)
+    if gap > CONJUGACY_TOL:
+        raise ConjugacyViolated(gap, CONJUGACY_TOL)
     jphi = mobius_jet(phi, z)
     s_g = schwarzian(jg)
     square = jphi.d1 * jphi.d1

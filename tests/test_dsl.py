@@ -61,7 +61,6 @@ from schwarzian_lab.jets import (
     jet_var,
     modulus,
 )
-from schwarzian_lab.probe import LANE_BLOCK
 from schwarzian_lab.schwarzian import CriticalPointError, schwarzian, spherical_derivative
 from support import (
     assert_fd_close,
@@ -407,13 +406,19 @@ def _outcome(j):
 def _random_seed(rng):
     # poles of the random families' shifted denominators, exp arguments
     # past the guard, and derivatives large enough to overflow
+    scales = [10.0 ** rng.uniform(-1, 200 if rng.random() < 0.2 else 1) for _ in range(3)]
+    return ComplexJet3(_random_lane_point(rng), *(random_point(rng, r) for r in scales))
+
+
+def _random_lane_point(rng):
+    # poles of the random families' shifted denominators, exp arguments
+    # past the guard, and points large enough to overflow
     roll = rng.random()
     if roll < 0.2:
-        v = complex(rng.choice((-4, -3, -2, 0)))
-    else:
-        v = random_point(rng, 400.0 if roll < 0.35 else 3.0)
-    scales = [10.0 ** rng.uniform(-1, 200 if rng.random() < 0.2 else 1) for _ in range(3)]
-    return ComplexJet3(v, *(random_point(rng, r) for r in scales))
+        return complex(rng.choice((-4, -3, -2, 0)))
+    if roll < 0.3:
+        return random_point(rng, 10.0 ** rng.uniform(100, 300))
+    return random_point(rng, 400.0 if roll < 0.45 else 3.0)
 
 
 def test_lanes_match_one_lane_calls_and_the_reference_walk():
@@ -422,21 +427,21 @@ def test_lanes_match_one_lane_calls_and_the_reference_walk():
     for _ in range(150):
         f = parse(pretty_print(random_family(rng, depth=3)))
         n = rng.randint(1, 6)
-        seeds = [_random_seed(rng) for _ in range(12)]
-        lanes = eval_jet_lanes(f, n, seeds)
-        assert len(lanes) == len(seeds)
+        points = [_random_lane_point(rng) for _ in range(12)]
+        lanes = eval_jet_lanes(f, n, iter(points))  # any iterable, read once
+        assert len(lanes) == len(points)
         nj = jet_const(n)
-        for lane, seed in zip(lanes, seeds):
+        for lane, w in zip(lanes, points):
             got = _outcome(lane)
-            assert got == _outcome(_raised(lambda: eval_jet_seeded(f, n, seed)))
-            assert got == _outcome(_raised(lambda: _reference(f.root, nj, seed, seed.v)))
+            assert got == _outcome(_raised(lambda: eval_jet(f, n, w)))
+            assert got == _outcome(_raised(lambda: _reference(f.root, nj, jet_var(w), w)))
             kinds.add(got[-1] if got[0] == "error" else "jet")
     assert kinds == {"jet", OverflowAtPoint, DivisionByZeroAtPoint}
 
 
 def test_lhs_overflow_beats_rhs_pole():
     f = parse("exp(z*1000) + 1/(z-z)")
-    over, pole = eval_jet_lanes(f, 1, [jet_var(1.0), jet_var(0.5)])
+    over, pole = eval_jet_lanes(f, 1, [1 + 0j, 0.5 + 0j])
     assert (over.span, type(over.__cause__), over.point) == ((0, 11), OverflowAtPoint, 1.0)
     assert (pole.span, type(pole.__cause__), pole.point) == ((14, 21), DivisionByZeroAtPoint, 0.5)
 
@@ -444,7 +449,7 @@ def test_lhs_overflow_beats_rhs_pole():
 @pytest.mark.parametrize("k", [0, -2, 3])
 def test_power_of_a_failing_base_still_fails(k):
     f = parse(f"(1/(z-z))^{k}")
-    (lane,) = eval_jet_lanes(f, 1, [jet_var(2.0)])
+    (lane,) = eval_jet_lanes(f, 1, [2 + 0j])
     assert (lane.span, type(lane.__cause__)) == ((0, 9), DivisionByZeroAtPoint)
     with pytest.raises(EvalError) as info:
         eval_jet(f, 1, 2.0)
@@ -456,8 +461,8 @@ def test_failing_lanes_leave_clean_lanes_unchanged():
     f = parse("exp(n*z)/z + log(z-1)^-2")
     clean = [0.5 + 0.5j, -2.0, 3.0 - 1.0j]
     mixed = [0.0, clean[0], 1.0, 2.0, clean[1], 300.0, clean[2]]
-    mixed_out = eval_jet_lanes(f, 3, [jet_var(w) for w in mixed])
-    clean_out = eval_jet_lanes(f, 3, [jet_var(w) for w in clean])
+    mixed_out = eval_jet_lanes(f, 3, [complex(w) for w in mixed])
+    clean_out = eval_jet_lanes(f, 3, [complex(w) for w in clean])
     kept = [j for w, j in zip(mixed, mixed_out) if w in clean]
     assert [_outcome(j) for j in kept] == [_outcome(j) for j in clean_out]
     failed = [j for w, j in zip(mixed, mixed_out) if w not in clean]
@@ -469,10 +474,10 @@ def test_failing_lanes_leave_clean_lanes_unchanged():
 
 
 def test_lanes_past_one_block_match_one_lane_calls():
-    # a batch of more than LANE_BLOCK lanes, the block a bound segment uses
+    # a batch of a few thousand lanes, as long bound segments make
     f = parse("1/(z-1) + log(z)*n")
-    points = [complex(k % 7 - 3, k % 5 - 2) / 2 for k in range(2 * LANE_BLOCK + 3)]
-    lanes = eval_jet_lanes(f, 2, [jet_var(w) for w in points])
+    points = [complex(k % 7 - 3, k % 5 - 2) / 2 for k in range(2051)]
+    lanes = eval_jet_lanes(f, 2, points)
     assert [_outcome(j) for j in lanes] == [
         _outcome(_raised(lambda: eval_jet(f, 2, w))) for w in points
     ]
@@ -565,20 +570,19 @@ def test_generated_lane_function_matches_the_reference_bit_for_bit():
     signed_zeros = 0
     for _ in range(250):
         f, n, points = _draw(rng)
-        seeds = [jet_var(w) for w in points]
         nj = jet_const(n)
-        want = [_outcome(_raised(lambda: _reference(f.root, nj, s, s.v))) for s in seeds]
+        want = [_outcome(_raised(lambda: _reference(f.root, nj, jet_var(w), w))) for w in points]
         fn = codegen.family(f).lanes
-        got = None if fn is None else fn(complex(n), seeds, lambda s: s)  # a redone lane: its seed
-        for k, seed in enumerate(seeds):
-            if want[k][0] == "error" or got is None:
+        got = fn(complex(n), points, lambda w: w)  # a redone lane: its point
+        for k, w in enumerate(points):
+            if want[k][0] == "error":
                 # every failing lane is redone by the tree walk
-                assert got is None or got[k] is seed
-            elif got[k] is not seed:
+                assert got[k] is w
+            elif got[k] is not w:
                 assert _outcome(got[k]) == want[k]
         # the public call, which redoes lanes, gives the reference outcome
         # on every lane, errors with their spans, messages, points and causes
-        batch = seeds * 8
+        batch = points * 8
         assert [_outcome(j) for j in eval_jet_lanes(f, n, batch)] == want * 8
         for w in want:
             kinds.add(w[-1] if w[0] == "error" else "jet")
@@ -606,11 +610,11 @@ _SHARP_POINTS = (
 @pytest.mark.parametrize("text", _SHARP_FAMILIES)
 def test_generated_lane_function_on_each_rule(text):
     f = parse(text)
-    seeds = [jet_var(w) for w in _SHARP_POINTS] * 8
+    points = list(_SHARP_POINTS) * 8
     for n in (2, -1, 0.0, -0.0, 1e-170):
         nj = jet_const(n)
-        want = [_outcome(_raised(lambda: _reference(f.root, nj, s, s.v))) for s in seeds]
-        assert [_outcome(j) for j in eval_jet_lanes(f, n, seeds)] == want
+        want = [_outcome(_raised(lambda: _reference(f.root, nj, jet_var(w), w))) for w in points]
+        assert [_outcome(j) for j in eval_jet_lanes(f, n, points)] == want
 
 
 def test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit():
@@ -634,10 +638,6 @@ def test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit():
                 assert _outcome(got.jet) == _outcome(ref.jet) == want
                 assert [e.hex() for e in got.err] == [e.hex() for e in ref.err]
             kinds.add(want[-1] if want[0] == "error" else "jet")
-        # the lane function hands other seeds back
-        seeds = [_random_seed(rng) for _ in range(4)]
-        want = [_outcome(_raised(lambda: _reference(f.root, nj, s, s.v))) for s in seeds]
-        assert [_outcome(j) for j in eval_jet_lanes(f, n, seeds * 16)] == want * 16
     assert kinds == {"jet", OverflowAtPoint, DivisionByZeroAtPoint}
 
 
@@ -695,18 +695,23 @@ def _sd_reference(f, n, points, h):
     return best, flags
 
 
-def _stat_outcomes(f, n, stat, seeds):
+def _stat_outcomes(f, n, stat, points):
     # the lane function with a redo that records the lanes it is given,
     # and the public call
     redone = []
 
-    def redo(seed):
-        redone.append(seed)
-        return stat.walked(_raised(lambda: eval_jet_seeded(f, n, seed)))
+    def redo(w):
+        redone.append(w)
+        return stat.walked(_raised(lambda: eval_jet(f, n, w)))
 
-    got = codegen.family(f, stat).lanes(complex(n), seeds, redo)
-    assert eval_jet_lanes(f, n, seeds, stat) == got
+    got = codegen.family(f, stat).lanes(complex(n), points, redo)
+    assert eval_jet_lanes(f, n, points, stat) == got
     return (*(x.hex() for x in got[:-1]), got[-1]), len(redone)
+
+
+def _stencil_points(points, h):
+    # the five points of the S' stencil per sample, as scan-sd lays them out
+    return [p for w in points for p in (w, w + h, w - h, w + 2.0 * h, w - 2.0 * h)]
 
 
 def test_fused_statistics_match_the_reference_bit_for_bit():
@@ -715,17 +720,17 @@ def test_fused_statistics_match_the_reference_bit_for_bit():
     for _ in range(120):
         f, _, points = _draw(rng)
         h = rng.choice((0.05 / 8, 0.001, 0.1))
-        sd_seeds = [j for w in points for j in probe._seed_stencil(w, h)]
+        sd_points = _stencil_points(points, h)
         for n in _STAT_NS:
-            for stat, seeds, want in (
-                (probe._MARTY, [jet_var(w) for w in points], _marty_reference(f, n, points)),
-                (probe._sd(h), sd_seeds, _sd_reference(f, n, points, h)),
+            for stat, lanes, want in (
+                (probe._MARTY, points, _marty_reference(f, n, points)),
+                (probe._sd(h), sd_points, _sd_reference(f, n, points, h)),
             ):
-                got, k = _stat_outcomes(f, n, stat, seeds)
+                got, k = _stat_outcomes(f, n, stat, lanes)
                 assert got == (want[0].hex(), want[1])
                 flags |= want[1]
                 redone += k
-                clean += len(seeds) - k
+                clean += len(lanes) - k
     assert flags == {"Pole", "Overflow", "CriticalPoint"}
     # n = -0 redoes every lane; the other n take the fast path or fail
     assert redone > 5000 and clean > 5000
@@ -750,11 +755,10 @@ def test_fused_statistics_match_the_reference_bit_for_bit():
 def test_fused_sd_statistic_on_each_rule(text, points, want):
     f = parse(text)
     h = 0.01
-    seeds = [j for w in points for j in probe._seed_stencil(w, h)]
     for n in (1, -0.0):
         reference = _sd_reference(f, n, points, h)
         assert reference[1] == want
-        got, _ = _stat_outcomes(f, n, probe._sd(h), seeds)
+        got, _ = _stat_outcomes(f, n, probe._sd(h), _stencil_points(points, h))
         assert got == (reference[0].hex(), reference[1])
 
 
@@ -793,7 +797,7 @@ def _floor_reference(f, n, points):
 
 def _floor_outcomes(f, n, points):
     # the fold as derivative_floor_check reads it, and how many lanes it redid
-    got, redone = _stat_outcomes(f, n, probe._FLOOR, [jet_var(w) for w in points])
+    got, redone = _stat_outcomes(f, n, probe._FLOOR, [complex(w) for w in points])
     neg_low, *slots = (float.fromhex(x) for x in got[:-1])
     return ((-neg_low).hex(), *(max(0.0, x).hex() for x in slots), got[-1]), redone
 
@@ -824,8 +828,9 @@ def test_fused_floor_sweep_matches_the_jet_loop_bit_for_bit():
         # both parts of f' = 2z within the floor, its modulus not: the guard
         # redoes the lane, and S is defined
         ("z^2", [complex(0.45e-12, 0.45e-12), 0.5 + 0j], 1),
-        # |f'| past the double range at 2, |f''| within it
-        ("(1+i)*4" + "0" * 307 + "*z^2", [1 + 0j, 2 + 0j], 2),
+        # |f'| past the double range at 2, |f''| within it; at 1 the parts
+        # are finite but add up past it, which the output check allows
+        ("(1+i)*4" + "0" * 307 + "*z^2", [1 + 0j, 2 + 0j], 1),
         # |f'''| past it on every lane, a critical one included
         ("z^2+(1+i)*25" + "0" * 306 + "*z^3", [0j, 0.1 + 0j], 2),
         # at 0: |S| past it with finite parts; S = -inf + nan i, which counts
@@ -844,6 +849,83 @@ def test_fused_floor_sweep_on_each_rule(text, points, redone):
     assert ran == redone
 
 
+# ---------------------------------------------------------------------------
+# bound's statistic, max |f'| over a segment, against the loop over jets it
+# replaced: eval_jet, then modulus of f', the largest from 0.0
+
+
+def _bound_reference(f, n, points):
+    k_est, flags = 0.0, set()
+    for w in points:
+        try:
+            mag = modulus(eval_jet(f, n, w).d1)
+        except EvalError as exc:
+            flags.add(_flag(exc))
+            continue
+        except OverflowAtPoint:
+            flags.add("Overflow")
+            continue
+        if mag > k_est:
+            k_est = mag
+    return k_est.hex(), flags
+
+
+def test_bound_statistic_matches_the_jet_loop_bit_for_bit():
+    rng = random.Random(66)
+    flags, redone, clean = set(), 0, 0
+    for _ in range(150):
+        f, _, points = _draw(rng)
+        for n in _STAT_NS:
+            got, k = _stat_outcomes(f, n, probe._BOUND, points)
+            want = _bound_reference(f, n, points)
+            assert got == want
+            flags |= want[1]
+            redone += k
+            clean += len(points) - k
+    assert flags == {"Pole", "Overflow"}
+    # n = -0 redoes every lane; the other n take the fast path or fail
+    assert redone > 1000 and clean > 1000
+
+
+@pytest.mark.parametrize(
+    "text,points,redone",
+    [
+        # a pole on one lane
+        ("1/(z-0.5)", [0j, 0.5 + 0j, 0.25 + 0j], 1),
+        # an evaluation Overflow: exp past its guard at 1
+        ("exp(z*1000)", [1 + 0j, 0.0001 + 0j], 1),
+        # |f'| past the double range, its parts finite
+        ("(1+i)*15" + "0" * 307 + "*z", [1 + 0j, 0j], 2),
+        # f' all zero: K stays at its start, 0.0, where -1.0 would be wrong
+        ("n+0*z", [0j, 1 + 1j], 0),
+        ("z-z", [0j, -1 + 0j], 0),
+    ],
+)
+def test_bound_statistic_on_each_rule(text, points, redone):
+    f = parse(text)
+    got, ran = _stat_outcomes(f, 1, probe._BOUND, points)
+    assert got == _bound_reference(f, 1, points)
+    assert ran == redone
+
+
+def test_finite_parts_that_add_up_past_the_double_range_take_the_fast_path():
+    # (1+i)*4e307*z^2 at 1: v = 4e307 (1+i), d1 = 8e307 (1+i) and
+    # d2 = 8e307 (1+i), each finite, whose sum is not
+    f = parse("(1+i)*4" + "0" * 307 + "*z^2")
+    points = [1 + 0j, -1 + 0j, 0.5j]
+    redone = []
+    got = codegen.family(f).lanes(complex(1), points, redone.append)
+    assert redone == []
+    nj = jet_const(1)
+    assert [_outcome(j) for j in got] == [
+        _outcome(_reference(f.root, nj, jet_var(w), w)) for w in points
+    ]
+    # where a part is not finite the lane is still redone
+    big = parse("(1+i)*9" + "0" * 307 + "*z^2")
+    codegen.family(big).lanes(complex(1), [1 + 0j], redone.append)
+    assert redone == [1 + 0j]
+
+
 def test_n_times_z_makes_no_product_with_the_derivatives_of_n():
     # n's d1..d3 are exactly zero and z's d1 is exactly one, so n*z's jet is
     # (n z, n, 0, 0): one product, and n itself as the first derivative
@@ -854,7 +936,7 @@ def test_n_times_z_makes_no_product_with_the_derivatives_of_n():
     assert namespace["k0"] == 0j
     # exp(n*z) computes n^2 and n^3 once per batch, before the loop
     source, _ = codegen._lanes_source(parse("exp(n*z)").root)
-    prelude, loop = source.split("    for s in Z:\n", 1)
+    prelude, loop = source.split("\n    for zv in Z:\n", 1)
     assert "= N * N" in prelude and "N * N" not in loop
 
 
@@ -865,12 +947,12 @@ def test_a_family_is_generated_once_per_process(monkeypatch):
         codegen, "_lanes_function", lambda root, stat: made.append(root) or real(root, stat)
     )
     text = "exp(z/(n*z+17))-n"
-    seeds = [jet_var(0.25j + k / 100) for k in range(100)]
-    first = eval_jet_lanes(parse(text), 2, seeds)
+    points = [0.25j + k / 100 for k in range(100)]
+    first = eval_jet_lanes(parse(text), 2, points)
     # a fresh parse, and a worker's unpickled copy, reuse the generated function
     for f in (parse(text), pickle.loads(pickle.dumps(parse(text)))):
         assert f._compiled is None
-        assert eval_jet_lanes(f, 2, seeds) == first
+        assert eval_jet_lanes(f, 2, points) == first
     assert len(made) == 1
     # the same tree with other spans shares it: a redone lane walks the caller's tree
     spaced = parse("exp(z/(n*z+17)) - n")
@@ -896,7 +978,7 @@ def test_one_lane_evaluations_compile_nothing(monkeypatch):
     assert eval_jet_bounded(f, 2, bounded_exact(jet_var(0.5j))).jet == jet
     assert compiled == []
     # a batch, even of one lane, compiles the lane function, through that name
-    eval_jet_lanes(f, 2, [jet_var(0.5j)])
+    eval_jet_lanes(f, 2, [0.5j])
     assert len(compiled) == 1
 
 
@@ -916,7 +998,7 @@ def test_a_fresh_family_runs_its_lane_function_from_its_first_batch(monkeypatch)
     f = parse("exp(z/(n*z+5))*log(z+2) - i*z")
     points = [0.25j + k / 8 for k in range(9)]
     for _ in range(3):
-        lanes = eval_jet_lanes(f, 2, [jet_var(w) for w in points])
+        lanes = eval_jet_lanes(f, 2, points)
         assert lanes == [eval_jet(f, 2, w) for w in points]
     assert runs == [9, 9, 9]
     assert len(compiled) == 1
@@ -929,12 +1011,12 @@ def test_one_lane_calls_never_run_the_lane_function(monkeypatch):
     monkeypatch.setattr(codegen, "_FAMILIES", {})
     f = parse("exp(z/(n*z+5))*log(z+2) - i*z")
     points = [0.25j + k / 8 for k in range(9)]
-    eval_jet_lanes(f, 2, [jet_var(w) for w in points])
+    eval_jet_lanes(f, 2, points)
     fam = codegen.family(f)
     assert fam.lanes is not None
     monkeypatch.setattr(fam, "lanes", refuse)
     with pytest.raises(AssertionError, match="ran the lane function"):
-        eval_jet_lanes(f, 2, [jet_var(points[0])])
+        eval_jet_lanes(f, 2, [points[0]])
     rng = random.Random(63)
     nj = jet_const(2)
     for _ in range(8):  # 72 calls of each kind
@@ -953,7 +1035,7 @@ def test_n_past_the_double_range_is_a_value_error(n):
     f = parse("n*z")
     for evaluate in (
         lambda: eval_jet(f, n, 0.5),
-        lambda: eval_jet_lanes(f, n, [jet_var(0.5)] * 100),
+        lambda: eval_jet_lanes(f, n, [0.5 + 0j] * 100),
         lambda: eval_jet_bounded(f, n, bounded_exact(jet_var(0.5))),
     ):
         with pytest.raises(ValueError, match="^jet_const requires a finite value$"):
@@ -1015,7 +1097,7 @@ def test_nesting_at_the_depth_limit_runs_everywhere(shape):
 def test_lane_function_at_the_depth_limit(shape):
     f = parse(_NESTINGS[shape](MAX_DEPTH))
     assert codegen.family(f).lanes is not None
-    assert eval_jet_lanes(f, 1, [jet_var(0.25)] * 64) == [eval_jet(f, 1, 0.25)] * 64
+    assert eval_jet_lanes(f, 1, [0.25 + 0j] * 64) == [eval_jet(f, 1, 0.25)] * 64
 
 
 def test_pool_workers_take_a_family_at_the_depth_limit():

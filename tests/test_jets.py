@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schwarzian_lab.jets import (
+    DIVISION_FLOOR,
+    EXP_REAL_GUARD,
     BoundedJet,
     ComplexJet3,
     DivisionByZeroAtPoint,
@@ -284,11 +286,31 @@ def test_div_by_zero_reports_point():
     assert info.value.point == 0j
 
 
-def test_div_floor_is_configurable():
-    tiny = jet_const(1e-60)
-    assert jet_div(jet_const(1.0), tiny).v == pytest.approx(1e60)
+def test_div_floor_is_the_module_constant():
+    # a denominator at the floor is a division by zero; one an ulp above
+    # it passes the check, and its reciprocal's derivatives overflow
+    assert jet_div(jet_const(1.0), jet_const(1e-60)).v == pytest.approx(1e60)
     with pytest.raises(DivisionByZeroAtPoint):
-        jet_div(jet_const(1.0), tiny, floor=1e-50)
+        jet_div(jet_const(1.0), jet_const(DIVISION_FLOOR))
+    above = jet_const(math.nextafter(DIVISION_FLOOR, 1.0))
+    with pytest.raises(OverflowAtPoint):
+        jet_div(jet_const(1.0), above)
+
+
+def test_log_mobius_and_exp_limits_are_the_module_constants():
+    at, above = DIVISION_FLOOR, math.nextafter(DIVISION_FLOOR, 1.0)
+    with pytest.raises(DivisionByZeroAtPoint):
+        jet_log(jet_const(at))
+    with pytest.raises(OverflowAtPoint):
+        jet_log(jet_const(above))
+    # (w + 0)/(0 w + d) with d at the floor: the map's pole
+    with pytest.raises(DivisionByZeroAtPoint):
+        jet_mobius(jet_var(0.5), 1 / at, 0, 0, at)
+    with pytest.raises(OverflowAtPoint):
+        jet_mobius(jet_var(0.5), 1 / above, 0, 0, above)
+    assert jet_exp(jet_const(EXP_REAL_GUARD)).v == cmath.exp(EXP_REAL_GUARD)
+    with pytest.raises(OverflowAtPoint, match="overflow guard"):
+        jet_exp(jet_const(math.nextafter(EXP_REAL_GUARD, 1e3)))
 
 
 def test_div_by_deep_subnormal_overflows_in_chain():

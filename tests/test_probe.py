@@ -1,6 +1,7 @@
 """Grid scans, growth classification, and the bound and hypothesis checks."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,6 @@ from schwarzian_lab import (
     PointStats,
     SegmentEvaluationError,
     Verdict,
-    cauchy_derivative_bound,
     check_theorem_hypotheses,
     classify,
     derivative_floor_check,
@@ -29,7 +29,6 @@ from schwarzian_lab import (
     value_bound_check,
 )
 from schwarzian_lab import probe
-from schwarzian_lab.jets import ComplexJet3
 from schwarzian_lab.probe import (
     MAX_GRID_POINTS,
     MAX_N_VALUES,
@@ -199,12 +198,12 @@ def test_sd_scan_critical_point_flag():
 
 
 def test_sd_statistic_past_the_double_range_is_an_overflow_flag():
-    # S = d3/d1 = 1.5e308 (1 + i) is finite, but its modulus overflows; the
-    # family z hands each seed back, so each sample's five lanes are one jet
-    huge = ComplexJet3(0j, 1 + 0j, 0j, complex(1.5e308, 1.5e308))
-    clean = ComplexJet3(0j, 1 + 0j, 0j, 1 + 0j)
-    got = eval_jet_lanes(parse("z"), 1, [huge] * 5 + [clean] * 5, probe._sd(0.01))
-    assert got == (0.0, {"Overflow"})
+    # at 0, S = d3/d1 = 1.5e308 (1 + i) is finite, but its modulus
+    # overflows; the stencil's other points, 0.01 and 0.02 away, are clean
+    f = parse("z+(1+i)*25" + "0" * 306 + "*z^3")
+    h = 0.01
+    stencil = [0j, h + 0j, -h + 0j, 2 * h + 0j, -2 * h + 0j]
+    assert eval_jet_lanes(f, 1, stencil, probe._sd(h)) == (-1.0, {"Overflow"})
 
 
 # ---------------------------------------------------------------------------
@@ -356,31 +355,51 @@ def test_local_bound_flags_overflowing_members():
     assert info.value.flagged == tuple(range(24, 33))
 
 
-def test_local_bound_long_segment_is_walked_in_blocks(monkeypatch):
-    # a segment of three blocks equals evaluating one point at a time, and
-    # no evaluation holds more than LANE_BLOCK lanes
-    sizes = []
+def test_local_bound_streams_its_segment_into_one_batch(monkeypatch):
+    # one lane-function call per n, handed an iterator, equals evaluating
+    # one point at a time
+    batches = []
     real_lanes = probe.eval_jet_lanes
 
-    def counted_lanes(expr, n, seeds):
-        sizes.append(len(seeds))
-        return real_lanes(expr, n, seeds)
+    def counted_lanes(expr, n, points, stat):
+        batches.append(points)
+        return real_lanes(expr, n, points, stat)
 
     monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
-    samples = 2 * probe.LANE_BLOCK + 5
+    samples = 2053
     f = parse("1/(z-n) + exp(z)*z^3")
     z0, z = -0.5 + 0.25j, 2.0 - 0.75j
     (rep,) = local_bound_estimate(f, (3,), z0, z, segment_samples=samples)
-    assert sizes == [probe.LANE_BLOCK, probe.LANE_BLOCK, 7]
+    (points,) = batches
+    assert iter(points) is points and not isinstance(points, (list, tuple))
     k_est = max(
         abs(eval_jet(f, 3, z0 + k / (samples - 1) * (z - z0)).d1) for k in range(samples)
     )
     assert rep.K_estimate == k_est
     assert rep.observed == abs(eval_jet(f, 3, z).v - eval_jet(f, 3, z0).v)
-    # on 0..2 the pole z = 1 of n = 1 is sample 1025 of 2051, in the second block
+    # on 0..2 the pole z = 1 of n = 1 is sample 1025 of 2051
     with pytest.raises(SegmentEvaluationError) as info:
         local_bound_estimate(f, (1, 3), 0.0, 2.0, segment_samples=samples - 2)
     assert info.value.flagged == (1,)
+
+
+def _bound_peak(samples):
+    # z*z: a few allocations per lane, so that tracing them stays quick
+    f = parse("z*z")
+    tracemalloc.start()
+    try:
+        local_bound_estimate(f, (1,), 0j, 2 + 1j, segment_samples=samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_local_bound_memory_does_not_grow_with_the_segment():
+    _bound_peak(2)  # generates and compiles the lane function
+    small = _bound_peak(1000)
+    big = _bound_peak(MAX_SEGMENT_SAMPLES)
+    # a list of the segment's points alone would take about 4 MB
+    assert big < small + 10_000
 
 
 def test_local_bound_segment_past_the_double_range():
@@ -393,6 +412,24 @@ def test_local_bound_segment_past_the_double_range():
     assert info.value.flagged == (1, 2)
     with pytest.raises(ValueError, match="finite point"):
         local_bound_estimate(parse("z"), (1, 2), -1e308, 1e308)
+
+
+def test_a_grid_point_with_a_sample_past_the_double_range_runs_no_batch(monkeypatch):
+    # the first grid point's samples are finite; the second's S' stencil
+    # point z + 2h is not, so it is refused before any of its batches
+    calls = []
+    real_lanes = probe.eval_jet_lanes
+
+    def counted_lanes(expr, n, points, stat):
+        calls.append(list(points))
+        return real_lanes(expr, n, calls[-1], stat)
+
+    monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
+    g = GridSpec(-1.0, 1.79e308, 0.0, 1e308, 2, 1, neighborhood_radius=1e307,
+                 neighborhood_samples=1)
+    with pytest.raises(ValueError, match="^jet_var requires a finite point$"):
+        sd_family_scan(parse("z"), g, range(1, 4))
+    assert len(calls) == 3 and all(p[0] == -1.0 for p in calls)
 
 
 def test_local_bound_rejects_short_sampling():
@@ -436,18 +473,6 @@ def test_value_bound_at_common_fixed_point():
     f = parse("exp(n*z)")
     assert value_bound_check(f, range(1, 33), 0.0, 1.0)
     assert not value_bound_check(f, range(1, 33), 0.0, 0.5)
-
-
-def test_cauchy_derivative_bound_values():
-    assert cauchy_derivative_bound(2.0, 0.5, 3) == 96.0
-    assert cauchy_derivative_bound(1.0, 2.0, 1) == 0.5
-    assert cauchy_derivative_bound(3.0, 1.0, 2) == 6.0
-    with pytest.raises(ValueError):
-        cauchy_derivative_bound(1.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        cauchy_derivative_bound(1.0, 0.0, 2)
-    with pytest.raises(ValueError):
-        cauchy_derivative_bound(-1.0, 1.0, 2)
 
 
 def test_sd_bound_formula():
@@ -502,9 +527,9 @@ def test_theorem_hypotheses_evaluates_each_sample_once(monkeypatch):
     lanes = []
     real_lanes, real_jet = probe.eval_jet_lanes, probe.eval_jet
 
-    def counted_lanes(expr, n, seeds, *args):
-        lanes.append(len(seeds))
-        return real_lanes(expr, n, seeds, *args)
+    def counted_lanes(expr, n, points, *args):
+        lanes.append(len(points))
+        return real_lanes(expr, n, points, *args)
 
     def counted_jet(*args):
         lanes.append(1)

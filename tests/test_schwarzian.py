@@ -1,6 +1,7 @@
 """Schwarzian operator, Moebius algebra, and the four identity checkers."""
 
 import cmath
+import math
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from schwarzian_lab import (
     spherical_derivative,
 )
 from schwarzian_lab.dsl import Var
+from schwarzian_lab.schwarzian import CRITICAL_POINT_FLOOR
 
 import support
 
@@ -111,11 +113,13 @@ def test_schwarzian_critical_point():
         schwarzian(eval_jet(f, 1, 0.0))
 
 
-def test_schwarzian_floor_is_configurable():
-    j = ComplexJet3(0.0, 1e-8, 1.0, 1.0)
-    schwarzian(j)
+def test_schwarzian_floor_is_the_module_constant():
+    # |f'| at the floor is a critical point; an ulp above it, S is defined
+    schwarzian(ComplexJet3(0.0, 1e-8, 1.0, 1.0))
     with pytest.raises(CriticalPointError):
-        schwarzian(j, floor=1e-6)
+        schwarzian(ComplexJet3(0.0, CRITICAL_POINT_FLOOR, 1.0, 1.0))
+    above = math.nextafter(CRITICAL_POINT_FLOOR, 1.0)
+    assert cmath.isfinite(schwarzian(ComplexJet3(0.0, above, 1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
