@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .dsl import (
@@ -72,8 +71,10 @@ from .jets import (
 )
 from .schwarzian import CRITICAL_POINT_FLOOR, _critical
 
-# generated families kept per process: a scan evaluates one family, an
-# identity check two, and each kept family holds its compiled code
+# lane functions kept per process, each holding its compiled code: a grid
+# or bound command generates one (tree, statistic) pair, an eval or identity
+# check none, so a benchmark grid workload generates one in all its runs
+# and a checks-mix stream one per bound command (100 of 1,000, all distinct)
 _CACHE_SIZE = 4
 # an integer power up to this exponent is written out as products; a
 # larger one calls jet_pow_int
@@ -237,8 +238,7 @@ class _Lanes:
     Its values are jets whose parts are complex constants or ``_Sym``s.
     """
 
-    def __init__(self, redo: list):
-        self.redo = redo  # the lines that redo a lane and take the next
+    def __init__(self):
         self.consts: dict = {}  # bound name -> constant
         self.names: dict = {}  # constant bits -> bound name
         self.prelude: list[str] = []  # loop-invariant lines
@@ -318,10 +318,10 @@ class _Lanes:
     # -- checks --------------------------------------------------------
 
     def check(self, lane: bool, condition: str) -> None:
-        """Fail where ``condition`` holds: redo the lane, or leave the
-        prelude, so that every lane of the batch is redone."""
-        fail = self.redo if lane else ["raise JetError('a loop-invariant part failed')"]
-        self.block(lane).extend([f"if {condition}:", *("    " + line for line in fail)])
+        """Fail where ``condition`` holds: raise into the lane's handler,
+        which redoes it, or out of the prelude, so that every lane of the
+        batch is redone."""
+        self.block(lane).extend([f"if {condition}:", "    raise JetError('a check failed')"])
 
     def guard(self, u, test: str, refused) -> None:
         """The check before an opaque function of u: ``test`` in the
@@ -447,7 +447,10 @@ class Statistic(NamedTuple):
 
     Without ``sample``, a lane's value may be a tuple, one value per slot
     of ``start``, and the lane function keeps the largest of each slot,
-    from the slot's start.
+    from the slot's start.  A redone lane's value, from :meth:`walked`, is
+    bound to the fast path's names, so ``lane`` computes each value, never
+    handing back a part as it is.  The fields are module-level functions
+    and floats, so that a pickled copy is equal and hashes equal.
     """
 
     width: int
@@ -512,11 +515,6 @@ def _indent(lines, depth: int = 1) -> list:
     return ["    " * depth + line for line in lines]
 
 
-def _fold(best: list, values: list) -> list:
-    # keep the larger of each slot and its value; a nan never wins
-    return [line for b, v in zip(best, values) for line in (f"if {v} > {b}:", f"    {b} = {v}")]
-
-
 def _lanes_function(root: Node, stat: Statistic | None = None):
     """Compile the lane function of a tree and statistic."""
     source, namespace = _lanes_source(root, stat)
@@ -531,75 +529,80 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     of finite complex points that it reads once, N being complex(n), or
     None for an n that is not real; a lane whose evaluation fails gets
     ``redo(point)`` in place of its outcome.  Without a statistic it
-    returns the lanes' jets.  With one, ``redo`` gives a
-    lane's value or flag, and it returns ``(best, flags)``: the largest
-    statistic over the samples, -1.0 if none has one, and the flags of the
-    failed samples; with several slots, the largest of each slot, then the
-    flags.  Every lane is redone, before the loop, which then has none,
-    when a loop-invariant part fails or n, where the family uses it, is 0
-    or not real.  A lane is redone when a node of it leaves the finite
-    range: such a value reaches the output, where the parts not
-    known finite are checked, or the check before an opaque function
-    (exp, log, 1/x), the only places where a non-finite value can turn
-    finite again; ``x^0`` checks its base.  A statistic's critical guard,
-    and an exception in its formula, redo a lane too.  So a redone lane is not
-    always a failed one, but every failed lane is redone.  A sum of parts
-    is checked as a whole, and each part only where the sum is not finite.
+    returns the lanes' jets.  With one, ``redo`` gives a lane's value or
+    flag, and it returns ``(best, flags)``: the largest statistic over the
+    samples, -1.0 if none has one, and the flags of the failed samples;
+    with several slots, the largest of each slot, then the flags.
+
+    Each lane runs in one ``try``, whose every check raises JetError, so a
+    lane is redone in one place, the ``except`` handler.  The handler
+    binds the redone value to the names of the fast path's value, and
+    both reach one keep: the lines that append a lane's value, or fold it
+    into the batch's largest.  Where a loop-invariant part fails, or n,
+    where the family uses it, is 0 or not real, the prelude raises, and a
+    loop of the handler and the keep redoes every lane before the main
+    loop, which then has none; where a literal fails, that loop is all.
+
+    A lane is redone when a node of it leaves the finite range: such a
+    value reaches the output, where the parts not known finite are
+    checked, or the check before an opaque function (exp, log, 1/x), the
+    only places where a non-finite value can turn finite again; ``x^0``
+    checks its base.  A statistic's critical guard, and an exception in
+    its formula, redo a lane too.  So a redone lane is not always a failed
+    one, but every failed lane is redone.  A sum of parts is checked as a
+    whole, and each part only where the sum is not finite.
     """
     # each lane's outcome is kept (jets, or the lane values a sample
     # formula combines), or only the largest of each slot
     by_lane = stat is None or stat.sample is not None
-    if by_lane:
-        redo = ["append(redo(zv))"]
-        acc = ["out = []", "append = out.append"]
-    else:
-        best = ["best", *(f"best{k}" for k in range(1, len(stat.start)))]
-        got = ["got"] if len(best) == 1 else [f"g{k}" for k in range(len(best))]
-        fold = _fold(best, got)
-        redo = ["got = redo(zv)", "if type(got) is str:", "    add(got)"]
-        if len(best) == 1:
-            redo += ["el" + fold[0], fold[1]]
-        else:
-            redo += ["else:", *_indent([f"{', '.join(got)} = got", *fold])]
-        acc = [*(f"{b} = {x!r}" for b, x in zip(best, stat.start)), "flags = set()",
-               "add = flags.add"]
-    t = _Lanes([*redo, "continue"])
+    t = _Lanes()
     try:
         out = t.walk(root)
     except _LiteralFails:  # every lane is redone
         out = None
     if out is None:
-        setup, loop = [], ["for zv in Z:", *_indent(redo)]
+        values = ["got"] if by_lane else [f"g{k}" for k in range(len(stat.start))]
     else:
         parts = list(map(t.text, out))
         unchecked = [x.name for x in t.unchecked(out)]
         invariant = [x.name for x in t.invariants if not x.finite()]
         if invariant:
             t.check(False, _not_finite(invariant))
-        checks = []
         if unchecked:
-            checks += [f"if {_not_finite(unchecked)}:", *_indent(t.redo)]
+            t.check(True, _not_finite(unchecked))
         if stat is None:
-            keep = [f"append(as_jet(({', '.join(parts)})))"]
+            t.body.append(f"got = as_jet(({', '.join(parts)}))")
+            values = ["got"]
         else:
             if stat.critical is not None:
-                checks += [f"if {_CRITICAL_GUARD.format(*parts)}:", *_indent(t.redo)]
-            value = stat.lane(tuple(_Tail(checks, p) for p in parts))
-            if by_lane:
-                keep = [f"append({value.name})"]
-            else:
-                keep = _fold(best, [x.name for x in (value if type(value) is tuple else (value,))])
-        # where the prelude fails, every lane is redone in order, and the
-        # loop gets none
+                t.check(True, _CRITICAL_GUARD.format(*parts))
+            value = stat.lane(tuple(_Tail(t.body, p) for p in parts))
+            values = [x.name for x in (value if type(value) is tuple else (value,))]
+    if by_lane:
+        acc = ["out = []", "append = out.append"]
+        handler = [f"{values[0]} = redo(zv)"]
+        keep = [f"append({values[0]})"]
+    else:
+        best = ["best", *(f"best{k}" for k in range(1, len(stat.start)))]
+        acc = [*(f"{b} = {x!r}" for b, x in zip(best, stat.start)), "flags = set()",
+               "add = flags.add"]
+        handler = ["got = redo(zv)", "if type(got) is str:", "    add(got)", "    continue",
+                   f"{', '.join(values)} = got"]
+        # keep the larger of each slot and its value; a nan never wins
+        keep = [line for b, v in zip(best, values) for line in (f"if {v} > {b}:", f"    {b} = {v}")]
+    # every lane redone, in order, where a literal fails or the prelude does
+    redo_all = ["for zv in Z:", *_indent(handler + keep)]
+    if out is None:
+        loop = redo_all
+    else:
         setup = [
             "try:", "    if N is None or not N.real:", "        raise JetError('n is 0 or not real')",
-            *_indent(t.prelude), "except (OverflowError, JetError):", "    for zv in Z:",
-            *_indent(redo, 2), "    Z = ()",
+            *_indent(t.prelude), "except (OverflowError, JetError):", *_indent(redo_all),
+            "    Z = ()",
         ] if t.n_used else []
         loop = [
-            "for zv in Z:", "    try:", *_indent(t.body + checks or ["pass"], 2),
-            "    except (OverflowError, JetError):", *_indent(t.redo, 2),
-            *_indent(keep),
+            *setup, "for zv in Z:", "    try:", *_indent(t.body, 2),
+            "    except (OverflowError, JetError):", *_indent(handler, 2), *_indent(keep),
         ]
     if stat is None:
         end = ["return out"]
@@ -624,7 +627,7 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     src = [
         "def lanes(N, Z, redo, *, " + "".join(f"{k}={k}, " for k in t.consts)
         + "isfinite=isfinite, exp=exp, log=log, as_jet=as_jet, pow_int=pow_int):",
-        *_indent(acc + setup + loop + end),
+        *_indent(acc + loop + end),
     ]
     namespace = dict(
         t.consts, isfinite=cmath.isfinite, exp=cmath.exp, log=cmath.log, as_jet=_as_jet,
@@ -633,31 +636,21 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     return "\n".join(src) + "\n", namespace
 
 
-class _Family:
-    """The lane function of one tree and statistic, generated on its first batch."""
-
-    def __init__(self, root: Node, stat: Statistic | None):
-        self.root = root
-        self.stat = stat
-
-    @cached_property
-    def lanes(self):
-        return _lanes_function(self.root, self.stat)
-
-
-# (tree, statistic) -> _Family
+# (tree, statistic) -> lane function
 _FAMILIES: dict = {}
 
 
-def family(expr: FamilyExpr, stat: Statistic | None = None) -> _Family:
-    """The lane function of a family and statistic, shared by equal trees."""
-    fam = expr._compiled
-    if fam is None or fam.stat is not stat:
+def family(expr: FamilyExpr, stat: Statistic | None = None):
+    """The lane function of a family and statistic, generated and compiled
+    on the first call of its tree and statistic in this process, and then
+    shared by equal trees; ``expr`` keeps its last (statistic, function)."""
+    hit = expr._compiled
+    if hit is None or hit[0] is not stat:
         key = (expr.root, stat)
-        fam = _FAMILIES.get(key)
-        if fam is None:
+        fn = _FAMILIES.get(key)
+        if fn is None:
             if len(_FAMILIES) >= _CACHE_SIZE:
                 del _FAMILIES[next(iter(_FAMILIES))]
-            fam = _FAMILIES[key] = _Family(expr.root, stat)
-        expr._compiled = fam
-    return fam
+            fn = _FAMILIES[key] = _lanes_function(expr.root, stat)
+        hit = expr._compiled = (stat, fn)
+    return hit[1]

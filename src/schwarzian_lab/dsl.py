@@ -630,8 +630,9 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat=None):
     largest statistic over the batch's samples, -1.0 if no sample has one,
     and the set of flags of the samples that failed.  A statistic of
     several slots returns the largest of each slot, from the slot's start
-    value, then the flags: ``(best, best1, ..., flags)``.  A lane it redoes
-    takes its value, or its flag, from the same formula on the walk's jet.
+    value, then the flags: ``(best, best1, ..., flags)``.  The lane
+    function's one handler redoes a lane by ``redo`` below, the walk from
+    ``jet_var(point)``, and ``stat.walked`` gives its value or its flag.
     """
     nj = jet_const(n)  # refuses an n that is not finite
 
@@ -641,7 +642,7 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat=None):
         return j if stat is None else stat.walked(j)
 
     # the lane function takes n real, so that N's imaginary part is +0
-    return _family(expr, stat).lanes(nj.v if isinstance(n, (int, float)) else None, points, redo)
+    return _family(expr, stat)(nj.v if isinstance(n, (int, float)) else None, points, redo)
 
 
 def _at_point(expr: FamilyExpr, ops: dict, leaves: dict, point):

@@ -149,6 +149,9 @@ class GridSpec:
             raise ValueError("neighborhood_samples must be positive")
         if self.neighborhood_samples > MAX_SAMPLES:
             raise ValueError(f"neighborhood_samples must be at most {MAX_SAMPLES}")
+        for name in ("re_min", "re_max", "im_min", "im_max", "neighborhood_radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         cell = min(
             (self.re_max - self.re_min) / max(self.nx - 1, 1),
             (self.im_max - self.im_min) / max(self.ny - 1, 1),
@@ -172,7 +175,10 @@ def _axis(lo: float, hi: float, count: int) -> list[float]:
     if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)
-    out = [lo + k * step for k in range(count)]
+    if math.isfinite(step):
+        out = [lo + k * step for k in range(count)]
+    else:  # hi - lo is past the double range: weigh the two ends, of opposite signs
+        out = [lo * (1.0 - k / (count - 1)) + hi * (k / (count - 1)) for k in range(count)]
     out[-1] = hi
     return out
 
@@ -251,11 +257,6 @@ def _sd(h: float) -> Statistic:
     return Statistic(5, _schwarzian, _critical_point, _stencil, h)
 
 
-def _stencil_step(grid: GridSpec) -> float:
-    # the S' stencil's real step h
-    return grid.neighborhood_radius / 8.0
-
-
 def _floor(j) -> tuple:
     # a lane's -|f'|, |f''|, |f'''| and |S|, of which the floor sweep keeps
     # the largest over the batch: the largest -|f'| is min |f'| negated,
@@ -283,28 +284,28 @@ def _slope(j) -> float:
 _BOUND = Statistic(1, _slope, start=(0.0,))
 
 
-def _sweep(kind: str, expr: FamilyExpr, grid: GridSpec, n_values, offset: float, indices):
+def _sweep(stat: Statistic, expr: FamilyExpr, grid: GridSpec, n_values, offset: float, indices):
     """Sample the grid points ``indices`` in order; every grid command's loop.
 
     Yields (z, rows) per point, with one batch evaluation per (point, n)
-    of all the point's sample points.  For the statistic ``kind`` names,
-    rows[k] is what the batch at n_values[k] keeps: the largest statistic
-    over the neighborhood samples, -1.0 if none has one (for "floor", the
-    largest of each of its four slots), then the flags ("Pole",
-    "Overflow", "CriticalPoint") of the samples that failed.  Each point's
-    sample points, five per sample for "sd", are built once; a point whose
-    sample points are not all finite raises ValueError before any of its
-    batches runs.
+    of all the point's sample points.  For the statistic ``stat``
+    (``_MARTY``, ``_sd(h)`` or ``_FLOOR``), rows[k] is what the batch at
+    n_values[k] keeps: the largest statistic over the neighborhood
+    samples, -1.0 if none has one (for ``_FLOOR``, the largest of each of
+    its four slots), then the flags ("Pole", "Overflow", "CriticalPoint")
+    of the samples that failed.  Each point's sample points are built
+    once, five per sample, ``stat.step`` apart, for a statistic of the S'
+    stencil; a point whose sample points are not all finite raises
+    ValueError before any of its batches runs.
     """
     xs = grid.x_coords()
     ys = grid.y_coords()
     radius = grid.neighborhood_radius
-    h = _stencil_step(grid)
-    stat = _sd(h) if kind == "sd" else {"marty": _MARTY, "floor": _FLOOR}[kind]
+    h = stat.step
     for index in indices:
         z = complex(xs[index % grid.nx], ys[index // grid.nx])
         points = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
-        if kind == "sd":
+        if stat.sample is not None:
             # the five points of the S' stencil, a real step h apart
             points = [p for w in points for p in (w, w + h, w - h, w + 2.0 * h, w - 2.0 * h)]
         if not all(map(cmath.isfinite, points)):
@@ -358,10 +359,10 @@ def _point_stats(z: complex, rows: list, n_values: tuple[int, ...]) -> PointStat
 
 
 def _scan_chunk(payload) -> list[PointStats]:
-    kind, expr, grid, n_values, offset, indices = payload
+    stat, expr, grid, n_values, offset, indices = payload
     return [
         _point_stats(z, rows, n_values)
-        for z, rows in _sweep(kind, expr, grid, n_values, offset, indices)
+        for z, rows in _sweep(stat, expr, grid, n_values, offset, indices)
     ]
 
 
@@ -383,6 +384,7 @@ def _validate_n_values(n_values) -> tuple[int, ...]:
 
 def _scan(
     kind: str,
+    stat: Statistic,
     f: FamilyExpr,
     grid: GridSpec,
     n_values,
@@ -398,7 +400,7 @@ def _scan(
     if workers > 1 and total > 1:
         chunk = max(1, math.ceil(total / (workers * 4)))
         payloads = [
-            (kind, f, grid, ns, offset, indices[k : k + chunk])
+            (stat, f, grid, ns, offset, indices[k : k + chunk])
             for k in range(0, total, chunk)
         ]
         # fork only as many processes as there are chunks to run
@@ -406,7 +408,7 @@ def _scan(
             parts = list(pool.map(_scan_chunk, payloads))
         stats = [s for part in parts for s in part]
     else:
-        stats = _scan_chunk((kind, f, grid, ns, offset, indices))
+        stats = _scan_chunk((stat, f, grid, ns, offset, indices))
     return MartyGridReport(grid, ns, seed, kind, tuple(stats))
 
 
@@ -426,7 +428,7 @@ def marty_scan(
     the n sweep, and any error flags.  Results are bit-identical for equal
     inputs regardless of ``workers``.
     """
-    return _scan("marty", f, grid, n_values, seed, workers)
+    return _scan("marty", _MARTY, f, grid, n_values, seed, workers)
 
 
 def sd_family_scan(
@@ -438,9 +440,10 @@ def sd_family_scan(
     workers: int = 1,
 ) -> MartyGridReport:
     """Same sweep with the statistic taken on z -> S_{f_n}(z) instead."""
-    if _stencil_step(grid) == 0.0:
+    h = grid.neighborhood_radius / 8.0  # the S' stencil's real step
+    if h == 0.0:
         raise ValueError("neighborhood_radius is too small: the S' stencil's step radius/8 is 0")
-    return _scan("sd", f, grid, n_values, seed, workers)
+    return _scan("sd", _sd(h), f, grid, n_values, seed, workers)
 
 
 def classify(
@@ -580,7 +583,7 @@ def derivative_floor_check(
     flag_rows = []
     global_min = math.inf
     m2 = m3 = max_s = 0.0
-    for _, stat_rows in _sweep("floor", f, grid, ns, _seed_offset(seed), range(grid.nx * grid.ny)):
+    for _, stat_rows in _sweep(_FLOOR, f, grid, ns, _seed_offset(seed), range(grid.nx * grid.ny)):
         flags: set[str] = set()
         row = []
         for neg_low, d2, d3, s, failed in stat_rows:

@@ -1108,7 +1108,9 @@ def test_cached_parser_resolves_the_seed_and_the_scan_per_call(capsys, monkeypat
 # Literal bytes recorded before the lane function took points in place of
 # the variable's jets.  A grid point whose samples (the S' stencil's five
 # points per sample, for ``scan-sd``) are not all finite is refused with
-# exit 2 before any of its batches runs.  A ``bound`` segment flags n
+# exit 2 before any of its batches runs.  A radius or grid bound that is
+# not finite is refused before sampling, naming the field (bytes recorded
+# when ``GridSpec`` began to refuse it).  A ``bound`` segment flags n
 # (exit 3) when f_n(z0), f_n(z) or a sample fails, and is refused (exit 2)
 # at its first point past the double range once every point before it
 # evaluated cleanly.
@@ -1121,7 +1123,7 @@ _EXTRA_OF = {"scan-marty": [], "scan-sd": [], "hypotheses": _HYP}
 _NONFINITE_GOLDENS = [
     *(
         ([cmd, "--family=n", "--grid=0,1,0,1,2,1", f"--radius={r}", "--n-max=3", *_EXTRA_OF[cmd]],
-         2, "", _FINITE)
+         2, "", "error: neighborhood_radius must be finite\n")
         for cmd in _EXTRA_OF for r in ("inf", "nan")
     ),
     *(
@@ -1169,6 +1171,20 @@ _NONFINITE_GOLDENS = [
      0, "n,K_estimate,bound_rhs,observed,passed,value_at_z0\n"
         "1,35.33333333333333,35.33333333333333,5.0,true,-2+0i\n"
         "2,35.33333333333333,35.33333333333333,5.0,true,-2+0i\n", ""),
+    *(
+        ([cmd, "--family=z", f"--grid={grid}", "--n-max=3", *_EXTRA_OF[cmd]], 2, "", err)
+        for cmd in _EXTRA_OF
+        for grid, err in (("-inf,1,0,1,2,1", "error: re_min must be finite\n"),
+                          ("0,1,0,inf,2,1", "error: im_max must be finite\n"))
+    ),
+    # every bound is finite, but re_max - re_min is not: the axis is taken
+    # from its two ends, with no coordinate past the double range
+    (["scan-marty", "--family=z", "--grid=-1.7e308,1.7e308,0,1,3,1", "--samples=1", "--n-max=3",
+      "--workers=1"],
+     0, "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+        "-1.6999999999999999e+308,0,0.0,-1,nan,,inconclusive\n"
+        "0,0,1.0,1,nan,,inconclusive\n"
+        "1.6999999999999999e+308,0,0.0,-1,nan,,inconclusive\n", ""),
 ]
 
 

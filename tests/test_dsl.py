@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import pickle
 import random
@@ -572,7 +573,7 @@ def test_generated_lane_function_matches_the_reference_bit_for_bit():
         f, n, points = _draw(rng)
         nj = jet_const(n)
         want = [_outcome(_raised(lambda: _reference(f.root, nj, jet_var(w), w))) for w in points]
-        fn = codegen.family(f).lanes
+        fn = codegen.family(f)
         got = fn(complex(n), points, lambda w: w)  # a redone lane: its point
         for k, w in enumerate(points):
             if want[k][0] == "error":
@@ -704,7 +705,7 @@ def _stat_outcomes(f, n, stat, points):
         redone.append(w)
         return stat.walked(_raised(lambda: eval_jet(f, n, w)))
 
-    got = codegen.family(f, stat).lanes(complex(n), points, redo)
+    got = codegen.family(f, stat)(complex(n), points, redo)
     assert eval_jet_lanes(f, n, points, stat) == got
     return (*(x.hex() for x in got[:-1]), got[-1]), len(redone)
 
@@ -914,7 +915,7 @@ def test_finite_parts_that_add_up_past_the_double_range_take_the_fast_path():
     f = parse("(1+i)*4" + "0" * 307 + "*z^2")
     points = [1 + 0j, -1 + 0j, 0.5j]
     redone = []
-    got = codegen.family(f).lanes(complex(1), points, redone.append)
+    got = codegen.family(f)(complex(1), points, redone.append)
     assert redone == []
     nj = jet_const(1)
     assert [_outcome(j) for j in got] == [
@@ -922,7 +923,7 @@ def test_finite_parts_that_add_up_past_the_double_range_take_the_fast_path():
     ]
     # where a part is not finite the lane is still redone
     big = parse("(1+i)*9" + "0" * 307 + "*z^2")
-    codegen.family(big).lanes(complex(1), [1 + 0j], redone.append)
+    codegen.family(big)(complex(1), [1 + 0j], redone.append)
     assert redone == [1 + 0j]
 
 
@@ -932,12 +933,74 @@ def test_n_times_z_makes_no_product_with_the_derivatives_of_n():
     source, namespace = codegen._lanes_source(parse("n*z").root)
     products = [line.strip() for line in source.splitlines() if " * " in line]
     assert products == ["t0 = N * zv"]
-    assert "append(as_jet((t0, N, k0, k0)))" in source
+    assert "got = as_jet((t0, N, k0, k0))" in source
     assert namespace["k0"] == 0j
     # exp(n*z) computes n^2 and n^3 once per batch, before the loop
     source, _ = codegen._lanes_source(parse("exp(n*z)").root)
     prelude, loop = source.split("\n    for zv in Z:\n", 1)
     assert "= N * N" in prelude and "N * N" not in loop
+
+
+def _depth(line: str) -> int:
+    return len(line) - len(line.lstrip())
+
+
+def _blocks(source: str, head) -> list:
+    # each line for which head holds, with the lines indented under it
+    lines = source.splitlines()
+    out = []
+    for k, line in enumerate(lines):
+        if head(line.strip()):
+            block = [line]
+            for below in lines[k + 1:]:
+                if _depth(below) <= _depth(line):
+                    break
+                block.append(below)
+            out.append(block)
+    return out
+
+
+_PROGRAM_STATISTICS = {
+    "jets": None, "marty": probe._MARTY, "sd": probe._sd(0.00625), "floor": probe._FLOOR,
+    "bound": probe._BOUND,
+}
+
+
+@pytest.mark.parametrize("stat", sorted(_PROGRAM_STATISTICS))
+def test_a_lane_is_redone_in_one_handler(stat):
+    # a family of n: its checks raise into the lane's one handler, and its
+    # prelude's failure redoes every lane in one loop
+    source, _ = codegen._lanes_source(parse("exp(z/(n*z+1))").root, _PROGRAM_STATISTICS[stat])
+    checks = _blocks(source, lambda x: x.startswith("if ") and not x.startswith("if type("))
+    assert len(checks) >= 4
+    for block in checks:
+        assert not any("redo(" in line for line in block)
+    assert source.count("redo(zv)") == 2
+    prelude, handler = _blocks(source, lambda x: x == "except (OverflowError, JetError):")
+    assert [sum("redo(zv)" in line for line in b) for b in (prelude, handler)] == [1, 1]
+    # the fast path and the handler reach one keep, after the handler; the
+    # prelude's loop is the handler and the keep, and nothing else
+    lines = source.splitlines()
+    after = lines.index(handler[0]) + len(handler)  # its head is the one at depth 8
+    keep = list(itertools.takewhile(lambda x: _depth(x) >= 8, lines[after:]))
+    assert keep and not any("redo(" in line for line in keep)
+    assert prelude[1].strip() == "for zv in Z:" and prelude[-1].strip() == "Z = ()"
+    assert [x[12:] for x in prelude[2:-1]] == [x[12:] for x in handler[1:]] + [x[8:] for x in keep]
+    # where a literal fails, that loop is all the function runs
+    source, _ = codegen._lanes_source(parse("z+1/(1-1)").root, _PROGRAM_STATISTICS[stat])
+    assert source.count("redo(zv)") == 1 and "JetError" not in source
+    assert [line.strip() for line in source.splitlines()].count("for zv in Z:") == 1
+
+
+@pytest.mark.parametrize("stat", sorted(_PROGRAM_STATISTICS))
+def test_program_statistics_survive_a_pickle_round_trip(stat):
+    # pool workers get the statistic pickled, and the lane-function cache
+    # is keyed by it: an equal statistic takes the cached function
+    want = _PROGRAM_STATISTICS[stat]
+    got = pickle.loads(pickle.dumps(want))
+    assert got == want and hash(got) == hash(want)
+    text = "exp(z/(n*z+1))"
+    assert codegen.family(parse(text), got) is codegen.family(parse(text), want)
 
 
 def test_a_family_is_generated_once_per_process(monkeypatch):
@@ -1012,9 +1075,9 @@ def test_one_lane_calls_never_run_the_lane_function(monkeypatch):
     f = parse("exp(z/(n*z+5))*log(z+2) - i*z")
     points = [0.25j + k / 8 for k in range(9)]
     eval_jet_lanes(f, 2, points)
-    fam = codegen.family(f)
-    assert fam.lanes is not None
-    monkeypatch.setattr(fam, "lanes", refuse)
+    assert callable(codegen.family(f))
+    monkeypatch.setitem(codegen._FAMILIES, (f.root, None), refuse)
+    monkeypatch.setattr(f, "_compiled", None)
     with pytest.raises(AssertionError, match="ran the lane function"):
         eval_jet_lanes(f, 2, [points[0]])
     rng = random.Random(63)
@@ -1096,7 +1159,7 @@ def test_nesting_at_the_depth_limit_runs_everywhere(shape):
 @pytest.mark.parametrize("shape", sorted(_NESTINGS))
 def test_lane_function_at_the_depth_limit(shape):
     f = parse(_NESTINGS[shape](MAX_DEPTH))
-    assert codegen.family(f).lanes is not None
+    assert callable(codegen.family(f))
     assert eval_jet_lanes(f, 1, [0.25 + 0j] * 64) == [eval_jet(f, 1, 0.25)] * 64
 
 

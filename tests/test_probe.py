@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -62,6 +63,35 @@ def test_grid_requires_positive_counts_and_radius():
         GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3, neighborhood_radius=0.0)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3, neighborhood_samples=0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("re_min", -math.inf), ("re_max", math.inf), ("im_min", -math.inf), ("im_max", math.inf),
+     ("neighborhood_radius", math.inf), ("neighborhood_radius", math.nan)],
+)
+def test_grid_refuses_a_bound_or_radius_that_is_not_finite(field, value):
+    # each passes the range and sign checks; it is refused by name, before
+    # the overlap warning
+    args = dict(re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0, nx=3, ny=3)
+    args[field] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            GridSpec(**args)
+
+
+def test_grid_axis_wider_than_the_double_range():
+    # re_max - re_min overflows; each coordinate is weighed from the two
+    # ends, so none is past the range and both ends are exact
+    g = GridSpec(-1.7e308, 1.7e308, 0.0, 1.0, 3, 1)
+    assert g.x_coords() == [-1.7e308, 0.0, 1.7e308]
+    top = 1.7976931348623157e308
+    xs = GridSpec(-top, top, 0.0, 1.0, 7, 1).x_coords()
+    assert xs[0] == -top and xs[-1] == top and xs[3] == 0.0
+    assert all(map(math.isfinite, xs)) and xs == sorted(xs)
+    # where hi - lo is finite, the coordinates keep lo + k * step
+    assert GridSpec(-1.0, 2.0, 0.0, 1.0, 4, 1).x_coords() == [-1.0 + k * 1.0 for k in range(4)]
 
 
 def test_grid_warns_when_radius_spans_cells():

@@ -1,0 +1,252 @@
+"""Check that the tests kill every mutant of a table, each a one-place change to ``src/``.
+
+    python tools/mutants.py
+
+Each mutant names a file under ``src/schwarzian_lab``, an old text that
+must occur there exactly once, the new text, and the test ids that should
+kill it.  The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to
+a temporary directory and runs pytest there, so the tests import the copy:
+``pythonpath = ["src"]`` in ``pyproject.toml`` puts the checkout's own
+``src`` first, and ``PYTHONPATH`` alone would not reach past it.  It first
+checks that the unmutated copy passes every named test, then applies each
+mutant in turn and checks that at least one of its tests fails.  No
+bytecode is written, so a mutant is never run from a stale ``.pyc``.
+
+``SURVIVORS`` are mutants known to survive, each with its reason; they run
+too, and one that is killed is reported, so that it can join the table.
+``DELETED`` lists recorded mutations whose code was later deleted.  The
+run exits 1 if the copy fails, an old text does not match exactly once, or
+a mutant of the table survives.
+
+Only the standard library is used; pytest does not collect this file
+(``testpaths`` is ``tests``).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/schwarzian_lab
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple  # pytest node ids, any of which should fail
+    reason: str = ""  # why a listed survivor survives
+
+
+DSL = "tests/test_dsl.py::"
+PROBE = "tests/test_probe.py::"
+CLI = "tests/test_cli.py::"
+GOLDENS = "tests/test_scan_goldens.py::"
+
+# the mutations CHANGES.md records for the lane function and its statistics
+# (at f9cb2da, 418a567, f051287 and 7bcb6c2), as they apply to the code
+# today, then one per part of the lane's one handler; a later change adds
+# its mutants here
+MUTANTS = (
+    # the generator's folds and checks
+    Mutant("a fold drops its finiteness requirement", "codegen.py",
+           "        if _is_zero(q) and _is_finite(q):", "        if _is_zero(q):",
+           (DSL + "test_generated_lane_function_on_each_rule",)),
+    Mutant("c + 0 folds to c without c nonzero", "codegen.py",
+           "            if p.nonzero if type(p) is _Part else p != 0.0:", "            if True:",
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+    Mutant("the +0 rule folds any zero", "codegen.py",
+           "            if _signed_zero(p, 1.0):", "            if _is_zero(p):",
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+    Mutant("no check before an opaque function", "codegen.py",
+           "        self.check(u.lane, cond)", "        pass",
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+    Mutant("no check at the output", "codegen.py",
+           "        if unchecked:\n            t.check(True,",
+           "        if False:\n            t.check(True,",
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+    Mutant("no check before x^0", "codegen.py",
+           "            if parts:\n", "            if False:\n",
+           (DSL + "test_generated_lane_function_on_each_rule",)),
+    Mutant("n's zero check dropped", "codegen.py",
+           '"    if N is None or not N.real:"', '"    if N is None:"',
+           (DSL + "test_generated_lane_function_on_each_rule",)),
+    Mutant("- treated as commutative", "codegen.py",
+           '        if kind != "-":', "        if True:",
+           (DSL + "test_generated_lane_function_on_each_rule",)),
+    Mutant("the output check back to the sum alone", "codegen.py",
+           "    return f\"not isfinite({' + '.join(names)}) and not ({each})\"",
+           "    return f\"not isfinite({' + '.join(names)})\"",
+           (DSL + "test_finite_parts_that_add_up_past_the_double_range_take_the_fast_path",
+            DSL + "test_fused_floor_sweep_on_each_rule")),
+    Mutant("the output check on the first part only", "codegen.py",
+           "    if len(names) == 1:", "    if True:",
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+    Mutant("the prelude's failure leaves Z to the loop", "codegen.py",
+           '*_indent(redo_all),\n            "    Z = ()",', "*_indent(redo_all),",
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+    # the walk that redoes a lane, and the parser
+    Mutant("the walk evaluates rhs before lhs", "dsl.py",
+           "        args = (_walk(node.lhs, ops, leaves, point), _walk(node.rhs, ops, leaves, point))",
+           "        rhs = _walk(node.rhs, ops, leaves, point)\n"
+           "        args = (_walk(node.lhs, ops, leaves, point), rhs)",
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+    Mutant("the parser rebuilt per call", "cli.py",
+           "@functools.cache\ndef _build_parser", "def _build_parser",
+           (CLI + "test_cached_parser_gives_a_fresh_parsers_bytes",)),
+    # the statistics
+    Mutant("the critical guard dropped", "codegen.py",
+           "                t.check(True, _CRITICAL_GUARD.format(*parts))",
+           "                pass",
+           (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
+    Mutant("the critical rule tried after the lane formula", "codegen.py",
+           "            if self.critical is not None and _critical(j[1]):\n"
+           "                return self.critical(j)\n"
+           "            return self.lane(j)",
+           "            value = self.lane(j)\n"
+           "            if self.critical is not None and _critical(j[1]):\n"
+           "                return self.critical(j)\n"
+           "            return value",
+           (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
+    Mutant("the sd statistic without its critical rule", "probe.py",
+           "    return Statistic(5, _schwarzian, _critical_point, _stencil, h)",
+           "    return Statistic(5, _schwarzian, None, _stencil, h)",
+           (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
+    Mutant("an sd modulus past the double range not flagged", "codegen.py",
+           '"            flags.add(\'Overflow\')", "            continue",', '"            continue",',
+           (PROBE + "test_sd_statistic_past_the_double_range_is_an_overflow_flag",
+            DSL + "test_fused_sd_statistic_on_each_rule")),
+    Mutant("the stencil's first failed lane does not decide", "codegen.py",
+           '"            flags.add(got)", "            break",', '"            flags.add(got)",',
+           (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
+    Mutant("the stencil's lanes in reverse order", "probe.py",
+           "(w, w + h, w - h, w + 2.0 * h, w - 2.0 * h)",
+           "(w - 2.0 * h, w + 2.0 * h, w - h, w + h, w)",
+           (PROBE + "test_sd_statistic_matches_per_sample_stencil",)),
+    Mutant("a critical floor lane counted toward M2", "probe.py",
+           "    return low, -1.0, -1.0, -1.0", "    return low, abs(j[2]), -1.0, -1.0",
+           (DSL + "test_fused_floor_sweep_matches_the_jet_loop_bit_for_bit",)),
+    Mutant("min |f'| folded without the negation", "probe.py",
+           "    low, m2, m3 = -abs(j[1]), abs(j[2]), abs(j[3])",
+           "    low, m2, m3 = abs(j[1]), abs(j[2]), abs(j[3])",
+           (DSL + "test_fused_floor_sweep_matches_the_jet_loop_bit_for_bit",)),
+    Mutant("a critical floor lane skips its moduli", "probe.py",
+           "    low, _, _ = -abs(j[1]), abs(j[2]), abs(j[3])", "    low = -abs(j[1])",
+           (DSL + "test_fused_floor_sweep_on_each_rule",
+            GOLDENS + "test_flag_heavy_grid_bytes[hypotheses-critical-d2-csv]")),
+    Mutant("bound's statistic starts at -1.0", "probe.py",
+           "_BOUND = Statistic(1, _slope, start=(0.0,))", "_BOUND = Statistic(1, _slope)",
+           (DSL + "test_bound_statistic_matches_the_jet_loop_bit_for_bit",)),
+    Mutant("bound ignores the lane flags", "probe.py",
+           "            k_est, failed = eval_jet_lanes(f, n, finite, _BOUND)",
+           "            k_est, failed = eval_jet_lanes(f, n, finite, _BOUND)[0], set()",
+           (PROBE + "test_local_bound_streams_its_segment_into_one_batch",)),
+    Mutant("a segment past the double range not refused", "probe.py",
+           "                if past:", "                if False:",
+           (PROBE + "test_local_bound_segment_past_the_double_range",)),
+    Mutant("sample points not checked", "probe.py",
+           "        if not all(map(cmath.isfinite, points)):", "        if False:",
+           (PROBE + "test_a_grid_point_with_a_sample_past_the_double_range_runs_no_batch",)),
+    # the lane's one handler
+    Mutant("a check's raise turned into pass", "codegen.py",
+           '"    raise JetError(\'a check failed\')"', '"    pass"',
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+    Mutant("a redone lane's flag dropped", "codegen.py",
+           '"if type(got) is str:", "    add(got)",', '"if type(got) is str:",',
+           (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
+    Mutant("a flag skips its continue", "codegen.py",
+           '"    add(got)", "    continue",', '"    add(got)",',
+           (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
+    Mutant("a redone value not bound to the keep's names", "codegen.py",
+           "f\"{', '.join(values)} = got\"", '"pass"',
+           (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
+    Mutant("a redone lane not bound to the appended name", "codegen.py",
+           'handler = [f"{values[0]} = redo(zv)"]', 'handler = ["redo(zv)"]',
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+)
+
+
+SURVIVORS = (
+    Mutant("x * -1 folded as x", "codegen.py",
+           "    if type(y) is float and y == 1.0:", "    if type(y) is float and abs(y) == 1.0:",
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",),
+           "a part's zero, finite and nonzero marks are the same for -x as for x, and the "
+           "emitted line keeps its product, so no fold, and no result, depends on it"),
+)
+
+# recorded mutations whose code is gone, and the commit that deleted it
+DELETED = (
+    ("the identity-seed check of the lane loop",
+     "7bcb6c2 gave the lane function points, not seed jets"),
+)
+
+
+def _copy(into: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def _pytest(into: Path, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(into / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=into, env=env, capture_output=True, text=True)
+
+
+def _source(into: Path, m) -> tuple[Path, str]:
+    path = into / "src" / "schwarzian_lab" / m.file
+    text = path.read_text()
+    count = text.count(m.old)
+    if count != 1:
+        raise SystemExit(f"mutants: {m.name!r}: its old text occurs {count} times in {m.file}")
+    return path, text
+
+
+def _killed(into: Path, m) -> bool:
+    path, text = _source(into, m)
+    path.write_text(text.replace(m.old, m.new))
+    try:
+        return _pytest(into, m.tests).returncode != 0
+    finally:
+        path.write_text(text)
+
+
+def main() -> int:
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        into = Path(tmp)
+        _copy(into)
+        for m in (*MUTANTS, *SURVIVORS):
+            _source(into, m)
+        tests = sorted({t for m in (*MUTANTS, *SURVIVORS) for t in m.tests})
+        base = _pytest(into, tests)
+        if base.returncode != 0:
+            print(base.stdout[-3000:], base.stderr[-3000:], sep="\n")
+            print("mutants: the unmutated copy fails its tests", file=sys.stderr)
+            return 1
+        print(f"unmutated copy passes {len(tests)} tests")
+        lived = 0
+        for m in MUTANTS:
+            killed = _killed(into, m)
+            lived += not killed
+            print(f"{'killed  ' if killed else 'SURVIVED'}  {m.name}")
+        for m in SURVIVORS:
+            verdict = "killed, so it can join the table" if _killed(into, m) else "survived"
+            print(f"survivor  {m.name}: {verdict}; {m.reason}")
+    for name, reason in DELETED:
+        print(f"deleted   {name}: {reason}")
+    print(f"{len(MUTANTS) - lived} of {len(MUTANTS)} mutants killed, "
+          f"{len(SURVIVORS)} listed survivors, in {time.monotonic() - start:.0f} s")
+    return 1 if lived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
