@@ -23,7 +23,13 @@ The corpus:
 - grid points whose samples are past the double range;
 - ``bound`` segments from 2 to 3000 samples, in CSV and JSON, where
   f(z0), f(z) or a sample fails, and some of whose points, or whose
-  ``z - z0``, are past the double range.
+  ``z - z0``, are past the double range;
+- identity checks, in CSV and JSON, that the error-bound clause decides:
+  the pins of ``tests/test_identity_oracle.py`` (``--tol-abs 0 --tol-rel
+  5e-324`` forces the clause where a fixed tolerance would decide), its
+  negative control, and each of the four kinds passing by a finite bound
+  and failing by an infinite one, at a point whose value lies near log's
+  branch cut.
 
 Only the standard library is used; ``bench/`` is read, never written.
 Warnings are printed every time, as a fresh process prints them.
@@ -38,6 +44,7 @@ import json
 import os
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,6 +106,77 @@ _BOUND_FAMILIES = (
     "(z^2)/n",
 )
 
+# the conjugation pins of tests/test_identity_oracle.py: f, n, z and the
+# normalized phi of seeds 174, 2143, 46 and 45803
+_CONJUGATION_PINS = (
+    ("((z+z)*(2-i))^2", 1, "0.000000001+0i",
+     "0.7692524700845836+0.8304286766715815i,0.5447054990557348+0.28189120611778723i,"
+     "0.07540281597600028-0.777627020835469i,0.4958573863031315-1.0582956162094357i"),
+    ("(2.97/(z+4)+n*n)*((z+z)*(n*n))", 5, "0+0i",
+     "0.4191278043524404+0.7861427379154736i,0.21203282396262976+0.7617417509444468i,"
+     "0.34685829444683214+0.6532317555352427i,0.7030403302774536-0.35780740428633634i"),
+    ("exp(n/(z+2)*(2*n))", 6, "1+0i",
+     "-0.6814384285128786+1.1477136505894772i,-0.4336522029275518+0.018201465604926657i,"
+     "0.5189602575187873+0.21855305225667881i,-0.3498563187180866-0.46402533848537975i"),
+    ("(-(z*z))*(-exp(z))", 6, "0.000000000001+0i",
+     "0.37947837416679414+0.8452581472912806i,-0.2562470402778441-0.14172753916645778i,"
+     "-0.7826831800168442-0.18113713645636761i,0.6742738423046827-1.0872604887359596i"),
+)
+_FORCE_BOUND = ["--tol-abs", "0", "--tol-rel", "5e-324"]
+# log(z-0.1) at this point takes its argument within the literal's half
+# ulp of the branch cut, so the bound is infinite
+_NEAR_CUT = "-1+0.00000000000000000001i"
+
+
+def _dsl(c: complex) -> str:
+    """A complex constant as DSL text, each part as its exact decimal."""
+
+    def part(x: float) -> str:
+        text = format(Decimal(repr(abs(x))), "f")
+        return f"(-{text})" if x < 0.0 else text
+
+    return f"({part(c.real)}+{part(c.imag)}*i)"
+
+
+def _conjugation(f: str, n, z: str, phi: str, g: str | None = None) -> list[str]:
+    """phi conjugates f to g; by default g is phi after f after phi's inverse."""
+    if g is None:
+        a, b, c, d = (_dsl(complex(x.replace("i", "j"))) for x in phi.split(","))
+        inner = f.replace("z", f"(({d}*z-{b})/({a}-{c}*z))")
+        g = f"({a}*{inner}+{b})/({c}*{inner}+{d})"
+    return ["identity", "conjugation", f"--family={f}", f"--family={g}", f"--n={n}",
+            f"--z={z}", f"--phi={phi}"]
+
+
+def _identity_bound_checks() -> list[list[str]]:
+    invariance = ["identity", "mobius-invariance", "--n=8"]
+    composition = ["identity", "composition", "--n=2"]
+    reciprocal = ["identity", "reciprocal", "--n=1", "--omit=0+0i"]
+    near_cut = ["--family=log(z-0.1)", f"--z={_NEAR_CUT}"]
+    checks = [
+        *(_conjugation(*pin) for pin in _CONJUGATION_PINS),
+        # pinned on test_property_invariance_for_random_families
+        [*invariance, "--family=exp(log(z+4))*exp(2.59*n)", "--z=0+0i", "--mobius=1,0,1,1",
+         *_FORCE_BOUND],
+        # the negative control: g''' moved by a relative 1e-6 of S_g
+        _conjugation("exp(n*z)", 4, "0.2+0i", "4,0,0,1",
+                     "n*exp(z)+(-0.0000007418469761641559)*(z-0.8)^3"),
+        [*invariance, "--family=exp(n*z)+z^3", "--z=0.3+0.1i", "--mobius=1,2,3,4",
+         *_FORCE_BOUND],
+        [*invariance, *near_cut, "--mobius=1,2,3,4", *_FORCE_BOUND],
+        [*composition, "--family=exp(z)+z^2", "--family=log(z+2)*z", "--z=0.3-0.2i",
+         *_FORCE_BOUND],
+        # f(z) is near -1, so g = log(z-0.1) meets the cut as above
+        [*composition, "--family=z^2", "--family=log(z-0.1)", "--z=0.00000000000000000001+1i",
+         *_FORCE_BOUND],
+        [*reciprocal, "--family=exp(z)", "--z=0.3+0i", *_FORCE_BOUND],
+        [*reciprocal, *near_cut, *_FORCE_BOUND],
+        [*_conjugation("exp(z)", 1, "0.3+0i", "2,0,0,1", "2*exp(z/2)"), *_FORCE_BOUND],
+        [*_conjugation("log(z-0.1)", 1, _NEAR_CUT, "2,0,0,1", "2*log(z/2-0.1)"),
+         *_FORCE_BOUND],
+    ]
+    return [[*argv, "--format", fmt] for argv in checks for fmt in ("csv", "json")]
+
 
 def corpus() -> list[list[str]]:
     """Every command, in the order they run."""
@@ -140,7 +218,7 @@ def corpus() -> list[list[str]]:
                 for fmt in ("csv", "json"):
                     out.append(["bound", f"--family={family}", "--n-max", "2", f"--z0={z0}",
                                 f"--z={z}", "--segment-samples", samples, "--format", fmt])
-    return out
+    return out + _identity_bound_checks()
 
 
 def run(src: Path) -> None:
