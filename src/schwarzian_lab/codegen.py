@@ -5,7 +5,7 @@ family, one lane per point, in one loop of straight-line code, as sympy's
 ``lambdify`` compiles an expression, and :func:`family` keeps it per
 process and :class:`Statistic`.  ``dsl.eval_jet_lanes`` runs it on every
 batch, a family's first included; ``dsl`` walks the tree for the
-single-point calls (one point, another seed, bounded jets) and for every
+single-point calls (one point, another seed, a ball) and for every
 lane the lane function hands back.  A program command's lane function
 returns its statistic, not jets: it runs the statistic's formulas inline
 on each lane's jet and keeps only the batch's largest statistic, or the

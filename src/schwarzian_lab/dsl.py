@@ -44,12 +44,14 @@ same bits:
   arithmetic, signed zeros included.  Finiteness is checked only where a
   value that left the finite range could turn finite again (before 1/x,
   log and exp, and x^0) and at the output.
-- The single-point calls, :func:`eval_jet`, :func:`eval_jet_seeded` and
-  :func:`eval_jet_bounded`, walk the tree, one ``jet_*`` operation per
-  node, or with bounded jets the ``bounded_*`` twins, so a one-off
+- The single-point calls, :func:`eval_jet` and :func:`eval_jet_seeded`,
+  walk the tree, one ``jet_*`` operation per node, so a one-off
   evaluation compiles nothing.  The walk also redoes, from
   ``jets.jet_var`` at its point, every lane the lane function hands back:
-  any lane that failed, or might have.
+  any lane that failed, or might have.  At a :class:`~.ball.Ball` point,
+  or from a seed of balls, the same walk runs the same operations on
+  balls; it differs only in that each number literal is a ball of half an
+  ulp, so the result encloses the exact jet of the expression as written.
 
 :func:`eval_jet_lanes` returns one entry per lane, its jet or the
 :class:`EvalError` of its first failure; the single-point calls raise
@@ -66,21 +68,12 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from typing import Tuple
 
+from .ball import Ball, literal
 from .jets import (
-    BoundedJet,
+    ZERO,
     ComplexJet3,
     JetError,
     _as_jet,
-    bounded_add,
-    bounded_const,
-    bounded_div,
-    bounded_exact,
-    bounded_exp,
-    bounded_log,
-    bounded_mul,
-    bounded_neg,
-    bounded_pow_int,
-    bounded_sub,
     jet_add,
     jet_const,
     jet_div,
@@ -117,7 +110,6 @@ __all__ = [
     "pretty_print",
     "eval_jet",
     "eval_jet_seeded",
-    "eval_jet_bounded",
     "eval_jet_lanes",
     "lex_number",
 ]
@@ -566,19 +558,22 @@ def pretty_print(expr: FamilyExpr | Node) -> str:
 # ---------------------------------------------------------------------------
 # evaluation: a tree walk, or the lane function ``codegen`` generates
 
-# the operation the walk calls per node: the jets operations, or their
-# bounded twins, which take a number literal as known to half an ulp
+# the operation the walk calls per node
 _JET_OPS = {
     ConstNum: jet_const, Add: jet_add, Sub: jet_sub, Mul: jet_mul, Div: jet_div,
     Neg: jet_neg, Exp: jet_exp, Log: jet_log, PowInt: jet_pow_int,
 }
-_BOUNDED_OPS = {
-    ConstNum: bounded_const, Add: bounded_add, Sub: bounded_sub, Mul: bounded_mul,
-    Div: bounded_div, Neg: bounded_neg, Exp: bounded_exp, Log: bounded_log,
-    PowInt: bounded_pow_int,
-}
 _I = jet_const(1j)
-_BOUNDED_I = bounded_exact(_I)  # i is exact
+
+
+def _ball_const(c) -> ComplexJet3:
+    # a number literal, known only to half an ulp: the rounding of its text
+    return _as_jet((literal(jet_const(c).v), ZERO, ZERO, ZERO))
+
+
+# a ball evaluation differs only in its literals; n and i are exact
+_BALL_OPS = {**_JET_OPS, ConstNum: _ball_const}
+_BALL_I = _as_jet((Ball(_I.v), ZERO, ZERO, ZERO))
 
 
 def _walk(node: Node, ops: dict, leaves: dict, point):
@@ -645,22 +640,31 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat=None):
     return _family(expr, stat)(nj.v if isinstance(n, (int, float)) else None, points, redo)
 
 
-def _at_point(expr: FamilyExpr, ops: dict, leaves: dict, point):
-    # one evaluation by the walk, raising the EvalError of its first failure
-    j = _walked(expr.root, ops, leaves, point)
+def _at_point(expr: FamilyExpr, n: float, seed: ComplexJet3, point) -> ComplexJet3:
+    # one evaluation by the walk, on balls where the seed's value is a
+    # ball, raising the EvalError of its first failure
+    nj = jet_const(n)
+    if type(seed[0]) is Ball:
+        ops, nj, i = _BALL_OPS, _as_jet((Ball(nj.v), ZERO, ZERO, ZERO)), _BALL_I
+    else:
+        ops, i = _JET_OPS, _I
+    j = _walked(expr.root, ops, {Var: seed, Param: nj, ImagUnit: i}, point)
     if isinstance(j, EvalError):
         raise j
     return j
 
 
-def eval_jet(expr: FamilyExpr, n: float, z: complex) -> ComplexJet3:
+def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball) -> ComplexJet3:
     """Evaluate the order-3 jet of f_n at z.
 
     The family index n is real and enters the arithmetic as a complex
-    number with zero imaginary part.
+    number with zero imaginary part.  At a :class:`~.ball.Ball` z the jet's
+    parts are balls: their midpoints are the jet at z's midpoint, bit for
+    bit, and each encloses that derivative of the expression as written
+    (every literal the number its text names) at every point of z's ball.
     """
     seed = jet_var(z)
-    return _at_point(expr, _JET_OPS, {Var: seed, Param: jet_const(n), ImagUnit: _I}, seed.v)
+    return _at_point(expr, n, seed, complex(seed.v))
 
 
 def eval_jet_seeded(
@@ -670,24 +674,10 @@ def eval_jet_seeded(
 
     Seeding with the jet of another function g at z computes the jet of the
     composition f_n(g(z)) by the chain rule; ``point`` only labels errors.
+    A seed whose value is a ball evaluates on balls, as :func:`eval_jet`.
     """
-    leaves = {Var: _as_jet(seed), Param: jet_const(n), ImagUnit: _I}
-    return _at_point(expr, _JET_OPS, leaves, seed[0] if point is None else point)
-
-
-def eval_jet_bounded(
-    expr: FamilyExpr, n: float, seed: BoundedJet, point: complex | None = None
-) -> BoundedJet:
-    """:func:`eval_jet_seeded` with a first-order running error bound.
-
-    The jet is bit-identical to the unbounded evaluation with the seed's
-    jet; ``err`` bounds its distance from the exact jet of the expression
-    at the seed's exact value, with the seed's own ``err`` carried in and
-    every literal taken as known only to half an ulp (``n`` and ``i`` are
-    exact).  Seed with ``bounded_exact(jet_var(z))`` for f_n at a point z.
-    """
-    leaves = {Var: seed, Param: bounded_exact(jet_const(n)), ImagUnit: _BOUNDED_I}
-    return _at_point(expr, _BOUNDED_OPS, leaves, seed.jet.v if point is None else point)
+    seed = _as_jet(seed)
+    return _at_point(expr, n, seed, complex(seed[0]) if point is None else point)
 
 
 # codegen reads the node classes above

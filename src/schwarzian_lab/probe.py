@@ -461,8 +461,8 @@ def classify(
     """
     if not decay_threshold < slope_threshold:
         raise ValueError("decay_threshold must be below slope_threshold")
-    if cap <= 0.0:
-        raise ValueError("cap must be positive")
+    if not cap > 0.0:
+        raise ValueError(f"cap must be positive, got {cap!r}")
     out = []
     for p in report.points:
         if p.growth_slope >= slope_threshold or p.sup_stat >= cap:
@@ -576,8 +576,8 @@ def derivative_floor_check(
     A (point, n) entry passes when every neighborhood sample evaluates
     cleanly and the minimum |f_n'| over the samples reaches epsilon.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     ns = _validate_n_values(n_values)
     rows = []
     flag_rows = []
@@ -606,6 +606,8 @@ def derivative_floor_check(
 
 def value_bound_check(f: FamilyExpr, n_values, zeta: complex, L: float) -> bool:
     """True when max over n of |f_n(zeta)| is at most L."""
+    if math.isnan(L):
+        raise ValueError(f"L must be a number, got {L!r}")
     ns = _validate_n_values(n_values)
     zeta = complex(zeta)
     return max(modulus(eval_jet(f, n, zeta).v) for n in ns) <= L
@@ -619,8 +621,8 @@ def sd_bound_from_hypotheses(M2: float, M3: float, epsilon: float) -> float:
     :class:`OverflowAtPoint` when it leaves the finite double range, since
     an infinite bound says nothing.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     if M2 < 0.0 or M3 < 0.0:
         raise ValueError("derivative bounds must be nonnegative")
     try:

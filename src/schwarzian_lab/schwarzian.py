@@ -7,8 +7,10 @@ unchanged, and S of a Moebius map itself vanishes identically.  The
 checkers at the bottom verify these identities numerically at a point and
 return an :class:`IdentityReport` rather than a bare boolean, so callers
 see the actual gap and the tolerance that judged it.  Where the fixed
-tolerances cannot decide, a checker reruns its evaluation on bounded jets
-to learn how much of the gap roundoff can explain.
+tolerances cannot decide, a checker runs the code that computed its two
+sides again at a :class:`~.ball.Ball` of radius 0 about its point: the
+balls enclose each side's exact value, so their radii bound how much of
+the gap roundoff can explain.
 """
 
 from __future__ import annotations
@@ -18,17 +20,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .dsl import FamilyExpr, eval_jet, eval_jet_bounded, eval_jet_seeded
+from .ball import Ball, radius
+from .dsl import FamilyExpr, eval_jet, eval_jet_seeded
 from .jets import (
-    UNIT_ROUNDOFF,
-    BoundedJet,
     ComplexJet3,
     DivisionByZeroAtPoint,
     OverflowAtPoint,
-    bounded_div,
-    bounded_exact,
-    bounded_mobius,
-    bounded_sub,
     jet_const,
     jet_div,
     jet_mobius,
@@ -258,10 +255,12 @@ class IdentityReport:
     2. ``"rel"``: passed when rel_gap <= tol_rel.  With tol_rel <= 0 a
        failure here is final, so zero tolerances ask for exact agreement.
     3. ``"bound"``: passed when abs_gap <= error_bound and the bound is
-       finite.  ``error_bound`` is a first-order running bound on the
-       rounding error of both sides together, so a gap within it is one
-       that roundoff can explain; literals count as known to half an ulp.
-       It is computed only here, once both fixed clauses have failed.
+       finite.  ``error_bound`` is the sum of the radii of the balls that
+       the checker's own code gives for its two sides when run at a ball
+       about its point, so it bounds the rounding error of both sides
+       together, and a gap within it is one that roundoff can explain;
+       literals count as known to half an ulp.  It is computed only here,
+       once both fixed clauses have failed.
 
     ``tolerance_used`` is the threshold of the deciding clause: tol_abs,
     tol_rel or error_bound.  ``error_bound`` is None unless clause 3 ran.
@@ -278,12 +277,17 @@ class IdentityReport:
 
 
 def _report(
-    lhs: complex,
-    rhs: complex,
+    sides: Callable[[complex | Ball], tuple],
+    z: complex,
     tol_abs: float,
     tol_rel: float,
-    error_bound: Callable[[], float],
 ) -> IdentityReport:
+    """Judge ``sides(z)``; the bound clause runs ``sides`` at a ball about z."""
+    for name, tol in (("tol_abs", tol_abs), ("tol_rel", tol_rel)):
+        if not tol >= 0.0:
+            raise ValueError(f"{name} must be a nonnegative number, got {tol!r}")
+    z = complex(z)
+    lhs, rhs = sides(z)
     abs_gap = modulus(lhs - rhs)
     denom = max(modulus(lhs), modulus(rhs))
     rel_gap = abs_gap / denom if denom > 0.0 else 0.0
@@ -293,54 +297,11 @@ def _report(
         return IdentityReport(
             lhs, rhs, abs_gap, rel_gap, rel_gap <= tol_rel, tol_rel, None, "rel"
         )
-    bound = error_bound()
+    # each ball's midpoint is the side computed above, and the radii are
+    # rounded upward with room for this sum's own rounding
+    bound = sum(map(radius, sides(Ball(z))))
     passed = math.isfinite(bound) and abs_gap <= bound
     return IdentityReport(lhs, rhs, abs_gap, rel_gap, passed, bound, bound, "bound")
-
-
-_U = UNIT_ROUNDOFF
-
-
-def _schwarzian_error(b: BoundedJet) -> float:
-    """First-order bound on the error of schwarzian(b.jet).
-
-    Carries the jet's component errors through S = d3/d1 - 1.5 (d2/d1)^2
-    and adds the formula's own rounding (two quotients, a square, a
-    scaling and a difference: within 24U of its magnitude terms).
-    """
-    j = b.jet
-    _, e1, e2, e3 = b.err
-    m1 = modulus(j.d1)
-    q2 = modulus(j.d2) / m1
-    q3 = modulus(j.d3) / m1
-    propagated = (e3 + 3.0 * q2 * e2 + (q3 + 3.0 * q2 * q2) * e1) / m1
-    return propagated + 24.0 * _U * (q3 + 1.5 * q2 * q2)
-
-
-def _product_error(x: complex, ex: float, y: complex, ey: float) -> float:
-    # error of the computed x*y when x and y carry errors ex and ey
-    return modulus(x) * ey + ex * modulus(y) + 3.0 * _U * modulus(x * y)
-
-
-def _bounded_at(f: FamilyExpr, n: float, z: complex) -> BoundedJet:
-    return eval_jet_bounded(f, n, bounded_exact(jet_var(z)))
-
-
-def _bounded_point(w: complex, err: float) -> BoundedJet:
-    # the variable's jet at a computed point w known to within err
-    return BoundedJet(jet_var(w), (err, 0.0, 0.0, 0.0))
-
-
-def _apply_error(m: Mobius, z: complex, w: complex) -> float:
-    """Rounding bound of w = mobius_apply(m, z) for finite w.
-
-    Numerator and denominator each round within 4U of |a z| + |b| and
-    |c z| + |d|; the quotient adds 8U.
-    """
-    az = modulus(z)
-    num_err = 4.0 * _U * (modulus(m.a) * az + modulus(m.b))
-    den_err = 4.0 * _U * (modulus(m.c) * az + modulus(m.d))
-    return (num_err + modulus(w) * den_err) / modulus(m.c * z + m.d) + 8.0 * _U * modulus(w)
 
 
 def check_mobius_invariance(
@@ -352,16 +313,13 @@ def check_mobius_invariance(
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> IdentityReport:
     """Compare S of (m after f) against S of f at z."""
-    jf = eval_jet(f, n, z)
-    rhs = schwarzian(jf)
-    lhs = schwarzian(mobius_on_jet(m, jf))
 
-    def error_bound() -> float:
-        bf = _bounded_at(f, n, z)
-        moved = bounded_mobius(bf, m.a, m.b, m.c, m.d)
-        return _schwarzian_error(moved) + _schwarzian_error(bf)
+    def sides(z):
+        jf = eval_jet(f, n, z)
+        rhs = schwarzian(jf)
+        return schwarzian(mobius_on_jet(m, jf)), rhs
 
-    return _report(lhs, rhs, tol_abs, tol_rel, error_bound)
+    return _report(sides, z, tol_abs, tol_rel)
 
 
 def check_composition_law(
@@ -379,37 +337,28 @@ def check_composition_law(
     of the right side.  Raises :class:`OverflowAtPoint` when either side
     leaves the finite range, as when f'(z)^2 overflows.
     """
-    jf = eval_jet(f, n, z)
-    try:
-        s_f = schwarzian(jf)
-    except CriticalPointError as exc:
-        raise CriticalPointError(str(exc), complex(z), label="f") from exc
-    jg_at_fz = eval_jet(g, n, jf.v)
-    try:
-        s_g = schwarzian(jg_at_fz)
-    except CriticalPointError as exc:
-        raise CriticalPointError(str(exc), jf.v, label="g") from exc
-    composed = eval_jet_seeded(g, n, jf, point=complex(z))
-    lhs = schwarzian(composed)
-    square = jf.d1 * jf.d1
-    rhs = s_g * square + s_f
-    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
-        # e.g. S_g = 0 times an overflowed f'^2: 0 * inf is nan, no verdict
-        raise OverflowAtPoint(
-            f"composition law sides not finite: lhs {lhs}, rhs {rhs}", complex(z)
-        )
 
-    def error_bound() -> float:
-        bf = _bounded_at(f, n, z)
-        e_lhs = _schwarzian_error(eval_jet_bounded(g, n, bf, point=complex(z)))
-        bg = eval_jet_bounded(g, n, _bounded_point(jf.v, bf.err[0]))
-        e_sg = _schwarzian_error(bg)
-        e_square = _product_error(jf.d1, bf.err[1], jf.d1, bf.err[1])
-        e_term = _product_error(s_g, e_sg, square, e_square)
-        e_rhs = e_term + _schwarzian_error(bf) + _U * modulus(rhs)
-        return e_lhs + e_rhs
+    def sides(z):
+        jf = eval_jet(f, n, z)
+        try:
+            s_f = schwarzian(jf)
+        except CriticalPointError as exc:
+            raise CriticalPointError(str(exc), z, label="f") from exc
+        jg_at_fz = eval_jet(g, n, jf.v)
+        try:
+            s_g = schwarzian(jg_at_fz)
+        except CriticalPointError as exc:
+            raise CriticalPointError(str(exc), jf.v, label="g") from exc
+        lhs = schwarzian(eval_jet_seeded(g, n, jf, point=z))
+        rhs = s_g * (jf.d1 * jf.d1) + s_f
+        if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+            # e.g. S_g = 0 times an overflowed f'^2: 0 * inf is nan, no verdict
+            raise OverflowAtPoint(
+                f"composition law sides not finite: lhs {lhs}, rhs {rhs}", z
+            )
+        return lhs, rhs
 
-    return _report(lhs, rhs, tol_abs, tol_rel, error_bound)
+    return _report(sides, z, tol_abs, tol_rel)
 
 
 def check_reciprocal(
@@ -425,22 +374,18 @@ def check_reciprocal(
     For w = 0 this is the reciprocal identity S_{1/f} = S_f; a general
     omitted value is first shifted away, which changes no Schwarzian.
     """
-    jf = eval_jet(f, n, z)
-    if modulus(jf.v - omitted) <= RECIPROCAL_GUARD:
-        raise GuardViolation(
-            f"f(z) = {jf.v} is within {RECIPROCAL_GUARD:.1e} of the omitted value {omitted}"
-        )
-    shifted = jet_sub(jf, jet_const(omitted))
-    lhs = schwarzian(jet_div(jet_const(1.0), shifted))
-    rhs = schwarzian(jf)
 
-    def error_bound() -> float:
-        bf = _bounded_at(f, n, z)
-        shifted = bounded_sub(bf, bounded_exact(jet_const(omitted)))
-        recip = bounded_div(bounded_exact(jet_const(1.0)), shifted)
-        return _schwarzian_error(recip) + _schwarzian_error(bf)
+    def sides(z):
+        jf = eval_jet(f, n, z)
+        if modulus(jf.v - omitted) <= RECIPROCAL_GUARD:
+            raise GuardViolation(
+                f"f(z) = {jf.v} is within {RECIPROCAL_GUARD:.1e} of the omitted value {omitted}"
+            )
+        shifted = jet_sub(jf, jet_const(omitted))
+        lhs = schwarzian(jet_div(jet_const(1.0), shifted))
+        return lhs, schwarzian(jf)
 
-    return _report(lhs, rhs, tol_abs, tol_rel, error_bound)
+    return _report(sides, z, tol_abs, tol_rel)
 
 
 def check_conjugation(
@@ -458,27 +403,20 @@ def check_conjugation(
     :data:`CONJUGACY_TOL` and raises :class:`ConjugacyViolated` when it fails, since
     the identity is meaningless for unrelated families.
     """
-    jf = eval_jet(f, n, z)
-    phi_of_fz = mobius_apply(phi, jf.v)
-    phi_of_z = mobius_apply(phi, complex(z))
-    if not (cmath.isfinite(phi_of_fz) and cmath.isfinite(phi_of_z)):
-        raise PoleOfMobius(complex(z))
-    jg = eval_jet(g, n, phi_of_z)
-    gap = modulus(phi_of_fz - jg.v)
-    if gap > CONJUGACY_TOL:
-        raise ConjugacyViolated(gap, CONJUGACY_TOL)
-    jphi = mobius_jet(phi, z)
-    s_g = schwarzian(jg)
-    square = jphi.d1 * jphi.d1
-    lhs = s_g * square
-    rhs = schwarzian(jf)
 
-    def error_bound() -> float:
-        seed = _bounded_point(phi_of_z, _apply_error(phi, z, phi_of_z))
-        bg = eval_jet_bounded(g, n, seed)
-        bphi = bounded_mobius(bounded_exact(jet_var(z)), phi.a, phi.b, phi.c, phi.d)
-        e_square = _product_error(jphi.d1, bphi.err[1], jphi.d1, bphi.err[1])
-        e_lhs = _product_error(s_g, _schwarzian_error(bg), square, e_square)
-        return e_lhs + _schwarzian_error(_bounded_at(f, n, z))
+    def sides(z):
+        jf = eval_jet(f, n, z)
+        phi_of_fz = mobius_apply(phi, jf.v)
+        phi_of_z = mobius_apply(phi, z)
+        if not (cmath.isfinite(phi_of_fz) and cmath.isfinite(phi_of_z)):
+            raise PoleOfMobius(complex(z))
+        jg = eval_jet(g, n, phi_of_z)
+        gap = modulus(phi_of_fz - jg.v)
+        if gap > CONJUGACY_TOL:
+            raise ConjugacyViolated(gap, CONJUGACY_TOL)
+        jphi = mobius_jet(phi, z)
+        s_g = schwarzian(jg)
+        lhs = s_g * (jphi.d1 * jphi.d1)
+        return lhs, schwarzian(jf)
 
-    return _report(lhs, rhs, tol_abs, tol_rel, error_bound)
+    return _report(sides, z, tol_abs, tol_rel)

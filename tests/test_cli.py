@@ -1194,3 +1194,36 @@ _NONFINITE_GOLDENS = [
 )
 def test_nonfinite_points_and_failing_segments_golden_bytes(capsys, argv, code, out, err):
     assert run_cli(capsys, *argv) == (code, out, err)
+
+
+# ---------------------------------------------------------------------------
+# thresholds that are not numbers
+#
+# A nan --cap once marked every point that was not divergent inconclusive
+# (exit 0), a nan --epsilon gave an OverflowAtPoint (exit 3), a nan --L
+# gave value_ok false (exit 1), and nan tolerances failed a true identity
+# (exit 1).  Each is refused, naming the value; so is a negative tolerance.
+
+_GRID_ARGS = ["--grid=0,1,0,1,2,1", "--n-max=3"]
+_RECIPROCAL = ["identity", "reciprocal", "--family=exp(z)", "--n=1", "--z=0.3+0i", "--omit=0+0i"]
+_NAN_GOLDENS = [
+    (["scan-marty", "--family=exp(n*z)", *_GRID_ARGS, "--cap=nan"],
+     "error: cap must be positive, got nan\n"),
+    (["scan-sd", "--family=exp(n*z)", *_GRID_ARGS, "--cap=nan"],
+     "error: cap must be positive, got nan\n"),
+    (["hypotheses", "--family=z", *_GRID_ARGS, "--epsilon=nan", "--zeta=0.3+0.2i", "--L=10"],
+     "error: epsilon must be positive, got nan\n"),
+    (["hypotheses", "--family=z", *_GRID_ARGS, "--epsilon=0.5", "--zeta=0.3+0.2i", "--L=nan"],
+     "error: L must be a number, got nan\n"),
+    ([*_RECIPROCAL, "--tol-abs=nan", "--tol-rel=nan"],
+     "error: tol_abs must be a nonnegative number, got nan\n"),
+    ([*_RECIPROCAL, "--tol-rel=nan"], "error: tol_rel must be a nonnegative number, got nan\n"),
+    ([*_RECIPROCAL, "--tol-abs=-1e-300"],
+     "error: tol_abs must be a nonnegative number, got -1e-300\n"),
+    ([*_RECIPROCAL, "--tol-rel=-1"], "error: tol_rel must be a nonnegative number, got -1.0\n"),
+]
+
+
+@pytest.mark.parametrize("argv,err", _NAN_GOLDENS, ids=[str(k) for k in range(len(_NAN_GOLDENS))])
+def test_thresholds_that_are_not_numbers_exit_2(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)

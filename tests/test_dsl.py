@@ -28,28 +28,18 @@ from schwarzian_lab.dsl import (
     Sub,
     Var,
     eval_jet,
-    eval_jet_bounded,
     eval_jet_lanes,
     eval_jet_seeded,
     parse,
     pretty_print,
 )
+from schwarzian_lab.ball import Ball, literal, radius
 from schwarzian_lab.jets import (
-    BoundedJet,
+    ZERO,
     ComplexJet3,
     DivisionByZeroAtPoint,
     JetError,
     OverflowAtPoint,
-    bounded_add,
-    bounded_const,
-    bounded_div,
-    bounded_exact,
-    bounded_exp,
-    bounded_log,
-    bounded_mul,
-    bounded_neg,
-    bounded_pow_int,
-    bounded_sub,
     jet_add,
     jet_const,
     jet_div,
@@ -342,16 +332,16 @@ def test_bounded_evaluation_reproduces_plain_evaluation_bit_for_bit():
             composed = eval_jet_seeded(g, n, jf, point=z)
         except EvalError:
             continue
-        bf = eval_jet_bounded(f, n, bounded_exact(jet_var(z)))
-        assert bf.jet == jf
-        assert eval_jet_bounded(g, n, bf, point=z).jet == composed
-        assert all(e >= 0.0 for e in bf.err)
+        bf = eval_jet(f, n, Ball(z))
+        assert _outcome(bf) == _outcome(jf)
+        assert _outcome(eval_jet_seeded(g, n, bf, point=z)) == _outcome(composed)
+        assert all(radius(p) >= 0.0 for p in bf)
         checked += 1
 
 
 def test_bounded_evaluation_raises_the_same_spanned_error():
     with pytest.raises(EvalError) as info:
-        eval_jet_bounded(parse("z + 1/z"), 1.0, bounded_exact(jet_var(0j)))
+        eval_jet(parse("z + 1/z"), 1.0, Ball(0j))
     assert info.value.span == (4, 7)
 
 
@@ -366,22 +356,25 @@ def test_seeded_evaluation_defaults_point_to_seed_value():
 # lanes: one tree walk for a batch of evaluations
 
 
-def _reference(node, nj, zj, at):
-    # one jet at a time, raising the first failure: lhs, then rhs, then op
+def _reference(node, nj, zj, at, leaf=None):
+    # one jet at a time, raising the first failure: lhs, then rhs, then op;
+    # leaf, if given, turns the jet of i or a literal into its ball jet
     if isinstance(node, Var):
         return zj
     if isinstance(node, Param):
         return nj
     if isinstance(node, (ImagUnit, ConstNum)):
-        return jet_const(1j if isinstance(node, ImagUnit) else node.value)
+        j = jet_const(1j if isinstance(node, ImagUnit) else node.value)
+        return j if leaf is None else leaf(node, j)
     if isinstance(node, Neg):
-        return jet_neg(_reference(node.operand, nj, zj, at))
+        return jet_neg(_reference(node.operand, nj, zj, at, leaf))
     if isinstance(node, PowInt):
-        args, op = (_reference(node.base, nj, zj, at), node.exponent), jet_pow_int
+        args, op = (_reference(node.base, nj, zj, at, leaf), node.exponent), jet_pow_int
     elif isinstance(node, (Exp, Log)):
-        args, op = (_reference(node.arg, nj, zj, at),), jet_exp if isinstance(node, Exp) else jet_log
+        args = (_reference(node.arg, nj, zj, at, leaf),)
+        op = jet_exp if isinstance(node, Exp) else jet_log
     else:
-        args = (_reference(node.lhs, nj, zj, at), _reference(node.rhs, nj, zj, at))
+        args = (_reference(node.lhs, nj, zj, at, leaf), _reference(node.rhs, nj, zj, at, leaf))
         op = {Add: jet_add, Sub: jet_sub, Mul: jet_mul, Div: jet_div}[type(node)]
     try:
         return op(*args)
@@ -491,32 +484,10 @@ def test_lanes_past_one_block_match_one_lane_calls():
 # The references walk the tree themselves and call one jets operation per
 # node; they share no code with dsl's walk or codegen's generator.
 
-_BOUNDED_OPS = {
-    Add: bounded_add, Sub: bounded_sub, Mul: bounded_mul, Div: bounded_div,
-    Neg: bounded_neg, Exp: bounded_exp, Log: bounded_log, PowInt: bounded_pow_int,
-}
-
-
-def _reference_bounded(node, nb, zb, at):
-    if isinstance(node, Var):
-        return zb
-    if isinstance(node, Param):
-        return nb
-    if isinstance(node, ImagUnit):
-        return bounded_exact(jet_const(1j))
-    if isinstance(node, ConstNum):
-        return bounded_const(node.value)
-    if isinstance(node, PowInt):
-        args = (_reference_bounded(node.base, nb, zb, at), node.exponent)
-    elif isinstance(node, (Neg, Exp, Log)):
-        child = node.operand if isinstance(node, Neg) else node.arg
-        args = (_reference_bounded(child, nb, zb, at),)
-    else:
-        args = (_reference_bounded(node.lhs, nb, zb, at), _reference_bounded(node.rhs, nb, zb, at))
-    try:
-        return _BOUNDED_OPS[type(node)](*args)
-    except JetError as exc:
-        raise EvalError(node.span, str(exc), at) from exc
+def _ball_leaf(node, j):
+    # a literal is known to half an ulp; i is exact
+    v = literal(j.v) if isinstance(node, ConstNum) else Ball(j.v)
+    return ComplexJet3(v, ZERO, ZERO, ZERO)
 
 
 def _zero_prone_tree(rng, depth):
@@ -619,7 +590,7 @@ def test_generated_lane_function_on_each_rule(text):
 
 
 def test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit():
-    # non-identity seeds, as in composition, and bounded seeds with errors
+    # non-identity seeds, as in composition, and seeds of balls with radii
     rng = random.Random(62)
     kinds = set()
     for _ in range(150):
@@ -629,15 +600,18 @@ def test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit():
             seed = _random_seed(rng) if rng.random() < 0.7 else jet_var(w)
             want = _outcome(_raised(lambda: _reference(f.root, nj, seed, w)))
             assert _outcome(_raised(lambda: eval_jet_seeded(f, n, seed, point=w))) == want
-            bseed = BoundedJet(seed, (rng.choice((0.0, 1e-16)) * abs(seed.v), 0.0, 1e-18, 0.0))
-            nb = bounded_exact(nj)
-            ref = _raised(lambda: _reference_bounded(f.root, nb, bseed, w))
-            got = _raised(lambda: eval_jet_bounded(f, n, bseed, point=w))
+            bseed = ComplexJet3(
+                Ball(seed.v, rng.choice((0.0, 1e-16)) * abs(seed.v)), seed.d1, Ball(seed.d2, 1e-18),
+                seed.d3,
+            )
+            nb = ComplexJet3(Ball(nj.v), ZERO, ZERO, ZERO)
+            ref = _raised(lambda: _reference(f.root, nb, bseed, w, _ball_leaf))
+            got = _raised(lambda: eval_jet_seeded(f, n, bseed, point=w))
             if isinstance(ref, EvalError):
                 assert _outcome(got) == _outcome(ref)
             else:
-                assert _outcome(got.jet) == _outcome(ref.jet) == want
-                assert [e.hex() for e in got.err] == [e.hex() for e in ref.err]
+                assert _outcome(got) == _outcome(ref) == want
+                assert [radius(p).hex() for p in got] == [radius(p).hex() for p in ref]
             kinds.add(want[-1] if want[0] == "error" else "jet")
     assert kinds == {"jet", OverflowAtPoint, DivisionByZeroAtPoint}
 
@@ -1038,7 +1012,7 @@ def test_one_lane_evaluations_compile_nothing(monkeypatch):
     f = parse("exp(z/(n*z+3))*log(z+2)^2 - i*z")
     jet = eval_jet(f, 2, 0.5j)
     assert eval_jet_seeded(f, 2, jet_var(0.5j)) == jet
-    assert eval_jet_bounded(f, 2, bounded_exact(jet_var(0.5j))).jet == jet
+    assert _outcome(eval_jet(f, 2, Ball(0.5j))) == _outcome(jet)
     assert compiled == []
     # a batch, even of one lane, compiles the lane function, through that name
     eval_jet_lanes(f, 2, [0.5j])
@@ -1099,7 +1073,7 @@ def test_n_past_the_double_range_is_a_value_error(n):
     for evaluate in (
         lambda: eval_jet(f, n, 0.5),
         lambda: eval_jet_lanes(f, n, [0.5 + 0j] * 100),
-        lambda: eval_jet_bounded(f, n, bounded_exact(jet_var(0.5))),
+        lambda: eval_jet(f, n, Ball(0.5)),
     ):
         with pytest.raises(ValueError, match="^jet_const requires a finite value$"):
             evaluate()
@@ -1151,7 +1125,7 @@ _NESTINGS = {
 def test_nesting_at_the_depth_limit_runs_everywhere(shape):
     f = parse(_NESTINGS[shape](MAX_DEPTH))
     jet = eval_jet(f, 1, 0.25)
-    assert eval_jet_bounded(f, 1, bounded_exact(jet_var(0.25))).jet == jet
+    assert _outcome(eval_jet(f, 1, Ball(0.25))) == _outcome(jet)
     assert parse(pretty_print(f)) == f
     assert pickle.loads(pickle.dumps(f)) == f
 

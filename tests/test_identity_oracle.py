@@ -1,7 +1,8 @@
 """Error bounds and identity verdicts against a high-precision oracle.
 
 When both fixed tolerances reject a gap, a checker passes it only if the
-gap lies within the first-order running error bound of its two sides
+gap lies within the error bound of its two sides, the radii of the balls
+its own code gives for them at a ball about its point
 (``IdentityReport.rule == "bound"``).  For the examples pinned on the
 property tests in test_schwarzian.py, which fixed tolerances once failed,
 these tests differentiate the very same trees with sympy and evaluate
@@ -10,7 +11,7 @@ They show that the bound covers each side's actual rounding error and
 that the gap lies within it.  A negative control shows that a genuine
 relative defect of 1e-6 at a well-conditioned point still fails.
 
-Beneath that, each bounded jet operation is checked against the exact
+Beneath that, each jet operation on balls is checked against the exact
 derivatives of the same operation applied to the cubic Taylor polynomial
 of its operands, and a literal's half-ulp uncertainty is checked where
 it is all the error there is.
@@ -26,6 +27,7 @@ sp = pytest.importorskip("sympy")
 from schwarzian_lab import (  # noqa: E402
     FamilyExpr,
     Mobius,
+    check_composition_law,
     check_conjugation,
     check_mobius_invariance,
     eval_jet,
@@ -34,19 +36,17 @@ from schwarzian_lab import (  # noqa: E402
     parse,
     schwarzian,
 )
+from schwarzian_lab.ball import Ball  # noqa: E402
 from schwarzian_lab.jets import (  # noqa: E402
-    BoundedJet,
     ComplexJet3,
-    bounded_add,
-    bounded_div,
-    bounded_exact,
-    bounded_exp,
-    bounded_log,
-    bounded_mobius,
-    bounded_mul,
-    bounded_pow_int,
-    bounded_sub,
-    jet_var,
+    jet_add,
+    jet_div,
+    jet_exp,
+    jet_log,
+    jet_mobius,
+    jet_mul,
+    jet_pow_int,
+    jet_sub,
 )
 from schwarzian_lab.dsl import (  # noqa: E402
     Add,
@@ -61,7 +61,6 @@ from schwarzian_lab.dsl import (  # noqa: E402
     PowInt,
     Sub,
     Var,
-    eval_jet_bounded,
 )
 
 import support  # noqa: E402
@@ -168,6 +167,19 @@ def test_invariance_pin_passes_and_its_bound_covers_the_oracle():
     assert forced.error_bound >= error(forced.lhs, s_exact) + error(forced.rhs, s_exact)
 
 
+def test_composition_near_the_cut_passes_by_a_bound_that_covers_the_oracle():
+    # f(z) = z^2 is within rounding of -1, so g = log(z - 0.1) is taken where
+    # its argument's ball meets the branch cut: the value's radius is
+    # infinite, but S_g takes only log's derivatives, which take no branch
+    f, g = parse("z^2"), parse("log(z-0.1)")
+    z = complex(1e-20, 1)
+    rep = check_composition_law(f, g, 2, z, tol_abs=0.0, tol_rel=FORCE_BOUND)
+    assert rep.passed and rep.rule == "bound"
+    s_exact = exact_schwarzian(support.compose_family(g, f), 2, exact(z))
+    assert rep.error_bound >= error(rep.lhs, s_exact) + error(rep.rhs, s_exact)
+    assert rep.error_bound <= 1e-12
+
+
 def test_negative_control_relative_defect_of_1e_minus_6_fails():
     # phi(z) = nz carries exp(nz) to n exp(z).  Adding eps (w - w0)^3 to g,
     # with w0 = phi(z), leaves g and its first two derivatives at w0
@@ -194,16 +206,22 @@ def test_negative_control_relative_defect_of_1e_minus_6_fails():
 _M = Mobius(3, 1, 1, -2)
 
 OPERATIONS = {
-    "add": (bounded_add, lambda p, q: p + q),
-    "sub": (bounded_sub, lambda p, q: p - q),
-    "mul": (bounded_mul, lambda p, q: p * q),
-    "div": (bounded_div, lambda p, q: p / q),
-    "exp": (lambda a, b: bounded_exp(a), lambda p, q: sp.exp(p)),
-    "log": (lambda a, b: bounded_log(a), lambda p, q: sp.log(p)),
-    "pow": (lambda a, b: bounded_pow_int(a, -3), lambda p, q: p**-3),
+    "add": (jet_add, lambda p, q: p + q),
+    "sub": (jet_sub, lambda p, q: p - q),
+    "mul": (jet_mul, lambda p, q: p * q),
+    "div": (jet_div, lambda p, q: p / q),
+    "exp": (lambda a, b: jet_exp(a), lambda p, q: sp.exp(p)),
+    "log": (lambda a, b: jet_log(a), lambda p, q: sp.log(p)),
+    "pow": (lambda a, b: jet_pow_int(a, -3), lambda p, q: p**-3),
     "mobius": (
-        lambda a, b: bounded_mobius(a, _M.a, _M.b, _M.c, _M.d),
+        lambda a, b: jet_mobius(a, _M.a, _M.b, _M.c, _M.d),
         lambda p, q: (exact(_M.a) * p + exact(_M.b)) / (exact(_M.c) * p + exact(_M.d)),
+    ),
+    # w/(w + 2), with ad - bc = 2: the closed form's derivatives are half
+    # the map's, and the ball jet's must still hold the map's
+    "mobius, ad - bc = 2": (
+        lambda a, b: jet_mobius(a, 1, 0, 1, 2),
+        lambda p, q: p / (p + 2),
     ),
 }
 
@@ -226,6 +244,11 @@ def unit(rng: random.Random) -> complex:
     return complex(math.cos(t), math.sin(t))
 
 
+def balls(j, rads=(0.0, 0.0, 0.0, 0.0)) -> ComplexJet3:
+    """The jet of balls about j's parts, with these radii."""
+    return ComplexJet3(*(Ball(p, r) for p, r in zip(j, rads)))
+
+
 def random_jet(rng: random.Random) -> ComplexJet3:
     # moduli in [0.5, 2], and a value clear of log's branch cut
     d1, d2, d3 = (rng.uniform(0.5, 2.0) * unit(rng) for _ in range(3))
@@ -234,22 +257,21 @@ def random_jet(rng: random.Random) -> ComplexJet3:
 
 @pytest.mark.parametrize("name", sorted(OPERATIONS))
 def test_bounded_operation_covers_its_own_rounding(name):
-    bounded_op, exact_op = OPERATIONS[name]
+    op, exact_op = OPERATIONS[name]
     rng = random.Random(name)
     for _ in range(5):
         a, b = random_jet(rng), random_jet(rng)
-        got = bounded_op(bounded_exact(a), bounded_exact(b))
+        got = op(balls(a), balls(b))
         want = exact_jet(exact_op(*(taylor(map(exact, j)) for j in (a, b))))
         for k in range(4):
-            assert error(got.jet[k], want[k]) <= got.err[k], (name, k)
+            assert error(got[k].mid, want[k]) <= got[k].rad, (name, k)
 
 
 @pytest.mark.parametrize("name", sorted(OPERATIONS))
 def test_bounded_operation_covers_errors_carried_in(name):
     # operands known to 1e-9 of each component: the exact operation on
-    # the true operands lies within the bound of the computed one, to
-    # first order
-    bounded_op, exact_op = OPERATIONS[name]
+    # the true operands lies within the radius of the computed one
+    op, exact_op = OPERATIONS[name]
     rng = random.Random(name + "-carried")
     for _ in range(5):
         a, b = random_jet(rng), random_jet(rng)
@@ -259,10 +281,10 @@ def test_bounded_operation_covers_errors_carried_in(name):
             for j, move in zip((a, b), moves)
         ]
         err_a, err_b = (tuple(abs(m) for m in move) for move in moves)
-        got = bounded_op(BoundedJet(a, err_a), BoundedJet(b, err_b))
+        got = op(balls(a, err_a), balls(b, err_b))
         want = exact_jet(exact_op(*true))
         for k in range(4):
-            assert error(got.jet[k], want[k]) <= got.err[k], (name, k)
+            assert error(got[k].mid, want[k]) <= got[k].rad, (name, k)
 
 
 def test_literal_half_ulp_is_covered_where_it_is_all_the_error():
@@ -270,9 +292,9 @@ def test_literal_half_ulp_is_covered_where_it_is_all_the_error():
     # only by the distance of the double 0.1 from the real number written
     f = parse("(z-0.1)^2")
     z = 0.1 + 1e-15
-    got = eval_jet_bounded(f, 1, bounded_exact(jet_var(z)))
+    got = eval_jet(f, 1, Ball(z))
     half_ulp = sp.Rational(math.ulp(0.1)) / 2
     for literal in (exact(0.1) - half_ulp, exact(0.1) + half_ulp):
         want = exact_jet((exact(z) + T - literal) ** 2)
         for k in range(4):
-            assert error(got.jet[k], want[k]) <= got.err[k], (literal, k)
+            assert error(got[k].mid, want[k]) <= got[k].rad, (literal, k)

@@ -5,22 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schwarzian_lab.ball import Ball
 from schwarzian_lab.jets import (
     DIVISION_FLOOR,
     EXP_REAL_GUARD,
-    BoundedJet,
     ComplexJet3,
     DivisionByZeroAtPoint,
     OverflowAtPoint,
-    bounded_add,
-    bounded_div,
-    bounded_exact,
-    bounded_exp,
-    bounded_log,
-    bounded_mobius,
-    bounded_mul,
-    bounded_pow_int,
-    bounded_sub,
     jet_add,
     jet_const,
     jet_div,
@@ -242,33 +233,40 @@ def test_add_sub_are_inverse_exactly_on_components(a, b):
 
 
 # ---------------------------------------------------------------------------
-# bounded twins
+# ball jets
+
+
+def _balls(j, rads=(0.0, 0.0, 0.0, 0.0)) -> ComplexJet3:
+    return ComplexJet3(*(Ball(p, r) for p, r in zip(j, rads)))
 
 
 @given(_jets(), _jets())
 def test_bounded_ops_reproduce_plain_jets_bit_for_bit(a, b):
-    ba, bb = bounded_exact(a), bounded_exact(b)
+    ba, bb = _balls(a), _balls(b)
     pairs = [
-        (bounded_add(ba, bb), jet_add(a, b)),
-        (bounded_sub(ba, bb), jet_sub(a, b)),
-        (bounded_mul(ba, bb), jet_mul(a, b)),
-        (bounded_div(ba, bb), jet_div(a, b)),
-        (bounded_exp(ba), jet_exp(a)),
-        (bounded_log(ba), jet_log(a)),
-        (bounded_pow_int(ba, -3), jet_pow_int(a, -3)),
+        (jet_add(ba, bb), jet_add(a, b)),
+        (jet_sub(ba, bb), jet_sub(a, b)),
+        (jet_mul(ba, bb), jet_mul(a, b)),
+        (jet_div(ba, bb), jet_div(a, b)),
+        (jet_exp(ba), jet_exp(a)),
+        (jet_log(ba), jet_log(a)),
+        (jet_pow_int(ba, -3), jet_pow_int(a, -3)),
         # (2w + 1)/(w + 1) has ad - bc = 1
-        (bounded_mobius(ba, 2, 1, 1, 1), jet_mobius(a, 2, 1, 1, 1)),
+        (jet_mobius(ba, 2, 1, 1, 1), jet_mobius(a, 2, 1, 1, 1)),
     ]
-    for bounded, plain in pairs:
-        assert bounded.jet == plain
-        assert all(0.0 <= e < math.inf for e in bounded.err)
+    for balls, plain in pairs:
+        assert tuple(p.mid for p in balls) == plain
+        assert all(0.0 <= p.rad < math.inf for p in balls)
 
 
 def test_bounded_log_is_unbounded_where_the_value_may_cross_the_cut():
-    near = BoundedJet(jet_var(-1.0 + 1e-17j), (1e-16, 0.0, 0.0, 0.0))
-    assert bounded_log(near).err[0] == math.inf
-    clear = BoundedJet(jet_var(-1.0 + 1e-3j), (1e-16, 0.0, 0.0, 0.0))
-    assert math.isfinite(bounded_log(clear).err[0])
+    near = _balls(jet_var(-1.0 + 1e-17j), (1e-16, 0.0, 0.0, 0.0))
+    got = jet_log(near)
+    assert got.v.rad == math.inf
+    # log's derivatives, 1/u and its powers, take no branch
+    assert all(math.isfinite(p.rad) for p in got[1:])
+    clear = _balls(jet_var(-1.0 + 1e-3j), (1e-16, 0.0, 0.0, 0.0))
+    assert math.isfinite(jet_log(clear).v.rad)
 
 
 def test_mobius_jet_at_pole_raises_division_by_zero():

@@ -694,3 +694,18 @@ def test_worker_limit():
     for scan in (marty_scan, sd_family_scan):
         with pytest.raises(ValueError, match="at most 64"):
             scan(parse("z"), grid, (1,), workers=MAX_WORKERS + 1)
+
+
+def test_thresholds_that_are_not_numbers_are_value_errors():
+    f = parse("z")
+    grid = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 1, 0.05, 3)
+    report = marty_scan(f, grid, [1, 2], workers=1)
+    nan = float("nan")
+    for refuse, text in (
+        (lambda: classify(report, cap=nan), "cap must be positive, got nan"),
+        (lambda: derivative_floor_check(f, [1], grid, nan), "epsilon must be positive, got nan"),
+        (lambda: sd_bound_from_hypotheses(1.0, 1.0, nan), "epsilon must be positive, got nan"),
+        (lambda: value_bound_check(f, [1], 0.3j, nan), "L must be a number, got nan"),
+    ):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            refuse()

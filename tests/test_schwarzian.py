@@ -491,3 +491,20 @@ def test_property_conjugation_of_transported_family(seed, z):
     except (EvalError, CriticalPointError, PoleOfMobius, ConjugacyViolated):
         assume(False)
     assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "tols", [(math.nan, 1e-8), (1e-10, math.nan), (-1e-300, 1e-8), (1e-10, -1.0)]
+)
+def test_tolerances_that_are_not_nonnegative_numbers_are_value_errors(tols):
+    # a nan tolerance once failed this true identity
+    f = parse("exp(z)")
+    name = ("tol_abs", "tol_rel")[0 if not tols[0] >= 0.0 else 1]
+    for check in (
+        lambda: check_reciprocal(f, 1, 0j, 0.3, *tols),
+        lambda: check_mobius_invariance(f, 1, Mobius(1, 2, 3, 4), 0.3, *tols),
+        lambda: check_composition_law(f, f, 1, 0.3, *tols),
+        lambda: check_conjugation(f, f, Mobius(1, 0, 0, 1), 1, 0.3, *tols),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be a nonnegative number, got "):
+            check()

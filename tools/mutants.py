@@ -49,11 +49,16 @@ DSL = "tests/test_dsl.py::"
 PROBE = "tests/test_probe.py::"
 CLI = "tests/test_cli.py::"
 GOLDENS = "tests/test_scan_goldens.py::"
+JETS = "tests/test_jets.py::"
+BALL = "tests/test_ball.py::"
+ORACLE = "tests/test_identity_oracle.py::"
 
 # the mutations CHANGES.md records for the lane function and its statistics
 # (at f9cb2da, 418a567, f051287 and 7bcb6c2), as they apply to the code
-# today, then one per part of the lane's one handler; a later change adds
-# its mutants here
+# today, then one per part of the lane's one handler, then those it
+# records for the identity error bound (PR 2, here against the ball rules),
+# the batch walk (PR 5) and the one walk (PR 7); a later change adds its
+# mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -170,6 +175,82 @@ MUTANTS = (
     Mutant("a redone lane not bound to the appended name", "codegen.py",
            'handler = [f"{values[0]} = redo(zv)"]', 'handler = ["redo(zv)"]',
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+    # the ball rules behind the identity error bound
+    Mutant("a literal taken as exact, not within half an ulp", "ball.py",
+           "    return Ball(c, _up(_U * _mag(c)))", "    return Ball(c)",
+           (BALL + "test_a_literal_holds_the_number_written",
+            ORACLE + "test_literal_half_ulp_is_covered_where_it_is_all_the_error")),
+    Mutant("a chain step without its outer function's rounding (exp)", "ball.py",
+           "_up(_mag(e) * (grown + LIBM_ERROR))", "_up(_mag(e) * grown)",
+           (ORACLE + "test_bounded_operation_covers_its_own_rounding[exp]",)),
+    Mutant("a product without its own rounding", "ball.py",
+           " + _MUL * _mag(p)))", "))",
+           (ORACLE + "test_bounded_operation_covers_its_own_rounding[mul]",)),
+    Mutant("a product drops one propagation term", "ball.py",
+           "_up(_mag(x) * ry + rx", "_up(rx",
+           (BALL + "test_ball_holds_the_exact_operation_at_its_members[mul-0.001]",
+            ORACLE + "test_bounded_operation_covers_errors_carried_in[mul]")),
+    Mutant("a quotient drops its divisor's radius, which carries the Schwarzian "
+           "formula's propagation", "ball.py",
+           "(rx + ratio * ry) / gap", "rx / gap",
+           (BALL + "test_ball_holds_the_exact_operation_at_its_members[div-0.001]",
+            ORACLE + "test_bounded_operation_covers_errors_carried_in[div]")),
+    Mutant("log's branch-cut rule dropped", "ball.py",
+           "        if not r < (abs(x.imag) if x.real <= 0.0 else low):", "        if False:",
+           (BALL + "test_log_radius_is_infinite_where_the_ball_meets_the_cut",
+            JETS + "test_bounded_log_is_unbounded_where_the_value_may_cross_the_cut")),
+    Mutant("the determinant term dropped from a Moebius ball jet", "jets.py",
+           "        j = (j[0], j[1] * det, j[2] * det, j[3] * det)", "        pass",
+           (ORACLE + "test_bounded_operation_covers_its_own_rounding[mobius, ad - bc = 2]",)),
+    # the batch walk (PR 5) and the one walk (PR 7), as they apply today
+    Mutant("x^0 of a failed base is one", "dsl.py",
+           "        args = (_walk(node.base, ops, leaves, point), node.exponent)",
+           "        args = (_walk(node.base, ops, leaves, point) if node.exponent else None,"
+           " node.exponent)",
+           (DSL + "test_power_of_a_failing_base_still_fails[0]",)),
+    Mutant("a failure loses its point", "dsl.py",
+           "        raise EvalError(node.span, str(exc), point) from exc",
+           "        raise EvalError(node.span, str(exc)) from exc",
+           (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
+    Mutant("a failure loses its __cause__", "dsl.py",
+           "        raise EvalError(node.span, str(exc), point) from exc",
+           "        raise EvalError(node.span, str(exc), point) from None",
+           (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
+    Mutant("the pool sized by workers, not by its chunks", "probe.py",
+           "ProcessPoolExecutor(max_workers=min(workers, len(payloads)))",
+           "ProcessPoolExecutor(max_workers=workers)",
+           (PROBE + "test_pool_is_no_larger_than_its_chunks",)),
+    Mutant("i taken as a literal, within half an ulp", "dsl.py",
+           "_BALL_I = _as_jet((Ball(_I.v), ZERO, ZERO, ZERO))",
+           "_BALL_I = _as_jet((literal(_I.v), ZERO, ZERO, ZERO))",
+           (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
+    Mutant("literals taken as exact on balls", "dsl.py",
+           "    return _as_jet((literal(jet_const(c).v), ZERO, ZERO, ZERO))",
+           "    return _as_jet((Ball(jet_const(c).v), ZERO, ZERO, ZERO))",
+           (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
+    Mutant("a failed lane keeps its traceback", "dsl.py",
+           "        err.__cause__.with_traceback(None)\n        return err.with_traceback(None)",
+           "        return err",
+           (DSL + "test_failing_lanes_leave_clean_lanes_unchanged",)),
+    Mutant("the probe's n check dropped", "probe.py",
+           "        float(ns[0]), float(ns[-1])  # sorted, so these bound the rest",
+           "        pass",
+           (PROBE + "test_scan_rejects_bad_n_values",)),
+    Mutant("jet_const lets an integer past the double range through", "jets.py",
+           "    except OverflowError:  # an integer past the double range",
+           "    except ZeroDivisionError:",
+           (DSL + "test_n_past_the_double_range_is_a_value_error[1e400]",)),
+    Mutant("a seeded failure labelled with the seed, not the point", "dsl.py",
+           "complex(seed[0]) if point is None else point", "complex(seed[0])",
+           (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
+    Mutant("the lane function never generated for jets", "dsl.py",
+           "    return _family(expr, stat)(",
+           "    if stat is None:\n        return [redo(w) for w in points]\n"
+           "    return _family(expr, stat)(",
+           (DSL + "test_one_lane_evaluations_compile_nothing",)),
+    Mutant("n's leaf bound to the seed", "dsl.py",
+           "{Var: seed, Param: nj, ImagUnit: i}", "{Var: seed, Param: seed, ImagUnit: i}",
+           (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
 )
 
 
@@ -179,12 +260,22 @@ SURVIVORS = (
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",),
            "a part's zero, finite and nonzero marks are the same for -x as for x, and the "
            "emitted line keeps its product, so no fold, and no result, depends on it"),
+    Mutant("division as the reciprocal times a, not a times the reciprocal", "jets.py",
+           "    return jet_mul(a, _reciprocal_jet(b))", "    return jet_mul(_reciprocal_jet(b), a)",
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",
+            DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit"),
+           "the Leibniz product's sums are associated symmetrically, so swapping its "
+           "operands gives the same bits; the reciprocal is computed, and checked, first "
+           "either way"),
 )
 
 # recorded mutations whose code is gone, and the commit that deleted it
 DELETED = (
     ("the identity-seed check of the lane loop",
      "7bcb6c2 gave the lane function points, not seed jets"),
+    ("the batch kernels' lhs-first rule",
+     "the lanes_* kernels went in PRs 6 to 8; a redone lane's first failure follows the "
+     "walk's rule, the table's 'the walk evaluates rhs before lhs'"),
 )
 
 
