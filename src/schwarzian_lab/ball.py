@@ -152,7 +152,8 @@ class Ball:
         x, r = self.mid, self.rad
         lg = cmath.log(x)
         low = _mag(x) * _DOWN
-        if not r < (abs(x.imag) if x.real <= 0.0 else low):
+        # the distance from x to the cut, from below
+        if not r < (low if x.real > 0.0 else min(low, abs(x.imag))):
             return Ball(lg, _INF)
         # log is analytic on the ball, and |1/t| <= 1/(|x| - r) there
         return Ball(lg, _up(r / (low - r) + LIBM_ERROR * (1.0 + _mag(lg))))

@@ -252,8 +252,9 @@ class IdentityReport:
     that decided:
 
     1. ``"abs"``: passed when abs_gap <= tol_abs.
-    2. ``"rel"``: passed when rel_gap <= tol_rel.  With tol_rel <= 0 a
+    2. ``"rel"``: passed when rel_gap <= tol_rel.  With tol_rel = 0 a
        failure here is final, so zero tolerances ask for exact agreement.
+       A checker refuses a tolerance that is nan or negative (ValueError).
     3. ``"bound"``: passed when abs_gap <= error_bound and the bound is
        finite.  ``error_bound`` is the sum of the radii of the balls that
        the checker's own code gives for its two sides when run at a ball

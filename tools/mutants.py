@@ -196,7 +196,7 @@ MUTANTS = (
            (BALL + "test_ball_holds_the_exact_operation_at_its_members[div-0.001]",
             ORACLE + "test_bounded_operation_covers_errors_carried_in[div]")),
     Mutant("log's branch-cut rule dropped", "ball.py",
-           "        if not r < (abs(x.imag) if x.real <= 0.0 else low):", "        if False:",
+           "        if not r < (low if x.real > 0.0 else min(low, abs(x.imag))):", "        if False:",
            (BALL + "test_log_radius_is_infinite_where_the_ball_meets_the_cut",
             JETS + "test_bounded_log_is_unbounded_where_the_value_may_cross_the_cut")),
     Mutant("the determinant term dropped from a Moebius ball jet", "jets.py",
