@@ -174,8 +174,8 @@ def _logarithm(lg, w) -> tuple:
     return lg, w, -w2, 2.0 * (w2 * w)
 
 
-def _mobius(u, a, b, c, d) -> tuple:
-    """(a w + b)/(c w + d) after u, for ad - bc = 1, in u's derivatives scaled by r.
+def _mobius(u, a, b, c, r) -> tuple:
+    """(a w + b)/(c w + d) after u, for ad - bc = 1, from r = 1/(c w + d).
 
     The chain rule takes the map's closed-form derivatives at w = u's
     value: with r = 1/(c w + d) they are r^2, -2c r^3 and 6c^2 r^4.  The
@@ -190,7 +190,6 @@ def _mobius(u, a, b, c, d) -> tuple:
     0 * inf.
     """
     w, u1, u2, u3 = u
-    r = 1.0 / (c * w + d)
     s, p, q = r * u1, r * u2, r * u3
     cs = c * s
     return (
@@ -307,7 +306,7 @@ def jet_mobius(u: ComplexJet3, a: complex, b: complex, c: complex, d: complex) -
     den = c * w + d
     if modulus(den) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("Moebius map evaluated at its pole", den)
-    j = _mobius(u, a, b, c, d)
+    j = _mobius(u, a, b, c, 1.0 / den)
     if type(w) is Ball:
         det = (Ball(a) * d - Ball(b) * c).about(1.0)
         j = (j[0], j[1] * det, j[2] * det, j[3] * det)

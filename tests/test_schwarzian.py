@@ -477,6 +477,8 @@ def test_property_composition_both_orders(seed, z):
 @example(seed=2143, z=0j)  # Moebius map cancelling inside g's tree
 @example(seed=46, z=1 + 0j)  # |f'| = 2.1e11
 @example(seed=45803, z=1e-12 + 0j)  # nearer still to a critical point
+# the ball of g's divisor z*z+4 at phi's inverse holds 0: no bound exists
+@example(seed=546863, z=1.9999999999999998j)
 def test_property_conjugation_of_transported_family(seed, z):
     # Build g = phi o f o phi^{-1} symbolically, which satisfies the
     # semiconjugacy by construction.
@@ -490,7 +492,9 @@ def test_property_conjugation_of_transported_family(seed, z):
         rep = check_conjugation(f, g, phi, n, z)
     except (EvalError, CriticalPointError, PoleOfMobius, ConjugacyViolated):
         assume(False)
-    assert rep.passed
+    # a true identity is never refuted; it fails only where roundoff
+    # cannot be bounded at all, as where a divisor's ball holds 0
+    assert rep.passed or rep.error_bound == math.inf
 
 
 @pytest.mark.parametrize(
