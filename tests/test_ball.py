@@ -29,18 +29,14 @@ def _precision():
     iv.prec = old
 
 
-def _mp(x: float):
-    return iv.mpf(x)
-
-
 def _point(w: complex):
-    return iv.mpc(_mp(w.real), _mp(w.imag))
+    return iv.mpc(iv.mpf(w.real), iv.mpf(w.imag))
 
 
 def _members(b: Ball) -> list:
     """The centre, four boundary points and four interior points, exactly."""
     m = _point(complex(b.mid))
-    r = _mp(b.rad)
+    r = iv.mpf(b.rad)
     steps = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
     steps += [(0.7 * s, 0.7 * t) for s in (1, -1) for t in (1, -1)]
     return [m + iv.mpc(r * s, r * t) for s, t in steps]
@@ -48,7 +44,7 @@ def _members(b: Ball) -> list:
 
 def _box(b: Ball):
     """The box around the ball's disk."""
-    r = _mp(b.rad)
+    r = iv.mpf(b.rad)
     return _point(complex(b.mid)) + iv.mpc(iv.mpf([-r.b, r.b]), iv.mpf([-r.b, r.b]))
 
 
