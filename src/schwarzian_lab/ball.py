@@ -49,8 +49,8 @@ _MUL = 3.0 * _U
 _DIV = 8.0 * _U
 # a radius takes at most 16 float operations on nonnegative terms, each
 # within U of its own value, so scaling by _UP rounds it upward; _TINY is
-# the absolute term that covers underflow.  |w| is computed within an ulp,
-# so _DOWN scales it to a lower bound.
+# the absolute term that covers underflow.  math.hypot is within an ulp
+# of |w|, so _DOWN scales it to a lower bound.
 _UP = 1.0 + 2.0**-44
 _DOWN = 1.0 - 2.0**-50
 _TINY = 2.0**-1060
@@ -63,11 +63,8 @@ def _up(r: float) -> float:
 
 
 def _mag(w) -> float:
-    # |w|, infinite past the double range, where abs raises
-    try:
-        return abs(w)
-    except OverflowError:
-        return _INF
+    # |w|, infinite past the double range
+    return math.hypot(w.real, w.imag)
 
 
 def _parts(x) -> tuple:
