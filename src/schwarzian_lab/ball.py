@@ -140,19 +140,30 @@ class Ball:
         grown = r + r * r if r <= 1.0 else _INF
         return Ball(e, _up(_mag(e) * (grown + LIBM_ERROR)))
 
-    def log(self) -> Ball:
-        """Principal log over the ball, with cmath.log's midpoint.
+    def off_cut(self) -> Ball:
+        """This ball, or its midpoint with an infinite radius where the
+        ball meets log's branch cut, the ray (-inf, 0].
 
-        The radius is infinite where the ball meets the branch cut, the
-        ray (-inf, 0], since the branch of its members is then unknown.
+        The principal log jumps across its cut and has no derivative on
+        it, so over such a ball neither log nor any of its derivatives
+        is enclosed.
         """
         x, r = self.mid, self.rad
-        lg = cmath.log(x)
         low = _mag(x) * _DOWN
         # the distance from x to the cut, from below
-        if not r < (low if x.real > 0.0 else min(low, abs(x.imag))):
+        if r < (low if x.real > 0.0 else min(low, abs(x.imag))):
+            return self
+        return Ball(x, _INF)
+
+    def log(self) -> Ball:
+        """Principal log over the ball, with cmath.log's midpoint;
+        infinite where the ball meets the cut (:meth:`off_cut`)."""
+        x, r = self.mid, self.off_cut().rad
+        lg = cmath.log(x)
+        if r == _INF:
             return Ball(lg, _INF)
         # log is analytic on the ball, and |1/t| <= 1/(|x| - r) there
+        low = _mag(x) * _DOWN
         return Ball(lg, _up(r / (low - r) + LIBM_ERROR * (1.0 + _mag(lg))))
 
     def about(self, c) -> Ball:

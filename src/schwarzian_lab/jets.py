@@ -275,7 +275,12 @@ def jet_log(u: ComplexJet3) -> ComplexJet3:
     uv = u[0]
     if modulus(uv) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("log of (near-)zero value", uv)
-    lg = uv.log() if type(uv) is Ball else cmath.log(uv)
+    if type(uv) is Ball:
+        # no part of log's jet is enclosed over a ball that meets its cut
+        uv = uv.off_cut()
+        lg = uv.log()
+    else:
+        lg = cmath.log(uv)
     return _checked(_chain(u, _logarithm(lg, 1.0 / uv)))
 
 

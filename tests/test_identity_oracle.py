@@ -167,17 +167,20 @@ def test_invariance_pin_passes_and_its_bound_covers_the_oracle():
     assert forced.error_bound >= error(forced.lhs, s_exact) + error(forced.rhs, s_exact)
 
 
-def test_composition_near_the_cut_passes_by_a_bound_that_covers_the_oracle():
-    # f(z) = z^2 is within rounding of -1, so g = log(z - 0.1) is taken where
-    # its argument's ball meets the branch cut: the value's radius is
-    # infinite, but S_g takes only log's derivatives, which take no branch
-    f, g = parse("z^2"), parse("log(z-0.1)")
-    z = complex(1e-20, 1)
-    rep = check_composition_law(f, g, 2, z, tol_abs=0.0, tol_rel=FORCE_BOUND)
-    assert rep.passed and rep.rule == "bound"
-    s_exact = exact_schwarzian(support.compose_family(g, f), 2, exact(z))
-    assert rep.error_bound >= error(rep.lhs, s_exact) + error(rep.rhs, s_exact)
-    assert rep.error_bound <= 1e-12
+def test_conjugation_within_rounding_of_a_pole_is_uncertified():
+    # pinned on test_property_conjugation_of_transported_family.  f holds
+    # z*z + 4, which vanishes at 2i, an ulp from z, and g takes z back
+    # through phi's inverse of a rounded phi(z).  The computed lhs keeps no
+    # digit, so only a bound past its error would be sound; the balls must
+    # hold S_g over a ball about phi(z) whose preimage holds 2i, and there
+    # S_g is unbounded
+    f, g, phi, n = transported_pair(546863)
+    z = 1.9999999999999998j
+    rep = check_conjugation(f, g, phi, n, z)
+    s_exact = exact_schwarzian(f, n, exact(z))
+    assert error(rep.rhs, s_exact) <= 1e-12 * abs(s_exact)
+    assert error(rep.lhs, s_exact) > 1e12 * abs(s_exact)
+    assert rep.rule == "bound" and rep.error_bound == math.inf and not rep.passed
 
 
 def test_negative_control_relative_defect_of_1e_minus_6_fails():

@@ -477,7 +477,9 @@ def test_property_composition_both_orders(seed, z):
 @example(seed=2143, z=0j)  # Moebius map cancelling inside g's tree
 @example(seed=46, z=1 + 0j)  # |f'| = 2.1e11
 @example(seed=45803, z=1e-12 + 0j)  # nearer still to a critical point
-# the ball of g's divisor z*z+4 at phi's inverse holds 0: no bound exists
+# f's z*z+4 vanishes an ulp away, and the ball of g's z*z+4 at phi's
+# inverse holds 0: the lhs keeps no digit (test_identity_oracle.py), and
+# no finite bound exists
 @example(seed=546863, z=1.9999999999999998j)
 def test_property_conjugation_of_transported_family(seed, z):
     # Build g = phi o f o phi^{-1} symbolically, which satisfies the
@@ -492,9 +494,19 @@ def test_property_conjugation_of_transported_family(seed, z):
         rep = check_conjugation(f, g, phi, n, z)
     except (EvalError, CriticalPointError, PoleOfMobius, ConjugacyViolated):
         assume(False)
-    # a true identity is never refuted; it fails only where roundoff
-    # cannot be bounded at all, as where a divisor's ball holds 0
+    # a true identity is never refuted by a finite bound; it fails, as
+    # uncertified, only where a ball the sides take holds a pole or meets
+    # log's cut, so that no finite bound exists
     assert rep.passed or rep.error_bound == math.inf
+
+
+def test_composition_where_log_meets_its_cut_fails_by_an_infinite_bound():
+    # f(z) = z^2 is within rounding of -1, so g = log(z - 0.1) is taken
+    # where its argument's ball meets the branch cut, on which log has no
+    # derivative: neither S_g nor the lhs is bounded
+    f, g = parse("z^2"), parse("log(z-0.1)")
+    rep = check_composition_law(f, g, 2, complex(1e-20, 1), 0.0, 5e-324)
+    assert rep.rule == "bound" and rep.error_bound == math.inf and not rep.passed
 
 
 @pytest.mark.parametrize(

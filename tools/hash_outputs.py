@@ -166,13 +166,9 @@ def _identity_bound_checks() -> list[list[str]]:
         [*invariance, *near_cut, "--mobius=1,2,3,4", *_FORCE_BOUND],
         [*composition, "--family=exp(z)+z^2", "--family=log(z+2)*z", "--z=0.3-0.2i",
          *_FORCE_BOUND],
-        # f(z) is near -1, so g = log(z-0.1) meets the cut as above; S_g
-        # takes only log's derivatives, which take no branch, while the
-        # derivatives of log(z-0.1)^2 take log's value
+        # f(z) is near -1, so g = log(z-0.1) meets the cut as above
         [*composition, "--family=z^2", "--family=log(z-0.1)", "--z=0.00000000000000000001+1i",
          *_FORCE_BOUND],
-        [*composition, "--family=z^2", "--family=log(z-0.1)^2",
-         "--z=0.00000000000000000001+1i", *_FORCE_BOUND],
         [*reciprocal, "--family=exp(z)", "--z=0.3+0i", *_FORCE_BOUND],
         [*reciprocal, *near_cut, *_FORCE_BOUND],
         [*_conjugation("exp(z)", 1, "0.3+0i", "2,0,0,1", "2*exp(z/2)"), *_FORCE_BOUND],

@@ -52,6 +52,7 @@ GOLDENS = "tests/test_scan_goldens.py::"
 JETS = "tests/test_jets.py::"
 BALL = "tests/test_ball.py::"
 ORACLE = "tests/test_identity_oracle.py::"
+SCHWARZIAN = "tests/test_schwarzian.py::"
 
 # the mutations CHANGES.md records for the lane function and its statistics
 # (at f9cb2da, 418a567, f051287 and 7bcb6c2), as they apply to the code
@@ -196,9 +197,13 @@ MUTANTS = (
            (BALL + "test_ball_holds_the_exact_operation_at_its_members[div-0.001]",
             ORACLE + "test_bounded_operation_covers_errors_carried_in[div]")),
     Mutant("log's branch-cut rule dropped", "ball.py",
-           "        if not r < (low if x.real > 0.0 else min(low, abs(x.imag))):", "        if False:",
+           "        if r < (low if x.real > 0.0 else min(low, abs(x.imag))):", "        if True:",
            (BALL + "test_log_radius_is_infinite_where_the_ball_meets_the_cut",
             JETS + "test_bounded_log_is_unbounded_where_the_value_may_cross_the_cut")),
+    Mutant("log's derivatives kept finite where its ball meets the cut", "jets.py",
+           "        uv = uv.off_cut()\n", "",
+           (JETS + "test_bounded_log_is_unbounded_where_the_value_may_cross_the_cut",
+            SCHWARZIAN + "test_composition_where_log_meets_its_cut_fails_by_an_infinite_bound")),
     Mutant("the determinant term dropped from a Moebius ball jet", "jets.py",
            "        j = (j[0], j[1] * det, j[2] * det, j[3] * det)", "        pass",
            (ORACLE + "test_bounded_operation_covers_its_own_rounding[mobius, ad - bc = 2]",)),
