@@ -642,10 +642,12 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat=None):
 
 def _at_point(expr: FamilyExpr, n: float, seed: ComplexJet3, point) -> ComplexJet3:
     # one evaluation by the walk, on balls where the seed's value is a
-    # ball, raising the EvalError of its first failure
+    # ball, raising the EvalError of its first failure, labelled with the
+    # point (a ball's midpoint)
     nj = jet_const(n)
     if type(seed[0]) is Ball:
         ops, nj, i = _BALL_OPS, _as_jet((Ball(nj.v), ZERO, ZERO, ZERO)), _BALL_I
+        point = complex(point)
     else:
         ops, i = _JET_OPS, _I
     j = _walked(expr.root, ops, {Var: seed, Param: nj, ImagUnit: i}, point)
@@ -664,7 +666,7 @@ def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball) -> ComplexJet3:
     (every literal the number its text names) at every point of z's ball.
     """
     seed = jet_var(z)
-    return _at_point(expr, n, seed, complex(seed.v))
+    return _at_point(expr, n, seed, seed.v)
 
 
 def eval_jet_seeded(
@@ -677,7 +679,7 @@ def eval_jet_seeded(
     A seed whose value is a ball evaluates on balls, as :func:`eval_jet`.
     """
     seed = _as_jet(seed)
-    return _at_point(expr, n, seed, complex(seed[0]) if point is None else point)
+    return _at_point(expr, n, seed, seed[0] if point is None else point)
 
 
 # codegen reads the node classes above

@@ -284,9 +284,9 @@ def _report(
     tol_rel: float,
 ) -> IdentityReport:
     """Judge ``sides(z)``; the bound clause runs ``sides`` at a ball about z."""
-    for name, tol in (("tol_abs", tol_abs), ("tol_rel", tol_rel)):
-        if not tol >= 0.0:
-            raise ValueError(f"{name} must be a nonnegative number, got {tol!r}")
+    if not (tol_abs >= 0.0 and tol_rel >= 0.0):
+        name, tol = ("tol_rel", tol_rel) if tol_abs >= 0.0 else ("tol_abs", tol_abs)
+        raise ValueError(f"{name} must be a nonnegative number, got {tol!r}")
     z = complex(z)
     lhs, rhs = sides(z)
     abs_gap = modulus(lhs - rhs)

@@ -246,7 +246,7 @@ MUTANTS = (
            "    except ZeroDivisionError:",
            (DSL + "test_n_past_the_double_range_is_a_value_error[1e400]",)),
     Mutant("a seeded failure labelled with the seed, not the point", "dsl.py",
-           "complex(seed[0]) if point is None else point", "complex(seed[0])",
+           "seed[0] if point is None else point", "seed[0]",
            (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
     Mutant("the lane function never generated for jets", "dsl.py",
            "    return _family(expr, stat)(",
