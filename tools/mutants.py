@@ -57,9 +57,9 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # the mutations CHANGES.md records for the lane function and its statistics
 # (at f9cb2da, 418a567, f051287 and 7bcb6c2), as they apply to the code
 # today, then one per part of the lane's one handler, then those it
-# records for the identity error bound (PR 2, here against the ball rules),
-# the batch walk (PR 5) and the one walk (PR 7); a later change adds its
-# mutants here
+# records for the identity error bound (a00e581, here against the ball
+# rules), the batch walk (2bde4db) and the one walk (cce385b); a later
+# change adds its mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -207,7 +207,7 @@ MUTANTS = (
     Mutant("the determinant term dropped from a Moebius ball jet", "jets.py",
            "        j = (j[0], j[1] * det, j[2] * det, j[3] * det)", "        pass",
            (ORACLE + "test_bounded_operation_covers_its_own_rounding[mobius, ad - bc = 2]",)),
-    # the batch walk (PR 5) and the one walk (PR 7), as they apply today
+    # the batch walk (2bde4db) and the one walk (cce385b), as they apply today
     Mutant("x^0 of a failed base is one", "dsl.py",
            "        args = (_walk(node.base, ops, leaves, point), node.exponent)",
            "        args = (_walk(node.base, ops, leaves, point) if node.exponent else None,"
@@ -279,7 +279,7 @@ DELETED = (
     ("the identity-seed check of the lane loop",
      "7bcb6c2 gave the lane function points, not seed jets"),
     ("the batch kernels' lhs-first rule",
-     "the lanes_* kernels went in PRs 6 to 8; a redone lane's first failure follows the "
+     "7560adb deleted the last lanes_* kernel; a redone lane's first failure follows the "
      "walk's rule, the table's 'the walk evaluates rhs before lhs'"),
 )
 
