@@ -43,6 +43,7 @@ from .probe import (
     NormalityVerdict,
     SegmentEvaluationError,
     check_theorem_hypotheses,
+    check_thresholds,
     classify,
     local_bound_estimate,
     marty_scan,
@@ -391,6 +392,7 @@ def _cmd_identity(args) -> tuple:
 def _cmd_scan(args) -> tuple:
     family = _resolve_families(args.family_specs, 1, "scan")[0]
     grid = GridSpec(*args.grid, args.radius, args.samples)
+    check_thresholds(args.slope_threshold, args.decay_threshold, args.cap)  # before the scan
     # by name at call time: the parser is built once per process, and a
     # rebound module name (a test's monkeypatch, a tracer) must still count
     report = globals()[args.scan](

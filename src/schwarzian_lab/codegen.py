@@ -7,11 +7,13 @@ process and :class:`Statistic`.  ``dsl.eval_jet_lanes`` runs it on every
 batch, a family's first included; ``dsl`` walks the tree for the
 single-point calls (one point, another seed, a ball) and for every
 lane the lane function hands back.  A program command's lane function
-returns its statistic, not jets: it runs the statistic's formulas inline
-on each lane's jet and keeps only the batch's largest statistic, or the
-largest of each of its slots, and the flags of its failed samples.  The
-scans and ``bound`` (max |f'|) keep one slot; the ``hypotheses`` floor
-sweep keeps four: -|f'|, |f''|, |f'''| and |S|.
+returns its statistic, not jets: a lane is one sample, its point or the
+five points of the S' stencil, and the lane function runs the
+statistic's formula inline on the sample's jets and keeps only the
+batch's largest statistic, or the largest of each of its slots, and the
+flags of its failed samples.  The scans and ``bound`` (max |f'|) keep
+one slot; the ``hypotheses`` floor sweep keeps four: -|f'|, |f''|,
+|f'''| and |S|.
 
 It runs the jet formulas of ``jets`` on symbolic values
 (``_Sym``) to write straight-line source.  A symbolic value knows, per
@@ -211,13 +213,13 @@ def _inverse(w: complex) -> complex:
     return 1.0 / w
 
 
-def _not_finite(names: list) -> str:
+def _not_finite(names: list, test: str = "isfinite") -> str:
     # a condition that holds where some part is not finite; a sum of finite
     # parts can overflow, so each part is tested only once the sum fails
     if len(names) == 1:
-        return f"not isfinite({names[0]})"
-    each = " and ".join(f"isfinite({x})" for x in names)
-    return f"not isfinite({' + '.join(names)}) and not ({each})"
+        return f"not {test}({names[0]})"
+    each = " and ".join(f"{test}({x})" for x in names)
+    return f"not {test}({' + '.join(names)}) and not ({each})"
 
 
 def _below_floor(w: complex) -> bool:
@@ -251,8 +253,6 @@ class _Lanes:
         # n is real, so its imaginary part is +0; the prelude checks that
         # its real part is nonzero
         self.n = self.sym(_Part(finite=True, nonzero=True), 0.0, False, name="N")
-        zv = self.sym(_Part(finite=True), _Part(finite=True), True, name="zv")
-        self.var = (zv, VAR_D1, ZERO, ZERO)
 
     # -- values --------------------------------------------------------
 
@@ -355,6 +355,12 @@ class _Lanes:
 
     # -- nodes ---------------------------------------------------------
 
+    def walk_at(self, root: Node, name: str) -> tuple:
+        """The root's jet at the lane's point ``name``, sharing n's values."""
+        zv = self.sym(_Part(finite=True), _Part(finite=True), True, name=name)
+        self.var = (zv, VAR_D1, ZERO, ZERO)
+        return self.walk(root)
+
     def walk(self, node: Node) -> tuple:
         """A node's jet: its operands left before right, then the node."""
         kind = type(node)
@@ -433,43 +439,44 @@ _CRITICAL_GUARD = " and ".join(
 class Statistic(NamedTuple):
     """A statistic that a lane function returns in place of jets.
 
-    Each sample of a batch takes ``width`` consecutive lanes.  ``lane`` is
-    the formula of a lane's value from its jet's parts, value first, and
-    ``sample`` that of a sample's statistic from its lanes' values and
-    ``step``; without ``sample`` a lane's value is its sample's statistic.
-    Both are written once, on plain operands, as the ``jets`` formulas are:
-    the lane function runs them inline.  With ``critical``, a lane whose f'
-    is critical takes ``critical(jet)`` in place of ``lane``'s formula, and
-    a lane whose f' may be is redone.  An OverflowError in ``sample``, a
-    modulus past the double range, flags the sample "Overflow", and so does
-    a nan from ``sample``, which some intermediate past the double range
-    made.
-
-    Without ``sample``, a lane's value may be a tuple, one value per slot
-    of ``start``, and the lane function keeps the largest of each slot,
-    from the slot's start.  A redone lane's value, from :meth:`walked`, is
-    bound to the fast path's names, so ``lane`` computes each value, never
-    handing back a part as it is.  The fields are module-level functions
-    and floats, so that a pickled copy is equal and hashes equal.
+    A lane is one sample, taken at ``width`` points: one, or the five of
+    the S' stencil, ``step`` apart.  ``lane`` is the formula of a sample's
+    value from its points' jets, in order, then ``step`` for a width above
+    1, written once on plain operands, as the ``jets`` formulas are, and
+    run inline by the lane function.  With ``critical``, a sample whose f'
+    is critical at a point takes ``critical(jet)`` there in place of the
+    formula (a flag, for a width above 1), and one whose f' may be is
+    redone.  A value may be a tuple, one per slot of ``start``, and the
+    lane function keeps the largest of each slot, from the slot's start.
+    A modulus past the double range (an OverflowError), or a value that is
+    nan or inf in any slot, flags the sample "Overflow": it counts for
+    nothing.  A redone sample's value, from :meth:`walked`, is bound to the
+    fast path's names, so ``lane`` computes each value, never handing back
+    a part as it is.  The fields are module-level functions and floats, so
+    that a pickled copy is equal and hashes equal.
     """
 
     width: int
     lane: Callable
     critical: Callable | None = None
-    sample: Callable | None = None
     step: float = 0.0
     start: tuple = (-1.0,)
 
-    def walked(self, j):
-        """The value of a lane the walk redid, from its jet or EvalError,
-        or the lane's flag: "Pole" or "Overflow" for an EvalError, and
-        "Overflow" for a modulus past the double range."""
-        if isinstance(j, EvalError):
-            return "Overflow" if isinstance(j.__cause__, OverflowAtPoint) else "Pole"
+    def value(self, jets):
+        """``lane``'s formula on a sample's jets."""
+        return self.lane(*jets, self.step) if self.width > 1 else self.lane(*jets)
+
+    def walked(self, *walks):
+        """A redone sample's value, from its points' jets or EvalErrors, or
+        its first failed point's flag: "Pole" or "Overflow" for an
+        EvalError, "Overflow" for a modulus past the double range."""
         try:
-            if self.critical is not None and _critical(j[1]):
-                return self.critical(j)
-            return self.lane(j)
+            for j in walks:
+                if isinstance(j, EvalError):
+                    return "Overflow" if isinstance(j.__cause__, OverflowAtPoint) else "Pole"
+                if self.critical is not None and _critical(j[1]):
+                    return self.critical(j)
+            return self.value(walks)
         except OverflowError:
             return "Overflow"
 
@@ -525,23 +532,25 @@ def _lanes_function(root: Node, stat: Statistic | None = None):
 def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     """The lane function's source and namespace.
 
-    ``fn(N, Z, redo)`` evaluates f_n at each point of ``Z``, an iterable
-    of finite complex points that it reads once, N being complex(n), or
-    None for an n that is not real; a lane whose evaluation fails gets
-    ``redo(point)`` in place of its outcome.  Without a statistic it
-    returns the lanes' jets.  With one, ``redo`` gives a lane's value or
-    flag, and it returns ``(best, flags)``: the largest statistic over the
-    samples, -1.0 if none has one, and the flags of the failed samples;
-    with several slots, the largest of each slot, then the flags.
+    ``fn(N, Z, redo)`` evaluates f_n at each lane of ``Z``, an iterable
+    of finite complex points that it reads once (a sample of ``width``
+    points is a tuple, walked once per point into the lane's one body), N
+    being complex(n), or None for an n that is not real; a lane whose
+    evaluation fails gets ``redo(*points)`` in place of its outcome.
+    Without a statistic it returns the lanes' jets.  With one, it returns
+    ``(best, flags)``: the largest statistic over the samples, -1.0 if
+    none has one, and the flags of the failed samples; with several
+    slots, the largest of each slot, then the flags.
 
     Each lane runs in one ``try``, whose every check raises JetError, so a
     lane is redone in one place, the ``except`` handler.  The handler
     binds the redone value to the names of the fast path's value, and
-    both reach one keep: the lines that append a lane's value, or fold it
-    into the batch's largest.  Where a loop-invariant part fails, or n,
-    where the family uses it, is 0 or not real, the prelude raises, and a
-    loop of the handler and the keep redoes every lane before the main
-    loop, which then has none; where a literal fails, that loop is all.
+    both reach one keep: the lines that append a lane's jet, or flag a
+    value past the double range and fold any other into the batch's
+    largest.  Where a loop-invariant part fails, or n, where the family
+    uses it, is 0 or not real, the prelude raises, and a loop of the
+    handler and the keep redoes every lane before the main loop, which
+    then has none; where a literal fails, that loop is all.
 
     A lane is redone when a node of it leaves the finite range: such a
     value reaches the output, where the parts not known finite are
@@ -552,47 +561,49 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     one, but every failed lane is redone.  A sum of parts is checked as a
     whole, and each part only where the sum is not finite.
     """
-    # each lane's outcome is kept (jets, or the lane values a sample
-    # formula combines), or only the largest of each slot
-    by_lane = stat is None or stat.sample is not None
+    names = ["zv"] if stat is None or stat.width == 1 else [f"zv{k}" for k in range(stat.width)]
     t = _Lanes()
     try:
-        out = t.walk(root)
+        outs = [t.walk_at(root, name) for name in names]
     except _LiteralFails:  # every lane is redone
-        out = None
-    if out is None:
-        values = ["got"] if by_lane else [f"g{k}" for k in range(len(stat.start))]
+        outs = None
+    if outs is None:
+        values = [f"g{k}" for k in range(len(stat.start))] if stat is not None else []
     else:
-        parts = list(map(t.text, out))
-        unchecked = [x.name for x in t.unchecked(out)]
+        parts = [list(map(t.text, out)) for out in outs]
+        unchecked = [x.name for out in outs for x in t.unchecked(out)]
         invariant = [x.name for x in t.invariants if not x.finite()]
         if invariant:
             t.check(False, _not_finite(invariant))
         if unchecked:
             t.check(True, _not_finite(unchecked))
         if stat is None:
-            t.body.append(f"got = as_jet(({', '.join(parts)}))")
-            values = ["got"]
+            t.body.append(f"got = as_jet(({', '.join(parts[0])}))")
         else:
-            if stat.critical is not None:
-                t.check(True, _CRITICAL_GUARD.format(*parts))
-            value = stat.lane(tuple(_Tail(t.body, p) for p in parts))
+            for point in parts if stat.critical is not None else ():
+                t.check(True, _CRITICAL_GUARD.format(*point))
+            value = stat.value([tuple(_Tail(t.body, x) for x in point) for point in parts])
             values = [x.name for x in (value if type(value) is tuple else (value,))]
-    if by_lane:
+    sample = ", ".join(names)
+    if stat is None:
         acc = ["out = []", "append = out.append"]
-        handler = [f"{values[0]} = redo(zv)"]
-        keep = [f"append({values[0]})"]
+        handler = ["got = redo(zv)"]
+        keep = ["append(got)"]
+        end = ["return out"]
     else:
         best = ["best", *(f"best{k}" for k in range(1, len(stat.start)))]
         acc = [*(f"{b} = {x!r}" for b, x in zip(best, stat.start)), "flags = set()",
                "add = flags.add"]
-        handler = ["got = redo(zv)", "if type(got) is str:", "    add(got)", "    continue",
+        handler = [f"got = redo({sample})", "if type(got) is str:", "    add(got)", "    continue",
                    f"{', '.join(values)} = got"]
-        # keep the larger of each slot and its value; a nan never wins
-        keep = [line for b, v in zip(best, values) for line in (f"if {v} > {b}:", f"    {b} = {v}")]
+        # a value past the double range in any slot is an overflow (tested by
+        # math.isfinite, faster on a float); keep each slot's larger value
+        keep = [f"if {_not_finite(values, 'finite')}:", "    add('Overflow')", "    continue"]
+        keep += [line for b, v in zip(best, values) for line in (f"if {v} > {b}:", f"    {b} = {v}")]
+        end = [f"return {', '.join(best)}, flags"]
     # every lane redone, in order, where a literal fails or the prelude does
-    redo_all = ["for zv in Z:", *_indent(handler + keep)]
-    if out is None:
+    redo_all = [f"for {sample} in Z:", *_indent(handler + keep)]
+    if outs is None:
         loop = redo_all
     else:
         setup = [
@@ -601,37 +612,17 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
             "    Z = ()",
         ] if t.n_used else []
         loop = [
-            *setup, "for zv in Z:", "    try:", *_indent(t.body, 2),
+            *setup, f"for {sample} in Z:", "    try:", *_indent(t.body, 2),
             "    except (OverflowError, JetError):", *_indent(handler, 2), *_indent(keep),
-        ]
-    if stat is None:
-        end = ["return out"]
-    elif not by_lane:
-        end = [f"return {', '.join(best)}, flags"]
-    else:
-        lines, names = [], [f"w{k}" for k in range(stat.width)]
-        value = stat.sample(*(_Tail(lines, w) for w in names), stat.step).name
-        end = [
-            "best = -1.0", "flags = set()", f"for k in range(0, len(out), {stat.width}):",
-            f"    group = out[k:k + {stat.width}]",
-            "    for got in group:  # the first failed lane decides",
-            "        if type(got) is str:", "            flags.add(got)", "            break",
-            "    else:", f"        {', '.join(names)} = group", "        try:", *_indent(lines, 3),
-            "        except OverflowError:  # a modulus past the double range",
-            "            flags.add('Overflow')", "            continue",
-            f"        if {value} > best:", f"            best = {value}",
-            f"        elif {value} != {value}:  # an intermediate past the double range",
-            "            flags.add('Overflow')",
-            "return best, flags",
         ]
     src = [
         "def lanes(N, Z, redo, *, " + "".join(f"{k}={k}, " for k in t.consts)
-        + "isfinite=isfinite, exp=exp, log=log, as_jet=as_jet, pow_int=pow_int):",
+        + "isfinite=isfinite, finite=finite, exp=exp, log=log, as_jet=as_jet, pow_int=pow_int):",
         *_indent(acc + loop + end),
     ]
     namespace = dict(
-        t.consts, isfinite=cmath.isfinite, exp=cmath.exp, log=cmath.log, as_jet=_as_jet,
-        pow_int=jet_pow_int, JetError=JetError, inf=math.inf,
+        t.consts, isfinite=cmath.isfinite, finite=math.isfinite, exp=cmath.exp, log=cmath.log,
+        as_jet=_as_jet, pow_int=jet_pow_int, JetError=JetError, inf=math.inf,
     )
     return "\n".join(src) + "\n", namespace
 

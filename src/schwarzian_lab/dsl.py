@@ -31,19 +31,13 @@ same bits:
 - :func:`eval_jet_lanes` evaluates a batch of lanes, each one evaluation
   of f_n at a finite point, by the lane function that ``codegen``
   generates once per family, statistic and process, as sympy's
-  ``lambdify`` does, from the family's first batch on.  Every program
-  command's lane function returns its statistic, the batch's maximum (of
-  each slot, for the ``hypotheses`` floor sweep) and the flags of its
-  failed samples, in place of the jets; no program path reads jets from
-  a batch.  It is one loop of straight-line code that runs the jet
-  formulas of ``jets`` on symbolic values, so each node's operation is
-  inlined in postorder, and it folds what is exactly known before run
-  time: n, literals and i have zero derivatives, z's first derivative is
-  one, so most of a product's terms vanish, and the parts that depend on
-  n alone are computed once per batch.  Every fold is exact in IEEE
-  arithmetic, signed zeros included.  Finiteness is checked only where a
-  value that left the finite range could turn finite again (before 1/x,
-  log and exp, and x^0) and at the output.
+  ``lambdify`` does, from the family's first batch on: one loop of
+  straight-line code that inlines each node's jet formula and folds only
+  what is exactly known before run time.  Every program command's lane
+  function takes one lane per sample (for ``scan-sd``, the five points of
+  its stencil) and returns its statistic, the batch's maximum (of each
+  slot, for the ``hypotheses`` floor sweep) and the flags of its failed
+  samples, in place of the jets; no program path reads jets from a batch.
 - The single-point calls, :func:`eval_jet` and :func:`eval_jet_seeded`,
   walk the tree, one ``jet_*`` operation per node, so a one-off
   evaluation compiles nothing.  The walk also redoes, from
@@ -620,21 +614,21 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat=None):
     is bit-identical to the single evaluation's.  No program path asks for
     the jets; the tests compare them with the tree walk's.
 
-    With a ``stat`` (a ``codegen.Statistic``) the lane function computes
-    that statistic in place of the jets and returns ``(best, flags)``: the
-    largest statistic over the batch's samples, -1.0 if no sample has one,
-    and the set of flags of the samples that failed.  A statistic of
-    several slots returns the largest of each slot, from the slot's start
-    value, then the flags: ``(best, best1, ..., flags)``.  The lane
-    function's one handler redoes a lane by ``redo`` below, the walk from
-    ``jet_var(point)``, and ``stat.walked`` gives its value or its flag.
+    With a ``stat`` (a ``codegen.Statistic``) an item of ``points`` is a
+    sample, a tuple of ``stat.width`` points where that is above 1, and
+    the lane function returns ``(best, flags)``: the largest statistic
+    over the samples, -1.0 if none has one, and the set of flags of the
+    samples that failed; for several slots, ``(best, best1, ..., flags)``,
+    each from the slot's start value.  Its one handler redoes a sample by
+    ``redo``, the walk from ``jet_var`` at each of the sample's points,
+    and ``stat.walked`` gives the sample's value or its flag.
     """
     nj = jet_const(n)  # refuses an n that is not finite
 
-    def redo(point):
-        seed = jet_var(point)
-        j = _walked(expr.root, _JET_OPS, {Var: seed, Param: nj, ImagUnit: _I}, seed.v)
-        return j if stat is None else stat.walked(j)
+    def redo(*points):
+        walks = [_walked(expr.root, _JET_OPS, {Var: s, Param: nj, ImagUnit: _I}, s.v)
+                 for s in map(jet_var, points)]
+        return walks[0] if stat is None else stat.walked(*walks)
 
     # the lane function takes n real, so that N's imaginary part is +0
     return _family(expr, stat)(nj.v if isinstance(n, (int, float)) else None, points, redo)

@@ -15,16 +15,16 @@ candidate.  Evaluation failures never poison a scan; they become flags
 ("Pole", "Overflow", "CriticalPoint") on the affected grid point and the
 failing samples are excluded from the statistics.
 
-Each (point, n) is one batch evaluation of the point's sample points,
-which must all be finite, and each n of ``bound`` one batch of its
-segment's points, streamed.  The family's generated lane function
-computes the statistic itself, from the ``codegen.Statistic`` below, and
-returns only the largest over the samples and the set of flags; a lane it
-redoes gets its statistic from the same formula.  For a scan that is f#
-or the stencil's, and for ``bound`` |f'|.  For the ``hypotheses`` floor
-sweep it is -|f'|, |f''|, |f'''| and |S|, the largest of each kept apart,
-so that min |f'| is an exact negation.  No command reads jets from a
-batch.
+Each (point, n) is one batch evaluation of the point's samples, one
+lane each (for the S' stencil, five points), which must all be finite,
+and each n of ``bound`` one batch of its segment's points, streamed.  The
+family's generated lane function computes the statistic itself, from the
+``codegen.Statistic`` below, and returns only the largest over the
+samples and the set of flags; a sample it redoes gets its statistic from
+the same formula.  For a scan that is f# or the stencil's, and for
+``bound`` |f'|.  For the ``hypotheses`` floor sweep it is -|f'|, |f''|,
+|f'''| and |S|, the largest of each kept apart, so that min |f'| is an
+exact negation.  No command reads jets from a batch.
 
 The verdicts are heuristics about candidates, not proofs.
 """
@@ -69,6 +69,7 @@ __all__ = [
     "SegmentEvaluationError",
     "marty_scan",
     "sd_family_scan",
+    "check_thresholds",
     "classify",
     "local_bound_estimate",
     "derivative_floor_check",
@@ -238,10 +239,11 @@ def _neighborhood(
     return pts
 
 
-def _stencil(s0, sp1, sm1, sp2, sm2, h: float) -> float:
-    # spherical derivative of z -> S_{f_n}(z); S' comes from a five-point
-    # stencil with a real step, which equals the complex derivative for
-    # analytic S
+def _stencil(j0, jp1, jm1, jp2, jm2, h: float) -> float:
+    # spherical derivative of z -> S_{f_n}(z) from the jets at w, w + h,
+    # w - h, w + 2h and w - 2h: S' from a five-point stencil with a real
+    # step, which equals the complex derivative for analytic S
+    s0, sp1, sm1, sp2, sm2 = map(_schwarzian, (j0, jp1, jm1, jp2, jm2))
     ds = (-sp2 + 8.0 * sp1 - 8.0 * sm1 + sm2) / (12.0 * h)
     return _spherical((s0, ds))
 
@@ -254,7 +256,7 @@ _MARTY = Statistic(1, _spherical)
 
 
 def _sd(h: float) -> Statistic:
-    return Statistic(5, _schwarzian, _critical_point, _stencil, h)
+    return Statistic(5, _stencil, _critical_point, h)
 
 
 def _floor(j) -> tuple:
@@ -288,15 +290,14 @@ def _sweep(stat: Statistic, expr: FamilyExpr, grid: GridSpec, n_values, offset: 
     """Sample the grid points ``indices`` in order; every grid command's loop.
 
     Yields (z, rows) per point, with one batch evaluation per (point, n)
-    of all the point's sample points.  For the statistic ``stat``
+    of all the point's samples, one lane each.  For the statistic ``stat``
     (``_MARTY``, ``_sd(h)`` or ``_FLOOR``), rows[k] is what the batch at
     n_values[k] keeps: the largest statistic over the neighborhood
     samples, -1.0 if none has one (for ``_FLOOR``, the largest of each of
     its four slots), then the flags ("Pole", "Overflow", "CriticalPoint")
-    of the samples that failed.  Each point's sample points are built
-    once, five per sample, ``stat.step`` apart, for a statistic of the S'
-    stencil; a point whose sample points are not all finite raises
-    ValueError before any of its batches runs.
+    of the samples that failed.  Each point's samples, for the S' stencil
+    five points ``stat.step`` apart, are built once; a grid point whose
+    sample points are not all finite raises ValueError before any batch.
     """
     xs = grid.x_coords()
     ys = grid.y_coords()
@@ -305,10 +306,10 @@ def _sweep(stat: Statistic, expr: FamilyExpr, grid: GridSpec, n_values, offset: 
     for index in indices:
         z = complex(xs[index % grid.nx], ys[index // grid.nx])
         points = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
-        if stat.sample is not None:
-            # the five points of the S' stencil, a real step h apart
-            points = [p for w in points for p in (w, w + h, w - h, w + 2.0 * h, w - 2.0 * h)]
-        if not all(map(cmath.isfinite, points)):
+        if stat.width > 1:  # each sample is the five points of the S' stencil, h apart
+            points = [(w, w + h, w - h, w + 2.0 * h, w - 2.0 * h) for w in points]
+        flat = itertools.chain.from_iterable(points) if stat.width > 1 else points
+        if not all(map(cmath.isfinite, flat)):
             raise ValueError("jet_var requires a finite point")
         # by the module-level name, which bench/tracer.py rebinds to count calls
         rows = [eval_jet_lanes(expr, n, points, stat) for n in n_values]
@@ -446,6 +447,19 @@ def sd_family_scan(
     return _scan("sd", _sd(h), f, grid, n_values, seed, workers)
 
 
+def check_thresholds(slope_threshold=DEFAULT_SLOPE_THRESHOLD,
+                     decay_threshold=DEFAULT_DECAY_THRESHOLD, cap=DEFAULT_CAP, L=0.0) -> None:
+    """Refuse, with a ValueError, thresholds that :func:`classify` or
+    :func:`value_bound_check` cannot apply: a decay threshold not below
+    the slope threshold, a cap that is nan or not positive, or a nan L."""
+    if not decay_threshold < slope_threshold:
+        raise ValueError("decay_threshold must be below slope_threshold")
+    if not cap > 0.0:
+        raise ValueError(f"cap must be positive, got {cap!r}")
+    if math.isnan(L):
+        raise ValueError(f"L must be a number, got {L!r}")
+
+
 def classify(
     report: MartyGridReport,
     slope_threshold: float = DEFAULT_SLOPE_THRESHOLD,
@@ -459,10 +473,7 @@ def classify(
     sup stays under cap; inconclusive otherwise (including slope = nan
     from scans without enough clean samples).
     """
-    if not decay_threshold < slope_threshold:
-        raise ValueError("decay_threshold must be below slope_threshold")
-    if not cap > 0.0:
-        raise ValueError(f"cap must be positive, got {cap!r}")
+    check_thresholds(slope_threshold, decay_threshold, cap)
     out = []
     for p in report.points:
         if p.growth_slope >= slope_threshold or p.sup_stat >= cap:
@@ -606,8 +617,7 @@ def derivative_floor_check(
 
 def value_bound_check(f: FamilyExpr, n_values, zeta: complex, L: float) -> bool:
     """True when max over n of |f_n(zeta)| is at most L."""
-    if math.isnan(L):
-        raise ValueError(f"L must be a number, got {L!r}")
+    check_thresholds(L=L)
     ns = _validate_n_values(n_values)
     zeta = complex(zeta)
     return max(modulus(eval_jet(f, n, zeta).v) for n in ns) <= L
@@ -678,6 +688,7 @@ def check_theorem_hypotheses(
     also give M2, M3 and the maximum |S_{f_n}|.
     """
     ns = _validate_n_values(n_values)
+    check_thresholds(L=L)  # before the floor sweep, which a nan L would waste
     floor = derivative_floor_check(f, ns, grid, epsilon, seed=seed)
     value_ok = value_bound_check(f, ns, zeta, L)
     bound = sd_bound_from_hypotheses(floor.M2, floor.M3, epsilon)

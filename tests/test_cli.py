@@ -1227,3 +1227,35 @@ _NAN_GOLDENS = [
 @pytest.mark.parametrize("argv,err", _NAN_GOLDENS, ids=[str(k) for k in range(len(_NAN_GOLDENS))])
 def test_thresholds_that_are_not_numbers_exit_2(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err)
+
+
+# thresholds that the verdicts or the value bound cannot use are refused
+# before any evaluation: the scan, or the floor sweep, never runs
+_EXP_SCAN = ["--family=exp(n*z)", *_GRID_ARGS]
+_EARLY_REFUSALS = [
+    *([scan, *_EXP_SCAN, cap] for scan in ("scan-marty", "scan-sd")
+      for cap in ("--cap=nan", "--cap=0", "--cap=-1")),
+    *([scan, *_EXP_SCAN, "--slope-threshold=0.5", decay] for scan in ("scan-marty", "scan-sd")
+      for decay in ("--decay-threshold=0.5", "--decay-threshold=nan")),
+    ["hypotheses", "--family=z", *_GRID_ARGS, "--epsilon=0.5", "--zeta=0.3+0.2i", "--L=nan"],
+]
+_EARLY_ERRORS = {
+    "--cap=nan": "error: cap must be positive, got nan\n",
+    "--cap=0": "error: cap must be positive, got 0.0\n",
+    "--cap=-1": "error: cap must be positive, got -1.0\n",
+    "--decay-threshold=0.5": "error: decay_threshold must be below slope_threshold\n",
+    "--decay-threshold=nan": "error: decay_threshold must be below slope_threshold\n",
+    "--L=nan": "error: L must be a number, got nan\n",
+}
+
+
+@pytest.mark.parametrize("argv", _EARLY_REFUSALS, ids=[" ".join((a[0], a[-1])) for a in _EARLY_REFUSALS])
+def test_bad_thresholds_are_refused_before_any_evaluation(capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(probe, "eval_jet_lanes", lambda *a: calls.append(a))
+    monkeypatch.setattr(probe, "eval_jet", lambda *a: calls.append(a))
+    monkeypatch.setattr(probe, "ProcessPoolExecutor", lambda **k: calls.append(k))
+    scan = argv[0].startswith("scan")
+    for run in ([*argv, "--workers=1"], [*argv, "--workers=2"]) if scan else (argv,):
+        assert run_cli(capsys, *run) == (2, "", _EARLY_ERRORS[argv[-1]])
+    assert calls == []

@@ -663,68 +663,76 @@ def _sd_reference(f, n, points, h):
             except OverflowError:
                 flags.add("Overflow")
             else:
-                if x > best:
-                    best = x
-                elif x != x:  # nan: an intermediate past the double range
+                if not math.isfinite(x):  # an intermediate past the double range
                     flags.add("Overflow")
+                elif x > best:
+                    best = x
     return best, flags
 
 
-def _stat_outcomes(f, n, stat, points):
-    # the lane function with a redo that records the lanes it is given,
-    # and the public call
+def _stat_outcomes(f, n, stat, samples):
+    # the lane function with a redo that records the samples it is given,
+    # one per lane, and the public call
     redone = []
 
-    def redo(w):
-        redone.append(w)
-        return stat.walked(_raised(lambda: eval_jet(f, n, w)))
+    def redo(*points):
+        redone.append(points)
+        return stat.walked(*(_raised(lambda: eval_jet(f, n, w)) for w in points))
 
-    got = codegen.family(f, stat)(complex(n), points, redo)
-    assert eval_jet_lanes(f, n, points, stat) == got
+    got = codegen.family(f, stat)(complex(n), samples, redo)
+    assert eval_jet_lanes(f, n, samples, stat) == got
     return (*(x.hex() for x in got[:-1]), got[-1]), len(redone)
 
 
 def _stencil_points(points, h):
-    # the five points of the S' stencil per sample, as scan-sd lays them out
-    return [p for w in points for p in (w, w + h, w - h, w + 2.0 * h, w - 2.0 * h)]
+    # each sample's five points of the S' stencil, one lane, as scan-sd lays them out
+    return [(w, w + h, w - h, w + 2.0 * h, w - 2.0 * h) for w in points]
 
 
 def test_fused_statistics_match_the_reference_bit_for_bit():
     rng = random.Random(64)
     flags, redone, clean = set(), 0, 0
-    for _ in range(120):
+    for _ in range(200):
         f, _, points = _draw(rng)
         h = rng.choice((0.05 / 8, 0.001, 0.1))
         sd_points = _stencil_points(points, h)
         for n in _STAT_NS:
-            for stat, lanes, want in (
+            for stat, samples, want in (
                 (probe._MARTY, points, _marty_reference(f, n, points)),
                 (probe._sd(h), sd_points, _sd_reference(f, n, points, h)),
             ):
-                got, k = _stat_outcomes(f, n, stat, lanes)
+                got, k = _stat_outcomes(f, n, stat, samples)
                 assert got == (want[0].hex(), want[1])
                 flags |= want[1]
                 redone += k
-                clean += len(lanes) - k
+                clean += len(samples) - k
     assert flags == {"Pole", "Overflow", "CriticalPoint"}
-    # n = -0 redoes every lane; the other n take the fast path or fail
+    # n = -0 redoes every sample; the other n take the fast path or fail
     assert redone > 5000 and clean > 5000
 
 
 @pytest.mark.parametrize(
     "text,points,want",
     [
+        # each case's flags and how many samples its lane function redoes.
         # f'(0) = 0 and a pole at h = 0.01: the stencil's first failure
-        # decides, a critical point at 0 and the pole at 0.01
-        ("z^2+z^3/(z-0.01)", [0j], {"CriticalPoint"}),
-        ("z^2+z^3/(z-0.01)", [0.01 + 0j], {"Pole"}),
+        # decides, a critical point at 0 and the pole at 0.01; the clean
+        # sample at 0.5 is not redone
+        ("z^2+z^3/(z-0.01)", [0j, 0.5 + 0j], ({"CriticalPoint"}, 1)),
+        ("z^2+z^3/(z-0.01)", [0.01 + 0j], ({"Pole"}, 1)),
         # both parts of f' = 2z within the floor, its modulus not: the
-        # guard redoes the lane, and S is defined
-        ("z^2", [complex(0.45e-12, 0.45e-12)], set()),
+        # guard redoes the sample, and S is defined
+        ("z^2", [complex(0.45e-12, 0.45e-12)], (set(), 1)),
         # S(0) = 1.5e308 (1 + i): the stencil's |S| overflows
-        ("z+(1+i)*" + "25" + "0" * 306 + "*z^3", [0j], {"Overflow"}),
-        # d3 / d1 overflows to inf where S is finite, so the statistic is nan
-        ("z+(1+i)*" + "25" + "0" * 306 + "*z^3", [-0.5 + 0j], {"Overflow"}),
+        ("z+(1+i)*" + "25" + "0" * 306 + "*z^3", [0j], ({"Overflow"}, 1)),
+        # d3 / d1 overflows to inf where S is finite, so the statistic is
+        # nan, which the keep flags with no redo
+        ("z+(1+i)*" + "25" + "0" * 306 + "*z^3", [-0.5 + 0j], ({"Overflow"}, 0)),
+        # the pole at 0.02 is the 4th point of the sample at 0, and no other
+        ("1/(z-0.02)", [0j, -0.5 + 0j], ({"Pole"}, 1)),
+        # at -0.01 the 2nd point, 0, is critical and the 5th, -0.03, a
+        # pole: the 2nd decides
+        ("z^2+z^3/(z+0.03)", [-0.01 + 0j], ({"CriticalPoint"}, 1)),
     ],
 )
 def test_fused_sd_statistic_on_each_rule(text, points, want):
@@ -732,9 +740,10 @@ def test_fused_sd_statistic_on_each_rule(text, points, want):
     h = 0.01
     for n in (1, -0.0):
         reference = _sd_reference(f, n, points, h)
-        assert reference[1] == want
-        got, _ = _stat_outcomes(f, n, probe._sd(h), _stencil_points(points, h))
+        assert reference[1] == want[0]
+        got, redone = _stat_outcomes(f, n, probe._sd(h), _stencil_points(points, h))
         assert got == (reference[0].hex(), reference[1])
+        assert redone == want[1]
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +767,9 @@ def _floor_reference(f, n, points):
         except CriticalPointError:
             s = None
         except OverflowAtPoint:
+            flags.add("Overflow")
+            continue
+        if s is not None and not math.isfinite(s):  # S = nan or inf in some part
             flags.add("Overflow")
             continue
         if mag < low:
@@ -808,8 +820,8 @@ def test_fused_floor_sweep_matches_the_jet_loop_bit_for_bit():
         ("(1+i)*4" + "0" * 307 + "*z^2", [1 + 0j, 2 + 0j], 1),
         # |f'''| past it on every lane, a critical one included
         ("z^2+(1+i)*25" + "0" * 306 + "*z^3", [0j, 0.1 + 0j], 2),
-        # at 0: |S| past it with finite parts; S = -inf + nan i, which counts
-        # as inf; S = nan + nan i, which counts for nothing
+        # at 0: |S| past it with finite parts; S = -inf + nan i and
+        # S = nan + nan i, which the keep flags "Overflow" with no redo
         ("0.00000000001*z+52" + "0" * 141 + "*(1+0.41421356*i)*z^2", [0j, 0.1 + 0j], 1),
         ("0.00000000001*z+5" + "0" * 143 + "*z^2", [0j, 0.1 + 0j], 0),
         ("0.00000000001*z+5" + "0" * 143 + "*(1+i)*z^2", [0j, 0.1 + 0j], 0),
@@ -944,26 +956,29 @@ _PROGRAM_STATISTICS = {
 def test_a_lane_is_redone_in_one_handler(stat):
     # a family of n: its checks raise into the lane's one handler, and its
     # prelude's failure redoes every lane in one loop
+    # a lane is one sample: its point, or the five of the S' stencil
+    sample = "zv0, zv1, zv2, zv3, zv4" if stat == "sd" else "zv"
     source, _ = codegen._lanes_source(parse("exp(z/(n*z+1))").root, _PROGRAM_STATISTICS[stat])
     checks = _blocks(source, lambda x: x.startswith("if ") and not x.startswith("if type("))
     assert len(checks) >= 4
     for block in checks:
         assert not any("redo(" in line for line in block)
-    assert source.count("redo(zv)") == 2
+    assert source.count("redo(") == source.count(f"redo({sample})") == 2
     prelude, handler = _blocks(source, lambda x: x == "except (OverflowError, JetError):")
-    assert [sum("redo(zv)" in line for line in b) for b in (prelude, handler)] == [1, 1]
+    assert [sum("redo(" in line for line in b) for b in (prelude, handler)] == [1, 1]
     # the fast path and the handler reach one keep, after the handler; the
     # prelude's loop is the handler and the keep, and nothing else
     lines = source.splitlines()
     after = lines.index(handler[0]) + len(handler)  # its head is the one at depth 8
     keep = list(itertools.takewhile(lambda x: _depth(x) >= 8, lines[after:]))
     assert keep and not any("redo(" in line for line in keep)
-    assert prelude[1].strip() == "for zv in Z:" and prelude[-1].strip() == "Z = ()"
+    assert prelude[1].strip() == f"for {sample} in Z:" and prelude[-1].strip() == "Z = ()"
     assert [x[12:] for x in prelude[2:-1]] == [x[12:] for x in handler[1:]] + [x[8:] for x in keep]
     # where a literal fails, that loop is all the function runs
     source, _ = codegen._lanes_source(parse("z+1/(1-1)").root, _PROGRAM_STATISTICS[stat])
-    assert source.count("redo(zv)") == 1 and "JetError" not in source
-    assert [line.strip() for line in source.splitlines()].count("for zv in Z:") == 1
+    assert source.count("redo(") == source.count(f"redo({sample})") == 1
+    assert "JetError" not in source
+    assert [line.strip() for line in source.splitlines()].count(f"for {sample} in Z:") == 1
 
 
 @pytest.mark.parametrize("stat", sorted(_PROGRAM_STATISTICS))

@@ -229,11 +229,12 @@ def test_sd_scan_critical_point_flag():
 
 def test_sd_statistic_past_the_double_range_is_an_overflow_flag():
     # at 0, S = d3/d1 = 1.5e308 (1 + i) is finite, but its modulus
-    # overflows; the stencil's other points, 0.01 and 0.02 away, are clean
+    # overflows; the stencil's other points, 0.01 and 0.02 away, are clean.
+    # The sample is one lane of its five points
     f = parse("z+(1+i)*25" + "0" * 306 + "*z^3")
     h = 0.01
-    stencil = [0j, h + 0j, -h + 0j, 2 * h + 0j, -2 * h + 0j]
-    assert eval_jet_lanes(f, 1, stencil, probe._sd(h)) == (-1.0, {"Overflow"})
+    stencil = (0j, h + 0j, -h + 0j, 2 * h + 0j, -2 * h + 0j)
+    assert eval_jet_lanes(f, 1, [stencil], probe._sd(h)) == (-1.0, {"Overflow"})
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +460,8 @@ def test_a_grid_point_with_a_sample_past_the_double_range_runs_no_batch(monkeypa
                  neighborhood_samples=1)
     with pytest.raises(ValueError, match="^jet_var requires a finite point$"):
         sd_family_scan(parse("z"), g, range(1, 4))
-    assert len(calls) == 3 and all(p[0] == -1.0 for p in calls)
+    # one lane per sample, its five stencil points, the grid point's first
+    assert len(calls) == 3 and all(p[0][0] == -1.0 for p in calls)
 
 
 def test_local_bound_rejects_short_sampling():

@@ -27,8 +27,9 @@ _FAMILIES = {
     "s-overflow": (f"z+(1+i)*{_BIG}*z^3", "-0.5,0.5,0,1,3,1"),
     # the floor sweep's other rules, recorded before it moved into the lane
     # function: |f'| past the double range (n >= 7); |S| past it with finite
-    # parts at the origin; S = -inf + nan i there, which counts as inf, and
-    # nan + nan i, which counts as nothing; f' = 2z with both parts within
+    # parts at the origin; S = -inf + nan i there, and nan + nan i, each of
+    # which flags its lane "Overflow" as an |S| past the range does, so the
+    # lane counts for nothing; f' = 2z with both parts within
     # the critical-point floor and its modulus past it, where S is defined;
     # and a critical lane whose |f''| overflows, which counts for nothing
     "d1-overflow": (f"(1+i)*2{'0' * 307}*n*z", "-0.5,0.5,0,1,3,1"),
@@ -250,23 +251,23 @@ _GOLDEN = {
     ('hypotheses', 's-inf', 'csv'): (
         1,
         'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
-        '0.5,10.0,false,false,1e-11,1e+144,0.0,6e+288,inf,false,false\n',
+        '0.5,10.0,false,false,1.0000000000000002e+143,1e+144,0.0,6e+288,150.0,true,false\n',
         '',
     ),
     ('hypotheses', 's-inf', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1e-11,\n  "M2": 1e+144,\n  "M3": 0.0,\n  "sd_bound": 6e+288,\n  "max_abs_schwarzian": "inf",\n  "sound": false,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.0000000000000002e+143,\n  "M2": 1e+144,\n  "M3": 0.0,\n  "sd_bound": 6e+288,\n  "max_abs_schwarzian": 150.0,\n  "sound": true,\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 's-nan', 'csv'): (
         1,
         'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
-        '0.5,10.0,false,false,1e-11,1.414213562373095e+144,0.0,1.2e+289,149.99999999999994,true,false\n',
+        '0.5,10.0,false,false,1.4142135623730954e+143,1.414213562373095e+144,0.0,1.2e+289,149.99999999999994,true,false\n',
         '',
     ),
     ('hypotheses', 's-nan', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1e-11,\n  "M2": 1.414213562373095e+144,\n  "M3": 0.0,\n  "sd_bound": 1.2e+289,\n  "max_abs_schwarzian": 149.99999999999994,\n  "sound": true,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.4142135623730954e+143,\n  "M2": 1.414213562373095e+144,\n  "M3": 0.0,\n  "sd_bound": 1.2e+289,\n  "max_abs_schwarzian": 149.99999999999994,\n  "sound": true,\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 'guard', 'csv'): (

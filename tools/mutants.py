@@ -88,8 +88,8 @@ MUTANTS = (
            '        if kind != "-":', "        if True:",
            (DSL + "test_generated_lane_function_on_each_rule",)),
     Mutant("the output check back to the sum alone", "codegen.py",
-           "    return f\"not isfinite({' + '.join(names)}) and not ({each})\"",
-           "    return f\"not isfinite({' + '.join(names)})\"",
+           "    return f\"not {test}({' + '.join(names)}) and not ({each})\"",
+           "    return f\"not {test}({' + '.join(names)})\"",
            (DSL + "test_finite_parts_that_add_up_past_the_double_range_take_the_fast_path",
             DSL + "test_fused_floor_sweep_on_each_rule")),
     Mutant("the output check on the first part only", "codegen.py",
@@ -104,34 +104,59 @@ MUTANTS = (
            "        rhs = _walk(node.rhs, ops, leaves, point)\n"
            "        args = (_walk(node.lhs, ops, leaves, point), rhs)",
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+    # the refusals of bad thresholds, each before the evaluation it would waste
+    Mutant("a scan's thresholds refused only after the scan", "cli.py",
+           "    check_thresholds(args.slope_threshold, args.decay_threshold, args.cap)"
+           "  # before the scan\n", "",
+           (CLI + "test_bad_thresholds_are_refused_before_any_evaluation",)),
+    Mutant("a nan L refused only after the floor sweep", "probe.py",
+           "    check_thresholds(L=L)  # before the floor sweep, which a nan L would waste\n", "",
+           (CLI + "test_bad_thresholds_are_refused_before_any_evaluation",)),
     Mutant("the parser rebuilt per call", "cli.py",
            "@functools.cache\ndef _build_parser", "def _build_parser",
            (CLI + "test_cached_parser_gives_a_fresh_parsers_bytes",)),
     # the statistics
     Mutant("the critical guard dropped", "codegen.py",
-           "                t.check(True, _CRITICAL_GUARD.format(*parts))",
+           "                t.check(True, _CRITICAL_GUARD.format(*point))",
            "                pass",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("the critical rule tried after the lane formula", "codegen.py",
-           "            if self.critical is not None and _critical(j[1]):\n"
-           "                return self.critical(j)\n"
-           "            return self.lane(j)",
-           "            value = self.lane(j)\n"
-           "            if self.critical is not None and _critical(j[1]):\n"
-           "                return self.critical(j)\n"
+           "            for j in walks:\n"
+           "                if isinstance(j, EvalError):\n"
+           "                    return \"Overflow\" if isinstance(j.__cause__, OverflowAtPoint) else \"Pole\"\n"
+           "                if self.critical is not None and _critical(j[1]):\n"
+           "                    return self.critical(j)\n"
+           "            return self.value(walks)",
+           "            for j in walks:\n"
+           "                if isinstance(j, EvalError):\n"
+           "                    return \"Overflow\" if isinstance(j.__cause__, OverflowAtPoint) else \"Pole\"\n"
+           "            value = self.value(walks)\n"
+           "            for j in walks:\n"
+           "                if self.critical is not None and _critical(j[1]):\n"
+           "                    return self.critical(j)\n"
            "            return value",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("the sd statistic without its critical rule", "probe.py",
-           "    return Statistic(5, _schwarzian, _critical_point, _stencil, h)",
-           "    return Statistic(5, _schwarzian, None, _stencil, h)",
+           "    return Statistic(5, _stencil, _critical_point, h)",
+           "    return Statistic(5, _stencil, None, h)",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
-    Mutant("an sd modulus past the double range not flagged", "codegen.py",
-           '"            flags.add(\'Overflow\')", "            continue",', '"            continue",',
+    Mutant("a modulus past the double range not flagged, the sd stencil's among them",
+           "codegen.py",
+           '        except OverflowError:\n            return "Overflow"',
+           "        except OverflowError:\n            return -1.0",
            (PROBE + "test_sd_statistic_past_the_double_range_is_an_overflow_flag",
             DSL + "test_fused_sd_statistic_on_each_rule")),
-    Mutant("the stencil's first failed lane does not decide", "codegen.py",
-           '"            flags.add(got)", "            break",', '"            flags.add(got)",',
-           (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
+    Mutant("a sample's last failed point decides, not its first", "codegen.py",
+           "            for j in walks:\n                if isinstance(j, EvalError):",
+           "            for j in reversed(walks):\n                if isinstance(j, EvalError):",
+           (DSL + "test_fused_sd_statistic_on_each_rule",
+            DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
+    Mutant("the keep's rule for a value past the double range dropped", "codegen.py",
+           """        keep = [f"if {_not_finite(values, 'finite')}:", "    add('Overflow')", "    continue"]""",
+           "        keep = []",
+           (DSL + "test_fused_floor_sweep_on_each_rule",
+            DSL + "test_fused_sd_statistic_on_each_rule",
+            GOLDENS + "test_flag_heavy_grid_bytes[hypotheses-s-nan-csv]")),
     Mutant("the stencil's lanes in reverse order", "probe.py",
            "(w, w + h, w - h, w + 2.0 * h, w - 2.0 * h)",
            "(w - 2.0 * h, w + 2.0 * h, w - h, w + h, w)",
@@ -158,7 +183,7 @@ MUTANTS = (
            "                if past:", "                if False:",
            (PROBE + "test_local_bound_segment_past_the_double_range",)),
     Mutant("sample points not checked", "probe.py",
-           "        if not all(map(cmath.isfinite, points)):", "        if False:",
+           "        if not all(map(cmath.isfinite, flat)):", "        if False:",
            (PROBE + "test_a_grid_point_with_a_sample_past_the_double_range_runs_no_batch",)),
     # the lane's one handler
     Mutant("a check's raise turned into pass", "codegen.py",
@@ -174,7 +199,7 @@ MUTANTS = (
            "f\"{', '.join(values)} = got\"", '"pass"',
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("a redone lane not bound to the appended name", "codegen.py",
-           'handler = [f"{values[0]} = redo(zv)"]', 'handler = ["redo(zv)"]',
+           'handler = ["got = redo(zv)"]', 'handler = ["redo(zv)"]',
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
     # the ball rules behind the identity error bound
     Mutant("a literal taken as exact, not within half an ulp", "ball.py",
