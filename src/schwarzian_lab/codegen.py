@@ -9,8 +9,9 @@ single-point calls (one point, another seed, a ball) and for every
 lane the lane function hands back.  A program command's lane function
 returns its statistic, not jets: a lane is one sample, its point or the
 five points of the S' stencil, and the lane function runs the
-statistic's formula inline on the sample's jets and keeps only the
-batch's largest statistic, or the largest of each of its slots, and the
+statistic's formula inline on the sample's jets.  A call covers
+groups of samples, a grid point's or a segment's, and keeps only each
+group's largest statistic, or the largest of each of its slots, and the
 flags of its failed samples.  The scans and ``bound`` (max |f'|) keep
 one slot; the ``hypotheses`` floor sweep keeps four: -|f'|, |f''|,
 |f'''| and |S|.
@@ -447,7 +448,8 @@ class Statistic(NamedTuple):
     is critical at a point takes ``critical(jet)`` there in place of the
     formula (a flag, for a width above 1), and one whose f' may be is
     redone.  A value may be a tuple, one per slot of ``start``, and the
-    lane function keeps the largest of each slot, from the slot's start.
+    lane function keeps the largest of each slot over each group of
+    samples, from the slot's start.
     A modulus past the double range (an OverflowError), or a value that is
     nan or inf in any slot, flags the sample "Overflow": it counts for
     nothing.  A redone sample's value, from :meth:`walked`, is bound to the
@@ -532,25 +534,31 @@ def _lanes_function(root: Node, stat: Statistic | None = None):
 def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     """The lane function's source and namespace.
 
-    ``fn(N, Z, redo)`` evaluates f_n at each lane of ``Z``, an iterable
-    of finite complex points that it reads once (a sample of ``width``
-    points is a tuple, walked once per point into the lane's one body), N
-    being complex(n), or None for an n that is not real; a lane whose
+    ``fn(N, Z, redo)`` evaluates f_n at lanes of finite complex points,
+    N being complex(n), or None for an n that is not real; a lane whose
     evaluation fails gets ``redo(*points)`` in place of its outcome.
-    Without a statistic it returns the lanes' jets.  With one, it returns
-    ``(best, flags)``: the largest statistic over the samples, -1.0 if
-    none has one, and the flags of the failed samples; with several
-    slots, the largest of each slot, then the flags.
+    Without a statistic ``Z`` is an iterable of lanes, read once, and it
+    returns the lanes' jets.  With one, ``Z`` is an iterable of groups,
+    each an iterable of lanes, both read once (a sample of ``width``
+    points is a tuple, walked once per point into the lane's one body),
+    and it returns one ``(best, flags)`` per group: the largest statistic
+    over the group's samples, -1.0 if none has one, and the frozenset of
+    the flags of its failed samples; with several slots, the largest of
+    each slot, then the flags.  So one call pays the fixed cost and the
+    n-only prelude for all its groups, and each group's result depends on
+    its own lanes alone: ``best`` and the flags are reset per group, the
+    flags to a shared empty frozenset that a failure replaces.
 
     Each lane runs in one ``try``, whose every check raises JetError, so a
     lane is redone in one place, the ``except`` handler.  The handler
     binds the redone value to the names of the fast path's value, and
     both reach one keep: the lines that append a lane's jet, or flag a
-    value past the double range and fold any other into the batch's
+    value past the double range and fold any other into the group's
     largest.  Where a loop-invariant part fails, or n, where the family
     uses it, is 0 or not real, the prelude raises, and a loop of the
-    handler and the keep redoes every lane before the main loop, which
-    then has none; where a literal fails, that loop is all.
+    handler and the keep redoes every lane, group by group, before the
+    main loop, which then has none; where a literal fails, that loop is
+    all.
 
     A lane is redone when a node of it leaves the finite range: such a
     value reaches the output, where the parts not known finite are
@@ -586,23 +594,29 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
             values = [x.name for x in (value if type(value) is tuple else (value,))]
     sample = ", ".join(names)
     if stat is None:
-        acc = ["out = []", "append = out.append"]
         handler = ["got = redo(zv)"]
         keep = ["append(got)"]
-        end = ["return out"]
     else:
         best = ["best", *(f"best{k}" for k in range(1, len(stat.start)))]
-        acc = [*(f"{b} = {x!r}" for b, x in zip(best, stat.start)), "flags = set()",
-               "add = flags.add"]
-        handler = [f"got = redo({sample})", "if type(got) is str:", "    add(got)", "    continue",
-                   f"{', '.join(values)} = got"]
+        # a group's flags stay the shared empty set until one of its lanes fails
+        reset = [*(f"{b} = {x!r}" for b, x in zip(best, stat.start)), "flags = noflags"]
+        handler = [f"got = redo({sample})", "if type(got) is str:", "    flags |= {got}",
+                   "    continue", f"{', '.join(values)} = got"]
         # a value past the double range in any slot is an overflow (tested by
         # math.isfinite, faster on a float); keep each slot's larger value
-        keep = [f"if {_not_finite(values, 'finite')}:", "    add('Overflow')", "    continue"]
+        keep = [f"if {_not_finite(values, 'finite')}:", "    flags |= {'Overflow'}", "    continue"]
         keep += [line for b, v in zip(best, values) for line in (f"if {v} > {b}:", f"    {b} = {v}")]
-        end = [f"return {', '.join(best)}, flags"]
+
+    def each_lane(lines: list) -> list:
+        # lines run per lane: over a batch of lanes for jets, and for a
+        # statistic over each group, whose result is appended after it
+        if stat is None:
+            return [f"for {sample} in Z:", *_indent(lines)]
+        return ["for G in Z:", *_indent(reset), f"    for {sample} in G:", *_indent(lines, 2),
+                f"    append(({', '.join(best)}, flags))"]
+
     # every lane redone, in order, where a literal fails or the prelude does
-    redo_all = [f"for {sample} in Z:", *_indent(handler + keep)]
+    redo_all = each_lane(handler + keep)
     if outs is None:
         loop = redo_all
     else:
@@ -611,18 +625,18 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
             *_indent(t.prelude), "except (OverflowError, JetError):", *_indent(redo_all),
             "    Z = ()",
         ] if t.n_used else []
-        loop = [
-            *setup, f"for {sample} in Z:", "    try:", *_indent(t.body, 2),
-            "    except (OverflowError, JetError):", *_indent(handler, 2), *_indent(keep),
-        ]
+        loop = [*setup, *each_lane([
+            "try:", *_indent(t.body), "except (OverflowError, JetError):", *_indent(handler), *keep,
+        ])]
     src = [
         "def lanes(N, Z, redo, *, " + "".join(f"{k}={k}, " for k in t.consts)
-        + "isfinite=isfinite, finite=finite, exp=exp, log=log, as_jet=as_jet, pow_int=pow_int):",
-        *_indent(acc + loop + end),
+        + "isfinite=isfinite, finite=finite, exp=exp, log=log, as_jet=as_jet, pow_int=pow_int, "
+        "noflags=noflags):",
+        *_indent(["out = []", "append = out.append", *loop, "return out"]),
     ]
     namespace = dict(
         t.consts, isfinite=cmath.isfinite, finite=math.isfinite, exp=cmath.exp, log=cmath.log,
-        as_jet=_as_jet, pow_int=jet_pow_int, JetError=JetError, inf=math.inf,
+        as_jet=_as_jet, pow_int=jet_pow_int, JetError=JetError, inf=math.inf, noflags=frozenset(),
     )
     return "\n".join(src) + "\n", namespace
 

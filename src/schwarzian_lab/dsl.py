@@ -35,9 +35,10 @@ same bits:
   straight-line code that inlines each node's jet formula and folds only
   what is exactly known before run time.  Every program command's lane
   function takes one lane per sample (for ``scan-sd``, the five points of
-  its stencil) and returns its statistic, the batch's maximum (of each
-  slot, for the ``hypotheses`` floor sweep) and the flags of its failed
-  samples, in place of the jets; no program path reads jets from a batch.
+  its stencil), in groups (a grid point's samples, or a segment's), and
+  returns per group its statistic's maximum (of each slot, for the
+  ``hypotheses`` floor sweep) and the flags of its failed samples, in
+  place of the jets; no program path reads jets from a batch.
 - The single-point calls, :func:`eval_jet` and :func:`eval_jet_seeded`,
   walk the tree, one ``jet_*`` operation per node, so a one-off
   evaluation compiles nothing.  The walk also redoes, from
@@ -614,12 +615,15 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat=None):
     is bit-identical to the single evaluation's.  No program path asks for
     the jets; the tests compare them with the tree walk's.
 
-    With a ``stat`` (a ``codegen.Statistic``) an item of ``points`` is a
-    sample, a tuple of ``stat.width`` points where that is above 1, and
-    the lane function returns ``(best, flags)``: the largest statistic
-    over the samples, -1.0 if none has one, and the set of flags of the
-    samples that failed; for several slots, ``(best, best1, ..., flags)``,
-    each from the slot's start value.  Its one handler redoes a sample by
+    With a ``stat`` (a ``codegen.Statistic``) ``points`` is an iterable of
+    groups, each an iterable of samples, all read once; a sample is a
+    point, or a tuple of ``stat.width`` points where that is above 1.  One
+    call of the lane function covers every group, and returns one result
+    per group, in order: ``(best, flags)``, the largest statistic over the
+    group's samples, -1.0 if none has one, and the frozenset of the flags
+    of its samples that failed; for several slots, ``(best, best1, ...,
+    flags)``, each from the slot's start value.  A group's result depends
+    on its own samples alone.  Its one handler redoes a sample by
     ``redo``, the walk from ``jet_var`` at each of the sample's points,
     and ``stat.walked`` gives the sample's value or its flag.
     """

@@ -15,13 +15,14 @@ candidate.  Evaluation failures never poison a scan; they become flags
 ("Pole", "Overflow", "CriticalPoint") on the affected grid point and the
 failing samples are excluded from the statistics.
 
-Each (point, n) is one batch evaluation of the point's samples, one
-lane each (for the S' stencil, five points), which must all be finite,
-and each n of ``bound`` one batch of its segment's points, streamed.  The
-family's generated lane function computes the statistic itself, from the
-``codegen.Statistic`` below, and returns only the largest over the
-samples and the set of flags; a sample it redoes gets its statistic from
-the same formula.  For a scan that is f# or the stencil's, and for
+Each n is one batch evaluation per block of grid points, each point one
+group of its samples, one lane each (for the S' stencil, five points),
+which must all be finite, and each n of ``bound`` one batch of its
+segment's points, streamed, as one group.  The family's generated lane
+function computes the statistic itself, from the ``codegen.Statistic``
+below, and returns per group only the largest over the samples and the
+set of flags; a sample it redoes gets its statistic from the same
+formula.  For a scan that is f# or the stencil's, and for
 ``bound`` |f'|.  For the ``hypotheses`` floor sweep it is -|f'|, |f''|,
 |f'''| and |S|, the largest of each kept apart, so that min |f'| is an
 exact negation.  No command reads jets from a batch.
@@ -285,35 +286,47 @@ def _slope(j) -> float:
 
 _BOUND = Statistic(1, _slope, start=(0.0,))
 
+# grid points per lane-function call: enough that a call's fixed cost is
+# small beside its lanes, few enough that a block's samples and results
+# stay small whatever the grid's size
+_BLOCK = 32
+
 
 def _sweep(stat: Statistic, expr: FamilyExpr, grid: GridSpec, n_values, offset: float, indices):
     """Sample the grid points ``indices`` in order; every grid command's loop.
 
-    Yields (z, rows) per point, with one batch evaluation per (point, n)
-    of all the point's samples, one lane each.  For the statistic ``stat``
-    (``_MARTY``, ``_sd(h)`` or ``_FLOOR``), rows[k] is what the batch at
-    n_values[k] keeps: the largest statistic over the neighborhood
-    samples, -1.0 if none has one (for ``_FLOOR``, the largest of each of
-    its four slots), then the flags ("Pole", "Overflow", "CriticalPoint")
-    of the samples that failed.  Each point's samples, for the S' stencil
-    five points ``stat.step`` apart, are built once; a grid point whose
-    sample points are not all finite raises ValueError before any batch.
+    Yields (z, rows) per point.  The points go in blocks of at most
+    ``_BLOCK`` (the last block may be shorter), and each n makes one batch
+    evaluation per block, each point one group of its samples, one lane
+    each, so the fixed cost of a call is paid once per (n, block).  For
+    the statistic ``stat`` (``_MARTY``, ``_sd(h)`` or ``_FLOOR``), rows[k]
+    is what the batch at n_values[k] keeps of the point's group: the
+    largest statistic over its neighborhood samples, -1.0 if none has one
+    (for ``_FLOOR``, the largest of each of its four slots), then the
+    flags ("Pole", "Overflow", "CriticalPoint") of the samples that failed.
+    Each point's samples, for the S' stencil five points ``stat.step``
+    apart, are built once; a block with a grid point whose sample points
+    are not all finite raises ValueError before any of its batches.
     """
     xs = grid.x_coords()
     ys = grid.y_coords()
     radius = grid.neighborhood_radius
     h = stat.step
-    for index in indices:
-        z = complex(xs[index % grid.nx], ys[index // grid.nx])
-        points = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
-        if stat.width > 1:  # each sample is the five points of the S' stencil, h apart
-            points = [(w, w + h, w - h, w + 2.0 * h, w - 2.0 * h) for w in points]
-        flat = itertools.chain.from_iterable(points) if stat.width > 1 else points
-        if not all(map(cmath.isfinite, flat)):
-            raise ValueError("jet_var requires a finite point")
+    for start in range(0, len(indices), _BLOCK):
+        zs, groups = [], []
+        for index in indices[start : start + _BLOCK]:
+            z = complex(xs[index % grid.nx], ys[index // grid.nx])
+            points = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
+            if stat.width > 1:  # each sample is the five points of the S' stencil, h apart
+                points = [(w, w + h, w - h, w + 2.0 * h, w - 2.0 * h) for w in points]
+            flat = itertools.chain.from_iterable(points) if stat.width > 1 else points
+            if not all(map(cmath.isfinite, flat)):
+                raise ValueError("jet_var requires a finite point")
+            zs.append(z)
+            groups.append(points)
         # by the module-level name, which bench/tracer.py rebinds to count calls
-        rows = [eval_jet_lanes(expr, n, points, stat) for n in n_values]
-        yield z, rows
+        per_n = [eval_jet_lanes(expr, n, groups, stat) for n in n_values]
+        yield from zip(zs, zip(*per_n))
 
 
 def _lsq_slope(xs: list[float], ys: list[float]) -> float:
@@ -526,14 +539,14 @@ def local_bound_estimate(
     reports = []
     flagged = []
     for n in ns:
-        # the segment's points, streamed into one batch up to the first one
-        # past the double range, which takewhile leaves in ``past``
+        # the segment's points, streamed into one batch, one group, up to the
+        # first one past the double range, which takewhile leaves in ``past``
         points = (z0 + (k / last) * (z - z0) for k in range(segment_samples))
         past: list = []
         finite = itertools.takewhile(lambda p: cmath.isfinite(p) or past.append(p), points)
         try:
             v0, v1 = eval_jet(f, n, z0).v, eval_jet(f, n, z).v
-            k_est, failed = eval_jet_lanes(f, n, finite, _BOUND)
+            ((k_est, failed),) = eval_jet_lanes(f, n, [finite], _BOUND)
             if not failed:
                 if past:  # once every point before it evaluated cleanly
                     raise ValueError("jet_var requires a finite point")

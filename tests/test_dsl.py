@@ -670,18 +670,27 @@ def _sd_reference(f, n, points, h):
     return best, flags
 
 
-def _stat_outcomes(f, n, stat, samples):
-    # the lane function with a redo that records the samples it is given,
-    # one per lane, and the public call
+def _group_outcomes(f, n, stat, groups):
+    # one call of the lane function over groups of samples, each group and
+    # the groups read once, with a redo that records the samples it is
+    # given, one per lane, and the public call: each group's outcome, and
+    # how many samples were redone
     redone = []
 
     def redo(*points):
         redone.append(points)
         return stat.walked(*(_raised(lambda: eval_jet(f, n, w)) for w in points))
 
-    got = codegen.family(f, stat)(complex(n), samples, redo)
-    assert eval_jet_lanes(f, n, samples, stat) == got
-    return (*(x.hex() for x in got[:-1]), got[-1]), len(redone)
+    got = codegen.family(f, stat)(complex(n), map(iter, groups), redo)
+    assert eval_jet_lanes(f, n, groups, stat) == got and len(got) == len(groups)
+    assert all(type(x[-1]) is frozenset for x in got)
+    return [(*(x.hex() for x in g[:-1]), g[-1]) for g in got], len(redone)
+
+
+def _stat_outcomes(f, n, stat, samples):
+    # the samples as one group
+    (got,), redone = _group_outcomes(f, n, stat, [samples])
+    return got, redone
 
 
 def _stencil_points(points, h):
@@ -690,25 +699,54 @@ def _stencil_points(points, h):
 
 
 def test_fused_statistics_match_the_reference_bit_for_bit():
-    rng = random.Random(64)
-    flags, redone, clean = set(), 0, 0
+    # each draw's samples cut into up to three groups of one call, some
+    # possibly empty, each group against the reference on its own samples
+    rng, cuts = random.Random(64), random.Random(164)
+    flags, redone, clean, groups_seen = set(), 0, 0, 0
     for _ in range(200):
         f, _, points = _draw(rng)
         h = rng.choice((0.05 / 8, 0.001, 0.1))
-        sd_points = _stencil_points(points, h)
+        a, b = sorted(cuts.choices(range(len(points) + 1), k=2))
+        groups = [points[:a], points[a:b], points[b:]]
         for n in _STAT_NS:
             for stat, samples, want in (
-                (probe._MARTY, points, _marty_reference(f, n, points)),
-                (probe._sd(h), sd_points, _sd_reference(f, n, points, h)),
+                (probe._MARTY, groups, [_marty_reference(f, n, g) for g in groups]),
+                (probe._sd(h), [_stencil_points(g, h) for g in groups],
+                 [_sd_reference(f, n, g, h) for g in groups]),
             ):
-                got, k = _stat_outcomes(f, n, stat, samples)
-                assert got == (want[0].hex(), want[1])
-                flags |= want[1]
+                got, k = _group_outcomes(f, n, stat, samples)
+                assert got == [(x.hex(), fl) for x, fl in want]
+                flags = flags.union(*(fl for _, fl in want))
                 redone += k
-                clean += len(samples) - k
+                clean += len(points) - k
+                groups_seen += sum(map(bool, groups))
     assert flags == {"Pole", "Overflow", "CriticalPoint"}
     # n = -0 redoes every sample; the other n take the fast path or fail
     assert redone > 5000 and clean > 5000
+    assert groups_seen > 2 * 200 * len(_STAT_NS) * 2
+
+
+@pytest.mark.parametrize(
+    "text,n,redone",
+    [
+        # n = -0 fails the prelude, so every sample is redone, group by
+        # group; at n = 1 the pole at 1 alone takes the handler
+        ("1/(z-n)", -0.0, 7),
+        ("1/(z-n)", 1, 1),
+        # exp(1000), a literal, fails, so every sample is redone; at 0.5
+        # the pole, the left operand, comes first
+        ("1/(z-0.5)+exp(1000)", 1, 7),
+    ],
+)
+def test_each_group_gets_only_its_own_result(text, n, redone):
+    f = parse(text)
+    groups = [[0j, 2 + 0j], [0.5 + 0j], [], [1 + 0j, 0.5 + 0j, 0j], [2 + 0j]]
+    h = 0.01
+    got, ran = _group_outcomes(f, n, probe._MARTY, groups)
+    assert got == [(x.hex(), fl) for x, fl in (_marty_reference(f, n, g) for g in groups)]
+    assert ran == redone and len({fl for _, fl in got}) >= 2
+    sd, _ = _group_outcomes(f, n, probe._sd(h), [_stencil_points(g, h) for g in groups])
+    assert sd == [(x.hex(), fl) for x, fl in (_sd_reference(f, n, g, h) for g in groups)]
 
 
 @pytest.mark.parametrize(
@@ -966,19 +1004,33 @@ def test_a_lane_is_redone_in_one_handler(stat):
     assert source.count("redo(") == source.count(f"redo({sample})") == 2
     prelude, handler = _blocks(source, lambda x: x == "except (OverflowError, JetError):")
     assert [sum("redo(" in line for line in b) for b in (prelude, handler)] == [1, 1]
-    # the fast path and the handler reach one keep, after the handler; the
-    # prelude's loop is the handler and the keep, and nothing else
-    lines = source.splitlines()
-    after = lines.index(handler[0]) + len(handler)  # its head is the one at depth 8
-    keep = list(itertools.takewhile(lambda x: _depth(x) >= 8, lines[after:]))
+    # a statistic's lanes loop inside a loop over groups, which resets the
+    # group's best and flags before its lanes and appends them after
+    groups = stat != "jets"
+    (main,) = [b for b in _blocks(source, lambda x: x.startswith("for ")) if _depth(b[0]) == 4]
+    assert main[0].strip() == ("for G in Z:" if groups else f"for {sample} in Z:")
+    if groups:
+        start = _PROGRAM_STATISTICS[stat].start
+        best = ["best", *(f"best{k}" for k in range(1, len(start)))]
+        reset = [f"        {b} = {x!r}" for b, x in zip(best, start)] + ["        flags = noflags"]
+        assert main[1 : len(reset) + 1] == reset
+        assert f"        for {sample} in G:" in main and main[-1].startswith("        append((best")
+    # the fast path and the handler reach one keep, after the handler
+    (tried,) = _blocks("\n".join(main), lambda x: x == "try:")
+    k = main.index(tried[0])
+    rest = main[k + len(tried):]  # the handler, the keep, and a group's append
+    assert rest[: len(handler)] == handler
+    keep = list(itertools.takewhile(lambda x: _depth(x) >= _depth(handler[0]), rest[len(handler):]))
     assert keep and not any("redo(" in line for line in keep)
-    assert prelude[1].strip() == f"for {sample} in Z:" and prelude[-1].strip() == "Z = ()"
-    assert [x[12:] for x in prelude[2:-1]] == [x[12:] for x in handler[1:]] + [x[8:] for x in keep]
+    # the prelude's loop is the main loop without each lane's try and except
+    redo_all = main[:k] + [x[4:] for x in handler[1:]] + rest[len(handler):]
+    assert [x[4:] for x in prelude[1:-1]] == redo_all and prelude[-1].strip() == "Z = ()"
     # where a literal fails, that loop is all the function runs
     source, _ = codegen._lanes_source(parse("z+1/(1-1)").root, _PROGRAM_STATISTICS[stat])
     assert source.count("redo(") == source.count(f"redo({sample})") == 1
     assert "JetError" not in source
-    assert [line.strip() for line in source.splitlines()].count(f"for {sample} in Z:") == 1
+    loops = [line.strip() for line in source.splitlines() if line.strip().startswith("for ")]
+    assert loops == (["for G in Z:", f"for {sample} in G:"] if groups else [f"for {sample} in Z:"])
 
 
 @pytest.mark.parametrize("stat", sorted(_PROGRAM_STATISTICS))

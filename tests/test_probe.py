@@ -31,6 +31,7 @@ from schwarzian_lab import (
 )
 from schwarzian_lab import probe
 from schwarzian_lab.probe import (
+    DEFAULT_RADIUS,
     MAX_GRID_POINTS,
     MAX_N_VALUES,
     MAX_SAMPLES,
@@ -230,11 +231,11 @@ def test_sd_scan_critical_point_flag():
 def test_sd_statistic_past_the_double_range_is_an_overflow_flag():
     # at 0, S = d3/d1 = 1.5e308 (1 + i) is finite, but its modulus
     # overflows; the stencil's other points, 0.01 and 0.02 away, are clean.
-    # The sample is one lane of its five points
+    # The sample is one lane of its five points, in a group of its own
     f = parse("z+(1+i)*25" + "0" * 306 + "*z^3")
     h = 0.01
     stencil = (0j, h + 0j, -h + 0j, 2 * h + 0j, -2 * h + 0j)
-    assert eval_jet_lanes(f, 1, [stencil], probe._sd(h)) == (-1.0, {"Overflow"})
+    assert eval_jet_lanes(f, 1, [[stencil]], probe._sd(h)) == [(-1.0, {"Overflow"})]
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +347,99 @@ def test_pool_is_no_larger_than_its_chunks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# blocks of grid points: one lane-function call per (n, block), each point
+# one group of its samples
+
+# a critical point at the centre of -0.5, a pole at that of 0.5, and
+# exp(n z) past its guard for n = 1400 where Re z > 0.5
+_BLOCK_FAMILY = "(z+0.5)^2*exp(n*z)/(z-0.5)"
+_BLOCK_NS = (1, 2, 3, 5, 1400)
+_GRID_STATISTICS = {"marty": probe._MARTY, "sd": probe._sd(DEFAULT_RADIUS / 8.0),
+                    "floor": probe._FLOOR}
+
+
+def _one_call_per_point(stat, f, grid, ns, offset):
+    # the loop the blocks replaced: one lane-function call per (point, n),
+    # the point's samples its one group
+    out = []
+    for index in range(grid.nx * grid.ny):
+        z = complex(grid.x_coords()[index % grid.nx], grid.y_coords()[index // grid.nx])
+        points = _neighborhood(z, grid.neighborhood_radius, grid.neighborhood_samples, offset,
+                               index)
+        if stat.width > 1:
+            h = stat.step
+            points = [(w, w + h, w - h, w + 2.0 * h, w - 2.0 * h) for w in points]
+        out.append((z, [eval_jet_lanes(f, n, [points], stat)[0] for n in ns]))
+    return out
+
+
+def _fields(p):
+    # a point's digest, its slope by repr, which holds for nan too
+    return p.z, p.sup_stat, p.argmax_n, repr(p.growth_slope), p.flags
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (probe._BLOCK - 1, 1), (11, 3)])
+def test_blocks_of_grid_points_match_one_call_per_point(shape):
+    # 1, one short of a block, and one past it (11 x 3 = 33)
+    assert probe._BLOCK == 32
+    f = parse(_BLOCK_FAMILY)
+    g = GridSpec(-0.5, 0.5, 0.0, 1.0, *shape)
+    offset = _seed_offset(5)
+    flags = set()
+    for name, stat in _GRID_STATISTICS.items():
+        want = _one_call_per_point(stat, f, g, _BLOCK_NS, offset)
+        got = probe._sweep(stat, f, g, _BLOCK_NS, offset, range(g.nx * g.ny))
+        assert [(z, list(rows)) for z, rows in got] == want
+        flags.update(*(row[-1] for _, rows in want for row in rows))
+        scan = {"marty": marty_scan, "sd": sd_family_scan}.get(name)
+        for workers in (1, 2, 3) if scan else ():
+            rep = scan(f, g, _BLOCK_NS, seed=5, workers=workers)
+            points = [probe._point_stats(z, rows, _BLOCK_NS) for z, rows in want]
+            assert list(map(_fields, rep.points)) == list(map(_fields, points))
+    if shape != (1, 1):
+        assert flags == {"Pole", "Overflow", "CriticalPoint"}
+
+
+def test_no_statistic_or_flag_leaks_between_the_groups_of_a_call():
+    # the middle point's samples, within 1e-40 of 0, are all poles of 1/z^8;
+    # its neighbours in the same block are clean
+    f = parse("1/z^8")
+    g = GridSpec(-1.0, 1.0, 0.0, 1.0, 3, 1, neighborhood_radius=1e-40)
+    ns = range(1, 5)
+    for scan in (marty_scan, sd_family_scan):
+        left, mid, right = scan(f, g, ns).points
+        assert (mid.flags, mid.sup_stat, mid.argmax_n) == ({"Pole"}, 0.0, -1)
+        assert left.flags == right.flags == frozenset()
+        assert left.sup_stat > 0.0 and right.sup_stat > 0.0
+    rep = derivative_floor_check(f, ns, g, 1.0)
+    assert rep.flags == (frozenset(), frozenset({"Pole"}), frozenset())
+    assert rep.passes == ((True,) * 4, (False,) * 4, (True,) * 4)
+
+
+def test_a_call_covers_at_most_a_block_of_points(monkeypatch):
+    # per n, one call per block: two blocks of 32 and 1 points, whose lanes
+    # add up to one per (point, n, sample)
+    sizes = []
+    real_lanes = probe.eval_jet_lanes
+
+    def counted_lanes(expr, n, groups, stat):
+        sizes.append([len(points) for points in groups])
+        return real_lanes(expr, n, groups, stat)
+
+    monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
+    g = GridSpec(-0.5, 0.5, 0.0, 1.0, 11, 3)
+    ns = range(1, 5)
+    for scan in (marty_scan, sd_family_scan):
+        sizes.clear()
+        scan(parse("exp(n*z)"), g, ns)
+        assert sizes == [[9] * probe._BLOCK] * len(ns) + [[9]] * len(ns)
+    sizes.clear()
+    derivative_floor_check(parse("exp(n*z)"), ns, g, 0.5)
+    assert max(map(sum, sizes)) <= probe._BLOCK * 9
+    assert sum(map(sum, sizes)) == 33 * 9 * len(ns)
+
+
+# ---------------------------------------------------------------------------
 # segment bound check
 
 
@@ -387,8 +481,8 @@ def test_local_bound_flags_overflowing_members():
 
 
 def test_local_bound_streams_its_segment_into_one_batch(monkeypatch):
-    # one lane-function call per n, handed an iterator, equals evaluating
-    # one point at a time
+    # one lane-function call per n, handed an iterator as its one group,
+    # equals evaluating one point at a time
     batches = []
     real_lanes = probe.eval_jet_lanes
 
@@ -401,7 +495,7 @@ def test_local_bound_streams_its_segment_into_one_batch(monkeypatch):
     f = parse("1/(z-n) + exp(z)*z^3")
     z0, z = -0.5 + 0.25j, 2.0 - 0.75j
     (rep,) = local_bound_estimate(f, (3,), z0, z, segment_samples=samples)
-    (points,) = batches
+    ((points,),) = batches
     assert iter(points) is points and not isinstance(points, (list, tuple))
     k_est = max(
         abs(eval_jet(f, 3, z0 + k / (samples - 1) * (z - z0)).d1) for k in range(samples)
@@ -447,21 +541,30 @@ def test_local_bound_segment_past_the_double_range():
 
 def test_a_grid_point_with_a_sample_past_the_double_range_runs_no_batch(monkeypatch):
     # the first grid point's samples are finite; the second's S' stencil
-    # point z + 2h is not, so it is refused before any of its batches
+    # point z + 2h is not, so its block, which holds both, is refused
+    # before any of its batches
     calls = []
     real_lanes = probe.eval_jet_lanes
 
     def counted_lanes(expr, n, points, stat):
-        calls.append(list(points))
-        return real_lanes(expr, n, calls[-1], stat)
+        calls.append(points)
+        return real_lanes(expr, n, points, stat)
 
     monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
     g = GridSpec(-1.0, 1.79e308, 0.0, 1e308, 2, 1, neighborhood_radius=1e307,
                  neighborhood_samples=1)
     with pytest.raises(ValueError, match="^jet_var requires a finite point$"):
         sd_family_scan(parse("z"), g, range(1, 4))
-    # one lane per sample, its five stencil points, the grid point's first
-    assert len(calls) == 3 and all(p[0][0] == -1.0 for p in calls)
+    assert calls == []
+    # past a block's end the refusal comes after the blocks before it: the
+    # first block's 3 batches, one per n, of the block's clean points
+    nx = probe._BLOCK + 1
+    g = GridSpec(-1.0, 1.79e308, 0.0, 1e308, nx, 1, neighborhood_radius=1e307,
+                 neighborhood_samples=1)
+    with pytest.raises(ValueError, match="^jet_var requires a finite point$"):
+        sd_family_scan(parse("z"), g, range(1, 4))
+    assert len(calls) == 3 and all(len(groups) == probe._BLOCK for groups in calls)
+    assert all(groups[0][0][0] == -1.0 for groups in calls)
 
 
 def test_local_bound_rejects_short_sampling():
@@ -559,9 +662,9 @@ def test_theorem_hypotheses_evaluates_each_sample_once(monkeypatch):
     lanes = []
     real_lanes, real_jet = probe.eval_jet_lanes, probe.eval_jet
 
-    def counted_lanes(expr, n, points, *args):
-        lanes.append(len(points))
-        return real_lanes(expr, n, points, *args)
+    def counted_lanes(expr, n, groups, *args):
+        lanes.append(sum(map(len, groups)))
+        return real_lanes(expr, n, groups, *args)
 
     def counted_jet(*args):
         lanes.append(1)

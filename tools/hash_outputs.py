@@ -21,6 +21,10 @@ The corpus:
   Schwarzian and jet parts past the double range) on five grids at two
   radii, through ``scan-marty``, ``scan-sd`` and ``hypotheses``;
 - grid points whose samples are past the double range;
+- grids whose point counts straddle a block of the sweep (1, 31 and 33
+  points, against blocks of 32), and one whose refused point falls
+  mid-block, through ``scan-marty`` and ``scan-sd`` at ``--workers`` 1
+  and 3, and ``hypotheses``, which takes no ``--workers``;
 - ``bound`` segments from 2 to 3000 samples, in CSV and JSON, where
   f(z0), f(z) or a sample fails, and some of whose points, or whose
   ``z - z0``, are past the double range;
@@ -79,6 +83,15 @@ _GRIDS = (
     "4.5e-13,1,4.5e-13,1,1,1",
 )
 _RADII = ("0.1", "0.001")
+# (grid, radius): 1, 31 and 33 points, and a second row past the double
+# range, whose first point, index 20, is refused in the middle of a block
+_BLOCK_GRIDS = (
+    ("0,1,0,1,1,1", "0.05"),
+    ("0,1,0,1,31,1", "0.05"),
+    ("-1,1,-1,1,11,3", "0.05"),
+    ("0,1,0,1.79e308,20,2", "1e308"),
+)
+_BLOCK_FAMILIES = ("(z+0.5)^2*exp(n*z)/(z-0.5)", "1/(z-n)", "exp(z/(n*z+1))", "z + (z^2)/n")
 _HYPOTHESES = ("--epsilon", "0.5", "--zeta", "0.3+0.2i", "--L", "10")
 
 _SEGMENTS = (
@@ -198,6 +211,14 @@ def corpus() -> list[list[str]]:
                 out += [["scan-marty", *common, "--workers", "1"],
                         ["scan-sd", *common, "--workers", "1", "--format", "json"],
                         ["hypotheses", *common, *_HYPOTHESES]]
+    for family in _BLOCK_FAMILIES:
+        for grid, radius in _BLOCK_GRIDS:
+            common = [f"--family={family}", f"--grid={grid}", "--radius", radius,
+                      "--samples", "9", "--n-max", "8"]
+            for workers in ("1", "3"):
+                out += [["scan-marty", *common, "--workers", workers],
+                        ["scan-sd", *common, "--workers", workers, "--format", "json"]]
+            out.append(["hypotheses", *common, *_HYPOTHESES])
     for command in ("scan-marty", "scan-sd", "hypotheses"):
         extra = list(_HYPOTHESES) if command == "hypotheses" else []
         for grid, radius, samples in (

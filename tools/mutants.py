@@ -152,7 +152,7 @@ MUTANTS = (
            (DSL + "test_fused_sd_statistic_on_each_rule",
             DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
     Mutant("the keep's rule for a value past the double range dropped", "codegen.py",
-           """        keep = [f"if {_not_finite(values, 'finite')}:", "    add('Overflow')", "    continue"]""",
+           """        keep = [f"if {_not_finite(values, 'finite')}:", "    flags |= {'Overflow'}", "    continue"]""",
            "        keep = []",
            (DSL + "test_fused_floor_sweep_on_each_rule",
             DSL + "test_fused_sd_statistic_on_each_rule",
@@ -176,12 +176,34 @@ MUTANTS = (
            "_BOUND = Statistic(1, _slope, start=(0.0,))", "_BOUND = Statistic(1, _slope)",
            (DSL + "test_bound_statistic_matches_the_jet_loop_bit_for_bit",)),
     Mutant("bound ignores the lane flags", "probe.py",
-           "            k_est, failed = eval_jet_lanes(f, n, finite, _BOUND)",
-           "            k_est, failed = eval_jet_lanes(f, n, finite, _BOUND)[0], set()",
+           "            ((k_est, failed),) = eval_jet_lanes(f, n, [finite], _BOUND)",
+           "            ((k_est, _),), failed = eval_jet_lanes(f, n, [finite], _BOUND), set()",
            (PROBE + "test_local_bound_streams_its_segment_into_one_batch",)),
     Mutant("a segment past the double range not refused", "probe.py",
            "                if past:", "                if False:",
            (PROBE + "test_local_bound_segment_past_the_double_range",)),
+    # blocks of grid points, one lane-function call per (n, block), each
+    # point one group
+    Mutant("best not reset between groups", "codegen.py",
+           '        return ["for G in Z:", *_indent(reset), f"    for {sample} in G:",',
+           '        return [*reset[:-1], "for G in Z:", *_indent(reset[-1:]), f"    for {sample} in G:",',
+           (PROBE + "test_no_statistic_or_flag_leaks_between_the_groups_of_a_call",
+            DSL + "test_each_group_gets_only_its_own_result")),
+    Mutant("flags carried into the next group", "codegen.py",
+           '        return ["for G in Z:", *_indent(reset), f"    for {sample} in G:",',
+           '        return [*reset[-1:], "for G in Z:", *_indent(reset[:-1]), f"    for {sample} in G:",',
+           (PROBE + "test_no_statistic_or_flag_leaks_between_the_groups_of_a_call",
+            DSL + "test_each_group_gets_only_its_own_result")),
+    Mutant("the last partial block dropped", "probe.py",
+           "    for start in range(0, len(indices), _BLOCK):",
+           "    for start in range(0, len(indices) - len(indices) % _BLOCK, _BLOCK):",
+           (PROBE + "test_blocks_of_grid_points_match_one_call_per_point",
+            PROBE + "test_a_call_covers_at_most_a_block_of_points")),
+    Mutant("the rows transposed one point off", "probe.py",
+           "        yield from zip(zs, zip(*per_n))",
+           "        yield from zip(zs, [*zip(*per_n)][1:] + [*zip(*per_n)][:1])",
+           (PROBE + "test_no_statistic_or_flag_leaks_between_the_groups_of_a_call",
+            PROBE + "test_blocks_of_grid_points_match_one_call_per_point")),
     Mutant("sample points not checked", "probe.py",
            "        if not all(map(cmath.isfinite, flat)):", "        if False:",
            (PROBE + "test_a_grid_point_with_a_sample_past_the_double_range_runs_no_batch",)),
@@ -190,10 +212,10 @@ MUTANTS = (
            '"    raise JetError(\'a check failed\')"', '"    pass"',
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
     Mutant("a redone lane's flag dropped", "codegen.py",
-           '"if type(got) is str:", "    add(got)",', '"if type(got) is str:",',
+           '"if type(got) is str:", "    flags |= {got}",', '"if type(got) is str:",',
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("a flag skips its continue", "codegen.py",
-           '"    add(got)", "    continue",', '"    add(got)",',
+           '"    flags |= {got}",\n                   "    continue",', '"    flags |= {got}",',
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("a redone value not bound to the keep's names", "codegen.py",
            "f\"{', '.join(values)} = got\"", '"pass"',
