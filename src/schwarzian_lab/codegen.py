@@ -26,13 +26,15 @@ rule below is exact in IEEE arithmetic, signed zeros included, so the
 generated code computes bit for bit what the ``jet_*`` operations would.
 The rules assume finite operands: a value is thrown away only when it is
 known to be finite, and the emitted checks catch every lane on which a
-node leaves the finite range (see ``_lanes_source``).
+node leaves the finite range in a part up to the statistic's order (see
+``_lanes_source``).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .dsl import (
@@ -239,9 +241,11 @@ class _Lanes:
     """Writer of the lane function: the jet formulas on symbolic values.
 
     Its values are jets whose parts are complex constants or ``_Sym``s.
+    Only their parts up to ``order`` are ever written or checked.
     """
 
-    def __init__(self):
+    def __init__(self, order: int = 3):
+        self.order = order
         self.consts: dict = {}  # bound name -> constant
         self.names: dict = {}  # constant bits -> bound name
         self.prelude: list[str] = []  # loop-invariant lines
@@ -338,10 +342,11 @@ class _Lanes:
         self.check(u.lane, cond)
 
     def unchecked(self, jet) -> list:
-        """The parts of a jet that may not be finite on a lane.
+        """The parts of a jet, up to the order, that may not be finite on a lane.
 
         A loop-invariant part is written, and so checked with the batch.
         """
+        jet = jet[: self.order + 1]
         for x in jet:
             if type(x) is _Sym and not x.lane:
                 self.text(x)
@@ -349,8 +354,8 @@ class _Lanes:
 
     def node(self, jet: tuple) -> tuple:
         # a node's exactly known parts are its parts on every lane, so one
-        # that is not finite fails every lane
-        if not all(cmath.isfinite(x) for x in jet if type(x) is not _Sym):
+        # up to the order that is not finite fails every lane
+        if not all(cmath.isfinite(x) for x in jet[: self.order + 1] if type(x) is not _Sym):
             raise _LiteralFails
         return jet
 
@@ -416,9 +421,13 @@ class _Lanes:
         return acc
 
     def power_call(self, u: tuple, k: int) -> tuple:
+        # no part reads the parts above it, so the base's parts above the
+        # order go in as zeros and are never written; the power's parts above
+        # the order are then not its own, and nothing reads them either
+        u = (*u[: self.order + 1], *(ZERO,) * (3 - self.order))
         if not any(type(x) is _Sym for x in u):
             try:
-                return jet_pow_int(u, k)
+                return jet_pow_int(u, k, self.order)
             except JetError:
                 raise _LiteralFails from None
         lane = any(type(x) is _Sym and x.lane for x in u)
@@ -450,12 +459,17 @@ class Statistic(NamedTuple):
     redone.  A value may be a tuple, one per slot of ``start``, and the
     lane function keeps the largest of each slot over each group of
     samples, from the slot's start.
-    A modulus past the double range (an OverflowError), or a value that is
-    nan or inf in any slot, flags the sample "Overflow": it counts for
-    nothing.  A redone sample's value, from :meth:`walked`, is bound to the
-    fast path's names, so ``lane`` computes each value, never handing back
-    a part as it is.  The fields are module-level functions and floats, so
-    that a pickled copy is equal and hashes equal.
+    ``order`` is the highest jet part the formula reads: 1 for f# and
+    |f'|, which read f and f' alone, 3 by default.  The lane function
+    writes and checks only the parts up to it, and the walk that redoes a
+    sample checks only those, so one rule flags a sample "Overflow": a
+    part of order at most ``order`` of some node past the double range, a
+    modulus past it (an OverflowError), or a value that is nan or inf in
+    any slot.  Such a sample counts for nothing.  A redone sample's value,
+    from :meth:`walked`, is bound to the fast path's names, so ``lane``
+    computes each value, never handing back a part as it is.  The fields
+    are module-level functions and numbers, so that a pickled copy is
+    equal and hashes equal.
     """
 
     width: int
@@ -463,6 +477,7 @@ class Statistic(NamedTuple):
     critical: Callable | None = None
     step: float = 0.0
     start: tuple = (-1.0,)
+    order: int = 3
 
     def value(self, jets):
         """``lane``'s formula on a sample's jets."""
@@ -560,19 +575,24 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     main loop, which then has none; where a literal fails, that loop is
     all.
 
-    A lane is redone when a node of it leaves the finite range: such a
-    value reaches the output, where the parts not known finite are
-    checked, or the check before an opaque function (exp, log, 1/x), the
-    only places where a non-finite value can turn finite again; ``x^0``
-    checks its base.  A statistic's critical guard, and an exception in
-    its formula, redo a lane too.  So a redone lane is not always a failed
+    A lane is redone when a node of it leaves the finite range in a part
+    of order at most the statistic's (3 for jets): such a value reaches
+    the output, which keeps only the parts up to that order and checks
+    those not known finite, or the check before an opaque function (exp,
+    log, 1/x), the only places where a non-finite value can turn finite
+    again; ``x^0`` checks its base's parts up to the order.  No other part
+    is written: the lines of f'' and f''' of an order-1 statistic are
+    never emitted, as nothing reads them.  A part never depends on parts
+    of higher order, so those it keeps are the bits of an order-3 walk's.
+    A statistic's critical guard, and an exception in its formula, redo a
+    lane too.  So a redone lane is not always a failed
     one, but every failed lane is redone.  A sum of parts is checked as a
     whole, and each part only where the sum is not finite.
     """
     names = ["zv"] if stat is None or stat.width == 1 else [f"zv{k}" for k in range(stat.width)]
-    t = _Lanes()
+    t = _Lanes(3 if stat is None else stat.order)
     try:
-        outs = [t.walk_at(root, name) for name in names]
+        outs = [t.walk_at(root, name)[: t.order + 1] for name in names]
     except _LiteralFails:  # every lane is redone
         outs = None
     if outs is None:
@@ -636,7 +656,8 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
     ]
     namespace = dict(
         t.consts, isfinite=cmath.isfinite, finite=math.isfinite, exp=cmath.exp, log=cmath.log,
-        as_jet=_as_jet, pow_int=jet_pow_int, JetError=JetError, inf=math.inf, noflags=frozenset(),
+        as_jet=_as_jet, pow_int=partial(jet_pow_int, order=t.order), JetError=JetError,
+        inf=math.inf, noflags=frozenset(),
     )
     return "\n".join(src) + "\n", namespace
 

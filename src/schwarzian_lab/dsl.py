@@ -43,10 +43,13 @@ same bits:
   walk the tree, one ``jet_*`` operation per node, so a one-off
   evaluation compiles nothing.  The walk also redoes, from
   ``jets.jet_var`` at its point, every lane the lane function hands back:
-  any lane that failed, or might have.  At a :class:`~.ball.Ball` point,
-  or from a seed of balls, the same walk runs the same operations on
-  balls; it differs only in that each number literal is a ball of half an
-  ulp, so the result encloses the exact jet of the expression as written.
+  any lane that failed, or might have.  It then fails only where a jet
+  part of order at most the statistic's leaves the double range, as the
+  lane function does (``codegen.Statistic.order``).  At a
+  :class:`~.ball.Ball` point, or from a seed of balls, the same walk runs
+  the same operations on balls; it differs only in that each number
+  literal is a ball of half an ulp, so the result encloses the exact jet
+  of the expression as written.
 
 :func:`eval_jet_lanes` returns one entry per lane, its jet or the
 :class:`EvalError` of its first failure; the single-point calls raise
@@ -61,6 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
+from functools import partial
 from typing import Tuple
 
 from .ball import Ball, literal
@@ -558,6 +562,15 @@ _JET_OPS = {
     ConstNum: jet_const, Add: jet_add, Sub: jet_sub, Mul: jet_mul, Div: jet_div,
     Neg: jet_neg, Exp: jet_exp, Log: jet_log, PowInt: jet_pow_int,
 }
+# the same operations per order k, each of which fails only where a part of
+# order at most k leaves the double range (jets._checked): the walk for a
+# statistic that reads the parts up to k
+_OPS_AT = {
+    k: {kind: op if kind in (ConstNum, Neg) else partial(op, order=k)
+        for kind, op in _JET_OPS.items()}
+    for k in range(3)
+}
+_OPS_AT[3] = _JET_OPS
 _I = jet_const(1j)
 
 
@@ -625,12 +638,15 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat=None):
     flags)``, each from the slot's start value.  A group's result depends
     on its own samples alone.  Its one handler redoes a sample by
     ``redo``, the walk from ``jet_var`` at each of the sample's points,
-    and ``stat.walked`` gives the sample's value or its flag.
+    whose operations check the jet parts up to ``stat.order`` alone, as
+    the lane function does, and ``stat.walked`` gives the sample's value
+    or its flag.
     """
     nj = jet_const(n)  # refuses an n that is not finite
+    ops = _JET_OPS if stat is None else _OPS_AT[stat.order]
 
     def redo(*points):
-        walks = [_walked(expr.root, _JET_OPS, {Var: s, Param: nj, ImagUnit: _I}, s.v)
+        walks = [_walked(expr.root, ops, {Var: s, Param: nj, ImagUnit: _I}, s.v)
                  for s in map(jet_var, points)]
         return walks[0] if stat is None else stat.walked(*walks)
 
@@ -638,7 +654,9 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat=None):
     return _family(expr, stat)(nj.v if isinstance(n, (int, float)) else None, points, redo)
 
 
-def _at_point(expr: FamilyExpr, n: float, seed: ComplexJet3, point) -> ComplexJet3:
+def _at_point(
+    expr: FamilyExpr, n: float, seed: ComplexJet3, point, order: int = 3
+) -> ComplexJet3:
     # one evaluation by the walk, on balls where the seed's value is a
     # ball, raising the EvalError of its first failure, labelled with the
     # point (a ball's midpoint)
@@ -647,14 +665,14 @@ def _at_point(expr: FamilyExpr, n: float, seed: ComplexJet3, point) -> ComplexJe
         ops, nj, i = _BALL_OPS, _as_jet((Ball(nj.v), ZERO, ZERO, ZERO)), _BALL_I
         point = complex(point)
     else:
-        ops, i = _JET_OPS, _I
+        ops, i = _OPS_AT[order], _I
     j = _walked(expr.root, ops, {Var: seed, Param: nj, ImagUnit: i}, point)
     if isinstance(j, EvalError):
         raise j
     return j
 
 
-def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball) -> ComplexJet3:
+def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball, *, order: int = 3) -> ComplexJet3:
     """Evaluate the order-3 jet of f_n at z.
 
     The family index n is real and enters the arithmetic as a complex
@@ -662,9 +680,13 @@ def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball) -> ComplexJet3:
     parts are balls: their midpoints are the jet at z's midpoint, bit for
     bit, and each encloses that derivative of the expression as written
     (every literal the number its text names) at every point of z's ball.
+    At a plain z, an ``order`` below 3 fails the evaluation only where a
+    part up to that order leaves the double range, as a statistic of that
+    order is redone; the parts above it are returned as they come, and may
+    be inf or nan.  ``bound`` takes f(z0) and f(z) so.
     """
     seed = jet_var(z)
-    return _at_point(expr, n, seed, seed.v)
+    return _at_point(expr, n, seed, seed.v, order)
 
 
 def eval_jet_seeded(

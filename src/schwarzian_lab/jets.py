@@ -7,11 +7,16 @@ primitives, which is exactly enough to evaluate Schwarzian derivatives
 without symbolic differentiation.
 
 Jets never hold non-finite components: an operation that would produce
-``inf`` or ``nan`` raises :class:`OverflowAtPoint` instead, and a division
-whose denominator magnitude sits at or below the floor raises
-:class:`DivisionByZeroAtPoint`.  A denominator whose magnitude is past the
-double range, where ``abs`` itself would overflow, raises
-:class:`OverflowAtPoint`; :func:`modulus` is that ``abs`` for every caller.
+``inf`` or ``nan`` raises :class:`OverflowAtPoint` instead.  An operation
+given an ``order`` below 3 checks only the parts up to that order, for a
+statistic that reads no others, and leaves the parts above it as they
+come, which may be ``inf`` or ``nan``; a part never depends on the parts
+of higher order of its operands, so the checked parts are the same bits
+either way.  A division whose denominator magnitude sits at or below the
+floor raises :class:`DivisionByZeroAtPoint`.  A denominator whose
+magnitude is past the double range, where ``abs`` itself would overflow,
+raises :class:`OverflowAtPoint`; :func:`modulus` is that ``abs`` for every
+caller.
 
 Every formula is written once, as a function of plain operands (the
 ``_sum`` ... ``_mobius`` section below).  The ``jet_*`` operations run
@@ -204,9 +209,12 @@ def _mobius(u, a, b, c, r) -> tuple:
 # one jet at a time
 
 
-def _checked(j: tuple) -> ComplexJet3:
+def _checked(j: tuple, order: int = 3) -> ComplexJet3:
+    # the one rule past the double range: a node fails where a part of
+    # order at most ``order`` is not finite; the parts above it go unchecked
     v, d1, d2, d3 = j
-    if _isfinite(v) and _isfinite(d1) and _isfinite(d2) and _isfinite(d3):
+    if (_isfinite(v) and (order < 1 or _isfinite(d1)) and (order < 2 or _isfinite(d2))
+            and (order < 3 or _isfinite(d3))):
         return _as_jet(j)
     raise OverflowAtPoint(_OVERFLOW)
 
@@ -232,45 +240,45 @@ def jet_const(c: complex) -> ComplexJet3:
     return ComplexJet3(c, ZERO, ZERO, ZERO)
 
 
-def jet_add(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
-    return _checked(_sum(a, b))
+def jet_add(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
+    return _checked(_sum(a, b), order)
 
 
-def jet_sub(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
-    return _checked(_difference(a, b))
+def jet_sub(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
+    return _checked(_difference(a, b), order)
 
 
 def jet_neg(a: ComplexJet3) -> ComplexJet3:
     return _as_jet(_negation(a))
 
 
-def jet_mul(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
+def jet_mul(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
     """Leibniz product rule through order three."""
-    return _checked(_product(a, b))
+    return _checked(_product(a, b), order)
 
 
-def _reciprocal_jet(b: ComplexJet3) -> ComplexJet3:
+def _reciprocal_jet(b: ComplexJet3, order: int = 3) -> ComplexJet3:
     bv = b[0]
     if modulus(bv) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
-    return _checked(_chain(b, _reciprocal(1.0 / bv)))
+    return _checked(_chain(b, _reciprocal(1.0 / bv)), order)
 
 
-def jet_div(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
+def jet_div(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
     """Quotient a/b, computed as a times the reciprocal jet of b."""
-    return jet_mul(a, _reciprocal_jet(b))
+    return jet_mul(a, _reciprocal_jet(b, order), order)
 
 
-def jet_exp(u: ComplexJet3) -> ComplexJet3:
+def jet_exp(u: ComplexJet3, order: int = 3) -> ComplexJet3:
     """Exponential of a jet; guards |Re u| to stay inside finite doubles."""
     uv = u[0]
     if abs(uv.real) > EXP_REAL_GUARD:
         raise OverflowAtPoint("exp argument outside the overflow guard", uv)
     e = uv.exp() if type(uv) is Ball else cmath.exp(uv)
-    return _checked(_chain(u, _exponential(e)))
+    return _checked(_chain(u, _exponential(e)), order)
 
 
-def jet_log(u: ComplexJet3) -> ComplexJet3:
+def jet_log(u: ComplexJet3, order: int = 3) -> ComplexJet3:
     """Principal-branch logarithm of a jet."""
     uv = u[0]
     if modulus(uv) <= DIVISION_FLOOR:
@@ -281,21 +289,21 @@ def jet_log(u: ComplexJet3) -> ComplexJet3:
         lg = uv.log()
     else:
         lg = cmath.log(uv)
-    return _checked(_chain(u, _logarithm(lg, 1.0 / uv)))
+    return _checked(_chain(u, _logarithm(lg, 1.0 / uv)), order)
 
 
 _ONE = ComplexJet3(1.0 + 0.0j, ZERO, ZERO, ZERO)
 
 
-def jet_pow_int(u: ComplexJet3, k: int) -> ComplexJet3:
+def jet_pow_int(u: ComplexJet3, k: int, order: int = 3) -> ComplexJet3:
     """Integer power by repeated multiplication; negative k via reciprocal."""
     if k < 0:
-        return jet_div(_ONE, jet_pow_int(u, -k))
+        return jet_div(_ONE, jet_pow_int(u, -k, order), order)
     if k == 0:
         return _ONE
     acc = u
     for _ in range(k - 1):
-        acc = jet_mul(acc, u)
+        acc = jet_mul(acc, u, order)
     return acc
 
 

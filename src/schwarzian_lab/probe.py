@@ -25,7 +25,9 @@ set of flags; a sample it redoes gets its statistic from the same
 formula.  For a scan that is f# or the stencil's, and for
 ``bound`` |f'|.  For the ``hypotheses`` floor sweep it is -|f'|, |f''|,
 |f'''| and |S|, the largest of each kept apart, so that min |f'| is an
-exact negation.  No command reads jets from a batch.
+exact negation.  No command reads jets from a batch.  f# and |f'| are
+statistics of order 1: their samples, and ``bound``'s f(z0) and f(z),
+fail only where f or f' leaves the double range, never on f'' or f'''.
 
 The verdicts are heuristics about candidates, not proofs.
 """
@@ -37,7 +39,6 @@ import itertools
 import math
 import random
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -253,7 +254,8 @@ def _critical_point(j) -> str:
     return "CriticalPoint"
 
 
-_MARTY = Statistic(1, _spherical)
+# f# reads f and f' alone, so its lane function computes and checks no more
+_MARTY = Statistic(1, _spherical, order=1)
 
 
 def _sd(h: float) -> Statistic:
@@ -284,7 +286,7 @@ def _slope(j) -> float:
     return abs(j[1])
 
 
-_BOUND = Statistic(1, _slope, start=(0.0,))
+_BOUND = Statistic(1, _slope, start=(0.0,), order=1)
 
 # grid points per lane-function call: enough that a call's fixed cost is
 # small beside its lanes, few enough that a block's samples and results
@@ -370,6 +372,15 @@ def _point_stats(z: complex, rows: list, n_values: tuple[int, ...]) -> PointStat
                 argmax = n
     slope = _growth_slope(n_values, per_n, flags)
     return PointStats(z, sup, argmax, slope, frozenset(flags))
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' process pool, imported on the first call: only a
+    scan with workers above 1 runs one, so no other command pays for
+    importing ``concurrent.futures.process`` and ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _scan_chunk(payload) -> list[PointStats]:
@@ -545,7 +556,8 @@ def local_bound_estimate(
         past: list = []
         finite = itertools.takewhile(lambda p: cmath.isfinite(p) or past.append(p), points)
         try:
-            v0, v1 = eval_jet(f, n, z0).v, eval_jet(f, n, z).v
+            # f(z0) and f(z) by the rule of the segment's samples
+            v0, v1 = (eval_jet(f, n, w, order=_BOUND.order).v for w in (z0, z))
             ((k_est, failed),) = eval_jet_lanes(f, n, [finite], _BOUND)
             if not failed:
                 if past:  # once every point before it evaluated cleanly
@@ -665,7 +677,9 @@ class HypothesesReport:
 
     M2 and M3 are the measured maxima of |f''| and |f'''| over the clean
     grid samples, sd_bound the resulting Schwarzian bound, and ``sound``
-    records whether the measured max |S| actually stayed within it.
+    records whether the measured max |S| actually stayed within it.  A
+    sample flagged "Overflow" counts toward none of these maxima, so while
+    any is, ``sound`` is false: it cannot rest on dropped samples.
     """
 
     epsilon: float
@@ -706,7 +720,8 @@ def check_theorem_hypotheses(
     value_ok = value_bound_check(f, ns, zeta, L)
     bound = sd_bound_from_hypotheses(floor.M2, floor.M3, epsilon)
     max_s = floor.max_abs_schwarzian
-    sound = max_s <= bound * (1.0 + 1e-9)
+    dropped = any("Overflow" in flags for flags in floor.flags)
+    sound = not dropped and max_s <= bound * (1.0 + 1e-9)
     return HypothesesReport(
         epsilon, L, floor.all_pass, value_ok, floor.min_abs_derivative,
         floor.M2, floor.M3, bound, max_s, sound,

@@ -1259,3 +1259,55 @@ def test_bad_thresholds_are_refused_before_any_evaluation(capsys, monkeypatch, a
     for run in ([*argv, "--workers=1"], [*argv, "--workers=2"]) if scan else (argv,):
         assert run_cli(capsys, *run) == (2, "", _EARLY_ERRORS[argv[-1]])
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the order rule at the command line: 1/z near 1e-80, where f' = -1/z^2 is
+# finite and f''' = -6/z^4 is not.  f# and |f'| read f and f' alone, so
+# scan-marty and bound take every sample; scan-sd and the hypotheses floor
+# sweep read f''', so every sample of theirs is flagged "Overflow"
+
+_TINY = "0." + "0" * 79
+_TINY_GRID = ["--family=1/z", "--grid=1e-80,3e-80,-1e-80,1e-80,3,1", "--radius", "1e-81",
+              "--n-max", "4", "--samples", "3"]
+_TINY_ROWS = ("9.9999999999999996e-81,-9.9999999999999996e-81,{},{},nan,{},inconclusive\n"
+              "2.0000000000000003e-80,-9.9999999999999996e-81,{},{},nan,{},inconclusive\n"
+              "3.0000000000000001e-80,-9.9999999999999996e-81,{},{},nan,{},inconclusive\n")
+_SCAN_HEADER = "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+
+
+def test_an_order_one_statistic_takes_samples_whose_higher_parts_overflow(capsys):
+    marty = _TINY_ROWS.format("1.0000000000000002", 1, "", "1.0", 1, "", "1.0000000000000002", 1, "")
+    sd = _TINY_ROWS.format(*("0.0", -1, "Overflow") * 3)
+    for workers in ("1", "2"):
+        assert run_cli(capsys, "scan-marty", *_TINY_GRID, f"--workers={workers}") == (
+            0, _SCAN_HEADER + marty, "")
+        assert run_cli(capsys, "scan-sd", *_TINY_GRID, f"--workers={workers}") == (
+            0, _SCAN_HEADER + sd, "")
+    # hypotheses prints no flags: its floor sweep flags every sample, so
+    # sound is false
+    code, out, _ = run_cli(capsys, "hypotheses", *_TINY_GRID, "--epsilon=0.5", "--zeta=1+0i",
+                           "--L=10", "--format=csv")
+    assert (code, out.splitlines()[1]) == (1, "0.5,10.0,false,true,nan,0.0,0.0,0.0,0.0,false,false")
+    grid = probe.GridSpec(1e-80, 3e-80, -1e-80, 1e-80, 3, 1, 1e-81, 3)
+    floor = probe.derivative_floor_check(parse("1/z"), range(1, 5), grid, 0.5)
+    assert floor.flags == (frozenset({"Overflow"}),) * 3
+    # bound: f(z0), f(z) and every sample of the segment from 1e-80 to 3e-80
+    code, out, _ = run_cli(capsys, "bound", "--family=1/z", "--n-max=2", f"--z0={_TINY}1+0i",
+                           f"--z={_TINY}3+0i", "--format=csv")
+    row = "1e+160,2.0000000000000003e+80,6.666666666666668e+79,true,1e+80+0i\n"
+    assert (code, out) == (0, f"n,K_estimate,bound_rhs,observed,passed,value_at_z0\n1,{row}2,{row}")
+
+
+def test_importing_the_cli_imports_no_process_pool():
+    # only a scan with workers above 1 runs the pool, so a fresh interpreter
+    # that imports the CLI has not imported concurrent.futures.process
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    code = ("import sys, schwarzian_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('concurrent.futures.process', "
+            "'multiprocessing'))))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

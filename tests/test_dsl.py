@@ -628,10 +628,12 @@ def _flag(exc):
 
 
 def _marty_reference(f, n, points):
+    # f# reads f and f' alone, so a sample fails only where a part of
+    # order at most 1 leaves the double range
     best, flags = -1.0, set()
     for w in points:
         try:
-            x = spherical_derivative(eval_jet(f, n, w))
+            x = spherical_derivative(eval_jet(f, n, w, order=1))
         except EvalError as exc:
             flags.add(_flag(exc))
         except OverflowAtPoint:
@@ -673,13 +675,13 @@ def _sd_reference(f, n, points, h):
 def _group_outcomes(f, n, stat, groups):
     # one call of the lane function over groups of samples, each group and
     # the groups read once, with a redo that records the samples it is
-    # given, one per lane, and the public call: each group's outcome, and
-    # how many samples were redone
+    # given, one per lane, and walks at the statistic's order, and the
+    # public call: each group's outcome, and how many samples were redone
     redone = []
 
     def redo(*points):
         redone.append(points)
-        return stat.walked(*(_raised(lambda: eval_jet(f, n, w)) for w in points))
+        return stat.walked(*(_raised(lambda: eval_jet(f, n, w, order=stat.order)) for w in points))
 
     got = codegen.family(f, stat)(complex(n), map(iter, groups), redo)
     assert eval_jet_lanes(f, n, groups, stat) == got and len(got) == len(groups)
@@ -880,10 +882,11 @@ def test_fused_floor_sweep_on_each_rule(text, points, redone):
 
 
 def _bound_reference(f, n, points):
+    # |f'| is of order 1, as f# is
     k_est, flags = 0.0, set()
     for w in points:
         try:
-            mag = modulus(eval_jet(f, n, w).d1)
+            mag = modulus(eval_jet(f, n, w, order=1).d1)
         except EvalError as exc:
             flags.add(_flag(exc))
             continue
@@ -931,6 +934,45 @@ def test_bound_statistic_on_each_rule(text, points, redone):
     got, ran = _stat_outcomes(f, 1, probe._BOUND, points)
     assert got == _bound_reference(f, 1, points)
     assert ran == redone
+
+
+# ---------------------------------------------------------------------------
+# the order rule: a sample fails only where a part of order at most the
+# statistic's leaves the double range; f# and |f'| are of order 1, the
+# floor sweep's |f'''| and |S| of order 3
+
+
+@pytest.mark.parametrize(
+    "text,points,n,flags,redone",
+    [
+        # 1/z at 1e-80: f' = -1e160 is finite, f''' = -6e320 is not, so f#
+        # is 1 and |f'| is 1e160, by the fast path
+        ("1/z", [1e-80, 2e-80], 1, set(), 0),
+        # n = -0 fails the prelude, so the walk redoes the sample, at order 1
+        ("1/z+n-n", [1e-80], -0.0, set(), 1),
+        # x^0 checks its base's parts up to order 1 alone
+        ("(1/z)^0+z", [1e-80], 1, set(), 0),
+        # (1/z)^9, a pow_int call, at 1e-28: f''' = -9.9e338, the rest finite
+        ("(1/z)^9", [1e-28], 1, set(), 0),
+        # f' = 1.8e308 (1 + i) past the range, f finite: the sample is
+        # redone, and the walk flags it
+        ("(1+i)*9" + "0" * 307 + "*z^2", [1 + 0j, 0.5 + 0j], 1, {"Overflow"}, 1),
+    ],
+)
+def test_an_order_one_statistic_checks_only_f_and_f_prime(text, points, n, flags, redone):
+    f = parse(text)
+    points = [complex(w) for w in points]
+    for stat, reference in ((probe._MARTY, _marty_reference), (probe._BOUND, _bound_reference)):
+        assert stat.order == 1
+        got, ran = _stat_outcomes(f, n, stat, points)
+        want = reference(f, n, points)
+        assert got == (float.hex(want[0]) if stat is probe._MARTY else want[0], want[1])
+        assert (got[1], ran) == (flags, redone)
+    if text == "1/z":
+        assert float.fromhex(got[0]) == 1e160
+        assert math.isclose(float.fromhex(_stat_outcomes(f, n, probe._MARTY, points)[0][0]), 1.0)
+    # the floor sweep reads f''', which leaves the range at 1e-80
+    assert _floor_outcomes(parse("1/z"), 1, [1e-80])[0][-1] == {"Overflow"}
 
 
 def test_finite_parts_that_add_up_past_the_double_range_take_the_fast_path():

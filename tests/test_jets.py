@@ -347,3 +347,37 @@ def test_overflowing_derivative_component_is_typed_error():
     j = ComplexJet3(1.0 + 0j, 1e300 + 0j, 0j, 0j)
     with pytest.raises(OverflowAtPoint):
         jet_mul(j, j)  # d2 picks up 2*d1*d1 = 2e600
+
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_an_operation_checks_only_the_parts_up_to_its_order(order):
+    # a part past the double range fails the node iff its order is at most
+    # the operation's; the parts above it are returned as they come, and
+    # the parts up to it are the bits of a finite operand's
+    one = jet_const(1.0)
+    clean = ComplexJet3(1.0 + 0j, 2.0 + 0j, 3.0 + 0j, 4.0 + 0j)
+    for part in range(4):
+        j = ComplexJet3(*(complex(math.inf, 0.0) if k == part else x for k, x in enumerate(clean)))
+        if part <= order:
+            with pytest.raises(OverflowAtPoint):
+                jet_mul(j, one, order)
+        else:
+            got = jet_mul(j, one, order)
+            assert got[: order + 1] == jet_mul(clean, one)[: order + 1]
+            assert not cmath.isfinite(got[part])
+
+
+def test_one_over_a_tiny_z_is_finite_to_order_2():
+    # 1/z at 1e-80: f = 1e80, f' = -1e160 and f'' = 2e240 are finite, and
+    # f''' = -6e320 is not
+    z, one = jet_var(1e-80), jet_const(1.0)
+    with pytest.raises(OverflowAtPoint):
+        jet_div(one, z)
+    with pytest.raises(OverflowAtPoint):
+        jet_pow_int(z, -1)
+    for order in (0, 1, 2):
+        j = jet_div(one, z, order)
+        assert all(map(cmath.isfinite, j[:3])) and not cmath.isfinite(j.d3)
+        assert j[:2] == (1e80 + 0j, -1e160 + 0j)
+        assert jet_pow_int(z, -1, order)[:3] == j[:3]

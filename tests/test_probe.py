@@ -653,6 +653,18 @@ def test_theorem_hypotheses_floor_failure():
     assert rep.value_ok
 
 
+def test_theorem_hypotheses_are_not_sound_on_dropped_samples():
+    # |S| at the origin is about 1.5e310: that sample is flagged "Overflow"
+    # and counts for nothing, so the largest |S| left, 150, is within the
+    # bound, but sound is false
+    f = parse("0.00000000001*z+5" + "0" * 143 + "*z^2")
+    g = GridSpec(-0.5, 0.5, 0, 1, 3, 1, neighborhood_radius=0.1, neighborhood_samples=3)
+    rep = check_theorem_hypotheses(f, range(1, 9), g, 0.5, 0.3 + 0.2j, 10)
+    assert derivative_floor_check(f, range(1, 9), g, 0.5).flags[1] == {"Overflow"}
+    assert rep.max_abs_schwarzian == 150.0 < rep.sd_bound
+    assert not rep.sound and not rep.passed
+
+
 _HYP_GRID = GridSpec(-0.17, 0.17, -0.17, 0.17, 3, 2, neighborhood_radius=0.001)
 
 

@@ -218,56 +218,56 @@ _GOLDEN = {
     ('hypotheses', 's-overflow', 'csv'): (
         1,
         'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
-        '0.5,10.0,false,false,nan,0.0,0.0,0.0,0.0,true,false\n',
+        '0.5,10.0,false,false,nan,0.0,0.0,0.0,0.0,false,false\n',
         '',
     ),
     ('hypotheses', 's-overflow', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": "nan",\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": true,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": "nan",\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": false,\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 'd1-overflow', 'csv'): (
         1,
         'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
-        '0.5,10.0,false,false,2.82842712474619e+307,0.0,0.0,0.0,0.0,true,false\n',
+        '0.5,10.0,false,false,2.82842712474619e+307,0.0,0.0,0.0,0.0,false,false\n',
         '',
     ),
     ('hypotheses', 'd1-overflow', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 2.82842712474619e+307,\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": true,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 2.82842712474619e+307,\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": false,\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 's-modulus', 'csv'): (
         1,
         'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
-        '0.5,10.0,false,false,1.12568788735962e+142,1.1256878873596199e+143,0.0,7.603039318488985e+286,150.0,true,false\n',
+        '0.5,10.0,false,false,1.12568788735962e+142,1.1256878873596199e+143,0.0,7.603039318488985e+286,150.0,false,false\n',
         '',
     ),
     ('hypotheses', 's-modulus', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.12568788735962e+142,\n  "M2": 1.1256878873596199e+143,\n  "M3": 0.0,\n  "sd_bound": 7.603039318488985e+286,\n  "max_abs_schwarzian": 150.0,\n  "sound": true,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.12568788735962e+142,\n  "M2": 1.1256878873596199e+143,\n  "M3": 0.0,\n  "sd_bound": 7.603039318488985e+286,\n  "max_abs_schwarzian": 150.0,\n  "sound": false,\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 's-inf', 'csv'): (
         1,
         'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
-        '0.5,10.0,false,false,1.0000000000000002e+143,1e+144,0.0,6e+288,150.0,true,false\n',
+        '0.5,10.0,false,false,1.0000000000000002e+143,1e+144,0.0,6e+288,150.0,false,false\n',
         '',
     ),
     ('hypotheses', 's-inf', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.0000000000000002e+143,\n  "M2": 1e+144,\n  "M3": 0.0,\n  "sd_bound": 6e+288,\n  "max_abs_schwarzian": 150.0,\n  "sound": true,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.0000000000000002e+143,\n  "M2": 1e+144,\n  "M3": 0.0,\n  "sd_bound": 6e+288,\n  "max_abs_schwarzian": 150.0,\n  "sound": false,\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 's-nan', 'csv'): (
         1,
         'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
-        '0.5,10.0,false,false,1.4142135623730954e+143,1.414213562373095e+144,0.0,1.2e+289,149.99999999999994,true,false\n',
+        '0.5,10.0,false,false,1.4142135623730954e+143,1.414213562373095e+144,0.0,1.2e+289,149.99999999999994,false,false\n',
         '',
     ),
     ('hypotheses', 's-nan', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.4142135623730954e+143,\n  "M2": 1.414213562373095e+144,\n  "M3": 0.0,\n  "sd_bound": 1.2e+289,\n  "max_abs_schwarzian": 149.99999999999994,\n  "sound": true,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.4142135623730954e+143,\n  "M2": 1.414213562373095e+144,\n  "M3": 0.0,\n  "sd_bound": 1.2e+289,\n  "max_abs_schwarzian": 149.99999999999994,\n  "sound": false,\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 'guard', 'csv'): (
@@ -284,12 +284,12 @@ _GOLDEN = {
     ('hypotheses', 'critical-d2', 'csv'): (
         1,
         'epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,sound,passed\n'
-        '0.5,10.0,false,false,nan,0.0,0.0,0.0,0.0,true,false\n',
+        '0.5,10.0,false,false,nan,0.0,0.0,0.0,0.0,false,false\n',
         '',
     ),
     ('hypotheses', 'critical-d2', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": "nan",\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": true,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": "nan",\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": false,\n  "passed": false\n}\n',
         '',
     ),
 }

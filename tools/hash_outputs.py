@@ -28,6 +28,10 @@ The corpus:
 - ``bound`` segments from 2 to 3000 samples, in CSV and JSON, where
   f(z0), f(z) or a sample fails, and some of whose points, or whose
   ``z - z0``, are past the double range;
+- the order rule: families whose f and f' are finite where f''' is not
+  (``1/z`` near 1e-80), through ``scan-marty``, ``scan-sd`` and
+  ``hypotheses`` on a grid of such points, and ``bound`` on a segment
+  through them;
 - identity checks, in CSV and JSON, that the error-bound clause decides:
   the pins of ``tests/test_identity_oracle.py`` (``--tol-abs 0 --tol-rel
   5e-324`` forces the clause where a fixed tolerance would decide), its
@@ -117,6 +121,20 @@ _BOUND_FAMILIES = (
     "exp(n*z)",
     "log(z*0*n-n)+z",
     "(z^2)/n",
+)
+
+# the order rule: f and f' finite, f''' past the double range, near these
+# points: (family, grid, radius), and (family, z0, z) of bound
+_TINY = "0." + "0" * 79  # 1e-80 is _TINY + "1"
+_ORDER_GRIDS = (
+    ("1/z", "1e-80,3e-80,-1e-80,1e-80,3,1", "1e-81"),
+    ("(1/z)^0+z", "1e-80,3e-80,-1e-80,1e-80,3,1", "1e-81"),
+    ("(1/z)^9", "1e-28,3e-28,-1e-28,1e-28,3,1", "1e-29"),
+)
+_ORDER_SEGMENTS = (
+    ("1/z", f"{_TINY}1+0i", f"{_TINY}3+0i"),
+    ("1/z", f"{_TINY}1-{_TINY}1i", f"{_TINY}3+{_TINY}1i"),
+    ("(1/z)^9", f"0.{'0' * 27}1+0i", f"0.{'0' * 27}3+0i"),
 )
 
 # the conjugation pins of tests/test_identity_oracle.py: f, n, z and the
@@ -233,6 +251,17 @@ def corpus() -> list[list[str]]:
                     out.append([command, f"--family={family}", f"--grid={grid}", "--radius",
                                 radius, "--samples", samples, "--n-max", "3", *extra,
                                 "--format", fmt])
+    for family, grid, radius in _ORDER_GRIDS:
+        common = [f"--family={family}", f"--grid={grid}", "--radius", radius, "--samples", "3",
+                  "--n-max", "4"]
+        for workers in ("1", "2"):
+            out += [["scan-marty", *common, "--workers", workers],
+                    ["scan-sd", *common, "--workers", workers]]
+        out += [["hypotheses", *common, *_HYPOTHESES, "--format", fmt] for fmt in ("csv", "json")]
+    for family, z0, z in _ORDER_SEGMENTS:
+        for samples in ("2", "256"):
+            out += [["bound", f"--family={family}", "--n-max", "2", f"--z0={z0}", f"--z={z}",
+                     "--segment-samples", samples, "--format", fmt] for fmt in ("csv", "json")]
     for family in _BOUND_FAMILIES:
         for z0, z in _SEGMENTS:
             for samples in ("2", "3", "4", "7", "256", "3000"):

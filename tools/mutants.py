@@ -58,8 +58,8 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # (at f9cb2da, 418a567, f051287 and 7bcb6c2), as they apply to the code
 # today, then one per part of the lane's one handler, then those it
 # records for the identity error bound (a00e581, here against the ball
-# rules), the batch walk (2bde4db) and the one walk (cce385b); a later
-# change adds its mutants here
+# rules), the batch walk (2bde4db) and the one walk (cce385b), then those
+# of the order rule; a later change adds its mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -173,7 +173,8 @@ MUTANTS = (
            (DSL + "test_fused_floor_sweep_on_each_rule",
             GOLDENS + "test_flag_heavy_grid_bytes[hypotheses-critical-d2-csv]")),
     Mutant("bound's statistic starts at -1.0", "probe.py",
-           "_BOUND = Statistic(1, _slope, start=(0.0,))", "_BOUND = Statistic(1, _slope)",
+           "_BOUND = Statistic(1, _slope, start=(0.0,), order=1)",
+           "_BOUND = Statistic(1, _slope, order=1)",
            (DSL + "test_bound_statistic_matches_the_jet_loop_bit_for_bit",)),
     Mutant("bound ignores the lane flags", "probe.py",
            "            ((k_est, failed),) = eval_jet_lanes(f, n, [finite], _BOUND)",
@@ -303,6 +304,45 @@ MUTANTS = (
     Mutant("n's leaf bound to the seed", "dsl.py",
            "{Var: seed, Param: nj, ImagUnit: i}", "{Var: seed, Param: seed, ImagUnit: i}",
            (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
+    # the order rule: a sample fails only where a part of order at most the
+    # statistic's leaves the double range, in the lane function, the redo
+    # walk and bound's endpoints alike
+    Mutant("the order-1 output truncated to order 0, so f' goes unchecked", "codegen.py",
+           "outs = [t.walk_at(root, name)[: t.order + 1] for name in names]",
+           "outs = [t.walk_at(root, name)[: 1 if t.order == 1 else t.order + 1] for name in names]",
+           (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",)),
+    Mutant("the redo walk checks all four parts for an order-1 statistic", "dsl.py",
+           "    ops = _JET_OPS if stat is None else _OPS_AT[stat.order]", "    ops = _JET_OPS",
+           (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",
+            DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
+    Mutant("bound's endpoints left at order 3", "probe.py",
+           "eval_jet(f, n, w, order=_BOUND.order)", "eval_jet(f, n, w)",
+           (CLI + "test_an_order_one_statistic_takes_samples_whose_higher_parts_overflow",)),
+    Mutant("the floor sweep given order 1", "probe.py",
+           "_FLOOR = Statistic(1, _floor, _floor_critical, start=(-math.inf, -1.0, -1.0, -1.0))",
+           "_FLOOR = Statistic(1, _floor, _floor_critical, start=(-math.inf, -1.0, -1.0, -1.0), "
+           "order=1)",
+           (CLI + "test_an_order_one_statistic_takes_samples_whose_higher_parts_overflow",
+            DSL + "test_fused_floor_sweep_matches_the_jet_loop_bit_for_bit")),
+    Mutant("x^0 checks every part of its base", "codegen.py",
+           "        jet = jet[: self.order + 1]\n", "",
+           (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",)),
+    Mutant("pow_int checks every part in an order-1 lane function", "codegen.py",
+           "pow_int=partial(jet_pow_int, order=t.order)", "pow_int=jet_pow_int",
+           (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",)),
+    Mutant("a jet operation checks the parts above its order", "jets.py",
+           "(order < 2 or _isfinite(d2))", "_isfinite(d2)",
+           (JETS + "test_an_operation_checks_only_the_parts_up_to_its_order[1]",)),
+    # hypotheses is not sound on dropped samples, and the pool is imported
+    # where it is used
+    Mutant("sound rests on samples flagged Overflow", "probe.py",
+           "    sound = not dropped and max_s <= bound * (1.0 + 1e-9)",
+           "    sound = max_s <= bound * (1.0 + 1e-9)",
+           (PROBE + "test_theorem_hypotheses_are_not_sound_on_dropped_samples",
+            GOLDENS + "test_flag_heavy_grid_bytes[hypotheses-s-inf-csv]")),
+    Mutant("the process pool imported with the module", "probe.py",
+           "import warnings\n", "import warnings\nfrom concurrent.futures import process\n",
+           (CLI + "test_importing_the_cli_imports_no_process_pool",)),
 )
 
 
@@ -313,7 +353,8 @@ SURVIVORS = (
            "a part's zero, finite and nonzero marks are the same for -x as for x, and the "
            "emitted line keeps its product, so no fold, and no result, depends on it"),
     Mutant("division as the reciprocal times a, not a times the reciprocal", "jets.py",
-           "    return jet_mul(a, _reciprocal_jet(b))", "    return jet_mul(_reciprocal_jet(b), a)",
+           "    return jet_mul(a, _reciprocal_jet(b, order), order)",
+           "    return jet_mul(_reciprocal_jet(b, order), a, order)",
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",
             DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit"),
            "the Leibniz product's sums are associated symmetrically, so swapping its "
