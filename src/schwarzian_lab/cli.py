@@ -207,9 +207,13 @@ def bound_rows(reports: list[LocalBoundReport]) -> list[dict]:
     return [asdict(r) for r in reports]
 
 
-def hypotheses_row(report: HypothesesReport) -> dict:
-    """The report's fields in order, then ``passed``."""
-    return {**asdict(report), "passed": report.passed}
+def hypotheses_row(report: HypothesesReport, fmt: str) -> dict:
+    """The report's fields in order, then ``passed``; ``flags``, sorted and
+    ``;``-joined as a scan row's, appears in JSON only."""
+    row = {**asdict(report), "flags": ";".join(sorted(report.flags)), "passed": report.passed}
+    if fmt == "csv":
+        del row["flags"]
+    return row
 
 
 def _cell(value) -> str:
@@ -426,7 +430,7 @@ def _cmd_hypotheses(args) -> tuple:
         args.L,
         seed=_resolve_seed(args.seed),
     )
-    return hypotheses_row(report), 0 if report.passed else 1
+    return hypotheses_row(report, args.format), 0 if report.passed else 1
 
 
 @functools.cache

@@ -1,20 +1,19 @@
 """Python source generated once per family: the lane function behind ``dsl``.
 
-The lane function evaluates f_n at a batch of finite points of one
-family, one lane per point, in one loop of straight-line code, as sympy's
+The lane function evaluates f_n at groups of samples of one family, one
+lane per sample, in one loop of straight-line code, as sympy's
 ``lambdify`` compiles an expression, and :func:`family` keeps it per
 process and :class:`Statistic`.  ``dsl.eval_jet_lanes`` runs it on every
 batch, a family's first included; ``dsl`` walks the tree for the
 single-point calls (one point, another seed, a ball) and for every
-lane the lane function hands back.  A program command's lane function
-returns its statistic, not jets: a lane is one sample, its point or the
-five points of the S' stencil, and the lane function runs the
-statistic's formula inline on the sample's jets.  A call covers
-groups of samples, a grid point's or a segment's, and keeps only each
-group's largest statistic, or the largest of each of its slots, and the
-flags of its failed samples.  The scans and ``bound`` (max |f'|) keep
-one slot; the ``hypotheses`` floor sweep keeps four: -|f'|, |f''|,
-|f'''| and |S|.
+sample the lane function hands back.  It returns a statistic, never
+jets: a lane is one sample, its point or the five points of the S'
+stencil, and the lane function runs the statistic's formula inline on
+the sample's jets.  A call covers groups of samples, a grid point's or
+a segment's, and keeps only each group's largest statistic, or the
+largest of each of its slots, and the flags of its failed samples.  The
+scans and ``bound`` (max |f'|) keep one slot; the ``hypotheses`` floor
+sweep keeps four: -|f'|, |f''|, |f'''| and |S|.
 
 It runs the jet formulas of ``jets`` on symbolic values
 (``_Sym``) to write straight-line source.  A symbolic value knows, per
@@ -61,7 +60,6 @@ from .jets import (
     ZERO,
     JetError,
     OverflowAtPoint,
-    _as_jet,
     _chain,
     _difference,
     _exponential,
@@ -447,7 +445,7 @@ _CRITICAL_GUARD = " and ".join(
 
 
 class Statistic(NamedTuple):
-    """A statistic that a lane function returns in place of jets.
+    """What a lane function returns per group of samples.
 
     A lane is one sample, taken at ``width`` points: one, or the five of
     the S' stencil, ``step`` apart.  ``lane`` is the formula of a sample's
@@ -483,17 +481,22 @@ class Statistic(NamedTuple):
         """``lane``'s formula on a sample's jets."""
         return self.lane(*jets, self.step) if self.width > 1 else self.lane(*jets)
 
-    def walked(self, *walks):
-        """A redone sample's value, from its points' jets or EvalErrors, or
-        its first failed point's flag: "Pole" or "Overflow" for an
-        EvalError, "Overflow" for a modulus past the double range."""
+    def walked(self, walk, points):
+        """A redone sample's value, its points walked in order up to the
+        first that fails (``walk`` raises its EvalError: "Pole" or
+        "Overflow") or is critical (``critical(jet)``); "Overflow" for a
+        modulus past the double range."""
+        jets = []
         try:
-            for j in walks:
-                if isinstance(j, EvalError):
-                    return "Overflow" if isinstance(j.__cause__, OverflowAtPoint) else "Pole"
+            for w in points:
+                try:
+                    j = walk(w)
+                except EvalError as err:
+                    return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"
                 if self.critical is not None and _critical(j[1]):
                     return self.critical(j)
-            return self.value(walks)
+                jets.append(j)
+            return self.value(jets)
         except OverflowError:
             return "Overflow"
 
@@ -534,69 +537,75 @@ class _Tail:
     def __abs__(self):
         return self.op("abs({})", self)
 
+    @property
+    def real(self):
+        return self.op("{}.real", self)
+
+    @property
+    def imag(self):
+        return self.op("{}.imag", self)
+
 
 def _indent(lines, depth: int = 1) -> list:
     return ["    " * depth + line for line in lines]
 
 
-def _lanes_function(root: Node, stat: Statistic | None = None):
+def _lanes_function(root: Node, stat: Statistic):
     """Compile the lane function of a tree and statistic."""
     source, namespace = _lanes_source(root, stat)
     exec(compile(source, "<family lanes>", "exec"), namespace)
     return namespace["lanes"]
 
 
-def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
+def _lanes_source(root: Node, stat: Statistic) -> tuple:
     """The lane function's source and namespace.
 
-    ``fn(N, Z, redo)`` evaluates f_n at lanes of finite complex points,
-    N being complex(n), or None for an n that is not real; a lane whose
-    evaluation fails gets ``redo(*points)`` in place of its outcome.
-    Without a statistic ``Z`` is an iterable of lanes, read once, and it
-    returns the lanes' jets.  With one, ``Z`` is an iterable of groups,
-    each an iterable of lanes, both read once (a sample of ``width``
-    points is a tuple, walked once per point into the lane's one body),
-    and it returns one ``(best, flags)`` per group: the largest statistic
-    over the group's samples, -1.0 if none has one, and the frozenset of
-    the flags of its failed samples; with several slots, the largest of
-    each slot, then the flags.  So one call pays the fixed cost and the
-    n-only prelude for all its groups, and each group's result depends on
-    its own lanes alone: ``best`` and the flags are reset per group, the
-    flags to a shared empty frozenset that a failure replaces.
+    ``fn(N, Z, redo)`` evaluates f_n at samples of finite complex points,
+    N being complex(n), or None for an n that is not real.  ``Z`` is an
+    iterable of groups, each an iterable of samples, both read once (a
+    sample of ``width`` points is a tuple, walked once per point into the
+    lane's one body), and it returns one ``(best, flags)`` per group: the
+    largest statistic over the group's samples, -1.0 if none has one, and
+    the frozenset of the flags of its failed samples; with several slots,
+    the largest of each slot, then the flags.  A sample whose evaluation
+    fails takes ``redo(*points)``, its value or its flag, in place of the
+    fast path's.  So one call pays the fixed cost and the n-only prelude
+    for all its groups, and each group's result depends on its own lanes
+    alone: ``best`` and the flags are reset per group, the flags to a
+    shared empty frozenset that a failure replaces.
 
     Each lane runs in one ``try``, whose every check raises JetError, so a
     lane is redone in one place, the ``except`` handler.  The handler
     binds the redone value to the names of the fast path's value, and
-    both reach one keep: the lines that append a lane's jet, or flag a
-    value past the double range and fold any other into the group's
-    largest.  Where a loop-invariant part fails, or n, where the family
-    uses it, is 0 or not real, the prelude raises, and a loop of the
-    handler and the keep redoes every lane, group by group, before the
-    main loop, which then has none; where a literal fails, that loop is
-    all.
+    both reach one keep: the lines that flag a value past the double
+    range and fold any other into the group's largest.  Where a
+    loop-invariant part fails, or n, where the family uses it, is 0 or
+    not real, the prelude raises, and a loop of the handler and the keep
+    redoes every lane, group by group, before the main loop, which then
+    has none; where a literal fails, that loop is all.
 
     A lane is redone when a node of it leaves the finite range in a part
-    of order at most the statistic's (3 for jets): such a value reaches
-    the output, which keeps only the parts up to that order and checks
-    those not known finite, or the check before an opaque function (exp,
-    log, 1/x), the only places where a non-finite value can turn finite
-    again; ``x^0`` checks its base's parts up to the order.  No other part
-    is written: the lines of f'' and f''' of an order-1 statistic are
-    never emitted, as nothing reads them.  A part never depends on parts
-    of higher order, so those it keeps are the bits of an order-3 walk's.
-    A statistic's critical guard, and an exception in its formula, redo a
-    lane too.  So a redone lane is not always a failed
-    one, but every failed lane is redone.  A sum of parts is checked as a
-    whole, and each part only where the sum is not finite.
+    of order at most the statistic's: such a value reaches the output,
+    which keeps only the parts up to that order and checks those not
+    known finite, or the check before an opaque function (exp, log, 1/x),
+    the only places where a non-finite value can turn finite again;
+    ``x^0`` checks its base's parts up to the order.  No other part is
+    written: the lines of f'' and f''' of an order-1 statistic are never
+    emitted, as nothing reads them.  A part never depends on parts of
+    higher order, so those it keeps are the bits of an order-3 walk's.  A
+    statistic's critical guard, and an exception in its formula, redo a
+    lane too.  So a redone lane is not always a failed one, but every
+    failed lane is redone.  A sum of parts is checked as a whole, and
+    each part only where the sum is not finite.
     """
-    names = ["zv"] if stat is None or stat.width == 1 else [f"zv{k}" for k in range(stat.width)]
-    t = _Lanes(3 if stat is None else stat.order)
+    names = ["zv"] if stat.width == 1 else [f"zv{k}" for k in range(stat.width)]
+    t = _Lanes(stat.order)
     try:
         outs = [t.walk_at(root, name)[: t.order + 1] for name in names]
     except _LiteralFails:  # every lane is redone
         outs = None
     if outs is None:
-        values = [f"g{k}" for k in range(len(stat.start))] if stat is not None else []
+        values = [f"g{k}" for k in range(len(stat.start))]
     else:
         parts = [list(map(t.text, out)) for out in outs]
         unchecked = [x.name for out in outs for x in t.unchecked(out)]
@@ -605,38 +614,28 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
             t.check(False, _not_finite(invariant))
         if unchecked:
             t.check(True, _not_finite(unchecked))
-        if stat is None:
-            t.body.append(f"got = as_jet(({', '.join(parts[0])}))")
-        else:
-            for point in parts if stat.critical is not None else ():
-                t.check(True, _CRITICAL_GUARD.format(*point))
-            value = stat.value([tuple(_Tail(t.body, x) for x in point) for point in parts])
-            values = [x.name for x in (value if type(value) is tuple else (value,))]
+        for point in parts if stat.critical is not None else ():
+            t.check(True, _CRITICAL_GUARD.format(*point))
+        value = stat.value([tuple(_Tail(t.body, x) for x in point) for point in parts])
+        values = [x.name for x in (value if type(value) is tuple else (value,))]
     sample = ", ".join(names)
-    if stat is None:
-        handler = ["got = redo(zv)"]
-        keep = ["append(got)"]
-    else:
-        best = ["best", *(f"best{k}" for k in range(1, len(stat.start)))]
-        # a group's flags stay the shared empty set until one of its lanes fails
-        reset = [*(f"{b} = {x!r}" for b, x in zip(best, stat.start)), "flags = noflags"]
-        handler = [f"got = redo({sample})", "if type(got) is str:", "    flags |= {got}",
-                   "    continue", f"{', '.join(values)} = got"]
-        # a value past the double range in any slot is an overflow (tested by
-        # math.isfinite, faster on a float); keep each slot's larger value
-        keep = [f"if {_not_finite(values, 'finite')}:", "    flags |= {'Overflow'}", "    continue"]
-        keep += [line for b, v in zip(best, values) for line in (f"if {v} > {b}:", f"    {b} = {v}")]
+    best = ["best", *(f"best{k}" for k in range(1, len(stat.start)))]
+    # a group's flags stay the shared empty set until one of its lanes fails
+    reset = [*(f"{b} = {x!r}" for b, x in zip(best, stat.start)), "flags = noflags"]
+    handler = [f"got = redo({sample})", "if type(got) is str:", "    flags |= {got}", "    continue",
+               f"{', '.join(values)} = got"]
+    # a value past the double range in any slot is an overflow (tested by
+    # math.isfinite, faster on a float); keep each slot's larger value
+    keep = [f"if {_not_finite(values, 'finite')}:", "    flags |= {'Overflow'}", "    continue"]
+    keep += [line for b, v in zip(best, values) for line in (f"if {v} > {b}:", f"    {b} = {v}")]
 
-    def each_lane(lines: list) -> list:
-        # lines run per lane: over a batch of lanes for jets, and for a
-        # statistic over each group, whose result is appended after it
-        if stat is None:
-            return [f"for {sample} in Z:", *_indent(lines)]
+    def each_group(lines: list) -> list:
+        # lines run per lane of each group, whose result is appended after it
         return ["for G in Z:", *_indent(reset), f"    for {sample} in G:", *_indent(lines, 2),
                 f"    append(({', '.join(best)}, flags))"]
 
     # every lane redone, in order, where a literal fails or the prelude does
-    redo_all = each_lane(handler + keep)
+    redo_all = each_group(handler + keep)
     if outs is None:
         loop = redo_all
     else:
@@ -645,19 +644,18 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
             *_indent(t.prelude), "except (OverflowError, JetError):", *_indent(redo_all),
             "    Z = ()",
         ] if t.n_used else []
-        loop = [*setup, *each_lane([
+        loop = [*setup, *each_group([
             "try:", *_indent(t.body), "except (OverflowError, JetError):", *_indent(handler), *keep,
         ])]
     src = [
         "def lanes(N, Z, redo, *, " + "".join(f"{k}={k}, " for k in t.consts)
-        + "isfinite=isfinite, finite=finite, exp=exp, log=log, as_jet=as_jet, pow_int=pow_int, "
-        "noflags=noflags):",
+        + "isfinite=isfinite, finite=finite, exp=exp, log=log, pow_int=pow_int, noflags=noflags):",
         *_indent(["out = []", "append = out.append", *loop, "return out"]),
     ]
     namespace = dict(
         t.consts, isfinite=cmath.isfinite, finite=math.isfinite, exp=cmath.exp, log=cmath.log,
-        as_jet=_as_jet, pow_int=partial(jet_pow_int, order=t.order), JetError=JetError,
-        inf=math.inf, noflags=frozenset(),
+        pow_int=partial(jet_pow_int, order=t.order), JetError=JetError, inf=math.inf,
+        noflags=frozenset(),
     )
     return "\n".join(src) + "\n", namespace
 
@@ -666,7 +664,7 @@ def _lanes_source(root: Node, stat: Statistic | None = None) -> tuple:
 _FAMILIES: dict = {}
 
 
-def family(expr: FamilyExpr, stat: Statistic | None = None):
+def family(expr: FamilyExpr, stat: Statistic):
     """The lane function of a family and statistic, generated and compiled
     on the first call of its tree and statistic in this process, and then
     shared by equal trees; ``expr`` keeps its last (statistic, function)."""

@@ -28,35 +28,34 @@ exponents of magnitude at most :data:`MAX_EXPONENT`.
 Evaluation takes one of two paths, chosen by the call, which give the
 same bits:
 
-- :func:`eval_jet_lanes` evaluates a batch of lanes, each one evaluation
-  of f_n at a finite point, by the lane function that ``codegen``
-  generates once per family, statistic and process, as sympy's
-  ``lambdify`` does, from the family's first batch on: one loop of
-  straight-line code that inlines each node's jet formula and folds only
-  what is exactly known before run time.  Every program command's lane
-  function takes one lane per sample (for ``scan-sd``, the five points of
-  its stencil), in groups (a grid point's samples, or a segment's), and
-  returns per group its statistic's maximum (of each slot, for the
-  ``hypotheses`` floor sweep) and the flags of its failed samples, in
-  place of the jets; no program path reads jets from a batch.
+- :func:`eval_jet_lanes` evaluates a statistic (a ``codegen.Statistic``)
+  over groups of samples, one lane per sample, each sample a finite point
+  or, for ``scan-sd``, the five points of its stencil.  It runs the lane
+  function that ``codegen`` generates once per family, statistic and
+  process, as sympy's ``lambdify`` does, from the family's first batch
+  on: one loop of straight-line code that inlines each node's jet formula
+  and folds only what is exactly known before run time.  It returns per
+  group (a grid point's samples, or a segment's) the statistic's maximum
+  (of each slot, for the ``hypotheses`` floor sweep) and the flags of
+  its failed samples, never jets.
 - The single-point calls, :func:`eval_jet` and :func:`eval_jet_seeded`,
   walk the tree, one ``jet_*`` operation per node, so a one-off
   evaluation compiles nothing.  The walk also redoes, from
-  ``jets.jet_var`` at its point, every lane the lane function hands back:
-  any lane that failed, or might have.  It then fails only where a jet
-  part of order at most the statistic's leaves the double range, as the
-  lane function does (``codegen.Statistic.order``).  At a
+  ``jets.jet_var`` at its points, every sample the lane function hands
+  back: any sample that failed, or might have.  It then fails only where
+  a jet part of order at most the statistic's leaves the double range,
+  as the lane function does (``codegen.Statistic.order``).  At a
   :class:`~.ball.Ball` point, or from a seed of balls, the same walk runs
   the same operations on balls; it differs only in that each number
   literal is a ball of half an ulp, so the result encloses the exact jet
   of the expression as written.
 
-:func:`eval_jet_lanes` returns one entry per lane, its jet or the
-:class:`EvalError` of its first failure; the single-point calls raise
-that error.  The first failure is the one a recursive
-evaluation would raise: a node's left operand before its right, and both
-before the node's own operation.  One lane's failure leaves the other
-lanes' jets bit-identical, and every path gives the same bits.
+A failed walk raises the :class:`EvalError` of its first failure, the one
+a recursive evaluation would raise: a node's left operand before its
+right, and both before the node's own operation.  A redone sample stops
+at its first point that fails and takes that failure's flag.  One
+sample's failure leaves the other samples' values bit-identical, and
+every path gives the same bits.
 """
 
 from __future__ import annotations
@@ -606,49 +605,36 @@ def _walk(node: Node, ops: dict, leaves: dict, point):
         raise EvalError(node.span, str(exc), point) from exc
 
 
-def _walked(root: Node, ops: dict, leaves: dict, point):
-    """The walk's value, or the EvalError of its first failure."""
-    try:
-        return _walk(root, ops, leaves, point)
-    except EvalError as err:
-        # so that no failed lane keeps frames alive
-        err.__cause__.with_traceback(None)
-        return err.with_traceback(None)
+def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat):
+    """Evaluate a statistic of f_n over groups of samples, by the family's lane function.
 
-
-def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat=None):
-    """Evaluate f_n at each of ``points``, by the family's generated lane function.
-
-    ``points`` is an iterable of finite complex points, read once, so it
-    may be a generator: lane k evaluates f_n at the k-th, as
-    :func:`eval_jet` does, and a point that is not finite is the caller's
-    to refuse.  Without a ``stat`` it returns one entry per lane: its
-    :class:`ComplexJet3`, or the :class:`EvalError` of its first failure,
-    which is the one the single evaluation would raise.  Each lane's jet
-    is bit-identical to the single evaluation's.  No program path asks for
-    the jets; the tests compare them with the tree walk's.
-
-    With a ``stat`` (a ``codegen.Statistic``) ``points`` is an iterable of
-    groups, each an iterable of samples, all read once; a sample is a
-    point, or a tuple of ``stat.width`` points where that is above 1.  One
-    call of the lane function covers every group, and returns one result
-    per group, in order: ``(best, flags)``, the largest statistic over the
-    group's samples, -1.0 if none has one, and the frozenset of the flags
-    of its samples that failed; for several slots, ``(best, best1, ...,
-    flags)``, each from the slot's start value.  A group's result depends
-    on its own samples alone.  Its one handler redoes a sample by
-    ``redo``, the walk from ``jet_var`` at each of the sample's points,
-    whose operations check the jet parts up to ``stat.order`` alone, as
-    the lane function does, and ``stat.walked`` gives the sample's value
-    or its flag.
+    ``stat`` is a ``codegen.Statistic``.  ``points`` is an iterable of
+    groups, each an iterable of samples, all read once, so either may be a
+    generator; a sample is a finite complex point, or a tuple of
+    ``stat.width`` of them where that is above 1, and a point that is not
+    finite is the caller's to refuse.  One call of the lane function
+    covers every group, and returns one result per group, in order:
+    ``(best, flags)``, the largest statistic over the group's samples,
+    -1.0 if none has one, and the frozenset of the flags of its samples
+    that failed; for several slots, ``(best, best1, ..., flags)``, each
+    from the slot's start value.  A group's result depends on its own
+    samples alone, and each sample's value is the one its points' jets
+    from :func:`eval_jet` at ``stat.order`` give, bit for bit.  The lane function's one
+    handler redoes a sample by ``redo``: ``stat.walked`` walks the tree
+    from ``jet_var`` at each of the sample's points in turn, with
+    operations that check the jet parts up to ``stat.order`` alone, as
+    the lane function does, and gives the sample's value, or the flag of
+    its first point that fails.
     """
     nj = jet_const(n)  # refuses an n that is not finite
-    ops = _JET_OPS if stat is None else _OPS_AT[stat.order]
+    ops = _OPS_AT[stat.order]
+
+    def walk(w):
+        s = jet_var(w)
+        return _walk(expr.root, ops, {Var: s, Param: nj, ImagUnit: _I}, s.v)
 
     def redo(*points):
-        walks = [_walked(expr.root, ops, {Var: s, Param: nj, ImagUnit: _I}, s.v)
-                 for s in map(jet_var, points)]
-        return walks[0] if stat is None else stat.walked(*walks)
+        return stat.walked(walk, points)
 
     # the lane function takes n real, so that N's imaginary part is +0
     return _family(expr, stat)(nj.v if isinstance(n, (int, float)) else None, points, redo)
@@ -666,10 +652,7 @@ def _at_point(
         point = complex(point)
     else:
         ops, i = _OPS_AT[order], _I
-    j = _walked(expr.root, ops, {Var: seed, Param: nj, ImagUnit: i}, point)
-    if isinstance(j, EvalError):
-        raise j
-    return j
+    return _walk(expr.root, ops, {Var: seed, Param: nj, ImagUnit: i}, point)
 
 
 def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball, *, order: int = 3) -> ComplexJet3:

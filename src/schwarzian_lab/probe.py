@@ -680,6 +680,7 @@ class HypothesesReport:
     records whether the measured max |S| actually stayed within it.  A
     sample flagged "Overflow" counts toward none of these maxima, so while
     any is, ``sound`` is false: it cannot rest on dropped samples.
+    ``flags`` is the union of the floor sweep's flags over the grid.
     """
 
     epsilon: float
@@ -692,6 +693,7 @@ class HypothesesReport:
     sd_bound: float
     max_abs_schwarzian: float
     sound: bool
+    flags: frozenset[str]
 
     @property
     def passed(self) -> bool:
@@ -720,9 +722,9 @@ def check_theorem_hypotheses(
     value_ok = value_bound_check(f, ns, zeta, L)
     bound = sd_bound_from_hypotheses(floor.M2, floor.M3, epsilon)
     max_s = floor.max_abs_schwarzian
-    dropped = any("Overflow" in flags for flags in floor.flags)
-    sound = not dropped and max_s <= bound * (1.0 + 1e-9)
+    flags = frozenset().union(*floor.flags)
+    sound = "Overflow" not in flags and max_s <= bound * (1.0 + 1e-9)
     return HypothesesReport(
         epsilon, L, floor.all_pass, value_ok, floor.min_abs_derivative,
-        floor.M2, floor.M3, bound, max_s, sound,
+        floor.M2, floor.M3, bound, max_s, sound, flags,
     )

@@ -489,7 +489,7 @@ def test_hypotheses_pass_matches_library(capsys):
     direct = check_theorem_hypotheses(
         parse("z + (z^2)/n"), range(1, 9), grid, 0.5, 0j, 0.1, seed=0
     )
-    assert out == rows_to_json(hypotheses_row(direct))
+    assert out == rows_to_json(hypotheses_row(direct, "json"))
     row = json.loads(out)
     assert row["passed"] is True and row["sd_bound"] == pytest.approx(24.0, rel=1e-6)
 
@@ -642,7 +642,7 @@ _GOLDEN = {
         _GOLDEN_HYPOTHESES, "json",
         '{\n  "epsilon": 0.5,\n  "L": 0.1,\n  "floor_ok": true,\n  "value_ok": true,\n'
         '  "min_abs_derivative": 1.0,\n  "M2": 2.0,\n  "M3": 0.0,\n  "sd_bound": 24.0,\n'
-        '  "max_abs_schwarzian": 6.0,\n  "sound": true,\n  "passed": true\n}\n',
+        '  "max_abs_schwarzian": 6.0,\n  "sound": true,\n  "flags": "",\n  "passed": true\n}\n',
     ),
 }
 

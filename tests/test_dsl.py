@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schwarzian_lab import GridSpec, codegen, marty_scan, probe
+from schwarzian_lab import GridSpec, codegen, dsl, marty_scan, probe
 from schwarzian_lab.dsl import (
     MAX_DEPTH,
     MAX_EXPONENT,
@@ -354,6 +354,19 @@ def test_seeded_evaluation_defaults_point_to_seed_value():
 
 # ---------------------------------------------------------------------------
 # lanes: one tree walk for a batch of evaluations
+#
+# A batch returns a statistic per group of samples, never jets.  The tests
+# read each lane's jet back through _PARTS: one sample per group, and a
+# slot per float part of its jet.  A failed lane shows only its flag;
+# spans, messages and points come from the walk, tested through eval_jet.
+
+
+def _parts(j):
+    # each part of the jet, its real then its imaginary half, f to f'''
+    return tuple(x for c in j for x in (c.real, c.imag))
+
+
+_PARTS = codegen.Statistic(1, _parts, start=(-math.inf,) * 8)
 
 
 def _reference(node, nj, zj, at, leaf=None):
@@ -397,6 +410,31 @@ def _outcome(j):
     return ("jet", tuple((c.real.hex(), c.imag.hex()) for c in j))
 
 
+def _flagged(outcome):
+    # a reference outcome as a batch tells it: a jet's bits, or a failure's flag
+    if outcome[0] == "error":
+        return ("error", "Overflow" if outcome[-1] is OverflowAtPoint else "Pole")
+    return outcome
+
+
+def _lane_outcomes(results):
+    # the results of one-sample groups under _PARTS, as _outcome gives
+    # them: the jet's bits, or the lane's one flag
+    out = []
+    for *parts, flags in results:
+        if flags:
+            (flag,) = flags
+            out.append(("error", flag))
+        else:
+            out.append(("jet", tuple(zip(map(float.hex, parts[::2]), map(float.hex, parts[1::2])))))
+    return out
+
+
+def _lanes(f, n, points):
+    # one batch of the points, each its own group, read once
+    return _lane_outcomes(eval_jet_lanes(f, n, ([w] for w in points), _PARTS))
+
+
 def _random_seed(rng):
     # poles of the random families' shifted denominators, exp arguments
     # past the guard, and derivatives large enough to overflow
@@ -422,20 +460,20 @@ def test_lanes_match_one_lane_calls_and_the_reference_walk():
         f = parse(pretty_print(random_family(rng, depth=3)))
         n = rng.randint(1, 6)
         points = [_random_lane_point(rng) for _ in range(12)]
-        lanes = eval_jet_lanes(f, n, iter(points))  # any iterable, read once
+        lanes = _lanes(f, n, iter(points))  # any iterable, read once
         assert len(lanes) == len(points)
         nj = jet_const(n)
-        for lane, w in zip(lanes, points):
-            got = _outcome(lane)
-            assert got == _outcome(_raised(lambda: eval_jet(f, n, w)))
-            assert got == _outcome(_raised(lambda: _reference(f.root, nj, jet_var(w), w)))
+        for got, w in zip(lanes, points):
+            assert got == _flagged(_outcome(_raised(lambda: eval_jet(f, n, w))))
+            assert got == _flagged(_outcome(_raised(lambda: _reference(f.root, nj, jet_var(w), w))))
             kinds.add(got[-1] if got[0] == "error" else "jet")
-    assert kinds == {"jet", OverflowAtPoint, DivisionByZeroAtPoint}
+    assert kinds == {"jet", "Overflow", "Pole"}
 
 
 def test_lhs_overflow_beats_rhs_pole():
     f = parse("exp(z*1000) + 1/(z-z)")
-    over, pole = eval_jet_lanes(f, 1, [1 + 0j, 0.5 + 0j])
+    assert _lanes(f, 1, [1 + 0j, 0.5 + 0j]) == [("error", "Overflow"), ("error", "Pole")]
+    over, pole = (_raised(lambda: eval_jet(f, 1, w)) for w in (1 + 0j, 0.5 + 0j))
     assert (over.span, type(over.__cause__), over.point) == ((0, 11), OverflowAtPoint, 1.0)
     assert (pole.span, type(pole.__cause__), pole.point) == ((14, 21), DivisionByZeroAtPoint, 0.5)
 
@@ -443,11 +481,10 @@ def test_lhs_overflow_beats_rhs_pole():
 @pytest.mark.parametrize("k", [0, -2, 3])
 def test_power_of_a_failing_base_still_fails(k):
     f = parse(f"(1/(z-z))^{k}")
-    (lane,) = eval_jet_lanes(f, 1, [2 + 0j])
-    assert (lane.span, type(lane.__cause__)) == ((0, 9), DivisionByZeroAtPoint)
+    assert _lanes(f, 1, [2 + 0j]) == [("error", "Pole")]
     with pytest.raises(EvalError) as info:
         eval_jet(f, 1, 2.0)
-    assert info.value.span == (0, 9)
+    assert (info.value.span, type(info.value.__cause__)) == ((0, 9), DivisionByZeroAtPoint)
     assert eval_jet(parse("z^0"), 1, 2.0) == jet_const(1.0)
 
 
@@ -455,27 +492,21 @@ def test_failing_lanes_leave_clean_lanes_unchanged():
     f = parse("exp(n*z)/z + log(z-1)^-2")
     clean = [0.5 + 0.5j, -2.0, 3.0 - 1.0j]
     mixed = [0.0, clean[0], 1.0, 2.0, clean[1], 300.0, clean[2]]
-    mixed_out = eval_jet_lanes(f, 3, [complex(w) for w in mixed])
-    clean_out = eval_jet_lanes(f, 3, [complex(w) for w in clean])
-    kept = [j for w, j in zip(mixed, mixed_out) if w in clean]
-    assert [_outcome(j) for j in kept] == [_outcome(j) for j in clean_out]
+    mixed_out = _lanes(f, 3, [complex(w) for w in mixed])
+    clean_out = _lanes(f, 3, [complex(w) for w in clean])
+    assert clean_out == [_outcome(eval_jet(f, 3, w)) for w in clean]
+    assert [j for w, j in zip(mixed, mixed_out) if w in clean] == clean_out
     failed = [j for w, j in zip(mixed, mixed_out) if w not in clean]
-    assert [type(j.__cause__) for j in failed] == [
-        DivisionByZeroAtPoint, DivisionByZeroAtPoint, DivisionByZeroAtPoint, OverflowAtPoint
-    ]
-    # a kept error keeps no frames alive
-    assert all(j.__traceback__ is None is j.__cause__.__traceback__ for j in failed)
+    assert failed == [("error", "Pole")] * 3 + [("error", "Overflow")]
 
 
 def test_lanes_past_one_block_match_one_lane_calls():
     # a batch of a few thousand lanes, as long bound segments make
     f = parse("1/(z-1) + log(z)*n")
     points = [complex(k % 7 - 3, k % 5 - 2) / 2 for k in range(2051)]
-    lanes = eval_jet_lanes(f, 2, points)
-    assert [_outcome(j) for j in lanes] == [
-        _outcome(_raised(lambda: eval_jet(f, 2, w))) for w in points
-    ]
-    assert sum(isinstance(j, EvalError) for j in lanes) > 2
+    lanes = _lanes(f, 2, points)
+    assert lanes == [_flagged(_outcome(_raised(lambda: eval_jet(f, 2, w)))) for w in points]
+    assert sum(j[0] == "error" for j in lanes) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -544,18 +575,21 @@ def test_generated_lane_function_matches_the_reference_bit_for_bit():
         f, n, points = _draw(rng)
         nj = jet_const(n)
         want = [_outcome(_raised(lambda: _reference(f.root, nj, jet_var(w), w))) for w in points]
-        fn = codegen.family(f)
-        got = fn(complex(n), points, lambda w: w)  # a redone lane: its point
+        fn = codegen.family(f, _PARTS)
+        # a redone lane takes the flag "redone"
+        got = _lane_outcomes(fn(complex(n), [[w] for w in points], lambda w: "redone"))
         for k, w in enumerate(points):
             if want[k][0] == "error":
                 # every failing lane is redone by the tree walk
-                assert got[k] is w
-            elif got[k] is not w:
-                assert _outcome(got[k]) == want[k]
+                assert got[k] == ("error", "redone")
+            elif got[k] != ("error", "redone"):
+                assert got[k] == want[k]
         # the public call, which redoes lanes, gives the reference outcome
-        # on every lane, errors with their spans, messages, points and causes
+        # on every lane, a failure by its flag; the walk that redoes them
+        # gives failures with their spans, messages, points and causes
         batch = points * 8
-        assert [_outcome(j) for j in eval_jet_lanes(f, n, batch)] == want * 8
+        assert _lanes(f, n, batch) == [_flagged(w) for w in want] * 8
+        assert [_outcome(_raised(lambda: eval_jet(f, n, w))) for w in points] == want
         for w in want:
             kinds.add(w[-1] if w[0] == "error" else "jet")
             signed_zeros += w[0] == "jet" and any("-0x0.0p+0" in p for c in w[1] for p in c)
@@ -586,7 +620,7 @@ def test_generated_lane_function_on_each_rule(text):
     for n in (2, -1, 0.0, -0.0, 1e-170):
         nj = jet_const(n)
         want = [_outcome(_raised(lambda: _reference(f.root, nj, jet_var(w), w))) for w in points]
-        assert [_outcome(j) for j in eval_jet_lanes(f, n, points)] == want
+        assert _lanes(f, n, points) == [_flagged(w) for w in want]
 
 
 def test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit():
@@ -681,7 +715,7 @@ def _group_outcomes(f, n, stat, groups):
 
     def redo(*points):
         redone.append(points)
-        return stat.walked(*(_raised(lambda: eval_jet(f, n, w, order=stat.order)) for w in points))
+        return stat.walked(lambda w: eval_jet(f, n, w, order=stat.order), points)
 
     got = codegen.family(f, stat)(complex(n), map(iter, groups), redo)
     assert eval_jet_lanes(f, n, groups, stat) == got and len(got) == len(groups)
@@ -784,6 +818,18 @@ def test_fused_sd_statistic_on_each_rule(text, points, want):
         got, redone = _stat_outcomes(f, n, probe._sd(h), _stencil_points(points, h))
         assert got == (reference[0].hex(), reference[1])
         assert redone == want[1]
+
+
+def test_a_redone_sample_stops_at_its_first_failed_point(monkeypatch):
+    # the first of the sample's five stencil points is the pole of 1/z, so
+    # the walk that redoes it starts a jet there and at no other point
+    h = 0.01
+    started = []
+    real = dsl.jet_var
+    monkeypatch.setattr(dsl, "jet_var", lambda w: started.append(w) or real(w))
+    got = eval_jet_lanes(parse("1/z"), 1, [_stencil_points([0j], h)], probe._sd(h))
+    assert got == [(-1.0, {"Pole"})]
+    assert started == [0j]
 
 
 # ---------------------------------------------------------------------------
@@ -981,29 +1027,33 @@ def test_finite_parts_that_add_up_past_the_double_range_take_the_fast_path():
     f = parse("(1+i)*4" + "0" * 307 + "*z^2")
     points = [1 + 0j, -1 + 0j, 0.5j]
     redone = []
-    got = codegen.family(f)(complex(1), points, redone.append)
+
+    def redo(w):
+        redone.append(w)
+        return "redone"
+
+    got = codegen.family(f, _PARTS)(complex(1), [[w] for w in points], redo)
     assert redone == []
     nj = jet_const(1)
-    assert [_outcome(j) for j in got] == [
-        _outcome(_reference(f.root, nj, jet_var(w), w)) for w in points
-    ]
+    assert _lane_outcomes(got) == [_outcome(_reference(f.root, nj, jet_var(w), w)) for w in points]
     # where a part is not finite the lane is still redone
     big = parse("(1+i)*9" + "0" * 307 + "*z^2")
-    codegen.family(big)(complex(1), [1 + 0j], redone.append)
+    codegen.family(big, _PARTS)(complex(1), [[1 + 0j]], redo)
     assert redone == [1 + 0j]
 
 
 def test_n_times_z_makes_no_product_with_the_derivatives_of_n():
     # n's d1..d3 are exactly zero and z's d1 is exactly one, so n*z's jet is
     # (n z, n, 0, 0): one product, and n itself as the first derivative
-    source, namespace = codegen._lanes_source(parse("n*z").root)
+    source, namespace = codegen._lanes_source(parse("n*z").root, _PARTS)
     products = [line.strip() for line in source.splitlines() if " * " in line]
     assert products == ["t0 = N * zv"]
-    assert "got = as_jet((t0, N, k0, k0))" in source
+    halves = [line.split(" = ")[1] for line in source.splitlines() if line.endswith(("real", "imag"))]
+    assert halves == [f"{x}.{h}" for x in ("t0", "N", "k0", "k0") for h in ("real", "imag")]
     assert namespace["k0"] == 0j
     # exp(n*z) computes n^2 and n^3 once per batch, before the loop
-    source, _ = codegen._lanes_source(parse("exp(n*z)").root)
-    prelude, loop = source.split("\n    for zv in Z:\n", 1)
+    source, _ = codegen._lanes_source(parse("exp(n*z)").root, _PARTS)
+    prelude, loop = source.split("\n    for G in Z:\n", 1)
     assert "= N * N" in prelude and "N * N" not in loop
 
 
@@ -1026,8 +1076,9 @@ def _blocks(source: str, head) -> list:
     return out
 
 
+# the program's statistics, and _PARTS, which reads the jets
 _PROGRAM_STATISTICS = {
-    "jets": None, "marty": probe._MARTY, "sd": probe._sd(0.00625), "floor": probe._FLOOR,
+    "jets": _PARTS, "marty": probe._MARTY, "sd": probe._sd(0.00625), "floor": probe._FLOOR,
     "bound": probe._BOUND,
 }
 
@@ -1046,17 +1097,15 @@ def test_a_lane_is_redone_in_one_handler(stat):
     assert source.count("redo(") == source.count(f"redo({sample})") == 2
     prelude, handler = _blocks(source, lambda x: x == "except (OverflowError, JetError):")
     assert [sum("redo(" in line for line in b) for b in (prelude, handler)] == [1, 1]
-    # a statistic's lanes loop inside a loop over groups, which resets the
-    # group's best and flags before its lanes and appends them after
-    groups = stat != "jets"
+    # the lanes loop inside a loop over groups, which resets the group's
+    # best and flags before its lanes and appends them after
     (main,) = [b for b in _blocks(source, lambda x: x.startswith("for ")) if _depth(b[0]) == 4]
-    assert main[0].strip() == ("for G in Z:" if groups else f"for {sample} in Z:")
-    if groups:
-        start = _PROGRAM_STATISTICS[stat].start
-        best = ["best", *(f"best{k}" for k in range(1, len(start)))]
-        reset = [f"        {b} = {x!r}" for b, x in zip(best, start)] + ["        flags = noflags"]
-        assert main[1 : len(reset) + 1] == reset
-        assert f"        for {sample} in G:" in main and main[-1].startswith("        append((best")
+    assert main[0].strip() == "for G in Z:"
+    start = _PROGRAM_STATISTICS[stat].start
+    best = ["best", *(f"best{k}" for k in range(1, len(start)))]
+    reset = [f"        {b} = {x!r}" for b, x in zip(best, start)] + ["        flags = noflags"]
+    assert main[1 : len(reset) + 1] == reset
+    assert f"        for {sample} in G:" in main and main[-1].startswith("        append((best")
     # the fast path and the handler reach one keep, after the handler
     (tried,) = _blocks("\n".join(main), lambda x: x == "try:")
     k = main.index(tried[0])
@@ -1072,7 +1121,7 @@ def test_a_lane_is_redone_in_one_handler(stat):
     assert source.count("redo(") == source.count(f"redo({sample})") == 1
     assert "JetError" not in source
     loops = [line.strip() for line in source.splitlines() if line.strip().startswith("for ")]
-    assert loops == (["for G in Z:", f"for {sample} in G:"] if groups else [f"for {sample} in Z:"])
+    assert loops == ["for G in Z:", f"for {sample} in G:"]
 
 
 @pytest.mark.parametrize("stat", sorted(_PROGRAM_STATISTICS))
@@ -1094,15 +1143,16 @@ def test_a_family_is_generated_once_per_process(monkeypatch):
     )
     text = "exp(z/(n*z+17))-n"
     points = [0.25j + k / 100 for k in range(100)]
-    first = eval_jet_lanes(parse(text), 2, points)
+    first = _lanes(parse(text), 2, points)
     # a fresh parse, and a worker's unpickled copy, reuse the generated function
     for f in (parse(text), pickle.loads(pickle.dumps(parse(text)))):
         assert f._compiled is None
-        assert eval_jet_lanes(f, 2, points) == first
+        assert _lanes(f, 2, points) == first
     assert len(made) == 1
     # the same tree with other spans shares it: a redone lane walks the caller's tree
     spaced = parse("exp(z/(n*z+17)) - n")
-    assert spaced == parse(text) and codegen.family(spaced) is codegen.family(parse(text))
+    assert spaced == parse(text)
+    assert codegen.family(spaced, _PARTS) is codegen.family(parse(text), _PARTS)
 
 
 def test_one_lane_calls_generate_no_lane_function(monkeypatch):
@@ -1124,7 +1174,7 @@ def test_one_lane_evaluations_compile_nothing(monkeypatch):
     assert _outcome(eval_jet(f, 2, Ball(0.5j))) == _outcome(jet)
     assert compiled == []
     # a batch, even of one lane, compiles the lane function, through that name
-    eval_jet_lanes(f, 2, [0.5j])
+    eval_jet_lanes(f, 2, [[0.5j]], _PARTS)
     assert len(compiled) == 1
 
 
@@ -1142,10 +1192,10 @@ def test_a_fresh_family_runs_its_lane_function_from_its_first_batch(monkeypatch)
         codegen, "compile", lambda *a: compiled.append(a) or compile(*a), raising=False
     )
     f = parse("exp(z/(n*z+5))*log(z+2) - i*z")
-    points = [0.25j + k / 8 for k in range(9)]
+    groups = [[0.25j + k / 8] for k in range(9)]
     for _ in range(3):
-        lanes = eval_jet_lanes(f, 2, points)
-        assert lanes == [eval_jet(f, 2, w) for w in points]
+        lanes = _lane_outcomes(eval_jet_lanes(f, 2, groups, _PARTS))
+        assert lanes == [_outcome(eval_jet(f, 2, w)) for (w,) in groups]
     assert runs == [9, 9, 9]
     assert len(compiled) == 1
 
@@ -1157,12 +1207,12 @@ def test_one_lane_calls_never_run_the_lane_function(monkeypatch):
     monkeypatch.setattr(codegen, "_FAMILIES", {})
     f = parse("exp(z/(n*z+5))*log(z+2) - i*z")
     points = [0.25j + k / 8 for k in range(9)]
-    eval_jet_lanes(f, 2, points)
-    assert callable(codegen.family(f))
-    monkeypatch.setitem(codegen._FAMILIES, (f.root, None), refuse)
+    _lanes(f, 2, points)
+    assert callable(codegen.family(f, _PARTS))
+    monkeypatch.setitem(codegen._FAMILIES, (f.root, _PARTS), refuse)
     monkeypatch.setattr(f, "_compiled", None)
     with pytest.raises(AssertionError, match="ran the lane function"):
-        eval_jet_lanes(f, 2, [points[0]])
+        eval_jet_lanes(f, 2, [[points[0]]], _PARTS)
     rng = random.Random(63)
     nj = jet_const(2)
     for _ in range(8):  # 72 calls of each kind
@@ -1181,7 +1231,7 @@ def test_n_past_the_double_range_is_a_value_error(n):
     f = parse("n*z")
     for evaluate in (
         lambda: eval_jet(f, n, 0.5),
-        lambda: eval_jet_lanes(f, n, [0.5 + 0j] * 100),
+        lambda: eval_jet_lanes(f, n, [[0.5 + 0j]] * 100, _PARTS),
         lambda: eval_jet(f, n, Ball(0.5)),
     ):
         with pytest.raises(ValueError, match="^jet_const requires a finite value$"):
@@ -1242,8 +1292,8 @@ def test_nesting_at_the_depth_limit_runs_everywhere(shape):
 @pytest.mark.parametrize("shape", sorted(_NESTINGS))
 def test_lane_function_at_the_depth_limit(shape):
     f = parse(_NESTINGS[shape](MAX_DEPTH))
-    assert callable(codegen.family(f))
-    assert eval_jet_lanes(f, 1, [0.25 + 0j] * 64) == [eval_jet(f, 1, 0.25)] * 64
+    assert callable(codegen.family(f, _PARTS))
+    assert _lanes(f, 1, [0.25 + 0j] * 64) == [_outcome(eval_jet(f, 1, 0.25))] * 64
 
 
 def test_pool_workers_take_a_family_at_the_depth_limit():

@@ -89,7 +89,7 @@ _GOLDEN = {
     ),
     ('hypotheses', 'pole', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": true,\n  "min_abs_derivative": 0.01525187987514473,\n  "M2": 2000.0000000000114,\n  "M3": 60000.00000000046,\n  "sd_bound": 24120000.000000276,\n  "max_abs_schwarzian": 1.6077746776921858e-13,\n  "sound": true,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": true,\n  "min_abs_derivative": 0.01525187987514473,\n  "M2": 2000.0000000000114,\n  "M3": 60000.00000000046,\n  "sd_bound": 24120000.000000276,\n  "max_abs_schwarzian": 1.6077746776921858e-13,\n  "sound": true,\n  "flags": "Pole",\n  "passed": false\n}\n',
         '',
     ),
     ('scan-marty', 'exp-window', 'csv'): (
@@ -178,7 +178,7 @@ _GOLDEN = {
     ),
     ('hypotheses', 'critical', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": true,\n  "min_abs_derivative": 0.0,\n  "M2": 30.738331208236897,\n  "M3": 48.0,\n  "sd_bound": 5765.070032803622,\n  "max_abs_schwarzian": 261.3020352255983,\n  "sound": true,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": true,\n  "min_abs_derivative": 0.0,\n  "M2": 30.738331208236897,\n  "M3": 48.0,\n  "sd_bound": 5765.070032803622,\n  "max_abs_schwarzian": 261.3020352255983,\n  "sound": true,\n  "flags": "",\n  "passed": false\n}\n',
         '',
     ),
     ('scan-marty', 's-overflow', 'csv'): (
@@ -223,7 +223,7 @@ _GOLDEN = {
     ),
     ('hypotheses', 's-overflow', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": "nan",\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": false,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": "nan",\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": false,\n  "flags": "Overflow",\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 'd1-overflow', 'csv'): (
@@ -234,7 +234,7 @@ _GOLDEN = {
     ),
     ('hypotheses', 'd1-overflow', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 2.82842712474619e+307,\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": false,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 2.82842712474619e+307,\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": false,\n  "flags": "Overflow",\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 's-modulus', 'csv'): (
@@ -245,7 +245,7 @@ _GOLDEN = {
     ),
     ('hypotheses', 's-modulus', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.12568788735962e+142,\n  "M2": 1.1256878873596199e+143,\n  "M3": 0.0,\n  "sd_bound": 7.603039318488985e+286,\n  "max_abs_schwarzian": 150.0,\n  "sound": false,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.12568788735962e+142,\n  "M2": 1.1256878873596199e+143,\n  "M3": 0.0,\n  "sd_bound": 7.603039318488985e+286,\n  "max_abs_schwarzian": 150.0,\n  "sound": false,\n  "flags": "Overflow",\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 's-inf', 'csv'): (
@@ -256,7 +256,7 @@ _GOLDEN = {
     ),
     ('hypotheses', 's-inf', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.0000000000000002e+143,\n  "M2": 1e+144,\n  "M3": 0.0,\n  "sd_bound": 6e+288,\n  "max_abs_schwarzian": 150.0,\n  "sound": false,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.0000000000000002e+143,\n  "M2": 1e+144,\n  "M3": 0.0,\n  "sd_bound": 6e+288,\n  "max_abs_schwarzian": 150.0,\n  "sound": false,\n  "flags": "Overflow",\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 's-nan', 'csv'): (
@@ -267,7 +267,7 @@ _GOLDEN = {
     ),
     ('hypotheses', 's-nan', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.4142135623730954e+143,\n  "M2": 1.414213562373095e+144,\n  "M3": 0.0,\n  "sd_bound": 1.2e+289,\n  "max_abs_schwarzian": 149.99999999999994,\n  "sound": false,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": 1.4142135623730954e+143,\n  "M2": 1.414213562373095e+144,\n  "M3": 0.0,\n  "sd_bound": 1.2e+289,\n  "max_abs_schwarzian": 149.99999999999994,\n  "sound": false,\n  "flags": "Overflow",\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 'guard', 'csv'): (
@@ -278,7 +278,7 @@ _GOLDEN = {
     ),
     ('hypotheses', 'guard', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": true,\n  "min_abs_derivative": 1.2727922061366447e-12,\n  "M2": 6.620916932785384,\n  "M3": 48.0,\n  "sd_bound": 359.01924618506536,\n  "max_abs_schwarzian": 3.703703703717037e+24,\n  "sound": false,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": true,\n  "min_abs_derivative": 1.2727922061366447e-12,\n  "M2": 6.620916932785384,\n  "M3": 48.0,\n  "sd_bound": 359.01924618506536,\n  "max_abs_schwarzian": 3.703703703717037e+24,\n  "sound": false,\n  "flags": "",\n  "passed": false\n}\n',
         '',
     ),
     ('hypotheses', 'critical-d2', 'csv'): (
@@ -289,7 +289,7 @@ _GOLDEN = {
     ),
     ('hypotheses', 'critical-d2', 'json'): (
         1,
-        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": "nan",\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": false,\n  "passed": false\n}\n',
+        '{\n  "epsilon": 0.5,\n  "L": 10.0,\n  "floor_ok": false,\n  "value_ok": false,\n  "min_abs_derivative": "nan",\n  "M2": 0.0,\n  "M3": 0.0,\n  "sd_bound": 0.0,\n  "max_abs_schwarzian": 0.0,\n  "sound": false,\n  "flags": "Overflow",\n  "passed": false\n}\n',
         '',
     ),
 }

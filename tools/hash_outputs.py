@@ -2,6 +2,7 @@
 
     python tools/hash_outputs.py SRC_DIR > before.txt
     python tools/hash_outputs.py --diff before.txt after.txt
+    python tools/hash_outputs.py --against REV
 
 The first form runs ``schwarzian_lab.cli.main(argv)`` in this process,
 from ``SRC_DIR/schwarzian_lab``, once per command of the corpus below, and
@@ -10,6 +11,11 @@ stderr, a tab, and its argv as JSON.  A last line gives the SHA-256 of all
 the per-command hashes.  Run it on two trees (say a ``git archive`` of the
 parent commit and the working tree) and compare the totals; ``--diff``
 lists the commands whose hashes differ, and exits 1 if any do.
+``--against REV`` does both in one command: it exports REV's ``src/``
+with ``git archive`` into a temporary directory, hashes the corpus on
+that tree and on the working tree's ``src/``, each in its own child
+process, and prints both totals, then the argv of each command whose
+hashes differ; it exits 1 if any do, and 2 if either run fails.
 
 The corpus:
 
@@ -39,7 +45,7 @@ The corpus:
   and failing by an infinite one, at a point whose value lies near log's
   branch cut.
 
-Only the standard library is used; ``bench/`` is read, never written.
+Only the standard library and ``git`` are used; ``bench/`` is read, never written.
 Warnings are printed every time, as a fresh process prints them.
 """
 
@@ -50,7 +56,10 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 import warnings
 from decimal import Decimal
 from pathlib import Path
@@ -297,16 +306,17 @@ def run(src: Path) -> None:
     print(f"total {total.hexdigest()} over {len(commands)} commands")
 
 
-def _lines(path: str) -> list[tuple[str, str]]:
+def _lines(text: str) -> list[tuple[str, str]]:
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         if "\t" in line:
             digest, argv = line.split("\t", 1)
             rows.append((argv, digest))
     return rows
 
 
-def diff(a: str, b: str) -> int:
+def _compare(a: str, b: str) -> int:
+    # a and b are the output of two runs
     left, right = _lines(a), _lines(b)
     if [argv for argv, _ in left] != [argv for argv, _ in right]:
         print("the two runs hashed different corpora")
@@ -318,9 +328,38 @@ def diff(a: str, b: str) -> int:
     return 1 if differ else 0
 
 
+def diff(a: str, b: str) -> int:
+    return _compare(Path(a).read_text(), Path(b).read_text())
+
+
+def against(rev: str) -> int:
+    """Hash the corpus on REV's ``src/`` and on the working tree's, and compare."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True)
+    if archive.returncode:
+        print(archive.stderr.decode(), end="", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="hash-outputs-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        runs = [
+            subprocess.Popen([sys.executable, __file__, str(src)], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for src in (Path(tmp) / "src", ROOT / "src")
+        ]
+        outs = [run.communicate() for run in runs]
+    for name, run, (out, err) in zip((rev, "working tree"), runs, outs):
+        if run.returncode:
+            print(f"hash_outputs: the run on {name} failed\n{err}", end="", file=sys.stderr)
+            return 2
+        print(f"{name}: {out.splitlines()[-1]}")
+    return _compare(*(out for out, _ in outs))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--diff":
         return diff(argv[1], argv[2])
+    if len(argv) == 2 and argv[0] == "--against":
+        return against(argv[1])
     if len(argv) == 1 and not argv[0].startswith("-"):
         run(Path(argv[0]))
         return 0

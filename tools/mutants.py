@@ -117,21 +117,17 @@ MUTANTS = (
            (CLI + "test_cached_parser_gives_a_fresh_parsers_bytes",)),
     # the statistics
     Mutant("the critical guard dropped", "codegen.py",
-           "                t.check(True, _CRITICAL_GUARD.format(*point))",
-           "                pass",
+           "            t.check(True, _CRITICAL_GUARD.format(*point))",
+           "            pass",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("the critical rule tried after the lane formula", "codegen.py",
-           "            for j in walks:\n"
-           "                if isinstance(j, EvalError):\n"
-           "                    return \"Overflow\" if isinstance(j.__cause__, OverflowAtPoint) else \"Pole\"\n"
            "                if self.critical is not None and _critical(j[1]):\n"
            "                    return self.critical(j)\n"
-           "            return self.value(walks)",
-           "            for j in walks:\n"
-           "                if isinstance(j, EvalError):\n"
-           "                    return \"Overflow\" if isinstance(j.__cause__, OverflowAtPoint) else \"Pole\"\n"
-           "            value = self.value(walks)\n"
-           "            for j in walks:\n"
+           "                jets.append(j)\n"
+           "            return self.value(jets)",
+           "                jets.append(j)\n"
+           "            value = self.value(jets)\n"
+           "            for j in jets:\n"
            "                if self.critical is not None and _critical(j[1]):\n"
            "                    return self.critical(j)\n"
            "            return value",
@@ -147,13 +143,27 @@ MUTANTS = (
            (PROBE + "test_sd_statistic_past_the_double_range_is_an_overflow_flag",
             DSL + "test_fused_sd_statistic_on_each_rule")),
     Mutant("a sample's last failed point decides, not its first", "codegen.py",
-           "            for j in walks:\n                if isinstance(j, EvalError):",
-           "            for j in reversed(walks):\n                if isinstance(j, EvalError):",
+           "            for w in points:\n"
+           "                try:\n"
+           "                    j = walk(w)\n"
+           "                except EvalError as err:\n"
+           "                    return \"Overflow\" if isinstance(err.__cause__, OverflowAtPoint) else \"Pole\"\n"
+           "                if self.critical is not None and _critical(j[1]):\n"
+           "                    return self.critical(j)\n"
+           "                jets.append(j)",
+           "            for w in reversed(points):\n"
+           "                try:\n"
+           "                    j = walk(w)\n"
+           "                except EvalError as err:\n"
+           "                    return \"Overflow\" if isinstance(err.__cause__, OverflowAtPoint) else \"Pole\"\n"
+           "                if self.critical is not None and _critical(j[1]):\n"
+           "                    return self.critical(j)\n"
+           "                jets.insert(0, j)",
            (DSL + "test_fused_sd_statistic_on_each_rule",
             DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
     Mutant("the keep's rule for a value past the double range dropped", "codegen.py",
-           """        keep = [f"if {_not_finite(values, 'finite')}:", "    flags |= {'Overflow'}", "    continue"]""",
-           "        keep = []",
+           """    keep = [f"if {_not_finite(values, 'finite')}:", "    flags |= {'Overflow'}", "    continue"]""",
+           "    keep = []",
            (DSL + "test_fused_floor_sweep_on_each_rule",
             DSL + "test_fused_sd_statistic_on_each_rule",
             GOLDENS + "test_flag_heavy_grid_bytes[hypotheses-s-nan-csv]")),
@@ -216,14 +226,14 @@ MUTANTS = (
            '"if type(got) is str:", "    flags |= {got}",', '"if type(got) is str:",',
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("a flag skips its continue", "codegen.py",
-           '"    flags |= {got}",\n                   "    continue",', '"    flags |= {got}",',
+           '"    flags |= {got}", "    continue",', '"    flags |= {got}",',
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("a redone value not bound to the keep's names", "codegen.py",
            "f\"{', '.join(values)} = got\"", '"pass"',
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
-    Mutant("a redone lane not bound to the appended name", "codegen.py",
-           'handler = ["got = redo(zv)"]', 'handler = ["redo(zv)"]',
-           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+    Mutant("a redone sample's outcome not bound to the handler's name", "codegen.py",
+           'handler = [f"got = redo({sample})"', 'handler = [f"redo({sample})"',
+           (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     # the ball rules behind the identity error bound
     Mutant("a literal taken as exact, not within half an ulp", "ball.py",
            "    return Ball(c, _up(_U * _mag(c)))", "    return Ball(c)",
@@ -281,10 +291,6 @@ MUTANTS = (
            "    return _as_jet((literal(jet_const(c).v), ZERO, ZERO, ZERO))",
            "    return _as_jet((Ball(jet_const(c).v), ZERO, ZERO, ZERO))",
            (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
-    Mutant("a failed lane keeps its traceback", "dsl.py",
-           "        err.__cause__.with_traceback(None)\n        return err.with_traceback(None)",
-           "        return err",
-           (DSL + "test_failing_lanes_leave_clean_lanes_unchanged",)),
     Mutant("the probe's n check dropped", "probe.py",
            "        float(ns[0]), float(ns[-1])  # sorted, so these bound the rest",
            "        pass",
@@ -296,11 +302,6 @@ MUTANTS = (
     Mutant("a seeded failure labelled with the seed, not the point", "dsl.py",
            "seed[0] if point is None else point", "seed[0]",
            (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
-    Mutant("the lane function never generated for jets", "dsl.py",
-           "    return _family(expr, stat)(",
-           "    if stat is None:\n        return [redo(w) for w in points]\n"
-           "    return _family(expr, stat)(",
-           (DSL + "test_one_lane_evaluations_compile_nothing",)),
     Mutant("n's leaf bound to the seed", "dsl.py",
            "{Var: seed, Param: nj, ImagUnit: i}", "{Var: seed, Param: seed, ImagUnit: i}",
            (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
@@ -312,7 +313,7 @@ MUTANTS = (
            "outs = [t.walk_at(root, name)[: 1 if t.order == 1 else t.order + 1] for name in names]",
            (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",)),
     Mutant("the redo walk checks all four parts for an order-1 statistic", "dsl.py",
-           "    ops = _JET_OPS if stat is None else _OPS_AT[stat.order]", "    ops = _JET_OPS",
+           "    ops = _OPS_AT[stat.order]", "    ops = _JET_OPS",
            (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",
             DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
     Mutant("bound's endpoints left at order 3", "probe.py",
@@ -336,13 +337,33 @@ MUTANTS = (
     # hypotheses is not sound on dropped samples, and the pool is imported
     # where it is used
     Mutant("sound rests on samples flagged Overflow", "probe.py",
-           "    sound = not dropped and max_s <= bound * (1.0 + 1e-9)",
+           '    sound = "Overflow" not in flags and max_s <= bound * (1.0 + 1e-9)',
            "    sound = max_s <= bound * (1.0 + 1e-9)",
            (PROBE + "test_theorem_hypotheses_are_not_sound_on_dropped_samples",
             GOLDENS + "test_flag_heavy_grid_bytes[hypotheses-s-inf-csv]")),
     Mutant("the process pool imported with the module", "probe.py",
            "import warnings\n", "import warnings\nfrom concurrent.futures import process\n",
            (CLI + "test_importing_the_cli_imports_no_process_pool",)),
+    # one batch contract: a redone sample's walk raises, and stops at its
+    # first failed or critical point; the jets reach a test by _Tail's halves
+    Mutant("the redo walk flags every failure Pole", "codegen.py",
+           '                    return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"',
+           '                    return "Pole"',
+           (DSL + "test_lanes_match_one_lane_calls_and_the_reference_walk",
+            DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
+    Mutant("the redo walk skips the critical check", "codegen.py",
+           "                if self.critical is not None and _critical(j[1]):\n"
+           "                    return self.critical(j)\n                jets.append(j)",
+           "                jets.append(j)",
+           (DSL + "test_fused_sd_statistic_on_each_rule",
+            DSL + "test_fused_floor_sweep_on_each_rule")),
+    Mutant("_Tail's imaginary half writes the real half", "codegen.py",
+           '        return self.op("{}.imag", self)', '        return self.op("{}.real", self)',
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",
+            DSL + "test_n_times_z_makes_no_product_with_the_derivatives_of_n")),
+    Mutant("hypotheses prints no floor flags", "probe.py",
+           "    flags = frozenset().union(*floor.flags)", "    flags = frozenset()",
+           (GOLDENS + "test_flag_heavy_grid_bytes[hypotheses-s-inf-json]",)),
 )
 
 
@@ -369,6 +390,11 @@ DELETED = (
     ("the batch kernels' lhs-first rule",
      "7560adb deleted the last lanes_* kernel; a redone lane's first failure follows the "
      "walk's rule, the table's 'the walk evaluates rhs before lhs'"),
+    ("a failed lane keeps its traceback",
+     "the redo walk's EvalError is caught where its flag is taken, and no failure is held "
+     "as a value ('the redo walk flags every failure Pole')"),
+    ("the lane function never generated for jets",
+     "every batch takes a statistic; the lane function no longer returns jets"),
 )
 
 
