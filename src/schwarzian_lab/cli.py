@@ -9,6 +9,8 @@ compare CLI output against direct library calls byte for byte.
 
 Exit codes: 0 success/pass, 1 identity or bound check failed, 2 parse or
 configuration error, 3 evaluation error, 4 I/O error.
+A warning, such as a neighborhood radius that spans four or more grid
+cells, prints as one ``warning: <message>`` line on standard error.
 
 Complex literals on the command line use the form ``a+bi`` with no spaces
 (``1+0i``, ``1.5-2i``, ``0.2``, ``-i``); the mantissa syntax is shared
@@ -25,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+import warnings
 
 from .dsl import EvalError, FamilyExpr, ParseError, eval_jet, lex_number, parse
 from .jets import JetError
@@ -175,9 +177,14 @@ def eval_record(f: FamilyExpr, n: float, z: complex) -> dict:
     }
 
 
+def _fields(report) -> dict:
+    # a report's fields, in their order, as a row
+    return {name: getattr(report, name) for name in report._fields}
+
+
 def identity_row(report: IdentityReport, fmt: str) -> dict:
     """The report's fields; ``error_bound`` and ``rule`` appear in JSON only."""
-    row = asdict(report)
+    row = _fields(report)
     if fmt == "csv":
         del row["error_bound"], row["rule"]
     return row
@@ -204,13 +211,13 @@ def scan_rows(
 
 def bound_rows(reports: list[LocalBoundReport]) -> list[dict]:
     """One row per n, the report's fields in order."""
-    return [asdict(r) for r in reports]
+    return [_fields(r) for r in reports]
 
 
 def hypotheses_row(report: HypothesesReport, fmt: str) -> dict:
     """The report's fields in order, then ``passed``; ``flags``, sorted and
     ``;``-joined as a scan row's, appears in JSON only."""
-    row = {**asdict(report), "flags": ";".join(sorted(report.flags)), "passed": report.passed}
+    row = {**_fields(report), "flags": ";".join(sorted(report.flags)), "passed": report.passed}
     if fmt == "csv":
         del row["flags"]
     return row
@@ -506,10 +513,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _warn(message, category, filename, lineno, file=None, line=None) -> None:
+    # a warning as one line of the CLI's own, with no source location
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        rows, code = args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn
+            rows, code = args.handler(args)
         _emit(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows), args.out)
         return code
     except ParseError as exc:

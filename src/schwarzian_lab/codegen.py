@@ -377,7 +377,8 @@ class _Lanes:
             return jet_const(1j)
         if kind is ConstNum:
             return jet_const(node.value)
-        fields = [v for k, v in vars(node).items() if k != "span"]
+        # the node's fields but its span, in order: children, and PowInt's exponent
+        fields = node._key(node)
         return self.apply(node, *(self.walk(v) if isinstance(v, Node) else v for v in fields))
 
     def reciprocal(self, b: tuple) -> tuple:

@@ -61,8 +61,6 @@ every path gives the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from decimal import Decimal
 from functools import partial
 from typing import Tuple
 
@@ -83,6 +81,7 @@ from .jets import (
     jet_sub,
     jet_var,
 )
+from .record import Record, _set
 
 __all__ = [
     "MAX_DEPTH",
@@ -125,84 +124,107 @@ MAX_EXPONENT = 1000
 _NO_SPAN: Span = (0, 0)
 
 
-class Node:
-    """Base class for expression tree nodes."""
+class Node(Record):
+    """Base class for expression tree nodes.
+
+    A node's fields are its operands and attributes, in order, then its
+    source ``span``.  ``_compare`` names all but the span, which ``==``,
+    the hash and the repr leave out; the tree's checks and walks read a
+    node's children from it.
+    """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Node):
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+class _Leaf(Node):
+    __slots__ = _fields = ("span",)
+    _compare = ()
+
+    def __init__(self, span: Span = _NO_SPAN):
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Param(Node):
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+class Var(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ImagUnit(Node):
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+class Param(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class ImagUnit(_Leaf):
+    __slots__ = ()
+
+
 class ConstNum(Node):
-    value: complex
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+    __slots__ = _fields = ("value", "span")
+    _compare = ("value",)
+
+    def __init__(self, value: complex, span: Span = _NO_SPAN):
+        _set(self, "value", value)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Add(Node):
-    lhs: Node
-    rhs: Node
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+class _Binary(Node):
+    __slots__ = _fields = ("lhs", "rhs", "span")
+    _compare = ("lhs", "rhs")
+
+    def __init__(self, lhs: Node, rhs: Node, span: Span = _NO_SPAN):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Sub(Node):
-    lhs: Node
-    rhs: Node
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Node):
-    lhs: Node
-    rhs: Node
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div(Node):
-    lhs: Node
-    rhs: Node
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Neg(Node):
-    operand: Node
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+    __slots__ = _fields = ("operand", "span")
+    _compare = ("operand",)
+
+    def __init__(self, operand: Node, span: Span = _NO_SPAN):
+        _set(self, "operand", operand)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class PowInt(Node):
-    base: Node
-    exponent: int
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+    __slots__ = _fields = ("base", "exponent", "span")
+    _compare = ("base", "exponent")
+
+    def __init__(self, base: Node, exponent: int, span: Span = _NO_SPAN):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Exp(Node):
-    arg: Node
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+class _Call(Node):
+    __slots__ = _fields = ("arg", "span")
+    _compare = ("arg",)
+
+    def __init__(self, arg: Node, span: Span = _NO_SPAN):
+        _set(self, "arg", arg)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Log(Node):
-    arg: Node
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+class Exp(_Call):
+    __slots__ = ()
+
+
+class Log(_Call):
+    __slots__ = ()
 
 
 class ParseError(ValueError):
@@ -227,27 +249,37 @@ class EvalError(ArithmeticError):
         self.point = point
 
 
-@dataclass(eq=True)
-class FamilyExpr:
+class FamilyExpr(Record):
     """A parsed family expression; immutable once built.
 
     Structural equality compares the tree only, not the source text it was
-    parsed from.  Instances are safe to share across scan worker processes.
+    parsed from, and a family is unhashable.  Instances are safe to share
+    across scan worker processes; a copy starts with an empty lane-function
+    cache.
     """
 
-    root: Node
-    source: str = field(default="", compare=False)
+    __slots__ = ("root", "source", "_compiled")
+    _fields = ("root", "source")
+    _compare = ("root",)
+    __hash__ = None
 
-    def __post_init__(self):
-        self._compiled = None
+    def __init__(self, root: Node, source: str = ""):
+        _set(self, "root", root)
+        _set(self, "source", source)
+        _set(self, "_compiled", None)
 
-    def __getstate__(self):
-        return {"root": self.root, "source": self.source}
+    def __setattr__(self, name, value):
+        # the cache codegen.family keeps, its last (statistic, lane function)
+        if name != "_compiled":
+            super().__setattr__(name, value)
+        _set(self, name, value)
+
+    def __repr__(self):
+        return f"FamilyExpr(root={self.root!r}, source={self.source!r})"
 
     def __setstate__(self, state):
-        self.root = state["root"]
-        self.source = state["source"]
-        self._compiled = None
+        super().__setstate__(state)
+        _set(self, "_compiled", None)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +288,6 @@ class FamilyExpr:
 _DIGITS = set("0123456789")
 _LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _RESERVED = {"z", "n", "i", "exp", "log"}
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number", "ident", one of "+-*/^()", or "eof"
-    text: str
-    pos: int
 
 
 def lex_number(source: str, pos: int) -> tuple[str, int]:
@@ -285,8 +310,10 @@ def lex_number(source: str, pos: int) -> tuple[str, int]:
     return text, j
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    # each token is (kind, text, pos): kind is "number", "ident", one of
+    # "+-*/^()", or "eof"
+    tokens = []
     i = 0
     n = len(source)
     while i < n:
@@ -296,7 +323,7 @@ def _tokenize(source: str) -> list[_Token]:
             continue
         if ch in _DIGITS:
             text, j = lex_number(source, i)
-            tokens.append(_Token("number", text, i))
+            tokens.append(("number", text, i))
             i = j
             continue
         if ch in _LETTERS:
@@ -308,15 +335,15 @@ def _tokenize(source: str) -> list[_Token]:
                 raise ParseError(
                     i, f"unknown identifier {name!r}", "one of z, n, i, exp, log"
                 )
-            tokens.append(_Token("ident", name, i))
+            tokens.append(("ident", name, i))
             i = j
             continue
         if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, i))
+            tokens.append((ch, ch, i))
             i += 1
             continue
         raise ParseError(i, f"unexpected character {ch!r}", "a valid token")
-    tokens.append(_Token("eof", "", n))
+    tokens.append(("eof", "", n))
     return tokens
 
 
@@ -327,24 +354,25 @@ _PRIMARY_EXPECTED = "a number, 'z', 'n', 'i', 'exp(', 'log(', '(' or unary '-'"
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.index = 0
         self.depth = 0  # parentheses, calls and unary minuses now open
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.index]
         self.index += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.pos, f"expected {kind!r}", kind)
-        return self.advance()
+    def expect(self, kind: str) -> int:
+        """The position of the next token, which must be a ``kind``."""
+        got, _, pos = self.advance()
+        if got != kind:
+            raise ParseError(pos, f"expected {kind!r}", kind)
+        return pos
 
     def nest(self, pos: int) -> None:
         self.depth += 1
@@ -358,7 +386,7 @@ class _Parser:
     def expression(self) -> Node:
         left = self.term()
         while True:
-            kind = self.peek().kind
+            kind = self.peek()[0]
             if kind == "+":
                 self.advance()
                 right = self.term()
@@ -373,7 +401,7 @@ class _Parser:
     def term(self) -> Node:
         left = self.factor()
         while True:
-            kind = self.peek().kind
+            kind = self.peek()[0]
             if kind == "*":
                 self.advance()
                 right = self.factor()
@@ -386,15 +414,15 @@ class _Parser:
                 return left
 
     def factor(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "-":
+        kind, _, pos = self.peek()
+        if kind == "-":
             self.advance()
-            self.nest(tok.pos)
+            self.nest(pos)
             operand = self.factor()
             self.depth -= 1
-            return Neg(operand, span=(tok.pos, operand.span[1]))
+            return Neg(operand, span=(pos, operand.span[1]))
         base = self.primary()
-        if self.peek().kind == "^":
+        if self.peek()[0] == "^":
             self.advance()
             k, end = self.int_literal()
             return PowInt(base, k, span=(base.span[0], end))
@@ -402,65 +430,60 @@ class _Parser:
 
     def int_literal(self) -> tuple[int, int]:
         sign = 1
-        tok = self.peek()
-        start = tok.pos
-        if tok.kind == "-":
+        kind, text, pos = self.peek()
+        start = pos
+        if kind == "-":
             self.advance()
             sign = -1
-            tok = self.peek()
-        if tok.kind != "number" or "." in tok.text:
-            raise ParseError(
-                tok.pos, "exponent must be an integer literal", "an integer"
-            )
+            kind, text, pos = self.peek()
+        if kind != "number" or "." in text:
+            raise ParseError(pos, "exponent must be an integer literal", "an integer")
         self.advance()
-        k = int(tok.text)
+        k = int(text)
         if k > MAX_EXPONENT:
             raise ParseError(
                 start, f"exponent magnitude exceeds {MAX_EXPONENT}", "a smaller exponent"
             )
-        return sign * k, tok.pos + len(tok.text)
+        return sign * k, pos + len(text)
 
     def primary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "number":
+        kind, text, pos = self.peek()
+        if kind == "number":
             self.advance()
-            value = complex(float(tok.text))
-            return ConstNum(value, span=(tok.pos, tok.pos + len(tok.text)))
-        if tok.kind == "ident":
+            return ConstNum(complex(float(text)), span=(pos, pos + len(text)))
+        if kind == "ident":
             self.advance()
-            end = tok.pos + len(tok.text)
-            if tok.text == "z":
-                return Var(span=(tok.pos, end))
-            if tok.text == "n":
-                return Param(span=(tok.pos, end))
-            if tok.text == "i":
-                return ImagUnit(span=(tok.pos, end))
+            end = pos + len(text)
+            if text == "z":
+                return Var(span=(pos, end))
+            if text == "n":
+                return Param(span=(pos, end))
+            if text == "i":
+                return ImagUnit(span=(pos, end))
             self.expect("(")
-            self.nest(tok.pos)
+            self.nest(pos)
             arg = self.expression()
             self.depth -= 1
-            rp = self.expect(")")
-            span = (tok.pos, rp.pos + 1)
-            return Exp(arg, span=span) if tok.text == "exp" else Log(arg, span=span)
-        if tok.kind == "(":
+            span = (pos, self.expect(")") + 1)
+            return Exp(arg, span=span) if text == "exp" else Log(arg, span=span)
+        if kind == "(":
             self.advance()
-            self.nest(tok.pos)
+            self.nest(pos)
             inner = self.expression()
             self.depth -= 1
-            rp = self.expect(")")
-            return replace(inner, span=(tok.pos, rp.pos + 1))
-        raise ParseError(tok.pos, "expected a primary expression", _PRIMARY_EXPECTED)
+            # the parenthesized node, rebuilt once with the span of its parentheses
+            span = (pos, self.expect(")") + 1)
+            return type(inner)(*inner._key(inner), span=span)
+        raise ParseError(pos, "expected a primary expression", _PRIMARY_EXPECTED)
 
 
 def parse(source: str) -> FamilyExpr:
     """Parse source text into a :class:`FamilyExpr`, or raise ParseError."""
     parser = _Parser(_tokenize(source))
     root = parser.expression()
-    tail = parser.peek()
-    if tail.kind != "eof":
-        raise ParseError(
-            tail.pos, f"unexpected token {tail.text!r}", "end of input or an operator"
-        )
+    kind, text, pos = parser.peek()
+    if kind != "eof":
+        raise ParseError(pos, f"unexpected token {text!r}", "end of input or an operator")
     _check_depth(root)
     return FamilyExpr(root, source)
 
@@ -477,7 +500,7 @@ def _check_depth(root: Node) -> None:
                 f"expression tree deeper than {MAX_DEPTH} operators",
                 "a shallower expression",
             )
-        stack.extend((c, depth + 1) for c in vars(node).values() if isinstance(c, Node))
+        stack.extend((c, depth + 1) for c in node._key(node) if isinstance(c, Node))
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +524,8 @@ def _format_number(value: complex) -> str:
         return repr(int(re))
     text = repr(re)
     if "e" in text or "E" in text:
+        from decimal import Decimal  # only the printer needs it
+
         text = format(Decimal(text), "f")
     return text
 

@@ -39,12 +39,12 @@ import itertools
 import math
 import random
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
 from .codegen import Statistic
 from .dsl import EvalError, FamilyExpr, eval_jet, eval_jet_lanes
 from .jets import OverflowAtPoint, modulus
+from .record import Record
 from .schwarzian import _schwarzian, _spherical
 
 __all__ = [
@@ -120,26 +120,36 @@ class SegmentEvaluationError(ArithmeticError):
         self.flagged = tuple(sorted(flagged))
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Rectangular sample grid with a sampling neighborhood per point.
 
     The grid holds nx-by-ny points, endpoints included on both axes.  Each
     point is probed at the point itself plus (neighborhood_samples - 1)
     points on the circle of neighborhood_radius around it, at seeded
-    low-discrepancy angles.
+    low-discrepancy angles.  Construction refuses a grid it cannot sample,
+    and warns where the radius spans four or more grid cells; an
+    unpickled copy does neither again.
     """
 
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-    nx: int
-    ny: int
-    neighborhood_radius: float = DEFAULT_RADIUS
-    neighborhood_samples: int = DEFAULT_SAMPLES
+    __slots__ = _fields = (
+        "re_min", "re_max", "im_min", "im_max", "nx", "ny",
+        "neighborhood_radius", "neighborhood_samples",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        re_min: float,
+        re_max: float,
+        im_min: float,
+        im_max: float,
+        nx: int,
+        ny: int,
+        neighborhood_radius: float = DEFAULT_RADIUS,
+        neighborhood_samples: int = DEFAULT_SAMPLES,
+    ):
+        super().__init__(
+            re_min, re_max, im_min, im_max, nx, ny, neighborhood_radius, neighborhood_samples
+        )
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("grid ranges must satisfy re_min < re_max, im_min < im_max")
         if self.nx < 1 or self.ny < 1:
@@ -186,26 +196,19 @@ def _axis(lo: float, hi: float, count: int) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class PointStats:
-    """Scan digest for one grid point."""
+class PointStats(Record):
+    """Scan digest for one grid point; ``flags`` is a frozenset."""
 
-    z: complex
-    sup_stat: float
-    argmax_n: int
-    growth_slope: float
-    flags: frozenset[str]
+    __slots__ = _fields = ("z", "sup_stat", "argmax_n", "growth_slope", "flags")
 
 
-@dataclass(frozen=True)
-class MartyGridReport:
-    """Per-point statistics of a grid scan, ordered row-major (x fastest)."""
+class MartyGridReport(Record):
+    """Per-point statistics of a grid scan, ordered row-major (x fastest).
 
-    grid: GridSpec
-    n_values: tuple[int, ...]
-    seed: int
-    kind: str  # "marty" or "sd"
-    points: tuple[PointStats, ...]
+    ``kind`` is "marty" or "sd", and ``points`` a tuple of PointStats.
+    """
+
+    __slots__ = _fields = ("grid", "n_values", "seed", "kind", "points")
 
 
 class Verdict(Enum):
@@ -214,12 +217,8 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class NormalityVerdict:
-    verdict: Verdict
-    slope_threshold: float
-    decay_threshold: float
-    cap: float
+class NormalityVerdict(Record):
+    __slots__ = _fields = ("verdict", "slope_threshold", "decay_threshold", "cap")
 
 
 def _seed_offset(seed: int) -> float:
@@ -510,20 +509,14 @@ def classify(
     return out
 
 
-@dataclass(frozen=True)
-class LocalBoundReport:
+class LocalBoundReport(Record):
     """Segment bound check |f_n(z) - f_n(z0)| <= K |z - z0| for one n.
 
     K is the maximum of |f_n'| over equispaced samples of the segment;
     value_at_z0 is reported so callers can inspect common fixed points.
     """
 
-    n: int
-    K_estimate: float
-    bound_rhs: float
-    observed: float
-    passed: bool
-    value_at_z0: complex
+    __slots__ = _fields = ("n", "K_estimate", "bound_rhs", "observed", "passed", "value_at_z0")
 
 
 def local_bound_estimate(
@@ -576,23 +569,19 @@ def local_bound_estimate(
     return reports
 
 
-@dataclass(frozen=True)
-class FloorCheckReport:
+class FloorCheckReport(Record):
     """Result of a |f_n'| >= epsilon sweep over grid neighborhoods.
 
-    M2, M3 and max_abs_schwarzian are the maxima of |f''|, |f'''| and |S|
-    over the same samples, wherever S is defined.
+    ``passes[point][n index]`` is whether that entry passed, and
+    ``flags[point]`` the frozenset of the point's flags.  M2, M3 and
+    max_abs_schwarzian are the maxima of |f''|, |f'''| and |S| over the
+    same samples, wherever S is defined.
     """
 
-    grid: GridSpec
-    n_values: tuple[int, ...]
-    epsilon: float
-    passes: tuple[tuple[bool, ...], ...]  # [point][n index]
-    min_abs_derivative: float
-    flags: tuple[frozenset[str], ...]
-    M2: float
-    M3: float
-    max_abs_schwarzian: float
+    __slots__ = _fields = (
+        "grid", "n_values", "epsilon", "passes", "min_abs_derivative", "flags",
+        "M2", "M3", "max_abs_schwarzian",
+    )
 
     @property
     def all_pass(self) -> bool:
@@ -671,8 +660,7 @@ def sd_bound_from_hypotheses(M2: float, M3: float, epsilon: float) -> float:
     return bound
 
 
-@dataclass(frozen=True)
-class HypothesesReport:
+class HypothesesReport(Record):
     """Digest of the derivative-floor and value-bound hypothesis checks.
 
     M2 and M3 are the measured maxima of |f''| and |f'''| over the clean
@@ -683,17 +671,10 @@ class HypothesesReport:
     ``flags`` is the union of the floor sweep's flags over the grid.
     """
 
-    epsilon: float
-    L: float
-    floor_ok: bool
-    value_ok: bool
-    min_abs_derivative: float
-    M2: float
-    M3: float
-    sd_bound: float
-    max_abs_schwarzian: float
-    sound: bool
-    flags: frozenset[str]
+    __slots__ = _fields = (
+        "epsilon", "L", "floor_ok", "value_ok", "min_abs_derivative", "M2", "M3",
+        "sd_bound", "max_abs_schwarzian", "sound", "flags",
+    )
 
     @property
     def passed(self) -> bool:

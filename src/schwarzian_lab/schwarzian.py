@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .ball import Ball, radius
@@ -33,6 +32,7 @@ from .jets import (
     jet_var,
     modulus,
 )
+from .record import Record
 
 __all__ = [
     "CRITICAL_POINT_FLOOR",
@@ -160,28 +160,20 @@ def schwarzian(j: ComplexJet3) -> complex:
     return _schwarzian(j)
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(Record):
     """Moebius transformation (az+b)/(cz+d), stored with ad - bc = 1.
 
     Construction normalizes the determinant to one and fixes the overall
     sign so the first nonzero coefficient has argument in [0, pi); the two
     matrix representatives +/-(a,b,c,d) therefore collapse to a single
-    canonical one, which keeps composition results comparable.
+    canonical one, which keeps composition results comparable.  An
+    unpickled copy keeps the stored coefficients, bit for bit.
     """
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        a, b, c, d = (
-            complex(self.a),
-            complex(self.b),
-            complex(self.c),
-            complex(self.d),
-        )
+    def __init__(self, a: complex, b: complex, c: complex, d: complex):
+        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
         det = a * d - b * c
         # ad - bc cancels catastrophically when |ad| + |bc| dwarfs it.
         scale = modulus(a * d) + modulus(b * c)
@@ -197,10 +189,7 @@ class Mobius:
                 if phase < 0.0 or phase == math.pi:
                     a, b, c, d = -a, -b, -c, -d
                 break
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        super().__init__(a, b, c, d)
 
 
 def mobius_apply(m: Mobius, z: complex) -> complex:
@@ -244,8 +233,7 @@ def mobius_jet(m: Mobius, z: complex) -> ComplexJet3:
         raise PoleOfMobius(complex(z)) from exc
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of a pointwise identity check.
 
     The verdict takes three clauses in order, and ``rule`` names the one
@@ -267,14 +255,9 @@ class IdentityReport:
     tol_rel or error_bound.  ``error_bound`` is None unless clause 3 ran.
     """
 
-    lhs: complex
-    rhs: complex
-    abs_gap: float
-    rel_gap: float
-    passed: bool
-    tolerance_used: float
-    error_bound: float | None
-    rule: str
+    __slots__ = _fields = (
+        "lhs", "rhs", "abs_gap", "rel_gap", "passed", "tolerance_used", "error_bound", "rule"
+    )
 
 
 def _report(

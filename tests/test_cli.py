@@ -15,6 +15,7 @@ import random
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -1299,15 +1300,70 @@ def test_an_order_one_statistic_takes_samples_whose_higher_parts_overflow(capsys
     assert (code, out) == (0, f"n,K_estimate,bound_rhs,observed,passed,value_at_z0\n1,{row}2,{row}")
 
 
-def test_importing_the_cli_imports_no_process_pool():
-    # only a scan with workers above 1 runs the pool, so a fresh interpreter
-    # that imports the CLI has not imported concurrent.futures.process
+def _fresh_python(*argv) -> subprocess.CompletedProcess:
+    # a fresh interpreter that imports this checkout's package
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    code = ("import sys, schwarzian_lab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('concurrent.futures.process', "
-            "'multiprocessing'))))")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
+
+
+def test_importing_the_cli_imports_no_process_pool():
+    # only a scan with workers above 1 runs the pool, so a fresh interpreter
+    # that imports the CLI has not imported concurrent.futures.process; the
+    # records are plain classes, so neither dataclasses nor the inspect it
+    # pulls in is imported, and decimal waits for the pretty printer
+    code = ("import sys, schwarzian_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('concurrent.futures.process', "
+            "'multiprocessing', 'dataclasses', 'inspect', 'decimal', '_decimal', '_pydecimal'))))")
+    proc = _fresh_python("-c", code)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+_OVERLAP = ("warning: neighborhood_radius spans four or more grid cells; "
+            "neighboring points will sample heavily overlapping disks\n")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_warning_prints_once_as_a_line_of_the_cli(workers):
+    # the pool's workers unpickle the grid, which does not warn again, and
+    # the line names no source file
+    argv = ["scan-marty", "--family=z", "--grid=0,1,0,1,3,1", "--radius=2", "--samples=1",
+            "--n-max=3", f"--workers={workers}"]
+    proc = _fresh_python("-m", "schwarzian_lab.cli", *argv)
+    assert (proc.returncode, proc.stderr) == (0, _OVERLAP)
+    assert proc.stdout == ("re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+                           "0,0,1.0,1,nan,,inconclusive\n"
+                           "0.5,0,0.8,1,nan,,inconclusive\n"
+                           "1,0,0.5,1,nan,,inconclusive\n")
+
+
+def test_each_command_prints_its_own_warning(capsys):
+    # in one process too, under the default filter that prints a warning
+    # once per place, every command that warns says so once
+    argv = ["scan-marty", "--family=z", "--grid=0,1,0,1,3,1", "--radius=2", "--samples=1",
+            "--n-max=3", "--workers=1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        for _ in range(2):
+            assert run_cli(capsys, *argv)[::2] == (0, _OVERLAP)
+
+
+def test_rows_take_the_report_fields_in_order():
+    f = parse("exp(n*z)")
+    rep = check_mobius_invariance(f, 1.0, Mobius(1, 2, 3, 4), 0.1 + 0j)
+    assert list(identity_row(rep, "json")) == [
+        "lhs", "rhs", "abs_gap", "rel_gap", "passed", "tolerance_used", "error_bound", "rule"
+    ]
+    assert list(identity_row(rep, "csv")) == [
+        "lhs", "rhs", "abs_gap", "rel_gap", "passed", "tolerance_used"
+    ]
+    (bound,) = bound_rows(local_bound_estimate(f, [1], 0j, 0.5 + 0j, 8))
+    assert list(bound) == ["n", "K_estimate", "bound_rhs", "observed", "passed", "value_at_z0"]
+    grid = GridSpec(-0.5, 0.5, -0.5, 0.5, 2, 2)
+    hyp = check_theorem_hypotheses(f, [1, 2], grid, 0.1, 0.1 + 0j, 10.0)
+    assert list(hypotheses_row(hyp, "json")) == [
+        "epsilon", "L", "floor_ok", "value_ok", "min_abs_derivative", "M2", "M3", "sd_bound",
+        "max_abs_schwarzian", "sound", "flags", "passed",
+    ]

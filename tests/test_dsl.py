@@ -1263,6 +1263,77 @@ def test_source_is_preserved_for_reference():
 
 
 # ---------------------------------------------------------------------------
+# nodes and families as records
+
+_SPANNED = "( z + n ) * exp( 2 * z ) ^ 3 - -log(i)"
+_PLAIN = "(z+n)*exp(2*z)^3--log(i)"
+
+
+def _nodes(node):
+    yield node
+    for child in node._key(node):
+        if isinstance(child, dsl.Node):
+            yield from _nodes(child)
+
+
+def test_node_equality_hash_and_repr_ignore_the_span():
+    a, b = parse(_SPANNED).root, parse(_PLAIN).root
+    assert [x.span for x in _nodes(a)] != [x.span for x in _nodes(b)]
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "span" not in repr(a)
+    assert Add(Var(span=(0, 1)), ConstNum(2j, span=(2, 3)), span=(0, 3)) == Add(Var(), ConstNum(2j))
+    # the other fields are compared, and two node kinds are never equal
+    assert Sub(Var(), Param()) != Add(Var(), Param()) and Var() != Param()
+    assert Div(Var(), Var()) != Div(Var(), Param()) and Neg(Var()) != Neg(Param())
+    for x, y in ((PowInt(Var(), 2), PowInt(Var(), 3)), (ConstNum(1j), ConstNum(2j)),
+                 (Neg(Var()), Neg(ConstNum(1j))), (Div(Var(), ConstNum(1j)), Div(ConstNum(1j), Var()))):
+        assert x != y and hash(x) != hash(y)
+
+
+@pytest.mark.parametrize("node", [Var(), ConstNum(1j), Add(Var(), Param()), PowInt(Var(), 2),
+                                  Exp(Var()), Neg(Var())], ids=repr)
+def test_nodes_are_immutable(node):
+    for name in node._fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    with pytest.raises(AttributeError):
+        node.extra = 1
+
+
+def test_a_family_is_unhashable_and_keeps_its_tree_and_source():
+    f = parse("exp(n*z)")
+    with pytest.raises(TypeError):
+        hash(f)
+    with pytest.raises(TypeError):
+        {f}
+    for name in ("root", "source"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    assert repr(f) == f"FamilyExpr(root={f.root!r}, source='exp(n*z)')"
+
+
+def test_a_pickle_round_trip_keeps_every_span():
+    f = parse(_SPANNED)
+    clone = pickle.loads(pickle.dumps(f))
+    assert clone == f and clone.source == f.source and clone is not f
+    assert [(type(x), x.span) for x in _nodes(clone.root)] == [
+        (type(x), x.span) for x in _nodes(f.root)
+    ]
+
+
+def test_parentheses_widen_the_span_of_the_node_they_hold():
+    f = parse("2*((z+1))^2")
+    inner = f.root.rhs.base  # the sum, under two pairs of parentheses
+    assert (type(inner), inner.span, inner.lhs.span, inner.rhs.span) == (Add, (2, 9), (4, 5), (6, 7))
+    assert parse("(z)").root.span == (0, 3) and parse("(exp(z))").root.arg.span == (5, 6)
+    with pytest.raises(EvalError) as info:
+        eval_jet(parse("z + (1/(z-1))"), 1, 1.0)
+    assert info.value.span == (4, 13)
+
+
+# ---------------------------------------------------------------------------
 # input limits
 
 

@@ -1,6 +1,7 @@
 """Grid scans, growth classification, and the bound and hypothesis checks."""
 
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -32,6 +33,7 @@ from schwarzian_lab import (
 from schwarzian_lab import probe
 from schwarzian_lab.probe import (
     DEFAULT_RADIUS,
+    DEFAULT_SAMPLES,
     MAX_GRID_POINTS,
     MAX_N_VALUES,
     MAX_SAMPLES,
@@ -98,6 +100,39 @@ def test_grid_axis_wider_than_the_double_range():
 def test_grid_warns_when_radius_spans_cells():
     with pytest.warns(UserWarning):
         GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41, neighborhood_radius=0.5)
+
+
+def test_an_unpickled_grid_is_neither_checked_nor_warned_about_again():
+    # pool workers unpickle the grid of a scan: its warning was the caller's
+    with pytest.warns(UserWarning):
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41, neighborhood_radius=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clone = pickle.loads(pickle.dumps(grid))
+    assert clone == grid and hash(clone) == hash(grid) and clone is not grid
+    assert [getattr(clone, name) for name in grid._fields] == [
+        -1.0, 1.0, -1.0, 1.0, 41, 41, 0.5, DEFAULT_SAMPLES
+    ]
+
+
+def test_grids_and_reports_are_immutable_records():
+    grid = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
+    assert GridSpec(re_min=0.0, re_max=1.0, im_min=0.0, im_max=1.0, nx=2, ny=2) == grid
+    assert GridSpec(0.0, 1.0, 0.0, 1.0, 2, 3) != grid
+    assert repr(grid) == (
+        "GridSpec(re_min=0.0, re_max=1.0, im_min=0.0, im_max=1.0, nx=2, ny=2, "
+        f"neighborhood_radius={DEFAULT_RADIUS!r}, neighborhood_samples={DEFAULT_SAMPLES!r})"
+    )
+    report = marty_scan(parse("exp(n*z)"), grid, range(1, 4), workers=1)
+    point = report.points[0]
+    assert repr(pickle.loads(pickle.dumps(report))) == repr(report)  # a nan slope is != itself
+    for record, name in ((grid, "nx"), (report, "points"), (point, "sup_stat")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert point._fields == ("z", "sup_stat", "argmax_n", "growth_slope", "flags")
+    assert report._fields == ("grid", "n_values", "seed", "kind", "points")
 
 
 def test_grid_coordinates_hit_endpoints_exactly():

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import pickle
 import random
+import struct
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -212,6 +214,29 @@ def test_mobius_jet_at_pole_raises():
 def test_mobius_on_identity_jet_is_exact():
     j = ComplexJet3(0.3 + 0.1j, 1.5, -2.0, 0.25j)
     assert mobius_on_jet(Mobius(1, 0, 0, 1), j) == j
+
+
+def _bits(m: Mobius) -> tuple:
+    return tuple(struct.pack("<2d", w.real, w.imag) for w in (m.a, m.b, m.c, m.d))
+
+
+def test_mobius_pickles_its_stored_coefficients_bit_for_bit():
+    m = Mobius(-3 + 4j, -4 - 1j, -4 + 2j, 2 + 2j)
+    # normalizing again moves a last bit, so the copy must not be built anew
+    assert _bits(Mobius(m.a, m.b, m.c, m.d)) != _bits(m)
+    clone = pickle.loads(pickle.dumps(m))
+    assert _bits(clone) == _bits(m) and clone == m and hash(clone) == hash(m)
+    with pytest.raises(AttributeError):
+        clone.a = 1
+
+
+def test_identity_report_is_an_immutable_record_in_field_order():
+    rep = check_mobius_invariance(parse("exp(z)"), 1, Mobius(1, 2, 3, 4), 0.1)
+    assert rep._fields == ("lhs", "rhs", "abs_gap", "rel_gap", "passed", "tolerance_used",
+                           "error_bound", "rule")
+    assert pickle.loads(pickle.dumps(rep)) == rep
+    with pytest.raises(AttributeError):
+        rep.passed = not rep.passed
 
 
 # ---------------------------------------------------------------------------

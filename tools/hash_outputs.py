@@ -43,7 +43,12 @@ The corpus:
   5e-324`` forces the clause where a fixed tolerance would decide), its
   negative control, and each of the four kinds passing by a finite bound
   and failing by an infinite one, at a point whose value lies near log's
-  branch cut.
+  branch cut;
+- front-end errors, each an ``eval`` that exits 2: an unknown identifier,
+  a literal past the double range, an exponent that is not an integer or
+  past ``MAX_EXPONENT``, two operands with no operator, nesting past
+  ``MAX_DEPTH`` (parentheses, and a flat ``z+z+...`` chain), a non-ASCII
+  digit and a form feed.
 
 Only the standard library and ``git`` are used; ``bench/`` is read, never written.
 Warnings are printed every time, as a fresh process prints them.
@@ -218,6 +223,22 @@ def _identity_bound_checks() -> list[list[str]]:
     return [[*argv, "--format", fmt] for argv in checks for fmt in ("csv", "json")]
 
 
+# front-end errors: texts the lexer or the parser refuses
+_REFUSED = (
+    "sin(z)",
+    "2.^2",
+    "z^2.5",
+    "z z",
+    "1" + "0" * 309,
+    "z^1001",
+    "z^-1001",
+    "(" * 101 + "z" + ")" * 101,
+    "+".join(["z"] * 102),
+    "z+\u0663",
+    "z+\f1",
+)
+
+
 def corpus() -> list[list[str]]:
     """Every command, in the order they run."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -277,7 +298,8 @@ def corpus() -> list[list[str]]:
                 for fmt in ("csv", "json"):
                     out.append(["bound", f"--family={family}", "--n-max", "2", f"--z0={z0}",
                                 f"--z={z}", "--segment-samples", samples, "--format", fmt])
-    return out + _identity_bound_checks()
+    out += _identity_bound_checks()
+    return out + [["eval", f"--family={text}", "--n=1", "--z=0.5+0i"] for text in _REFUSED]
 
 
 def run(src: Path) -> None:

@@ -59,7 +59,7 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # today, then one per part of the lane's one handler, then those it
 # records for the identity error bound (a00e581, here against the ball
 # rules), the batch walk (2bde4db) and the one walk (cce385b), then those
-# of the order rule; a later change adds its mutants here
+# of the order rule and of the records; a later change adds its mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -364,6 +364,30 @@ MUTANTS = (
     Mutant("hypotheses prints no floor flags", "probe.py",
            "    flags = frozenset().union(*floor.flags)", "    flags = frozenset()",
            (GOLDENS + "test_flag_heavy_grid_bytes[hypotheses-s-inf-json]",)),
+    # the records: what ==, the hash and a pickle keep, and the parser's spans
+    Mutant("a node's span compared in ==", "dsl.py",
+           '    _compare = ("lhs", "rhs")', '    _compare = ("lhs", "rhs", "span")',
+           (DSL + "test_node_equality_hash_and_repr_ignore_the_span",)),
+    Mutant("a compared field left out of the hash", "record.py",
+           "        return hash(self._key(self))", "        return hash(self._key(self)[:-1])",
+           (DSL + "test_node_equality_hash_and_repr_ignore_the_span",)),
+    Mutant("a mutable record", "record.py",
+           '        raise AttributeError(f"cannot assign to field {name!r}")',
+           "        _set(self, name, value)",
+           (PROBE + "test_grids_and_reports_are_immutable_records",
+            DSL + "test_a_family_is_unhashable_and_keeps_its_tree_and_source")),
+    Mutant("a report's row fields reordered", "probe.py",
+           '        "sd_bound", "max_abs_schwarzian", "sound", "flags",',
+           '        "max_abs_schwarzian", "sd_bound", "sound", "flags",',
+           (CLI + "test_rows_take_the_report_fields_in_order",)),
+    Mutant("a parenthesized node keeps its inner span", "dsl.py",
+           "            return type(inner)(*inner._key(inner), span=span)", "            return inner",
+           (DSL + "test_parentheses_widen_the_span_of_the_node_they_hold",)),
+    Mutant("unpickling builds the record anew", "record.py",
+           "    def __getstate__(self):\n        return self._values(self)\n",
+           "    def __reduce__(self):\n        return type(self), self._values(self)\n",
+           (SCHWARZIAN + "test_mobius_pickles_its_stored_coefficients_bit_for_bit",
+            PROBE + "test_an_unpickled_grid_is_neither_checked_nor_warned_about_again")),
 )
 
 
