@@ -10,7 +10,8 @@ compare CLI output against direct library calls byte for byte.
 Exit codes: 0 success/pass, 1 identity or bound check failed, 2 parse or
 configuration error, 3 evaluation error, 4 I/O error.
 A warning, such as a neighborhood radius that spans four or more grid
-cells, prints as one ``warning: <message>`` line on standard error.
+cells, prints as one ``warning: <message>`` line on standard error, under
+any warning filter (``-W error`` too), and leaves the exit code as it is.
 
 Complex literals on the command line use the form ``a+bi`` with no spaces
 (``1+0i``, ``1.5-2i``, ``0.2``, ``-i``); the mantissa syntax is shared
@@ -522,6 +523,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
+            # a warning prints as its line, and once per place, whatever
+            # filter the interpreter was started with (-W error included)
+            warnings.simplefilter("default")
             warnings.showwarning = _warn
             rows, code = args.handler(args)
         _emit(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows), args.out)

@@ -7,13 +7,16 @@ process and :class:`Statistic`.  ``dsl.eval_jet_lanes`` runs it on every
 batch, a family's first included; ``dsl`` walks the tree for the
 single-point calls (one point, another seed, a ball) and for every
 sample the lane function hands back.  It returns a statistic, never
-jets: a lane is one sample, its point or the five points of the S'
-stencil, and the lane function runs the statistic's formula inline on
-the sample's jets.  A call covers groups of samples, a grid point's or
-a segment's, and keeps only each group's largest statistic, or the
-largest of each of its slots, and the flags of its failed samples.  The
-scans and ``bound`` (max |f'|) keep one slot; the ``hypotheses`` floor
-sweep keeps four: -|f'|, |f''|, |f'''| and |S|.
+jets: a lane is one sample, one point, walked once at the statistic's
+order (1 to 5), and the lane function runs the statistic's formula
+inline on the sample's jet.  A call covers groups of samples, a grid
+point's or a segment's, and keeps only each group's largest statistic,
+or the largest of each of its slots, and the flags of its failed
+samples; for a statistic with an ascent (``scan-sd``'s), also the sample
+that gave the largest.  The scans and ``bound`` (max |f'|) keep one
+slot; the ``hypotheses`` floor sweep keeps four: -|f'|, |f''|, |f'''|
+and |S|; the rise statistic of the ``scan-sd`` ascent, at one sample per
+group, four: F, |S'| and the two parts of F's rise direction.
 
 It runs the jet formulas of ``jets`` on symbolic values
 (``_Sym``) to write straight-line source.  A symbolic value knows, per
@@ -244,6 +247,8 @@ class _Lanes:
 
     def __init__(self, order: int = 3):
         self.order = order
+        # the zero parts above f of a constant, through order max(order, 3)
+        self.zeros = (ZERO,) * max(order, 3)
         self.consts: dict = {}  # bound name -> constant
         self.names: dict = {}  # constant bits -> bound name
         self.prelude: list[str] = []  # loop-invariant lines
@@ -359,10 +364,10 @@ class _Lanes:
 
     # -- nodes ---------------------------------------------------------
 
-    def walk_at(self, root: Node, name: str) -> tuple:
-        """The root's jet at the lane's point ``name``, sharing n's values."""
-        zv = self.sym(_Part(finite=True), _Part(finite=True), True, name=name)
-        self.var = (zv, VAR_D1, ZERO, ZERO)
+    def walk_lane(self, root: Node) -> tuple:
+        """The root's jet at the lane's point ``zv``."""
+        zv = self.sym(_Part(finite=True), _Part(finite=True), True, name="zv")
+        self.var = (zv, VAR_D1, *self.zeros[1:])
         return self.walk(root)
 
     def walk(self, node: Node) -> tuple:
@@ -372,18 +377,18 @@ class _Lanes:
             return self.var
         if kind is Param:
             self.n_used = True
-            return self.n, ZERO, ZERO, ZERO
+            return (self.n, *self.zeros)
         if kind is ImagUnit:
-            return jet_const(1j)
+            return jet_const(1j, self.order)
         if kind is ConstNum:
-            return jet_const(node.value)
+            return jet_const(node.value, self.order)
         # the node's fields but its span, in order: children, and PowInt's exponent
         fields = node._key(node)
         return self.apply(node, *(self.walk(v) if isinstance(v, Node) else v for v in fields))
 
     def reciprocal(self, b: tuple) -> tuple:
         self.guard(b[0], f"abs({{}}) <= {DIVISION_FLOOR!r}", _below_floor)
-        return self.node(_chain(b, _reciprocal(self.opaque("1.0 / {}", _inverse, b[0]))))
+        return self.node(_chain(b, _reciprocal(self.opaque("1.0 / {}", _inverse, b[0]), len(b))))
 
     def apply(self, node: Node, *args) -> tuple:
         kind = type(node)
@@ -397,40 +402,42 @@ class _Lanes:
         if kind is Exp:
             (u,) = args
             self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)
-            return self.node(_chain(u, _exponential(self.opaque("exp({})", cmath.exp, u[0]))))
+            e = self.opaque("exp({})", cmath.exp, u[0])
+            return self.node(_chain(u, _exponential(e, len(u))))
         if kind is Log:
             (u,) = args
             self.guard(u[0], f"abs({{}}) <= {DIVISION_FLOOR!r}", _below_floor)
             lg = self.opaque("log({})", cmath.log, u[0])
-            return self.node(_chain(u, _logarithm(lg, self.opaque("1.0 / {}", _inverse, u[0]))))
+            w = self.opaque("1.0 / {}", _inverse, u[0])
+            return self.node(_chain(u, _logarithm(lg, w, len(u))))
         u, k = args  # PowInt
         if k == 0:
             # x^0 is one, but a failed base still fails: check what is dropped
             parts = self.unchecked(u)
             if parts:
                 self.check(True, _not_finite([self.text(x) for x in parts]))
-            return jet_const(1.0)
+            return jet_const(1.0, self.order)
         if abs(k) > _INLINE_POWER:
             return self.power_call(u, k)
         acc = u
         for _ in range(abs(k) - 1):
             acc = self.node(_product(acc, u))
         if k < 0:
-            acc = self.node(_product(jet_const(1.0), self.reciprocal(acc)))
+            acc = self.node(_product(jet_const(1.0, self.order), self.reciprocal(acc)))
         return acc
 
     def power_call(self, u: tuple, k: int) -> tuple:
         # no part reads the parts above it, so the base's parts above the
         # order go in as zeros and are never written; the power's parts above
         # the order are then not its own, and nothing reads them either
-        u = (*u[: self.order + 1], *(ZERO,) * (3 - self.order))
+        u = (*u[: self.order + 1], *self.zeros[self.order :])
         if not any(type(x) is _Sym for x in u):
             try:
                 return jet_pow_int(u, k, self.order)
             except JetError:
                 raise _LiteralFails from None
         lane = any(type(x) is _Sym and x.lane for x in u)
-        out = tuple(self.sym(_Part(finite=True), _Part(finite=True), lane) for _ in range(4))
+        out = tuple(self.sym(_Part(finite=True), _Part(finite=True), lane) for _ in u)
         line = f"{', '.join(x.name for x in out)} = pow_int(({', '.join(map(self.text, u))}), {k})"
         self.block(lane).append(line)
         if not lane:
@@ -448,56 +455,49 @@ _CRITICAL_GUARD = " and ".join(
 class Statistic(NamedTuple):
     """What a lane function returns per group of samples.
 
-    A lane is one sample, taken at ``width`` points: one, or the five of
-    the S' stencil, ``step`` apart.  ``lane`` is the formula of a sample's
-    value from its points' jets, in order, then ``step`` for a width above
-    1, written once on plain operands, as the ``jets`` formulas are, and
-    run inline by the lane function.  With ``critical``, a sample whose f'
-    is critical at a point takes ``critical(jet)`` there in place of the
-    formula (a flag, for a width above 1), and one whose f' may be is
-    redone.  A value may be a tuple, one per slot of ``start``, and the
-    lane function keeps the largest of each slot over each group of
-    samples, from the slot's start.
-    ``order`` is the highest jet part the formula reads: 1 for f# and
-    |f'|, which read f and f' alone, 3 by default.  The lane function
-    writes and checks only the parts up to it, and the walk that redoes a
-    sample checks only those, so one rule flags a sample "Overflow": a
-    part of order at most ``order`` of some node past the double range, a
-    modulus past it (an OverflowError), or a value that is nan or inf in
-    any slot.  Such a sample counts for nothing.  A redone sample's value,
-    from :meth:`walked`, is bound to the fast path's names, so ``lane``
-    computes each value, never handing back a part as it is.  The fields
-    are module-level functions and numbers, so that a pickled copy is
-    equal and hashes equal.
+    A lane is one sample, a point.  ``lane`` is the formula of a sample's
+    value from its jet, written once on plain operands, as the ``jets``
+    formulas are, and run inline by the lane function.  With ``critical``,
+    a sample whose f' is critical takes ``critical(jet)`` in place of the
+    formula, and one whose f' may be is redone.  A value may be a tuple,
+    one per slot of ``start``, and the lane function keeps the largest of
+    each slot over each group of samples, from the slot's start.
+    ``order`` is the highest jet part the formula reads, from 1 to
+    ``jets.MAX_ORDER``: 1 for f# and |f'|, which read f and f' alone, 3 by
+    default, 4 for S' and 5 for S''.  The lane function writes and checks
+    only the parts up to it, and the walk that redoes a sample checks only
+    those, so one rule flags a sample "Overflow": a part of order at most
+    ``order`` of some node past the double range, a modulus past it (an
+    OverflowError), or a value that is nan or inf in any slot.  Such a
+    sample counts for nothing.  A redone sample's value, from
+    :meth:`walked`, is bound to the fast path's names, so ``lane`` computes
+    each value, never handing back a part as it is.  With an ``ascent``,
+    the order-5 statistic from which ``probe`` refines a group's best
+    sample, the lane function also reports, after the flags, each group's
+    argmax: the point of the sample that gave its largest first slot, None
+    if none has one.  The fields are module-level functions and numbers,
+    so that a pickled copy is equal and hashes equal.
     """
 
-    width: int
     lane: Callable
     critical: Callable | None = None
-    step: float = 0.0
     start: tuple = (-1.0,)
     order: int = 3
+    ascent: "Statistic | None" = None
 
-    def value(self, jets):
-        """``lane``'s formula on a sample's jets."""
-        return self.lane(*jets, self.step) if self.width > 1 else self.lane(*jets)
-
-    def walked(self, walk, points):
-        """A redone sample's value, its points walked in order up to the
-        first that fails (``walk`` raises its EvalError: "Pole" or
-        "Overflow") or is critical (``critical(jet)``); "Overflow" for a
+    def walked(self, walk, w):
+        """A redone sample's value from ``walk(w)``, its jet, or its flag:
+        that of the EvalError the walk raises ("Pole" or "Overflow"),
+        ``critical(jet)`` where f' is critical, and "Overflow" for a
         modulus past the double range."""
-        jets = []
         try:
-            for w in points:
-                try:
-                    j = walk(w)
-                except EvalError as err:
-                    return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"
-                if self.critical is not None and _critical(j[1]):
-                    return self.critical(j)
-                jets.append(j)
-            return self.value(jets)
+            try:
+                j = walk(w)
+            except EvalError as err:
+                return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"
+            if self.critical is not None and _critical(j[1]):
+                return self.critical(j)
+            return self.lane(j)
         except OverflowError:
             return "Overflow"
 
@@ -546,6 +546,9 @@ class _Tail:
     def imag(self):
         return self.op("{}.imag", self)
 
+    def conjugate(self):
+        return self.op("{}.conjugate()", self)
+
 
 def _indent(lines, depth: int = 1) -> list:
     return ["    " * depth + line for line in lines]
@@ -561,15 +564,15 @@ def _lanes_function(root: Node, stat: Statistic):
 def _lanes_source(root: Node, stat: Statistic) -> tuple:
     """The lane function's source and namespace.
 
-    ``fn(N, Z, redo)`` evaluates f_n at samples of finite complex points,
+    ``fn(N, Z, redo)`` evaluates f_n at samples, finite complex points,
     N being complex(n), or None for an n that is not real.  ``Z`` is an
-    iterable of groups, each an iterable of samples, both read once (a
-    sample of ``width`` points is a tuple, walked once per point into the
-    lane's one body), and it returns one ``(best, flags)`` per group: the
-    largest statistic over the group's samples, -1.0 if none has one, and
-    the frozenset of the flags of its failed samples; with several slots,
-    the largest of each slot, then the flags.  A sample whose evaluation
-    fails takes ``redo(*points)``, its value or its flag, in place of the
+    iterable of groups, each an iterable of samples, both read once, and
+    it returns one ``(best, flags)`` per group: the largest statistic over
+    the group's samples, -1.0 if none has one, and the frozenset of the
+    flags of its failed samples; with several slots, the largest of each
+    slot, then the flags; with an ascent, then the sample of the largest
+    first slot, the first of equals, or None.  A sample whose evaluation
+    fails takes ``redo(point)``, its value or its flag, in place of the
     fast path's.  So one call pays the fixed cost and the n-only prelude
     for all its groups, and each group's result depends on its own lanes
     alone: ``best`` and the flags are reset per group, the flags to a
@@ -579,11 +582,12 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     lane is redone in one place, the ``except`` handler.  The handler
     binds the redone value to the names of the fast path's value, and
     both reach one keep: the lines that flag a value past the double
-    range and fold any other into the group's largest.  Where a
-    loop-invariant part fails, or n, where the family uses it, is 0 or
-    not real, the prelude raises, and a loop of the handler and the keep
-    redoes every lane, group by group, before the main loop, which then
-    has none; where a literal fails, that loop is all.
+    range and fold any other into the group's largest, noting its sample
+    for an ascent.  Where a loop-invariant part fails, or n, where the
+    family uses it, is 0 or not real, the prelude raises, and a loop of
+    the handler and the keep redoes every lane, group by group, before
+    the main loop, which then has none; where a literal fails, that loop
+    is all.
 
     A lane is redone when a node of it leaves the finite range in a part
     of order at most the statistic's: such a value reaches the output,
@@ -593,51 +597,54 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     ``x^0`` checks its base's parts up to the order.  No other part is
     written: the lines of f'' and f''' of an order-1 statistic are never
     emitted, as nothing reads them.  A part never depends on parts of
-    higher order, so those it keeps are the bits of an order-3 walk's.  A
-    statistic's critical guard, and an exception in its formula, redo a
+    higher order, so those it keeps are the bits of a walk of any order.
+    A statistic's critical guard, and an exception in its formula, redo a
     lane too.  So a redone lane is not always a failed one, but every
     failed lane is redone.  A sum of parts is checked as a whole, and
     each part only where the sum is not finite.
     """
-    names = ["zv"] if stat.width == 1 else [f"zv{k}" for k in range(stat.width)]
     t = _Lanes(stat.order)
     try:
-        outs = [t.walk_at(root, name)[: t.order + 1] for name in names]
+        out = t.walk_lane(root)[: t.order + 1]
     except _LiteralFails:  # every lane is redone
-        outs = None
-    if outs is None:
+        out = None
+    if out is None:
         values = [f"g{k}" for k in range(len(stat.start))]
     else:
-        parts = [list(map(t.text, out)) for out in outs]
-        unchecked = [x.name for out in outs for x in t.unchecked(out)]
+        parts = list(map(t.text, out))
+        unchecked = [x.name for x in t.unchecked(out)]
         invariant = [x.name for x in t.invariants if not x.finite()]
         if invariant:
             t.check(False, _not_finite(invariant))
         if unchecked:
             t.check(True, _not_finite(unchecked))
-        for point in parts if stat.critical is not None else ():
-            t.check(True, _CRITICAL_GUARD.format(*point))
-        value = stat.value([tuple(_Tail(t.body, x) for x in point) for point in parts])
+        if stat.critical is not None:
+            t.check(True, _CRITICAL_GUARD.format(*parts))
+        value = stat.lane(tuple(_Tail(t.body, x) for x in parts))
         values = [x.name for x in (value if type(value) is tuple else (value,))]
-    sample = ", ".join(names)
     best = ["best", *(f"best{k}" for k in range(1, len(stat.start)))]
+    # with an ascent, the keep also names the sample of the largest first slot
+    argmax = ["at"] if stat.ascent is not None else []
     # a group's flags stay the shared empty set until one of its lanes fails
-    reset = [*(f"{b} = {x!r}" for b, x in zip(best, stat.start)), "flags = noflags"]
-    handler = [f"got = redo({sample})", "if type(got) is str:", "    flags |= {got}", "    continue",
+    reset = [*(f"{b} = {x!r}" for b, x in zip(best, stat.start)), *(f"{a} = None" for a in argmax),
+             "flags = noflags"]
+    handler = ["got = redo(zv)", "if type(got) is str:", "    flags |= {got}", "    continue",
                f"{', '.join(values)} = got"]
     # a value past the double range in any slot is an overflow (tested by
     # math.isfinite, faster on a float); keep each slot's larger value
     keep = [f"if {_not_finite(values, 'finite')}:", "    flags |= {'Overflow'}", "    continue"]
-    keep += [line for b, v in zip(best, values) for line in (f"if {v} > {b}:", f"    {b} = {v}")]
+    fold = [[f"if {v} > {b}:", f"    {b} = {v}"] for b, v in zip(best, values)]
+    fold[0] += [f"    {a} = zv" for a in argmax]
+    keep += [line for lines in fold for line in lines]
 
     def each_group(lines: list) -> list:
         # lines run per lane of each group, whose result is appended after it
-        return ["for G in Z:", *_indent(reset), f"    for {sample} in G:", *_indent(lines, 2),
-                f"    append(({', '.join(best)}, flags))"]
+        return ["for G in Z:", *_indent(reset), "    for zv in G:", *_indent(lines, 2),
+                f"    append(({', '.join([*best, 'flags', *argmax])}))"]
 
     # every lane redone, in order, where a literal fails or the prelude does
     redo_all = each_group(handler + keep)
-    if outs is None:
+    if out is None:
         loop = redo_all
     else:
         setup = [

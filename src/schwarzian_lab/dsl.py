@@ -29,22 +29,25 @@ Evaluation takes one of two paths, chosen by the call, which give the
 same bits:
 
 - :func:`eval_jet_lanes` evaluates a statistic (a ``codegen.Statistic``)
-  over groups of samples, one lane per sample, each sample a finite point
-  or, for ``scan-sd``, the five points of its stencil.  It runs the lane
-  function that ``codegen`` generates once per family, statistic and
-  process, as sympy's ``lambdify`` does, from the family's first batch
-  on: one loop of straight-line code that inlines each node's jet formula
-  and folds only what is exactly known before run time.  It returns per
-  group (a grid point's samples, or a segment's) the statistic's maximum
-  (of each slot, for the ``hypotheses`` floor sweep) and the flags of
-  its failed samples, never jets.
+  over groups of samples, one lane per sample, each sample a finite
+  point whose jet is of the statistic's order, from 1 to 5 (4 for
+  ``scan-sd``'s S', 5 for its ascent's S'').  It runs the lane function
+  that ``codegen`` generates once per family, statistic and process, as
+  sympy's ``lambdify`` does, from the family's first batch on: one loop
+  of straight-line code that inlines each node's jet formula and folds
+  only what is exactly known before run time.  It returns per group (a
+  grid point's samples, or a segment's) the statistic's maximum (of each
+  slot, for the ``hypotheses`` floor sweep), the flags of its failed
+  samples and, for ``scan-sd``, the sample that gave the maximum, never
+  jets.
 - The single-point calls, :func:`eval_jet` and :func:`eval_jet_seeded`,
   walk the tree, one ``jet_*`` operation per node, so a one-off
   evaluation compiles nothing.  The walk also redoes, from
   ``jets.jet_var`` at its points, every sample the lane function hands
-  back: any sample that failed, or might have.  It then fails only where
-  a jet part of order at most the statistic's leaves the double range,
-  as the lane function does (``codegen.Statistic.order``).  At a
+  back: any sample that failed, or might have, with jets of the
+  statistic's order.  It then fails only where a jet part of order at
+  most the statistic's leaves the double range, as the lane function
+  does (``codegen.Statistic.order``).  At a
   :class:`~.ball.Ball` point, or from a seed of balls, the same walk runs
   the same operations on balls; it differs only in that each number
   literal is a ball of half an ulp, so the result encloses the exact jet
@@ -52,10 +55,9 @@ same bits:
 
 A failed walk raises the :class:`EvalError` of its first failure, the one
 a recursive evaluation would raise: a node's left operand before its
-right, and both before the node's own operation.  A redone sample stops
-at its first point that fails and takes that failure's flag.  One
-sample's failure leaves the other samples' values bit-identical, and
-every path gives the same bits.
+right, and both before the node's own operation; a redone sample takes
+that failure's flag.  One sample's failure leaves the other samples'
+values bit-identical, and every path gives the same bits.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from typing import Tuple
 
 from .ball import Ball, literal
 from .jets import (
+    MAX_ORDER,
     ZERO,
     ComplexJet3,
     JetError,
@@ -588,14 +591,15 @@ _JET_OPS = {
 }
 # the same operations per order k, each of which fails only where a part of
 # order at most k leaves the double range (jets._checked): the walk for a
-# statistic that reads the parts up to k
+# statistic that reads the parts up to k.  Its literals carry the parts
+# through order max(k, 3), as its seed does
 _OPS_AT = {
-    k: {kind: op if kind in (ConstNum, Neg) else partial(op, order=k)
-        for kind, op in _JET_OPS.items()}
-    for k in range(3)
+    k: {kind: op if kind is Neg else partial(op, order=k) for kind, op in _JET_OPS.items()}
+    for k in range(MAX_ORDER + 1)
 }
 _OPS_AT[3] = _JET_OPS
-_I = jet_const(1j)
+_I_AT = {k: jet_const(1j, k) for k in _OPS_AT}
+_I = _I_AT[3]
 
 
 def _ball_const(c) -> ComplexJet3:
@@ -635,34 +639,36 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat):
 
     ``stat`` is a ``codegen.Statistic``.  ``points`` is an iterable of
     groups, each an iterable of samples, all read once, so either may be a
-    generator; a sample is a finite complex point, or a tuple of
-    ``stat.width`` of them where that is above 1, and a point that is not
-    finite is the caller's to refuse.  One call of the lane function
+    generator; a sample is a finite complex point, and a point that is
+    not finite is the caller's to refuse.  One call of the lane function
     covers every group, and returns one result per group, in order:
     ``(best, flags)``, the largest statistic over the group's samples,
     -1.0 if none has one, and the frozenset of the flags of its samples
     that failed; for several slots, ``(best, best1, ..., flags)``, each
-    from the slot's start value.  A group's result depends on its own
-    samples alone, and each sample's value is the one its points' jets
-    from :func:`eval_jet` at ``stat.order`` give, bit for bit.  The lane function's one
-    handler redoes a sample by ``redo``: ``stat.walked`` walks the tree
-    from ``jet_var`` at each of the sample's points in turn, with
-    operations that check the jet parts up to ``stat.order`` alone, as
-    the lane function does, and gives the sample's value, or the flag of
-    its first point that fails.
+    from the slot's start value; for a statistic with an ascent, then the
+    sample that gave ``best``, or None.  A group's result depends on its
+    own samples alone, and each sample's value is the one its jet from
+    :func:`eval_jet` at ``stat.order`` gives, bit for bit.  The lane
+    function's one handler redoes a sample by ``redo``: ``stat.walked``
+    walks the tree from ``jet_var`` at the sample's point, of order
+    ``stat.order``, with operations that check the jet parts up to it
+    alone, as the lane function does, and gives the sample's value, or
+    the flag of its failure.
     """
-    nj = jet_const(n)  # refuses an n that is not finite
-    ops = _OPS_AT[stat.order]
+    order = stat.order
+    nj = jet_const(n, order)  # refuses an n that is not finite
+    ops = _OPS_AT[order]
+    i = _I_AT[order]
 
     def walk(w):
-        s = jet_var(w)
-        return _walk(expr.root, ops, {Var: s, Param: nj, ImagUnit: _I}, s.v)
+        s = jet_var(w, order)
+        return _walk(expr.root, ops, {Var: s, Param: nj, ImagUnit: i}, s[0])
 
-    def redo(*points):
-        return stat.walked(walk, points)
+    def redo(w):
+        return stat.walked(walk, w)
 
     # the lane function takes n real, so that N's imaginary part is +0
-    return _family(expr, stat)(nj.v if isinstance(n, (int, float)) else None, points, redo)
+    return _family(expr, stat)(nj[0] if isinstance(n, (int, float)) else None, points, redo)
 
 
 def _at_point(
@@ -671,17 +677,16 @@ def _at_point(
     # one evaluation by the walk, on balls where the seed's value is a
     # ball, raising the EvalError of its first failure, labelled with the
     # point (a ball's midpoint)
-    nj = jet_const(n)
     if type(seed[0]) is Ball:
-        ops, nj, i = _BALL_OPS, _as_jet((Ball(nj.v), ZERO, ZERO, ZERO)), _BALL_I
+        ops, nj, i = _BALL_OPS, _as_jet((Ball(jet_const(n).v), ZERO, ZERO, ZERO)), _BALL_I
         point = complex(point)
     else:
-        ops, i = _OPS_AT[order], _I
+        ops, nj, i = _OPS_AT[order], jet_const(n, order), _I_AT[order]
     return _walk(expr.root, ops, {Var: seed, Param: nj, ImagUnit: i}, point)
 
 
 def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball, *, order: int = 3) -> ComplexJet3:
-    """Evaluate the order-3 jet of f_n at z.
+    """Evaluate the jet of f_n at z, of order max(order, 3).
 
     The family index n is real and enters the arithmetic as a complex
     number with zero imaginary part.  At a :class:`~.ball.Ball` z the jet's
@@ -691,10 +696,13 @@ def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball, *, order: int = 3) -
     At a plain z, an ``order`` below 3 fails the evaluation only where a
     part up to that order leaves the double range, as a statistic of that
     order is redone; the parts above it are returned as they come, and may
-    be inf or nan.  ``bound`` takes f(z0) and f(z) so.
+    be inf or nan.  ``bound`` takes f(z0) and f(z) so.  An order of 4 or
+    5 (at most ``jets.MAX_ORDER``) gives a plain tuple of that many
+    derivatives after the value, whose parts up to 3 are the order-3
+    jet's, bit for bit; a ball z takes order 3.
     """
-    seed = jet_var(z)
-    return _at_point(expr, n, seed, seed.v, order)
+    seed = jet_var(z, order if type(z) is not Ball else 3)
+    return _at_point(expr, n, seed, seed[0], order)
 
 
 def eval_jet_seeded(

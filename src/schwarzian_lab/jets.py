@@ -1,40 +1,49 @@
-"""Order-3 complex jet arithmetic.
+"""Complex jet arithmetic of any order up to :data:`MAX_ORDER`.
 
-A :class:`ComplexJet3` carries the value and first three derivatives of an
-analytic function at one point of the complex plane.  The operations below
-propagate all four components through field arithmetic and the exp/log
-primitives, which is exactly enough to evaluate Schwarzian derivatives
-without symbolic differentiation.
+A jet carries the value and first derivatives of an analytic function at
+one point of the complex plane: a :class:`ComplexJet3` the first three,
+enough for the Schwarzian derivative, and a plain tuple of k + 1 parts
+the first k, for k of 4 (S') or 5 (S'').  A jet of order k seeds its
+variable and its constants with k + 1 parts (:func:`jet_var`,
+:func:`jet_const`), and the operations below propagate every part
+through field arithmetic and the exp/log primitives, without symbolic
+differentiation.  A jet carries the parts through d3 at least, so an
+order below 3 only checks fewer of them.
 
 Jets never hold non-finite components: an operation that would produce
 ``inf`` or ``nan`` raises :class:`OverflowAtPoint` instead.  An operation
-given an ``order`` below 3 checks only the parts up to that order, for a
-statistic that reads no others, and leaves the parts above it as they
-come, which may be ``inf`` or ``nan``; a part never depends on the parts
-of higher order of its operands, so the checked parts are the same bits
-either way.  A division whose denominator magnitude sits at or below the
+given an ``order`` below its jets' checks only the parts up to that
+order, for a statistic that reads no others, and leaves the parts above
+it as they come, which may be ``inf`` or ``nan``; a part never depends
+on the parts of higher order of its operands, so the checked parts are
+the same bits either way.  A division whose denominator magnitude sits at or below the
 floor raises :class:`DivisionByZeroAtPoint`.  A denominator whose
 magnitude is past the double range, where ``abs`` itself would overflow,
 raises :class:`OverflowAtPoint`; :func:`modulus` is that ``abs`` for every
 caller.
 
-Every formula is written once, as a function of plain operands (the
-``_sum`` ... ``_mobius`` section below).  The ``jet_*`` operations run
-them on complex numbers and check the result, one call per node of
-``dsl``'s tree walk; ``codegen`` runs the same functions on symbolic
-operands to generate each family's straight-line lane function, so both
-paths run the same float operations in the same order.
+Every formula is written once, for any order, as a function of plain
+operands (the ``_sum`` ... ``_mobius`` section below): the Leibniz
+product, Faa di Bruno's chain rule and the derivative lists of the
+reciprocal, exp and log, each part a fixed plan of terms summed in one
+order, so a part of order 3 or less has the same bits in a jet of any
+order.  Only :func:`jet_mobius` is of order 3 alone.  The ``jet_*``
+operations run them on complex numbers and check the result, one call
+per node of ``dsl``'s tree walk; ``codegen`` runs the same functions on
+symbolic operands to generate each family's straight-line lane function,
+so both paths run the same float operations in the same order.
 
 The ``jet_*`` operations run unchanged on jets whose parts are balls
 (:class:`~schwarzian_lab.ball.Ball`), as ``dsl.eval_jet`` at a ball
-gives them.  Such a jet's midpoints are the plain jet's values, its
-checks decide on them, and each part encloses the exact derivative of
-the same expression at every point of the seed's ball.
+gives them, of order 3.  Such a jet's midpoints are the plain jet's
+values, its checks decide on them, and each part encloses the exact
+derivative of the same expression at every point of the seed's ball.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from functools import partial
 from typing import NamedTuple
 
@@ -47,6 +56,7 @@ __all__ = [
     "OverflowAtPoint",
     "DIVISION_FLOOR",
     "EXP_REAL_GUARD",
+    "MAX_ORDER",
     "modulus",
     "jet_var",
     "jet_const",
@@ -86,7 +96,8 @@ class OverflowAtPoint(JetError):
 
 
 class ComplexJet3(NamedTuple):
-    """Value and first three derivatives of an analytic function at a point."""
+    """Value and first three derivatives of an analytic function at a point;
+    a jet of higher order is a plain tuple of its parts."""
 
     v: complex
     d1: complex
@@ -118,65 +129,167 @@ def modulus(w: complex) -> float:
 # ---------------------------------------------------------------------------
 # formulas
 #
-# Each takes and returns plain 4-tuples of operands that support +, - and
-# * with complex numbers and floats: complex numbers or balls here,
-# symbolic values when codegen generates the lane function from them.
-# Sums are associated symmetrically so that swapping a product's operands
-# yields the identical floating-point result.
+# Each takes and returns plain tuples of a jet's parts, the value first,
+# of any length up to MAX_ORDER + 1, whose operands support +, - and *
+# with complex numbers and floats: complex numbers or balls here, symbolic
+# values when codegen generates the lane function from them.  A part of
+# order k reads only the parts of order at most k of the operands.  Each
+# part is a sum over a fixed plan of terms (Griewank and Walther,
+# *Evaluating Derivatives*, ch. 13, in derivatives rather than Taylor
+# coefficients), summed left to right in one fixed order, so a part of a
+# longer jet has the bits of the same part of a shorter one.  A coefficient
+# of 1 is never multiplied in.  Sums are associated symmetrically so that
+# swapping a product's operands yields the identical floating-point result.
+#
+# The plans are data.  Each formula turns its plan for a jet length into
+# one line of straight-line source, compiled on the first use of that
+# length (_Compiled), so that a walk of one node costs what a hand-written
+# formula would.
+
+
+def _leibniz_plan(k: int) -> tuple:
+    # part k of a product: per j <= k - j, C(k, j) times the pair
+    # a^(k-j) b^(j) + a^(j) b^(k-j), or a^(j) b^(j) alone where j = k - j
+    return tuple((j, float(math.comb(k, j))) for j in range(k // 2 + 1))
+
+
+def _partitions(k: int, m: int, least: int = 1) -> list:
+    # the partitions of k into m parts, each at least ``least``, as
+    # ascending tuples in lexicographic order
+    if m == 1:
+        return [(k,)] if k >= least else []
+    return [(j, *rest) for j in range(least, k // m + 1) for rest in _partitions(k - j, m - 1, j)]
+
+
+def _faa_di_bruno_plan(k: int) -> tuple:
+    # part k >= 1 of w(u): per m from k down to 1, per partition p of k into
+    # m parts, the Bell coefficient k! / prod_i (i!^c_i c_i!) times
+    # w^(m) prod_{i in p} u^(i), for c_i the multiplicity of i in p
+    plan = []
+    for m in range(k, 0, -1):
+        for p in _partitions(k, m):
+            den = 1
+            for i in set(p):
+                den *= math.factorial(i) ** p.count(i) * math.factorial(p.count(i))
+            plan.append((m, float(math.factorial(k) // den), p))
+    return tuple(plan)
+
+
+# the highest order of a jet: S'' reads f^(5)
+MAX_ORDER = 5
+_LEIBNIZ = tuple(_leibniz_plan(k) for k in range(MAX_ORDER + 1))
+_FAA_DI_BRUNO = tuple(_faa_di_bruno_plan(k) for k in range(1, MAX_ORDER + 1))
+
+
+def _scaled(c: float, x: str) -> str:
+    # source of c x, for an integer coefficient c, with no product by 1 or -1
+    return x if c == 1.0 else f"-{x}" if c == -1.0 else f"{c!r} * {x}"
+
+
+def _names(prefix: str, n: int) -> str:
+    return "".join(f"{prefix}{k}, " for k in range(n))
+
+
+def _product_source(n: int) -> str:
+    parts = []
+    for k, plan in enumerate(_LEIBNIZ[:n]):
+        pairs = (
+            f"(a{j} * b{j})" if 2 * j == k else f"(a{k - j} * b{j} + a{j} * b{k - j})"
+            for j, _ in plan
+        )
+        parts.append(" + ".join(_scaled(c, x) for (_, c), x in zip(plan, pairs)))
+    return f"def f(a, b):\n    {_names('a', n)}= a\n    {_names('b', n)}= b\n" \
+           f"    return ({', '.join(parts)},)\n"
+
+
+def _chain_source(n: int) -> str:
+    parts = ["w0"]
+    for plan in _FAA_DI_BRUNO[: n - 1]:
+        terms = (f"(w{m} * ({' * '.join(f'u{i}' for i in p)}))" for m, _, p in plan)
+        parts.append(" + ".join(_scaled(c, x) for (_, c, _), x in zip(plan, terms)))
+    return f"def f(u, w):\n    {_names('u', n)}= u\n    {_names('w', n)}= w\n" \
+           f"    return ({', '.join(parts)},)\n"
+
+
+def _reciprocal_source(n: int) -> str:
+    # (-1)^k k! w^(k+1), each power p the product of the powers p - p//2
+    # and p//2, and scaled as soon as it is made
+    parts = ["w1"]
+    for p in range(2, n + 1):
+        power = f"(w{p} := w{p - p // 2} * w{p // 2})"
+        parts.append(_scaled((-1.0) ** (p - 1) * math.factorial(p - 1), power))
+    return f"def f(w1):\n    return ({', '.join(parts)},)\n"
+
+
+def _partwise_source(form: str):
+    # a formula that takes ``form`` of the parts a[k] (and b[k]) of each order k
+    def source(n: int) -> str:
+        parts = "".join(form.format(k) + ", " for k in range(n))
+        return f"def f(a, b=None):\n    return ({parts})\n"
+
+    return source
+
+
+class _Compiled(dict):
+    """A formula's function per jet length, compiled from its source on
+    the first use of that length."""
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+
+    def __missing__(self, n: int):
+        namespace: dict = {}
+        exec(compile(self.source(n), "<jets formula>", "exec"), namespace)
+        fn = self[n] = namespace["f"]
+        return fn
+
+
+_SUM = _Compiled(_partwise_source("a[{0}] + b[{0}]"))
+_DIFFERENCE = _Compiled(_partwise_source("a[{0}] - b[{0}]"))
+_NEGATION = _Compiled(_partwise_source("-a[{0}]"))
+_PRODUCT = _Compiled(_product_source)
+_CHAIN = _Compiled(_chain_source)
+_RECIPROCAL = _Compiled(_reciprocal_source)
 
 
 def _sum(a, b) -> tuple:
-    return a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]
+    return _SUM[len(a)](a, b)
 
 
 def _difference(a, b) -> tuple:
-    return a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]
+    return _DIFFERENCE[len(a)](a, b)
 
 
 def _negation(a) -> tuple:
-    return -a[0], -a[1], -a[2], -a[3]
+    return _NEGATION[len(a)](a)
 
 
 def _product(a, b) -> tuple:
-    """Leibniz product rule through order three."""
-    av, a1, a2, a3 = a
-    bv, b1, b2, b3 = b
-    return (
-        av * bv,
-        a1 * bv + av * b1,
-        (a2 * bv + av * b2) + 2.0 * (a1 * b1),
-        (a3 * bv + av * b3) + 3.0 * (a2 * b1 + a1 * b2),
-    )
+    """Leibniz rule: (ab)^(k) is the sum over j of C(k, j) a^(k-j) b^(j)."""
+    return _PRODUCT[len(a)](a, b)
 
 
 def _chain(u, w) -> tuple:
-    """Order-3 chain rule: ``w`` holds the outer function's value and first
-    three derivatives at u's value."""
-    _, u1, u2, u3 = u
-    w0, w1, w2, w3 = w
-    return (
-        w0,
-        w1 * u1,
-        w2 * (u1 * u1) + w1 * u2,
-        w3 * (u1 * u1 * u1) + 3.0 * (w2 * (u1 * u2)) + w1 * u3,
-    )
+    """Faa di Bruno's formula: ``w`` holds the outer function's value and
+    derivatives at u's value, as many as u has parts."""
+    return _CHAIN[len(u)](u, w)
 
 
-def _reciprocal(w) -> tuple:
-    """1/x and its derivatives at x, from w = 1/x."""
-    w2 = w * w
-    return w, -w2, 2.0 * (w2 * w), -6.0 * (w2 * w2)
+def _reciprocal(w, count: int) -> tuple:
+    """1/x and its first count - 1 derivatives at x, from w = 1/x."""
+    return _RECIPROCAL[count](w)
 
 
-def _exponential(e) -> tuple:
-    """exp and its derivatives at u, from e = exp(u)."""
-    return e, e, e, e
+def _exponential(e, count: int) -> tuple:
+    """exp and its first count - 1 derivatives at u, from e = exp(u)."""
+    return (e,) * count
 
 
-def _logarithm(lg, w) -> tuple:
-    """log and its derivatives at u, from lg = log(u) and w = 1/u."""
-    w2 = w * w
-    return lg, w, -w2, 2.0 * (w2 * w)
+def _logarithm(lg, w, count: int) -> tuple:
+    """log and its first count - 1 derivatives at u, from lg = log(u) and
+    w = 1/u: those of 1/x, one order down."""
+    return (lg, *_reciprocal(w, count - 1))
 
 
 def _mobius(u, a, b, c, r) -> tuple:
@@ -209,27 +322,37 @@ def _mobius(u, a, b, c, r) -> tuple:
 # one jet at a time
 
 
-def _checked(j: tuple, order: int = 3) -> ComplexJet3:
+def _named(j: tuple):
+    # a jet of order 3 is a ComplexJet3; a longer one stays a plain tuple
+    return _as_jet(j) if len(j) == 4 else j
+
+
+def _checked(j: tuple, order: int = 3):
     # the one rule past the double range: a node fails where a part of
     # order at most ``order`` is not finite; the parts above it go unchecked
-    v, d1, d2, d3 = j
-    if (_isfinite(v) and (order < 1 or _isfinite(d1)) and (order < 2 or _isfinite(d2))
-            and (order < 3 or _isfinite(d3))):
-        return _as_jet(j)
-    raise OverflowAtPoint(_OVERFLOW)
+    for x in j[: order + 1]:
+        if not _isfinite(x):
+            raise OverflowAtPoint(_OVERFLOW)
+    return _as_jet(j) if len(j) == 4 else j
 
 
-def jet_var(z0: complex | Ball) -> ComplexJet3:
-    """Jet of the identity map at ``z0``, a number or a ball of points."""
+# per order, the zero parts above d1 of a seed; a jet carries the parts
+# through d3 at least
+_ZEROS = tuple((ZERO,) * (max(order, 3) - 1) for order in range(MAX_ORDER + 1))
+
+
+def jet_var(z0: complex | Ball, order: int = 3):
+    """Jet of the identity map at ``z0``, a number or a ball of points,
+    through the derivative of order max(order, 3)."""
     if type(z0) is not Ball:
         z0 = complex(z0)
     if not _isfinite(z0):
         raise ValueError("jet_var requires a finite point")
-    return ComplexJet3(z0, VAR_D1, ZERO, ZERO)
+    return _named((z0, VAR_D1, *_ZEROS[order]))
 
 
-def jet_const(c: complex) -> ComplexJet3:
-    """Jet of a constant function."""
+def jet_const(c: complex, order: int = 3):
+    """Jet of a constant function, through the derivative of order max(order, 3)."""
     try:
         c = complex(c)
         finite = _isfinite(c)
@@ -237,31 +360,31 @@ def jet_const(c: complex) -> ComplexJet3:
         finite = False
     if not finite:
         raise ValueError("jet_const requires a finite value")
-    return ComplexJet3(c, ZERO, ZERO, ZERO)
+    return _named((c, ZERO, *_ZEROS[order]))
 
 
 def jet_add(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
-    return _checked(_sum(a, b), order)
+    return _checked(_SUM[len(a)](a, b), order)
 
 
 def jet_sub(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
-    return _checked(_difference(a, b), order)
+    return _checked(_DIFFERENCE[len(a)](a, b), order)
 
 
 def jet_neg(a: ComplexJet3) -> ComplexJet3:
-    return _as_jet(_negation(a))
+    return _named(_NEGATION[len(a)](a))
 
 
 def jet_mul(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
-    """Leibniz product rule through order three."""
-    return _checked(_product(a, b), order)
+    """Leibniz product rule."""
+    return _checked(_PRODUCT[len(a)](a, b), order)
 
 
 def _reciprocal_jet(b: ComplexJet3, order: int = 3) -> ComplexJet3:
     bv = b[0]
     if modulus(bv) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
-    return _checked(_chain(b, _reciprocal(1.0 / bv)), order)
+    return _checked(_CHAIN[len(b)](b, _reciprocal(1.0 / bv, len(b))), order)
 
 
 def jet_div(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
@@ -275,7 +398,7 @@ def jet_exp(u: ComplexJet3, order: int = 3) -> ComplexJet3:
     if abs(uv.real) > EXP_REAL_GUARD:
         raise OverflowAtPoint("exp argument outside the overflow guard", uv)
     e = uv.exp() if type(uv) is Ball else cmath.exp(uv)
-    return _checked(_chain(u, _exponential(e)), order)
+    return _checked(_CHAIN[len(u)](u, _exponential(e, len(u))), order)
 
 
 def jet_log(u: ComplexJet3, order: int = 3) -> ComplexJet3:
@@ -289,18 +412,14 @@ def jet_log(u: ComplexJet3, order: int = 3) -> ComplexJet3:
         lg = uv.log()
     else:
         lg = cmath.log(uv)
-    return _checked(_chain(u, _logarithm(lg, 1.0 / uv)), order)
-
-
-_ONE = ComplexJet3(1.0 + 0.0j, ZERO, ZERO, ZERO)
+    return _checked(_CHAIN[len(u)](u, _logarithm(lg, 1.0 / uv, len(u))), order)
 
 
 def jet_pow_int(u: ComplexJet3, k: int, order: int = 3) -> ComplexJet3:
     """Integer power by repeated multiplication; negative k via reciprocal."""
-    if k < 0:
-        return jet_div(_ONE, jet_pow_int(u, -k, order), order)
-    if k == 0:
-        return _ONE
+    if k <= 0:
+        one = jet_const(1.0, len(u) - 1)  # as many parts as u
+        return one if k == 0 else jet_div(one, jet_pow_int(u, -k, order), order)
     acc = u
     for _ in range(k - 1):
         acc = jet_mul(acc, u, order)

@@ -5,8 +5,13 @@ spherical derivative f# = |f'| / (1 + |f|^2), so the scans here sweep the
 family index n over a grid of base points, sample a small neighborhood of
 each point, and record how the statistic grows with n.  ``marty_scan``
 uses f# of the family itself; ``sd_family_scan`` applies the same
-machinery to the map z -> S_{f_n}(z), whose spherical derivative needs a
-numerical first derivative of S, taken with a five-point stencil.
+machinery to the map z -> S_{f_n}(z), whose spherical derivative
+|S'| / (1 + |S|^2) it takes from one order-4 jet per sample: with
+q_k = f^(k)/f', S = q3 - 1.5 q2^2 and S' = q4 - 4 q2 q3 + 3 q2^3.  A
+sup over a few fixed samples depends on where they fall, so
+``sd_family_scan`` refines each (point, n)'s best sample by a few
+deterministic steps of ascent of the statistic inside the point's disk,
+whose gradient an order-5 jet gives through S''.
 
 Growth is summarized per point by the least-squares slope of log(stat)
 against log(n) over the top half of the n sweep: a clearly positive slope
@@ -16,18 +21,20 @@ candidate.  Evaluation failures never poison a scan; they become flags
 failing samples are excluded from the statistics.
 
 Each n is one batch evaluation per block of grid points, each point one
-group of its samples, one lane each (for the S' stencil, five points),
-which must all be finite, and each n of ``bound`` one batch of its
-segment's points, streamed, as one group.  The family's generated lane
-function computes the statistic itself, from the ``codegen.Statistic``
-below, and returns per group only the largest over the samples and the
-set of flags; a sample it redoes gets its statistic from the same
-formula.  For a scan that is f# or the stencil's, and for
-``bound`` |f'|.  For the ``hypotheses`` floor sweep it is -|f'|, |f''|,
-|f'''| and |S|, the largest of each kept apart, so that min |f'| is an
-exact negation.  No command reads jets from a batch.  f# and |f'| are
-statistics of order 1: their samples, and ``bound``'s f(z0) and f(z),
-fail only where f or f' leaves the double range, never on f'' or f'''.
+group of its samples, one lane each, which must all be finite, and each
+n of ``bound`` one batch of its segment's points, streamed, as one
+group.  The family's generated lane function computes the statistic
+itself, from the ``codegen.Statistic`` below, and returns per group only
+the largest over the samples and the set of flags (and, for
+``scan-sd``, the sample that gave the largest, from which a few more
+batches of one candidate per group make its ascent); a sample it redoes
+gets its statistic from the same formula.  For a scan that is f# or
+|S'| / (1 + |S|^2), and for ``bound`` |f'|.  For the ``hypotheses``
+floor sweep it is -|f'|, |f''|, |f'''| and |S|, the largest of each kept
+apart, so that min |f'| is an exact negation.  No command reads jets
+from a batch.  f# and |f'| are statistics of order 1: their samples, and
+``bound``'s f(z0) and f(z), fail only where f or f' leaves the double
+range, never on f'' or f'''.
 
 The verdicts are heuristics about candidates, not proofs.
 """
@@ -45,7 +52,7 @@ from .codegen import Statistic
 from .dsl import EvalError, FamilyExpr, eval_jet, eval_jet_lanes
 from .jets import OverflowAtPoint, modulus
 from .record import Record
-from .schwarzian import _schwarzian, _spherical
+from .schwarzian import _schwarzian, _schwarzian_derivatives, _spherical
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -240,25 +247,39 @@ def _neighborhood(
     return pts
 
 
-def _stencil(j0, jp1, jm1, jp2, jm2, h: float) -> float:
-    # spherical derivative of z -> S_{f_n}(z) from the jets at w, w + h,
-    # w - h, w + 2h and w - 2h: S' from a five-point stencil with a real
-    # step, which equals the complex derivative for analytic S
-    s0, sp1, sm1, sp2, sm2 = map(_schwarzian, (j0, jp1, jm1, jp2, jm2))
-    ds = (-sp2 + 8.0 * sp1 - 8.0 * sm1 + sm2) / (12.0 * h)
-    return _spherical((s0, ds))
-
-
 def _critical_point(j) -> str:
     return "CriticalPoint"
 
 
 # f# reads f and f' alone, so its lane function computes and checks no more
-_MARTY = Statistic(1, _spherical, order=1)
+_MARTY = Statistic(_spherical, order=1)
 
 
-def _sd(h: float) -> Statistic:
-    return Statistic(5, _stencil, _critical_point, h)
+def _sd(j) -> float:
+    # the spherical derivative of z -> S_{f_n}(z), |S'| / (1 + |S|^2), from
+    # an order-4 jet
+    s, ds = _schwarzian_derivatives(j)
+    return _spherical((s, ds))
+
+
+def _sd_rise(j) -> tuple:
+    # from an order-5 jet: F = |S'| / (1 + |S|^2), |S'|, and the real and
+    # imaginary parts of D = S' conj(S'') - 2 |S'| F S conj(S'), the
+    # gradient of F (d/dx + i d/dy) times the positive |S'| (1 + |S|^2), so
+    # that no part divides by |S'|
+    s, ds, dds = _schwarzian_derivatives(j)
+    a = abs(ds)
+    m = abs(s)
+    f = a / (1.0 + m * m)
+    d = ds * dds.conjugate() - 2.0 * (a * f) * (s * ds.conjugate())
+    return f, a, d.real, d.imag
+
+
+# one sample per group: each slot is the sample's own value
+_SD_RISE = Statistic(_sd_rise, _critical_point, (-1.0, -1.0, -math.inf, -math.inf), order=5)
+_SD = Statistic(_sd, _critical_point, order=4, ascent=_SD_RISE)
+# steps of the ascent that refines each (grid point, n)'s best sd sample
+_ASCENT_ROUNDS = 2
 
 
 def _floor(j) -> tuple:
@@ -277,7 +298,7 @@ def _floor_critical(j) -> tuple:
     return low, -1.0, -1.0, -1.0
 
 
-_FLOOR = Statistic(1, _floor, _floor_critical, start=(-math.inf, -1.0, -1.0, -1.0))
+_FLOOR = Statistic(_floor, _floor_critical, start=(-math.inf, -1.0, -1.0, -1.0))
 
 
 def _slope(j) -> float:
@@ -285,7 +306,7 @@ def _slope(j) -> float:
     return abs(j[1])
 
 
-_BOUND = Statistic(1, _slope, start=(0.0,), order=1)
+_BOUND = Statistic(_slope, start=(0.0,), order=1)
 
 # grid points per lane-function call: enough that a call's fixed cost is
 # small beside its lanes, few enough that a block's samples and results
@@ -300,34 +321,95 @@ def _sweep(stat: Statistic, expr: FamilyExpr, grid: GridSpec, n_values, offset: 
     ``_BLOCK`` (the last block may be shorter), and each n makes one batch
     evaluation per block, each point one group of its samples, one lane
     each, so the fixed cost of a call is paid once per (n, block).  For
-    the statistic ``stat`` (``_MARTY``, ``_sd(h)`` or ``_FLOOR``), rows[k]
+    the statistic ``stat`` (``_MARTY``, ``_SD`` or ``_FLOOR``), rows[k]
     is what the batch at n_values[k] keeps of the point's group: the
     largest statistic over its neighborhood samples, -1.0 if none has one
     (for ``_FLOOR``, the largest of each of its four slots), then the
     flags ("Pole", "Overflow", "CriticalPoint") of the samples that failed.
-    Each point's samples, for the S' stencil five points ``stat.step``
-    apart, are built once; a block with a grid point whose sample points
-    are not all finite raises ValueError before any of its batches.
+    For a statistic with an ascent (``_SD``), the largest is the best
+    sample's value refined by :func:`_ascend`.  Each point's samples are
+    built once; a block with a grid point whose samples are not all finite
+    raises ValueError before any of its batches.
     """
     xs = grid.x_coords()
     ys = grid.y_coords()
     radius = grid.neighborhood_radius
-    h = stat.step
     for start in range(0, len(indices), _BLOCK):
         zs, groups = [], []
         for index in indices[start : start + _BLOCK]:
             z = complex(xs[index % grid.nx], ys[index // grid.nx])
             points = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
-            if stat.width > 1:  # each sample is the five points of the S' stencil, h apart
-                points = [(w, w + h, w - h, w + 2.0 * h, w - 2.0 * h) for w in points]
-            flat = itertools.chain.from_iterable(points) if stat.width > 1 else points
-            if not all(map(cmath.isfinite, flat)):
+            if not all(map(cmath.isfinite, points)):
                 raise ValueError("jet_var requires a finite point")
             zs.append(z)
             groups.append(points)
         # by the module-level name, which bench/tracer.py rebinds to count calls
         per_n = [eval_jet_lanes(expr, n, groups, stat) for n in n_values]
+        if stat.ascent is not None:
+            per_n = [
+                _ascend(expr, n, stat.ascent, zs, radius, rows) for n, rows in zip(n_values, per_n)
+            ]
         yield from zip(zs, zip(*per_n))
+
+
+def _into_disk(c: complex, z: complex, radius: float) -> complex:
+    # c, or the point of the disk about z nearest to it
+    d = c - z
+    m = math.hypot(d.real, d.imag)
+    return c if m <= radius else z + d * (radius / m)
+
+
+def _direction(d_re: float, d_im: float) -> tuple:
+    # the unit vector along d, 0 where d is 0, and |d|, inf past the double range
+    mag = math.hypot(d_re, d_im)
+    return (complex(d_re, d_im) / mag if mag else 0j), mag
+
+
+def _ascend(expr: FamilyExpr, n, rise: Statistic, zs: list, radius: float, rows: list) -> list:
+    """Each group's (best, flags), its best refined by ascent from its argmax sample.
+
+    ``rows`` are a batch's (best, flags, argmax) per group, and ``zs`` the
+    groups' disk centres.  ``rise`` gives, at a point, F (the batch's
+    statistic, bit for bit), |S'| and D, F's gradient times a positive
+    factor.  It runs once at each argmax, whose F is the group's best,
+    then once per round of ``_ASCENT_ROUNDS``, each round one batch of one
+    candidate per group: the point a step along D from where the group
+    stands, projected back into its disk.  The first step is
+    min(radius, F / (2 |grad F|)).  A candidate is accepted only where F
+    rises: the group moves there, takes its D, and its step doubles;
+    otherwise the step halves.  A candidate that fails, or is not finite,
+    is rejected and not flagged, so the flags stay those of the samples.
+    Every group's course depends on its own values alone.
+    """
+    best = [row[0] for row in rows]
+    starts = [(k, w) for k, (_, _, w) in enumerate(rows) if w is not None]
+    walkers = []  # [group, point, step, unit direction] per group that climbs
+    for (k, w), (_, a, d_re, d_im, flags) in zip(
+        starts, eval_jet_lanes(expr, n, ([w] for _, w in starts), rise)
+    ):
+        if not flags:
+            u, mag = _direction(d_re, d_im)
+            step = a * a / (2.0 * mag) if mag else radius  # F / (2 |grad F|)
+            walkers.append([k, w, step if step < radius else radius, u])
+    for _ in range(_ASCENT_ROUNDS):
+        tried = []
+        for walker in walkers:
+            k, p, step, u = walker
+            c = _into_disk(p + step * u, zs[k], radius)
+            if cmath.isfinite(c):
+                tried.append((walker, c))
+            else:
+                walker[2] = step * 0.5
+        for (walker, c), (f, _, d_re, d_im, flags) in zip(
+            tried, eval_jet_lanes(expr, n, ([c] for _, c in tried), rise)
+        ):
+            k = walker[0]
+            if not flags and f > best[k]:
+                best[k] = f
+                walker[1:] = c, walker[2] * 2.0, _direction(d_re, d_im)[0]
+            else:
+                walker[2] *= 0.5
+    return [(b, row[1]) for b, row in zip(best, rows)]
 
 
 def _lsq_slope(xs: list[float], ys: list[float]) -> float:
@@ -463,11 +545,12 @@ def sd_family_scan(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> MartyGridReport:
-    """Same sweep with the statistic taken on z -> S_{f_n}(z) instead."""
-    h = grid.neighborhood_radius / 8.0  # the S' stencil's real step
-    if h == 0.0:
-        raise ValueError("neighborhood_radius is too small: the S' stencil's step radius/8 is 0")
-    return _scan("sd", _sd(h), f, grid, n_values, seed, workers)
+    """Same sweep with the statistic taken on z -> S_{f_n}(z) instead.
+
+    Each (point, n)'s best sample is refined by a few steps of ascent of
+    the statistic inside the point's disk (:func:`_ascend`).
+    """
+    return _scan("sd", _SD, f, grid, n_values, seed, workers)
 
 
 def check_thresholds(slope_threshold=DEFAULT_SLOPE_THRESHOLD,

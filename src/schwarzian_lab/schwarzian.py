@@ -1,7 +1,8 @@
 """Schwarzian and spherical derivative operators, with Moebius algebra.
 
 The Schwarzian derivative of f is  S_f = f'''/f' - (3/2)(f''/f')^2,
-computed here directly from an order-3 jet.  Moebius transformations
+computed here directly from an order-3 jet, and with S' and S'' from
+jets of order 4 and 5 for ``scan-sd``.  Moebius transformations
 (az+b)/(cz+d) are the kernel of S: applying one after f leaves S_f
 unchanged, and S of a Moebius map itself vanishes identically.  The
 checkers at the bottom verify these identities numerically at a point and
@@ -126,6 +127,25 @@ def _schwarzian(j) -> complex:
     d1 = j[1]
     r = j[2] / d1
     return j[3] / d1 - 1.5 * (r * r)
+
+
+def _schwarzian_derivatives(j) -> tuple:
+    # S, and S' from a jet of order 4, and S'' from one of order 5: with
+    # q_k = f^(k) / f' (so q_k' = q_(k+1) - q_2 q_k), S = q3 - 1.5 q2^2,
+    # S' = q4 - 4 q2 q3 + 3 q2^3 and
+    # S'' = q5 - 5 q2 q4 - 4 q3^2 + 17 q2^2 q3 - 9 q2^4.  S has the bits of
+    # _schwarzian's
+    d1 = j[1]
+    q2, q3 = j[2] / d1, j[3] / d1
+    q22 = q2 * q2
+    out = [q3 - 1.5 * q22]
+    if len(j) > 4:
+        q4 = j[4] / d1
+        out.append(q4 - 4.0 * (q2 * q3) + 3.0 * (q22 * q2))
+    if len(j) > 5:
+        q5 = j[5] / d1
+        out.append(q5 - 5.0 * (q2 * q4) - 4.0 * (q3 * q3) + 17.0 * (q22 * q3) - 9.0 * (q22 * q22))
+    return tuple(out)
 
 
 def spherical_derivative(j: ComplexJet3) -> float:

@@ -79,7 +79,8 @@ def assert_fd_close(jet_value: complex, fd_value: complex, k: int, scale: float 
 # independent plain-complex evaluator (no jets)
 
 
-def plain_eval(node: Node, n: complex, z: complex) -> complex:
+def plain_eval(node: Node, n: complex, z: complex, lib=cmath) -> complex:
+    """f_n(z) by plain arithmetic, with ``lib``'s exp and log (cmath, or mpmath)."""
     if isinstance(node, Var):
         return z
     if isinstance(node, Param):
@@ -89,21 +90,21 @@ def plain_eval(node: Node, n: complex, z: complex) -> complex:
     if isinstance(node, ConstNum):
         return node.value
     if isinstance(node, Add):
-        return plain_eval(node.lhs, n, z) + plain_eval(node.rhs, n, z)
+        return plain_eval(node.lhs, n, z, lib) + plain_eval(node.rhs, n, z, lib)
     if isinstance(node, Sub):
-        return plain_eval(node.lhs, n, z) - plain_eval(node.rhs, n, z)
+        return plain_eval(node.lhs, n, z, lib) - plain_eval(node.rhs, n, z, lib)
     if isinstance(node, Mul):
-        return plain_eval(node.lhs, n, z) * plain_eval(node.rhs, n, z)
+        return plain_eval(node.lhs, n, z, lib) * plain_eval(node.rhs, n, z, lib)
     if isinstance(node, Div):
-        return plain_eval(node.lhs, n, z) / plain_eval(node.rhs, n, z)
+        return plain_eval(node.lhs, n, z, lib) / plain_eval(node.rhs, n, z, lib)
     if isinstance(node, Neg):
-        return -plain_eval(node.operand, n, z)
+        return -plain_eval(node.operand, n, z, lib)
     if isinstance(node, PowInt):
-        return plain_eval(node.base, n, z) ** node.exponent
+        return plain_eval(node.base, n, z, lib) ** node.exponent
     if isinstance(node, Exp):
-        return cmath.exp(plain_eval(node.arg, n, z))
+        return lib.exp(plain_eval(node.arg, n, z, lib))
     if isinstance(node, Log):
-        return cmath.log(plain_eval(node.arg, n, z))
+        return lib.log(plain_eval(node.arg, n, z, lib))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -257,3 +258,27 @@ def random_mobius(rng: random.Random, min_det: float = 0.3) -> Mobius:
         a, b, c, d = coeffs
         if abs(a * d - b * c) >= min_det:
             return Mobius(a, b, c, d)
+
+
+def example2_disk_sup(n: int, z: complex, radius: float) -> float:
+    """sup of |S'| / (1 + |S|^2) over the closed disk of ``radius`` about z,
+    for f_n = exp(z/(n z + 1)), from its closed form.
+
+    S = -1/(2 w^4) and S' = 2n/w^5 for w = n z + 1, so the statistic is
+    g(rho) = 2n rho^3 / (rho^8 + 1/4), rho = |w|, which peaks at
+    rho^8 = 3/20.  The sup is the largest g over a dense polar grid of the
+    disk (201 radii, 720 angles, both ends of each included), with the
+    peak's ring where the disk meets it.
+    """
+
+    def g(rho):
+        return 2.0 * n * rho**3 / (rho**8 + 0.25)
+
+    best = max(
+        g(abs(n * (z + radius * (k / 200) * cmath.exp(2j * cmath.pi * a / 720)) + 1))
+        for k in range(201)
+        for a in range(720)
+    )
+    peak = (3.0 / 20.0) ** 0.125
+    near, far = abs(n * z + 1) - n * radius, abs(n * z + 1) + n * radius
+    return max(best, g(peak)) if near <= peak <= far else best

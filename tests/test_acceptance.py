@@ -31,6 +31,7 @@ from schwarzian_lab import (
     sd_bound_from_hypotheses,
     sd_family_scan,
 )
+from schwarzian_lab import probe
 from schwarzian_lab.cli import rows_to_csv, scan_rows
 from schwarzian_lab.dsl import EvalError
 from schwarzian_lab.schwarzian import CriticalPointError
@@ -201,12 +202,16 @@ def test_09_sd_scan_flags_origin_for_moebius_exponent_family(example2_sd_41):
         if abs(z) >= 0.2:
             assert verdict is Verdict.BOUNDED_CANDIDATE, z
     # derived oracle for the statistic at the origin: S = -1/(2 (nz+1)^4)
-    # gives |S'(0)| = 2n against 1 + |S(0)|^2 = 1.25, i.e. 1.6 n
+    # gives |S'(0)| = 2n against 1 + |S(0)|^2 = 1.25, i.e. 1.6 n; the scan
+    # refines that one sample by ascent, and never past the disk's sup
     f = parse("exp(z/(n*z+1))")
     point = GridSpec(0.0, 1.0, 0.0, 1.0, 1, 1, neighborhood_samples=1)
     for n in (2, 4, 8):
-        scan = sd_family_scan(f, point, (n,))
-        assert scan.points[0].sup_stat == pytest.approx(1.6 * n, rel=2e-2)
+        assert probe._sd(eval_jet(f, n, 0j, order=4)) == pytest.approx(1.6 * n, rel=1e-12)
+        sup = sd_family_scan(f, point, (n,)).points[0].sup_stat
+        assert 1.6 * n <= sup <= support.example2_disk_sup(n, 0j, point.neighborhood_radius) * (
+            1 + 1e-9
+        )
 
 
 def test_10_schwarzian_bound_soundness_on_disk():

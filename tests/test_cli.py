@@ -684,9 +684,9 @@ _GOLDEN_FLAGS = {
     "scan-sd-near-pole": (
         0,
         "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
-        "0,0,9.8123555943518,1,nan,,inconclusive\n"
-        "0.10000000000000001,0,2.5224136513660125,1,inf,Pole,divergent\n"
-        "0.20000000000000001,0,4.647636030785832,1,nan,,inconclusive\n",
+        "0,0,21.80727930638757,1,nan,,inconclusive\n"
+        "0.10000000000000001,0,18.867393158265095,1,inf,Pole,divergent\n"
+        "0.20000000000000001,0,9.765285489499128,1,nan,,inconclusive\n",
         "",
     ),
     "hypotheses-near-pole": (
@@ -708,9 +708,9 @@ _GOLDEN_FLAGS = {
     "scan-sd-log": (
         0,
         "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
-        "-0.10000000000000001,0,0.7893922646597352,1,nan,,inconclusive\n"
-        "0,0,0.40036089053580964,3,inf,Pole,divergent\n"
-        "0.10000000000000001,0,0.7918197925498537,1,nan,,inconclusive\n",
+        "-0.10000000000000001,0,0.7935658202326692,3,nan,,inconclusive\n"
+        "0,0,0.39984006397441146,1,inf,Pole,divergent\n"
+        "0.10000000000000001,0,0.794174650919613,1,nan,,inconclusive\n",
         "",
     ),
     "hypotheses-log": (
@@ -731,8 +731,8 @@ _GOLDEN_FLAGS = {
     "scan-sd-exp-exp": (
         0,
         "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
-        "5.5,-0.5,8.114538586107994e-05,1,nan,Overflow,inconclusive\n"
-        "6.5,-0.5,9.041295426392883e-06,1,nan,Overflow,inconclusive\n",
+        "5.5,-0.5,8.158361387713e-05,1,nan,Overflow,inconclusive\n"
+        "6.5,-0.5,1.1043057342956437e-05,1,nan,Overflow,inconclusive\n",
         "",
     ),
     "hypotheses-exp-exp": (
@@ -773,10 +773,10 @@ _GOLDEN_FLAGS = {
     "scan-sd-power-and-log": (
         0,
         "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
-        "0,0,0.05007563227767185,4,inf,Pole,divergent\n"
-        "1,0,13.60762491669119,3,inf,Pole,divergent\n"
-        "0,1,3.8018818232755556,2,nan,,inconclusive\n"
-        "1,1,1.7000645702098194,1,nan,,inconclusive\n",
+        "0,0,0.0500182896284296,1,inf,Pole,divergent\n"
+        "1,0,14.028195465352963,3,inf,Pole,divergent\n"
+        "0,1,4.102090938623392,2,nan,,inconclusive\n"
+        "1,1,1.955097226491657,1,nan,,inconclusive\n",
         "",
     ),
     "hypotheses-power-and-log": (
@@ -988,22 +988,11 @@ def test_modulus_past_the_double_range_keeps_the_exit_contract(capsys, argv, cod
 
 
 # ---------------------------------------------------------------------------
-# a radius whose S' stencil step, radius/8, underflows to 0
+# a radius whose eighth underflows to 0, the step of the S' stencil that
+# scan-sd once refused: every grid command takes it
 
 _TINY_RADIUS = ["--family=exp(z)", "--grid=0,1,0,1,2,1", "--radius=1e-323", "--n-max=2",
                 "--samples=2"]
-
-
-def test_scan_sd_refuses_a_radius_whose_stencil_step_is_zero(capsys, monkeypatch):
-    # refused before any evaluation or pool
-    calls = []
-    monkeypatch.setattr(probe, "eval_jet_lanes", lambda *a: calls.append(a))
-    monkeypatch.setattr(probe, "ProcessPoolExecutor", lambda **k: calls.append(k))
-    for workers in ("1", "2"):
-        code, out, err = run_cli(capsys, "scan-sd", *_TINY_RADIUS, f"--workers={workers}")
-        assert (code, out) == (2, "")
-        assert err == "error: neighborhood_radius is too small: the S' stencil's step radius/8 is 0\n"
-    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -1011,6 +1000,7 @@ def test_scan_sd_refuses_a_radius_whose_stencil_step_is_zero(capsys, monkeypatch
     [
         ["scan-marty", *_TINY_RADIUS, "--workers=1"],
         ["hypotheses", *_TINY_RADIUS, "--epsilon=0.5", "--zeta=0+0i", "--L=10"],
+        ["scan-sd", *_TINY_RADIUS, "--workers=1"],
     ],
 )
 def test_the_other_grid_commands_take_a_radius_whose_stencil_step_is_zero(capsys, argv):
@@ -1107,17 +1097,18 @@ def test_cached_parser_resolves_the_seed_and_the_scan_per_call(capsys, monkeypat
 # sample points past the double range, and segments that fail
 #
 # Literal bytes recorded before the lane function took points in place of
-# the variable's jets.  A grid point whose samples (the S' stencil's five
-# points per sample, for ``scan-sd``) are not all finite is refused with
-# exit 2 before any of its batches runs.  A radius or grid bound that is
-# not finite is refused before sampling, naming the field (bytes recorded
-# when ``GridSpec`` began to refuse it).  A ``bound`` segment flags n
+# the variable's jets.  A grid point whose samples are not all finite is
+# refused with exit 2 before any of its batches runs.  A radius or grid
+# bound that is not finite is refused before sampling, naming the field
+# (bytes recorded when ``GridSpec`` began to refuse it).  A ``bound`` segment flags n
 # (exit 3) when f_n(z0), f_n(z) or a sample fails, and is refused (exit 2)
 # at its first point past the double range once every point before it
 # evaluated cleanly.
 
 _E308 = "1" + "0" * 308  # 1e308
 _FINITE = "error: jet_var requires a finite point\n"
+_OVERLAP = ("warning: neighborhood_radius spans four or more grid cells; "
+            "neighboring points will sample heavily overlapping disks\n")
 _HYP = ["--epsilon=0.5", "--zeta=0.3+0.2i", "--L=10"]
 _EXTRA_OF = {"scan-marty": [], "scan-sd": [], "hypotheses": _HYP}
 
@@ -1129,22 +1120,23 @@ _NONFINITE_GOLDENS = [
     ),
     *(
         ([cmd, "--family=n", "--grid=1.7e308,1.75e308,0,1,2,1", "--radius=1e308", "--n-max=3",
-          "--samples=3", *_EXTRA_OF[cmd]], 2, "", _FINITE)
+          "--samples=3", *_EXTRA_OF[cmd]], 2, "", _OVERLAP + _FINITE)
         for cmd in _EXTRA_OF
     ),
-    # one sample, the grid point itself, is finite; the S' stencil's
-    # z + radius/8 is not
-    (["scan-marty", "--family=z", "--grid=1.7e308,1.75e308,0,1,2,1", "--radius=1e308",
-      "--n-max=3", "--samples=1", "--format=csv"],
-     0, "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
-        "1.6999999999999999e+308,0,0.0,-1,nan,,inconclusive\n"
-        "1.75e+308,0,0.0,-1,nan,,inconclusive\n", ""),
-    (["scan-sd", "--family=z", "--grid=1.7e308,1.75e308,0,1,2,1", "--radius=1e308",
-      "--n-max=3", "--samples=1", "--format=csv"], 2, "", _FINITE),
+    # one sample, the grid point itself, is finite; so is every point an
+    # ascent reaches, in the disk about it, or the ascent rejects it
+    *(
+        ([cmd, "--family=z", "--grid=1.7e308,1.75e308,0,1,2,1", "--radius=1e308",
+          "--n-max=3", "--samples=1", "--format=csv"],
+         0, "re,im,sup_stat,argmax_n,growth_slope,flags,verdict\n"
+            "1.6999999999999999e+308,0,0.0,-1,nan,,inconclusive\n"
+            "1.75e+308,0,0.0,-1,nan,,inconclusive\n", _OVERLAP)
+        for cmd in ("scan-marty", "scan-sd")
+    ),
     (["hypotheses", "--family=z", "--grid=1.7e308,1.75e308,0,1,2,1", "--radius=1e308",
       "--n-max=3", "--samples=1", "--format=csv", *_HYP],
      0, "epsilon,L,floor_ok,value_ok,min_abs_derivative,M2,M3,sd_bound,max_abs_schwarzian,"
-        "sound,passed\n0.5,10.0,true,true,1.0,0.0,0.0,0.0,0.0,true,true\n", ""),
+        "sound,passed\n0.5,10.0,true,true,1.0,0.0,0.0,0.0,0.0,true,true\n", _OVERLAP),
     # f(z0) fails, for every n and for n = 1 only
     (["bound", "--family=1/z", "--n-max=2", "--z0=0+0i", "--z=1+0i"],
      3, "", "error: SegmentEvaluationError: segment evaluation failed for n in [1, 2]\n"),
@@ -1189,7 +1181,6 @@ _NONFINITE_GOLDENS = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore:neighborhood_radius spans")
 @pytest.mark.parametrize(
     "argv,code,out,err", _NONFINITE_GOLDENS, ids=[str(k) for k in range(len(_NONFINITE_GOLDENS))]
 )
@@ -1321,10 +1312,6 @@ def test_importing_the_cli_imports_no_process_pool():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-_OVERLAP = ("warning: neighborhood_radius spans four or more grid cells; "
-            "neighboring points will sample heavily overlapping disks\n")
-
-
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_a_warning_prints_once_as_a_line_of_the_cli(workers):
     # the pool's workers unpickle the grid, which does not warn again, and
@@ -1337,6 +1324,23 @@ def test_a_warning_prints_once_as_a_line_of_the_cli(workers):
                            "0,0,1.0,1,nan,,inconclusive\n"
                            "0.5,0,0.8,1,nan,,inconclusive\n"
                            "1,0,0.5,1,nan,,inconclusive\n")
+
+
+@pytest.mark.parametrize("how", ["-W", "PYTHONWARNINGS"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_warning_filter_of_error_still_prints_the_line_and_exits_0(how, workers):
+    # the filter turns a warning into an exception; the CLI prints it as
+    # its line all the same, and the scan's exit code and bytes hold
+    argv = ["-m", "schwarzian_lab.cli", "scan-marty", "--family=z", "--grid=0,1,0,1,3,1",
+            "--radius=2", "--samples=1", "--n-max=3", f"--workers={workers}"]
+    if how == "-W":
+        proc = _fresh_python("-W", "error", *argv)
+    else:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PYTHONWARNINGS", "error")
+            proc = _fresh_python(*argv)
+    assert (proc.returncode, proc.stderr) == (0, _OVERLAP)
+    assert proc.stdout.endswith("1,0,0.5,1,nan,,inconclusive\n")
 
 
 def test_each_command_prints_its_own_warning(capsys):

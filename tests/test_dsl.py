@@ -366,7 +366,7 @@ def _parts(j):
     return tuple(x for c in j for x in (c.real, c.imag))
 
 
-_PARTS = codegen.Statistic(1, _parts, start=(-math.inf,) * 8)
+_PARTS = codegen.Statistic(_parts, start=(-math.inf,) * 8)
 
 
 def _reference(node, nj, zj, at, leaf=None):
@@ -652,7 +652,8 @@ def test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit():
 
 # ---------------------------------------------------------------------------
 # the scan statistics the lane function returns in place of jets, against
-# eval_jet with spherical_derivative or schwarzian and the five-point stencil
+# eval_jet with spherical_derivative, or with S and S' written out from an
+# order-4 jet
 
 _STAT_NS = (-0.0, 1, 2.5, 1e200)
 
@@ -677,33 +678,42 @@ def _marty_reference(f, n, points):
     return best, flags
 
 
-def _sd_reference(f, n, points, h):
-    best, flags = -1.0, set()
+def _sd_reference(f, n, points):
+    # |S'| / (1 + |S|^2) from each sample's order-4 jet, with q_k = f^(k)/f':
+    # S = q3 - 1.5 q2^2 and S' = q4 - 4 q2 q3 + 3 q2^3; the largest, its
+    # flags, and the sample that gave it
+    best, flags, at = -1.0, set(), None
     for w in points:
-        s = []
-        for p in (w, w + h, w - h, w + 2.0 * h, w - 2.0 * h):
-            try:  # the first failed lane decides, in stencil order
-                s.append(schwarzian(eval_jet(f, n, p)))
-            except EvalError as exc:
-                flags.add(_flag(exc))
-                break
-            except CriticalPointError:
-                flags.add("CriticalPoint")
-                break
+        try:
+            j = eval_jet(f, n, w, order=4)
+            schwarzian(ComplexJet3(*j[:4]))  # raises at a critical point
+        except EvalError as exc:
+            flags.add(_flag(exc))
+            continue
+        except CriticalPointError:
+            flags.add("CriticalPoint")
+            continue
+        q2, q3, q4 = j[2] / j[1], j[3] / j[1], j[4] / j[1]
+        s = q3 - 1.5 * (q2 * q2)
+        ds = q4 - 4.0 * (q2 * q3) + 3.0 * (q2 * q2 * q2)
+        try:
+            m = abs(s)
+            x = abs(ds) / (1.0 + m * m)
+        except OverflowError:
+            flags.add("Overflow")
         else:
-            s0, sp1, sm1, sp2, sm2 = s
-            ds = (-sp2 + 8.0 * sp1 - 8.0 * sm1 + sm2) / (12.0 * h)
-            try:
-                m = abs(s0)
-                x = abs(ds) / (1.0 + m * m)
-            except OverflowError:
+            if not math.isfinite(x):  # an intermediate past the double range
                 flags.add("Overflow")
-            else:
-                if not math.isfinite(x):  # an intermediate past the double range
-                    flags.add("Overflow")
-                elif x > best:
-                    best = x
-    return best, flags
+            elif x > best:
+                best, at = x, w
+    return best, flags, at
+
+
+def _bits(x):
+    # a statistic's float by its bits, an argmax point by its parts' bits
+    if type(x) is float:
+        return x.hex()
+    return (x.real.hex(), x.imag.hex()) if type(x) is complex else x
 
 
 def _group_outcomes(f, n, stat, groups):
@@ -713,25 +723,21 @@ def _group_outcomes(f, n, stat, groups):
     # public call: each group's outcome, and how many samples were redone
     redone = []
 
-    def redo(*points):
-        redone.append(points)
-        return stat.walked(lambda w: eval_jet(f, n, w, order=stat.order), points)
+    def redo(w):
+        redone.append(w)
+        return stat.walked(lambda w: eval_jet(f, n, w, order=stat.order), w)
 
     got = codegen.family(f, stat)(complex(n), map(iter, groups), redo)
     assert eval_jet_lanes(f, n, groups, stat) == got and len(got) == len(groups)
-    assert all(type(x[-1]) is frozenset for x in got)
-    return [(*(x.hex() for x in g[:-1]), g[-1]) for g in got], len(redone)
+    flags = -2 if stat.ascent else -1  # the flags, then an argmax, if any
+    assert all(type(x[flags]) is frozenset for x in got)
+    return [tuple(map(_bits, g)) for g in got], len(redone)
 
 
 def _stat_outcomes(f, n, stat, samples):
     # the samples as one group
     (got,), redone = _group_outcomes(f, n, stat, [samples])
     return got, redone
-
-
-def _stencil_points(points, h):
-    # each sample's five points of the S' stencil, one lane, as scan-sd lays them out
-    return [(w, w + h, w - h, w + 2.0 * h, w - 2.0 * h) for w in points]
 
 
 def test_fused_statistics_match_the_reference_bit_for_bit():
@@ -741,18 +747,14 @@ def test_fused_statistics_match_the_reference_bit_for_bit():
     flags, redone, clean, groups_seen = set(), 0, 0, 0
     for _ in range(200):
         f, _, points = _draw(rng)
-        h = rng.choice((0.05 / 8, 0.001, 0.1))
         a, b = sorted(cuts.choices(range(len(points) + 1), k=2))
         groups = [points[:a], points[a:b], points[b:]]
         for n in _STAT_NS:
-            for stat, samples, want in (
-                (probe._MARTY, groups, [_marty_reference(f, n, g) for g in groups]),
-                (probe._sd(h), [_stencil_points(g, h) for g in groups],
-                 [_sd_reference(f, n, g, h) for g in groups]),
-            ):
-                got, k = _group_outcomes(f, n, stat, samples)
-                assert got == [(x.hex(), fl) for x, fl in want]
-                flags = flags.union(*(fl for _, fl in want))
+            for stat, reference in ((probe._MARTY, _marty_reference), (probe._SD, _sd_reference)):
+                want = [reference(f, n, g) for g in groups]
+                got, k = _group_outcomes(f, n, stat, groups)
+                assert got == [tuple(map(_bits, x)) for x in want]
+                flags = flags.union(*(x[1] for x in want))
                 redone += k
                 clean += len(points) - k
                 groups_seen += sum(map(bool, groups))
@@ -777,59 +779,71 @@ def test_fused_statistics_match_the_reference_bit_for_bit():
 def test_each_group_gets_only_its_own_result(text, n, redone):
     f = parse(text)
     groups = [[0j, 2 + 0j], [0.5 + 0j], [], [1 + 0j, 0.5 + 0j, 0j], [2 + 0j]]
-    h = 0.01
     got, ran = _group_outcomes(f, n, probe._MARTY, groups)
     assert got == [(x.hex(), fl) for x, fl in (_marty_reference(f, n, g) for g in groups)]
     assert ran == redone and len({fl for _, fl in got}) >= 2
-    sd, _ = _group_outcomes(f, n, probe._sd(h), [_stencil_points(g, h) for g in groups])
-    assert sd == [(x.hex(), fl) for x, fl in (_sd_reference(f, n, g, h) for g in groups)]
+    sd, _ = _group_outcomes(f, n, probe._SD, groups)
+    assert sd == [tuple(map(_bits, _sd_reference(f, n, g))) for g in groups]
 
 
 @pytest.mark.parametrize(
     "text,points,want",
     [
         # each case's flags and how many samples its lane function redoes.
-        # f'(0) = 0 and a pole at h = 0.01: the stencil's first failure
-        # decides, a critical point at 0 and the pole at 0.01; the clean
-        # sample at 0.5 is not redone
+        # f'(0) = 0: a critical point at 0; the clean sample at 0.5 is not
+        # redone, and is the argmax
         ("z^2+z^3/(z-0.01)", [0j, 0.5 + 0j], ({"CriticalPoint"}, 1)),
         ("z^2+z^3/(z-0.01)", [0.01 + 0j], ({"Pole"}, 1)),
         # both parts of f' = 2z within the floor, its modulus not: the
         # guard redoes the sample, and S is defined
         ("z^2", [complex(0.45e-12, 0.45e-12)], (set(), 1)),
-        # S(0) = 1.5e308 (1 + i): the stencil's |S| overflows
+        # S(0) = 1.5e308 (1 + i): |S| overflows
         ("z+(1+i)*" + "25" + "0" * 306 + "*z^3", [0j], ({"Overflow"}, 1)),
         # d3 / d1 overflows to inf where S is finite, so the statistic is
         # nan, which the keep flags with no redo
         ("z+(1+i)*" + "25" + "0" * 306 + "*z^3", [-0.5 + 0j], ({"Overflow"}, 0)),
-        # the pole at 0.02 is the 4th point of the sample at 0, and no other
-        ("1/(z-0.02)", [0j, -0.5 + 0j], ({"Pole"}, 1)),
-        # at -0.01 the 2nd point, 0, is critical and the 5th, -0.03, a
-        # pole: the 2nd decides
-        ("z^2+z^3/(z+0.03)", [-0.01 + 0j], ({"CriticalPoint"}, 1)),
+        # a pole at one sample, and none at the other
+        ("1/(z-0.02)", [0.02 + 0j, -0.5 + 0j], ({"Pole"}, 1)),
+        # a critical point at 0 and a pole at -0.03, each redone
+        ("z^2+z^3/(z+0.03)", [0j, -0.03 + 0j, 0.25 + 0j], ({"CriticalPoint", "Pole"}, 2)),
     ],
 )
 def test_fused_sd_statistic_on_each_rule(text, points, want):
     f = parse(text)
-    h = 0.01
     for n in (1, -0.0):
-        reference = _sd_reference(f, n, points, h)
+        reference = _sd_reference(f, n, points)
         assert reference[1] == want[0]
-        got, redone = _stat_outcomes(f, n, probe._sd(h), _stencil_points(points, h))
-        assert got == (reference[0].hex(), reference[1])
+        got, redone = _stat_outcomes(f, n, probe._SD, points)
+        assert got == tuple(map(_bits, reference))
         assert redone == want[1]
 
 
 def test_a_redone_sample_stops_at_its_first_failed_point(monkeypatch):
-    # the first of the sample's five stencil points is the pole of 1/z, so
-    # the walk that redoes it starts a jet there and at no other point
-    h = 0.01
+    # the sample at the pole of 1/z is redone by one walk, started at its
+    # point and at no other
+    clean = probe._sd(eval_jet(parse("1/z"), 1, 0.5, order=4))
     started = []
     real = dsl.jet_var
-    monkeypatch.setattr(dsl, "jet_var", lambda w: started.append(w) or real(w))
-    got = eval_jet_lanes(parse("1/z"), 1, [_stencil_points([0j], h)], probe._sd(h))
-    assert got == [(-1.0, {"Pole"})]
+    monkeypatch.setattr(dsl, "jet_var", lambda w, order: started.append(w) or real(w, order))
+    got = eval_jet_lanes(parse("1/z"), 1, [[0j, 0.5 + 0j]], probe._SD)
+    assert got == [(clean, {"Pole"}, 0.5 + 0j)]
     assert started == [0j]
+
+
+def test_the_keep_reports_each_groups_argmax_sample():
+    # the sample of each group's largest statistic, the first of equals,
+    # against a written-out loop, bit for bit; None where no sample has one
+    rng = random.Random(67)
+    seen = 0
+    for _ in range(100):
+        f, _, points = _draw(rng)
+        groups = [points[:3], points[3:], [], points[::-1], points[:1] * 3]
+        for n in _STAT_NS:
+            got, _ = _group_outcomes(f, n, probe._SD, groups)
+            want = [_sd_reference(f, n, g) for g in groups]
+            assert got == [tuple(map(_bits, x)) for x in want]
+            seen += sum(x[2] is not None for x in want)
+    assert seen > 500
 
 
 # ---------------------------------------------------------------------------
@@ -1078,8 +1092,8 @@ def _blocks(source: str, head) -> list:
 
 # the program's statistics, and _PARTS, which reads the jets
 _PROGRAM_STATISTICS = {
-    "jets": _PARTS, "marty": probe._MARTY, "sd": probe._sd(0.00625), "floor": probe._FLOOR,
-    "bound": probe._BOUND,
+    "jets": _PARTS, "marty": probe._MARTY, "sd": probe._SD, "floor": probe._FLOOR,
+    "bound": probe._BOUND, "rise": probe._SD_RISE,
 }
 
 
@@ -1087,8 +1101,8 @@ _PROGRAM_STATISTICS = {
 def test_a_lane_is_redone_in_one_handler(stat):
     # a family of n: its checks raise into the lane's one handler, and its
     # prelude's failure redoes every lane in one loop
-    # a lane is one sample: its point, or the five of the S' stencil
-    sample = "zv0, zv1, zv2, zv3, zv4" if stat == "sd" else "zv"
+    # a lane is one sample, its point
+    sample = "zv"
     source, _ = codegen._lanes_source(parse("exp(z/(n*z+1))").root, _PROGRAM_STATISTICS[stat])
     checks = _blocks(source, lambda x: x.startswith("if ") and not x.startswith("if type("))
     assert len(checks) >= 4
@@ -1103,7 +1117,10 @@ def test_a_lane_is_redone_in_one_handler(stat):
     assert main[0].strip() == "for G in Z:"
     start = _PROGRAM_STATISTICS[stat].start
     best = ["best", *(f"best{k}" for k in range(1, len(start)))]
-    reset = [f"        {b} = {x!r}" for b, x in zip(best, start)] + ["        flags = noflags"]
+    # and, with an ascent, the group's argmax
+    argmax = ["        at = None"] if _PROGRAM_STATISTICS[stat].ascent else []
+    reset = [f"        {b} = {x!r}" for b, x in zip(best, start)]
+    reset += [*argmax, "        flags = noflags"]
     assert main[1 : len(reset) + 1] == reset
     assert f"        for {sample} in G:" in main and main[-1].startswith("        append((best")
     # the fast path and the handler reach one keep, after the handler

@@ -1,8 +1,9 @@
 import cmath
 import math
 
+import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from schwarzian_lab.ball import Ball
@@ -24,7 +25,27 @@ from schwarzian_lab.jets import (
     jet_sub,
     jet_var,
 )
-from support import assert_fd_close, fd_derivative
+from schwarzian_lab.cli import CATALOG
+from schwarzian_lab.dsl import (
+    ConstNum,
+    Div,
+    EvalError,
+    Exp,
+    FamilyExpr,
+    ImagUnit,
+    Log,
+    Mul,
+    Neg,
+    Param,
+    PowInt,
+    Sub,
+    Var,
+    eval_jet,
+    parse,
+)
+from schwarzian_lab.dsl import Add as AddNode
+from schwarzian_lab.schwarzian import _schwarzian_derivatives
+from support import assert_fd_close, fd_derivative, log_arguments, plain_eval
 
 
 def assert_jet_close(j: ComplexJet3, expected, rtol=1e-12):
@@ -381,3 +402,158 @@ def test_one_over_a_tiny_z_is_finite_to_order_2():
         assert all(map(cmath.isfinite, j[:3])) and not cmath.isfinite(j.d3)
         assert j[:2] == (1e80 + 0j, -1e160 + 0j)
         assert jet_pow_int(z, -1, order)[:3] == j[:3]
+
+
+# ---------------------------------------------------------------------------
+# jets of order 4 and 5: mpmath's derivatives at 40 digits, and the bits of
+# the order-3 walk in their parts up to 3
+
+
+def _mp_derivatives(f: FamilyExpr, n, z: complex, order: int) -> list:
+    # f_n's derivatives 0..order at z, by mpmath's differentiation of the
+    # tree evaluated in mpmath's arithmetic
+    with mpmath.workdps(40):
+        def fn(w):
+            return mpmath.mpc(plain_eval(f.root, n, w, mpmath))
+
+        return [complex(x) for x in mpmath.diffs(fn, mpmath.mpc(z), order)]
+
+
+def _taylor_scale(j) -> float:
+    # the largest Taylor coefficient f^(k)/k! of a jet
+    return max(abs(p) / math.factorial(k) for k, p in enumerate(j))
+
+
+def _roundoff_scale(node, n, z: complex, order: int) -> float:
+    # where a product or quotient of the tree multiplies a large operand
+    # by a small one (z * z^-8, log(z)/log(z) near 1), its roundoff is on
+    # the scale of the product of their Taylor scales; the largest such
+    if isinstance(node, (Var, Param, ImagUnit, ConstNum)):
+        return 0.0
+    if isinstance(node, PowInt):
+        return _roundoff_scale(node.base, n, z, order)
+    if isinstance(node, (Neg, Exp, Log)):
+        return _roundoff_scale(node.operand if isinstance(node, Neg) else node.arg, n, z, order)
+    inner = max(_roundoff_scale(x, n, z, order) for x in (node.lhs, node.rhs))
+    if not isinstance(node, (Mul, Div)):
+        return inner
+    rhs = Div(ConstNum(1 + 0j), node.rhs) if isinstance(node, Div) else node.rhs
+    a, b = (eval_jet(FamilyExpr(x), n, z, order=order) for x in (node.lhs, rhs))
+    return max(inner, _taylor_scale(a) * _taylor_scale(b))
+
+
+def _assert_matches_mpmath(f: FamilyExpr, n, z: complex, order: int) -> None:
+    got = eval_jet(f, n, z, order=order)
+    want = _mp_derivatives(f, n, z, order)
+    assert len(got) == order + 1
+    # a part that is 0, or tiny beside the others, is judged on the scale
+    # of the largest Taylor coefficient f^(j)/j!, times k!, and a function
+    # that is 0 (log(z/z)) on a scale of 1e-3; to that is added the
+    # roundoff of its products and quotients
+    scale = max(1e-3, _taylor_scale(want))
+    slack = 1e-11 * _roundoff_scale(f.root, n, z, order)
+    for k, (g, w) in enumerate(zip(got, want)):
+        tol = 1e-9 * max(abs(w), math.factorial(k) * scale) + math.factorial(k) * slack
+        assert abs(g - w) <= tol, (k, got, want)
+
+
+def _assert_keeps_the_order_3_bits(f: FamilyExpr, n, z: complex, order: int) -> None:
+    # parts 0 to 3 of an order-k jet are the order-3 jet's, bit for bit
+    def bits(j):
+        return [(p.real.hex(), p.imag.hex()) for p in j[:4]]
+
+    try:
+        low = eval_jet(f, n, z)
+    except EvalError:
+        with pytest.raises(EvalError):  # it checks those parts too
+            eval_jet(f, n, z, order=order)
+        return
+    try:
+        high = eval_jet(f, n, z, order=order)
+    except EvalError as exc:  # a part above 3 past the double range
+        assert "overflowed" in exc.message
+        return
+    assert bits(high) == bits(low)
+
+
+_CATALOG_POINTS = (0.3 + 0.1j, -0.2 - 0.4j, 0.05j, -0.45 + 0.3j)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@pytest.mark.parametrize("order", [4, 5])
+def test_order_k_jets_of_the_catalog_match_mpmath(name, order):
+    f = parse(CATALOG[name])
+    for n in (1, 3, 8):
+        for z in _CATALOG_POINTS:
+            _assert_matches_mpmath(f, n, z, order)
+            _assert_keeps_the_order_3_bits(f, n, z, order)
+
+
+_leaves = st.one_of(
+    st.just(Var()), st.just(Var()), st.just(Param()), st.just(ImagUnit()),
+    st.integers(1, 5).map(lambda k: ConstNum(complex(k))),
+)
+
+
+def _branches(children):
+    return st.one_of(
+        st.builds(AddNode, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Neg, children),
+        st.builds(PowInt, children, st.integers(-3, 3)),
+        st.builds(Exp, children),
+        st.builds(Log, children),
+    )
+
+
+def _singular_operands(node) -> list:
+    # every divisor, base of a negative power and log argument in the tree
+    kind = type(node)
+    if kind in (Var, Param, ImagUnit, ConstNum):
+        return []
+    if kind is PowInt:
+        return [node.base] * (node.exponent < 0) + _singular_operands(node.base)
+    if kind in (Neg, Exp, Log):
+        inner = node.operand if kind is Neg else node.arg
+        return [inner] * (kind is Log) + _singular_operands(inner)
+    return [node.rhs] * (kind is Div) + _singular_operands(node.lhs) + _singular_operands(node.rhs)
+
+
+@given(
+    st.recursive(_leaves, _branches, max_leaves=8),
+    st.integers(1, 4),
+    _band(0.5, 1.5),
+    st.sampled_from([4, 5]),
+)
+def test_order_k_jets_of_random_trees_match_mpmath(tree, n, z, order):
+    f = FamilyExpr(tree)
+    try:
+        j = eval_jet(f, n, z, order=order)
+    except EvalError:
+        assume(False)
+    # away from log's cut, where mpmath's differences would straddle it,
+    # from a divisor or log argument that is roundoff (z - z), where the
+    # double and the exact evaluations part, and from values too large to
+    # difference
+    for arg in log_arguments(tree):
+        w = plain_eval(arg, n, z)
+        assume(not (w.real < 0.0 and abs(w.imag) < 1e-3 * abs(w)))
+    assume(all(abs(plain_eval(d, n, z)) > 1e-6 for d in _singular_operands(tree)))
+    assume(max(map(abs, j)) < 1e100)
+    _assert_matches_mpmath(f, n, z, order)
+    _assert_keeps_the_order_3_bits(f, n, z, order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+def test_schwarzian_derivatives_of_example2_match_the_closed_form(n):
+    # f = exp(z/(n z + 1)): S = -1/(2 w^4), S' = 2n/w^5 and
+    # S'' = -10 n^2/w^6, w = n z + 1
+    f = parse("exp(z/(n*z+1))")
+    for z in (0j, 0.03 - 0.02j, -0.04 + 0.01j, 0.05j):
+        w = n * z + 1
+        s, ds, dds = _schwarzian_derivatives(eval_jet(f, n, z, order=5))
+        for got, want in ((s, -1 / (2 * w**4)), (ds, 2 * n / w**5), (dds, -10 * n**2 / w**6)):
+            assert abs(got - want) <= 1e-11 * abs(want), (z, got, want)
+        assert _schwarzian_derivatives(eval_jet(f, n, z, order=4)) == (s, ds)

@@ -42,6 +42,8 @@ from schwarzian_lab.probe import (
     _neighborhood,
     _seed_offset,
 )
+from schwarzian_lab.schwarzian import _schwarzian_derivatives
+from support import example2_disk_sup
 
 
 def verdicts(report, **kw):
@@ -244,12 +246,14 @@ def test_sd_scan_constant_schwarzian_reads_zero():
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_sd_scan_example2_statistic_at_origin(n):
     # S = -1/(2 (nz+1)^4) gives |S'(0)| = 2n and |S(0)| = 1/2, so the
-    # statistic at the origin is 2n / (1 + 1/4) = 1.6 n
+    # order-4 statistic at the origin is 2n / (1 + 1/4) = 1.6 n; the scan
+    # refines that one sample by ascent, never past the disk's sup
     f = parse("exp(z/(n*z+1))")
+    assert probe._sd(eval_jet(f, n, 0j, order=4)) == pytest.approx(1.6 * n, rel=1e-12)
     g = GridSpec(0.0, 1.0, 0.0, 1.0, 1, 1, neighborhood_samples=1)
     rep = sd_family_scan(f, g, (n,))
     (p,) = rep.points
-    assert p.sup_stat == pytest.approx(1.6 * n, rel=2e-2)
+    assert 1.6 * n <= p.sup_stat <= example2_disk_sup(n, 0j, g.neighborhood_radius) * (1 + 1e-9)
     assert p.argmax_n == n
 
 
@@ -265,12 +269,10 @@ def test_sd_scan_critical_point_flag():
 
 def test_sd_statistic_past_the_double_range_is_an_overflow_flag():
     # at 0, S = d3/d1 = 1.5e308 (1 + i) is finite, but its modulus
-    # overflows; the stencil's other points, 0.01 and 0.02 away, are clean.
-    # The sample is one lane of its five points, in a group of its own
+    # overflows; the sample is one lane, in a group of its own, and no
+    # other sample is its group's argmax
     f = parse("z+(1+i)*25" + "0" * 306 + "*z^3")
-    h = 0.01
-    stencil = (0j, h + 0j, -h + 0j, 2 * h + 0j, -2 * h + 0j)
-    assert eval_jet_lanes(f, 1, [[stencil]], probe._sd(h)) == [(-1.0, {"Overflow"})]
+    assert eval_jet_lanes(f, 1, [[0j]], probe._SD) == [(-1.0, {"Overflow"}, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -389,22 +391,21 @@ def test_pool_is_no_larger_than_its_chunks(monkeypatch):
 # exp(n z) past its guard for n = 1400 where Re z > 0.5
 _BLOCK_FAMILY = "(z+0.5)^2*exp(n*z)/(z-0.5)"
 _BLOCK_NS = (1, 2, 3, 5, 1400)
-_GRID_STATISTICS = {"marty": probe._MARTY, "sd": probe._sd(DEFAULT_RADIUS / 8.0),
-                    "floor": probe._FLOOR}
+_GRID_STATISTICS = {"marty": probe._MARTY, "sd": probe._SD, "floor": probe._FLOOR}
 
 
 def _one_call_per_point(stat, f, grid, ns, offset):
     # the loop the blocks replaced: one lane-function call per (point, n),
-    # the point's samples its one group
+    # the point's samples its one group, and the ascent of that group alone
     out = []
+    radius = grid.neighborhood_radius
     for index in range(grid.nx * grid.ny):
         z = complex(grid.x_coords()[index % grid.nx], grid.y_coords()[index // grid.nx])
-        points = _neighborhood(z, grid.neighborhood_radius, grid.neighborhood_samples, offset,
-                               index)
-        if stat.width > 1:
-            h = stat.step
-            points = [(w, w + h, w - h, w + 2.0 * h, w - 2.0 * h) for w in points]
-        out.append((z, [eval_jet_lanes(f, n, [points], stat)[0] for n in ns]))
+        points = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
+        rows = [eval_jet_lanes(f, n, [points], stat) for n in ns]
+        if stat.ascent:
+            rows = [probe._ascend(f, n, stat.ascent, [z], radius, r) for n, r in zip(ns, rows)]
+        out.append((z, [r[0] for r in rows]))
     return out
 
 
@@ -455,10 +456,12 @@ def test_a_call_covers_at_most_a_block_of_points(monkeypatch):
     # per n, one call per block: two blocks of 32 and 1 points, whose lanes
     # add up to one per (point, n, sample)
     sizes = []
+    climbs = []
     real_lanes = probe.eval_jet_lanes
 
     def counted_lanes(expr, n, groups, stat):
-        sizes.append([len(points) for points in groups])
+        groups = [list(points) for points in groups]
+        (climbs if stat is probe._SD_RISE else sizes).append(list(map(len, groups)))
         return real_lanes(expr, n, groups, stat)
 
     monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
@@ -466,8 +469,13 @@ def test_a_call_covers_at_most_a_block_of_points(monkeypatch):
     ns = range(1, 5)
     for scan in (marty_scan, sd_family_scan):
         sizes.clear()
-        scan(parse("exp(n*z)"), g, ns)
+        scan(parse("exp(z/(n*z+1))"), g, ns)
         assert sizes == [[9] * probe._BLOCK] * len(ns) + [[9]] * len(ns)
+    # the ascent's batches: per (n, block), one at the argmaxes and one per
+    # round, one sample per group that climbs
+    assert len(climbs) == (1 + probe._ASCENT_ROUNDS) * 2 * len(ns)
+    assert {len(c) for c in climbs[:12]} == {probe._BLOCK} and {len(c) for c in climbs[12:]} == {1}
+    assert {k for c in climbs for k in c} == {1}
     sizes.clear()
     derivative_floor_check(parse("exp(n*z)"), ns, g, 0.5)
     assert max(map(sum, sizes)) <= probe._BLOCK * 9
@@ -575,31 +583,33 @@ def test_local_bound_segment_past_the_double_range():
 
 
 def test_a_grid_point_with_a_sample_past_the_double_range_runs_no_batch(monkeypatch):
-    # the first grid point's samples are finite; the second's S' stencil
-    # point z + 2h is not, so its block, which holds both, is refused
-    # before any of its batches
+    # the first grid point's samples are finite; some of the second's, on
+    # the circle 1e307 about 1.79e308, are not, so its block, which holds
+    # both, is refused before any of its batches
     calls = []
     real_lanes = probe.eval_jet_lanes
 
     def counted_lanes(expr, n, points, stat):
-        calls.append(points)
+        points = list(points)
+        calls.append((stat, points))
         return real_lanes(expr, n, points, stat)
 
     monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
-    g = GridSpec(-1.0, 1.79e308, 0.0, 1e308, 2, 1, neighborhood_radius=1e307,
-                 neighborhood_samples=1)
+    g = GridSpec(-1.0, 1.79e308, 0.0, 1e308, 2, 1, neighborhood_radius=1e307)
     with pytest.raises(ValueError, match="^jet_var requires a finite point$"):
         sd_family_scan(parse("z"), g, range(1, 4))
     assert calls == []
     # past a block's end the refusal comes after the blocks before it: the
-    # first block's 3 batches, one per n, of the block's clean points
+    # first block's 3 batches, one per n, of the block's clean samples,
+    # each followed by its ascent
     nx = probe._BLOCK + 1
-    g = GridSpec(-1.0, 1.79e308, 0.0, 1e308, nx, 1, neighborhood_radius=1e307,
-                 neighborhood_samples=1)
+    g = GridSpec(-1.0, 1.79e308, 0.0, 1e308, nx, 1, neighborhood_radius=1e306)
     with pytest.raises(ValueError, match="^jet_var requires a finite point$"):
         sd_family_scan(parse("z"), g, range(1, 4))
-    assert len(calls) == 3 and all(len(groups) == probe._BLOCK for groups in calls)
-    assert all(groups[0][0][0] == -1.0 for groups in calls)
+    batches = [groups for stat, groups in calls if stat is probe._SD]
+    assert len(batches) == 3 and all(len(groups) == probe._BLOCK for groups in batches)
+    assert all(groups[0][0] == -1.0 for groups in batches)
+    assert len(calls) == 3 * (2 + probe._ASCENT_ROUNDS)
 
 
 def test_local_bound_rejects_short_sampling():
@@ -775,26 +785,78 @@ def test_floor_sweep_matches_per_sample_evaluation():
     assert rep.max_abs_schwarzian == max_s
 
 
-def test_sd_statistic_matches_per_sample_stencil():
-    # the sd kernel reuses each sample's five stencil jets across n; the
-    # statistic must equal the stencil evaluated from scratch
+def test_sd_statistic_matches_per_sample_jets():
+    # each (point, n)'s best sample is |S'| / (1 + |S|^2) from its order-4
+    # jet evaluated from scratch, and the ascent only raises it, within
+    # the disk's sup
     f = parse("exp(z/(n*z+1))")
     g = GridSpec(0.1, 0.3, -0.1, 0.1, 2, 2, neighborhood_samples=3)
     ns = (1, 2, 3, 4)
     rep = sd_family_scan(f, g, ns, seed=2)
     offset = _seed_offset(2)
-    h = g.neighborhood_radius / 8.0
     for index, p in enumerate(rep.points):
-        best = {}
+        samples = _neighborhood(p.z, g.neighborhood_radius, 3, offset, index)
         for n in ns:
-            for w in _neighborhood(p.z, g.neighborhood_radius, 3, offset, index):
-                s0, sp1, sm1, sp2, sm2 = (
-                    schwarzian(eval_jet(f, n, w + k * h)) for k in (0, 1, -1, 2, -2)
+            best = max(
+                abs(s1) / (1.0 + abs(s0) ** 2)
+                for s0, s1 in (
+                    _schwarzian_derivatives(eval_jet(f, n, w, order=4)) for w in samples
                 )
-                ds = (-sp2 + 8.0 * sp1 - 8.0 * sm1 + sm2) / (12.0 * h)
-                best[n] = max(best.get(n, -1.0), abs(ds) / (1.0 + abs(s0) ** 2))
-        assert p.sup_stat == max(best.values())
-        assert p.argmax_n == max(best, key=best.get)
+            )
+            assert eval_jet_lanes(f, n, [samples], probe._SD)[0][0] == best
+            ((refined, _),) = probe._ascend(f, n, probe._SD_RISE, [p.z], g.neighborhood_radius,
+                                            eval_jet_lanes(f, n, [samples], probe._SD))
+            assert best <= refined <= example2_disk_sup(n, p.z, g.neighborhood_radius) * (1 + 1e-9)
+            assert refined <= p.sup_stat
+
+
+def test_the_ascent_steps_doubles_halves_and_stays_in_the_disk(monkeypatch):
+    # the rise statistic faked as F = value(x), |S'| = 1 and D = 1 (up the
+    # real axis), so the first step is min(radius, 1/2); the ascent starts
+    # at each group's argmax, whose F is its best
+    tried = []
+
+    def fake(value):
+        def lanes(expr, n, groups, stat):
+            assert stat is probe._SD_RISE
+            out = []
+            for (w,) in groups:
+                tried.append(w)
+                f = value(w.real)
+                out.append((f, 1.0, 1.0, 0.0, frozenset()) if f is not None
+                           else (-1.0, -1.0, -math.inf, -math.inf, frozenset({"Pole"})))
+            return out
+        return lanes
+
+    def ascend(value, radius=1.0):
+        tried.clear()
+        monkeypatch.setattr(probe, "eval_jet_lanes", fake(value))
+        rows = [(value(0.0), frozenset({"CriticalPoint"}), 0j), (-1.0, frozenset({"Pole"}), None)]
+        out = probe._ascend(None, 1, probe._SD_RISE, [0j, 5j], radius, rows)
+        assert [flags for _, flags in out] == [row[1] for row in rows]  # flags stay the samples'
+        assert out[1][0] == -1.0  # a group with no argmax does not climb
+        return out[0][0], list(tried)
+
+    # a plateau: no candidate rises, so each is rejected and the step halves
+    assert ascend(lambda x: 1.0) == (1.0, [0j, 0.5 + 0j, 0.25 + 0j])
+    # F rising with x: each candidate is taken and the step doubles, and
+    # the second, at 1.5, is projected back to the disk's edge
+    assert ascend(lambda x: 1.0 + x) == (2.0, [0j, 0.5 + 0j, 1.0 + 0j])
+    assert ascend(lambda x: 1.0 + x, radius=0.25) == (1.25, [0j, 0.25 + 0j, 0.25 + 0j])
+    # a candidate that fails is rejected, and not flagged
+    assert ascend(lambda x: None if x else 1.0) == (1.0, [0j, 0.5 + 0j, 0.25 + 0j])
+
+
+def test_sd_origin_slope_is_near_one_on_the_bench_grid():
+    # the exact sup over the origin's disk grows as n, so the slope is 1;
+    # on the 11x11 grid of the sd-grid benchmark, seeds 0 to 10
+    f = parse("exp(z/(n*z+1))")
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 11, 11)
+    for seed in range(11):
+        rep = sd_family_scan(f, g, range(1, 33), seed=seed)
+        origin = rep.points[60]
+        assert origin.z == 0j
+        assert 0.75 <= origin.growth_slope <= 1.25, seed
 
 
 # ---------------------------------------------------------------------------

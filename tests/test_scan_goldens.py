@@ -67,17 +67,17 @@ _GOLDEN = {
     ('scan-sd', 'pole', 'csv'): (
         0,
         're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
-        '0,0,4.14483262526725e-14,1,0.0,,bounded\n'
-        '1,0,1.0366026016367814e-11,1,0.0,Pole,bounded\n'
-        '2,0,1.1097414880187387e-11,2,0.0,Pole,bounded\n',
+        '0,0,1.4210854715202004e-14,1,0.0,,bounded\n'
+        '1,0,7.622954678590855e-12,1,0.0,Pole,bounded\n'
+        '2,0,1.0913936421275139e-11,2,0.0,Pole,bounded\n',
         '',
     ),
     ('scan-sd', 'pole', 'json'): (
         0,
         '[\n'
-        '  {\n    "re": 0.0,\n    "im": 0.0,\n    "sup_stat": 4.14483262526725e-14,\n    "argmax_n": 1,\n    "growth_slope": 0.0,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
-        '  {\n    "re": 1.0,\n    "im": 0.0,\n    "sup_stat": 1.0366026016367814e-11,\n    "argmax_n": 1,\n    "growth_slope": 0.0,\n    "flags": "Pole",\n    "verdict": "bounded"\n  },\n'
-        '  {\n    "re": 2.0,\n    "im": 0.0,\n    "sup_stat": 1.1097414880187387e-11,\n    "argmax_n": 2,\n    "growth_slope": 0.0,\n    "flags": "Pole",\n    "verdict": "bounded"\n  }\n'
+        '  {\n    "re": 0.0,\n    "im": 0.0,\n    "sup_stat": 1.4210854715202004e-14,\n    "argmax_n": 1,\n    "growth_slope": 0.0,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 1.0,\n    "im": 0.0,\n    "sup_stat": 7.622954678590855e-12,\n    "argmax_n": 1,\n    "growth_slope": 0.0,\n    "flags": "Pole",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 2.0,\n    "im": 0.0,\n    "sup_stat": 1.0913936421275139e-11,\n    "argmax_n": 2,\n    "growth_slope": 0.0,\n    "flags": "Pole",\n    "verdict": "bounded"\n  }\n'
         ']\n',
         '',
     ),
@@ -112,17 +112,17 @@ _GOLDEN = {
     ('scan-sd', 'exp-window', 'csv'): (
         0,
         're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
-        '80,-1,2.0633176747026692e-14,3,0.0,,bounded\n'
-        '160,-1,1.3436194738141579e-14,3,nan,Overflow,inconclusive\n'
-        '240,-1,5.875862291237822e-16,2,nan,Overflow,inconclusive\n',
+        '80,-1,1.3728048629887718e-15,3,0.0,,bounded\n'
+        '160,-1,1.3408514656390549e-15,3,nan,Overflow,inconclusive\n'
+        '240,-1,0.0,-1,nan,Overflow,inconclusive\n',
         '',
     ),
     ('scan-sd', 'exp-window', 'json'): (
         0,
         '[\n'
-        '  {\n    "re": 80.0,\n    "im": -1.0,\n    "sup_stat": 2.0633176747026692e-14,\n    "argmax_n": 3,\n    "growth_slope": 0.0,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
-        '  {\n    "re": 160.0,\n    "im": -1.0,\n    "sup_stat": 1.3436194738141579e-14,\n    "argmax_n": 3,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  },\n'
-        '  {\n    "re": 240.0,\n    "im": -1.0,\n    "sup_stat": 5.875862291237822e-16,\n    "argmax_n": 2,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  }\n'
+        '  {\n    "re": 80.0,\n    "im": -1.0,\n    "sup_stat": 1.3728048629887718e-15,\n    "argmax_n": 3,\n    "growth_slope": 0.0,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 160.0,\n    "im": -1.0,\n    "sup_stat": 1.3408514656390549e-15,\n    "argmax_n": 3,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  },\n'
+        '  {\n    "re": 240.0,\n    "im": -1.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  }\n'
         ']\n',
         '',
     ),
@@ -156,17 +156,17 @@ _GOLDEN = {
     ('scan-sd', 'critical', 'csv'): (
         0,
         're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
-        '-0.5,0,0.3130517877691931,1,0.09637409596026503,,bounded\n'
-        '0,0,0.1286333382119622,1,-0.38489464626551095,CriticalPoint,bounded\n'
-        '0.5,0,0.4402549894681473,1,-0.078334326196238,,bounded\n',
+        '-0.5,0,0.42301763073585363,1,0.09607242582911368,,bounded\n'
+        '0,0,0.2569107478120864,3,-0.3246000831443162,CriticalPoint,bounded\n'
+        '0.5,0,0.44082780680622824,1,-0.07820066355743603,,bounded\n',
         '',
     ),
     ('scan-sd', 'critical', 'json'): (
         0,
         '[\n'
-        '  {\n    "re": -0.5,\n    "im": 0.0,\n    "sup_stat": 0.3130517877691931,\n    "argmax_n": 1,\n    "growth_slope": 0.09637409596026503,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
-        '  {\n    "re": 0.0,\n    "im": 0.0,\n    "sup_stat": 0.1286333382119622,\n    "argmax_n": 1,\n    "growth_slope": -0.38489464626551095,\n    "flags": "CriticalPoint",\n    "verdict": "bounded"\n  },\n'
-        '  {\n    "re": 0.5,\n    "im": 0.0,\n    "sup_stat": 0.4402549894681473,\n    "argmax_n": 1,\n    "growth_slope": -0.078334326196238,\n    "flags": "",\n    "verdict": "bounded"\n  }\n'
+        '  {\n    "re": -0.5,\n    "im": 0.0,\n    "sup_stat": 0.42301763073585363,\n    "argmax_n": 1,\n    "growth_slope": 0.09607242582911368,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 0.0,\n    "im": 0.0,\n    "sup_stat": 0.2569107478120864,\n    "argmax_n": 3,\n    "growth_slope": -0.3246000831443162,\n    "flags": "CriticalPoint",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 0.5,\n    "im": 0.0,\n    "sup_stat": 0.44082780680622824,\n    "argmax_n": 1,\n    "growth_slope": -0.07820066355743603,\n    "flags": "",\n    "verdict": "bounded"\n  }\n'
         ']\n',
         '',
     ),

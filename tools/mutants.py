@@ -59,7 +59,8 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # today, then one per part of the lane's one handler, then those it
 # records for the identity error bound (a00e581, here against the ball
 # rules), the batch walk (2bde4db) and the one walk (cce385b), then those
-# of the order rule and of the records; a later change adds its mutants here
+# of the order rule, of the records, and of the order-k jets and the sd
+# ascent; a later change adds its mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -117,60 +118,34 @@ MUTANTS = (
            (CLI + "test_cached_parser_gives_a_fresh_parsers_bytes",)),
     # the statistics
     Mutant("the critical guard dropped", "codegen.py",
-           "            t.check(True, _CRITICAL_GUARD.format(*point))",
+           "            t.check(True, _CRITICAL_GUARD.format(*parts))",
            "            pass",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("the critical rule tried after the lane formula", "codegen.py",
-           "                if self.critical is not None and _critical(j[1]):\n"
-           "                    return self.critical(j)\n"
-           "                jets.append(j)\n"
-           "            return self.value(jets)",
-           "                jets.append(j)\n"
-           "            value = self.value(jets)\n"
-           "            for j in jets:\n"
-           "                if self.critical is not None and _critical(j[1]):\n"
-           "                    return self.critical(j)\n"
+           "            if self.critical is not None and _critical(j[1]):\n"
+           "                return self.critical(j)\n"
+           "            return self.lane(j)",
+           "            value = self.lane(j)\n"
+           "            if self.critical is not None and _critical(j[1]):\n"
+           "                return self.critical(j)\n"
            "            return value",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("the sd statistic without its critical rule", "probe.py",
-           "    return Statistic(5, _stencil, _critical_point, h)",
-           "    return Statistic(5, _stencil, None, h)",
+           "_SD = Statistic(_sd, _critical_point, order=4, ascent=_SD_RISE)",
+           "_SD = Statistic(_sd, None, order=4, ascent=_SD_RISE)",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
-    Mutant("a modulus past the double range not flagged, the sd stencil's among them",
+    Mutant("a modulus past the double range not flagged, the sd statistic's among them",
            "codegen.py",
            '        except OverflowError:\n            return "Overflow"',
            "        except OverflowError:\n            return -1.0",
            (PROBE + "test_sd_statistic_past_the_double_range_is_an_overflow_flag",
             DSL + "test_fused_sd_statistic_on_each_rule")),
-    Mutant("a sample's last failed point decides, not its first", "codegen.py",
-           "            for w in points:\n"
-           "                try:\n"
-           "                    j = walk(w)\n"
-           "                except EvalError as err:\n"
-           "                    return \"Overflow\" if isinstance(err.__cause__, OverflowAtPoint) else \"Pole\"\n"
-           "                if self.critical is not None and _critical(j[1]):\n"
-           "                    return self.critical(j)\n"
-           "                jets.append(j)",
-           "            for w in reversed(points):\n"
-           "                try:\n"
-           "                    j = walk(w)\n"
-           "                except EvalError as err:\n"
-           "                    return \"Overflow\" if isinstance(err.__cause__, OverflowAtPoint) else \"Pole\"\n"
-           "                if self.critical is not None and _critical(j[1]):\n"
-           "                    return self.critical(j)\n"
-           "                jets.insert(0, j)",
-           (DSL + "test_fused_sd_statistic_on_each_rule",
-            DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
     Mutant("the keep's rule for a value past the double range dropped", "codegen.py",
            """    keep = [f"if {_not_finite(values, 'finite')}:", "    flags |= {'Overflow'}", "    continue"]""",
            "    keep = []",
            (DSL + "test_fused_floor_sweep_on_each_rule",
             DSL + "test_fused_sd_statistic_on_each_rule",
             GOLDENS + "test_flag_heavy_grid_bytes[hypotheses-s-nan-csv]")),
-    Mutant("the stencil's lanes in reverse order", "probe.py",
-           "(w, w + h, w - h, w + 2.0 * h, w - 2.0 * h)",
-           "(w - 2.0 * h, w + 2.0 * h, w - h, w + h, w)",
-           (PROBE + "test_sd_statistic_matches_per_sample_stencil",)),
     Mutant("a critical floor lane counted toward M2", "probe.py",
            "    return low, -1.0, -1.0, -1.0", "    return low, abs(j[2]), -1.0, -1.0",
            (DSL + "test_fused_floor_sweep_matches_the_jet_loop_bit_for_bit",)),
@@ -183,8 +158,8 @@ MUTANTS = (
            (DSL + "test_fused_floor_sweep_on_each_rule",
             GOLDENS + "test_flag_heavy_grid_bytes[hypotheses-critical-d2-csv]")),
     Mutant("bound's statistic starts at -1.0", "probe.py",
-           "_BOUND = Statistic(1, _slope, start=(0.0,), order=1)",
-           "_BOUND = Statistic(1, _slope, order=1)",
+           "_BOUND = Statistic(_slope, start=(0.0,), order=1)",
+           "_BOUND = Statistic(_slope, order=1)",
            (DSL + "test_bound_statistic_matches_the_jet_loop_bit_for_bit",)),
     Mutant("bound ignores the lane flags", "probe.py",
            "            ((k_est, failed),) = eval_jet_lanes(f, n, [finite], _BOUND)",
@@ -196,13 +171,13 @@ MUTANTS = (
     # blocks of grid points, one lane-function call per (n, block), each
     # point one group
     Mutant("best not reset between groups", "codegen.py",
-           '        return ["for G in Z:", *_indent(reset), f"    for {sample} in G:",',
-           '        return [*reset[:-1], "for G in Z:", *_indent(reset[-1:]), f"    for {sample} in G:",',
+           '        return ["for G in Z:", *_indent(reset), "    for zv in G:",',
+           '        return [*reset[:-1], "for G in Z:", *_indent(reset[-1:]), "    for zv in G:",',
            (PROBE + "test_no_statistic_or_flag_leaks_between_the_groups_of_a_call",
             DSL + "test_each_group_gets_only_its_own_result")),
     Mutant("flags carried into the next group", "codegen.py",
-           '        return ["for G in Z:", *_indent(reset), f"    for {sample} in G:",',
-           '        return [*reset[-1:], "for G in Z:", *_indent(reset[:-1]), f"    for {sample} in G:",',
+           '        return ["for G in Z:", *_indent(reset), "    for zv in G:",',
+           '        return [*reset[-1:], "for G in Z:", *_indent(reset[:-1]), "    for zv in G:",',
            (PROBE + "test_no_statistic_or_flag_leaks_between_the_groups_of_a_call",
             DSL + "test_each_group_gets_only_its_own_result")),
     Mutant("the last partial block dropped", "probe.py",
@@ -216,7 +191,7 @@ MUTANTS = (
            (PROBE + "test_no_statistic_or_flag_leaks_between_the_groups_of_a_call",
             PROBE + "test_blocks_of_grid_points_match_one_call_per_point")),
     Mutant("sample points not checked", "probe.py",
-           "        if not all(map(cmath.isfinite, flat)):", "        if False:",
+           "            if not all(map(cmath.isfinite, points)):", "            if False:",
            (PROBE + "test_a_grid_point_with_a_sample_past_the_double_range_runs_no_batch",)),
     # the lane's one handler
     Mutant("a check's raise turned into pass", "codegen.py",
@@ -232,7 +207,7 @@ MUTANTS = (
            "f\"{', '.join(values)} = got\"", '"pass"',
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("a redone sample's outcome not bound to the handler's name", "codegen.py",
-           'handler = [f"got = redo({sample})"', 'handler = [f"redo({sample})"',
+           'handler = ["got = redo(zv)"', 'handler = ["redo(zv)"',
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     # the ball rules behind the identity error bound
     Mutant("a literal taken as exact, not within half an ulp", "ball.py",
@@ -309,19 +284,19 @@ MUTANTS = (
     # statistic's leaves the double range, in the lane function, the redo
     # walk and bound's endpoints alike
     Mutant("the order-1 output truncated to order 0, so f' goes unchecked", "codegen.py",
-           "outs = [t.walk_at(root, name)[: t.order + 1] for name in names]",
-           "outs = [t.walk_at(root, name)[: 1 if t.order == 1 else t.order + 1] for name in names]",
+           "out = t.walk_lane(root)[: t.order + 1]",
+           "out = t.walk_lane(root)[: 1 if t.order == 1 else t.order + 1]",
            (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",)),
     Mutant("the redo walk checks all four parts for an order-1 statistic", "dsl.py",
-           "    ops = _OPS_AT[stat.order]", "    ops = _JET_OPS",
+           "    ops = _OPS_AT[order]", "    ops = _JET_OPS",
            (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",
             DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
     Mutant("bound's endpoints left at order 3", "probe.py",
            "eval_jet(f, n, w, order=_BOUND.order)", "eval_jet(f, n, w)",
            (CLI + "test_an_order_one_statistic_takes_samples_whose_higher_parts_overflow",)),
     Mutant("the floor sweep given order 1", "probe.py",
-           "_FLOOR = Statistic(1, _floor, _floor_critical, start=(-math.inf, -1.0, -1.0, -1.0))",
-           "_FLOOR = Statistic(1, _floor, _floor_critical, start=(-math.inf, -1.0, -1.0, -1.0), "
+           "_FLOOR = Statistic(_floor, _floor_critical, start=(-math.inf, -1.0, -1.0, -1.0))",
+           "_FLOOR = Statistic(_floor, _floor_critical, start=(-math.inf, -1.0, -1.0, -1.0), "
            "order=1)",
            (CLI + "test_an_order_one_statistic_takes_samples_whose_higher_parts_overflow",
             DSL + "test_fused_floor_sweep_matches_the_jet_loop_bit_for_bit")),
@@ -332,7 +307,7 @@ MUTANTS = (
            "pow_int=partial(jet_pow_int, order=t.order)", "pow_int=jet_pow_int",
            (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",)),
     Mutant("a jet operation checks the parts above its order", "jets.py",
-           "(order < 2 or _isfinite(d2))", "_isfinite(d2)",
+           "    for x in j[: order + 1]:", "    for x in j:",
            (JETS + "test_an_operation_checks_only_the_parts_up_to_its_order[1]",)),
     # hypotheses is not sound on dropped samples, and the pool is imported
     # where it is used
@@ -347,14 +322,14 @@ MUTANTS = (
     # one batch contract: a redone sample's walk raises, and stops at its
     # first failed or critical point; the jets reach a test by _Tail's halves
     Mutant("the redo walk flags every failure Pole", "codegen.py",
-           '                    return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"',
-           '                    return "Pole"',
+           '                return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"',
+           '                return "Pole"',
            (DSL + "test_lanes_match_one_lane_calls_and_the_reference_walk",
             DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
     Mutant("the redo walk skips the critical check", "codegen.py",
-           "                if self.critical is not None and _critical(j[1]):\n"
-           "                    return self.critical(j)\n                jets.append(j)",
-           "                jets.append(j)",
+           "            if self.critical is not None and _critical(j[1]):\n"
+           "                return self.critical(j)\n            return self.lane(j)",
+           "            return self.lane(j)",
            (DSL + "test_fused_sd_statistic_on_each_rule",
             DSL + "test_fused_floor_sweep_on_each_rule")),
     Mutant("_Tail's imaginary half writes the real half", "codegen.py",
@@ -388,8 +363,35 @@ MUTANTS = (
            "    def __reduce__(self):\n        return type(self), self._values(self)\n",
            (SCHWARZIAN + "test_mobius_pickles_its_stored_coefficients_bit_for_bit",
             PROBE + "test_an_unpickled_grid_is_neither_checked_nor_warned_about_again")),
+    # jets of any order, S' from one order-4 jet per sample, and the ascent
+    # that refines each (point, n)'s best sample
+    Mutant("a Leibniz binomial coefficient of order 4 and above", "jets.py",
+           "    return tuple((j, float(math.comb(k, j))) for j in range(k // 2 + 1))",
+           "    return tuple((j, float(math.comb(k, j) + (k > 3 and j == 1)))"
+           " for j in range(k // 2 + 1))",
+           (JETS + "test_order_k_jets_of_the_catalog_match_mpmath",
+            JETS + "test_order_k_jets_of_random_trees_match_mpmath")),
+    Mutant("an order-4 Faa di Bruno coefficient", "jets.py",
+           "            plan.append((m, float(math.factorial(k) // den), p))",
+           "            plan.append((m, float(math.factorial(k) // den + (k == 4 and m == 2)), p))",
+           (JETS + "test_order_k_jets_of_the_catalog_match_mpmath",)),
+    Mutant("the 4 q2 q3 term of S'", "schwarzian.py",
+           "        out.append(q4 - 4.0 * (q2 * q3) + 3.0 * (q22 * q2))",
+           "        out.append(q4 - 3.0 * (q2 * q3) + 3.0 * (q22 * q2))",
+           (JETS + "test_schwarzian_derivatives_of_example2_match_the_closed_form",
+            DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
+    Mutant("the ascent accepts a candidate whose F only ties", "probe.py",
+           "            if not flags and f > best[k]:", "            if not flags and f >= best[k]:",
+           (PROBE + "test_the_ascent_steps_doubles_halves_and_stays_in_the_disk",)),
+    Mutant("the disk projection dropped", "probe.py",
+           "    return c if m <= radius else z + d * (radius / m)", "    return c",
+           (PROBE + "test_the_ascent_steps_doubles_halves_and_stays_in_the_disk",
+            PROBE + "test_sd_scan_example2_statistic_at_origin")),
+    Mutant("the argmax dropped from the keep", "codegen.py",
+           '    fold[0] += [f"    {a} = zv" for a in argmax]', "    fold[0] += []",
+           (DSL + "test_the_keep_reports_each_groups_argmax_sample",
+            PROBE + "test_sd_origin_slope_is_near_one_on_the_bench_grid")),
 )
-
 
 SURVIVORS = (
     Mutant("x * -1 folded as x", "codegen.py",
@@ -419,6 +421,10 @@ DELETED = (
      "as a value ('the redo walk flags every failure Pole')"),
     ("the lane function never generated for jets",
      "every batch takes a statistic; the lane function no longer returns jets"),
+    ("a sample's last failed point decides, not its first",
+     "a sample is one point since S' comes from its order-4 jet, not a five-point stencil"),
+    ("the stencil's lanes in reverse order",
+     "the S' stencil is deleted; S' comes from one order-4 jet per sample"),
 )
 
 
