@@ -31,7 +31,11 @@ order.  Only :func:`jet_mobius` is of order 3 alone.  The ``jet_*``
 operations run them on complex numbers and check the result, one call
 per node of ``dsl``'s tree walk; ``codegen`` runs the same functions on
 symbolic operands to generate each family's straight-line lane function,
-so both paths run the same float operations in the same order.
+so both paths run the same float operations in the same order.  A
+formula the walk calls often at one jet length is compiled, once, from
+a trace of itself into straight-line code that makes the same
+operations in the same order (``_Hot``), so a long run interprets no
+plan and a one-shot command compiles nothing.
 
 The ``jet_*`` operations run unchanged on jets whose parts are balls
 (:class:`~schwarzian_lab.ball.Ball`), as ``dsl.eval_jet`` at a ball
@@ -45,6 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import partial
+from operator import add, neg, sub
 from typing import NamedTuple
 
 from .ball import Ball
@@ -140,11 +145,6 @@ def modulus(w: complex) -> float:
 # longer jet has the bits of the same part of a shorter one.  A coefficient
 # of 1 is never multiplied in.  Sums are associated symmetrically so that
 # swapping a product's operands yields the identical floating-point result.
-#
-# The plans are data.  Each formula turns its plan for a jet length into
-# one line of straight-line source, compiled on the first use of that
-# length (_Compiled), so that a walk of one node costs what a hand-written
-# formula would.
 
 
 def _leibniz_plan(k: int) -> tuple:
@@ -181,104 +181,157 @@ _LEIBNIZ = tuple(_leibniz_plan(k) for k in range(MAX_ORDER + 1))
 _FAA_DI_BRUNO = tuple(_faa_di_bruno_plan(k) for k in range(1, MAX_ORDER + 1))
 
 
-def _scaled(c: float, x: str) -> str:
-    # source of c x, for an integer coefficient c, with no product by 1 or -1
-    return x if c == 1.0 else f"-{x}" if c == -1.0 else f"{c!r} * {x}"
+# a formula's calls at one jet length before it runs compiled (_Hot): more
+# than a one-shot command makes, so that it compiles nothing
+_HOT = 200
 
 
-def _names(prefix: str, n: int) -> str:
-    return "".join(f"{prefix}{k}, " for k in range(n))
+class _Trace:
+    """An operand that writes each operation on it as one line of source."""
+
+    __slots__ = ("lines", "name")
+
+    def __init__(self, lines: list, name: str):
+        self.lines = lines
+        self.name = name
+
+    def op(self, form: str, *args) -> "_Trace":
+        name = f"t{len(self.lines)}"
+        texts = (x.name if type(x) is _Trace else repr(x) for x in args)
+        self.lines.append(f"    {name} = " + form.format(*texts))
+        return _Trace(self.lines, name)
+
+    # the formulas add and subtract parts, and multiply by coefficients
+    def __add__(self, other):
+        return self.op("{} + {}", self, other)
+
+    def __sub__(self, other):
+        return self.op("{} - {}", self, other)
+
+    def __mul__(self, other):
+        return self.op("{} * {}", self, other)
+
+    def __rmul__(self, other):
+        return self.op("{} * {}", other, self)
+
+    def __neg__(self):
+        return self.op("-{}", self)
 
 
-def _product_source(n: int) -> str:
-    parts = []
-    for k, plan in enumerate(_LEIBNIZ[:n]):
-        pairs = (
-            f"(a{j} * b{j})" if 2 * j == k else f"(a{k - j} * b{j} + a{j} * b{k - j})"
-            for j, _ in plan
-        )
-        parts.append(" + ".join(_scaled(c, x) for (_, c), x in zip(plan, pairs)))
-    return f"def f(a, b):\n    {_names('a', n)}= a\n    {_names('b', n)}= b\n" \
-           f"    return ({', '.join(parts)},)\n"
+def _compiled(formula, args):
+    # the straight-line code of ``formula`` at the shape of ``args``: its
+    # trace on operands named for their places, a jet's parts unpacked; a
+    # count passes as the number it is
+    lines: list = []
+    names = [f"x{k}" for k in range(len(args))]
+    traced = []
+    for name, x in zip(names, args):
+        if type(x) is int:
+            traced.append(x)
+        elif isinstance(x, tuple):
+            parts = tuple(_Trace(lines, f"{name}_{k}") for k in range(len(x)))
+            lines.append(f"    {''.join(p.name + ', ' for p in parts)}= {name}")
+            traced.append(parts)
+        else:
+            traced.append(_Trace(lines, name))
+    out = formula(*traced)
+    source = (f"def f({', '.join(names)}):\n" + "".join(f"{line}\n" for line in lines)
+              + f"    return ({''.join(x.name + ', ' for x in out)})\n")
+    namespace: dict = {}
+    exec(compile(source, "<jets formula>", "exec"), namespace)
+    return namespace["f"]
 
 
-def _chain_source(n: int) -> str:
-    parts = ["w0"]
-    for plan in _FAA_DI_BRUNO[: n - 1]:
-        terms = (f"(w{m} * ({' * '.join(f'u{i}' for i in p)}))" for m, _, p in plan)
-        parts.append(" + ".join(_scaled(c, x) for (_, c, _), x in zip(plan, terms)))
-    return f"def f(u, w):\n    {_names('u', n)}= u\n    {_names('w', n)}= w\n" \
-           f"    return ({', '.join(parts)},)\n"
+class _Hot(dict):
+    """A formula's function per jet length: the formula as written,
+    counting its calls, until _HOT calls at that length, and from then on
+    the straight-line code of its trace at that length (:func:`_compiled`),
+    which makes the same operations in the same order without the loops
+    over its plan.  So a one-shot command compiles nothing, and a long run
+    interprets no plan."""
 
-
-def _reciprocal_source(n: int) -> str:
-    # (-1)^k k! w^(k+1), each power p the product of the powers p - p//2
-    # and p//2, and scaled as soon as it is made
-    parts = ["w1"]
-    for p in range(2, n + 1):
-        power = f"(w{p} := w{p - p // 2} * w{p // 2})"
-        parts.append(_scaled((-1.0) ** (p - 1) * math.factorial(p - 1), power))
-    return f"def f(w1):\n    return ({', '.join(parts)},)\n"
-
-
-def _partwise_source(form: str):
-    # a formula that takes ``form`` of the parts a[k] (and b[k]) of each order k
-    def source(n: int) -> str:
-        parts = "".join(form.format(k) + ", " for k in range(n))
-        return f"def f(a, b=None):\n    return ({parts})\n"
-
-    return source
-
-
-class _Compiled(dict):
-    """A formula's function per jet length, compiled from its source on
-    the first use of that length."""
-
-    def __init__(self, source):
+    def __init__(self, formula):
         super().__init__()
-        self.source = source
+        self.formula = formula
 
     def __missing__(self, n: int):
-        namespace: dict = {}
-        exec(compile(self.source(n), "<jets formula>", "exec"), namespace)
-        fn = self[n] = namespace["f"]
-        return fn
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls == _HOT:
+                self[n] = _compiled(self.formula, args)
+            return self.formula(*args)
+
+        self[n] = counted
+        return counted
 
 
-_SUM = _Compiled(_partwise_source("a[{0}] + b[{0}]"))
-_DIFFERENCE = _Compiled(_partwise_source("a[{0}] - b[{0}]"))
-_NEGATION = _Compiled(_partwise_source("-a[{0}]"))
-_PRODUCT = _Compiled(_product_source)
-_CHAIN = _Compiled(_chain_source)
-_RECIPROCAL = _Compiled(_reciprocal_source)
+def _scaled(c: float, x):
+    # c x, for an integer coefficient c, with no product by 1 or -1
+    return x if c == 1.0 else -x if c == -1.0 else c * x
 
 
 def _sum(a, b) -> tuple:
-    return _SUM[len(a)](a, b)
+    return tuple(map(add, a, b))
 
 
 def _difference(a, b) -> tuple:
-    return _DIFFERENCE[len(a)](a, b)
+    return tuple(map(sub, a, b))
 
 
 def _negation(a) -> tuple:
-    return _NEGATION[len(a)](a)
+    return tuple(map(neg, a))
 
 
 def _product(a, b) -> tuple:
     """Leibniz rule: (ab)^(k) is the sum over j of C(k, j) a^(k-j) b^(j)."""
-    return _PRODUCT[len(a)](a, b)
+    out = []
+    for k in range(len(a)):
+        acc = None
+        for j, c in _LEIBNIZ[k]:
+            term = _scaled(c, a[j] * b[j] if 2 * j == k else a[k - j] * b[j] + a[j] * b[k - j])
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return tuple(out)
 
 
 def _chain(u, w) -> tuple:
     """Faa di Bruno's formula: ``w`` holds the outer function's value and
     derivatives at u's value, as many as u has parts."""
-    return _CHAIN[len(u)](u, w)
+    out = [w[0]]
+    for plan in _FAA_DI_BRUNO[: len(u) - 1]:
+        acc = None
+        for m, c, p in plan:
+            monomial = u[p[0]]  # prod_{i in p} u^(i), left to right
+            for i in p[1:]:
+                monomial = monomial * u[i]
+            term = _scaled(c, w[m] * monomial)
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return tuple(out)
 
 
 def _reciprocal(w, count: int) -> tuple:
-    """1/x and its first count - 1 derivatives at x, from w = 1/x."""
-    return _RECIPROCAL[count](w)
+    """1/x and its first count - 1 derivatives at x, from w = 1/x:
+    (-1)^k k! w^(k+1), each power p the product of the powers p - p//2
+    and p//2, and scaled as soon as it is made."""
+    powers = [None, w]
+    out = [w]
+    for p in range(2, count + 1):
+        powers.append(powers[p - p // 2] * powers[p // 2])
+        out.append(_scaled((-1.0) ** (p - 1) * math.factorial(p - 1), powers[p]))
+    return tuple(out)
+
+
+# the formulas the jet operations call, per jet length
+_SUM = _Hot(_sum)
+_DIFFERENCE = _Hot(_difference)
+_NEGATION = _Hot(_negation)
+_PRODUCT = _Hot(_product)
+_CHAIN = _Hot(_chain)
+_RECIPROCAL = _Hot(_reciprocal)
 
 
 def _exponential(e, count: int) -> tuple:
@@ -289,7 +342,7 @@ def _exponential(e, count: int) -> tuple:
 def _logarithm(lg, w, count: int) -> tuple:
     """log and its first count - 1 derivatives at u, from lg = log(u) and
     w = 1/u: those of 1/x, one order down."""
-    return (lg, *_reciprocal(w, count - 1))
+    return (lg, *_RECIPROCAL[count - 1](w, count - 1))
 
 
 def _mobius(u, a, b, c, r) -> tuple:
@@ -384,7 +437,8 @@ def _reciprocal_jet(b: ComplexJet3, order: int = 3) -> ComplexJet3:
     bv = b[0]
     if modulus(bv) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
-    return _checked(_CHAIN[len(b)](b, _reciprocal(1.0 / bv, len(b))), order)
+    n = len(b)
+    return _checked(_CHAIN[n](b, _RECIPROCAL[n](1.0 / bv, n)), order)
 
 
 def jet_div(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:

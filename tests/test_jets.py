@@ -1,11 +1,13 @@
 import cmath
 import math
+import random
 
 import mpmath
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from schwarzian_lab import jets
 from schwarzian_lab.ball import Ball
 from schwarzian_lab.jets import (
     DIVISION_FLOOR,
@@ -557,3 +559,60 @@ def test_schwarzian_derivatives_of_example2_match_the_closed_form(n):
         for got, want in ((s, -1 / (2 * w**4)), (ds, 2 * n / w**5), (dds, -10 * n**2 / w**6)):
             assert abs(got - want) <= 1e-11 * abs(want), (z, got, want)
         assert _schwarzian_derivatives(eval_jet(f, n, z, order=4)) == (s, ds)
+
+
+# ---------------------------------------------------------------------------
+# a formula runs as written until it is hot at a jet length, then as the
+# straight-line code of its trace: the same operations, the same bits
+
+_HOT_FORMULAS = {
+    "sum": jets._SUM, "difference": jets._DIFFERENCE, "negation": jets._NEGATION,
+    "product": jets._PRODUCT, "chain": jets._CHAIN, "reciprocal": jets._RECIPROCAL,
+}
+_SPECIAL_PARTS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e300 + 1e300j,
+                  complex(math.inf, 1.0), complex(1.0, math.nan), 1e-320 + 0j)
+
+
+def _hex(parts):
+    def bits(x):
+        if type(x) is Ball:
+            return (*bits(x.mid), x.rad.hex())
+        return x.real.hex(), x.imag.hex()
+
+    return [bits(x) for x in parts]
+
+
+@pytest.mark.parametrize("name", sorted(_HOT_FORMULAS))
+def test_a_hot_formula_compiles_to_the_same_bits(name):
+    formula = _HOT_FORMULAS[name].formula
+    rng = random.Random(68)
+
+    def part():
+        if rng.random() < 0.2:
+            return rng.choice(_SPECIAL_PARTS)
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * 10.0 ** rng.randint(-5, 5)
+
+    for n in (4, 5, 6):
+        for _ in range(40):
+            jet = [tuple(part() for _ in range(n)) for _ in range(2)]
+            args = {"negation": (jet[0],), "reciprocal": (part(), n)}.get(name, jet)
+            compiled = jets._compiled(formula, args)
+            assert _hex(compiled(*args)) == _hex(formula(*args))
+            if n == 4:  # the ball jets of order 3
+                balls = [tuple(Ball(x, abs(x) * 1e-9) for x in j) for j in jet]
+                one = {"negation": (balls[0],), "reciprocal": (Ball(part(), 1e-12), n)}
+                args = one.get(name, balls)
+                assert _hex(jets._compiled(formula, args)(*args)) == _hex(formula(*args))
+
+
+def test_a_formula_is_compiled_only_once_hot():
+    # a one-shot command makes fewer calls than _HOT, and compiles nothing
+    hot = jets._Hot(jets._product)
+    a = jet_var(0.5 + 0.25j)
+    for _ in range(jets._HOT - 1):
+        hot[4](a, a)
+    assert hot[4].__code__.co_filename != "<jets formula>"
+    want = hot[4](a, a)
+    assert hot[4].__code__.co_filename == "<jets formula>"
+    assert hot[4](a, a) == want == jets._product(a, a)
+    assert list(hot) == [4]

@@ -387,6 +387,13 @@ MUTANTS = (
            "    return c if m <= radius else z + d * (radius / m)", "    return c",
            (PROBE + "test_the_ascent_steps_doubles_halves_and_stays_in_the_disk",
             PROBE + "test_sd_scan_example2_statistic_at_origin")),
+    Mutant("a formula compiled from its first call, not once hot", "jets.py",
+           "            if calls == _HOT:", "            if calls == 1:",
+           (JETS + "test_a_formula_is_compiled_only_once_hot",)),
+    Mutant("a traced subtraction compiled with its operands swapped", "jets.py",
+           '        return self.op("{} - {}", self, other)',
+           '        return self.op("{} - {}", other, self)',
+           (JETS + "test_a_hot_formula_compiles_to_the_same_bits",)),
     Mutant("the argmax dropped from the keep", "codegen.py",
            '    fold[0] += [f"    {a} = zv" for a in argmax]', "    fold[0] += []",
            (DSL + "test_the_keep_reports_each_groups_argmax_sample",
