@@ -187,19 +187,30 @@ _HOT = 200
 
 
 class _Trace:
-    """An operand that writes each operation on it as one line of source."""
+    """A value of a formula's trace (:func:`_compiled`): an input, or one
+    operation on earlier values."""
 
-    __slots__ = ("lines", "name")
+    __slots__ = ("made", "form", "args", "uses", "name")
 
-    def __init__(self, lines: list, name: str):
-        self.lines = lines
-        self.name = name
+    def __init__(self, made: list, form: str, args: tuple = (), name: str | None = None):
+        self.made = made  # every value of the trace, in the order made
+        self.form = form
+        self.args = args
+        self.uses = 0
+        self.name = name  # the name it is bound to; None while written out where used
+        for x in args:
+            if type(x) is _Trace:
+                x.uses += 1
+        made.append(self)
+
+    def text(self) -> str:
+        if self.name is not None:
+            return self.name
+        operands = (x.text() if type(x) is _Trace else repr(x) for x in self.args)
+        return "(" + self.form.format(*operands) + ")"
 
     def op(self, form: str, *args) -> "_Trace":
-        name = f"t{len(self.lines)}"
-        texts = (x.name if type(x) is _Trace else repr(x) for x in args)
-        self.lines.append(f"    {name} = " + form.format(*texts))
-        return _Trace(self.lines, name)
+        return _Trace(self.made, form, args)
 
     # the formulas add and subtract parts, and multiply by coefficients
     def __add__(self, other):
@@ -219,24 +230,34 @@ class _Trace:
 
 
 def _compiled(formula, args):
-    # the straight-line code of ``formula`` at the shape of ``args``: its
-    # trace on operands named for their places, a jet's parts unpacked; a
-    # count passes as the number it is
-    lines: list = []
+    # the code of ``formula`` at the shape of ``args``, from its trace on
+    # operands named for their places, a jet's parts unpacked, and a count
+    # passed as the number it is.  A value used more than once is bound to
+    # a name where the trace made it; any other is written out where it is
+    # used.  Each operation is the formula's, on the same operands, so the
+    # code computes the formula's bits
+    made: list = []
     names = [f"x{k}" for k in range(len(args))]
+    lines = []
     traced = []
     for name, x in zip(names, args):
         if type(x) is int:
             traced.append(x)
         elif isinstance(x, tuple):
-            parts = tuple(_Trace(lines, f"{name}_{k}") for k in range(len(x)))
-            lines.append(f"    {''.join(p.name + ', ' for p in parts)}= {name}")
+            parts = tuple(_Trace(made, "", name=f"{name}_{k}") for k in range(len(x)))
+            lines.append(f"{''.join(p.name + ', ' for p in parts)}= {name}")
             traced.append(parts)
         else:
-            traced.append(_Trace(lines, name))
+            traced.append(_Trace(made, "", name=name))
     out = formula(*traced)
-    source = (f"def f({', '.join(names)}):\n" + "".join(f"{line}\n" for line in lines)
-              + f"    return ({''.join(x.name + ', ' for x in out)})\n")
+    for x in out:
+        x.uses += 1
+    for k, x in enumerate(made):
+        if x.name is None and x.uses > 1:
+            lines.append(f"t{k} = {x.text()}")
+            x.name = f"t{k}"
+    lines.append(f"return ({''.join(x.text() + ', ' for x in out)})")
+    source = f"def f({', '.join(names)}):\n" + "".join(f"    {line}\n" for line in lines)
     namespace: dict = {}
     exec(compile(source, "<jets formula>", "exec"), namespace)
     return namespace["f"]
@@ -342,7 +363,7 @@ def _exponential(e, count: int) -> tuple:
 def _logarithm(lg, w, count: int) -> tuple:
     """log and its first count - 1 derivatives at u, from lg = log(u) and
     w = 1/u: those of 1/x, one order down."""
-    return (lg, *_RECIPROCAL[count - 1](w, count - 1))
+    return (lg, *_reciprocal(w, count - 1))
 
 
 def _mobius(u, a, b, c, r) -> tuple:
@@ -383,10 +404,11 @@ def _named(j: tuple):
 def _checked(j: tuple, order: int = 3):
     # the one rule past the double range: a node fails where a part of
     # order at most ``order`` is not finite; the parts above it go unchecked
-    for x in j[: order + 1]:
+    n = len(j)
+    for x in j if order >= n - 1 else j[: order + 1]:
         if not _isfinite(x):
             raise OverflowAtPoint(_OVERFLOW)
-    return _as_jet(j) if len(j) == 4 else j
+    return _as_jet(j) if n == 4 else j
 
 
 # per order, the zero parts above d1 of a seed; a jet carries the parts
@@ -466,7 +488,8 @@ def jet_log(u: ComplexJet3, order: int = 3) -> ComplexJet3:
         lg = uv.log()
     else:
         lg = cmath.log(uv)
-    return _checked(_CHAIN[len(u)](u, _logarithm(lg, 1.0 / uv, len(u))), order)
+    n = len(u)
+    return _checked(_CHAIN[n](u, (lg, *_RECIPROCAL[n - 1](1.0 / uv, n - 1))), order)
 
 
 def jet_pow_int(u: ComplexJet3, k: int, order: int = 3) -> ComplexJet3:
