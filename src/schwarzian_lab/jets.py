@@ -229,13 +229,14 @@ class _Trace:
         return self.op("-{}", self)
 
 
-def _compiled(formula, args):
+def _compiled(formula, args, order: int | None = None):
     # the code of ``formula`` at the shape of ``args``, from its trace on
     # operands named for their places, a jet's parts unpacked, and a count
     # passed as the number it is.  A value used more than once is bound to
     # a name where the trace made it; any other is written out where it is
     # used.  Each operation is the formula's, on the same operands, so the
-    # code computes the formula's bits
+    # code computes the formula's bits.  With an ``order``, the code then
+    # does what _checked does with the result
     made: list = []
     names = [f"x{k}" for k in range(len(args))]
     lines = []
@@ -256,9 +257,19 @@ def _compiled(formula, args):
         if x.name is None and x.uses > 1:
             lines.append(f"t{k} = {x.text()}")
             x.name = f"t{k}"
-    lines.append(f"return ({''.join(x.text() + ', ' for x in out)})")
+    if order is None:
+        lines.append(f"return ({''.join(x.text() + ', ' for x in out)})")
+    else:
+        parts = [f"r{k}" for k in range(len(out))]
+        lines += [f"{p} = {x.text()}" for p, x in zip(parts, out)]
+        finite = " and ".join(f"isfinite({p})" for p in parts[: order + 1])
+        named = "as_jet" if len(out) == 4 else ""
+        lines += [f"if {finite}:", f"    return {named}(({''.join(p + ', ' for p in parts)}))",
+                  "raise OverflowAtPoint(OVERFLOW)"]
     source = f"def f({', '.join(names)}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace: dict = {}
+    namespace: dict = dict(
+        isfinite=_isfinite, as_jet=_as_jet, OverflowAtPoint=OverflowAtPoint, OVERFLOW=_OVERFLOW
+    )
     exec(compile(source, "<jets formula>", "exec"), namespace)
     return namespace["f"]
 
@@ -269,23 +280,27 @@ class _Hot(dict):
     the straight-line code of its trace at that length (:func:`_compiled`),
     which makes the same operations in the same order without the loops
     over its plan.  So a one-shot command compiles nothing, and a long run
-    interprets no plan."""
+    interprets no plan.  A ``checked`` formula is keyed by (length, order)
+    and checks its result to that order, as :func:`_checked` does."""
 
-    def __init__(self, formula):
+    def __init__(self, formula, checked: bool = False):
         super().__init__()
         self.formula = formula
+        self.checked = checked
 
-    def __missing__(self, n: int):
+    def __missing__(self, key):
+        order = key[1] if self.checked else None
         calls = 0
 
         def counted(*args):
             nonlocal calls
             calls += 1
             if calls == _HOT:
-                self[n] = _compiled(self.formula, args)
-            return self.formula(*args)
+                self[key] = _compiled(self.formula, args, order)
+            out = self.formula(*args)
+            return out if order is None else _checked(out, order)
 
-        self[n] = counted
+        self[key] = counted
         return counted
 
 
@@ -347,11 +362,11 @@ def _reciprocal(w, count: int) -> tuple:
 
 
 # the formulas the jet operations call, per jet length
-_SUM = _Hot(_sum)
-_DIFFERENCE = _Hot(_difference)
+_SUM = _Hot(_sum, checked=True)
+_DIFFERENCE = _Hot(_difference, checked=True)
 _NEGATION = _Hot(_negation)
-_PRODUCT = _Hot(_product)
-_CHAIN = _Hot(_chain)
+_PRODUCT = _Hot(_product, checked=True)
+_CHAIN = _Hot(_chain, checked=True)
 _RECIPROCAL = _Hot(_reciprocal)
 
 
@@ -439,11 +454,11 @@ def jet_const(c: complex, order: int = 3):
 
 
 def jet_add(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
-    return _checked(_SUM[len(a)](a, b), order)
+    return _SUM[len(a), order](a, b)
 
 
 def jet_sub(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
-    return _checked(_DIFFERENCE[len(a)](a, b), order)
+    return _DIFFERENCE[len(a), order](a, b)
 
 
 def jet_neg(a: ComplexJet3) -> ComplexJet3:
@@ -452,7 +467,7 @@ def jet_neg(a: ComplexJet3) -> ComplexJet3:
 
 def jet_mul(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
     """Leibniz product rule."""
-    return _checked(_PRODUCT[len(a)](a, b), order)
+    return _PRODUCT[len(a), order](a, b)
 
 
 def _reciprocal_jet(b: ComplexJet3, order: int = 3) -> ComplexJet3:
@@ -460,7 +475,7 @@ def _reciprocal_jet(b: ComplexJet3, order: int = 3) -> ComplexJet3:
     if modulus(bv) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
     n = len(b)
-    return _checked(_CHAIN[n](b, _RECIPROCAL[n](1.0 / bv, n)), order)
+    return _CHAIN[n, order](b, _RECIPROCAL[n](1.0 / bv, n))
 
 
 def jet_div(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
@@ -474,7 +489,7 @@ def jet_exp(u: ComplexJet3, order: int = 3) -> ComplexJet3:
     if abs(uv.real) > EXP_REAL_GUARD:
         raise OverflowAtPoint("exp argument outside the overflow guard", uv)
     e = uv.exp() if type(uv) is Ball else cmath.exp(uv)
-    return _checked(_CHAIN[len(u)](u, _exponential(e, len(u))), order)
+    return _CHAIN[len(u), order](u, _exponential(e, len(u)))
 
 
 def jet_log(u: ComplexJet3, order: int = 3) -> ComplexJet3:
@@ -489,7 +504,7 @@ def jet_log(u: ComplexJet3, order: int = 3) -> ComplexJet3:
     else:
         lg = cmath.log(uv)
     n = len(u)
-    return _checked(_CHAIN[n](u, (lg, *_RECIPROCAL[n - 1](1.0 / uv, n - 1))), order)
+    return _CHAIN[n, order](u, (lg, *_RECIPROCAL[n - 1](1.0 / uv, n - 1)))
 
 
 def jet_pow_int(u: ComplexJet3, k: int, order: int = 3) -> ComplexJet3:

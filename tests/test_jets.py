@@ -592,12 +592,24 @@ def test_a_hot_formula_compiles_to_the_same_bits(name):
             return rng.choice(_SPECIAL_PARTS)
         return complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * 10.0 ** rng.randint(-5, 5)
 
+    def checked(fn, args, order):
+        # the jet, named as _checked names it, or the overflow it raises
+        try:
+            j = jets._checked(fn(*args), order) if fn is formula else fn(*args)
+        except OverflowAtPoint:
+            return "Overflow"
+        return type(j), _hex(j)
+
     for n in (4, 5, 6):
         for _ in range(40):
             jet = [tuple(part() for _ in range(n)) for _ in range(2)]
             args = {"negation": (jet[0],), "reciprocal": (part(), n)}.get(name, jet)
             compiled = jets._compiled(formula, args)
             assert _hex(compiled(*args)) == _hex(formula(*args))
+            # a checked formula's code does what _checked does, to each order
+            for order in range(n) if _HOT_FORMULAS[name].checked else ():
+                compiled = jets._compiled(formula, args, order)
+                assert checked(compiled, args, order) == checked(formula, args, order)
             if n == 4:  # the ball jets of order 3
                 balls = [tuple(Ball(x, abs(x) * 1e-9) for x in j) for j in jet]
                 one = {"negation": (balls[0],), "reciprocal": (Ball(part(), 1e-12), n)}

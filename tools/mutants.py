@@ -394,6 +394,10 @@ MUTANTS = (
            '        return self.op("{} - {}", self, other)',
            '        return self.op("{} - {}", other, self)',
            (JETS + "test_a_hot_formula_compiles_to_the_same_bits",)),
+    Mutant("a compiled formula checks its value alone", "jets.py",
+           '        finite = " and ".join(f"isfinite({p})" for p in parts[: order + 1])',
+           '        finite = " and ".join(f"isfinite({p})" for p in parts[:1])',
+           (JETS + "test_a_hot_formula_compiles_to_the_same_bits",)),
     Mutant("the argmax dropped from the keep", "codegen.py",
            '    fold[0] += [f"    {a} = zv" for a in argmax]', "    fold[0] += []",
            (DSL + "test_the_keep_reports_each_groups_argmax_sample",
