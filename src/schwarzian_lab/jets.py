@@ -504,6 +504,7 @@ def jet_log(u: ComplexJet3, order: int = 3) -> ComplexJet3:
     else:
         lg = cmath.log(uv)
     n = len(u)
+    # _logarithm, with the walk's compiled reciprocal
     return _CHAIN[n, order](u, (lg, *_RECIPROCAL[n - 1](1.0 / uv, n - 1)))
 
 
