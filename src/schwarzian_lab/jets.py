@@ -280,27 +280,27 @@ class _Hot(dict):
     the straight-line code of its trace at that length (:func:`_compiled`),
     which makes the same operations in the same order without the loops
     over its plan.  So a one-shot command compiles nothing, and a long run
-    interprets no plan.  A ``checked`` formula is keyed by (length, order)
-    and checks its result to that order, as :func:`_checked` does."""
+    interprets no plan.  With an ``order``, it checks its result to that
+    order, as :func:`_checked` does."""
 
-    def __init__(self, formula, checked: bool = False):
+    def __init__(self, formula, order: int | None = None):
         super().__init__()
         self.formula = formula
-        self.checked = checked
+        self.order = order
 
-    def __missing__(self, key):
-        order = key[1] if self.checked else None
+    def __missing__(self, n: int):
+        order = self.order
         calls = 0
 
         def counted(*args):
             nonlocal calls
             calls += 1
             if calls == _HOT:
-                self[key] = _compiled(self.formula, args, order)
+                self[n] = _compiled(self.formula, args, order)
             out = self.formula(*args)
             return out if order is None else _checked(out, order)
 
-        self[key] = counted
+        self[n] = counted
         return counted
 
 
@@ -361,12 +361,13 @@ def _reciprocal(w, count: int) -> tuple:
     return tuple(out)
 
 
-# the formulas the jet operations call, per jet length
-_SUM = _Hot(_sum, checked=True)
-_DIFFERENCE = _Hot(_difference, checked=True)
+# the formulas the jet operations call, per jet length, and those whose
+# result a node checks also per order: _PRODUCT[order][length]
+_SUM = tuple(_Hot(_sum, k) for k in range(MAX_ORDER + 1))
+_DIFFERENCE = tuple(_Hot(_difference, k) for k in range(MAX_ORDER + 1))
 _NEGATION = _Hot(_negation)
-_PRODUCT = _Hot(_product, checked=True)
-_CHAIN = _Hot(_chain, checked=True)
+_PRODUCT = tuple(_Hot(_product, k) for k in range(MAX_ORDER + 1))
+_CHAIN = tuple(_Hot(_chain, k) for k in range(MAX_ORDER + 1))
 _RECIPROCAL = _Hot(_reciprocal)
 
 
@@ -454,11 +455,11 @@ def jet_const(c: complex, order: int = 3):
 
 
 def jet_add(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
-    return _SUM[len(a), order](a, b)
+    return _SUM[order][len(a)](a, b)
 
 
 def jet_sub(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
-    return _DIFFERENCE[len(a), order](a, b)
+    return _DIFFERENCE[order][len(a)](a, b)
 
 
 def jet_neg(a: ComplexJet3) -> ComplexJet3:
@@ -467,7 +468,7 @@ def jet_neg(a: ComplexJet3) -> ComplexJet3:
 
 def jet_mul(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
     """Leibniz product rule."""
-    return _PRODUCT[len(a), order](a, b)
+    return _PRODUCT[order][len(a)](a, b)
 
 
 def _reciprocal_jet(b: ComplexJet3, order: int = 3) -> ComplexJet3:
@@ -475,7 +476,7 @@ def _reciprocal_jet(b: ComplexJet3, order: int = 3) -> ComplexJet3:
     if modulus(bv) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
     n = len(b)
-    return _CHAIN[n, order](b, _RECIPROCAL[n](1.0 / bv, n))
+    return _CHAIN[order][n](b, _RECIPROCAL[n](1.0 / bv, n))
 
 
 def jet_div(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
@@ -489,7 +490,7 @@ def jet_exp(u: ComplexJet3, order: int = 3) -> ComplexJet3:
     if abs(uv.real) > EXP_REAL_GUARD:
         raise OverflowAtPoint("exp argument outside the overflow guard", uv)
     e = uv.exp() if type(uv) is Ball else cmath.exp(uv)
-    return _CHAIN[len(u), order](u, _exponential(e, len(u)))
+    return _CHAIN[order][len(u)](u, _exponential(e, len(u)))
 
 
 def jet_log(u: ComplexJet3, order: int = 3) -> ComplexJet3:
@@ -505,7 +506,7 @@ def jet_log(u: ComplexJet3, order: int = 3) -> ComplexJet3:
         lg = cmath.log(uv)
     n = len(u)
     # _logarithm, with the walk's compiled reciprocal
-    return _CHAIN[n, order](u, (lg, *_RECIPROCAL[n - 1](1.0 / uv, n - 1)))
+    return _CHAIN[order][n](u, (lg, *_RECIPROCAL[n - 1](1.0 / uv, n - 1)))
 
 
 def jet_pow_int(u: ComplexJet3, k: int, order: int = 3) -> ComplexJet3:
