@@ -32,10 +32,11 @@ operations run them on complex numbers and check the result, one call
 per node of ``dsl``'s tree walk; ``codegen`` runs the same functions on
 symbolic operands to generate each family's straight-line lane function,
 so both paths run the same float operations in the same order.  A
-formula the walk calls often at one jet length is compiled, once, from
-a trace of itself into straight-line code that makes the same
-operations in the same order (``_Hot``), so a long run interprets no
-plan and a one-shot command compiles nothing.
+formula the walk calls often at one jet length (and order, where the
+node checks its result) is compiled, once, from a trace of itself into
+straight-line code that makes the same operations on the same operands
+(``_Hot``), so a long run interprets no plan and a one-shot command
+compiles nothing.
 
 The ``jet_*`` operations run unchanged on jets whose parts are balls
 (:class:`~schwarzian_lab.ball.Ball`), as ``dsl.eval_jet`` at a ball
@@ -278,10 +279,12 @@ class _Hot(dict):
     """A formula's function per jet length: the formula as written,
     counting its calls, until _HOT calls at that length, and from then on
     the straight-line code of its trace at that length (:func:`_compiled`),
-    which makes the same operations in the same order without the loops
-    over its plan.  So a one-shot command compiles nothing, and a long run
-    interprets no plan.  With an ``order``, it checks its result to that
-    order, as :func:`_checked` does."""
+    which makes the same operations on the same operands, so the same
+    bits, without the loops over its plan.  Codegen, whose names follow
+    the order of operations, calls the formula itself.  So a one-shot
+    command compiles nothing, and a long run interprets no plan.  With an
+    ``order``, it checks its result to that order, as :func:`_checked`
+    does."""
 
     def __init__(self, formula, order: int | None = None):
         super().__init__()
