@@ -42,7 +42,7 @@ same bits:
   jets.
 - The single-point calls, :func:`eval_jet` and :func:`eval_jet_seeded`,
   walk the tree, one ``jet_*`` operation per node, so a one-off
-  evaluation compiles nothing.  The walk also redoes, from
+  evaluation generates no lane function.  The walk also redoes, from
   ``jets.jet_var`` at its points, every sample the lane function hands
   back: any sample that failed, or might have, with jets of the
   statistic's order.  It then fails only where a jet part of order at

@@ -35,8 +35,11 @@ so both paths run the same float operations in the same order.  A
 formula the walk calls often at one jet length (and order, where the
 node checks its result) is compiled, once, from a trace of itself into
 straight-line code that makes the same operations on the same operands
-(``_Hot``), so a long run interprets no plan and a one-shot command
-compiles nothing.
+(``_Hot``), once the calls have cost about what compiling does.  The
+trace is not codegen's, which folds the float parts it knows before run
+time on a lane's finite operands: a formula's code keeps every
+operation, for any operands, balls and the unchecked parts above a
+node's order included.
 
 The ``jet_*`` operations run unchanged on jets whose parts are balls
 (:class:`~schwarzian_lab.ball.Ball`), as ``dsl.eval_jet`` at a ball
@@ -182,8 +185,15 @@ _LEIBNIZ = tuple(_leibniz_plan(k) for k in range(MAX_ORDER + 1))
 _FAA_DI_BRUNO = tuple(_faa_di_bruno_plan(k) for k in range(1, MAX_ORDER + 1))
 
 
-# a formula's calls at one jet length before it runs compiled (_Hot): more
-# than a one-shot command makes, so that it compiles nothing
+# a formula's calls at one jet length before it is compiled (_Hot).
+# Tracing and compiling one takes 50 to 350 us and saves 0.2 to 3.7 us a
+# call, so it pays for itself after 70 to 410 calls, by formula and
+# length (CPython 3.11, x86-64); compiled at the 200th, no formula's calls
+# cost more than 2.6 times the cheaper of never compiling and compiling
+# at once.  A command of the checks-mix benchmark's stream makes at most
+# 36 calls at one (formula, order, length), so it compiles nothing, and a
+# long run of them compiles what it uses.  Compiled at once, that
+# benchmark's cold starts (setup_s) read 12% slower
 _HOT = 200
 
 
@@ -264,12 +274,14 @@ def _compiled(formula, args, order: int | None = None):
         parts = [f"r{k}" for k in range(len(out))]
         lines += [f"{p} = {x.text()}" for p, x in zip(parts, out)]
         finite = " and ".join(f"isfinite({p})" for p in parts[: order + 1])
-        named = "as_jet" if len(out) == 4 else ""
-        lines += [f"if {finite}:", f"    return {named}(({''.join(p + ', ' for p in parts)}))",
+        tail = "".join(p + ", " for p in parts)
+        made_as = f"new(Jet, ({tail}))" if len(out) == 4 else f"({tail})"
+        lines += [f"if {finite}:", f"    return {made_as}",
                   "raise OverflowAtPoint(OVERFLOW)"]
     source = f"def f({', '.join(names)}):\n" + "".join(f"    {line}\n" for line in lines)
     namespace: dict = dict(
-        isfinite=_isfinite, as_jet=_as_jet, OverflowAtPoint=OverflowAtPoint, OVERFLOW=_OVERFLOW
+        isfinite=_isfinite, new=tuple.__new__, Jet=ComplexJet3, OverflowAtPoint=OverflowAtPoint,
+        OVERFLOW=_OVERFLOW,
     )
     exec(compile(source, "<jets formula>", "exec"), namespace)
     return namespace["f"]
@@ -280,11 +292,9 @@ class _Hot(dict):
     counting its calls, until _HOT calls at that length, and from then on
     the straight-line code of its trace at that length (:func:`_compiled`),
     which makes the same operations on the same operands, so the same
-    bits, without the loops over its plan.  Codegen, whose names follow
-    the order of operations, calls the formula itself.  So a one-shot
-    command compiles nothing, and a long run interprets no plan.  With an
-    ``order``, it checks its result to that order, as :func:`_checked`
-    does."""
+    bits, without the loops over its plan.  With an ``order``, it checks
+    its result to that order, as :func:`_checked` does.  Codegen, whose
+    names follow the order of operations, calls the formula itself."""
 
     def __init__(self, formula, order: int | None = None):
         super().__init__()
@@ -415,11 +425,6 @@ def _mobius(u, a, b, c, r) -> tuple:
 # one jet at a time
 
 
-def _named(j: tuple):
-    # a jet of order 3 is a ComplexJet3; a longer one stays a plain tuple
-    return _as_jet(j) if len(j) == 4 else j
-
-
 def _checked(j: tuple, order: int = 3):
     # the one rule past the double range: a node fails where a part of
     # order at most ``order`` is not finite; the parts above it go unchecked
@@ -442,7 +447,7 @@ def jet_var(z0: complex | Ball, order: int = 3):
         z0 = complex(z0)
     if not _isfinite(z0):
         raise ValueError("jet_var requires a finite point")
-    return _named((z0, VAR_D1, *_ZEROS[order]))
+    return _as_jet((z0, VAR_D1, ZERO, ZERO)) if order <= 3 else (z0, VAR_D1, *_ZEROS[order])
 
 
 def jet_const(c: complex, order: int = 3):
@@ -454,7 +459,7 @@ def jet_const(c: complex, order: int = 3):
         finite = False
     if not finite:
         raise ValueError("jet_const requires a finite value")
-    return _named((c, ZERO, *_ZEROS[order]))
+    return _as_jet((c, ZERO, ZERO, ZERO)) if order <= 3 else (c, ZERO, *_ZEROS[order])
 
 
 def jet_add(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
@@ -466,7 +471,8 @@ def jet_sub(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
 
 
 def jet_neg(a: ComplexJet3) -> ComplexJet3:
-    return _named(_NEGATION[len(a)](a))
+    j = _NEGATION[len(a)](a)
+    return _as_jet(j) if len(j) == 4 else j
 
 
 def jet_mul(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:

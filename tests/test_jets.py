@@ -620,7 +620,8 @@ def test_a_hot_formula_compiles_to_the_same_bits(name):
 
 
 def test_a_formula_is_compiled_only_once_hot():
-    # a one-shot command makes fewer calls than _HOT, and compiles nothing
+    # the formula as written for _HOT - 1 calls at a jet length, then its
+    # compiled code, kept for the process
     hot = jets._Hot(jets._product)
     a = jet_var(0.5 + 0.25j)
     for _ in range(jets._HOT - 1):

@@ -788,7 +788,7 @@ def test_floor_sweep_matches_per_sample_evaluation():
 def test_sd_statistic_matches_per_sample_jets():
     # each (point, n)'s best sample is |S'| / (1 + |S|^2) from its order-4
     # jet evaluated from scratch, and the ascent only raises it, within
-    # the disk's sup
+    # the disk's sup; the point's sup and argmax n are the refined values'
     f = parse("exp(z/(n*z+1))")
     g = GridSpec(0.1, 0.3, -0.1, 0.1, 2, 2, neighborhood_samples=3)
     ns = (1, 2, 3, 4)
@@ -796,6 +796,7 @@ def test_sd_statistic_matches_per_sample_jets():
     offset = _seed_offset(2)
     for index, p in enumerate(rep.points):
         samples = _neighborhood(p.z, g.neighborhood_radius, 3, offset, index)
+        sup = {}
         for n in ns:
             best = max(
                 abs(s1) / (1.0 + abs(s0) ** 2)
@@ -807,7 +808,9 @@ def test_sd_statistic_matches_per_sample_jets():
             ((refined, _),) = probe._ascend(f, n, probe._SD_RISE, [p.z], g.neighborhood_radius,
                                             eval_jet_lanes(f, n, [samples], probe._SD))
             assert best <= refined <= example2_disk_sup(n, p.z, g.neighborhood_radius) * (1 + 1e-9)
-            assert refined <= p.sup_stat
+            sup[n] = refined
+        assert p.sup_stat == max(sup.values())
+        assert p.argmax_n == max(sup, key=sup.get)
 
 
 def test_the_ascent_steps_doubles_halves_and_stays_in_the_disk(monkeypatch):
