@@ -63,10 +63,10 @@ from .jets import (
     ZERO,
     JetError,
     OverflowAtPoint,
+    _Hot,
     _chain,
     _difference,
     _exponential,
-    _logarithm,
     _negation,
     _product,
     _reciprocal,
@@ -85,6 +85,12 @@ _CACHE_SIZE = 4
 # an integer power up to this exponent is written out as products; a
 # larger one calls jet_pow_int
 _INLINE_POWER = 8
+# the jets formulas per jet length, each the straight-line code of its
+# trace once it is hot (jets._Hot): the formula's operations in its order,
+# so the same source, without the loops over its plan
+_SUM, _DIFFERENCE, _NEGATION, _PRODUCT, _CHAIN, _RECIPROCAL = map(
+    _Hot, (_sum, _difference, _negation, _product, _chain, _reciprocal)
+)
 
 
 class _Part:
@@ -388,28 +394,30 @@ class _Lanes:
 
     def reciprocal(self, b: tuple) -> tuple:
         self.guard(b[0], f"abs({{}}) <= {DIVISION_FLOOR!r}", _below_floor)
-        return self.node(_chain(b, _reciprocal(self.opaque("1.0 / {}", _inverse, b[0]), len(b))))
+        w = self.opaque("1.0 / {}", _inverse, b[0])
+        return self.node(_CHAIN[len(b)](b, _RECIPROCAL[len(b)](w, len(b))))
 
     def apply(self, node: Node, *args) -> tuple:
         kind = type(node)
         if kind is Neg:
-            return _negation(*args)
+            return _NEGATION[len(args[0])](*args)
         if kind in (Add, Sub, Mul):
-            return self.node({Add: _sum, Sub: _difference, Mul: _product}[kind](*args))
+            return self.node({Add: _SUM, Sub: _DIFFERENCE, Mul: _PRODUCT}[kind][len(args[0])](*args))
         if kind is Div:
             a, b = args
-            return self.node(_product(a, self.reciprocal(b)))
+            return self.node(_PRODUCT[len(a)](a, self.reciprocal(b)))
         if kind is Exp:
             (u,) = args
             self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)
             e = self.opaque("exp({})", cmath.exp, u[0])
-            return self.node(_chain(u, _exponential(e, len(u))))
+            return self.node(_CHAIN[len(u)](u, _exponential(e, len(u))))
         if kind is Log:
             (u,) = args
             self.guard(u[0], f"abs({{}}) <= {DIVISION_FLOOR!r}", _below_floor)
             lg = self.opaque("log({})", cmath.log, u[0])
             w = self.opaque("1.0 / {}", _inverse, u[0])
-            return self.node(_chain(u, _logarithm(lg, w, len(u))))
+            # log's derivatives: log u, then those of 1/x at u, one order down
+            return self.node(_CHAIN[len(u)](u, (lg, *_RECIPROCAL[len(u) - 1](w, len(u) - 1))))
         u, k = args  # PowInt
         if k == 0:
             # x^0 is one, but a failed base still fails: check what is dropped
@@ -421,9 +429,9 @@ class _Lanes:
             return self.power_call(u, k)
         acc = u
         for _ in range(abs(k) - 1):
-            acc = self.node(_product(acc, u))
+            acc = self.node(_PRODUCT[len(u)](acc, u))
         if k < 0:
-            acc = self.node(_product(jet_const(1.0, self.order), self.reciprocal(acc)))
+            acc = self.node(_PRODUCT[len(u)](jet_const(1.0, self.order), self.reciprocal(acc)))
         return acc
 
     def power_call(self, u: tuple, k: int) -> tuple:

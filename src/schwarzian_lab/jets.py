@@ -32,10 +32,11 @@ operations run them on complex numbers and check the result, one call
 per node of ``dsl``'s tree walk; ``codegen`` runs the same functions on
 symbolic operands to generate each family's straight-line lane function,
 so both paths run the same float operations in the same order.  A
-formula the walk calls often at one jet length (and order, where the
-node checks its result) is compiled, once, from a trace of itself into
+formula either calls often at one jet length (and order, where the node
+checks its result) is compiled, once, from a trace of itself into
 straight-line code that makes the same operations on the same operands
-(``_Hot``), once the calls have cost about what compiling does.  The
+in the same order (``_Hot``), once the calls have cost about what
+compiling does.  The
 trace is not codegen's, which folds the float parts it knows before run
 time on a lane's finite operands: a formula's code keeps every
 operation, for any operands, balls and the unchecked parts above a
@@ -183,6 +184,8 @@ def _faa_di_bruno_plan(k: int) -> tuple:
 MAX_ORDER = 5
 _LEIBNIZ = tuple(_leibniz_plan(k) for k in range(MAX_ORDER + 1))
 _FAA_DI_BRUNO = tuple(_faa_di_bruno_plan(k) for k in range(1, MAX_ORDER + 1))
+# per k, (-1)^k k!: the derivative of order k of 1/x is this times x^-(k+1)
+_RECIPROCAL_COEFFICIENTS = tuple((-1.0) ** k * math.factorial(k) for k in range(MAX_ORDER + 1))
 
 
 # a formula's calls at one jet length before it is compiled (_Hot).
@@ -243,11 +246,13 @@ class _Trace:
 def _compiled(formula, args, order: int | None = None):
     # the code of ``formula`` at the shape of ``args``, from its trace on
     # operands named for their places, a jet's parts unpacked, and a count
-    # passed as the number it is.  A value used more than once is bound to
-    # a name where the trace made it; any other is written out where it is
-    # used.  Each operation is the formula's, on the same operands, so the
-    # code computes the formula's bits.  With an ``order``, the code then
-    # does what _checked does with the result
+    # passed as the number it is.  Each part of the result, and each value
+    # used more than once, is bound to a name where the trace made it; any
+    # other is written out where it is used.  So the code makes the
+    # formula's operations on the same operands, and the formula's bits,
+    # and, as each formula here makes a value used once just before its
+    # use, in the formula's order, which codegen's names follow.  With an
+    # ``order``, the code then does what _checked does with the result
     made: list = []
     names = [f"x{k}" for k in range(len(args))]
     lines = []
@@ -262,22 +267,18 @@ def _compiled(formula, args, order: int | None = None):
         else:
             traced.append(_Trace(made, "", name=name))
     out = formula(*traced)
-    for x in out:
-        x.uses += 1
+    result = {id(x) for x in out}
     for k, x in enumerate(made):
-        if x.name is None and x.uses > 1:
+        if x.name is None and (x.uses > 1 or id(x) in result):
             lines.append(f"t{k} = {x.text()}")
             x.name = f"t{k}"
+    parts = "".join(x.name + ", " for x in out)
     if order is None:
-        lines.append(f"return ({''.join(x.text() + ', ' for x in out)})")
+        lines.append(f"return ({parts})")
     else:
-        parts = [f"r{k}" for k in range(len(out))]
-        lines += [f"{p} = {x.text()}" for p, x in zip(parts, out)]
-        finite = " and ".join(f"isfinite({p})" for p in parts[: order + 1])
-        tail = "".join(p + ", " for p in parts)
-        made_as = f"new(Jet, ({tail}))" if len(out) == 4 else f"({tail})"
-        lines += [f"if {finite}:", f"    return {made_as}",
-                  "raise OverflowAtPoint(OVERFLOW)"]
+        finite = " and ".join(f"isfinite({x.name})" for x in out[: order + 1])
+        made_as = f"new(Jet, ({parts}))" if len(out) == 4 else f"({parts})"
+        lines += [f"if {finite}:", f"    return {made_as}", "raise OverflowAtPoint(OVERFLOW)"]
     source = f"def f({', '.join(names)}):\n" + "".join(f"    {line}\n" for line in lines)
     namespace: dict = dict(
         isfinite=_isfinite, new=tuple.__new__, Jet=ComplexJet3, OverflowAtPoint=OverflowAtPoint,
@@ -293,8 +294,10 @@ class _Hot(dict):
     the straight-line code of its trace at that length (:func:`_compiled`),
     which makes the same operations on the same operands, so the same
     bits, without the loops over its plan.  With an ``order``, it checks
-    its result to that order, as :func:`_checked` does.  Codegen, whose
-    names follow the order of operations, calls the formula itself."""
+    its result to that order, as :func:`_checked` does.  Codegen keeps its
+    own, unchecked, and runs them on symbolic values: the code makes the
+    formula's operations in the formula's order, so the source codegen
+    writes is the same either way."""
 
     def __init__(self, formula, order: int | None = None):
         super().__init__()
@@ -337,10 +340,12 @@ def _negation(a) -> tuple:
 def _product(a, b) -> tuple:
     """Leibniz rule: (ab)^(k) is the sum over j of C(k, j) a^(k-j) b^(j)."""
     out = []
-    for k in range(len(a)):
+    for k, plan in enumerate(_LEIBNIZ[: len(a)]):
         acc = None
-        for j, c in _LEIBNIZ[k]:
-            term = _scaled(c, a[j] * b[j] if 2 * j == k else a[k - j] * b[j] + a[j] * b[k - j])
+        for j, c in plan:
+            term = a[j] * b[j] if 2 * j == k else a[k - j] * b[j] + a[j] * b[k - j]
+            if c != 1.0:  # a binomial coefficient: never -1
+                term = c * term
             acc = term if acc is None else acc + term
         out.append(acc)
     return tuple(out)
@@ -356,7 +361,9 @@ def _chain(u, w) -> tuple:
             monomial = u[p[0]]  # prod_{i in p} u^(i), left to right
             for i in p[1:]:
                 monomial = monomial * u[i]
-            term = _scaled(c, w[m] * monomial)
+            term = w[m] * monomial
+            if c != 1.0:  # a Bell coefficient: never -1
+                term = c * term
             acc = term if acc is None else acc + term
         out.append(acc)
     return tuple(out)
@@ -370,7 +377,7 @@ def _reciprocal(w, count: int) -> tuple:
     out = [w]
     for p in range(2, count + 1):
         powers.append(powers[p - p // 2] * powers[p // 2])
-        out.append(_scaled((-1.0) ** (p - 1) * math.factorial(p - 1), powers[p]))
+        out.append(_scaled(_RECIPROCAL_COEFFICIENTS[p - 1], powers[p]))
     return tuple(out)
 
 
@@ -387,12 +394,6 @@ _RECIPROCAL = _Hot(_reciprocal)
 def _exponential(e, count: int) -> tuple:
     """exp and its first count - 1 derivatives at u, from e = exp(u)."""
     return (e,) * count
-
-
-def _logarithm(lg, w, count: int) -> tuple:
-    """log and its first count - 1 derivatives at u, from lg = log(u) and
-    w = 1/u: those of 1/x, one order down."""
-    return (lg, *_reciprocal(w, count - 1))
 
 
 def _mobius(u, a, b, c, r) -> tuple:
@@ -514,7 +515,7 @@ def jet_log(u: ComplexJet3, order: int = 3) -> ComplexJet3:
     else:
         lg = cmath.log(uv)
     n = len(u)
-    # _logarithm, with the walk's compiled reciprocal
+    # log's derivatives: log u, then those of 1/x at u, one order down
     return _CHAIN[order][n](u, (lg, *_RECIPROCAL[n - 1](1.0 / uv, n - 1)))
 
 

@@ -631,3 +631,46 @@ def test_a_formula_is_compiled_only_once_hot():
     assert hot[4].__code__.co_filename == "<jets formula>"
     assert hot[4](a, a) == want == jets._product(a, a)
     assert list(hot) == [4]
+
+
+class _Logged:
+    """An operand that logs each operation made on it, in order."""
+
+    def __init__(self, log, key):
+        self.log, self.key = log, key
+
+    def _op(self, form, *args):
+        self.log.append((form, tuple(x.key if type(x) is _Logged else x for x in args)))
+        return _Logged(self.log, len(self.log))
+
+    def __add__(self, other):
+        return self._op("+", self, other)
+
+    def __sub__(self, other):
+        return self._op("-", self, other)
+
+    def __mul__(self, other):
+        return self._op("*", self, other)
+
+    def __rmul__(self, other):
+        return self._op("*", other, self)
+
+    def __neg__(self):
+        return self._op("neg", self)
+
+
+@pytest.mark.parametrize("name", sorted(_HOT_FORMULAS))
+def test_a_compiled_formula_makes_the_formulas_operations_in_its_order(name):
+    # codegen names its values in the order they are made, so its source
+    # is the same whether it runs a formula as written or compiled
+    formula, checks = _HOT_FORMULAS[name]
+
+    def operands(log, n):
+        jet = [tuple(_Logged(log, f"{side}{k}") for k in range(n)) for side in "ab"]
+        return {"negation": (jet[0],), "reciprocal": (_Logged(log, "w"), n)}.get(name, jet)
+
+    for n in (4, 5, 6):
+        written, compiled = [], []
+        formula(*operands(written, n))
+        jets._compiled(formula, operands([], n))(*operands(compiled, n))
+        assert compiled == written

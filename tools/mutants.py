@@ -395,8 +395,8 @@ MUTANTS = (
            '        return self.op("{} - {}", other, self)',
            (JETS + "test_a_hot_formula_compiles_to_the_same_bits",)),
     Mutant("a compiled formula checks its value alone", "jets.py",
-           '        finite = " and ".join(f"isfinite({p})" for p in parts[: order + 1])',
-           '        finite = " and ".join(f"isfinite({p})" for p in parts[:1])',
+           '        finite = " and ".join(f"isfinite({x.name})" for x in out[: order + 1])',
+           '        finite = " and ".join(f"isfinite({x.name})" for x in out[:1])',
            (JETS + "test_a_hot_formula_compiles_to_the_same_bits",)),
     Mutant("the argmax dropped from the keep", "codegen.py",
            '    fold[0] += [f"    {a} = zv" for a in argmax]', "    fold[0] += []",
