@@ -32,15 +32,14 @@ operations run them on complex numbers and check the result, one call
 per node of ``dsl``'s tree walk; ``codegen`` runs the same functions on
 symbolic operands to generate each family's straight-line lane function,
 so both paths run the same float operations in the same order.  A
-formula either calls often at one jet length (and order, where the node
-checks its result) is compiled, once, from a trace of itself into
-straight-line code that makes the same operations on the same operands
-in the same order (``_Hot``), once the calls have cost about what
-compiling does.  The
-trace is not codegen's, which folds the float parts it knows before run
-time on a lane's finite operands: a formula's code keeps every
-operation, for any operands, balls and the unchecked parts above a
-node's order included.
+formula that the walk or codegen calls often at one jet length (and
+order, where the node checks its result) is compiled, once, from a trace
+of itself into straight-line code that makes the same operations on the
+same operands in the same order (``_Hot``), once the calls have cost
+about what compiling does.  The trace is not codegen's, which folds the
+float parts it knows before run time on a lane's finite operands: a
+formula's code keeps every operation, for any operands, balls and the
+unchecked parts above a node's order included.
 
 The ``jet_*`` operations run unchanged on jets whose parts are balls
 (:class:`~schwarzian_lab.ball.Ball`), as ``dsl.eval_jet`` at a ball
@@ -184,8 +183,6 @@ def _faa_di_bruno_plan(k: int) -> tuple:
 MAX_ORDER = 5
 _LEIBNIZ = tuple(_leibniz_plan(k) for k in range(MAX_ORDER + 1))
 _FAA_DI_BRUNO = tuple(_faa_di_bruno_plan(k) for k in range(1, MAX_ORDER + 1))
-# per k, (-1)^k k!: the derivative of order k of 1/x is this times x^-(k+1)
-_RECIPROCAL_COEFFICIENTS = tuple((-1.0) ** k * math.factorial(k) for k in range(MAX_ORDER + 1))
 
 
 # a formula's calls at one jet length before it is compiled (_Hot).
@@ -340,12 +337,10 @@ def _negation(a) -> tuple:
 def _product(a, b) -> tuple:
     """Leibniz rule: (ab)^(k) is the sum over j of C(k, j) a^(k-j) b^(j)."""
     out = []
-    for k, plan in enumerate(_LEIBNIZ[: len(a)]):
+    for k in range(len(a)):
         acc = None
-        for j, c in plan:
-            term = a[j] * b[j] if 2 * j == k else a[k - j] * b[j] + a[j] * b[k - j]
-            if c != 1.0:  # a binomial coefficient: never -1
-                term = c * term
+        for j, c in _LEIBNIZ[k]:
+            term = _scaled(c, a[j] * b[j] if 2 * j == k else a[k - j] * b[j] + a[j] * b[k - j])
             acc = term if acc is None else acc + term
         out.append(acc)
     return tuple(out)
@@ -361,9 +356,7 @@ def _chain(u, w) -> tuple:
             monomial = u[p[0]]  # prod_{i in p} u^(i), left to right
             for i in p[1:]:
                 monomial = monomial * u[i]
-            term = w[m] * monomial
-            if c != 1.0:  # a Bell coefficient: never -1
-                term = c * term
+            term = _scaled(c, w[m] * monomial)
             acc = term if acc is None else acc + term
         out.append(acc)
     return tuple(out)
@@ -377,7 +370,7 @@ def _reciprocal(w, count: int) -> tuple:
     out = [w]
     for p in range(2, count + 1):
         powers.append(powers[p - p // 2] * powers[p // 2])
-        out.append(_scaled(_RECIPROCAL_COEFFICIENTS[p - 1], powers[p]))
+        out.append(_scaled((-1.0) ** (p - 1) * math.factorial(p - 1), powers[p]))
     return tuple(out)
 
 
