@@ -28,15 +28,14 @@ rule below is exact in IEEE arithmetic, signed zeros included, so the
 generated code computes bit for bit what the ``jet_*`` operations would.
 The rules assume finite operands: a value is thrown away only when it is
 known to be finite, and the emitted checks catch every lane on which a
-node leaves the finite range in a part up to the statistic's order (see
-``_lanes_source``).
+node leaves the finite range in a part of its jet, of the statistic's
+order (see ``_lanes_source``).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import partial
 from typing import Callable, NamedTuple
 
 from .dsl import (
@@ -247,14 +246,14 @@ def _exp_refused(w: complex) -> bool:
 class _Lanes:
     """Writer of the lane function: the jet formulas on symbolic values.
 
-    Its values are jets whose parts are complex constants or ``_Sym``s.
-    Only their parts up to ``order`` are ever written or checked.
+    Its values are jets of order ``order`` whose parts are complex
+    constants or ``_Sym``s.
     """
 
     def __init__(self, order: int = 3):
         self.order = order
-        # the zero parts above f of a constant, through order max(order, 3)
-        self.zeros = (ZERO,) * max(order, 3)
+        # the zero parts above f of a constant
+        self.zeros = (ZERO,) * order
         self.consts: dict = {}  # bound name -> constant
         self.names: dict = {}  # constant bits -> bound name
         self.prelude: list[str] = []  # loop-invariant lines
@@ -351,11 +350,10 @@ class _Lanes:
         self.check(u.lane, cond)
 
     def unchecked(self, jet) -> list:
-        """The parts of a jet, up to the order, that may not be finite on a lane.
+        """The parts of a jet that may not be finite on a lane.
 
         A loop-invariant part is written, and so checked with the batch.
         """
-        jet = jet[: self.order + 1]
         for x in jet:
             if type(x) is _Sym and not x.lane:
                 self.text(x)
@@ -363,8 +361,8 @@ class _Lanes:
 
     def node(self, jet: tuple) -> tuple:
         # a node's exactly known parts are its parts on every lane, so one
-        # up to the order that is not finite fails every lane
-        if not all(cmath.isfinite(x) for x in jet[: self.order + 1] if type(x) is not _Sym):
+        # that is not finite fails every lane
+        if not all(cmath.isfinite(x) for x in jet if type(x) is not _Sym):
             raise _LiteralFails
         return jet
 
@@ -435,13 +433,9 @@ class _Lanes:
         return acc
 
     def power_call(self, u: tuple, k: int) -> tuple:
-        # no part reads the parts above it, so the base's parts above the
-        # order go in as zeros and are never written; the power's parts above
-        # the order are then not its own, and nothing reads them either
-        u = (*u[: self.order + 1], *self.zeros[self.order :])
         if not any(type(x) is _Sym for x in u):
             try:
-                return jet_pow_int(u, k, self.order)
+                return jet_pow_int(u, k)
             except JetError:
                 raise _LiteralFails from None
         lane = any(type(x) is _Sym and x.lane for x in u)
@@ -470,21 +464,22 @@ class Statistic(NamedTuple):
     formula, and one whose f' may be is redone.  A value may be a tuple,
     one per slot of ``start``, and the lane function keeps the largest of
     each slot over each group of samples, from the slot's start.
-    ``order`` is the highest jet part the formula reads, from 1 to
-    ``jets.MAX_ORDER``: 1 for f# and |f'|, which read f and f' alone, 3 by
-    default, 4 for S' and 5 for S''.  The lane function writes and checks
-    only the parts up to it, and the walk that redoes a sample checks only
-    those, so one rule flags a sample "Overflow": a part of order at most
-    ``order`` of some node past the double range, a modulus past it (an
-    OverflowError), or a value that is nan or inf in any slot.  Such a
-    sample counts for nothing.  A redone sample's value, from
-    :meth:`walked`, is bound to the fast path's names, so ``lane`` computes
-    each value, never handing back a part as it is.  With an ``ascent``,
-    the order-5 statistic from which ``probe`` refines a group's best
-    sample, the lane function also reports, after the flags, each group's
-    argmax: the point of the sample that gave its largest first slot, None
-    if none has one.  The fields are module-level functions and numbers,
-    so that a pickled copy is equal and hashes equal.
+    ``order`` is the order of the sample's jet, the highest part the
+    formula reads, from 1 to ``jets.MAX_ORDER``: 1 for f# and |f'|, which
+    read f and f' alone, 3 by default, 4 for S' and 5 for S''.  It sets
+    the seed's length, and the lane function and the walk that redoes a
+    sample compute and check that jet's parts alone, so one rule flags a
+    sample "Overflow": a part of some node's jet past the double range, a
+    modulus past it (an OverflowError), or a value that is nan or inf in
+    any slot.  Such a sample counts for nothing.  A redone sample's value,
+    from :meth:`walked`, is bound to the fast path's names, so ``lane``
+    computes each value, never handing back a part as it is.  With an
+    ``ascent``, the order-5 statistic from which ``probe`` refines a
+    group's best sample, the lane function also reports, after the flags,
+    each group's argmax: the point of the sample that gave its largest
+    first slot, None if none has one.  The fields are module-level
+    functions and numbers, so that a pickled copy is equal and hashes
+    equal.
     """
 
     lane: Callable
@@ -597,23 +592,22 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     the main loop, which then has none; where a literal fails, that loop
     is all.
 
-    A lane is redone when a node of it leaves the finite range in a part
-    of order at most the statistic's: such a value reaches the output,
-    which keeps only the parts up to that order and checks those not
-    known finite, or the check before an opaque function (exp, log, 1/x),
-    the only places where a non-finite value can turn finite again;
-    ``x^0`` checks its base's parts up to the order.  No other part is
-    written: the lines of f'' and f''' of an order-1 statistic are never
-    emitted, as nothing reads them.  A part never depends on parts of
-    higher order, so those it keeps are the bits of a walk of any order.
-    A statistic's critical guard, and an exception in its formula, redo a
-    lane too.  So a redone lane is not always a failed one, but every
-    failed lane is redone.  A sum of parts is checked as a whole, and
-    each part only where the sum is not finite.
+    The jets are of the statistic's order, so no line of f'' or f''' of an
+    order-1 statistic is emitted.  A lane is redone when a node of it
+    leaves the finite range in a part: such a value reaches the output,
+    which checks the parts not known finite, or the check before an
+    opaque function (exp, log, 1/x), the only places where a non-finite
+    value can turn finite again; ``x^0`` checks its base's parts.  A part
+    never depends on parts of higher order, so those it computes are the
+    bits of a walk of any order.  A statistic's critical guard, and an
+    exception in its formula, redo a lane too.  So a redone lane is not
+    always a failed one, but every failed lane is redone.  A sum of parts
+    is checked as a whole, and each part only where the sum is not
+    finite.
     """
     t = _Lanes(stat.order)
     try:
-        out = t.walk_lane(root)[: t.order + 1]
+        out = t.walk_lane(root)
     except _LiteralFails:  # every lane is redone
         out = None
     if out is None:
@@ -670,7 +664,7 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     ]
     namespace = dict(
         t.consts, isfinite=cmath.isfinite, finite=math.isfinite, exp=cmath.exp, log=cmath.log,
-        pow_int=partial(jet_pow_int, order=t.order), JetError=JetError, inf=math.inf,
+        pow_int=jet_pow_int, JetError=JetError, inf=math.inf,
         noflags=frozenset(),
     )
     return "\n".join(src) + "\n", namespace

@@ -45,9 +45,9 @@ same bits:
   evaluation generates no lane function.  The walk also redoes, from
   ``jets.jet_var`` at its points, every sample the lane function hands
   back: any sample that failed, or might have, with jets of the
-  statistic's order.  It then fails only where a jet part of order at
-  most the statistic's leaves the double range, as the lane function
-  does (``codegen.Statistic.order``).  At a
+  statistic's order.  It then fails only where a part of that jet leaves
+  the double range, as the lane function does
+  (``codegen.Statistic.order``).  At a
   :class:`~.ball.Ball` point, or from a seed of balls, the same walk runs
   the same operations on balls; it differs only in that each number
   literal is a ball of half an ulp, so the result encloses the exact jet
@@ -63,7 +63,6 @@ values bit-identical, and every path gives the same bits.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Tuple
 
 from .ball import Ball, literal
@@ -584,32 +583,25 @@ def pretty_print(expr: FamilyExpr | Node) -> str:
 # ---------------------------------------------------------------------------
 # evaluation: a tree walk, or the lane function ``codegen`` generates
 
-# the operation the walk calls per node
+# the operation the walk calls per node, at any jet length; a literal
+# takes its seed's order
 _JET_OPS = {
     ConstNum: jet_const, Add: jet_add, Sub: jet_sub, Mul: jet_mul, Div: jet_div,
     Neg: jet_neg, Exp: jet_exp, Log: jet_log, PowInt: jet_pow_int,
 }
-# the same operations per order k, each of which fails only where a part of
-# order at most k leaves the double range (jets._checked): the walk for a
-# statistic that reads the parts up to k.  Its literals carry the parts
-# through order max(k, 3), as its seed does
-_OPS_AT = {
-    k: {kind: op if kind is Neg else partial(op, order=k) for kind, op in _JET_OPS.items()}
-    for k in range(MAX_ORDER + 1)
-}
-_OPS_AT[3] = _JET_OPS
-_I_AT = {k: jet_const(1j, k) for k in _OPS_AT}
-_I = _I_AT[3]
+# i's jet per order
+_I = tuple(jet_const(1j, k) for k in range(MAX_ORDER + 1))
 
 
-def _ball_const(c) -> ComplexJet3:
-    # a number literal, known only to half an ulp: the rounding of its text
+def _ball_const(c, order: int = 3) -> ComplexJet3:
+    # a number literal, known only to half an ulp: the rounding of its
+    # text; a ball jet is of order 3
     return _as_jet((literal(jet_const(c).v), ZERO, ZERO, ZERO))
 
 
 # a ball evaluation differs only in its literals; n and i are exact
 _BALL_OPS = {**_JET_OPS, ConstNum: _ball_const}
-_BALL_I = _as_jet((Ball(_I.v), ZERO, ZERO, ZERO))
+_BALL_I = _as_jet((Ball(1j), ZERO, ZERO, ZERO))
 
 
 def _walk(node: Node, ops: dict, leaves: dict, point):
@@ -619,7 +611,7 @@ def _walk(node: Node, ops: dict, leaves: dict, point):
     if kind in leaves:
         return leaves[kind]
     if kind is ConstNum:
-        return ops[kind](node.value)
+        return ops[kind](node.value, len(leaves[Var]) - 1)
     if kind is PowInt:
         args = (_walk(node.base, ops, leaves, point), node.exponent)
     elif kind is Neg:
@@ -651,18 +643,16 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat):
     :func:`eval_jet` at ``stat.order`` gives, bit for bit.  The lane
     function's one handler redoes a sample by ``redo``: ``stat.walked``
     walks the tree from ``jet_var`` at the sample's point, of order
-    ``stat.order``, with operations that check the jet parts up to it
-    alone, as the lane function does, and gives the sample's value, or
-    the flag of its failure.
+    ``stat.order``, whose every part is checked, as the lane function
+    checks them, and gives the sample's value, or the flag of its failure.
     """
     order = stat.order
     nj = jet_const(n, order)  # refuses an n that is not finite
-    ops = _OPS_AT[order]
-    i = _I_AT[order]
+    i = _I[order]
 
     def walk(w):
         s = jet_var(w, order)
-        return _walk(expr.root, ops, {Var: s, Param: nj, ImagUnit: i}, s[0])
+        return _walk(expr.root, _JET_OPS, {Var: s, Param: nj, ImagUnit: i}, s[0])
 
     def redo(w):
         return stat.walked(walk, w)
@@ -671,38 +661,36 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat):
     return _family(expr, stat)(nj[0] if isinstance(n, (int, float)) else None, points, redo)
 
 
-def _at_point(
-    expr: FamilyExpr, n: float, seed: ComplexJet3, point, order: int = 3
-) -> ComplexJet3:
-    # one evaluation by the walk, on balls where the seed's value is a
-    # ball, raising the EvalError of its first failure, labelled with the
-    # point (a ball's midpoint)
+def _at_point(expr: FamilyExpr, n: float, seed: ComplexJet3, point) -> ComplexJet3:
+    # one evaluation by the walk, of the seed's order, on balls where the
+    # seed's value is a ball, raising the EvalError of its first failure,
+    # labelled with the point (a ball's midpoint)
     if type(seed[0]) is Ball:
         ops, nj, i = _BALL_OPS, _as_jet((Ball(jet_const(n).v), ZERO, ZERO, ZERO)), _BALL_I
         point = complex(point)
     else:
-        ops, nj, i = _OPS_AT[order], jet_const(n, order), _I_AT[order]
+        order = len(seed) - 1
+        ops, nj, i = _JET_OPS, jet_const(n, order), _I[order]
     return _walk(expr.root, ops, {Var: seed, Param: nj, ImagUnit: i}, point)
 
 
 def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball, *, order: int = 3) -> ComplexJet3:
-    """Evaluate the jet of f_n at z, of order max(order, 3).
+    """Evaluate the jet of f_n at z, of order ``order``: its order + 1 parts.
 
     The family index n is real and enters the arithmetic as a complex
     number with zero imaginary part.  At a :class:`~.ball.Ball` z the jet's
     parts are balls: their midpoints are the jet at z's midpoint, bit for
     bit, and each encloses that derivative of the expression as written
     (every literal the number its text names) at every point of z's ball.
-    At a plain z, an ``order`` below 3 fails the evaluation only where a
-    part up to that order leaves the double range, as a statistic of that
-    order is redone; the parts above it are returned as they come, and may
-    be inf or nan.  ``bound`` takes f(z0) and f(z) so.  An order of 4 or
-    5 (at most ``jets.MAX_ORDER``) gives a plain tuple of that many
-    derivatives after the value, whose parts up to 3 are the order-3
-    jet's, bit for bit; a ball z takes order 3.
+    The order runs from 0 to ``jets.MAX_ORDER``, and a ball z takes order
+    3.  The jet is a ``ComplexJet3`` at order 3 and a plain tuple at any
+    other, whose parts are the first parts of a jet of any higher order,
+    bit for bit; the evaluation fails where one of its parts leaves the
+    double range, as a statistic of that order is redone.  ``bound``
+    takes f(z0) and f(z) at order 1 so.
     """
     seed = jet_var(z, order if type(z) is not Ball else 3)
-    return _at_point(expr, n, seed, seed[0], order)
+    return _at_point(expr, n, seed, seed[0])
 
 
 def eval_jet_seeded(

@@ -1,45 +1,42 @@
 """Complex jet arithmetic of any order up to :data:`MAX_ORDER`.
 
-A jet carries the value and first derivatives of an analytic function at
-one point of the complex plane: a :class:`ComplexJet3` the first three,
-enough for the Schwarzian derivative, and a plain tuple of k + 1 parts
-the first k, for k of 4 (S') or 5 (S'').  A jet of order k seeds its
-variable and its constants with k + 1 parts (:func:`jet_var`,
-:func:`jet_const`), and the operations below propagate every part
-through field arithmetic and the exp/log primitives, without symbolic
-differentiation.  A jet carries the parts through d3 at least, so an
-order below 3 only checks fewer of them.
+A jet of order k carries the value and first k derivatives of an
+analytic function at one point of the complex plane, k + 1 parts: a
+:class:`ComplexJet3` at order 3, enough for the Schwarzian derivative,
+and a plain tuple at any other order, 1 for f# and |f'|, 4 for S' and 5
+for S''.  A jet of order k seeds its variable and its constants with
+k + 1 parts (:func:`jet_var`, :func:`jet_const`), and the operations
+below propagate every part through field arithmetic and the exp/log
+primitives, without symbolic differentiation.
 
 Jets never hold non-finite components: an operation that would produce
-``inf`` or ``nan`` raises :class:`OverflowAtPoint` instead.  An operation
-given an ``order`` below its jets' checks only the parts up to that
-order, for a statistic that reads no others, and leaves the parts above
-it as they come, which may be ``inf`` or ``nan``; a part never depends
-on the parts of higher order of its operands, so the checked parts are
-the same bits either way.  A division whose denominator magnitude sits at or below the
-floor raises :class:`DivisionByZeroAtPoint`.  A denominator whose
-magnitude is past the double range, where ``abs`` itself would overflow,
-raises :class:`OverflowAtPoint`; :func:`modulus` is that ``abs`` for every
+``inf`` or ``nan`` in any part raises :class:`OverflowAtPoint` instead.
+A part never depends on the parts of higher order of its operands, so
+an order-k jet is the first k + 1 parts of a jet of any higher order,
+bit for bit, and fails where one of them is not finite.  A division
+whose denominator magnitude sits at or below the floor raises
+:class:`DivisionByZeroAtPoint`.  A denominator whose magnitude is past
+the double range, where ``abs`` itself would overflow, raises
+:class:`OverflowAtPoint`; :func:`modulus` is that ``abs`` for every
 caller.
 
 Every formula is written once, for any order, as a function of plain
 operands (the ``_sum`` ... ``_mobius`` section below): the Leibniz
 product, Faa di Bruno's chain rule and the derivative lists of the
 reciprocal, exp and log, each part a fixed plan of terms summed in one
-order, so a part of order 3 or less has the same bits in a jet of any
-order.  Only :func:`jet_mobius` is of order 3 alone.  The ``jet_*``
-operations run them on complex numbers and check the result, one call
-per node of ``dsl``'s tree walk; ``codegen`` runs the same functions on
-symbolic operands to generate each family's straight-line lane function,
-so both paths run the same float operations in the same order.  A
-formula that the walk or codegen calls often at one jet length (and
-order, where the node checks its result) is compiled, once, from a trace
-of itself into straight-line code that makes the same operations on the
-same operands in the same order (``_Hot``), once the calls have cost
-about what compiling does.  The trace is not codegen's, which folds the
-float parts it knows before run time on a lane's finite operands: a
-formula's code keeps every operation, for any operands, balls and the
-unchecked parts above a node's order included.
+order, so a part has the same bits in a jet of any order.  Only
+:func:`jet_mobius` is of order 3 alone.  The ``jet_*`` operations run
+them on complex numbers and check the result, one call per node of
+``dsl``'s tree walk; ``codegen`` runs the same functions on symbolic
+operands to generate each family's straight-line lane function, so both
+paths run the same float operations in the same order.  A formula that
+the walk or codegen calls often at one jet length is compiled, once,
+from a trace of itself into straight-line code that makes the same
+operations on the same operands in the same order (``_Hot``), once the
+calls have cost about what compiling does.  The trace is not codegen's,
+which folds the float parts it knows before run time on a lane's finite
+operands: a formula's code keeps every operation, for any operands,
+balls included.
 
 The ``jet_*`` operations run unchanged on jets whose parts are balls
 (:class:`~schwarzian_lab.ball.Ball`), as ``dsl.eval_jet`` at a ball
@@ -106,7 +103,7 @@ class OverflowAtPoint(JetError):
 
 class ComplexJet3(NamedTuple):
     """Value and first three derivatives of an analytic function at a point;
-    a jet of higher order is a plain tuple of its parts."""
+    a jet of any other order is a plain tuple of its parts."""
 
     v: complex
     d1: complex
@@ -191,7 +188,7 @@ _FAA_DI_BRUNO = tuple(_faa_di_bruno_plan(k) for k in range(1, MAX_ORDER + 1))
 # length (CPython 3.11, x86-64); compiled at the 200th, no formula's calls
 # cost more than 2.6 times the cheaper of never compiling and compiling
 # at once.  A command of the checks-mix benchmark's stream makes at most
-# 36 calls at one (formula, order, length), so it compiles nothing, and a
+# 36 calls at one (formula, length), so it compiles nothing, and a
 # long run of them compiles what it uses.  Compiled at once, that
 # benchmark's cold starts (setup_s) read 12% slower
 _HOT = 200
@@ -240,7 +237,7 @@ class _Trace:
         return self.op("-{}", self)
 
 
-def _compiled(formula, args, order: int | None = None):
+def _compiled(formula, args, checked: bool = False):
     # the code of ``formula`` at the shape of ``args``, from its trace on
     # operands named for their places, a jet's parts unpacked, and a count
     # passed as the number it is.  Each part of the result, and each value
@@ -248,8 +245,8 @@ def _compiled(formula, args, order: int | None = None):
     # other is written out where it is used.  So the code makes the
     # formula's operations on the same operands, and the formula's bits,
     # and, as each formula here makes a value used once just before its
-    # use, in the formula's order, which codegen's names follow.  With an
-    # ``order``, the code then does what _checked does with the result
+    # use, in the formula's order, which codegen's names follow.  If
+    # ``checked``, the code then does what _checked does with the result
     made: list = []
     names = [f"x{k}" for k in range(len(args))]
     lines = []
@@ -270,10 +267,10 @@ def _compiled(formula, args, order: int | None = None):
             lines.append(f"t{k} = {x.text()}")
             x.name = f"t{k}"
     parts = "".join(x.name + ", " for x in out)
-    if order is None:
+    if not checked:
         lines.append(f"return ({parts})")
     else:
-        finite = " and ".join(f"isfinite({x.name})" for x in out[: order + 1])
+        finite = " and ".join(f"isfinite({x.name})" for x in out)
         made_as = f"new(Jet, ({parts}))" if len(out) == 4 else f"({parts})"
         lines += [f"if {finite}:", f"    return {made_as}", "raise OverflowAtPoint(OVERFLOW)"]
     source = f"def f({', '.join(names)}):\n" + "".join(f"    {line}\n" for line in lines)
@@ -290,28 +287,28 @@ class _Hot(dict):
     counting its calls, until _HOT calls at that length, and from then on
     the straight-line code of its trace at that length (:func:`_compiled`),
     which makes the same operations on the same operands, so the same
-    bits, without the loops over its plan.  With an ``order``, it checks
-    its result to that order, as :func:`_checked` does.  Codegen keeps its
-    own, unchecked, and runs them on symbolic values: the code makes the
-    formula's operations in the formula's order, so the source codegen
-    writes is the same either way."""
+    bits, without the loops over its plan.  If ``checked``, it checks its
+    result, as :func:`_checked` does.  Codegen keeps its own, unchecked,
+    and runs them on symbolic values: the code makes the formula's
+    operations in the formula's order, so the source codegen writes is
+    the same either way."""
 
-    def __init__(self, formula, order: int | None = None):
+    def __init__(self, formula, checked: bool = False):
         super().__init__()
         self.formula = formula
-        self.order = order
+        self.checked = checked
 
     def __missing__(self, n: int):
-        order = self.order
+        checked = self.checked
         calls = 0
 
         def counted(*args):
             nonlocal calls
             calls += 1
             if calls == _HOT:
-                self[n] = _compiled(self.formula, args, order)
+                self[n] = _compiled(self.formula, args, checked)
             out = self.formula(*args)
-            return out if order is None else _checked(out, order)
+            return _checked(out) if checked else out
 
         self[n] = counted
         return counted
@@ -374,13 +371,13 @@ def _reciprocal(w, count: int) -> tuple:
     return tuple(out)
 
 
-# the formulas the jet operations call, per jet length, and those whose
-# result a node checks also per order: _PRODUCT[order][length]
-_SUM = tuple(_Hot(_sum, k) for k in range(MAX_ORDER + 1))
-_DIFFERENCE = tuple(_Hot(_difference, k) for k in range(MAX_ORDER + 1))
+# the formulas the jet operations call, per jet length: _PRODUCT[length];
+# those whose result is a node's check it
+_SUM = _Hot(_sum, True)
+_DIFFERENCE = _Hot(_difference, True)
 _NEGATION = _Hot(_negation)
-_PRODUCT = tuple(_Hot(_product, k) for k in range(MAX_ORDER + 1))
-_CHAIN = tuple(_Hot(_chain, k) for k in range(MAX_ORDER + 1))
+_PRODUCT = _Hot(_product, True)
+_CHAIN = _Hot(_chain, True)
 _RECIPROCAL = _Hot(_reciprocal)
 
 
@@ -419,33 +416,29 @@ def _mobius(u, a, b, c, r) -> tuple:
 # one jet at a time
 
 
-def _checked(j: tuple, order: int = 3):
-    # the one rule past the double range: a node fails where a part of
-    # order at most ``order`` is not finite; the parts above it go unchecked
-    n = len(j)
-    for x in j if order >= n - 1 else j[: order + 1]:
+def _checked(j: tuple):
+    # the one rule past the double range: a node fails where a part is not finite
+    for x in j:
         if not _isfinite(x):
             raise OverflowAtPoint(_OVERFLOW)
-    return _as_jet(j) if n == 4 else j
+    return _as_jet(j) if len(j) == 4 else j
 
 
-# per order, the zero parts above d1 of a seed; a jet carries the parts
-# through d3 at least
-_ZEROS = tuple((ZERO,) * (max(order, 3) - 1) for order in range(MAX_ORDER + 1))
+# per order, the parts after the value of the identity map's jet
+_VAR_TAIL = tuple((VAR_D1, *(ZERO,) * MAX_ORDER)[:k] for k in range(MAX_ORDER + 1))
 
 
 def jet_var(z0: complex | Ball, order: int = 3):
-    """Jet of the identity map at ``z0``, a number or a ball of points,
-    through the derivative of order max(order, 3)."""
+    """Jet of the identity map at ``z0``, a number or a ball of points, of order ``order``."""
     if type(z0) is not Ball:
         z0 = complex(z0)
     if not _isfinite(z0):
         raise ValueError("jet_var requires a finite point")
-    return _as_jet((z0, VAR_D1, ZERO, ZERO)) if order <= 3 else (z0, VAR_D1, *_ZEROS[order])
+    return _as_jet((z0, VAR_D1, ZERO, ZERO)) if order == 3 else (z0, *_VAR_TAIL[order])
 
 
 def jet_const(c: complex, order: int = 3):
-    """Jet of a constant function, through the derivative of order max(order, 3)."""
+    """Jet of a constant function, of order ``order``."""
     try:
         c = complex(c)
         finite = _isfinite(c)
@@ -453,15 +446,15 @@ def jet_const(c: complex, order: int = 3):
         finite = False
     if not finite:
         raise ValueError("jet_const requires a finite value")
-    return _as_jet((c, ZERO, ZERO, ZERO)) if order <= 3 else (c, ZERO, *_ZEROS[order])
+    return _as_jet((c, ZERO, ZERO, ZERO)) if order == 3 else (c, *(ZERO,) * order)
 
 
-def jet_add(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
-    return _SUM[order][len(a)](a, b)
+def jet_add(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
+    return _SUM[len(a)](a, b)
 
 
-def jet_sub(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
-    return _DIFFERENCE[order][len(a)](a, b)
+def jet_sub(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
+    return _DIFFERENCE[len(a)](a, b)
 
 
 def jet_neg(a: ComplexJet3) -> ComplexJet3:
@@ -469,34 +462,34 @@ def jet_neg(a: ComplexJet3) -> ComplexJet3:
     return _as_jet(j) if len(j) == 4 else j
 
 
-def jet_mul(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
+def jet_mul(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
     """Leibniz product rule."""
-    return _PRODUCT[order][len(a)](a, b)
+    return _PRODUCT[len(a)](a, b)
 
 
-def _reciprocal_jet(b: ComplexJet3, order: int = 3) -> ComplexJet3:
+def _reciprocal_jet(b: ComplexJet3) -> ComplexJet3:
     bv = b[0]
     if modulus(bv) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
     n = len(b)
-    return _CHAIN[order][n](b, _RECIPROCAL[n](1.0 / bv, n))
+    return _CHAIN[n](b, _RECIPROCAL[n](1.0 / bv, n))
 
 
-def jet_div(a: ComplexJet3, b: ComplexJet3, order: int = 3) -> ComplexJet3:
+def jet_div(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
     """Quotient a/b, computed as a times the reciprocal jet of b."""
-    return jet_mul(a, _reciprocal_jet(b, order), order)
+    return jet_mul(a, _reciprocal_jet(b))
 
 
-def jet_exp(u: ComplexJet3, order: int = 3) -> ComplexJet3:
+def jet_exp(u: ComplexJet3) -> ComplexJet3:
     """Exponential of a jet; guards |Re u| to stay inside finite doubles."""
     uv = u[0]
     if abs(uv.real) > EXP_REAL_GUARD:
         raise OverflowAtPoint("exp argument outside the overflow guard", uv)
     e = uv.exp() if type(uv) is Ball else cmath.exp(uv)
-    return _CHAIN[order][len(u)](u, _exponential(e, len(u)))
+    return _CHAIN[len(u)](u, _exponential(e, len(u)))
 
 
-def jet_log(u: ComplexJet3, order: int = 3) -> ComplexJet3:
+def jet_log(u: ComplexJet3) -> ComplexJet3:
     """Principal-branch logarithm of a jet."""
     uv = u[0]
     if modulus(uv) <= DIVISION_FLOOR:
@@ -509,17 +502,17 @@ def jet_log(u: ComplexJet3, order: int = 3) -> ComplexJet3:
         lg = cmath.log(uv)
     n = len(u)
     # log's derivatives: log u, then those of 1/x at u, one order down
-    return _CHAIN[order][n](u, (lg, *_RECIPROCAL[n - 1](1.0 / uv, n - 1)))
+    return _CHAIN[n](u, (lg, *_RECIPROCAL[n - 1](1.0 / uv, n - 1)))
 
 
-def jet_pow_int(u: ComplexJet3, k: int, order: int = 3) -> ComplexJet3:
+def jet_pow_int(u: ComplexJet3, k: int) -> ComplexJet3:
     """Integer power by repeated multiplication; negative k via reciprocal."""
     if k <= 0:
         one = jet_const(1.0, len(u) - 1)  # as many parts as u
-        return one if k == 0 else jet_div(one, jet_pow_int(u, -k, order), order)
+        return one if k == 0 else jet_div(one, jet_pow_int(u, -k))
     acc = u
     for _ in range(k - 1):
-        acc = jet_mul(acc, u, order)
+        acc = jet_mul(acc, u)
     return acc
 
 

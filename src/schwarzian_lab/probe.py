@@ -32,9 +32,9 @@ gets its statistic from the same formula.  For a scan that is f# or
 |S'| / (1 + |S|^2), and for ``bound`` |f'|.  For the ``hypotheses``
 floor sweep it is -|f'|, |f''|, |f'''| and |S|, the largest of each kept
 apart, so that min |f'| is an exact negation.  No command reads jets
-from a batch.  f# and |f'| are statistics of order 1: their samples, and
-``bound``'s f(z0) and f(z), fail only where f or f' leaves the double
-range, never on f'' or f'''.
+from a batch.  f# and |f'| are statistics of order 1: the jets of their
+samples, and ``bound``'s f(z0) and f(z), are (f, f'), and fail only
+where f or f' leaves the double range, never on f'' or f'''.
 
 The verdicts are heuristics about candidates, not proofs.
 """
@@ -633,7 +633,7 @@ def local_bound_estimate(
         finite = itertools.takewhile(lambda p: cmath.isfinite(p) or past.append(p), points)
         try:
             # f(z0) and f(z) by the rule of the segment's samples
-            v0, v1 = (eval_jet(f, n, w, order=_BOUND.order).v for w in (z0, z))
+            v0, v1 = (eval_jet(f, n, w, order=_BOUND.order)[0] for w in (z0, z))
             ((k_est, failed),) = eval_jet_lanes(f, n, [finite], _BOUND)
             if not failed:
                 if past:  # once every point before it evaluated cleanly

@@ -156,7 +156,7 @@ def spherical_derivative(j: ComplexJet3) -> float:
     try:
         return _spherical(j)
     except OverflowError:  # abs past the double range
-        for w in (j.v, j.d1):
+        for w in j[:2]:
             modulus(w)  # raises the typed error, labelled with the value
         raise
 
@@ -170,8 +170,8 @@ def _critical(d1: complex) -> bool:
 
 
 def schwarzian(j: ComplexJet3) -> complex:
-    """Schwarzian derivative from an order-3 jet."""
-    d1 = j.d1
+    """Schwarzian derivative from a jet of order 3 or more."""
+    d1 = j[1]
     if _critical(d1):
         raise CriticalPointError(
             f"Schwarzian undefined: |f'| = {abs(d1):.3e} at or below floor "

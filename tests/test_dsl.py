@@ -946,7 +946,7 @@ def _bound_reference(f, n, points):
     k_est, flags = 0.0, set()
     for w in points:
         try:
-            mag = modulus(eval_jet(f, n, w, order=1).d1)
+            mag = modulus(eval_jet(f, n, w, order=1)[1])
         except EvalError as exc:
             flags.add(_flag(exc))
             continue

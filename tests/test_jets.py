@@ -373,37 +373,63 @@ def test_overflowing_derivative_component_is_typed_error():
 
 
 
+# each operation on jets of one order; pow_int's k of both signs
+_OPERATIONS = {
+    "add": jet_add, "sub": jet_sub, "mul": jet_mul, "div": jet_div,
+    "neg": lambda a, b: jet_neg(a), "exp": lambda a, b: jet_exp(a),
+    "log": lambda a, b: jet_log(a), "pow 3": lambda a, b: jet_pow_int(a, 3),
+    "pow -2": lambda a, b: jet_pow_int(a, -2),
+}
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_an_operation_checks_only_the_parts_up_to_its_order(order):
-    # a part past the double range fails the node iff its order is at most
-    # the operation's; the parts above it are returned as they come, and
-    # the parts up to it are the bits of a finite operand's
-    one = jet_const(1.0)
-    clean = ComplexJet3(1.0 + 0j, 2.0 + 0j, 3.0 + 0j, 4.0 + 0j)
-    for part in range(4):
-        j = ComplexJet3(*(complex(math.inf, 0.0) if k == part else x for k, x in enumerate(clean)))
+    # an order-k jet is the first k + 1 parts of the order-3 and order-5
+    # jets, bit for bit, and an operation fails iff one of its own parts
+    # is not finite
+    clean = (1.0 + 0j, 2.0 + 0j, 3.0 + 0j, 4.0 + 0j, 5.0 + 0j, 6.0 + 0j)
+    one = jet_const(1.0, order)
+    for part in range(6):
+        j = tuple(complex(math.inf, 0.0) if k == part else x for k, x in enumerate(clean))
         if part <= order:
             with pytest.raises(OverflowAtPoint):
-                jet_mul(j, one, order)
+                jet_mul(j[: order + 1], one)
         else:
-            got = jet_mul(j, one, order)
-            assert got[: order + 1] == jet_mul(clean, one)[: order + 1]
-            assert not cmath.isfinite(got[part])
+            got = jet_mul(j[: order + 1], one)
+            assert _hex(got) == _hex(jet_mul(clean, jet_const(1.0, 5))[: order + 1])
+            with pytest.raises(OverflowAtPoint):  # the jet that holds that part
+                jet_mul(j[: part + 1], jet_const(1.0, part))
+    rng = random.Random(order)
+    for _ in range(30):
+        a, b = (tuple(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6))
+                for _ in range(2))
+        for name, op in _OPERATIONS.items():
+            got = op(a[: order + 1], b[: order + 1])
+            assert type(got) is (ComplexJet3 if order == 3 else tuple) and len(got) == order + 1
+            for longer in (4, 6):
+                assert _hex(got) == _hex(op(a[:longer], b[:longer])[: order + 1]), name
 
 
 def test_one_over_a_tiny_z_is_finite_to_order_2():
     # 1/z at 1e-80: f = 1e80, f' = -1e160 and f'' = 2e240 are finite, and
-    # f''' = -6e320 is not
-    z, one = jet_var(1e-80), jet_const(1.0)
-    with pytest.raises(OverflowAtPoint):
-        jet_div(one, z)
-    with pytest.raises(OverflowAtPoint):
-        jet_pow_int(z, -1)
+    # f''' = -6e320 is not, so 1/z fails at order 3 and above, and below
+    # it is the first parts of the order-5 jet, which no operation checks
+    for order in (3, 4, 5):
+        z, one = jet_var(1e-80, order), jet_const(1.0, order)
+        with pytest.raises(OverflowAtPoint):
+            jet_div(one, z)
+        with pytest.raises(OverflowAtPoint):
+            jet_pow_int(z, -1)
+    z = jet_var(1e-80, 5)
+    unchecked = jets._product(jet_const(1.0, 5), jets._chain(z, jets._reciprocal(1.0 / z[0], 6)))
+    assert not cmath.isfinite(unchecked[3])
     for order in (0, 1, 2):
-        j = jet_div(one, z, order)
-        assert all(map(cmath.isfinite, j[:3])) and not cmath.isfinite(j.d3)
-        assert j[:2] == (1e80 + 0j, -1e160 + 0j)
-        assert jet_pow_int(z, -1, order)[:3] == j[:3]
+        z, one = jet_var(1e-80, order), jet_const(1.0, order)
+        j = jet_div(one, z)
+        assert len(j) == order + 1 and all(map(cmath.isfinite, j))
+        assert j[:2] == (1e80 + 0j, -1e160 + 0j)[: order + 1]
+        assert _hex(j) == _hex(unchecked[: order + 1])
+        assert jet_pow_int(z, -1) == j
 
 
 # ---------------------------------------------------------------------------
@@ -460,29 +486,29 @@ def _assert_matches_mpmath(f: FamilyExpr, n, z: complex, order: int) -> None:
 
 
 def _assert_keeps_the_order_3_bits(f: FamilyExpr, n, z: complex, order: int) -> None:
-    # parts 0 to 3 of an order-k jet are the order-3 jet's, bit for bit
-    def bits(j):
-        return [(p.real.hex(), p.imag.hex()) for p in j[:4]]
-
+    # an order-k jet and the order-3 jet agree in their common parts, bit
+    # for bit; the one of higher order checks those parts too
+    low, high = sorted((3, order))
     try:
-        low = eval_jet(f, n, z)
+        short = eval_jet(f, n, z, order=low)
     except EvalError:
-        with pytest.raises(EvalError):  # it checks those parts too
-            eval_jet(f, n, z, order=order)
+        with pytest.raises(EvalError):
+            eval_jet(f, n, z, order=high)
         return
+    assert len(short) == low + 1
     try:
-        high = eval_jet(f, n, z, order=order)
-    except EvalError as exc:  # a part above 3 past the double range
+        long = eval_jet(f, n, z, order=high)
+    except EvalError as exc:  # a part above the lower order past the double range
         assert "overflowed" in exc.message
         return
-    assert bits(high) == bits(low)
+    assert _hex(long[: low + 1]) == _hex(short)
 
 
 _CATALOG_POINTS = (0.3 + 0.1j, -0.2 - 0.4j, 0.05j, -0.45 + 0.3j)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
-@pytest.mark.parametrize("order", [4, 5])
+@pytest.mark.parametrize("order", [0, 1, 2, 4, 5])
 def test_order_k_jets_of_the_catalog_match_mpmath(name, order):
     f = parse(CATALOG[name])
     for n in (1, 3, 8):
@@ -594,24 +620,24 @@ def test_a_hot_formula_compiles_to_the_same_bits(name):
             return rng.choice(_SPECIAL_PARTS)
         return complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * 10.0 ** rng.randint(-5, 5)
 
-    def checked(fn, args, order):
+    def outcome(fn, args):
         # the jet, named as _checked names it, or the overflow it raises
         try:
-            j = jets._checked(fn(*args), order) if fn is formula else fn(*args)
+            j = jets._checked(fn(*args)) if fn is formula else fn(*args)
         except OverflowAtPoint:
             return "Overflow"
         return type(j), _hex(j)
 
-    for n in (4, 5, 6):
+    for n in (2, 4, 5, 6):
         for _ in range(40):
             jet = [tuple(part() for _ in range(n)) for _ in range(2)]
             args = {"negation": (jet[0],), "reciprocal": (part(), n)}.get(name, jet)
             compiled = jets._compiled(formula, args)
             assert _hex(compiled(*args)) == _hex(formula(*args))
-            # a checked formula's code does what _checked does, to each order
-            for order in range(n) if checks else ():
-                compiled = jets._compiled(formula, args, order)
-                assert checked(compiled, args, order) == checked(formula, args, order)
+            # a checked formula's code does what _checked does
+            if checks:
+                compiled = jets._compiled(formula, args, checked=True)
+                assert outcome(compiled, args) == outcome(formula, args)
             if n == 4:  # the ball jets of order 3
                 balls = [tuple(Ball(x, abs(x) * 1e-9) for x in j) for j in jet]
                 one = {"negation": (balls[0],), "reciprocal": (Ball(part(), 1e-12), n)}
@@ -669,7 +695,7 @@ def test_a_compiled_formula_makes_the_formulas_operations_in_its_order(name):
         jet = [tuple(_Logged(log, f"{side}{k}") for k in range(n)) for side in "ab"]
         return {"negation": (jet[0],), "reciprocal": (_Logged(log, "w"), n)}.get(name, jet)
 
-    for n in (4, 5, 6):
+    for n in (2, 4, 5, 6):
         written, compiled = [], []
         formula(*operands(written, n))
         jets._compiled(formula, operands([], n))(*operands(compiled, n))

@@ -86,6 +86,15 @@ def test_spherical_invariant_under_reciprocal():
         )
 
 
+@pytest.mark.parametrize("order", [1, 3, 4, 5])
+def test_spherical_derivative_of_a_jet_of_any_order(order):
+    # a jet of any order, a plain tuple too: |f| past the double range
+    # raises the typed error, and e^{2z} at 0 gives 2 / (1 + 1)
+    with pytest.raises(OverflowAtPoint):
+        spherical_derivative(eval_jet(parse("z"), 1, 1.5e308 + 1.5e308j, order=order))
+    assert spherical_derivative(eval_jet(parse("exp(n*z)"), 2, 0.0, order=order)) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # schwarzian from a jet
 
@@ -113,6 +122,15 @@ def test_schwarzian_critical_point():
     f = parse("z^2")
     with pytest.raises(CriticalPointError):
         schwarzian(eval_jet(f, 1, 0.0))
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_schwarzian_of_a_jet_of_any_order(order):
+    # a jet of order 3 or more, a plain tuple too: S of e^z is -1/2, and
+    # a critical point raises the typed error
+    assert schwarzian(eval_jet(parse("exp(z)"), 1, 0.5, order=order)) == -0.5
+    with pytest.raises(CriticalPointError):
+        schwarzian(eval_jet(parse("z^2"), 1, 0.0, order=order))
 
 
 def test_schwarzian_floor_is_the_module_constant():

@@ -259,8 +259,8 @@ MUTANTS = (
            "ProcessPoolExecutor(max_workers=workers)",
            (PROBE + "test_pool_is_no_larger_than_its_chunks",)),
     Mutant("i taken as a literal, within half an ulp", "dsl.py",
-           "_BALL_I = _as_jet((Ball(_I.v), ZERO, ZERO, ZERO))",
-           "_BALL_I = _as_jet((literal(_I.v), ZERO, ZERO, ZERO))",
+           "_BALL_I = _as_jet((Ball(1j), ZERO, ZERO, ZERO))",
+           "_BALL_I = _as_jet((literal(1j), ZERO, ZERO, ZERO))",
            (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
     Mutant("literals taken as exact on balls", "dsl.py",
            "    return _as_jet((literal(jet_const(c).v), ZERO, ZERO, ZERO))",
@@ -280,17 +280,10 @@ MUTANTS = (
     Mutant("n's leaf bound to the seed", "dsl.py",
            "{Var: seed, Param: nj, ImagUnit: i}", "{Var: seed, Param: seed, ImagUnit: i}",
            (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
-    # the order rule: a sample fails only where a part of order at most the
-    # statistic's leaves the double range, in the lane function, the redo
-    # walk and bound's endpoints alike
-    Mutant("the order-1 output truncated to order 0, so f' goes unchecked", "codegen.py",
-           "out = t.walk_lane(root)[: t.order + 1]",
-           "out = t.walk_lane(root)[: 1 if t.order == 1 else t.order + 1]",
-           (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",)),
-    Mutant("the redo walk checks all four parts for an order-1 statistic", "dsl.py",
-           "    ops = _OPS_AT[order]", "    ops = _JET_OPS",
-           (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",
-            DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
+    # the order rule: a jet of order k is its k + 1 parts, and a sample
+    # fails only where a part of its jet, of the statistic's order, leaves
+    # the double range, in the lane function, the redo walk and bound's
+    # endpoints alike
     Mutant("bound's endpoints left at order 3", "probe.py",
            "eval_jet(f, n, w, order=_BOUND.order)", "eval_jet(f, n, w)",
            (CLI + "test_an_order_one_statistic_takes_samples_whose_higher_parts_overflow",)),
@@ -300,15 +293,25 @@ MUTANTS = (
            "order=1)",
            (CLI + "test_an_order_one_statistic_takes_samples_whose_higher_parts_overflow",
             DSL + "test_fused_floor_sweep_matches_the_jet_loop_bit_for_bit")),
-    Mutant("x^0 checks every part of its base", "codegen.py",
-           "        jet = jet[: self.order + 1]\n", "",
-           (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",)),
-    Mutant("pow_int checks every part in an order-1 lane function", "codegen.py",
-           "pow_int=partial(jet_pow_int, order=t.order)", "pow_int=jet_pow_int",
-           (DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime",)),
-    Mutant("a jet operation checks the parts above its order", "jets.py",
-           "    for x in j if order >= n - 1 else j[: order + 1]:", "    for x in j:",
-           (JETS + "test_an_operation_checks_only_the_parts_up_to_its_order[1]",)),
+    Mutant("jet_var seeds 4 parts at orders below 3", "jets.py",
+           "    return _as_jet((z0, VAR_D1, ZERO, ZERO)) if order == 3 else",
+           "    return _as_jet((z0, VAR_D1, ZERO, ZERO)) if order <= 3 else",
+           (JETS + "test_order_k_jets_of_the_catalog_match_mpmath",
+            DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime")),
+    Mutant("jet_const builds 4 parts at orders below 3", "jets.py",
+           "    return _as_jet((c, ZERO, ZERO, ZERO)) if order == 3 else",
+           "    return _as_jet((c, ZERO, ZERO, ZERO)) if order <= 3 else",
+           (JETS + "test_order_k_jets_of_the_catalog_match_mpmath",
+            DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime")),
+    Mutant("a jet operation skips its jet's last part", "jets.py",
+           "    for x in j:\n        if not _isfinite(x):",
+           "    for x in j[:-1]:\n        if not _isfinite(x):",
+           (JETS + "test_an_operation_checks_only_the_parts_up_to_its_order[1]",
+            DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime")),
+    Mutant("the walk takes a literal at order 3, not at its seed's order", "dsl.py",
+           "        return ops[kind](node.value, len(leaves[Var]) - 1)",
+           "        return ops[kind](node.value)",
+           (JETS + "test_order_k_jets_of_the_catalog_match_mpmath",)),
     # hypotheses is not sound on dropped samples, and the pool is imported
     # where it is used
     Mutant("sound rests on samples flagged Overflow", "probe.py",
@@ -395,7 +398,7 @@ MUTANTS = (
            '        return self.op("{} - {}", other, self)',
            (JETS + "test_a_hot_formula_compiles_to_the_same_bits",)),
     Mutant("a compiled formula checks its value alone", "jets.py",
-           '        finite = " and ".join(f"isfinite({x.name})" for x in out[: order + 1])',
+           '        finite = " and ".join(f"isfinite({x.name})" for x in out)',
            '        finite = " and ".join(f"isfinite({x.name})" for x in out[:1])',
            (JETS + "test_a_hot_formula_compiles_to_the_same_bits",)),
     Mutant("the argmax dropped from the keep", "codegen.py",
@@ -411,8 +414,8 @@ SURVIVORS = (
            "a part's zero, finite and nonzero marks are the same for -x as for x, and the "
            "emitted line keeps its product, so no fold, and no result, depends on it"),
     Mutant("division as the reciprocal times a, not a times the reciprocal", "jets.py",
-           "    return jet_mul(a, _reciprocal_jet(b, order), order)",
-           "    return jet_mul(_reciprocal_jet(b, order), a, order)",
+           "    return jet_mul(a, _reciprocal_jet(b))",
+           "    return jet_mul(_reciprocal_jet(b), a)",
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",
             DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit"),
            "the Leibniz product's sums are associated symmetrically, so swapping its "
@@ -436,6 +439,20 @@ DELETED = (
      "a sample is one point since S' comes from its order-4 jet, not a five-point stencil"),
     ("the stencil's lanes in reverse order",
      "the S' stencil is deleted; S' comes from one order-4 jet per sample"),
+    ("the order-1 output truncated to order 0, so f' goes unchecked",
+     "a jet of order k is k + 1 parts, so the lane function's output is its root's jet, "
+     "unsliced ('a jet operation skips its jet's last part' and 'jet_var seeds 4 parts at "
+     "orders below 3')"),
+    ("the redo walk checks all four parts for an order-1 statistic",
+     "dsl._OPS_AT is deleted: the walk runs _JET_OPS at the seed's length, and an order-1 "
+     "jet has no third or fourth part"),
+    ("x^0 checks every part of its base",
+     "codegen's unchecked() reads every part of a jet, which has only the statistic's"),
+    ("pow_int checks every part in an order-1 lane function",
+     "jet_pow_int takes no order; an order-1 lane function passes it two parts"),
+    ("a jet operation checks the parts above its order",
+     "_checked takes no order and checks every part ('a jet operation skips its jet's last "
+     "part')"),
 )
 
 
