@@ -12,11 +12,12 @@ order (1 to 5), and the lane function runs the statistic's formula
 inline on the sample's jet.  A call covers groups of samples, a grid
 point's or a segment's, and keeps only each group's largest statistic,
 or the largest of each of its slots, and the flags of its failed
-samples; for a statistic with an ascent (``scan-sd``'s), also the sample
-that gave the largest.  The scans and ``bound`` (max |f'|) keep one
-slot; the ``hypotheses`` floor sweep keeps four: -|f'|, |f''|, |f'''|
-and |S|; the rise statistic of the ``scan-sd`` ascent, at one sample per
-group, four: F, |S'| and the two parts of F's rise direction.
+samples.  The scans and ``bound`` (max |f'|) keep one slot; the
+``hypotheses`` floor sweep keeps four: -|f'|, |f''|, |f'''| and |S|.  For
+a statistic with an ascent (``scan-sd``'s), the same call then refines
+each group's largest by a few steps of ascent inside the group's disk,
+from the sample that gave it, so a ``scan-sd`` family has one lane
+function.
 
 It runs the jet formulas of ``jets`` on symbolic values
 (``_Sym``) to write straight-line source.  A symbolic value knows, per
@@ -84,6 +85,9 @@ _CACHE_SIZE = 4
 # an integer power up to this exponent is written out as products; a
 # larger one calls jet_pow_int
 _INLINE_POWER = 8
+# rounds of the ascent that refines each group's best sample, for a
+# statistic with one (scan-sd's)
+_ASCENT_ROUNDS = 2
 # the jets formulas per jet length, each the straight-line code of its
 # trace once it is hot (jets._Hot): the formula's operations in its order,
 # so the same source, without the loops over its plan
@@ -261,6 +265,8 @@ class _Lanes:
         self.invariants: list[_Sym] = []  # written loop-invariant values
         self.memo: dict = {}  # (op, operands) -> result
         self.values: dict = {}  # exactly known parts -> existing value
+        self.tails: dict = {}  # a statistic's formula's lines -> the name they bind
+        self.invariants_checked = 0  # invariants whose check is written
         self.count = 0
         self.n_used = False
         # n is real, so its imaginary part is +0; the prelude checks that
@@ -474,12 +480,12 @@ class Statistic(NamedTuple):
     any slot.  Such a sample counts for nothing.  A redone sample's value,
     from :meth:`walked`, is bound to the fast path's names, so ``lane``
     computes each value, never handing back a part as it is.  With an
-    ``ascent``, the order-5 statistic from which ``probe`` refines a
-    group's best sample, the lane function also reports, after the flags,
-    each group's argmax: the point of the sample that gave its largest
-    first slot, None if none has one.  The fields are module-level
-    functions and numbers, so that a pickled copy is equal and hashes
-    equal.
+    ``ascent``, the lane function refines each group's largest value, of
+    a statistic of one slot, by ascent inside the group's disk
+    (:func:`_ascent`): ``ascent`` is the rise statistic, of a higher
+    order, whose four slots are F (this statistic's value, bit for bit),
+    a and the two parts of D.  The fields are module-level functions and
+    numbers, so that a pickled copy is equal and hashes equal.
     """
 
     lane: Callable
@@ -515,20 +521,28 @@ class _Tail:
 
     Each operation writes one line, in the order Python evaluates the
     formula, and folds nothing, so the lines compute what the formula
-    computes on numbers.
+    computes on numbers.  With ``reuse``, an operation that a formula
+    written before into the same lines made already, on the same operands,
+    takes that formula's value, as the rise statistic of an ascent reuses
+    what the statistic itself computed at the same point.
     """
 
-    __slots__ = ("lines", "name")
+    __slots__ = ("lines", "name", "memo", "reuse")
 
-    def __init__(self, lines: list, name: str):
+    def __init__(self, lines: list, name: str, memo: dict, reuse: bool = False):
         self.lines = lines
         self.name = name
+        self.memo = memo  # a line's right-hand side -> the name it first bound
+        self.reuse = reuse
 
     def op(self, form: str, *args) -> "_Tail":
-        name = f"x{len(self.lines)}"
-        texts = (x.name if type(x) is _Tail else f"({x!r})" for x in args)
-        self.lines.append(f"{name} = " + form.format(*texts))
-        return _Tail(self.lines, name)
+        text = form.format(*(x.name if type(x) is _Tail else f"({x!r})" for x in args))
+        name = self.memo.get(text) if self.reuse else None
+        if name is None:
+            name = f"x{len(self.lines)}"
+            self.memo.setdefault(text, name)
+            self.lines.append(f"{name} = {text}")
+        return _Tail(self.lines, name, self.memo, self.reuse)
 
     __add__, __radd__ = _binary("{} + {}")
     __sub__, __rsub__ = _binary("{} - {}")
@@ -564,6 +578,87 @@ def _lanes_function(root: Node, stat: Statistic):
     return namespace["lanes"]
 
 
+def _formula(t: _Lanes, jet: tuple, stat: Statistic, checked: int = 0) -> list:
+    """Write a statistic's formula on ``jet``, the parts of a lane's jet at
+    ``zv``, into ``t``'s body, after the checks of its parts from
+    ``checked`` on and of the invariants written since the last such
+    check, and return the names of its value's slots.  A formula that
+    follows another (``checked`` above 0) reuses its values."""
+    parts = list(map(t.text, jet))
+    unchecked = [x.name for x in t.unchecked(jet[checked:])]
+    invariant = [x.name for x in t.invariants[t.invariants_checked:] if not x.finite()]
+    t.invariants_checked = len(t.invariants)
+    if invariant:
+        t.check(False, _not_finite(invariant))
+    if unchecked:
+        t.check(True, _not_finite(unchecked))
+    if stat.critical is not None and not checked:
+        t.check(True, _CRITICAL_GUARD.format(*parts))
+    value = stat.lane(tuple(_Tail(t.body, x, t.tails, checked > 0) for x in parts))
+    return [x.name for x in (value if type(value) is tuple else (value,))]
+
+
+def _ascent(sample: list | None, rise: list | None, rises: list, start: float) -> list:
+    """The lines that refine a group's ``best`` by ascent from ``at``, its
+    argmax sample, inside the disk of radius ``radius`` about the group's
+    first sample, ``zc``; they run after the group's keep.
+
+    ``rises`` name the rise statistic's slots: F, the statistic's value
+    bit for bit and bound to its name, a, and the two parts of D, F's
+    gradient times a positive factor, such that a^2 / (2 |D|) is
+    F / (2 |grad F|).  ``sample`` is the statistic's fast path at zv, and
+    ``rise`` the lines that follow it there for the rise; both are None
+    where every evaluation is redone.  The rise runs at ``at``, and then
+    at the candidate of each round but the last: the point a step along D
+    from ``at``, projected back into the disk.  The first step is
+    min(radius, a^2 / (2 |D|)).  A candidate is accepted only where F
+    rises: the group moves there (``at``), takes its D, and its step
+    doubles; otherwise the step halves.  So a candidate's F comes first,
+    and its D only where F rises; the last round reads F alone.  A
+    candidate that fails, or is not finite, is rejected and not flagged,
+    so the flags stay those of the samples; where the rise at the argmax
+    fails, the group does not climb.  A failed evaluation is redone by
+    ``rise(zv)``, or in the last round ``redo(zv)``, whose flag leaves F
+    at ``start``, below any best.
+    """
+    f, a, d_re, d_im = rises
+    direction = [f"mag = hypot({d_re}, {d_im})",
+                 f"ud = complex({d_re}, {d_im}) / mag if mag else 0j"]
+    # the point a step along ud from at, in the disk
+    candidate = ["zv = at + step * ud", "off = zv - zc", "m = hypot(off.real, off.imag)",
+                 "zv = zv if m <= radius else zc + off * (radius / m)"]
+    # a rejected candidate halves the step; a failed start ends the ascent
+    reject = ["if step is None:", "    break", "step = step * 0.5", "continue"]
+    # the accept rule: a candidate whose F does not rise is rejected, and
+    # its D is not taken
+    flat = [f"if step is not None and not {f} > best:", "    step = step * 0.5", "    continue"]
+    climb = ["got = rise(zv)", "if type(got) is str:", *_indent(reject),
+             f"{', '.join(rises)} = got", *flat]
+    last = [f"{f} = redo(zv)", f"if type({f}) is str:", f"    {f} = {start!r}"]
+    if sample is not None:
+        climb = ["try:", *_indent([*sample, *flat, *rise]), "except (OverflowError, JetError):",
+                 *_indent(climb)]
+        last = ["try:", *_indent(sample), "except (OverflowError, JetError):", *_indent(last)]
+    return ["if at is not None:", *_indent([
+        "zc = G[0]", "zv = at", "step = None",
+        # the start, at the argmax, then each round but the last
+        f"for r in range({_ASCENT_ROUNDS}):", *_indent([
+            "if step is not None:",
+            *_indent([*candidate, "if not isfinite(zv):", "    step = step * 0.5", "    continue"]),
+            *climb,
+            f"if {_not_finite(rises, 'finite')}:", *_indent(reject),
+            "if step is None:",
+            *_indent([*direction, f"step = {a} * {a} / (2.0 * mag) if mag else radius",
+                      "step = step if step < radius else radius"]),
+            "else:",
+            *_indent([f"best = {f}", "at = zv", "step = step * 2.0", *direction]),
+        ]),
+        "else:",  # the last round
+        *_indent([*candidate, "if isfinite(zv):", *_indent([
+            *last, f"if {f} > best and finite({f}):", f"    best = {f}"])]),
+    ])]
+
+
 def _lanes_source(root: Node, stat: Statistic) -> tuple:
     """The lane function's source and namespace.
 
@@ -573,13 +668,28 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     it returns one ``(best, flags)`` per group: the largest statistic over
     the group's samples, -1.0 if none has one, and the frozenset of the
     flags of its failed samples; with several slots, the largest of each
-    slot, then the flags; with an ascent, then the sample of the largest
-    first slot, the first of equals, or None.  A sample whose evaluation
-    fails takes ``redo(point)``, its value or its flag, in place of the
-    fast path's.  So one call pays the fixed cost and the n-only prelude
-    for all its groups, and each group's result depends on its own lanes
-    alone: ``best`` and the flags are reset per group, the flags to a
-    shared empty frozenset that a failure replaces.
+    slot, then the flags.  A sample whose evaluation fails takes
+    ``redo(point)``, its value or its flag, in place of the fast path's.
+    So one call pays the fixed cost and the n-only prelude for all its
+    groups, and each group's result depends on its own lanes alone:
+    ``best`` and the flags are reset per group, the flags to a shared
+    empty frozenset that a failure replaces.
+
+    With an ascent the function is ``fn(N, Z, redo, rise, radius)``, each
+    group a sequence whose first sample is the centre of a disk of radius
+    ``radius``, and a group's ``best`` is refined by the ascent
+    (:func:`_ascent`) from its argmax, the sample of its largest value,
+    the first of equals.  The tree is walked once, at the rise
+    statistic's order: the statistic's fast path is the lines of the
+    first parts of the root's jet, which are the bits of a walk at its own
+    order, and of its formula; the rise's are the lines that follow them,
+    for the parts above and the rise's formula, which takes the values
+    the statistic's formula made.  So the rise at a point costs what the
+    statistic's lines leave to do, and an ascent evaluation that fails
+    takes ``rise(point)``, or ``redo(point)`` in the last round.  A power
+    past ``_INLINE_POWER``, computed whole, and ``x^0``'s check read the
+    parts above the statistic's order too, so a sample is redone where
+    one of those leaves the finite range, and the walk gives its value.
 
     Each lane runs in one ``try``, whose every check raises JetError, so a
     lane is redone in one place, the ``except`` handler.  The handler
@@ -588,9 +698,9 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     range and fold any other into the group's largest, noting its sample
     for an ascent.  Where a loop-invariant part fails, or n, where the
     family uses it, is 0 or not real, the prelude raises, and a loop of
-    the handler and the keep redoes every lane, group by group, before
-    the main loop, which then has none; where a literal fails, that loop
-    is all.
+    the handler and the keep redoes every lane, group by group, ascent
+    included, before the main loop, which then has none; where a literal
+    fails, that loop is all.
 
     The jets are of the statistic's order, so no line of f'' or f''' of an
     order-1 statistic is emitted.  A lane is redone when a node of it
@@ -605,28 +715,26 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     is checked as a whole, and each part only where the sum is not
     finite.
     """
-    t = _Lanes(stat.order)
+    # with an ascent, one walk at the rise's order: the statistic reads its
+    # first parts, which are the bits of a walk at its own order
+    rise = stat.ascent
+    t = _Lanes(stat.order if rise is None else rise.order)
     try:
         out = t.walk_lane(root)
     except _LiteralFails:  # every lane is redone
         out = None
     if out is None:
         values = [f"g{k}" for k in range(len(stat.start))]
+        rises = [*values, *(f"h{k}" for k in range(1, len(rise.start)))] if rise else []
     else:
-        parts = list(map(t.text, out))
-        unchecked = [x.name for x in t.unchecked(out)]
-        invariant = [x.name for x in t.invariants if not x.finite()]
-        if invariant:
-            t.check(False, _not_finite(invariant))
-        if unchecked:
-            t.check(True, _not_finite(unchecked))
-        if stat.critical is not None:
-            t.check(True, _CRITICAL_GUARD.format(*parts))
-        value = stat.lane(tuple(_Tail(t.body, x) for x in parts))
-        values = [x.name for x in (value if type(value) is tuple else (value,))]
+        values = _formula(t, out[: stat.order + 1], stat)
+        sample = t.body[:]
+        # the rise's lines follow the statistic's, at the same point, and
+        # check the parts above the statistic's order; its F is the value
+        rises = [*values, *_formula(t, out, rise, stat.order + 1)[1:]] if rise else []
     best = ["best", *(f"best{k}" for k in range(1, len(stat.start)))]
     # with an ascent, the keep also names the sample of the largest first slot
-    argmax = ["at"] if stat.ascent is not None else []
+    argmax = ["at"] if rise is not None else []
     # a group's flags stay the shared empty set until one of its lanes fails
     reset = [*(f"{b} = {x!r}" for b, x in zip(best, stat.start)), *(f"{a} = None" for a in argmax),
              "flags = noflags"]
@@ -639,13 +747,18 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     fold[0] += [f"    {a} = zv" for a in argmax]
     keep += [line for lines in fold for line in lines]
 
-    def each_group(lines: list) -> list:
-        # lines run per lane of each group, whose result is appended after it
+    def each_group(lines: list, fast: bool) -> list:
+        # lines run per lane of each group, then its ascent, if any; the
+        # group's result is appended after them
+        ascent = []
+        if rise is not None:
+            ascent = _ascent(sample if fast else None, t.body[len(sample):] if fast else None,
+                             rises, stat.start[0])
         return ["for G in Z:", *_indent(reset), "    for zv in G:", *_indent(lines, 2),
-                f"    append(({', '.join([*best, 'flags', *argmax])}))"]
+                *_indent(ascent), f"    append(({', '.join([*best, 'flags'])}))"]
 
     # every lane redone, in order, where a literal fails or the prelude does
-    redo_all = each_group(handler + keep)
+    redo_all = each_group(handler + keep, False)
     if out is None:
         loop = redo_all
     else:
@@ -655,16 +768,18 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
             "    Z = ()",
         ] if t.n_used else []
         loop = [*setup, *each_group([
-            "try:", *_indent(t.body), "except (OverflowError, JetError):", *_indent(handler), *keep,
-        ])]
+            "try:", *_indent(sample), "except (OverflowError, JetError):", *_indent(handler), *keep,
+        ], True)]
     src = [
-        "def lanes(N, Z, redo, *, " + "".join(f"{k}={k}, " for k in t.consts)
-        + "isfinite=isfinite, finite=finite, exp=exp, log=log, pow_int=pow_int, noflags=noflags):",
+        "def lanes(N, Z, redo, " + "rise, radius, " * bool(argmax) + "*, "
+        + "".join(f"{k}={k}, " for k in t.consts)
+        + "isfinite=isfinite, finite=finite, exp=exp, log=log, pow_int=pow_int, noflags=noflags"
+        + ", hypot=hypot" * bool(argmax) + "):",
         *_indent(["out = []", "append = out.append", *loop, "return out"]),
     ]
     namespace = dict(
         t.consts, isfinite=cmath.isfinite, finite=math.isfinite, exp=cmath.exp, log=cmath.log,
-        pow_int=jet_pow_int, JetError=JetError, inf=math.inf,
+        pow_int=jet_pow_int, JetError=JetError, inf=math.inf, hypot=math.hypot,
         noflags=frozenset(),
     )
     return "\n".join(src) + "\n", namespace

@@ -626,7 +626,21 @@ def _walk(node: Node, ops: dict, leaves: dict, point):
         raise EvalError(node.span, str(exc), point) from exc
 
 
-def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat):
+def _redo(expr: FamilyExpr, n: float, stat):
+    # a sample's value or flag by the walk from jet_var at its point, of
+    # the statistic's order
+    order = stat.order
+    nj = jet_const(n, order)  # refuses an n that is not finite
+    i = _I[order]
+
+    def walk(w):
+        s = jet_var(w, order)
+        return _walk(expr.root, _JET_OPS, {Var: s, Param: nj, ImagUnit: i}, s[0])
+
+    return lambda w: stat.walked(walk, w)
+
+
+def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat, radius: float | None = None):
     """Evaluate a statistic of f_n over groups of samples, by the family's lane function.
 
     ``stat`` is a ``codegen.Statistic``.  ``points`` is an iterable of
@@ -637,28 +651,25 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat):
     ``(best, flags)``, the largest statistic over the group's samples,
     -1.0 if none has one, and the frozenset of the flags of its samples
     that failed; for several slots, ``(best, best1, ..., flags)``, each
-    from the slot's start value; for a statistic with an ascent, then the
-    sample that gave ``best``, or None.  A group's result depends on its
-    own samples alone, and each sample's value is the one its jet from
+    from the slot's start value.  A group's result depends on its own
+    samples alone, and each sample's value is the one its jet from
     :func:`eval_jet` at ``stat.order`` gives, bit for bit.  The lane
     function's one handler redoes a sample by ``redo``: ``stat.walked``
     walks the tree from ``jet_var`` at the sample's point, of order
     ``stat.order``, whose every part is checked, as the lane function
     checks them, and gives the sample's value, or the flag of its failure.
+
+    For a statistic with an ascent, each group is a sequence whose first
+    sample is the centre of a disk of radius ``radius``, and the same call
+    refines each group's ``best`` by ascent inside its disk; an ascent
+    candidate that fails is redone by the walk of its own statistic.
     """
-    order = stat.order
-    nj = jet_const(n, order)  # refuses an n that is not finite
-    i = _I[order]
-
-    def walk(w):
-        s = jet_var(w, order)
-        return _walk(expr.root, _JET_OPS, {Var: s, Param: nj, ImagUnit: i}, s[0])
-
-    def redo(w):
-        return stat.walked(walk, w)
-
+    redo = _redo(expr, n, stat)
     # the lane function takes n real, so that N's imaginary part is +0
-    return _family(expr, stat)(nj[0] if isinstance(n, (int, float)) else None, points, redo)
+    N = complex(n) if isinstance(n, (int, float)) else None
+    if stat.ascent is None:
+        return _family(expr, stat)(N, points, redo)
+    return _family(expr, stat)(N, points, redo, _redo(expr, n, stat.ascent), radius)
 
 
 def _at_point(expr: FamilyExpr, n: float, seed: ComplexJet3, point) -> ComplexJet3:

@@ -364,7 +364,7 @@ def _reciprocal(w, count: int) -> tuple:
     (-1)^k k! w^(k+1), each power p the product of the powers p - p//2
     and p//2, and scaled as soon as it is made."""
     powers = [None, w]
-    out = [w]
+    out = [w] if count else []  # log's jet of order 0 takes none
     for p in range(2, count + 1):
         powers.append(powers[p - p // 2] * powers[p // 2])
         out.append(_scaled((-1.0) ** (p - 1) * math.factorial(p - 1), powers[p]))

@@ -25,16 +25,16 @@ group of its samples, one lane each, which must all be finite, and each
 n of ``bound`` one batch of its segment's points, streamed, as one
 group.  The family's generated lane function computes the statistic
 itself, from the ``codegen.Statistic`` below, and returns per group only
-the largest over the samples and the set of flags (and, for
-``scan-sd``, the sample that gave the largest, from which a few more
-batches of one candidate per group make its ascent); a sample it redoes
-gets its statistic from the same formula.  For a scan that is f# or
-|S'| / (1 + |S|^2), and for ``bound`` |f'|.  For the ``hypotheses``
-floor sweep it is -|f'|, |f''|, |f'''| and |S|, the largest of each kept
-apart, so that min |f'| is an exact negation.  No command reads jets
-from a batch.  f# and |f'| are statistics of order 1: the jets of their
-samples, and ``bound``'s f(z0) and f(z), are (f, f'), and fail only
-where f or f' leaves the double range, never on f'' or f'''.
+the largest over the samples and the set of flags (for ``scan-sd``,
+the largest refined in the same call by ascent from the sample that
+gave it); a sample it redoes gets its statistic from the same formula.
+For a scan that is f# or |S'| / (1 + |S|^2), and for ``bound`` |f'|.
+For the ``hypotheses`` floor sweep it is -|f'|, |f''|, |f'''| and |S|,
+the largest of each kept apart, so that min |f'| is an exact negation.
+No command reads jets from a batch.  f# and |f'| are statistics of
+order 1: the jets of their samples, and ``bound``'s f(z0) and f(z), are
+(f, f'), and fail only where f or f' leaves the double range, never on
+f'' or f'''.
 
 The verdicts are heuristics about candidates, not proofs.
 """
@@ -48,7 +48,7 @@ import random
 import warnings
 from enum import Enum
 
-from .codegen import Statistic
+from .codegen import Statistic, family
 from .dsl import EvalError, FamilyExpr, eval_jet, eval_jet_lanes
 from .jets import OverflowAtPoint, modulus
 from .record import Record
@@ -275,11 +275,10 @@ def _sd_rise(j) -> tuple:
     return f, a, d.real, d.imag
 
 
-# one sample per group: each slot is the sample's own value
+# the ascent's rise statistic, whose lines _SD's lane function runs after
+# _SD's at each point of a group's ascent
 _SD_RISE = Statistic(_sd_rise, _critical_point, (-1.0, -1.0, -math.inf, -math.inf), order=5)
 _SD = Statistic(_sd, _critical_point, order=4, ascent=_SD_RISE)
-# steps of the ascent that refines each (grid point, n)'s best sd sample
-_ASCENT_ROUNDS = 2
 
 
 def _floor(j) -> tuple:
@@ -327,9 +326,10 @@ def _sweep(stat: Statistic, expr: FamilyExpr, grid: GridSpec, n_values, offset: 
     (for ``_FLOOR``, the largest of each of its four slots), then the
     flags ("Pole", "Overflow", "CriticalPoint") of the samples that failed.
     For a statistic with an ascent (``_SD``), the largest is the best
-    sample's value refined by :func:`_ascend`.  Each point's samples are
-    built once; a block with a grid point whose samples are not all finite
-    raises ValueError before any of its batches.
+    sample's value refined, in the same call, by ascent inside the point's
+    disk, whose centre is the point's first sample.  Each point's samples
+    are built once; a block with a grid point whose samples are not all
+    finite raises ValueError before any of its batches.
     """
     xs = grid.x_coords()
     ys = grid.y_coords()
@@ -343,73 +343,10 @@ def _sweep(stat: Statistic, expr: FamilyExpr, grid: GridSpec, n_values, offset: 
                 raise ValueError("jet_var requires a finite point")
             zs.append(z)
             groups.append(points)
-        # by the module-level name, which bench/tracer.py rebinds to count calls
-        per_n = [eval_jet_lanes(expr, n, groups, stat) for n in n_values]
-        if stat.ascent is not None:
-            per_n = [
-                _ascend(expr, n, stat.ascent, zs, radius, rows) for n, rows in zip(n_values, per_n)
-            ]
+        # by the module-level name, which bench/tracer.py rebinds to count
+        # calls: one per (n, block), an ascent's evaluations inside it
+        per_n = [eval_jet_lanes(expr, n, groups, stat, radius) for n in n_values]
         yield from zip(zs, zip(*per_n))
-
-
-def _into_disk(c: complex, z: complex, radius: float) -> complex:
-    # c, or the point of the disk about z nearest to it
-    d = c - z
-    m = math.hypot(d.real, d.imag)
-    return c if m <= radius else z + d * (radius / m)
-
-
-def _direction(d_re: float, d_im: float) -> tuple:
-    # the unit vector along d, 0 where d is 0, and |d|, inf past the double range
-    mag = math.hypot(d_re, d_im)
-    return (complex(d_re, d_im) / mag if mag else 0j), mag
-
-
-def _ascend(expr: FamilyExpr, n, rise: Statistic, zs: list, radius: float, rows: list) -> list:
-    """Each group's (best, flags), its best refined by ascent from its argmax sample.
-
-    ``rows`` are a batch's (best, flags, argmax) per group, and ``zs`` the
-    groups' disk centres.  ``rise`` gives, at a point, F (the batch's
-    statistic, bit for bit), |S'| and D, F's gradient times a positive
-    factor.  It runs once at each argmax, whose F is the group's best,
-    then once per round of ``_ASCENT_ROUNDS``, each round one batch of one
-    candidate per group: the point a step along D from where the group
-    stands, projected back into its disk.  The first step is
-    min(radius, F / (2 |grad F|)).  A candidate is accepted only where F
-    rises: the group moves there, takes its D, and its step doubles;
-    otherwise the step halves.  A candidate that fails, or is not finite,
-    is rejected and not flagged, so the flags stay those of the samples.
-    Every group's course depends on its own values alone.
-    """
-    best = [row[0] for row in rows]
-    starts = [(k, w) for k, (_, _, w) in enumerate(rows) if w is not None]
-    walkers = []  # [group, point, step, unit direction] per group that climbs
-    for (k, w), (_, a, d_re, d_im, flags) in zip(
-        starts, eval_jet_lanes(expr, n, ([w] for _, w in starts), rise)
-    ):
-        if not flags:
-            u, mag = _direction(d_re, d_im)
-            step = a * a / (2.0 * mag) if mag else radius  # F / (2 |grad F|)
-            walkers.append([k, w, step if step < radius else radius, u])
-    for _ in range(_ASCENT_ROUNDS):
-        tried = []
-        for walker in walkers:
-            k, p, step, u = walker
-            c = _into_disk(p + step * u, zs[k], radius)
-            if cmath.isfinite(c):
-                tried.append((walker, c))
-            else:
-                walker[2] = step * 0.5
-        for (walker, c), (f, _, d_re, d_im, flags) in zip(
-            tried, eval_jet_lanes(expr, n, ([c] for _, c in tried), rise)
-        ):
-            k = walker[0]
-            if not flags and f > best[k]:
-                best[k] = f
-                walker[1:] = c, walker[2] * 2.0, _direction(d_re, d_im)[0]
-            else:
-                walker[2] *= 0.5
-    return [(b, row[1]) for b, row in zip(best, rows)]
 
 
 def _lsq_slope(xs: list[float], ys: list[float]) -> float:
@@ -497,22 +434,30 @@ def _scan(
     seed: int,
     workers: int,
 ) -> MartyGridReport:
+    """Sweep a statistic over the grid, in this process or in a pool of
+    ``min(workers, points)`` processes, each given every w-th point; the
+    report is the same bits at every ``workers``."""
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be at most {MAX_WORKERS}")
     ns = _validate_n_values(n_values if n_values is not None else DEFAULT_N_VALUES)
     offset = _seed_offset(seed)
     total = grid.nx * grid.ny
-    indices = list(range(total))
+    indices = range(total)
     if workers > 1 and total > 1:
-        chunk = max(1, math.ceil(total / (workers * 4)))
-        payloads = [
-            (stat, f, grid, ns, offset, indices[k : k + chunk])
-            for k in range(0, total, chunk)
-        ]
-        # fork only as many processes as there are chunks to run
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
+        # one payload per process, every w-th point, so that the processes'
+        # shares of a grid differ by at most one point, wherever its costly
+        # points lie; a point's result depends on its index alone, so the
+        # results are put back in index order
+        w = min(workers, total)
+        payloads = [(stat, f, grid, ns, offset, indices[k::w]) for k in range(w)]
+        # the lane function, generated here before the pool forks its
+        # processes, which then share it, as they share this one's memory
+        family(f, stat)
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             parts = list(pool.map(_scan_chunk, payloads))
-        stats = [s for part in parts for s in part]
+        stats = [None] * total
+        for k, part in enumerate(parts):
+            stats[k::w] = part
     else:
         stats = _scan_chunk((stat, f, grid, ns, offset, indices))
     return MartyGridReport(grid, ns, seed, kind, tuple(stats))
@@ -548,7 +493,8 @@ def sd_family_scan(
     """Same sweep with the statistic taken on z -> S_{f_n}(z) instead.
 
     Each (point, n)'s best sample is refined by a few steps of ascent of
-    the statistic inside the point's disk (:func:`_ascend`).
+    the statistic inside the point's disk, in the family's lane function
+    (``codegen._ascent``), so that one generated function serves the scan.
     """
     return _scan("sd", _SD, f, grid, n_values, seed, workers)
 
@@ -717,7 +663,7 @@ def value_bound_check(f: FamilyExpr, n_values, zeta: complex, L: float) -> bool:
     check_thresholds(L=L)
     ns = _validate_n_values(n_values)
     zeta = complex(zeta)
-    return max(modulus(eval_jet(f, n, zeta).v) for n in ns) <= L
+    return max(modulus(eval_jet(f, n, zeta, order=0)[0]) for n in ns) <= L
 
 
 def sd_bound_from_hypotheses(M2: float, M3: float, epsilon: float) -> float:

@@ -10,8 +10,10 @@ term for analytic functions) and then Richardson-extrapolated once.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 
+from schwarzian_lab import codegen, probe
 from schwarzian_lab.dsl import (
     Add,
     ConstNum,
@@ -27,6 +29,7 @@ from schwarzian_lab.dsl import (
     PowInt,
     Sub,
     Var,
+    eval_jet,
 )
 from schwarzian_lab.schwarzian import Mobius
 
@@ -282,3 +285,89 @@ def example2_disk_sup(n: int, z: complex, radius: float) -> float:
     peak = (3.0 / 20.0) ** 0.125
     near, far = abs(n * z + 1) - n * radius, abs(n * z + 1) + n * radius
     return max(best, g(peak)) if near <= peak <= far else best
+
+
+# ---------------------------------------------------------------------------
+# the scan-sd ascent, written out in Python: the oracle of the ascent the
+# lane function runs (codegen._ascent), one group at a time
+
+
+def _into_disk(c: complex, z: complex, radius: float) -> complex:
+    # c, or the point of the disk about z nearest to it
+    d = c - z
+    m = math.hypot(d.real, d.imag)
+    return c if m <= radius else z + d * (radius / m)
+
+
+def _direction(d_re: float, d_im: float) -> tuple:
+    # the unit vector along d, 0 where d is 0, and |d|, inf past the double range
+    mag = math.hypot(d_re, d_im)
+    return (complex(d_re, d_im) / mag if mag else 0j), mag
+
+
+def walked(f: FamilyExpr, n, stat):
+    """A statistic at a point by the walk at its order: its value, or None
+    where the walk fails or a slot is past the double range."""
+
+    def value(w):
+        got = stat.walked(lambda w: eval_jet(f, n, w, order=stat.order), w)
+        if type(got) is str or not all(map(math.isfinite, got if type(got) is tuple else (got,))):
+            return None
+        return got
+
+    return value
+
+
+def sd_keep(f: FamilyExpr, n, samples) -> tuple:
+    """A group's (best, flags, argmax) under the sd statistic, each sample
+    by the walk: the largest value, -1.0 if none has one, the flags of its
+    failed samples, and the sample of the largest, the first of equals."""
+    best, flags, at = -1.0, set(), None
+    for w in samples:
+        got = probe._SD.walked(lambda w: eval_jet(f, n, w, order=4), w)
+        if type(got) is str:
+            flags.add(got)
+        elif not math.isfinite(got):
+            flags.add("Overflow")
+        elif got > best:
+            best, at = got, w
+    return best, flags, at
+
+
+def ascend(best: float, at, centre: complex, radius: float, rise, last=None,
+           rounds: int | None = None) -> float:
+    """A group's best, refined by ascent from its argmax sample ``at``.
+
+    ``rise(w)`` gives F (the statistic, bit for bit), a and the two parts
+    of D, F's gradient times a positive factor, or None where it fails.
+    It runs at ``at``, whose F is the group's best, then once per round of
+    ``rounds`` (``codegen._ASCENT_ROUNDS`` by default), at the point a
+    step along D from where the group stands, projected back into its
+    disk.  The first step is min(radius, F / (2 |grad F|)).  A candidate
+    is accepted only where F rises: the group moves there, takes its D,
+    and its step doubles; otherwise the step halves.  A candidate that
+    fails, or is not finite, is rejected.  With ``last``, the last round
+    takes F from ``last(w)`` (None where it fails) and not from the rise.
+    """
+    if at is None or (got := rise(at)) is None:
+        return best
+    _, a, d_re, d_im = got
+    u, mag = _direction(d_re, d_im)
+    step = a * a / (2.0 * mag) if mag else radius  # F / (2 |grad F|)
+    p, step = at, step if step < radius else radius
+    rounds = codegen._ASCENT_ROUNDS if rounds is None else rounds
+    for k in range(rounds):
+        c = _into_disk(p + step * u, centre, radius)
+        if not cmath.isfinite(c):
+            step = step * 0.5
+            continue
+        if last is not None and k == rounds - 1:  # F alone
+            f = last(c)
+            return f if f is not None and f > best else best
+        got = rise(c)
+        if got is not None and got[0] > best:
+            best, p, step = got[0], c, step * 2.0
+            u = _direction(got[2], got[3])[0]
+        else:
+            step = step * 0.5
+    return best

@@ -1291,6 +1291,21 @@ def test_an_order_one_statistic_takes_samples_whose_higher_parts_overflow(capsys
     assert (code, out) == (0, f"n,K_estimate,bound_rhs,observed,passed,value_at_z0\n1,{row}2,{row}")
 
 
+def test_the_value_check_reads_f_alone(capsys):
+    # |f(zeta)| = 1e243 for (1/z)^9 at 1e-27, a number, though f''' is past
+    # the double range there: the value check compares the one with L, and
+    # refuses, exit 3, only where f itself leaves the range
+    argv = ("hypotheses", "--family=(1/z)^9", "--grid=0.5,1,0.5,1,2,2", "--n-max=2",
+            "--epsilon=0.1", f"--zeta=0.{'0' * 26}1+0i", "--format=csv")
+    for L, value_ok in (("1e300", "true"), ("1e200", "false")):
+        code, out, err = run_cli(capsys, *argv, f"--L={L}")
+        assert (code, err) == (0 if value_ok == "true" else 1, "")
+        assert out.splitlines()[1].split(",")[3] == value_ok
+    code, out, err = run_cli(capsys, *argv[:-2], f"--zeta=0.{'0' * 40}1+0i", "--L=1e300")
+    assert (code, out) == (3, "") and err.startswith("error: EvalError")
+    assert not probe.value_bound_check(parse("(1/z)^9"), (1, 2), 1e-27, 1e200)
+
+
 def _fresh_python(*argv) -> subprocess.CompletedProcess:
     # a fresh interpreter that imports this checkout's package
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]

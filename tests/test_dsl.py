@@ -54,12 +54,14 @@ from schwarzian_lab.jets import (
 )
 from schwarzian_lab.schwarzian import CriticalPointError, schwarzian, spherical_derivative
 from support import (
+    ascend,
     assert_fd_close,
     compose_family,
     fd_derivative,
     plain_eval,
     random_family,
     random_point,
+    walked,
 )
 
 # ---------------------------------------------------------------------------
@@ -716,22 +718,46 @@ def _bits(x):
     return (x.real.hex(), x.imag.hex()) if type(x) is complex else x
 
 
+def _sd_refined(f, n, points):
+    # the sd statistic's largest over the samples, refined by the ascent
+    # from the sample that gave it, inside the disk of _RADIUS about the
+    # first sample, and the flags
+    best, flags, at = _sd_reference(f, n, points)
+    rise, last = walked(f, n, probe._SD_RISE), walked(f, n, probe._SD)
+    return ascend(best, at, points[0] if points else None, _RADIUS, rise, last), flags
+
+
+# the radius of the disks of the sd statistic's ascent, about each group's
+# first sample
+_RADIUS = 0.05
+
+
 def _group_outcomes(f, n, stat, groups):
-    # one call of the lane function over groups of samples, each group and
-    # the groups read once, with a redo that records the samples it is
-    # given, one per lane, and walks at the statistic's order, and the
-    # public call: each group's outcome, and how many samples were redone
+    # one call of the lane function over groups of samples, the groups read
+    # once, and each group too but for a statistic with an ascent, whose
+    # groups are lists about their first sample (_RADIUS), with a redo that
+    # records the points it is given, one per lane, and walks at the
+    # statistic's order, and the public call: each group's outcome, and how
+    # many samples were redone.  An ascent's candidates are new points, so
+    # the samples among the redone points are told by identity
+    samples = {id(w) for g in groups for w in g}
     redone = []
 
     def redo(w):
         redone.append(w)
         return stat.walked(lambda w: eval_jet(f, n, w, order=stat.order), w)
 
-    got = codegen.family(f, stat)(complex(n), map(iter, groups), redo)
-    assert eval_jet_lanes(f, n, groups, stat) == got and len(got) == len(groups)
-    flags = -2 if stat.ascent else -1  # the flags, then an argmax, if any
-    assert all(type(x[flags]) is frozenset for x in got)
-    return [tuple(map(_bits, g)) for g in got], len(redone)
+    fn = codegen.family(f, stat)
+    if stat.ascent is None:
+        got = fn(complex(n), map(iter, groups), redo)
+        assert eval_jet_lanes(f, n, groups, stat) == got
+    else:
+        rise = stat.ascent.walked
+        got = fn(complex(n), iter(groups), redo,
+                 lambda w: rise(lambda w: eval_jet(f, n, w, order=5), w), _RADIUS)
+        assert eval_jet_lanes(f, n, groups, stat, _RADIUS) == got
+    assert len(got) == len(groups) and all(type(x[-1]) is frozenset for x in got)
+    return [tuple(map(_bits, g)) for g in got], sum(id(w) in samples for w in redone)
 
 
 def _stat_outcomes(f, n, stat, samples):
@@ -750,7 +776,7 @@ def test_fused_statistics_match_the_reference_bit_for_bit():
         a, b = sorted(cuts.choices(range(len(points) + 1), k=2))
         groups = [points[:a], points[a:b], points[b:]]
         for n in _STAT_NS:
-            for stat, reference in ((probe._MARTY, _marty_reference), (probe._SD, _sd_reference)):
+            for stat, reference in ((probe._MARTY, _marty_reference), (probe._SD, _sd_refined)):
                 want = [reference(f, n, g) for g in groups]
                 got, k = _group_outcomes(f, n, stat, groups)
                 assert got == [tuple(map(_bits, x)) for x in want]
@@ -783,7 +809,7 @@ def test_each_group_gets_only_its_own_result(text, n, redone):
     assert got == [(x.hex(), fl) for x, fl in (_marty_reference(f, n, g) for g in groups)]
     assert ran == redone and len({fl for _, fl in got}) >= 2
     sd, _ = _group_outcomes(f, n, probe._SD, groups)
-    assert sd == [tuple(map(_bits, _sd_reference(f, n, g))) for g in groups]
+    assert sd == [tuple(map(_bits, _sd_refined(f, n, g))) for g in groups]
 
 
 @pytest.mark.parametrize(
@@ -811,7 +837,7 @@ def test_each_group_gets_only_its_own_result(text, n, redone):
 def test_fused_sd_statistic_on_each_rule(text, points, want):
     f = parse(text)
     for n in (1, -0.0):
-        reference = _sd_reference(f, n, points)
+        reference = _sd_refined(f, n, points)
         assert reference[1] == want[0]
         got, redone = _stat_outcomes(f, n, probe._SD, points)
         assert got == tuple(map(_bits, reference))
@@ -825,25 +851,41 @@ def test_a_redone_sample_stops_at_its_first_failed_point(monkeypatch):
     started = []
     real = dsl.jet_var
     monkeypatch.setattr(dsl, "jet_var", lambda w, order: started.append(w) or real(w, order))
-    got = eval_jet_lanes(parse("1/z"), 1, [[0j, 0.5 + 0j]], probe._SD)
-    assert got == [(clean, {"Pole"}, 0.5 + 0j)]
+    got = eval_jet_lanes(parse("1/z"), 1, [[0j, 0.5 + 0j]], probe._SD, _RADIUS)
     assert started == [0j]
+    assert got == [_sd_refined(parse("1/z"), 1, [0j, 0.5 + 0j])] and clean <= got[0][0]
 
 
 def test_the_keep_reports_each_groups_argmax_sample():
-    # the sample of each group's largest statistic, the first of equals,
-    # against a written-out loop, bit for bit; None where no sample has one
+    # every lane of exp(1000)*z is redone, so each sample takes its value
+    # or flag from redo, here drawn with ties; the ascent starts at the
+    # sample of each group's largest, the first of equals, which the rise,
+    # failing, leaves the group's best, and a group with no value does not
+    # climb
+    fn = codegen.family(parse("exp(1000)*z"), probe._SD)
     rng = random.Random(67)
     seen = 0
     for _ in range(100):
-        f, _, points = _draw(rng)
-        groups = [points[:3], points[3:], [], points[::-1], points[:1] * 3]
-        for n in _STAT_NS:
-            got, _ = _group_outcomes(f, n, probe._SD, groups)
-            want = [_sd_reference(f, n, g) for g in groups]
-            assert got == [tuple(map(_bits, x)) for x in want]
-            seen += sum(x[2] is not None for x in want)
-    assert seen > 500
+        groups = [[complex(k, g) for k in range(rng.randint(0, 6))] for g in range(5)]
+        draws = (1.0, 2.0, 2.0, "Pole", math.inf, math.nan)
+        values = {w: rng.choice(draws) for g in groups for w in g}
+        starts = []
+        got = fn(1 + 0j, groups, values.get, lambda w: starts.append(w) or "Pole", _RADIUS)
+        want, argmaxes = [], []
+        for g in groups:
+            best, flags, at = -1.0, set(), None
+            for w in g:
+                v = values[w]
+                if type(v) is str or not math.isfinite(v):
+                    flags.add(v if type(v) is str else "Overflow")
+                elif v > best:
+                    best, at = v, w
+            want.append((best, flags))
+            argmaxes += [at] if at is not None else []
+        assert got == want
+        assert [(w.real, w.imag) for w in starts] == [(w.real, w.imag) for w in argmaxes]
+        seen += len(argmaxes)
+    assert seen > 300
 
 
 # ---------------------------------------------------------------------------
@@ -1097,6 +1139,30 @@ _PROGRAM_STATISTICS = {
 }
 
 
+def _without_ascents(source: str, stat, fast: bool) -> str:
+    # the source without the lines of its groups' ascents, after checking
+    # them: an ascent per group loop, after the group's lanes, whose
+    # evaluations, each in one try where the lanes are, redo a rise by rise
+    # and the last round's F by redo, in one handler each; the loop of
+    # every lane redone runs them with no try
+    ascents = _blocks(source, lambda x: x == "if at is not None:")
+    assert len(ascents) == (0 if stat.ascent is None else 2 if fast else 1)
+    for k, block in enumerate(ascents):
+        with_try = fast and k == len(ascents) - 1
+        handlers = _blocks("\n".join(block), lambda x: x == "except (OverflowError, JetError):")
+        assert [b[1].strip().split(" = ")[1] for b in handlers] == (
+            ["rise(zv)", "redo(zv)"] if with_try else [])
+        text = "\n".join(block)
+        assert text.count("rise(zv)") == text.count("redo(zv)") == 1
+        assert ("try:" in text) == with_try
+        assert "append(" not in text
+    lines = source.splitlines()
+    for block in ascents:
+        k = lines.index(block[0])
+        del lines[k : k + len(block)]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("stat", sorted(_PROGRAM_STATISTICS))
 def test_a_lane_is_redone_in_one_handler(stat):
     # a family of n: its checks raise into the lane's one handler, and its
@@ -1104,6 +1170,7 @@ def test_a_lane_is_redone_in_one_handler(stat):
     # a lane is one sample, its point
     sample = "zv"
     source, _ = codegen._lanes_source(parse("exp(z/(n*z+1))").root, _PROGRAM_STATISTICS[stat])
+    source = _without_ascents(source, _PROGRAM_STATISTICS[stat], fast=True)
     checks = _blocks(source, lambda x: x.startswith("if ") and not x.startswith("if type("))
     assert len(checks) >= 4
     for block in checks:
@@ -1135,6 +1202,7 @@ def test_a_lane_is_redone_in_one_handler(stat):
     assert [x[4:] for x in prelude[1:-1]] == redo_all and prelude[-1].strip() == "Z = ()"
     # where a literal fails, that loop is all the function runs
     source, _ = codegen._lanes_source(parse("z+1/(1-1)").root, _PROGRAM_STATISTICS[stat])
+    source = _without_ascents(source, _PROGRAM_STATISTICS[stat], fast=False)
     assert source.count("redo(") == source.count(f"redo({sample})") == 1
     assert "JetError" not in source
     loops = [line.strip() for line in source.splitlines() if line.strip().startswith("for ")]

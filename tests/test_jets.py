@@ -659,6 +659,22 @@ def test_a_formula_is_compiled_only_once_hot():
     assert list(hot) == [4]
 
 
+def test_log_and_exp_of_order_0_share_the_chain_once_it_is_hot(monkeypatch):
+    # at order 0 each hands the chain its outer value alone, so the chain's
+    # code of length 1, compiled on whichever call makes it hot, runs both;
+    # 1/x gives log no derivative there
+    monkeypatch.setattr(jets, "_CHAIN", jets._Hot(jets._chain, True))
+    monkeypatch.setattr(jets, "_RECIPROCAL", jets._Hot(jets._reciprocal))
+    assert jets._reciprocal(0.5 + 0j, 0) == ()
+    f = parse("log(z+2)*exp(z)")
+    for k in range(2 * jets._HOT + 2):
+        w = 0.1 + k / 1000
+        (got,) = eval_jet(f, 1, w, order=0)
+        want = eval_jet(f, 1, w, order=3).v
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert jets._CHAIN[1].__code__.co_filename == "<jets formula>"
+
+
 class _Logged:
     """An operand that logs each operation made on it, in order."""
 

@@ -1,6 +1,7 @@
 """Grid scans, growth classification, and the bound and hypothesis checks."""
 
 import math
+import os
 import pickle
 import tracemalloc
 import warnings
@@ -30,7 +31,7 @@ from schwarzian_lab import (
     sd_family_scan,
     value_bound_check,
 )
-from schwarzian_lab import probe
+from schwarzian_lab import codegen, probe
 from schwarzian_lab.probe import (
     DEFAULT_RADIUS,
     DEFAULT_SAMPLES,
@@ -43,7 +44,7 @@ from schwarzian_lab.probe import (
     _seed_offset,
 )
 from schwarzian_lab.schwarzian import _schwarzian_derivatives
-from support import example2_disk_sup
+from support import ascend, example2_disk_sup, sd_keep, walked
 
 
 def verdicts(report, **kw):
@@ -272,7 +273,7 @@ def test_sd_statistic_past_the_double_range_is_an_overflow_flag():
     # overflows; the sample is one lane, in a group of its own, and no
     # other sample is its group's argmax
     f = parse("z+(1+i)*25" + "0" * 306 + "*z^3")
-    assert eval_jet_lanes(f, 1, [[0j]], probe._SD) == [(-1.0, {"Overflow"}, None)]
+    assert eval_jet_lanes(f, 1, [[0j]], probe._SD, 0.05) == [(-1.0, {"Overflow"})]
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +384,50 @@ def test_pool_is_no_larger_than_its_chunks(monkeypatch):
     assert sizes == [2]
 
 
+def test_a_pooled_scan_splits_its_points_evenly_and_generates_before_the_fork(monkeypatch):
+    # min(workers, points) payloads, the k-th every w-th point from k, their
+    # results back in index order, and the lane function generated once,
+    # in this process, before the pool forks: a worker that generated one
+    # would fail its payload
+    made, split = [], []
+    real, real_pool = codegen._lanes_function, probe.ProcessPoolExecutor
+    parent = os.getpid()
+
+    def generate(root, stat):
+        assert os.getpid() == parent, "a pool worker generated a lane function"
+        made.append(stat)
+        return real(root, stat)
+
+    class Recording:
+        def __init__(self, max_workers):
+            self.pool = real_pool(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.pool.__exit__(*exc)
+
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            split.append([list(p[-1]) for p in payloads])
+            return self.pool.map(fn, payloads)
+
+    monkeypatch.setattr(codegen, "_lanes_function", generate)
+    monkeypatch.setattr(probe, "ProcessPoolExecutor", Recording)
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 4, 3)
+    ns = range(1, 5)
+    got = []
+    for workers in (2, 5, 12, 20):
+        monkeypatch.setattr(codegen, "_FAMILIES", {})
+        rep = sd_family_scan(parse("exp(z/(n*z+1))"), g, ns, seed=3, workers=workers)
+        got.append(list(map(_fields, rep.points)))
+    assert made == [probe._SD] * 4
+    assert split == [[list(range(k, 12, w)) for k in range(w)] for w in (2, 5, 12, 12)]
+    want = list(map(_fields, sd_family_scan(parse("exp(z/(n*z+1))"), g, ns, seed=3).points))
+    assert got == [want] * 4
+
+
 # ---------------------------------------------------------------------------
 # blocks of grid points: one lane-function call per (n, block), each point
 # one group of its samples
@@ -396,15 +441,13 @@ _GRID_STATISTICS = {"marty": probe._MARTY, "sd": probe._SD, "floor": probe._FLOO
 
 def _one_call_per_point(stat, f, grid, ns, offset):
     # the loop the blocks replaced: one lane-function call per (point, n),
-    # the point's samples its one group, and the ascent of that group alone
+    # the point's samples its one group, with the ascent of that group alone
     out = []
     radius = grid.neighborhood_radius
     for index in range(grid.nx * grid.ny):
         z = complex(grid.x_coords()[index % grid.nx], grid.y_coords()[index // grid.nx])
         points = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
-        rows = [eval_jet_lanes(f, n, [points], stat) for n in ns]
-        if stat.ascent:
-            rows = [probe._ascend(f, n, stat.ascent, [z], radius, r) for n, r in zip(ns, rows)]
+        rows = [eval_jet_lanes(f, n, [points], stat, radius) for n in ns]
         out.append((z, [r[0] for r in rows]))
     return out
 
@@ -454,28 +497,35 @@ def test_no_statistic_or_flag_leaks_between_the_groups_of_a_call():
 
 def test_a_call_covers_at_most_a_block_of_points(monkeypatch):
     # per n, one call per block: two blocks of 32 and 1 points, whose lanes
-    # add up to one per (point, n, sample)
+    # add up to one per (point, n, sample); scan-sd's ascent runs inside
+    # its call, so it makes no call of its own, and its family compiles one
+    # lane function
     sizes = []
-    climbs = []
+    stats = set()
     real_lanes = probe.eval_jet_lanes
 
-    def counted_lanes(expr, n, groups, stat):
+    def counted_lanes(expr, n, groups, stat, *radius):
         groups = [list(points) for points in groups]
-        (climbs if stat is probe._SD_RISE else sizes).append(list(map(len, groups)))
-        return real_lanes(expr, n, groups, stat)
+        sizes.append(list(map(len, groups)))
+        stats.add(stat)
+        return real_lanes(expr, n, groups, stat, *radius)
 
     monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
+    made = []
+    real = codegen._lanes_function
+    monkeypatch.setattr(codegen, "_FAMILIES", {})
+    monkeypatch.setattr(codegen, "_lanes_function",
+                        lambda root, st: made.append(st) or real(root, st))
     g = GridSpec(-0.5, 0.5, 0.0, 1.0, 11, 3)
     ns = range(1, 5)
-    for scan in (marty_scan, sd_family_scan):
+    for scan, stat in ((marty_scan, probe._MARTY), (sd_family_scan, probe._SD)):
         sizes.clear()
-        scan(parse("exp(z/(n*z+1))"), g, ns)
+        stats.clear()
+        f = parse("exp(z/(n*z+1))")
+        scan(f, g, ns)
         assert sizes == [[9] * probe._BLOCK] * len(ns) + [[9]] * len(ns)
-    # the ascent's batches: per (n, block), one at the argmaxes and one per
-    # round, one sample per group that climbs
-    assert len(climbs) == (1 + probe._ASCENT_ROUNDS) * 2 * len(ns)
-    assert {len(c) for c in climbs[:12]} == {probe._BLOCK} and {len(c) for c in climbs[12:]} == {1}
-    assert {k for c in climbs for k in c} == {1}
+        assert stats == {stat} and f._compiled[0] is stat
+    assert made == [probe._MARTY, probe._SD]
     sizes.clear()
     derivative_floor_check(parse("exp(n*z)"), ns, g, 0.5)
     assert max(map(sum, sizes)) <= probe._BLOCK * 9
@@ -589,10 +639,10 @@ def test_a_grid_point_with_a_sample_past_the_double_range_runs_no_batch(monkeypa
     calls = []
     real_lanes = probe.eval_jet_lanes
 
-    def counted_lanes(expr, n, points, stat):
+    def counted_lanes(expr, n, points, stat, radius):
         points = list(points)
         calls.append((stat, points))
-        return real_lanes(expr, n, points, stat)
+        return real_lanes(expr, n, points, stat, radius)
 
     monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
     g = GridSpec(-1.0, 1.79e308, 0.0, 1e308, 2, 1, neighborhood_radius=1e307)
@@ -601,15 +651,15 @@ def test_a_grid_point_with_a_sample_past_the_double_range_runs_no_batch(monkeypa
     assert calls == []
     # past a block's end the refusal comes after the blocks before it: the
     # first block's 3 batches, one per n, of the block's clean samples,
-    # each followed by its ascent
+    # each running its ascent inside it
     nx = probe._BLOCK + 1
     g = GridSpec(-1.0, 1.79e308, 0.0, 1e308, nx, 1, neighborhood_radius=1e306)
     with pytest.raises(ValueError, match="^jet_var requires a finite point$"):
         sd_family_scan(parse("z"), g, range(1, 4))
-    batches = [groups for stat, groups in calls if stat is probe._SD]
+    assert {stat for stat, _ in calls} == {probe._SD}
+    batches = [groups for _, groups in calls]
     assert len(batches) == 3 and all(len(groups) == probe._BLOCK for groups in batches)
     assert all(groups[0][0] == -1.0 for groups in batches)
-    assert len(calls) == 3 * (2 + probe._ASCENT_ROUNDS)
 
 
 def test_local_bound_rejects_short_sampling():
@@ -723,9 +773,9 @@ def test_theorem_hypotheses_evaluates_each_sample_once(monkeypatch):
         lanes.append(sum(map(len, groups)))
         return real_lanes(expr, n, groups, *args)
 
-    def counted_jet(*args):
+    def counted_jet(*args, **kwargs):
         lanes.append(1)
-        return real_jet(*args)
+        return real_jet(*args, **kwargs)
 
     monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
     monkeypatch.setattr(probe, "eval_jet", counted_jet)
@@ -804,50 +854,104 @@ def test_sd_statistic_matches_per_sample_jets():
                     _schwarzian_derivatives(eval_jet(f, n, w, order=4)) for w in samples
                 )
             )
-            assert eval_jet_lanes(f, n, [samples], probe._SD)[0][0] == best
-            ((refined, _),) = probe._ascend(f, n, probe._SD_RISE, [p.z], g.neighborhood_radius,
-                                            eval_jet_lanes(f, n, [samples], probe._SD))
+            assert sd_keep(f, n, samples)[0] == best
+            ((refined, _),) = eval_jet_lanes(f, n, [samples], probe._SD, g.neighborhood_radius)
             assert best <= refined <= example2_disk_sup(n, p.z, g.neighborhood_radius) * (1 + 1e-9)
             sup[n] = refined
         assert p.sup_stat == max(sup.values())
         assert p.argmax_n == max(sup, key=sup.get)
 
 
-def test_the_ascent_steps_doubles_halves_and_stays_in_the_disk(monkeypatch):
-    # the rise statistic faked as F = value(x), |S'| = 1 and D = 1 (up the
-    # real axis), so the first step is min(radius, 1/2); the ascent starts
-    # at each group's argmax, whose F is its best
+def test_the_ascent_steps_doubles_halves_and_stays_in_the_disk():
+    # every lane of exp(1000)*z is redone, so the lane function takes each
+    # value from its callbacks: the rise statistic faked as F = value(x),
+    # a and D = 1 (up the real axis), so that the first step is
+    # min(radius, a^2 / 2), and the last round's F from redo.  The ascent
+    # starts at each group's argmax, whose F is its best
+    fn = codegen.family(parse("exp(1000)*z"), probe._SD)
     tried = []
 
-    def fake(value):
-        def lanes(expr, n, groups, stat):
-            assert stat is probe._SD_RISE
-            out = []
-            for (w,) in groups:
-                tried.append(w)
-                f = value(w.real)
-                out.append((f, 1.0, 1.0, 0.0, frozenset()) if f is not None
-                           else (-1.0, -1.0, -math.inf, -math.inf, frozenset({"Pole"})))
-            return out
-        return lanes
-
-    def ascend(value, radius=1.0):
+    def ascend(value, radius=1.0, a=1.0, start=True):
         tried.clear()
-        monkeypatch.setattr(probe, "eval_jet_lanes", fake(value))
-        rows = [(value(0.0), frozenset({"CriticalPoint"}), 0j), (-1.0, frozenset({"Pole"}), None)]
-        out = probe._ascend(None, 1, probe._SD_RISE, [0j, 5j], radius, rows)
-        assert [flags for _, flags in out] == [row[1] for row in rows]  # flags stay the samples'
+
+        def redo(w):  # the samples' values, and the last round's F
+            if w.imag:  # the second group's one sample, which fails
+                return "Pole"
+            tried.append(("F", w))
+            f = value(w.real)
+            return "Pole" if f is None else f
+
+        def rise(w):
+            tried.append(("rise", w))
+            f = value(w.real) if start or w else None
+            return "Pole" if f is None else (f, a, 1.0, 0.0)
+
+        out = fn(1 + 0j, [[0j], [5j]], redo, rise, radius)
+        assert [flags for _, flags in out] == [set(), {"Pole"}]  # flags stay the samples'
         assert out[1][0] == -1.0  # a group with no argmax does not climb
-        return out[0][0], list(tried)
+        assert tried[0] == ("F", 0j)  # the first group's sample
+        return out[0][0], tried[1:]
 
     # a plateau: no candidate rises, so each is rejected and the step halves
-    assert ascend(lambda x: 1.0) == (1.0, [0j, 0.5 + 0j, 0.25 + 0j])
+    assert ascend(lambda x: 1.0) == (1.0, [("rise", 0j), ("rise", 0.5 + 0j), ("F", 0.25 + 0j)])
     # F rising with x: each candidate is taken and the step doubles, and
-    # the second, at 1.5, is projected back to the disk's edge
-    assert ascend(lambda x: 1.0 + x) == (2.0, [0j, 0.5 + 0j, 1.0 + 0j])
-    assert ascend(lambda x: 1.0 + x, radius=0.25) == (1.25, [0j, 0.25 + 0j, 0.25 + 0j])
+    # the second, at 1.5, is projected back to the disk's edge; the last
+    # round reads F alone
+    assert ascend(lambda x: 1.0 + x) == (2.0, [("rise", 0j), ("rise", 0.5 + 0j), ("F", 1 + 0j)])
+    assert ascend(lambda x: 1.0 + x, radius=0.25) == (
+        1.25, [("rise", 0j), ("rise", 0.25 + 0j), ("F", 0.25 + 0j)])
     # a candidate that fails is rejected, and not flagged
-    assert ascend(lambda x: None if x else 1.0) == (1.0, [0j, 0.5 + 0j, 0.25 + 0j])
+    assert ascend(lambda x: None if x else 1.0) == (
+        1.0, [("rise", 0j), ("rise", 0.5 + 0j), ("F", 0.25 + 0j)])
+    # a candidate past the double range is rejected unevaluated: the step
+    # a^2 / 2 is inf, so it starts at the radius, 1e308, and doubles
+    assert ascend(lambda x: 1.0 + x, radius=1e308, a=1e308) == (
+        1e308, [("rise", 0j), ("rise", 1e308 + 0j)])
+    # where the rise at the argmax fails, the group does not climb
+    assert ascend(lambda x: 1.0 + x, start=False) == (1.0, [("rise", 0j)])
+
+
+# scan-sd grids on which the ascent in the lane function is pinned to the
+# ascent written out in Python: example2's on 12 points, not a multiple of
+# 5 workers, and the near-pole and log families of tests/test_cli.py's
+# golden flags on 3 points, fewer than 5 workers
+_PINNED_SD = {
+    "example2": ("exp(z/(n*z+1))", GridSpec(-0.5, 0.5, -0.5, 0.5, 4, 3), range(1, 9)),
+    "near-pole": ("z^2+1/(z-0.1)", GridSpec(0, 0.2, 0, 0.2, 3, 1, 0.1, 3), range(1, 5)),
+    "log": ("log(z)*n", GridSpec(-0.1, 0.1, 0, 0.1, 3, 1, 0.1, 3), range(1, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SD))
+def test_the_fused_ascent_keeps_the_python_ascents_bits(name):
+    # each (point, n)'s refined best against the Python ascent, whose every
+    # evaluation is a walk and whose last round, like each other, runs the
+    # rise: bit for bit, in the sweep and in the scan's sup_stat at 1, 2, 3
+    # and 5 workers
+    text, grid, ns = _PINNED_SD[name]
+    f, ns, offset = parse(text), tuple(ns), _seed_offset(4)
+    radius = grid.neighborhood_radius
+    want = []
+    for index in range(grid.nx * grid.ny):
+        z = complex(grid.x_coords()[index % grid.nx], grid.y_coords()[index // grid.nx])
+        samples = _neighborhood(z, radius, grid.neighborhood_samples, offset, index)
+        rows = []
+        for n in ns:
+            best, flags, at = sd_keep(f, n, samples)
+            rows.append((ascend(best, at, z, radius, walked(f, n, probe._SD_RISE)), flags))
+        want.append((z, rows))
+    got = probe._sweep(probe._SD, f, grid, ns, offset, range(grid.nx * grid.ny))
+
+    def bits(points):
+        return [(z, [(best.hex(), flags) for best, flags in rows]) for z, rows in points]
+
+    assert bits(got) == bits(want)
+    digests = [probe._point_stats(z, rows, ns) for z, rows in want]
+    for workers in (1, 2, 3, 5):
+        rep = sd_family_scan(f, grid, ns, seed=4, workers=workers)
+        assert [(p.sup_stat.hex(), p.argmax_n) for p in rep.points] == [
+            (p.sup_stat.hex(), p.argmax_n) for p in digests]
+        assert list(map(_fields, rep.points)) == list(map(_fields, digests))
 
 
 def test_sd_origin_slope_is_near_one_on_the_bench_grid():
@@ -860,6 +964,43 @@ def test_sd_origin_slope_is_near_one_on_the_bench_grid():
         origin = rep.points[60]
         assert origin.z == 0j
         assert 0.75 <= origin.growth_slope <= 1.25, seed
+
+
+# ---------------------------------------------------------------------------
+# each verdict rule at the edge of its tolerance
+
+
+def test_a_statistic_above_the_noise_floor_is_fitted():
+    # f# of 1e-11 n z is 1e-11 n, to a part in 1e22: the window's maximum,
+    # 8e-11, lies between the noise floor 1e-12 and 1e-9, so its slope, 1,
+    # is fitted, not read as numerically zero
+    rep = marty_scan(parse("0.00000000001*n*z"), _POINT_GRID, range(1, 9))
+    (p,) = rep.points
+    assert 1e-12 < p.sup_stat < 1e-9
+    assert p.growth_slope == pytest.approx(1.0, abs=1e-9)
+    assert verdicts(rep) == [Verdict.DIVERGENT_CANDIDATE]
+
+
+def test_bound_fails_a_segment_just_past_its_tolerance():
+    # f' = 1 + c z (1 - z) is 1 at both samples, the segment's ends, so
+    # K = 1, while |f(1) - f(0)| = 1 + c/6: with c = 6e-8, observed over
+    # rhs is 1 + 1e-8, past the tolerance 1 + 1e-9
+    f = parse("z + 0.00000006*(z^2/2 - z^3/3)")
+    (rep,) = local_bound_estimate(f, (1,), 0.0, 1.0, segment_samples=2)
+    assert (rep.K_estimate, rep.bound_rhs) == (1.0, 1.0)
+    assert 1.0 + 1e-9 < rep.observed < 1.0 + 1e-6
+    assert not rep.passed
+
+
+def test_hypotheses_are_not_sound_just_past_their_tolerance():
+    # one sample, at 0, of z + z^3: f' = 1, f'' = 0 and f''' = 6, so
+    # |S| = 6 and the bound is M3 / epsilon = 6 / (1 + 1e-8), which |S|
+    # exceeds by a part in 1e8, past the tolerance of a part in 1e9
+    grid = GridSpec(0.0, 1.0, 0.0, 1.0, 1, 1, 0.1, 1)
+    rep = check_theorem_hypotheses(parse("z + z^3"), (1,), grid, 1.0 + 1e-8, 0j, 1.0)
+    assert rep.max_abs_schwarzian == 6.0 and rep.M2 == 0.0
+    assert 1.0 + 1e-9 < rep.max_abs_schwarzian / rep.sd_bound < 1.0 + 1e-6
+    assert not rep.sound
 
 
 # ---------------------------------------------------------------------------

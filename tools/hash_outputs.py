@@ -37,7 +37,11 @@ The corpus:
 - the order rule: families whose f and f' are finite where f''' is not
   (``1/z`` near 1e-80), through ``scan-marty``, ``scan-sd`` and
   ``hypotheses`` on a grid of such points, and ``bound`` on a segment
-  through them;
+  through them, and ``hypotheses`` whose value check reads f where its
+  f''' is past the double range;
+- the split of a scan over its processes: ``scan-sd`` and ``scan-marty``
+  at more ``--workers`` than grid points, and at a count of workers the
+  points are not a multiple of;
 - identity checks, in CSV and JSON, that the error-bound clause decides:
   the pins of ``tests/test_identity_oracle.py`` (``--tol-abs 0 --tol-rel
   5e-324`` forces the clause where a fixed tolerance would decide), its
@@ -288,6 +292,13 @@ def corpus() -> list[list[str]]:
             out += [["scan-marty", *common, "--workers", workers],
                     ["scan-sd", *common, "--workers", workers]]
         out += [["hypotheses", *common, *_HYPOTHESES, "--format", fmt] for fmt in ("csv", "json")]
+    for L in ("1e300", "1e200"):
+        out.append(["hypotheses", "--family=(1/z)^9", "--grid=0.5,1,0.5,1,2,2", "--n-max", "2",
+                    "--epsilon", "0.1", f"--zeta={_TINY[:28]}1+0i", f"--L={L}"])
+    for grid, workers in (("-0.5,0.5,-0.5,0.5,4,3", "5"), ("-0.5,0.5,0,0.5,3,1", "5")):
+        for command in ("scan-sd", "scan-marty"):
+            out.append([command, "--catalog", "example2", f"--grid={grid}", "--n-max", "16",
+                        "--workers", workers])
     for family, z0, z in _ORDER_SEGMENTS:
         for samples in ("2", "256"):
             out += [["bound", f"--family={family}", "--n-max", "2", f"--z0={z0}", f"--z={z}",

@@ -60,7 +60,8 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # records for the identity error bound (a00e581, here against the ball
 # rules), the batch walk (2bde4db) and the one walk (cce385b), then those
 # of the order rule, of the records, and of the order-k jets and the sd
-# ascent; a later change adds its mutants here
+# ascent, then those of the ascent in the lane function; a later change
+# adds its mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -76,8 +77,8 @@ MUTANTS = (
            "        self.check(u.lane, cond)", "        pass",
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
     Mutant("no check at the output", "codegen.py",
-           "        if unchecked:\n            t.check(True,",
-           "        if False:\n            t.check(True,",
+           "    if unchecked:\n        t.check(True,",
+           "    if False:\n        t.check(True,",
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
     Mutant("no check before x^0", "codegen.py",
            "            if parts:\n", "            if False:\n",
@@ -118,8 +119,8 @@ MUTANTS = (
            (CLI + "test_cached_parser_gives_a_fresh_parsers_bytes",)),
     # the statistics
     Mutant("the critical guard dropped", "codegen.py",
-           "            t.check(True, _CRITICAL_GUARD.format(*parts))",
-           "            pass",
+           "        t.check(True, _CRITICAL_GUARD.format(*parts))",
+           "        pass",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("the critical rule tried after the lane formula", "codegen.py",
            "            if self.critical is not None and _critical(j[1]):\n"
@@ -254,8 +255,8 @@ MUTANTS = (
            "        raise EvalError(node.span, str(exc), point) from exc",
            "        raise EvalError(node.span, str(exc), point) from None",
            (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
-    Mutant("the pool sized by workers, not by its chunks", "probe.py",
-           "ProcessPoolExecutor(max_workers=min(workers, len(payloads)))",
+    Mutant("the pool sized by workers, not by its payloads", "probe.py",
+           "ProcessPoolExecutor(max_workers=len(payloads))",
            "ProcessPoolExecutor(max_workers=workers)",
            (PROBE + "test_pool_is_no_larger_than_its_chunks",)),
     Mutant("i taken as a literal, within half an ulp", "dsl.py",
@@ -383,11 +384,12 @@ MUTANTS = (
            "        out.append(q4 - 3.0 * (q2 * q3) + 3.0 * (q22 * q2))",
            (JETS + "test_schwarzian_derivatives_of_example2_match_the_closed_form",
             DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
-    Mutant("the ascent accepts a candidate whose F only ties", "probe.py",
-           "            if not flags and f > best[k]:", "            if not flags and f >= best[k]:",
+    Mutant("the ascent accepts a candidate whose F only ties", "codegen.py",
+           'flat = [f"if step is not None and not {f} > best:",',
+           'flat = [f"if step is not None and not {f} >= best:",',
            (PROBE + "test_the_ascent_steps_doubles_halves_and_stays_in_the_disk",)),
-    Mutant("the disk projection dropped", "probe.py",
-           "    return c if m <= radius else z + d * (radius / m)", "    return c",
+    Mutant("the disk projection dropped", "codegen.py",
+           '"zv = zv if m <= radius else zc + off * (radius / m)"', '"zv = zv"',
            (PROBE + "test_the_ascent_steps_doubles_halves_and_stays_in_the_disk",
             PROBE + "test_sd_scan_example2_statistic_at_origin")),
     Mutant("a formula compiled from its first call, not once hot", "jets.py",
@@ -405,6 +407,41 @@ MUTANTS = (
            '    fold[0] += [f"    {a} = zv" for a in argmax]', "    fold[0] += []",
            (DSL + "test_the_keep_reports_each_groups_argmax_sample",
             PROBE + "test_sd_origin_slope_is_near_one_on_the_bench_grid")),
+    # the ascent in the lane function, the strided pool payloads, and the
+    # verdict rules' tolerances
+    Mutant("the step not halved on a rejected candidate", "codegen.py",
+           '{f} > best:", "    step = step * 0.5", "    continue"]',
+           '{f} > best:", "    pass", "    continue"]',
+           (PROBE + "test_the_ascent_steps_doubles_halves_and_stays_in_the_disk",)),
+    Mutant("the last round's F taken at the previous point", "codegen.py",
+           '*_indent([*candidate, "if isfinite(zv):", *_indent([',
+           '*_indent(["if isfinite(zv):", *_indent([',
+           (PROBE + "test_the_ascent_steps_doubles_halves_and_stays_in_the_disk",
+            PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits")),
+    Mutant("the strided results put back in the wrong order", "probe.py",
+           "        for k, part in enumerate(parts):",
+           "        for k, part in enumerate(reversed(parts)):",
+           (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",
+            PROBE + "test_a_pooled_scan_splits_its_points_evenly_and_generates_before_the_fork")),
+    Mutant("the lane function generated in each pool worker", "probe.py",
+           "        family(f, stat)\n", "",
+           (PROBE + "test_a_pooled_scan_splits_its_points_evenly_and_generates_before_the_fork",)),
+    Mutant("the slope's noise floor 1e-12 made 1e-9", "probe.py",
+           "_NOISE_FLOOR = 1e-12", "_NOISE_FLOOR = 1e-9",
+           (PROBE + "test_a_statistic_above_the_noise_floor_is_fitted",)),
+    Mutant("bound's relative tolerance 1e-9 made 1e-6", "probe.py",
+           "        passed = observed <= rhs * (1.0 + 1e-9) + 1e-12",
+           "        passed = observed <= rhs * (1.0 + 1e-6) + 1e-12",
+           (PROBE + "test_bound_fails_a_segment_just_past_its_tolerance",)),
+    Mutant("sound's relative tolerance 1e-9 made 1e-6", "probe.py",
+           "and max_s <= bound * (1.0 + 1e-9)", "and max_s <= bound * (1.0 + 1e-6)",
+           (PROBE + "test_hypotheses_are_not_sound_just_past_their_tolerance",)),
+    Mutant("log's jet of order 0 given a derivative of 1/x", "jets.py",
+           "    out = [w] if count else []", "    out = [w]",
+           (JETS + "test_log_and_exp_of_order_0_share_the_chain_once_it_is_hot",)),
+    Mutant("the value check reads an order-3 jet", "probe.py",
+           "eval_jet(f, n, zeta, order=0)[0]", "eval_jet(f, n, zeta).v",
+           (CLI + "test_the_value_check_reads_f_alone",)),
 )
 
 SURVIVORS = (
