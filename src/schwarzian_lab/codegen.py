@@ -251,10 +251,11 @@ class _Lanes:
     """Writer of the lane function: the jet formulas on symbolic values.
 
     Its values are jets of order ``order`` whose parts are complex
-    constants or ``_Sym``s.
+    constants or ``_Sym``s.  With ``record``, it records the names that
+    each line of the body binds and reads, which an ascent's start needs.
     """
 
-    def __init__(self, order: int = 3):
+    def __init__(self, order: int = 3, record: bool = False):
         self.order = order
         # the zero parts above f of a constant
         self.zeros = (ZERO,) * order
@@ -262,6 +263,8 @@ class _Lanes:
         self.names: dict = {}  # constant bits -> bound name
         self.prelude: list[str] = []  # loop-invariant lines
         self.body: list[str] = []  # per-lane lines
+        # with record, (index, names bound, names read) per body line written
+        self.uses: list | None = [] if record else None
         self.invariants: list[_Sym] = []  # written loop-invariant values
         self.memo: dict = {}  # (op, operands) -> result
         self.values: dict = {}  # exactly known parts -> existing value
@@ -279,9 +282,10 @@ class _Lanes:
         """Source for a value, writing its line and its operands' first."""
         if type(x) is _Sym:
             if x.form is not None:
-                line = f"{x.name} = " + x.form.format(*map(self.text, x.args))
+                args = list(map(self.text, x.args))
+                line = f"{x.name} = " + x.form.format(*args)
                 x.form = None
-                self.block(x.lane).append(line)
+                self.write(x.lane, line, (x.name,), args)
                 if not x.lane:
                     self.invariants.append(x)
             return x.name
@@ -296,6 +300,14 @@ class _Lanes:
 
     def block(self, lane: bool) -> list:
         return self.body if lane else self.prelude
+
+    def write(self, lane: bool, line: str, bound=(), read=()) -> None:
+        """Append a line, which binds the names ``bound`` and reads the names
+        ``read``, to the body or the prelude; the body records both, where
+        the writer records."""
+        if lane and self.uses is not None:
+            self.uses.append((len(self.body), bound, read))
+        self.block(lane).append(line)
 
     def sym(self, re, im, lane, form=None, args=(), name=None):
         if type(re) is float and type(im) is float:
@@ -336,11 +348,12 @@ class _Lanes:
 
     # -- checks --------------------------------------------------------
 
-    def check(self, lane: bool, condition: str) -> None:
-        """Fail where ``condition`` holds: raise into the lane's handler,
-        which redoes it, or out of the prelude, so that every lane of the
-        batch is redone."""
-        self.block(lane).extend([f"if {condition}:", "    raise JetError('a check failed')"])
+    def check(self, lane: bool, condition: str, read=()) -> None:
+        """Fail where ``condition``, which reads the names ``read``, holds:
+        raise into the lane's handler, which redoes it, or out of the
+        prelude, so that every lane of the batch is redone."""
+        self.write(lane, f"if {condition}:", read=read)
+        self.block(lane).append("    raise JetError('a check failed')")
 
     def guard(self, u, test: str, refused) -> None:
         """The check before an opaque function of u: ``test`` in the
@@ -353,7 +366,7 @@ class _Lanes:
         cond = test.format(self.text(u))
         if not u.finite():
             cond = f"not isfinite({u.name}) or {cond}"
-        self.check(u.lane, cond)
+        self.check(u.lane, cond, [u.name])
 
     def unchecked(self, jet) -> list:
         """The parts of a jet that may not be finite on a lane.
@@ -425,9 +438,9 @@ class _Lanes:
         u, k = args  # PowInt
         if k == 0:
             # x^0 is one, but a failed base still fails: check what is dropped
-            parts = self.unchecked(u)
+            parts = [self.text(x) for x in self.unchecked(u)]
             if parts:
-                self.check(True, _not_finite([self.text(x) for x in parts]))
+                self.check(True, _not_finite(parts), parts)
             return jet_const(1.0, self.order)
         if abs(k) > _INLINE_POWER:
             return self.power_call(u, k)
@@ -446,8 +459,9 @@ class _Lanes:
                 raise _LiteralFails from None
         lane = any(type(x) is _Sym and x.lane for x in u)
         out = tuple(self.sym(_Part(finite=True), _Part(finite=True), lane) for _ in u)
-        line = f"{', '.join(x.name for x in out)} = pow_int(({', '.join(map(self.text, u))}), {k})"
-        self.block(lane).append(line)
+        names, args = [x.name for x in out], list(map(self.text, u))
+        line = f"{', '.join(names)} = pow_int(({', '.join(args)}), {k})"
+        self.write(lane, line, names, args)
         if not lane:
             self.invariants += out
         return out
@@ -527,22 +541,23 @@ class _Tail:
     what the statistic itself computed at the same point.
     """
 
-    __slots__ = ("lines", "name", "memo", "reuse")
+    __slots__ = ("t", "name", "reuse")
 
-    def __init__(self, lines: list, name: str, memo: dict, reuse: bool = False):
-        self.lines = lines
+    def __init__(self, t: _Lanes, name: str, reuse: bool = False):
+        self.t = t  # the writer, whose body takes the lines
         self.name = name
-        self.memo = memo  # a line's right-hand side -> the name it first bound
         self.reuse = reuse
 
     def op(self, form: str, *args) -> "_Tail":
-        text = form.format(*(x.name if type(x) is _Tail else f"({x!r})" for x in args))
-        name = self.memo.get(text) if self.reuse else None
+        read = [x.name if type(x) is _Tail else f"({x!r})" for x in args]
+        text = form.format(*read)
+        # t.tails: a line's right-hand side -> the name it first bound
+        name = self.t.tails.get(text) if self.reuse else None
         if name is None:
-            name = f"x{len(self.lines)}"
-            self.memo.setdefault(text, name)
-            self.lines.append(f"{name} = {text}")
-        return _Tail(self.lines, name, self.memo, self.reuse)
+            name = f"x{len(self.t.body)}"
+            self.t.tails.setdefault(text, name)
+            self.t.write(True, f"{name} = {text}", (name,), read)
+        return _Tail(self.t, name, self.reuse)
 
     __add__, __radd__ = _binary("{} + {}")
     __sub__, __rsub__ = _binary("{} - {}")
@@ -591,14 +606,15 @@ def _formula(t: _Lanes, jet: tuple, stat: Statistic, checked: int = 0) -> list:
     if invariant:
         t.check(False, _not_finite(invariant))
     if unchecked:
-        t.check(True, _not_finite(unchecked))
+        t.check(True, _not_finite(unchecked), unchecked)
     if stat.critical is not None and not checked:
-        t.check(True, _CRITICAL_GUARD.format(*parts))
-    value = stat.lane(tuple(_Tail(t.body, x, t.tails, checked > 0) for x in parts))
+        t.check(True, _CRITICAL_GUARD.format(*parts), parts[1:2])
+    value = stat.lane(tuple(_Tail(t, x, checked > 0) for x in parts))
     return [x.name for x in (value if type(value) is tuple else (value,))]
 
 
-def _ascent(sample: list | None, rise: list | None, rises: list, start: float) -> list:
+def _ascent(sample: list | None, rise: list | None, rises: list, start: float,
+            kept: list | None) -> list:
     """The lines that refine a group's ``best`` by ascent from ``at``, its
     argmax sample, inside the disk of radius ``radius`` about the group's
     first sample, ``zc``; they run after the group's keep.
@@ -608,7 +624,11 @@ def _ascent(sample: list | None, rise: list | None, rises: list, start: float) -
     gradient times a positive factor, such that a^2 / (2 |D|) is
     F / (2 |grad F|).  ``sample`` is the statistic's fast path at zv, and
     ``rise`` the lines that follow it there for the rise; both are None
-    where every evaluation is redone.  The rise runs at ``at``, and then
+    where every evaluation is redone.  ``kept`` names the values of the
+    fast path that ``rise`` and the ascent read, which the keep holds as
+    the tuple ``kept`` for an argmax the fast path gave, and None for one
+    it redid: the start binds them from the tuple, and runs ``sample``
+    only where it is None.  The rise runs at ``at``, and then
     at the candidate of each round but the last: the point a step along D
     from ``at``, projected back into the disk.  The first step is
     min(radius, a^2 / (2 |D|)).  A candidate is accepted only where F
@@ -636,7 +656,10 @@ def _ascent(sample: list | None, rise: list | None, rises: list, start: float) -
              f"{', '.join(rises)} = got", *flat]
     last = [f"{f} = redo(zv)", f"if type({f}) is str:", f"    {f} = {start!r}"]
     if sample is not None:
-        climb = ["try:", *_indent([*sample, *flat, *rise]), "except (OverflowError, JetError):",
+        # the start binds the argmax sample's kept values, where it has them
+        point = ["if step is not None or kept is None:", *_indent([*sample, *flat]), "else:",
+                 f"    {', '.join(kept)}, = kept"]
+        climb = ["try:", *_indent([*point, *rise]), "except (OverflowError, JetError):",
                  *_indent(climb)]
         last = ["try:", *_indent(sample), "except (OverflowError, JetError):", *_indent(last)]
     return ["if at is not None:", *_indent([
@@ -696,7 +719,12 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     binds the redone value to the names of the fast path's value, and
     both reach one keep: the lines that flag a value past the double
     range and fold any other into the group's largest, noting its sample
-    for an ascent.  Where a loop-invariant part fails, or n, where the
+    for an ascent.  With an ascent, the fast path's keep also keeps, as
+    the tuple ``kept``, the values that the rise's lines and the ascent
+    read, named from the record of what each written line binds and reads
+    (``_Lanes.write``), and the handler runs a copy of the keep that keeps
+    None; so the ascent's start at a fast argmax runs only the rise's
+    lines.  Where a loop-invariant part fails, or n, where the
     family uses it, is 0 or not real, the prelude raises, and a loop of
     the handler and the keep redoes every lane, group by group, ascent
     included, before the main loop, which then has none; where a literal
@@ -718,7 +746,7 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     # with an ascent, one walk at the rise's order: the statistic reads its
     # first parts, which are the bits of a walk at its own order
     rise = stat.ascent
-    t = _Lanes(stat.order if rise is None else rise.order)
+    t = _Lanes(stat.order if rise is None else rise.order, record=rise is not None)
     try:
         out = t.walk_lane(root)
     except _LiteralFails:  # every lane is redone
@@ -729,9 +757,15 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     else:
         values = _formula(t, out[: stat.order + 1], stat)
         sample = t.body[:]
-        # the rise's lines follow the statistic's, at the same point, and
-        # check the parts above the statistic's order; its F is the value
-        rises = [*values, *_formula(t, out, rise, stat.order + 1)[1:]] if rise else []
+        rises = []
+        if rise is not None:
+            # the rise's lines follow the statistic's, at the same point, and
+            # check the parts above the statistic's order; its F is the value
+            rises = [*values, *_formula(t, out, rise, stat.order + 1)[1:]]
+            # the fast path's values that the rise's lines or the ascent read
+            split = len(sample)
+            read = {x for k, _, names in t.uses if k >= split for x in names}.union(rises)
+            kept = [x for k, names, _ in t.uses if k < split for x in names if x in read]
     best = ["best", *(f"best{k}" for k in range(1, len(stat.start)))]
     # with an ascent, the keep also names the sample of the largest first slot
     argmax = ["at"] if rise is not None else []
@@ -753,7 +787,7 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
         ascent = []
         if rise is not None:
             ascent = _ascent(sample if fast else None, t.body[len(sample):] if fast else None,
-                             rises, stat.start[0])
+                             rises, stat.start[0], kept if fast else None)
         return ["for G in Z:", *_indent(reset), "    for zv in G:", *_indent(lines, 2),
                 *_indent(ascent), f"    append(({', '.join([*best, 'flags'])}))"]
 
@@ -767,8 +801,15 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
             *_indent(t.prelude), "except (OverflowError, JetError):", *_indent(redo_all),
             "    Z = ()",
         ] if t.n_used else []
+        redone = handler
+        if argmax:
+            # the argmax's kept values, set in the fold of the one slot: the
+            # fast path's, or None for a redone sample, which the handler
+            # folds itself
+            redone = [*handler, *keep, "    kept = None", "continue"]
+            keep = [*keep, f"    kept = ({', '.join(kept)},)"]
         loop = [*setup, *each_group([
-            "try:", *_indent(sample), "except (OverflowError, JetError):", *_indent(handler), *keep,
+            "try:", *_indent(sample), "except (OverflowError, JetError):", *_indent(redone), *keep,
         ], True)]
     src = [
         "def lanes(N, Z, redo, " + "rise, radius, " * bool(argmax) + "*, "

@@ -44,6 +44,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import os
 import random
 import warnings
 from enum import Enum
@@ -95,7 +96,7 @@ DEFAULT_SLOPE_THRESHOLD = 0.5
 DEFAULT_DECAY_THRESHOLD = 0.1
 DEFAULT_CAP = 1e6
 
-# upper limits on the counts that size allocations and process pools, so a
+# upper limits on the counts that size allocations and scan processes, so a
 # short argument cannot ask for unbounded memory or processes; each is
 # checked before anything it sizes is built
 MAX_GRID_POINTS = 250_000  # nx * ny, a 500x500 grid
@@ -392,21 +393,94 @@ def _point_stats(z: complex, rows: list, n_values: tuple[int, ...]) -> PointStat
     return PointStats(z, sup, argmax, slope, frozenset(flags))
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """concurrent.futures' process pool, imported on the first call: only a
-    scan with workers above 1 runs one, so no other command pays for
-    importing ``concurrent.futures.process`` and ``multiprocessing``."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=max_workers)
-
-
 def _scan_chunk(payload) -> list[PointStats]:
     stat, expr, grid, n_values, offset, indices = payload
     return [
         _point_stats(z, rows, n_values)
         for z, rows in _sweep(stat, expr, grid, n_values, offset, indices)
     ]
+
+
+def _child(payload, fd: int, inherited) -> None:
+    # a forked process's whole life: its share's result, or the exception
+    # that ended it, pickled into its pipe ``fd``; it closes the read ends
+    # it inherited, and leaves by os._exit, whatever happens, so that
+    # nothing of the caller's (buffers, atexit, a test runner) runs twice.
+    # The exception goes as its type, args and attributes, which rebuild
+    # it without calling an __init__ that takes other arguments than args
+    status = 1
+    try:
+        import pickle
+
+        for other in inherited:
+            os.close(other)
+        try:
+            result = (True, _scan_chunk(payload))
+        except BaseException as exc:  # noqa: BLE001 - raised again by the caller
+            result = (False, (type(exc), exc.args, vars(exc)))
+        data = pickle.dumps(result)
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked(payloads) -> list:
+    """Each payload's ``_scan_chunk`` result, in order: the first scanned
+    by this process, each other by a child forked for it, at once.
+
+    Each child writes its pickled result, or its exception, into a pipe of
+    its own; this process then reads the pipes in order, reaps each child,
+    and raises the exception of the first that failed, or an OSError for
+    one that ended with no result (killed, say).  Where this process
+    raises, every child it has not reaped is killed and reaped first, so
+    no child outlives the call.
+    """
+    import pickle
+
+    own, others = payloads[0], payloads[1:]
+    children = []  # [pid, read end of its pipe], each set to None once done
+    try:
+        for payload in others:
+            r, w = os.pipe()
+            children.append([None, r])
+            try:
+                pid = os.fork()
+                if pid == 0:  # the child, which never returns from _child
+                    _child(payload, w, [fd for _, fd in children])
+                children[-1][0] = pid
+            finally:
+                os.close(w)
+        parts = [_scan_chunk(own)]
+        for k, child in enumerate(children, 1):
+            with open(child[1], "rb") as pipe:
+                child[1] = None
+                data = pipe.read()
+            _, status = os.waitpid(child[0], 0)
+            child[0] = None
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise OSError(f"scan process {k} of {len(payloads)} ended with no result "
+                              f"(exit status {code})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                kind, args, state = value
+                exc = kind.__new__(kind, *args)
+                exc.__dict__.update(state)
+                raise exc
+            parts.append(value)
+        return parts
+    except BaseException:
+        import signal
+
+        for pid, fd in children:
+            if fd is not None:
+                os.close(fd)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        raise
 
 
 def _validate_n_values(n_values) -> tuple[int, ...]:
@@ -434,29 +508,30 @@ def _scan(
     seed: int,
     workers: int,
 ) -> MartyGridReport:
-    """Sweep a statistic over the grid, in this process or in a pool of
-    ``min(workers, points)`` processes, each given every w-th point; the
-    report is the same bits at every ``workers``."""
+    """Sweep a statistic over the grid, in this process alone or in
+    ``w = min(workers, points)`` processes, each given every w-th point:
+    this one, process 0, scans its share while w - 1 children forked for
+    the others scan theirs (:func:`_forked`).  Where ``os.fork`` does not
+    exist, this process scans the grid alone.  The report is the same bits
+    at every ``workers``."""
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be at most {MAX_WORKERS}")
     ns = _validate_n_values(n_values if n_values is not None else DEFAULT_N_VALUES)
     offset = _seed_offset(seed)
     total = grid.nx * grid.ny
     indices = range(total)
-    if workers > 1 and total > 1:
-        # one payload per process, every w-th point, so that the processes'
+    if workers > 1 and total > 1 and hasattr(os, "fork"):
+        # one share per process, every w-th point, so that the processes'
         # shares of a grid differ by at most one point, wherever its costly
         # points lie; a point's result depends on its index alone, so the
         # results are put back in index order
         w = min(workers, total)
         payloads = [(stat, f, grid, ns, offset, indices[k::w]) for k in range(w)]
-        # the lane function, generated here before the pool forks its
-        # processes, which then share it, as they share this one's memory
+        # the lane function, generated here before the fork, which the
+        # children then share, as they share this process's memory
         family(f, stat)
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            parts = list(pool.map(_scan_chunk, payloads))
         stats = [None] * total
-        for k, part in enumerate(parts):
+        for k, part in enumerate(_forked(payloads)):
             stats[k::w] = part
     else:
         stats = _scan_chunk((stat, f, grid, ns, offset, indices))

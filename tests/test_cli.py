@@ -13,6 +13,7 @@ import json
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -1246,7 +1247,7 @@ def test_bad_thresholds_are_refused_before_any_evaluation(capsys, monkeypatch, a
     calls = []
     monkeypatch.setattr(probe, "eval_jet_lanes", lambda *a: calls.append(a))
     monkeypatch.setattr(probe, "eval_jet", lambda *a: calls.append(a))
-    monkeypatch.setattr(probe, "ProcessPoolExecutor", lambda **k: calls.append(k))
+    monkeypatch.setattr(os, "fork", lambda: calls.append("fork"))
     scan = argv[0].startswith("scan")
     for run in ([*argv, "--workers=1"], [*argv, "--workers=2"]) if scan else (argv,):
         assert run_cli(capsys, *run) == (2, "", _EARLY_ERRORS[argv[-1]])
@@ -1316,20 +1317,69 @@ def _fresh_python(*argv) -> subprocess.CompletedProcess:
 
 
 def test_importing_the_cli_imports_no_process_pool():
-    # only a scan with workers above 1 runs the pool, so a fresh interpreter
-    # that imports the CLI has not imported concurrent.futures.process; the
-    # records are plain classes, so neither dataclasses nor the inspect it
-    # pulls in is imported, and decimal waits for the pretty printer
+    # a fresh interpreter that imports the CLI has not imported pickle, which
+    # only a scan that forks reads; the records are plain classes, so
+    # neither dataclasses nor the inspect it pulls in is imported, and
+    # decimal waits for the pretty printer.  A scan forks its processes
+    # itself, so one at two workers imports no multiprocessing or
+    # concurrent.futures
     code = ("import sys, schwarzian_lab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('concurrent.futures.process', "
-            "'multiprocessing', 'dataclasses', 'inspect', 'decimal', '_decimal', '_pydecimal'))))")
+            "print(sorted(m for m in sys.modules if m.startswith(('concurrent.futures', "
+            "'multiprocessing', 'pickle', '_pickle', 'dataclasses', 'inspect', 'decimal', "
+            "'_decimal', '_pydecimal'))))")
     proc = _fresh_python("-c", code)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    code = ("import sys, schwarzian_lab.cli as cli; "
+            "code = cli.main(['scan-marty', '--family=z', '--grid=0,1,0,1,2,1', '--n-max=3', "
+            "'--workers=2']); "
+            "print(code, sorted(m for m in sys.modules if m.startswith(('concurrent', "
+            "'multiprocessing'))), 'pickle' in sys.modules)")
+    proc = _fresh_python("-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "0 [] True"
+    assert len(proc.stdout.splitlines()) == 4  # the header and two rows, printed once
+
+
+def _dying_child(how):
+    # a _scan_chunk that, in a forked child, fails by how(); this process's
+    # share scans as usual
+    parent, real = os.getpid(), probe._scan_chunk
+
+    def chunk(payload):
+        if os.getpid() != parent:
+            how()
+        return real(payload)
+
+    return chunk
+
+
+def _sigkill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _value_error():
+    raise ValueError("a share's points are refused")
+
+
+@pytest.mark.parametrize("how,code,err", [
+    (_sigkill, 4, "error: scan process 1 of 2 ended with no result (exit status -9)\n"),
+    (_value_error, 2, "error: a share's points are refused\n"),
+])
+def test_a_failed_scan_process_keeps_the_exit_code_contract(capsys, monkeypatch, how, code, err):
+    # a child killed (by the OOM killer, say) exits 4, an OSError; a child's
+    # ValueError exits 2, as it would in this process; one error line each,
+    # and no child is left unreaped
+    monkeypatch.setattr(probe, "_scan_chunk", _dying_child(how))
+    argv = ("--family=z", "--grid=0,1,0,1,2,1", "--n-max=3", "--workers=2")
+    for command in ("scan-marty", "scan-sd"):
+        assert run_cli(capsys, command, *argv) == (code, "", err)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_a_warning_prints_once_as_a_line_of_the_cli(workers):
-    # the pool's workers unpickle the grid, which does not warn again, and
+    # the forked children inherit the grid, built and warned about once, and
     # the line names no source file
     argv = ["scan-marty", "--family=z", "--grid=0,1,0,1,3,1", "--radius=2", "--samples=1",
             "--n-max=3", f"--workers={workers}"]

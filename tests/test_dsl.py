@@ -1144,7 +1144,10 @@ def _without_ascents(source: str, stat, fast: bool) -> str:
     # them: an ascent per group loop, after the group's lanes, whose
     # evaluations, each in one try where the lanes are, redo a rise by rise
     # and the last round's F by redo, in one handler each; the loop of
-    # every lane redone runs them with no try
+    # every lane redone runs them with no try.  Where the lanes have a try,
+    # the argmax's kept values go too: the keep's tuple, whose names the
+    # ascent's start binds, and the handler's own copy of the keep, which
+    # keeps None and goes on to the next lane
     ascents = _blocks(source, lambda x: x == "if at is not None:")
     assert len(ascents) == (0 if stat.ascent is None else 2 if fast else 1)
     for k, block in enumerate(ascents):
@@ -1160,6 +1163,16 @@ def _without_ascents(source: str, stat, fast: bool) -> str:
     for block in ascents:
         k = lines.index(block[0])
         del lines[k : k + len(block)]
+    if stat.ascent is not None and fast:
+        (k,) = [i for i, x in enumerate(lines) if x.strip() == "kept = None"]
+        (j,) = [i for i, x in enumerate(lines) if x.strip().startswith("kept = (")]
+        keep = lines[k + 2 : j]  # the keep, without its tuple
+        assert lines[k + 1] == _depth(keep[0]) * " " + "    continue"
+        assert lines[k - len(keep) : k] == ["    " + x for x in keep]
+        names = lines[j].strip()[len("kept = ("):-len(",)")]
+        (start,) = [x.strip() for x in "\n".join(ascents[-1]).splitlines() if x.endswith(" = kept")]
+        assert start == f"{names}, = kept"
+        del lines[j], lines[k - len(keep) : k + 2]
     return "\n".join(lines) + "\n"
 
 
@@ -1211,8 +1224,8 @@ def test_a_lane_is_redone_in_one_handler(stat):
 
 @pytest.mark.parametrize("stat", sorted(_PROGRAM_STATISTICS))
 def test_program_statistics_survive_a_pickle_round_trip(stat):
-    # pool workers get the statistic pickled, and the lane-function cache
-    # is keyed by it: an equal statistic takes the cached function
+    # a pickled statistic is equal, and hashes equal, and the lane-function
+    # cache is keyed by it: an equal statistic takes the cached function
     want = _PROGRAM_STATISTICS[stat]
     got = pickle.loads(pickle.dumps(want))
     assert got == want and hash(got) == hash(want)
@@ -1229,7 +1242,7 @@ def test_a_family_is_generated_once_per_process(monkeypatch):
     text = "exp(z/(n*z+17))-n"
     points = [0.25j + k / 100 for k in range(100)]
     first = _lanes(parse(text), 2, points)
-    # a fresh parse, and a worker's unpickled copy, reuse the generated function
+    # a fresh parse, and an unpickled copy, reuse the generated function
     for f in (parse(text), pickle.loads(pickle.dumps(parse(text)))):
         assert f._compiled is None
         assert _lanes(f, 2, points) == first

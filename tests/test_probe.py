@@ -3,6 +3,7 @@
 import math
 import os
 import pickle
+import time
 import tracemalloc
 import warnings
 
@@ -31,7 +32,7 @@ from schwarzian_lab import (
     sd_family_scan,
     value_bound_check,
 )
-from schwarzian_lab import codegen, probe
+from schwarzian_lab import codegen, dsl, probe
 from schwarzian_lab.probe import (
     DEFAULT_RADIUS,
     DEFAULT_SAMPLES,
@@ -106,7 +107,7 @@ def test_grid_warns_when_radius_spans_cells():
 
 
 def test_an_unpickled_grid_is_neither_checked_nor_warned_about_again():
-    # pool workers unpickle the grid of a scan: its warning was the caller's
+    # an unpickled grid (a pickled report's, say): its warning was the caller's
     with pytest.warns(UserWarning):
         grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41, neighborhood_radius=0.5)
     with warnings.catch_warnings():
@@ -368,64 +369,136 @@ def test_scan_is_deterministic_and_worker_independent():
     assert other != base
 
 
+def _counted_forks(monkeypatch) -> list:
+    # the pids of this process's os.fork calls; a child's own copy of the
+    # list is its own
+    forks, real = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _no_child_left():
+    # every child of this process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_pool_is_no_larger_than_its_chunks(monkeypatch):
-    # a 2-point grid makes 2 chunks; 8 workers would fork 6 idle processes
-    sizes = []
-    real = probe.ProcessPoolExecutor
-
-    def recording(max_workers):
-        sizes.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(probe, "ProcessPoolExecutor", recording)
+    # a 2-point grid makes 2 shares: this process scans one, and forks one
+    # child for the other; 8 workers would fork 6 idle processes
+    forks = _counted_forks(monkeypatch)
     g = GridSpec(0, 1, 0, 1, 2, 1, 0.05, 1)
     ns = range(1, 9)
     assert marty_scan(parse("z"), g, ns, workers=8) == marty_scan(parse("z"), g, ns)
-    assert sizes == [2]
+    assert forks == [os.getpid()]
+    _no_child_left()
 
 
-def test_a_pooled_scan_splits_its_points_evenly_and_generates_before_the_fork(monkeypatch):
-    # min(workers, points) payloads, the k-th every w-th point from k, their
-    # results back in index order, and the lane function generated once,
-    # in this process, before the pool forks: a worker that generated one
-    # would fail its payload
-    made, split = [], []
-    real, real_pool = codegen._lanes_function, probe.ProcessPoolExecutor
+def test_a_pooled_scan_splits_its_points_evenly_and_generates_before_the_fork(
+        monkeypatch, tmp_path):
+    # min(workers, points) shares, the k-th every w-th point from k, the
+    # first scanned by this process and each other by one forked child,
+    # their results back in index order, and the lane function generated
+    # once, in this process, before the fork: a child that generated one
+    # would fail its share.  Each process writes its share to a file named
+    # by its pid
+    made = []
+    real, real_chunk = codegen._lanes_function, probe._scan_chunk
     parent = os.getpid()
 
     def generate(root, stat):
-        assert os.getpid() == parent, "a pool worker generated a lane function"
+        assert os.getpid() == parent, "a forked child generated a lane function"
         made.append(stat)
         return real(root, stat)
 
-    class Recording:
-        def __init__(self, max_workers):
-            self.pool = real_pool(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return self.pool.__exit__(*exc)
-
-        def map(self, fn, payloads):
-            payloads = list(payloads)
-            split.append([list(p[-1]) for p in payloads])
-            return self.pool.map(fn, payloads)
+    def chunk(payload):
+        (tmp_path / str(workers) / str(os.getpid())).write_text(repr(list(payload[-1])))
+        return real_chunk(payload)
 
     monkeypatch.setattr(codegen, "_lanes_function", generate)
-    monkeypatch.setattr(probe, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(probe, "_scan_chunk", chunk)
+    forks = _counted_forks(monkeypatch)
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 4, 3)
     ns = range(1, 5)
     got = []
     for workers in (2, 5, 12, 20):
+        (tmp_path / str(workers)).mkdir()
         monkeypatch.setattr(codegen, "_FAMILIES", {})
         rep = sd_family_scan(parse("exp(z/(n*z+1))"), g, ns, seed=3, workers=workers)
         got.append(list(map(_fields, rep.points)))
+        w = min(workers, 12)
+        shares = {p.name: eval(p.read_text()) for p in (tmp_path / str(workers)).iterdir()}
+        assert shares.pop(str(parent)) == list(range(0, 12, w))  # this process's, the first
+        assert sorted(shares.values()) == [list(range(k, 12, w)) for k in range(1, w)]
+        assert len(forks) == w - 1
+        forks.clear()
+        _no_child_left()
     assert made == [probe._SD] * 4
-    assert split == [[list(range(k, 12, w)) for k in range(w)] for w in (2, 5, 12, 12)]
     want = list(map(_fields, sd_family_scan(parse("exp(z/(n*z+1))"), g, ns, seed=3).points))
     assert got == [want] * 4
+
+
+def test_without_fork_a_pooled_scan_runs_in_this_process(monkeypatch):
+    # where os.fork does not exist, the whole grid is one share, the same bits
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 4, 3)
+    want = sd_family_scan(parse("exp(z/(n*z+1))"), g, range(1, 5), seed=3)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(probe, "_forked", None)  # calling it would raise TypeError
+    assert sd_family_scan(parse("exp(z/(n*z+1))"), g, range(1, 5), seed=3, workers=3) == want
+
+
+def _failing_in(where: str, real_chunk, exc_of):
+    # a _scan_chunk that raises exc_of(its share's first point) in the
+    # children (where == "child"), or in this process alone, while the
+    # children sleep 20 s, which only a kill ends early
+    parent = os.getpid()
+
+    def chunk(payload):
+        if (os.getpid() == parent) == (where == "caller"):
+            raise exc_of(payload[-1][0])
+        if where == "caller":
+            time.sleep(20)
+        return real_chunk(payload)
+
+    return chunk
+
+
+def test_a_childs_exception_reaches_the_caller(monkeypatch):
+    # each child's share raises; the caller reads the pipes in order, so
+    # the first child's ValueError is raised, its type and message kept,
+    # and the other child is killed and reaped.  A typed error whose
+    # __init__ takes other arguments than its args crosses too
+    g = GridSpec(0, 1, 0, 1, 3, 1, 0.05, 1)
+    monkeypatch.setattr(probe, "_scan_chunk", _failing_in(
+        "child", probe._scan_chunk, lambda k: ValueError(f"share from point {k} fails")))
+    with pytest.raises(ValueError, match=r"^share from point 1 fails$"):
+        marty_scan(parse("z"), g, range(1, 4), workers=3)
+    _no_child_left()
+    monkeypatch.setattr(probe, "_scan_chunk", _failing_in(
+        "child", probe._scan_chunk, lambda k: EvalError((k, k + 1), "boom", complex(k))))
+    with pytest.raises(EvalError) as info:
+        marty_scan(parse("z"), g, range(1, 4), workers=2)
+    assert (str(info.value), info.value.span, info.value.point) == (
+        "evaluation error at source span 1..2: boom", (1, 2), 1 + 0j)
+    _no_child_left()
+
+
+def test_the_callers_failure_kills_and_reaps_its_children(monkeypatch):
+    # this process's own share raises while its children sleep: they are
+    # killed, not waited for, and reaped before the error leaves the scan
+    g = GridSpec(0, 1, 0, 1, 3, 1, 0.05, 1)
+    monkeypatch.setattr(probe, "_scan_chunk", _failing_in(
+        "caller", probe._scan_chunk, lambda k: ValueError(f"the caller's share from point {k} fails")))
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=r"^the caller's share from point 0 fails$"):
+        marty_scan(parse("z"), g, range(1, 4), workers=3)
+    assert time.monotonic() - start < 5.0
+    _no_child_left()
 
 
 # ---------------------------------------------------------------------------
@@ -914,12 +987,60 @@ def test_the_ascent_steps_doubles_halves_and_stays_in_the_disk():
 # scan-sd grids on which the ascent in the lane function is pinned to the
 # ascent written out in Python: example2's on 12 points, not a multiple of
 # 5 workers, and the near-pole and log families of tests/test_cli.py's
-# golden flags on 3 points, fewer than 5 workers
+# golden flags on 3 points, fewer than 5 workers.  The last two have the
+# Schwarzian of example2 (a Moebius map of it), with f' scaled to the
+# critical guard's square, |Re f'| and |Im f'| at most 1e-12, where the
+# lane function redoes a sample that the walk, past the circle |f'| =
+# 1e-12, gives a value: in "redone-argmax", some group's argmax is its
+# one redone sample, and in "all-redone", the groups whose every sample
+# is redone share their calls with groups whose argmax is not, so that
+# the ascent's start takes no values kept from another sample
+_MOEBIUS_EXAMPLE2 = "0.{}*(1+i)/(exp(z/(n*z+1))-2)"
 _PINNED_SD = {
     "example2": ("exp(z/(n*z+1))", GridSpec(-0.5, 0.5, -0.5, 0.5, 4, 3), range(1, 9)),
     "near-pole": ("z^2+1/(z-0.1)", GridSpec(0, 0.2, 0, 0.2, 3, 1, 0.1, 3), range(1, 5)),
     "log": ("log(z)*n", GridSpec(-0.1, 0.1, 0, 0.1, 3, 1, 0.1, 3), range(1, 5)),
+    "redone-argmax": (_MOEBIUS_EXAMPLE2.format("00000000000104"),
+                      GridSpec(-0.1, 0.1, -0.1, 0.1, 3, 3), range(1, 9)),
+    "all-redone": (_MOEBIUS_EXAMPLE2.format("0000000000009"),
+                   GridSpec(-0.02, 0.02, -0.02, 0.02, 3, 3, 0.01), range(1, 9)),
 }
+
+
+def _redone_samples(f, grid, ns, offset):
+    # per (point, n), in the order of one call per n: the samples the lane
+    # function redoes (by identity: an ascent's candidates are new points),
+    # and the group's argmax sample by the walk, with whether its rise is a
+    # value, so that the group climbs
+    radius = grid.neighborhood_radius
+    groups = [_neighborhood(complex(grid.x_coords()[k % grid.nx], grid.y_coords()[k // grid.nx]),
+                            radius, grid.neighborhood_samples, offset, k)
+              for k in range(grid.nx * grid.ny)]
+    fn = codegen.family(f, probe._SD)
+    out = []
+    for n in ns:
+        redone, redo = [], dsl._redo(f, n, probe._SD)
+        fn(complex(n), groups, lambda w: redone.append(w) or redo(w),
+           dsl._redo(f, n, probe._SD_RISE), radius)
+        for samples in groups:
+            at = sd_keep(f, n, samples)[2]
+            climbs = at is not None and walked(f, n, probe._SD_RISE)(at) is not None
+            out.append(([w for w in samples if any(w is x for x in redone)], at, climbs, samples))
+    return out
+
+
+def test_the_kept_value_cases_are_what_they_name():
+    text, grid, ns = _PINNED_SD["redone-argmax"]
+    groups = _redone_samples(parse(text), grid, ns, _seed_offset(4))
+    assert any(redone == [at] and climbs for redone, at, climbs, _ in groups)
+    text, grid, ns = _PINNED_SD["all-redone"]
+    groups = _redone_samples(parse(text), grid, ns, _seed_offset(4))
+    # a group every sample of which is redone, and that climbs, after a
+    # group, in the same call, whose argmax the fast path gave
+    fast = [at is not None and at not in redone for redone, at, _, _ in groups]
+    per_call = grid.nx * grid.ny
+    assert any(climbs and redone == samples and any(fast[k - k % per_call : k])
+               for k, (redone, _, climbs, samples) in enumerate(groups))
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SD))

@@ -42,6 +42,8 @@ The corpus:
 - the split of a scan over its processes: ``scan-sd`` and ``scan-marty``
   at more ``--workers`` than grid points, and at a count of workers the
   points are not a multiple of;
+- ``scan-sd`` groups whose argmax sample alone, or whose every sample, is
+  redone by the walk, at ``--workers`` 1 and 3;
 - identity checks, in CSV and JSON, that the error-bound clause decides:
   the pins of ``tests/test_identity_oracle.py`` (``--tol-abs 0 --tol-rel
   5e-324`` forces the clause where a fixed tolerance would decide), its
@@ -227,6 +229,17 @@ def _identity_bound_checks() -> list[list[str]]:
     return [[*argv, "--format", fmt] for argv in checks for fmt in ("csv", "json")]
 
 
+# scan-sd grids whose lanes the lane function redoes where the walk gives a
+# value: f' within the critical guard's square, past its circle.  On the
+# first some group's argmax is its one redone sample; on the second groups
+# whose every sample is redone share their calls with groups whose argmax
+# is not (tests/test_probe.py's "redone-argmax" and "all-redone")
+_KEPT_GRIDS = (
+    ("0.00000000000104*(1+i)/(exp(z/(n*z+1))-2)", "-0.1,0.1,-0.1,0.1,3,3", "0.05"),
+    ("0.0000000000009*(1+i)/(exp(z/(n*z+1))-2)", "-0.02,0.02,-0.02,0.02,3,3", "0.01"),
+)
+
+
 # front-end errors: texts the lexer or the parser refuses
 _REFUSED = (
     "sin(z)",
@@ -299,6 +312,10 @@ def corpus() -> list[list[str]]:
         for command in ("scan-sd", "scan-marty"):
             out.append([command, "--catalog", "example2", f"--grid={grid}", "--n-max", "16",
                         "--workers", workers])
+    for family, grid, radius in _KEPT_GRIDS:
+        for workers in ("1", "3"):
+            out.append(["scan-sd", f"--family={family}", f"--grid={grid}", "--radius", radius,
+                        "--n-max", "8", "--seed", "4", "--workers", workers])
     for family, z0, z in _ORDER_SEGMENTS:
         for samples in ("2", "256"):
             out += [["bound", f"--family={family}", "--n-max", "2", f"--z0={z0}", f"--z={z}",

@@ -60,8 +60,9 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # records for the identity error bound (a00e581, here against the ball
 # rules), the batch walk (2bde4db) and the one walk (cce385b), then those
 # of the order rule, of the records, and of the order-k jets and the sd
-# ascent, then those of the ascent in the lane function; a later change
-# adds its mutants here
+# ascent, then those of the ascent in the lane function, then those of the
+# forked scan processes and the ascent's kept values; a later change adds
+# its mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -74,7 +75,7 @@ MUTANTS = (
            "            if _signed_zero(p, 1.0):", "            if _is_zero(p):",
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
     Mutant("no check before an opaque function", "codegen.py",
-           "        self.check(u.lane, cond)", "        pass",
+           "        self.check(u.lane, cond, [u.name])", "        pass",
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
     Mutant("no check at the output", "codegen.py",
            "    if unchecked:\n        t.check(True,",
@@ -119,7 +120,7 @@ MUTANTS = (
            (CLI + "test_cached_parser_gives_a_fresh_parsers_bytes",)),
     # the statistics
     Mutant("the critical guard dropped", "codegen.py",
-           "        t.check(True, _CRITICAL_GUARD.format(*parts))",
+           "        t.check(True, _CRITICAL_GUARD.format(*parts), parts[1:2])",
            "        pass",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("the critical rule tried after the lane formula", "codegen.py",
@@ -256,8 +257,7 @@ MUTANTS = (
            "        raise EvalError(node.span, str(exc), point) from None",
            (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
     Mutant("the pool sized by workers, not by its payloads", "probe.py",
-           "ProcessPoolExecutor(max_workers=len(payloads))",
-           "ProcessPoolExecutor(max_workers=workers)",
+           "        w = min(workers, total)\n", "        w = workers\n",
            (PROBE + "test_pool_is_no_larger_than_its_chunks",)),
     Mutant("i taken as a literal, within half an ulp", "dsl.py",
            "_BALL_I = _as_jet((Ball(1j), ZERO, ZERO, ZERO))",
@@ -313,15 +313,15 @@ MUTANTS = (
            "        return ops[kind](node.value, len(leaves[Var]) - 1)",
            "        return ops[kind](node.value)",
            (JETS + "test_order_k_jets_of_the_catalog_match_mpmath",)),
-    # hypotheses is not sound on dropped samples, and the pool is imported
-    # where it is used
+    # hypotheses is not sound on dropped samples, and what only a pooled
+    # scan reads is imported where it is used
     Mutant("sound rests on samples flagged Overflow", "probe.py",
            '    sound = "Overflow" not in flags and max_s <= bound * (1.0 + 1e-9)',
            "    sound = max_s <= bound * (1.0 + 1e-9)",
            (PROBE + "test_theorem_hypotheses_are_not_sound_on_dropped_samples",
             GOLDENS + "test_flag_heavy_grid_bytes[hypotheses-s-inf-csv]")),
-    Mutant("the process pool imported with the module", "probe.py",
-           "import warnings\n", "import warnings\nfrom concurrent.futures import process\n",
+    Mutant("pickle imported with the module", "probe.py",
+           "import warnings\n", "import pickle\nimport warnings\n",
            (CLI + "test_importing_the_cli_imports_no_process_pool",)),
     # one batch contract: a redone sample's walk raises, and stops at its
     # first failed or critical point; the jets reach a test by _Tail's halves
@@ -419,8 +419,8 @@ MUTANTS = (
            (PROBE + "test_the_ascent_steps_doubles_halves_and_stays_in_the_disk",
             PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits")),
     Mutant("the strided results put back in the wrong order", "probe.py",
-           "        for k, part in enumerate(parts):",
-           "        for k, part in enumerate(reversed(parts)):",
+           "        for k, part in enumerate(_forked(payloads)):",
+           "        for k, part in enumerate(reversed(_forked(payloads))):",
            (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",
             PROBE + "test_a_pooled_scan_splits_its_points_evenly_and_generates_before_the_fork")),
     Mutant("the lane function generated in each pool worker", "probe.py",
@@ -442,6 +442,45 @@ MUTANTS = (
     Mutant("the value check reads an order-3 jet", "probe.py",
            "eval_jet(f, n, zeta, order=0)[0]", "eval_jet(f, n, zeta).v",
            (CLI + "test_the_value_check_reads_f_alone",)),
+    # the scan's processes forked beside the caller, which scans the first
+    # share, and the ascent's start from the argmax's kept values
+    Mutant("a child's exception dropped", "probe.py",
+           "                raise exc\n", "                continue\n",
+           (PROBE + "test_a_childs_exception_reaches_the_caller",
+            CLI + "test_a_failed_scan_process_keeps_the_exit_code_contract")),
+    Mutant("a child not reaped", "probe.py",
+           "            _, status = os.waitpid(child[0], 0)\n", "            status = 0\n",
+           (PROBE + "test_pool_is_no_larger_than_its_chunks",
+            PROBE + "test_a_pooled_scan_splits_its_points_evenly_and_generates_before_the_fork")),
+    Mutant("a child that ended with no result not refused", "probe.py",
+           "            if not data:\n", "            if False:\n",
+           (CLI + "test_a_failed_scan_process_keeps_the_exit_code_contract",)),
+    Mutant("the children left running where the caller fails", "probe.py",
+           "                os.kill(pid, signal.SIGKILL)\n", "",
+           (PROBE + "test_the_callers_failure_kills_and_reaps_its_children",)),
+    Mutant("the caller's share put last", "probe.py",
+           "    own, others = payloads[0], payloads[1:]",
+           "    own, others = payloads[-1], payloads[:-1]",
+           (PROBE + "test_a_pooled_scan_splits_its_points_evenly_and_generates_before_the_fork",
+            PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits")),
+    Mutant("the start taking names kept from a redone sample", "codegen.py",
+           'redone = [*handler, *keep, "    kept = None", "continue"]',
+           'redone = [*handler, *keep, f"    kept = ({\', \'.join(kept)},)", "continue"]',
+           (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits[redone-argmax]",
+            PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits[all-redone]")),
+    Mutant("the kept names not reset for a redone argmax, in its group or a later one",
+           "codegen.py",
+           'redone = [*handler, *keep, "    kept = None", "continue"]',
+           'redone = [*handler, *keep, "continue"]',
+           (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits[redone-argmax]",
+            PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits[all-redone]")),
+    Mutant("the start binding the kept names in every round", "codegen.py",
+           'point = ["if step is not None or kept is None:"', 'point = ["if kept is None:"',
+           (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",)),
+    Mutant("a name the rise reads left out of the kept ones", "codegen.py",
+           "if k < split for x in names if x in read]",
+           "if k < split for x in names if x in read][1:]",
+           (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",)),
 )
 
 SURVIVORS = (
@@ -490,6 +529,9 @@ DELETED = (
     ("a jet operation checks the parts above its order",
      "_checked takes no order and checks every part ('a jet operation skips its jet's last "
      "part')"),
+    ("the process pool imported with the module",
+     "a scan forks its processes itself and imports no process pool; re-anchored as "
+     "'pickle imported with the module'"),
 )
 
 
