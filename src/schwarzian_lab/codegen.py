@@ -1,9 +1,9 @@
-"""Python source generated once per family: the lane function behind ``dsl``.
+"""Python source generated per family and statistic: the lane function behind ``dsl``.
 
 The lane function evaluates f_n at groups of samples of one family, one
 lane per sample, in one loop of straight-line code, as sympy's
-``lambdify`` compiles an expression, and :func:`family` keeps it per
-process and :class:`Statistic`.  ``dsl.eval_jet_lanes`` runs it on every
+``lambdify`` compiles an expression, and :func:`family` keeps the last
+one made in this process.  ``dsl.eval_jet_lanes`` runs it on every
 batch, a family's first included; ``dsl`` walks the tree for the
 single-point calls (one point, another seed, a ball) and for every
 sample the lane function hands back.  It returns a statistic, never
@@ -77,11 +77,6 @@ from .jets import (
 )
 from .schwarzian import CRITICAL_POINT_FLOOR, _critical
 
-# lane functions kept per process, each holding its compiled code: a grid
-# or bound command generates one (tree, statistic) pair, an eval or identity
-# check none, so a benchmark grid workload generates one in all its runs
-# and a checks-mix stream one per bound command (100 of 1,000, all distinct)
-_CACHE_SIZE = 4
 # an integer power up to this exponent is written out as products; a
 # larger one calls jet_pow_int
 _INLINE_POWER = 8
@@ -499,7 +494,8 @@ class Statistic(NamedTuple):
     (:func:`_ascent`): ``ascent`` is the rise statistic, of a higher
     order, whose four slots are F (this statistic's value, bit for bit),
     a and the two parts of D.  The fields are module-level functions and
-    numbers, so that a pickled copy is equal and hashes equal.
+    numbers, so that a pickled copy is equal, and :func:`family` gives it
+    the lane function of the statistic it copies.
     """
 
     lane: Callable
@@ -826,21 +822,23 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     return "\n".join(src) + "\n", namespace
 
 
-# (tree, statistic) -> lane function
-_FAMILIES: dict = {}
+# the last lane function generated, with its tree and statistic
+_last: tuple = (None, None, None)
 
 
 def family(expr: FamilyExpr, stat: Statistic):
-    """The lane function of a family and statistic, generated and compiled
-    on the first call of its tree and statistic in this process, and then
-    shared by equal trees; ``expr`` keeps its last (statistic, function)."""
-    hit = expr._compiled
-    if hit is None or hit[0] is not stat:
-        key = (expr.root, stat)
-        fn = _FAMILIES.get(key)
-        if fn is None:
-            if len(_FAMILIES) >= _CACHE_SIZE:
-                del _FAMILIES[next(iter(_FAMILIES))]
-            fn = _FAMILIES[key] = _lanes_function(expr.root, stat)
-        hit = expr._compiled = (stat, fn)
-    return hit[1]
+    """The lane function of a family and statistic.
+
+    This process keeps one, the last: a call with its tree and statistic,
+    or with an equal tree (a fresh parse, respaced) and an equal statistic,
+    takes it; any other call generates and compiles another in its place.
+    A command scans one family with one statistic, so it generates one.
+    An equal tree takes the entry's place, so that the calls after it find
+    it by identity, with no comparison."""
+    global _last
+    root, last, fn = _last
+    if expr.root is not root or stat is not last:
+        if expr.root != root or stat != last:
+            fn = _lanes_function(expr.root, stat)
+        _last = (expr.root, stat, fn)
+    return fn

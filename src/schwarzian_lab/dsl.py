@@ -238,6 +238,9 @@ class ParseError(ValueError):
         self.message = message
         self.expected = expected
 
+    def __reduce__(self):
+        return type(self), (self.position, self.message, self.expected), vars(self)
+
 
 class EvalError(ArithmeticError):
     """Evaluation failure tagged with the offending subexpression's span."""
@@ -250,38 +253,29 @@ class EvalError(ArithmeticError):
         self.message = message
         self.point = point
 
+    def __reduce__(self):
+        return type(self), (self.span, self.message, self.point), vars(self)
+
 
 class FamilyExpr(Record):
     """A parsed family expression; immutable once built.
 
     Structural equality compares the tree only, not the source text it was
-    parsed from, and a family is unhashable.  Instances are safe to share
-    across scan worker processes; a copy starts with an empty lane-function
-    cache.
+    parsed from, and a family is unhashable.  A family holds nothing of its
+    lane function: ``codegen.family`` keeps the last one made, with its
+    tree, and an equal family (a fresh parse, an unpickled copy) takes it.
     """
 
-    __slots__ = ("root", "source", "_compiled")
-    _fields = ("root", "source")
+    __slots__ = _fields = ("root", "source")
     _compare = ("root",)
     __hash__ = None
 
     def __init__(self, root: Node, source: str = ""):
         _set(self, "root", root)
         _set(self, "source", source)
-        _set(self, "_compiled", None)
-
-    def __setattr__(self, name, value):
-        # the cache codegen.family keeps, its last (statistic, lane function)
-        if name != "_compiled":
-            super().__setattr__(name, value)
-        _set(self, name, value)
 
     def __repr__(self):
         return f"FamilyExpr(root={self.root!r}, source={self.source!r})"
-
-    def __setstate__(self, state):
-        super().__setstate__(state)
-        _set(self, "_compiled", None)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,9 @@ class SegmentEvaluationError(ArithmeticError):
         )
         self.flagged = tuple(sorted(flagged))
 
+    def __reduce__(self):
+        return type(self), (self.flagged,), vars(self)
+
 
 class GridSpec(Record):
     """Rectangular sample grid with a sampling neighborhood per point.
@@ -405,9 +408,7 @@ def _child(payload, fd: int, inherited) -> None:
     # a forked process's whole life: its share's result, or the exception
     # that ended it, pickled into its pipe ``fd``; it closes the read ends
     # it inherited, and leaves by os._exit, whatever happens, so that
-    # nothing of the caller's (buffers, atexit, a test runner) runs twice.
-    # The exception goes as its type, args and attributes, which rebuild
-    # it without calling an __init__ that takes other arguments than args
+    # nothing of the caller's (buffers, atexit, a test runner) runs twice
     status = 1
     try:
         import pickle
@@ -417,7 +418,7 @@ def _child(payload, fd: int, inherited) -> None:
         try:
             result = (True, _scan_chunk(payload))
         except BaseException as exc:  # noqa: BLE001 - raised again by the caller
-            result = (False, (type(exc), exc.args, vars(exc)))
+            result = (False, exc)
         data = pickle.dumps(result)
         with open(fd, "wb") as pipe:
             pipe.write(data)
@@ -465,10 +466,7 @@ def _forked(payloads) -> list:
                               f"(exit status {code})")
             ok, value = pickle.loads(data)
             if not ok:
-                kind, args, state = value
-                exc = kind.__new__(kind, *args)
-                exc.__dict__.update(state)
-                raise exc
+                raise value
             parts.append(value)
         return parts
     except BaseException:

@@ -92,6 +92,9 @@ class PoleOfMobius(ArithmeticError):
         super().__init__(f"Moebius map has a pole at z = {point}")
         self.point = point
 
+    def __reduce__(self):
+        return type(self), (self.point,), vars(self)
+
 
 class GuardViolation(ValueError):
     """A checker's distance guard failed at the chosen point."""
@@ -106,6 +109,9 @@ class ConjugacyViolated(ValueError):
         )
         self.gap = gap
         self.tol = tol
+
+    def __reduce__(self):
+        return type(self), (self.gap, self.tol), vars(self)
 
 
 class DegenerateMobiusError(ValueError):

@@ -34,6 +34,7 @@ from schwarzian_lab.dsl import (
     pretty_print,
 )
 from schwarzian_lab.ball import Ball, literal, radius
+from schwarzian_lab.record import Record
 from schwarzian_lab.jets import (
     ZERO,
     ComplexJet3,
@@ -768,15 +769,17 @@ def _stat_outcomes(f, n, stat, samples):
 
 def test_fused_statistics_match_the_reference_bit_for_bit():
     # each draw's samples cut into up to three groups of one call, some
-    # possibly empty, each group against the reference on its own samples
+    # possibly empty, each group against the reference on its own samples;
+    # one statistic at every n, then the other, so that each draw generates
+    # two lane functions
     rng, cuts = random.Random(64), random.Random(164)
     flags, redone, clean, groups_seen = set(), 0, 0, 0
     for _ in range(200):
         f, _, points = _draw(rng)
         a, b = sorted(cuts.choices(range(len(points) + 1), k=2))
         groups = [points[:a], points[a:b], points[b:]]
-        for n in _STAT_NS:
-            for stat, reference in ((probe._MARTY, _marty_reference), (probe._SD, _sd_refined)):
+        for stat, reference in ((probe._MARTY, _marty_reference), (probe._SD, _sd_refined)):
+            for n in _STAT_NS:
                 want = [reference(f, n, g) for g in groups]
                 got, k = _group_outcomes(f, n, stat, groups)
                 assert got == [tuple(map(_bits, x)) for x in want]
@@ -1225,7 +1228,7 @@ def test_a_lane_is_redone_in_one_handler(stat):
 @pytest.mark.parametrize("stat", sorted(_PROGRAM_STATISTICS))
 def test_program_statistics_survive_a_pickle_round_trip(stat):
     # a pickled statistic is equal, and hashes equal, and the lane-function
-    # cache is keyed by it: an equal statistic takes the cached function
+    # cache compares it so: an equal statistic takes the kept function
     want = _PROGRAM_STATISTICS[stat]
     got = pickle.loads(pickle.dumps(want))
     assert got == want and hash(got) == hash(want)
@@ -1244,13 +1247,56 @@ def test_a_family_is_generated_once_per_process(monkeypatch):
     first = _lanes(parse(text), 2, points)
     # a fresh parse, and an unpickled copy, reuse the generated function
     for f in (parse(text), pickle.loads(pickle.dumps(parse(text)))):
-        assert f._compiled is None
         assert _lanes(f, 2, points) == first
     assert len(made) == 1
     # the same tree with other spans shares it: a redone lane walks the caller's tree
     spaced = parse("exp(z/(n*z+17)) - n")
     assert spaced == parse(text)
     assert codegen.family(spaced, _PARTS) is codegen.family(parse(text), _PARTS)
+    assert len(made) == 1
+
+
+def _forget(monkeypatch):
+    # the lane-function cache emptied for the test, and put back after it
+    monkeypatch.setattr(codegen, "_last", (None, None, None))
+
+
+def test_the_lane_function_cache_keeps_the_last_family_and_statistic(monkeypatch):
+    # one entry: another statistic, or another tree, takes the entry's place,
+    # and a call like the last takes its function; an equal tree takes it
+    # by comparison once, and by identity from then on
+    made = []
+    real = codegen._lanes_function
+    monkeypatch.setattr(
+        codegen, "_lanes_function", lambda root, stat: made.append(stat) or real(root, stat)
+    )
+    _forget(monkeypatch)
+    f, g = parse("exp(z/(n*z+19))*z"), parse("exp(z/(n*z+19))")
+    marty = codegen.family(f, probe._MARTY)
+    assert codegen.family(f, probe._MARTY) is marty
+    parts = codegen.family(f, _PARTS)
+    assert codegen.family(f, _PARTS) is parts and parts is not marty
+    again = codegen.family(f, probe._MARTY)
+    assert made == [probe._MARTY, _PARTS, probe._MARTY]
+    assert codegen.family(g, probe._MARTY) is not again
+    assert codegen.family(f, probe._MARTY) is not again
+    assert made == [probe._MARTY, _PARTS, probe._MARTY, probe._MARTY, probe._MARTY]
+    # the functions served are their statistic's
+    points = [0.25j + k / 8 for k in range(9)]
+    want = eval_jet_lanes(f, 2, [points], probe._MARTY)
+    assert eval_jet_lanes(f, 2, [points], _PARTS) != want
+    assert eval_jet_lanes(parse("exp(z/(n*z+19))*z"), 2, [points], probe._MARTY) == want
+    assert len(made) == 7
+    # a fresh parse compares equal once, then is the entry's tree
+    fresh = parse("exp(z/(n*z + 19)) * z")
+    kept = codegen.family(fresh, probe._MARTY)
+
+    def refuse(self, other):
+        raise AssertionError("the cache compared a tree it holds")
+
+    monkeypatch.setattr(Record, "__eq__", refuse)
+    assert codegen.family(fresh, probe._MARTY) is kept
+    assert len(made) == 7
 
 
 def test_one_lane_calls_generate_no_lane_function(monkeypatch):
@@ -1262,7 +1308,7 @@ def test_one_lane_calls_generate_no_lane_function(monkeypatch):
 
 def test_one_lane_evaluations_compile_nothing(monkeypatch):
     compiled = []
-    monkeypatch.setattr(codegen, "_FAMILIES", {})
+    _forget(monkeypatch)
     monkeypatch.setattr(
         codegen, "compile", lambda *a: compiled.append(a) or compile(*a), raising=False
     )
@@ -1284,7 +1330,7 @@ def test_a_fresh_family_runs_its_lane_function_from_its_first_batch(monkeypatch)
         fn = real(root, stat)
         return lambda N, Z, redo: runs.append(len(Z)) or fn(N, Z, redo)
 
-    monkeypatch.setattr(codegen, "_FAMILIES", {})
+    _forget(monkeypatch)
     monkeypatch.setattr(codegen, "_lanes_function", spied)
     monkeypatch.setattr(
         codegen, "compile", lambda *a: compiled.append(a) or compile(*a), raising=False
@@ -1302,13 +1348,9 @@ def test_one_lane_calls_never_run_the_lane_function(monkeypatch):
     def refuse(N, Z, redo):
         raise AssertionError("a one-lane call ran the lane function")
 
-    monkeypatch.setattr(codegen, "_FAMILIES", {})
     f = parse("exp(z/(n*z+5))*log(z+2) - i*z")
     points = [0.25j + k / 8 for k in range(9)]
-    _lanes(f, 2, points)
-    assert callable(codegen.family(f, _PARTS))
-    monkeypatch.setitem(codegen._FAMILIES, (f.root, _PARTS), refuse)
-    monkeypatch.setattr(f, "_compiled", None)
+    monkeypatch.setattr(codegen, "_last", (f.root, _PARTS, refuse))
     with pytest.raises(AssertionError, match="ran the lane function"):
         eval_jet_lanes(f, 2, [[points[0]]], _PARTS)
     rng = random.Random(63)
@@ -1346,13 +1388,17 @@ def test_family_equality_ignores_source_and_spans():
 
 
 def test_family_pickles_without_compiled_cache():
+    # a family pickles as its tree and source alone, and the copy evaluates,
+    # by the walk and by the lane function of the tree it copies
     expr = parse("exp(n*z)")
-    eval_jet(expr, 1.0, 0j)  # force compilation
+    groups = [[0.5j + k / 8 for k in range(9)]]
+    want = eval_jet_lanes(expr, 3.0, groups, probe._MARTY)
     clone = pickle.loads(pickle.dumps(expr))
-    assert clone == expr
-    assert clone._compiled is None
+    assert clone == expr and clone.source == expr.source
+    assert type(clone).__slots__ == ("root", "source")
     j = eval_jet(clone, 3.0, 1.0 + 0j)
     assert j.v == pytest.approx(cmath.exp(3.0))
+    assert eval_jet_lanes(clone, 3.0, groups, probe._MARTY) == want
 
 
 def test_source_is_preserved_for_reference():

@@ -32,6 +32,7 @@ from schwarzian_lab import (
     sd_family_scan,
     value_bound_check,
 )
+import schwarzian_lab
 from schwarzian_lab import codegen, dsl, probe
 from schwarzian_lab.probe import (
     DEFAULT_RADIUS,
@@ -428,7 +429,7 @@ def test_a_pooled_scan_splits_its_points_evenly_and_generates_before_the_fork(
     got = []
     for workers in (2, 5, 12, 20):
         (tmp_path / str(workers)).mkdir()
-        monkeypatch.setattr(codegen, "_FAMILIES", {})
+        monkeypatch.setattr(codegen, "_last", (None, None, None))
         rep = sd_family_scan(parse("exp(z/(n*z+1))"), g, ns, seed=3, workers=workers)
         got.append(list(map(_fields, rep.points)))
         w = min(workers, 12)
@@ -472,7 +473,7 @@ def test_a_childs_exception_reaches_the_caller(monkeypatch):
     # each child's share raises; the caller reads the pipes in order, so
     # the first child's ValueError is raised, its type and message kept,
     # and the other child is killed and reaped.  A typed error whose
-    # __init__ takes other arguments than its args crosses too
+    # __init__ takes other arguments than its args crosses too, pickled
     g = GridSpec(0, 1, 0, 1, 3, 1, 0.05, 1)
     monkeypatch.setattr(probe, "_scan_chunk", _failing_in(
         "child", probe._scan_chunk, lambda k: ValueError(f"share from point {k} fails")))
@@ -486,6 +487,38 @@ def test_a_childs_exception_reaches_the_caller(monkeypatch):
     assert (str(info.value), info.value.span, info.value.point) == (
         "evaluation error at source span 1..2: boom", (1, 2), 1 + 0j)
     _no_child_left()
+
+
+# one of each exception the package exports, with the arguments it is raised with
+_EXPORTED_ERRORS = {
+    "JetError": lambda: schwarzian_lab.JetError("a jet failed", 0.5j),
+    "DivisionByZeroAtPoint": lambda: schwarzian_lab.DivisionByZeroAtPoint("divisor 0", 0j),
+    "OverflowAtPoint": lambda: schwarzian_lab.OverflowAtPoint("past the range", 1 + 2j),
+    "ParseError": lambda: schwarzian_lab.ParseError(4, "unexpected end of input", "an operand"),
+    "EvalError": lambda: EvalError((2, 5), "division by zero", 0.25 - 1j),
+    "CriticalPointError": lambda: CriticalPointError("f' vanishes", 0j, "f"),
+    "PoleOfMobius": lambda: schwarzian_lab.PoleOfMobius(-0.5 + 0j),
+    "GuardViolation": lambda: schwarzian_lab.GuardViolation("too near the pole"),
+    "ConjugacyViolated": lambda: schwarzian_lab.ConjugacyViolated(3.25e-4, 1e-9),
+    "DegenerateMobiusError": lambda: schwarzian_lab.DegenerateMobiusError("ad - bc is 0"),
+    "SegmentEvaluationError": lambda: SegmentEvaluationError([12, 3, 7]),
+}
+
+
+def test_every_exported_exception_survives_a_pickle_round_trip():
+    # its type, message, args and attributes come back, so a child's error
+    # reaches the caller as raised, and so does any other pickler's
+    exported = {
+        name for name in schwarzian_lab.__all__
+        if isinstance(getattr(schwarzian_lab, name), type)
+        and issubclass(getattr(schwarzian_lab, name), BaseException)
+    }
+    assert exported == set(_EXPORTED_ERRORS)
+    for name, make in _EXPORTED_ERRORS.items():
+        want = make()
+        got = pickle.loads(pickle.dumps(want))
+        assert type(got) is type(want) is getattr(schwarzian_lab, name)
+        assert (str(got), got.args, vars(got)) == (str(want), want.args, vars(want))
 
 
 def test_the_callers_failure_kills_and_reaps_its_children(monkeypatch):
@@ -586,7 +619,7 @@ def test_a_call_covers_at_most_a_block_of_points(monkeypatch):
     monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
     made = []
     real = codegen._lanes_function
-    monkeypatch.setattr(codegen, "_FAMILIES", {})
+    monkeypatch.setattr(codegen, "_last", (None, None, None))
     monkeypatch.setattr(codegen, "_lanes_function",
                         lambda root, st: made.append(st) or real(root, st))
     g = GridSpec(-0.5, 0.5, 0.0, 1.0, 11, 3)
@@ -597,7 +630,7 @@ def test_a_call_covers_at_most_a_block_of_points(monkeypatch):
         f = parse("exp(z/(n*z+1))")
         scan(f, g, ns)
         assert sizes == [[9] * probe._BLOCK] * len(ns) + [[9]] * len(ns)
-        assert stats == {stat} and f._compiled[0] is stat
+        assert stats == {stat} and codegen._last[0] is f.root and codegen._last[1] is stat
     assert made == [probe._MARTY, probe._SD]
     sizes.clear()
     derivative_floor_check(parse("exp(n*z)"), ns, g, 0.5)

@@ -38,7 +38,7 @@ from schwarzian_lab import (
     schwarzian,
     spherical_derivative,
 )
-from schwarzian_lab.dsl import Var
+from schwarzian_lab.dsl import Add, ConstNum, Mul, PowInt, Sub, Var
 from schwarzian_lab.schwarzian import CRITICAL_POINT_FLOOR
 
 import support
@@ -430,6 +430,30 @@ def test_conjugation_pole_of_phi():
     f = parse("z")
     with pytest.raises(PoleOfMobius):
         check_conjugation(f, f, Mobius(0, 1, 1, 0), 1, 0.0)
+
+
+def test_a_gap_past_the_error_bound_but_within_twice_it_fails():
+    # the bound clause at its edge.  g = n exp(w) + eps (w - w0)^3, w0 = phi(z),
+    # moves S_g by about 6 eps / g'(w0) and nothing the conjugacy pre-check
+    # reads; with no fixed tolerance to pass it, a gap of 1.5 error bounds,
+    # eps sized from the bound of a larger defect, must fail
+    n, z = 4, 0.2 + 0j
+    f, g0, phi = parse("exp(n*z)"), parse("n*exp(z)"), Mobius(4, 0, 0, 1)
+    w0 = mobius_apply(phi, z)
+
+    def check(eps):
+        bump = Mul(ConstNum(eps), PowInt(Sub(Var(), ConstNum(w0)), 3))
+        g = FamilyExpr(Add(g0.root, bump))
+        return check_conjugation(f, g, phi, n, z, tol_abs=0.0, tol_rel=5e-324)
+
+    jg = eval_jet(g0, n, w0)
+    eps = 1e-9 * schwarzian(jg) * jg.d1 / 6.0  # a relative defect of 1e-9
+    larger = check(eps)
+    assert larger.rule == "bound" and not larger.passed
+    rep = check(eps * 1.5 * larger.error_bound / larger.abs_gap)
+    assert rep.rule == "bound" and rep.error_bound == pytest.approx(larger.error_bound, rel=1e-6)
+    assert rep.error_bound < rep.abs_gap < 2.0 * rep.error_bound
+    assert not rep.passed and rep.tolerance_used == rep.error_bound
 
 
 # ---------------------------------------------------------------------------

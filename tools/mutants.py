@@ -61,7 +61,8 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # rules), the batch walk (2bde4db) and the one walk (cce385b), then those
 # of the order rule, of the records, and of the order-k jets and the sd
 # ascent, then those of the ascent in the lane function, then those of the
-# forked scan processes and the ascent's kept values; a later change adds
+# forked scan processes and the ascent's kept values, then those of the one
+# lane-function cache and of the identity bound clause; a later change adds
 # its mutants here
 MUTANTS = (
     # the generator's folds and checks
@@ -445,7 +446,7 @@ MUTANTS = (
     # the scan's processes forked beside the caller, which scans the first
     # share, and the ascent's start from the argmax's kept values
     Mutant("a child's exception dropped", "probe.py",
-           "                raise exc\n", "                continue\n",
+           "                raise value\n", "                continue\n",
            (PROBE + "test_a_childs_exception_reaches_the_caller",
             CLI + "test_a_failed_scan_process_keeps_the_exit_code_contract")),
     Mutant("a child not reaped", "probe.py",
@@ -481,6 +482,25 @@ MUTANTS = (
            "if k < split for x in names if x in read]",
            "if k < split for x in names if x in read][1:]",
            (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",)),
+    # the one lane-function cache, and the identity verdict's bound clause
+    Mutant("the cache's tree compared by identity only", "codegen.py",
+           "        if expr.root != root or stat != last:",
+           "        if expr.root is not root or stat != last:",
+           (DSL + "test_a_family_is_generated_once_per_process",
+            DSL + "test_the_lane_function_cache_keeps_the_last_family_and_statistic")),
+    Mutant("the cache's statistic not compared", "codegen.py",
+           "    if expr.root is not root or stat is not last:\n"
+           "        if expr.root != root or stat != last:",
+           "    if expr.root is not root:\n        if expr.root != root:",
+           (DSL + "test_the_lane_function_cache_keeps_the_last_family_and_statistic",)),
+    Mutant("the cache's entry not updated on an equality hit", "codegen.py",
+           "            fn = _lanes_function(expr.root, stat)\n        _last = (expr.root, stat, fn)",
+           "            fn = _lanes_function(expr.root, stat)\n            _last = (expr.root, stat, fn)",
+           (DSL + "test_the_lane_function_cache_keeps_the_last_family_and_statistic",)),
+    Mutant("the identity bound clause passes a gap within twice the bound", "schwarzian.py",
+           "    passed = math.isfinite(bound) and abs_gap <= bound",
+           "    passed = math.isfinite(bound) and abs_gap <= 2.0 * bound",
+           (SCHWARZIAN + "test_a_gap_past_the_error_bound_but_within_twice_it_fails",)),
 )
 
 SURVIVORS = (
