@@ -1,14 +1,14 @@
 """Numerical toolkit for Schwarzian derivatives and normal-family probes.
 
 The package is layered: ``ball`` encloses rounded complex arithmetic in
-midpoint-radius balls, ``jets`` propagates derivative jets of order up
-to 5 through complex (or, at order 3, ball) arithmetic, ``dsl`` parses
-and evaluates one-parameter family expressions in z and n, a batch of
-points by the lane function ``codegen`` generates for each family and a
-single point by a tree walk, ``schwarzian`` provides the Schwarzian and
-spherical derivatives with their Mobius algebra and identity checks,
-and ``probe`` runs grid scans and bound checks on top.  ``cli`` exposes
-it all as the ``schwarzian-lab`` command.
+midpoint-radius balls, ``jets`` propagates derivative jets of any order
+up to 5, one type at every order, through complex or ball arithmetic,
+``dsl`` parses and evaluates one-parameter family expressions in z and
+n, a batch of points by the lane function ``codegen`` generates for each
+family and a single point by a tree walk, ``schwarzian`` provides the
+Schwarzian and spherical derivatives with their Mobius algebra and
+identity checks, and ``probe`` runs grid scans and bound checks on top.
+``cli`` exposes it all as the ``schwarzian-lab`` command.
 """
 
 from .dsl import (

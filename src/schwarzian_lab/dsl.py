@@ -63,13 +63,13 @@ values bit-identical, and every path gives the same bits.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Tuple
 
 from .ball import Ball, literal
 from .jets import (
     MAX_ORDER,
-    ZERO,
-    ComplexJet3,
+    Jet,
     JetError,
     _as_jet,
     jet_add,
@@ -587,15 +587,14 @@ _JET_OPS = {
 _I = tuple(jet_const(1j, k) for k in range(MAX_ORDER + 1))
 
 
-def _ball_const(c, order: int = 3) -> ComplexJet3:
-    # a number literal, known only to half an ulp: the rounding of its
-    # text; a ball jet is of order 3
-    return _as_jet((literal(jet_const(c).v), ZERO, ZERO, ZERO))
+def _ball_jet(j: Jet, ball=Ball) -> Jet:
+    # a constant's jet with its value made a ball: exact, or a literal's
+    return _as_jet((ball(j[0]), *j[1:]))
 
 
-# a ball evaluation differs only in its literals; n and i are exact
-_BALL_OPS = {**_JET_OPS, ConstNum: _ball_const}
-_BALL_I = _as_jet((Ball(1j), ZERO, ZERO, ZERO))
+# a ball evaluation differs only in its literals, each known only to half
+# an ulp, the rounding of its text; n and i are exact (_walked)
+_BALL_OPS = {**_JET_OPS, ConstNum: lambda c, order: _ball_jet(jet_const(c, order), literal)}
 
 
 def _walk(node: Node, ops: dict, leaves: dict, point):
@@ -621,17 +620,10 @@ def _walk(node: Node, ops: dict, leaves: dict, point):
 
 
 def _redo(expr: FamilyExpr, n: float, stat):
-    # a sample's value or flag by the walk from jet_var at its point, of
-    # the statistic's order
-    order = stat.order
-    nj = jet_const(n, order)  # refuses an n that is not finite
-    i = _I[order]
-
-    def walk(w):
-        s = jet_var(w, order)
-        return _walk(expr.root, _JET_OPS, {Var: s, Param: nj, ImagUnit: i}, s[0])
-
-    return lambda w: stat.walked(walk, w)
+    # a sample's value or flag by eval_jet at its point, of the
+    # statistic's order
+    jet_const(n)  # refuses an n that is not finite, before any lane runs
+    return partial(stat.walked, partial(eval_jet, expr, n, order=stat.order))
 
 
 def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat, radius: float | None = None):
@@ -666,20 +658,18 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat, radius: float | Non
     return _family(expr, stat)(N, points, redo, _redo(expr, n, stat.ascent), radius)
 
 
-def _at_point(expr: FamilyExpr, n: float, seed: ComplexJet3, point) -> ComplexJet3:
+def _walked(expr: FamilyExpr, n: float, seed: Jet, point) -> Jet:
     # one evaluation by the walk, of the seed's order, on balls where the
     # seed's value is a ball, raising the EvalError of its first failure,
     # labelled with the point (a ball's midpoint)
+    order = len(seed) - 1
+    ops, nj, i = _JET_OPS, jet_const(n, order), _I[order]
     if type(seed[0]) is Ball:
-        ops, nj, i = _BALL_OPS, _as_jet((Ball(jet_const(n).v), ZERO, ZERO, ZERO)), _BALL_I
-        point = complex(point)
-    else:
-        order = len(seed) - 1
-        ops, nj, i = _JET_OPS, jet_const(n, order), _I[order]
+        ops, nj, i, point = _BALL_OPS, _ball_jet(nj), _ball_jet(i), complex(point)
     return _walk(expr.root, ops, {Var: seed, Param: nj, ImagUnit: i}, point)
 
 
-def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball, *, order: int = 3) -> ComplexJet3:
+def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball, *, order: int = 3) -> Jet:
     """Evaluate the jet of f_n at z, of order ``order``: its order + 1 parts.
 
     The family index n is real and enters the arithmetic as a complex
@@ -687,28 +677,29 @@ def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball, *, order: int = 3) -
     parts are balls: their midpoints are the jet at z's midpoint, bit for
     bit, and each encloses that derivative of the expression as written
     (every literal the number its text names) at every point of z's ball.
-    The order runs from 0 to ``jets.MAX_ORDER``, and a ball z takes order
-    3.  The jet is a ``ComplexJet3`` at order 3 and a plain tuple at any
-    other, whose parts are the first parts of a jet of any higher order,
-    bit for bit; the evaluation fails where one of its parts leaves the
-    double range, as a statistic of that order is redone.  ``bound``
-    takes f(z0) and f(z) at order 1 so.
+    The order runs from 0 to ``jets.MAX_ORDER``, at a point or a ball; any
+    other raises ValueError.  The jet's parts are the first parts of a jet
+    of any higher order, bit for bit; the evaluation fails where one of
+    its parts leaves the double range, as a statistic of that order is
+    redone.  ``bound`` takes f(z0) and f(z) at order 1 so.
     """
-    seed = jet_var(z, order if type(z) is not Ball else 3)
-    return _at_point(expr, n, seed, seed[0])
+    seed = jet_var(z, order)
+    return _walked(expr, n, seed, seed[0])
 
 
-def eval_jet_seeded(
-    expr: FamilyExpr, n: float, seed: ComplexJet3, point: complex | None = None
-) -> ComplexJet3:
+def eval_jet_seeded(expr: FamilyExpr, n: float, seed: Jet, point: complex | None = None) -> Jet:
     """Evaluate with the variable leaf seeded by an arbitrary jet.
 
     Seeding with the jet of another function g at z computes the jet of the
     composition f_n(g(z)) by the chain rule; ``point`` only labels errors.
-    A seed whose value is a ball evaluates on balls, as :func:`eval_jet`.
+    The result is of the seed's order, which runs from 0 to
+    ``jets.MAX_ORDER`` (ValueError otherwise).  A seed whose value is a
+    ball evaluates on balls, as :func:`eval_jet`.
     """
+    if not 1 <= len(seed) <= MAX_ORDER + 1:  # the seed's order is first read here
+        raise ValueError(f"a jet's order runs from 0 to {MAX_ORDER}, not {len(seed) - 1}")
     seed = _as_jet(seed)
-    return _at_point(expr, n, seed, seed[0] if point is None else point)
+    return _walked(expr, n, seed, seed[0] if point is None else point)
 
 
 # codegen reads the node classes above

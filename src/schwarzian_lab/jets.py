@@ -1,13 +1,12 @@
 """Complex jet arithmetic of any order up to :data:`MAX_ORDER`.
 
 A jet of order k carries the value and first k derivatives of an
-analytic function at one point of the complex plane, k + 1 parts: a
-:class:`ComplexJet3` at order 3, enough for the Schwarzian derivative,
-and a plain tuple at any other order, 1 for f# and |f'|, 4 for S' and 5
-for S''.  A jet of order k seeds its variable and its constants with
-k + 1 parts (:func:`jet_var`, :func:`jet_const`), and the operations
-below propagate every part through field arithmetic and the exp/log
-primitives, without symbolic differentiation.
+analytic function at one point of the complex plane: a :class:`Jet` of
+k + 1 parts, 1 for f# and |f'|, 3 for the Schwarzian derivative, 4 for S'
+and 5 for S''.  A jet of order k seeds its variable and its constants
+with k + 1 parts (:func:`jet_var`, :func:`jet_const`), and the operations
+below propagate every part through field arithmetic, the exp/log
+primitives and Mobius maps, without symbolic differentiation.
 
 Jets never hold non-finite components: an operation that would produce
 ``inf`` or ``nan`` in any part raises :class:`OverflowAtPoint` instead.
@@ -22,25 +21,24 @@ caller.
 
 Every formula is written once, for any order, as a function of plain
 operands (the ``_sum`` ... ``_mobius`` section below): the Leibniz
-product, Faa di Bruno's chain rule and the derivative lists of the
-reciprocal, exp and log, each part a fixed plan of terms summed in one
-order, so a part has the same bits in a jet of any order.  Only
-:func:`jet_mobius` is of order 3 alone.  The ``jet_*`` operations run
-them on complex numbers and check the result, one call per node of
-``dsl``'s tree walk; ``codegen`` runs the same functions on symbolic
-operands to generate each family's straight-line lane function, so both
-paths run the same float operations in the same order.  A formula that
-the walk or codegen calls often at one jet length is compiled, once,
-from a trace of itself into straight-line code that makes the same
-operations on the same operands in the same order (``_Hot``), once the
-calls have cost about what compiling does.  The trace is not codegen's,
-which folds the float parts it knows before run time on a lane's finite
-operands: a formula's code keeps every operation, for any operands,
-balls included.
+product, Faa di Bruno's chain rule, the derivative lists of the
+reciprocal, exp and log, and the chain rule through a Mobius map, each
+part a fixed plan of terms summed in one order, so a part has the same
+bits in a jet of any order.  The ``jet_*`` operations run them on
+complex numbers and check the result, one call per node of ``dsl``'s
+tree walk; ``codegen`` runs the same functions on symbolic operands to
+generate each family's straight-line lane function, so both paths run
+the same float operations in the same order.  A formula that the walk
+or codegen calls often at one jet length is compiled, once, from a trace
+of itself into straight-line code that makes the same operations on the
+same operands in the same order (``_Hot``), once the calls have cost
+about what compiling does.  The trace is not codegen's, which folds the
+float parts it knows before run time on a lane's finite operands: a
+formula's code keeps every operation, for any operands, balls included.
 
 The ``jet_*`` operations run unchanged on jets whose parts are balls
 (:class:`~schwarzian_lab.ball.Ball`), as ``dsl.eval_jet`` at a ball
-gives them, of order 3.  Such a jet's midpoints are the plain jet's
+gives them, of any order.  Such a jet's midpoints are the plain jet's
 values, its checks decide on them, and each part encloses the exact
 derivative of the same expression at every point of the seed's ball.
 """
@@ -49,13 +47,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import partial
-from operator import add, neg, sub
-from typing import NamedTuple
+from functools import partial, reduce
+from operator import add, itemgetter, mul, neg, sub
 
 from .ball import Ball
 
 __all__ = [
+    "Jet",
     "ComplexJet3",
     "JetError",
     "DivisionByZeroAtPoint",
@@ -101,19 +99,31 @@ class OverflowAtPoint(JetError):
     """A jet component left the finite double range."""
 
 
-class ComplexJet3(NamedTuple):
-    """Value and first three derivatives of an analytic function at a point;
-    a jet of any other order is a plain tuple of its parts."""
+class Jet(tuple):
+    """A jet of order k: the value and first k derivatives of an analytic
+    function at a point, its k + 1 parts, of every order alike.
 
-    v: complex
-    d1: complex
-    d2: complex
-    d3: complex
+    ``Jet(v, d1, ...)`` builds one from its parts, and its first four are
+    also named ``v``, ``d1``, ``d2`` and ``d3``.
+    """
 
+    __slots__ = ()
+
+    def __new__(cls, *parts):
+        return tuple.__new__(cls, parts)
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    v, d1, d2, d3 = (property(itemgetter(k)) for k in range(4))
+
+
+# the same class, under the name the package has exported for order-3 jets
+ComplexJet3 = Jet
 
 _OVERFLOW = "jet component overflowed the finite range"
-# a jet is built as a plain 4-tuple; _as_jet names it
-_as_jet = partial(tuple.__new__, ComplexJet3)
+# a jet is built as a plain tuple of its parts; _as_jet names it
+_as_jet = partial(tuple.__new__, Jet)
 
 # the identity map's first derivative, and every other zero derivative
 VAR_D1 = 1.0 + 0.0j
@@ -271,11 +281,10 @@ def _compiled(formula, args, checked: bool = False):
         lines.append(f"return ({parts})")
     else:
         finite = " and ".join(f"isfinite({x.name})" for x in out)
-        made_as = f"new(Jet, ({parts}))" if len(out) == 4 else f"({parts})"
-        lines += [f"if {finite}:", f"    return {made_as}", "raise OverflowAtPoint(OVERFLOW)"]
+        lines += [f"if {finite}:", f"    return new(Jet, ({parts}))", "raise OverflowAtPoint(OVERFLOW)"]
     source = f"def f({', '.join(names)}):\n" + "".join(f"    {line}\n" for line in lines)
     namespace: dict = dict(
-        isfinite=_isfinite, new=tuple.__new__, Jet=ComplexJet3, OverflowAtPoint=OverflowAtPoint,
+        isfinite=_isfinite, new=tuple.__new__, Jet=Jet, OverflowAtPoint=OverflowAtPoint,
         OVERFLOW=_OVERFLOW,
     )
     exec(compile(source, "<jets formula>", "exec"), namespace)
@@ -389,55 +398,71 @@ def _exponential(e, count: int) -> tuple:
 def _mobius(u, a, b, c, r) -> tuple:
     """(a w + b)/(c w + d) after u, for ad - bc = 1, from r = 1/(c w + d).
 
-    The chain rule takes the map's closed-form derivatives at w = u's
-    value: with r = 1/(c w + d) they are r^2, -2c r^3 and 6c^2 r^4.  The
-    quotient rule on (a u + b)/(c u + d) would instead find d1 as the
-    difference of a (c u + d) and c (a u + b), which grow with |u| while
-    the difference stays ad - bc = 1, and lose digits to the
-    cancellation.  The chain is taken in s, p, q = r u1, r u2, r u3:
+    The chain rule (Faa di Bruno's plan, as :func:`_chain`) takes the
+    map's closed-form derivatives at w = u's value, the m-th
+    (-c)^(m-1) m! r^(m+1).  The quotient rule on (a u + b)/(c u + d)
+    would instead find d1 as the difference of a (c u + d) and c (a u + b),
+    which grow with |u| while the difference stays ad - bc = 1, and lose
+    digits to the cancellation.  The chain is taken in s_k = r u_k: each
+    monomial of the plan takes c into every factor but its last, its
+    coefficient is m! times the plan's, its sign (-1)^(m-1) is taken by
+    negating it (a product by a negative coefficient would round the sign
+    of a zero part otherwise), and the sum is multiplied by r, so that at
+    order 3
 
-        d1 = r s,  d2 = r (p - 2c s^2),  d3 = r (6c^2 s^3 - 6c s p + q),
+        d1 = r s1,  d2 = r (-2 (c s1) s1 + s2),  d3 = r (6 (c s1)(c s1) s1 - 6 (c s1) s2 + s3),
 
-    so that a large u, whose r^2 underflows while u1^3 overflows, meets no
+    and a large u, whose r^2 underflows while u1^3 overflows, meets no
     0 * inf.
     """
-    w, u1, u2, u3 = u
-    s, p, q = r * u1, r * u2, r * u3
-    cs = c * s
-    return (
-        (a * w + b) * r,
-        r * s,
-        r * (p - 2.0 * (cs * s)),
-        r * (6.0 * (cs * cs * s) - 6.0 * (cs * p) + q),
-    )
+    s = [r * x for x in u[1:]]  # s[k - 1] is s_k
+    cs = [c * x for x in s[: len(s) // 2]]  # no partition puts a larger part before its last
+    out = [(a * u[0] + b) * r]
+    for plan in _FAA_DI_BRUNO[: len(s)]:
+        acc = None
+        for m, bell, p in plan:
+            monomial = reduce(mul, (*(cs[i - 1] for i in p[:-1]), s[p[-1] - 1]))
+            term = _scaled(math.factorial(m) * bell, monomial)
+            term = term if m % 2 else -term
+            acc = term if acc is None else acc + term
+        out.append(r * acc)
+    return tuple(out)
+
+
+_MOBIUS = _Hot(_mobius)
 
 
 # ---------------------------------------------------------------------------
 # one jet at a time
 
 
-def _checked(j: tuple):
+def _checked(j: tuple) -> Jet:
     # the one rule past the double range: a node fails where a part is not finite
     for x in j:
         if not _isfinite(x):
             raise OverflowAtPoint(_OVERFLOW)
-    return _as_jet(j) if len(j) == 4 else j
+    return _as_jet(j)
 
 
-# per order, the parts after the value of the identity map's jet
+# per order, the parts after the value of the identity map's jet and of a
+# constant's; the latter keyed by order, so that jet_const, which takes no
+# check on the walk's path, raises KeyError at an order outside 0..MAX_ORDER
 _VAR_TAIL = tuple((VAR_D1, *(ZERO,) * MAX_ORDER)[:k] for k in range(MAX_ORDER + 1))
+_CONST_TAIL = {k: (ZERO,) * k for k in range(MAX_ORDER + 1)}
 
 
-def jet_var(z0: complex | Ball, order: int = 3):
+def jet_var(z0: complex | Ball, order: int = 3) -> Jet:
     """Jet of the identity map at ``z0``, a number or a ball of points, of order ``order``."""
+    if not 0 <= order <= MAX_ORDER:  # the order of eval_jet's seed is first read here
+        raise ValueError(f"a jet's order runs from 0 to {MAX_ORDER}, not {order}")
     if type(z0) is not Ball:
         z0 = complex(z0)
     if not _isfinite(z0):
         raise ValueError("jet_var requires a finite point")
-    return _as_jet((z0, VAR_D1, ZERO, ZERO)) if order == 3 else (z0, *_VAR_TAIL[order])
+    return _as_jet((z0,) + _VAR_TAIL[order])
 
 
-def jet_const(c: complex, order: int = 3):
+def jet_const(c: complex, order: int = 3) -> Jet:
     """Jet of a constant function, of order ``order``."""
     try:
         c = complex(c)
@@ -446,28 +471,27 @@ def jet_const(c: complex, order: int = 3):
         finite = False
     if not finite:
         raise ValueError("jet_const requires a finite value")
-    return _as_jet((c, ZERO, ZERO, ZERO)) if order == 3 else (c, *(ZERO,) * order)
+    return _as_jet((c,) + _CONST_TAIL[order])
 
 
-def jet_add(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
+def jet_add(a: Jet, b: Jet) -> Jet:
     return _SUM[len(a)](a, b)
 
 
-def jet_sub(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
+def jet_sub(a: Jet, b: Jet) -> Jet:
     return _DIFFERENCE[len(a)](a, b)
 
 
-def jet_neg(a: ComplexJet3) -> ComplexJet3:
-    j = _NEGATION[len(a)](a)
-    return _as_jet(j) if len(j) == 4 else j
+def jet_neg(a: Jet) -> Jet:
+    return _as_jet(_NEGATION[len(a)](a))
 
 
-def jet_mul(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
+def jet_mul(a: Jet, b: Jet) -> Jet:
     """Leibniz product rule."""
     return _PRODUCT[len(a)](a, b)
 
 
-def _reciprocal_jet(b: ComplexJet3) -> ComplexJet3:
+def _reciprocal_jet(b: Jet) -> Jet:
     bv = b[0]
     if modulus(bv) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
@@ -475,12 +499,12 @@ def _reciprocal_jet(b: ComplexJet3) -> ComplexJet3:
     return _CHAIN[n](b, _RECIPROCAL[n](1.0 / bv, n))
 
 
-def jet_div(a: ComplexJet3, b: ComplexJet3) -> ComplexJet3:
+def jet_div(a: Jet, b: Jet) -> Jet:
     """Quotient a/b, computed as a times the reciprocal jet of b."""
     return jet_mul(a, _reciprocal_jet(b))
 
 
-def jet_exp(u: ComplexJet3) -> ComplexJet3:
+def jet_exp(u: Jet) -> Jet:
     """Exponential of a jet; guards |Re u| to stay inside finite doubles."""
     uv = u[0]
     if abs(uv.real) > EXP_REAL_GUARD:
@@ -489,7 +513,7 @@ def jet_exp(u: ComplexJet3) -> ComplexJet3:
     return _CHAIN[len(u)](u, _exponential(e, len(u)))
 
 
-def jet_log(u: ComplexJet3) -> ComplexJet3:
+def jet_log(u: Jet) -> Jet:
     """Principal-branch logarithm of a jet."""
     uv = u[0]
     if modulus(uv) <= DIVISION_FLOOR:
@@ -505,7 +529,7 @@ def jet_log(u: ComplexJet3) -> ComplexJet3:
     return _CHAIN[n](u, (lg, *_RECIPROCAL[n - 1](1.0 / uv, n - 1)))
 
 
-def jet_pow_int(u: ComplexJet3, k: int) -> ComplexJet3:
+def jet_pow_int(u: Jet, k: int) -> Jet:
     """Integer power by repeated multiplication; negative k via reciprocal."""
     if k <= 0:
         one = jet_const(1.0, len(u) - 1)  # as many parts as u
@@ -516,20 +540,21 @@ def jet_pow_int(u: ComplexJet3, k: int) -> ComplexJet3:
     return acc
 
 
-def jet_mobius(u: ComplexJet3, a: complex, b: complex, c: complex, d: complex) -> ComplexJet3:
+def jet_mobius(u: Jet, a: complex, b: complex, c: complex, d: complex) -> Jet:
     """Jet of (a w + b)/(c w + d) applied after u, for ad - bc = 1 (:func:`_mobius`).
 
     On a ball jet the coefficients count as exact.  The map's derivatives
     scale with ad - bc, which normalized coefficients meet only to
-    roundoff, so the ball jet's derivatives are multiplied by a ball about
-    1 that holds ad - bc.
+    roundoff, so each part of the ball jet after its value is multiplied
+    by a ball about 1 that holds ad - bc.
     """
-    w = u[0]
-    den = c * w + d
+    den = c * u[0] + d
     if modulus(den) <= DIVISION_FLOOR:
         raise DivisionByZeroAtPoint("Moebius map evaluated at its pole", den)
-    j = _mobius(u, a, b, c, 1.0 / den)
-    if type(w) is Ball:
+    # as complex numbers, which the compiled formula takes as operands,
+    # where it would take an int for a count
+    j = _MOBIUS[len(u)](u, complex(a), complex(b), complex(c), 1.0 / den)
+    if type(u[0]) is Ball:
         det = (Ball(a) * d - Ball(b) * c).about(1.0)
-        j = (j[0], j[1] * det, j[2] * det, j[3] * det)
+        j = (j[0], *(x * det for x in j[1:]))
     return _checked(j)

@@ -23,8 +23,8 @@ from typing import Callable
 from .ball import Ball, radius
 from .dsl import FamilyExpr, eval_jet, eval_jet_seeded
 from .jets import (
-    ComplexJet3,
     DivisionByZeroAtPoint,
+    Jet,
     OverflowAtPoint,
     jet_const,
     jet_div,
@@ -154,7 +154,7 @@ def _schwarzian_derivatives(j) -> tuple:
     return tuple(out)
 
 
-def spherical_derivative(j: ComplexJet3) -> float:
+def spherical_derivative(j: Jet) -> float:
     """Marty's statistic |f'| / (1 + |f|^2) from a jet.
 
     Raises OverflowAtPoint where |f| or |f'| is past the double range.
@@ -175,7 +175,7 @@ def _critical(d1: complex) -> bool:
     return abs(d1.real) <= floor and abs(d1.imag) <= floor and abs(d1) <= floor
 
 
-def schwarzian(j: ComplexJet3) -> complex:
+def schwarzian(j: Jet) -> complex:
     """Schwarzian derivative from a jet of order 3 or more."""
     d1 = j[1]
     if _critical(d1):
@@ -243,7 +243,7 @@ def mobius_inverse(m: Mobius) -> Mobius:
     return Mobius(m.d, -m.b, -m.c, m.a)
 
 
-def mobius_on_jet(m: Mobius, j: ComplexJet3) -> ComplexJet3:
+def mobius_on_jet(m: Mobius, j: Jet) -> Jet:
     """Jet of the Moebius map applied after the function the jet describes.
 
     Raises DivisionByZeroAtPoint where j.v sits at the map's pole.
@@ -251,7 +251,7 @@ def mobius_on_jet(m: Mobius, j: ComplexJet3) -> ComplexJet3:
     return jet_mobius(j, m.a, m.b, m.c, m.d)
 
 
-def mobius_jet(m: Mobius, z: complex) -> ComplexJet3:
+def mobius_jet(m: Mobius, z: complex) -> Jet:
     """Order-3 jet of the map itself at z; raises PoleOfMobius at -d/c."""
     try:
         return mobius_on_jet(m, jet_var(z))

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import mpmath
@@ -14,6 +16,7 @@ from schwarzian_lab.jets import (
     EXP_REAL_GUARD,
     ComplexJet3,
     DivisionByZeroAtPoint,
+    Jet,
     OverflowAtPoint,
     jet_add,
     jet_const,
@@ -43,11 +46,12 @@ from schwarzian_lab.dsl import (
     Sub,
     Var,
     eval_jet,
+    eval_jet_seeded,
     parse,
 )
 from schwarzian_lab.dsl import Add as AddNode
-from schwarzian_lab.schwarzian import _schwarzian_derivatives
-from support import assert_fd_close, fd_derivative, log_arguments, plain_eval
+from schwarzian_lab.schwarzian import Mobius, _schwarzian_derivatives, mobius_on_jet
+from support import assert_fd_close, fd_derivative, log_arguments, plain_eval, random_mobius
 
 
 def assert_jet_close(j: ComplexJet3, expected, rtol=1e-12):
@@ -76,6 +80,36 @@ def test_var_rejects_nonfinite():
         jet_var(complex(math.inf, 0.0))
     with pytest.raises(ValueError):
         jet_var(complex(0.0, math.nan))
+
+
+@pytest.mark.parametrize("order", [-1, jets.MAX_ORDER + 1])
+def test_an_order_outside_0_to_max_order_is_refused(order):
+    # where a seed's order is first read: jet_var's order, or the length
+    # of a seed; a seed of 0 parts is of order -1
+    f = parse("exp(z)*i + n")
+    for z in (0.5, Ball(0.5)):
+        with pytest.raises(ValueError, match="order"):
+            jet_var(z, order)
+        with pytest.raises(ValueError, match="order"):
+            eval_jet(f, 1, z, order=order)
+        with pytest.raises(ValueError, match="order"):
+            eval_jet_seeded(f, 1, (z, 1.0, *(0j,) * order)[: order + 1])
+
+
+def test_a_jet_of_any_order_is_one_type():
+    # built from its parts, its first four named, and kept by a pickle or
+    # a copy, at every order; ComplexJet3 is the same class
+    assert ComplexJet3 is Jet
+    for order in range(jets.MAX_ORDER + 1):
+        parts = tuple(complex(k, -k) for k in range(order + 1))
+        j = Jet(*parts)
+        assert type(j) is Jet and j == parts and len(j) == order + 1
+        assert type(jet_var(0.5, order)) is type(jet_const(2.0, order)) is Jet
+        assert [getattr(j, name) for name in ("v", "d1", "d2", "d3")[: order + 1]] == list(
+            parts[:4]
+        )
+        for back in (pickle.loads(pickle.dumps(j)), copy.copy(j), copy.deepcopy(j)):
+            assert type(back) is Jet and back == j
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +330,109 @@ def test_mobius_jet_at_pole_raises_division_by_zero():
         jet_mobius(jet_var(-1.0), 2, 1, 1, 1)
 
 
+def _written_out_mobius(u, a, b, c, r) -> tuple:
+    # jets._mobius as it was written out for order 3 alone, before one
+    # formula took every order: the reference for its bits
+    w, u1, u2, u3 = u
+    s, p, q = r * u1, r * u2, r * u3
+    cs = c * s
+    return (
+        (a * w + b) * r,
+        r * s,
+        r * (p - 2.0 * (cs * s)),
+        r * (6.0 * (cs * cs * s) - 6.0 * (cs * p) + q),
+    )
+
+
+def test_the_mobius_formula_keeps_the_written_out_order_3_bits():
+    # seeded order-3 jets, a fifth of their parts signed zeros and a
+    # fifth of them jet_var's, under unimodular maps: the formula as
+    # written, compiled and on balls, and jet_mobius, which compiles it
+    # once hot, give the written-out formula's bits
+    rng = random.Random(2403)
+    zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+    compiled = jets._compiled(jets._mobius, ((0j,) * 4, 0j, 0j, 0j, 0j))
+
+    def part():
+        if rng.random() < 0.2:
+            return rng.choice(zeros)
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * 10.0 ** rng.randint(-4, 4)
+
+    for _ in range(2 * jets._HOT + 100):
+        m = random_mobius(rng)
+        u = (part(), 1.0 + 0j, 0j, 0j) if rng.random() < 0.2 else tuple(part() for _ in range(4))
+        den = m.c * u[0] + m.d
+        if abs(den) <= DIVISION_FLOOR:
+            continue
+        args = (u, m.a, m.b, m.c, 1.0 / den)
+        want = _hex(_written_out_mobius(*args))
+        assert _hex(jets._mobius(*args)) == _hex(compiled(*args)) == want
+        try:
+            got = jet_mobius(u, m.a, m.b, m.c, m.d)
+        except OverflowAtPoint:
+            assert not all(map(cmath.isfinite, _written_out_mobius(*args)))
+        else:
+            assert type(got) is Jet and _hex(got) == want
+        balls = (tuple(Ball(x, abs(x) * 1e-9) for x in u), m.a, m.b, m.c, Ball(1.0 / den, 1e-12))
+        assert _hex(jets._mobius(*balls)) == _hex(_written_out_mobius(*balls))
+
+
+def test_mobius_on_a_jet_of_each_order_matches_the_closed_form_chain():
+    # with r = 1/(c w + d) the map's m-th derivative is (-c)^(m-1) m! r^(m+1),
+    # which Faa di Bruno's chain composes with u
+    rng = random.Random(2404)
+    for order in range(jets.MAX_ORDER + 1):
+        for _ in range(60):
+            m = random_mobius(rng)
+            u = Jet(*(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(order + 1)))
+            den = m.c * u[0] + m.d
+            if abs(den) < 0.1 * (abs(m.c) + abs(m.d)):
+                continue  # near the pole, where both lose digits
+            r = 1.0 / den
+            closed = ((m.a * u[0] + m.b) * r,) + tuple(
+                (-m.c) ** (k - 1) * math.factorial(k) * r ** (k + 1) for k in range(1, order + 1)
+            )
+            want = jets._chain(u, closed)
+            got = mobius_on_jet(m, u)
+            assert type(got) is Jet and len(got) == order + 1
+            scale = max(1.0, *map(abs, want))
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert abs(g - w) <= 1e-12 * scale, (order, k, got, want)
+
+
+# (3w + 1)/(w - 2), normalized to ad - bc = 1, which its coefficients meet
+# only to roundoff
+_NORMALIZED = Mobius(3, 1, 1, -2)
+
+
+@pytest.mark.parametrize(
+    "a, b, c, d",
+    [(1, 0, 1, 2), (_NORMALIZED.a, _NORMALIZED.b, _NORMALIZED.c, _NORMALIZED.d)],
+    ids=["ad - bc = 2", "Mobius"],
+)
+def test_a_ball_mobius_jet_of_each_order_holds_the_maps_derivatives(a, b, c, d):
+    # the ball jet of (a w + b)/(c w + d) after u, at every order, holds the
+    # derivatives of the map with these exact coefficients after u's
+    # Taylor polynomial, by mpmath at 40 digits; with ad - bc = 2 every
+    # part after the value is twice what a unimodular map's would be
+    rng = random.Random(2405)
+    for order in range(jets.MAX_ORDER + 1):
+        for _ in range(8):
+            u = Jet(*(complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1)) for _ in range(order + 1)))
+            got = jet_mobius(Jet(*map(Ball, u)), a, b, c, d)
+            assert [p.mid for p in got] == list(jet_mobius(u, a, b, c, d))
+            with mpmath.workdps(40):
+                A, B, C, D = (mpmath.mpc(x) for x in (a, b, c, d))
+
+                def composed(t):
+                    p = sum(mpmath.mpc(x) * t**k / math.factorial(k) for k, x in enumerate(u))
+                    return (A * p + B) / (C * p + D)
+
+                want = mpmath.diffs(composed, 0, order)
+                for k, (g, w) in enumerate(zip(got, want)):
+                    assert abs(mpmath.mpc(g.mid) - w) <= g.rad, (order, k)
+
+
 # ---------------------------------------------------------------------------
 # guards and errors
 
@@ -405,7 +542,7 @@ def test_an_operation_checks_only_the_parts_up_to_its_order(order):
                 for _ in range(2))
         for name, op in _OPERATIONS.items():
             got = op(a[: order + 1], b[: order + 1])
-            assert type(got) is (ComplexJet3 if order == 3 else tuple) and len(got) == order + 1
+            assert type(got) is Jet and len(got) == order + 1
             for longer in (4, 6):
                 assert _hex(got) == _hex(op(a[:longer], b[:longer])[: order + 1]), name
 
@@ -439,12 +576,12 @@ def test_one_over_a_tiny_z_is_finite_to_order_2():
 
 def _mp_derivatives(f: FamilyExpr, n, z: complex, order: int) -> list:
     # f_n's derivatives 0..order at z, by mpmath's differentiation of the
-    # tree evaluated in mpmath's arithmetic
+    # tree evaluated in mpmath's arithmetic, to 40 digits
     with mpmath.workdps(40):
         def fn(w):
             return mpmath.mpc(plain_eval(f.root, n, w, mpmath))
 
-        return [complex(x) for x in mpmath.diffs(fn, mpmath.mpc(z), order)]
+        return list(mpmath.diffs(fn, mpmath.mpc(z), order))
 
 
 def _taylor_scale(j) -> float:
@@ -472,7 +609,7 @@ def _roundoff_scale(node, n, z: complex, order: int) -> float:
 
 def _assert_matches_mpmath(f: FamilyExpr, n, z: complex, order: int) -> None:
     got = eval_jet(f, n, z, order=order)
-    want = _mp_derivatives(f, n, z, order)
+    want = [complex(x) for x in _mp_derivatives(f, n, z, order)]
     assert len(got) == order + 1
     # a part that is 0, or tiny beside the others, is judged on the scale
     # of the largest Taylor coefficient f^(j)/j!, times k!, and a function
@@ -504,17 +641,31 @@ def _assert_keeps_the_order_3_bits(f: FamilyExpr, n, z: complex, order: int) -> 
     assert _hex(long[: low + 1]) == _hex(short)
 
 
+def _assert_ball_holds_mpmath(f: FamilyExpr, n, z: complex, order: int) -> None:
+    # the jet at a ball of radius 0 about z, of the same order: its
+    # midpoints are the plain jet's bits, and each part holds mpmath's
+    # derivative
+    got = eval_jet(f, n, Ball(z), order=order)
+    assert len(got) == order + 1
+    assert _hex([p.mid for p in got]) == _hex(eval_jet(f, n, z, order=order))
+    with mpmath.workdps(40):
+        for k, (g, w) in enumerate(zip(got, _mp_derivatives(f, n, z, order))):
+            assert abs(mpmath.mpc(g.mid) - w) <= g.rad, (k, g, w)
+
+
 _CATALOG_POINTS = (0.3 + 0.1j, -0.2 - 0.4j, 0.05j, -0.45 + 0.3j)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
-@pytest.mark.parametrize("order", [0, 1, 2, 4, 5])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5])
 def test_order_k_jets_of_the_catalog_match_mpmath(name, order):
+    # plain jets, and ball jets of the same order
     f = parse(CATALOG[name])
     for n in (1, 3, 8):
         for z in _CATALOG_POINTS:
             _assert_matches_mpmath(f, n, z, order)
             _assert_keeps_the_order_3_bits(f, n, z, order)
+            _assert_ball_holds_mpmath(f, n, z, order)
 
 
 _leaves = st.one_of(
@@ -596,6 +747,7 @@ _HOT_FORMULAS = {
     "sum": (jets._sum, True), "difference": (jets._difference, True),
     "negation": (jets._negation, False), "product": (jets._product, True),
     "chain": (jets._chain, True), "reciprocal": (jets._reciprocal, False),
+    "mobius": (jets._mobius, False),
 }
 _SPECIAL_PARTS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e300 + 1e300j,
                   complex(math.inf, 1.0), complex(1.0, math.nan), 1e-320 + 0j)
@@ -631,7 +783,8 @@ def test_a_hot_formula_compiles_to_the_same_bits(name):
     for n in (2, 4, 5, 6):
         for _ in range(40):
             jet = [tuple(part() for _ in range(n)) for _ in range(2)]
-            args = {"negation": (jet[0],), "reciprocal": (part(), n)}.get(name, jet)
+            args = {"negation": (jet[0],), "reciprocal": (part(), n),
+                    "mobius": (jet[0], part(), part(), part(), part())}.get(name, jet)
             compiled = jets._compiled(formula, args)
             assert _hex(compiled(*args)) == _hex(formula(*args))
             # a checked formula's code does what _checked does
@@ -640,7 +793,8 @@ def test_a_hot_formula_compiles_to_the_same_bits(name):
                 assert outcome(compiled, args) == outcome(formula, args)
             if n == 4:  # the ball jets of order 3
                 balls = [tuple(Ball(x, abs(x) * 1e-9) for x in j) for j in jet]
-                one = {"negation": (balls[0],), "reciprocal": (Ball(part(), 1e-12), n)}
+                one = {"negation": (balls[0],), "reciprocal": (Ball(part(), 1e-12), n),
+                       "mobius": (balls[0], part(), part(), part(), Ball(part(), 1e-12))}
                 args = one.get(name, balls)
                 assert _hex(jets._compiled(formula, args)(*args)) == _hex(formula(*args))
 
@@ -701,7 +855,8 @@ class _Logged:
         return self._op("neg", self)
 
 
-@pytest.mark.parametrize("name", sorted(_HOT_FORMULAS))
+# the formulas codegen runs on symbolic values; jet_mobius alone runs _mobius
+@pytest.mark.parametrize("name", sorted(set(_HOT_FORMULAS) - {"mobius"}))
 def test_a_compiled_formula_makes_the_formulas_operations_in_its_order(name):
     # codegen names its values in the order they are made, so its source
     # is the same whether it runs a formula as written or compiled

@@ -3,6 +3,7 @@
 import math
 import os
 import pickle
+import statistics
 import time
 import tracemalloc
 import warnings
@@ -1133,6 +1134,25 @@ def test_a_statistic_above_the_noise_floor_is_fitted():
     assert 1e-12 < p.sup_stat < 1e-9
     assert p.growth_slope == pytest.approx(1.0, abs=1e-9)
     assert verdicts(rep) == [Verdict.DIVERGENT_CANDIDATE]
+
+
+def test_a_statistic_below_the_log_clamp_is_fitted_at_the_clamp():
+    # over the window n = 5..8, statistics 1e-3 n, and at n = 6 one of
+    # 1e-305: a normal double, but below the clamp 1e-300, so the fit takes
+    # log(1e-300) for it, not its own log, nor only a zero's
+    ns = tuple(range(1, 9))
+    per_n = {n: 1e-3 * n for n in ns}
+    per_n[6] = 1e-305
+    window = [math.log(n) for n in ns[4:]]
+
+    def fitted(floor):
+        ys = [math.log(max(per_n[n], floor)) for n in ns[4:]]
+        return statistics.linear_regression(window, ys).slope
+
+    got = probe._growth_slope(ns, per_n, set())
+    assert got == pytest.approx(fitted(1e-300), rel=1e-12)
+    assert got == pytest.approx(362.87, abs=0.01)
+    assert fitted(0.0) == pytest.approx(368.95, abs=0.01)
 
 
 def test_bound_fails_a_segment_just_past_its_tolerance():

@@ -62,8 +62,9 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # of the order rule, of the records, and of the order-k jets and the sd
 # ascent, then those of the ascent in the lane function, then those of the
 # forked scan processes and the ascent's kept values, then those of the one
-# lane-function cache and of the identity bound clause; a later change adds
-# its mutants here
+# lane-function cache and of the identity bound clause, then those of the
+# one jet type at every order and of the slope's log clamp; a later change
+# adds its mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -241,7 +242,7 @@ MUTANTS = (
            (JETS + "test_bounded_log_is_unbounded_where_the_value_may_cross_the_cut",
             SCHWARZIAN + "test_composition_where_log_meets_its_cut_fails_by_an_infinite_bound")),
     Mutant("the determinant term dropped from a Moebius ball jet", "jets.py",
-           "        j = (j[0], j[1] * det, j[2] * det, j[3] * det)", "        pass",
+           "        j = (j[0], *(x * det for x in j[1:]))", "        pass",
            (ORACLE + "test_bounded_operation_covers_its_own_rounding[mobius, ad - bc = 2]",)),
     # the batch walk (2bde4db) and the one walk (cce385b), as they apply today
     Mutant("x^0 of a failed base is one", "dsl.py",
@@ -261,12 +262,10 @@ MUTANTS = (
            "        w = min(workers, total)\n", "        w = workers\n",
            (PROBE + "test_pool_is_no_larger_than_its_chunks",)),
     Mutant("i taken as a literal, within half an ulp", "dsl.py",
-           "_BALL_I = _as_jet((Ball(1j), ZERO, ZERO, ZERO))",
-           "_BALL_I = _as_jet((literal(1j), ZERO, ZERO, ZERO))",
+           "_ball_jet(i), complex(point)", "_ball_jet(i, literal), complex(point)",
            (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
     Mutant("literals taken as exact on balls", "dsl.py",
-           "    return _as_jet((literal(jet_const(c).v), ZERO, ZERO, ZERO))",
-           "    return _as_jet((Ball(jet_const(c).v), ZERO, ZERO, ZERO))",
+           "_ball_jet(jet_const(c, order), literal)", "_ball_jet(jet_const(c, order))",
            (DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit",)),
     Mutant("the probe's n check dropped", "probe.py",
            "        float(ns[0]), float(ns[-1])  # sorted, so these bound the rest",
@@ -295,16 +294,6 @@ MUTANTS = (
            "order=1)",
            (CLI + "test_an_order_one_statistic_takes_samples_whose_higher_parts_overflow",
             DSL + "test_fused_floor_sweep_matches_the_jet_loop_bit_for_bit")),
-    Mutant("jet_var seeds 4 parts at orders below 3", "jets.py",
-           "    return _as_jet((z0, VAR_D1, ZERO, ZERO)) if order == 3 else",
-           "    return _as_jet((z0, VAR_D1, ZERO, ZERO)) if order <= 3 else",
-           (JETS + "test_order_k_jets_of_the_catalog_match_mpmath",
-            DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime")),
-    Mutant("jet_const builds 4 parts at orders below 3", "jets.py",
-           "    return _as_jet((c, ZERO, ZERO, ZERO)) if order == 3 else",
-           "    return _as_jet((c, ZERO, ZERO, ZERO)) if order <= 3 else",
-           (JETS + "test_order_k_jets_of_the_catalog_match_mpmath",
-            DSL + "test_an_order_one_statistic_checks_only_f_and_f_prime")),
     Mutant("a jet operation skips its jet's last part", "jets.py",
            "    for x in j:\n        if not _isfinite(x):",
            "    for x in j[:-1]:\n        if not _isfinite(x):",
@@ -501,6 +490,32 @@ MUTANTS = (
            "    passed = math.isfinite(bound) and abs_gap <= bound",
            "    passed = math.isfinite(bound) and abs_gap <= 2.0 * bound",
            (SCHWARZIAN + "test_a_gap_past_the_error_bound_but_within_twice_it_fails",)),
+    # one jet type at every order: Mobius maps and ball walks of any order,
+    # and the orders a seed may take; and the slope's log clamp
+    Mutant("the Mobius formula's sign (-1)^(m-1) dropped", "jets.py",
+           "            term = term if m % 2 else -term\n", "",
+           (JETS + "test_the_mobius_formula_keeps_the_written_out_order_3_bits",
+            JETS + "test_mobius_on_a_jet_of_each_order_matches_the_closed_form_chain")),
+    Mutant("the Mobius formula's c placed in the last factor too", "jets.py",
+           "s[p[-1] - 1]))", "c * s[p[-1] - 1]))",
+           (JETS + "test_the_mobius_formula_keeps_the_written_out_order_3_bits",
+            JETS + "test_mobius_on_a_jet_of_each_order_matches_the_closed_form_chain")),
+    Mutant("a Moebius ball jet's determinant applied to three parts only", "jets.py",
+           "for x in j[1:]))", "for x in j[1:4]))",
+           (JETS + "test_a_ball_mobius_jet_of_each_order_holds_the_maps_derivatives[ad - bc = 2]",)),
+    Mutant("eval_jet ignores its order at a ball", "dsl.py",
+           "    seed = jet_var(z, order)", "    seed = jet_var(z, order if type(z) is not Ball else 3)",
+           (JETS + "test_order_k_jets_of_the_catalog_match_mpmath",)),
+    Mutant("an order past MAX_ORDER taken", "jets.py",
+           "    if not 0 <= order <= MAX_ORDER:", "    if not 0 <= order:",
+           (JETS + "test_an_order_outside_0_to_max_order_is_refused[6]",)),
+    Mutant("a seed's order left unchecked", "dsl.py",
+           "    if not 1 <= len(seed) <= MAX_ORDER + 1:", "    if False:",
+           (JETS + "test_an_order_outside_0_to_max_order_is_refused",)),
+    Mutant("the slope's log clamp taken for a zero statistic only", "probe.py",
+           "    ys = [math.log(max(per_n[n], _LOG_CLAMP)) for n in usable]",
+           "    ys = [math.log(per_n[n] or _LOG_CLAMP) for n in usable]",
+           (PROBE + "test_a_statistic_below_the_log_clamp_is_fitted_at_the_clamp",)),
 )
 
 SURVIVORS = (
@@ -552,6 +567,12 @@ DELETED = (
     ("the process pool imported with the module",
      "a scan forks its processes itself and imports no process pool; re-anchored as "
      "'pickle imported with the module'"),
+    ("jet_var seeds 4 parts at orders below 3",
+     "a jet of every order is one type, Jet, and jet_var builds k + 1 parts with no "
+     "order-3 branch; 'an order past MAX_ORDER taken' pins the orders it takes"),
+    ("jet_const builds 4 parts at orders below 3",
+     "jet_const builds k + 1 parts with no order-3 branch ('the walk takes a literal at "
+     "order 3, not at its seed's order')"),
 )
 
 
