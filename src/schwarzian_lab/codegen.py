@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from typing import Callable, NamedTuple
 
 from .dsl import (
@@ -83,6 +84,10 @@ _INLINE_POWER = 8
 # rounds of the ascent that refines each group's best sample, for a
 # statistic with one (scan-sd's)
 _ASCENT_ROUNDS = 2
+# a generated line's targets, where it binds names, and the names in a
+# line, which include those it reads
+_TARGETS = re.compile(r"(\w+(?:, \w+)*) = ")
+_NAME = re.compile(r"\b[A-Za-z_]\w*")
 # the jets formulas per jet length, each the straight-line code of its
 # trace once it is hot (jets._Hot): the formula's operations in its order,
 # so the same source, without the loops over its plan
@@ -246,11 +251,11 @@ class _Lanes:
     """Writer of the lane function: the jet formulas on symbolic values.
 
     Its values are jets of order ``order`` whose parts are complex
-    constants or ``_Sym``s.  With ``record``, it records the names that
-    each line of the body binds and reads, which an ascent's start needs.
+    constants or ``_Sym``s.  What a line binds and reads is in its text,
+    where an ascent's start finds the names it keeps (``_lanes_source``).
     """
 
-    def __init__(self, order: int = 3, record: bool = False):
+    def __init__(self, order: int = 3):
         self.order = order
         # the zero parts above f of a constant
         self.zeros = (ZERO,) * order
@@ -258,8 +263,6 @@ class _Lanes:
         self.names: dict = {}  # constant bits -> bound name
         self.prelude: list[str] = []  # loop-invariant lines
         self.body: list[str] = []  # per-lane lines
-        # with record, (index, names bound, names read) per body line written
-        self.uses: list | None = [] if record else None
         self.invariants: list[_Sym] = []  # written loop-invariant values
         self.memo: dict = {}  # (op, operands) -> result
         self.values: dict = {}  # exactly known parts -> existing value
@@ -277,10 +280,8 @@ class _Lanes:
         """Source for a value, writing its line and its operands' first."""
         if type(x) is _Sym:
             if x.form is not None:
-                args = list(map(self.text, x.args))
-                line = f"{x.name} = " + x.form.format(*args)
+                self.block(x.lane).append(f"{x.name} = " + x.form.format(*map(self.text, x.args)))
                 x.form = None
-                self.write(x.lane, line, (x.name,), args)
                 if not x.lane:
                     self.invariants.append(x)
             return x.name
@@ -295,14 +296,6 @@ class _Lanes:
 
     def block(self, lane: bool) -> list:
         return self.body if lane else self.prelude
-
-    def write(self, lane: bool, line: str, bound=(), read=()) -> None:
-        """Append a line, which binds the names ``bound`` and reads the names
-        ``read``, to the body or the prelude; the body records both, where
-        the writer records."""
-        if lane and self.uses is not None:
-            self.uses.append((len(self.body), bound, read))
-        self.block(lane).append(line)
 
     def sym(self, re, im, lane, form=None, args=(), name=None):
         if type(re) is float and type(im) is float:
@@ -343,12 +336,11 @@ class _Lanes:
 
     # -- checks --------------------------------------------------------
 
-    def check(self, lane: bool, condition: str, read=()) -> None:
-        """Fail where ``condition``, which reads the names ``read``, holds:
-        raise into the lane's handler, which redoes it, or out of the
-        prelude, so that every lane of the batch is redone."""
-        self.write(lane, f"if {condition}:", read=read)
-        self.block(lane).append("    raise JetError('a check failed')")
+    def check(self, lane: bool, condition: str) -> None:
+        """Fail where ``condition`` holds: raise into the lane's handler,
+        which redoes it, or out of the prelude, so that every lane of the
+        batch is redone."""
+        self.block(lane).extend((f"if {condition}:", "    raise JetError('a check failed')"))
 
     def guard(self, u, test: str, refused) -> None:
         """The check before an opaque function of u: ``test`` in the
@@ -361,7 +353,7 @@ class _Lanes:
         cond = test.format(self.text(u))
         if not u.finite():
             cond = f"not isfinite({u.name}) or {cond}"
-        self.check(u.lane, cond, [u.name])
+        self.check(u.lane, cond)
 
     def unchecked(self, jet) -> list:
         """The parts of a jet that may not be finite on a lane.
@@ -435,7 +427,7 @@ class _Lanes:
             # x^0 is one, but a failed base still fails: check what is dropped
             parts = [self.text(x) for x in self.unchecked(u)]
             if parts:
-                self.check(True, _not_finite(parts), parts)
+                self.check(True, _not_finite(parts))
             return jet_const(1.0, self.order)
         if abs(k) > _INLINE_POWER:
             return self.power_call(u, k)
@@ -454,9 +446,8 @@ class _Lanes:
                 raise _LiteralFails from None
         lane = any(type(x) is _Sym and x.lane for x in u)
         out = tuple(self.sym(_Part(finite=True), _Part(finite=True), lane) for _ in u)
-        names, args = [x.name for x in out], list(map(self.text, u))
-        line = f"{', '.join(names)} = pow_int(({', '.join(args)}), {k})"
-        self.write(lane, line, names, args)
+        names, args = ", ".join(x.name for x in out), ", ".join(map(self.text, u))
+        self.block(lane).append(f"{names} = pow_int(({args}), {k})")
         if not lane:
             self.invariants += out
         return out
@@ -534,7 +525,10 @@ class _Tail:
     computes on numbers.  With ``reuse``, an operation that a formula
     written before into the same lines made already, on the same operands,
     takes that formula's value, as the rise statistic of an ascent reuses
-    what the statistic itself computed at the same point.
+    what the statistic itself computed at the same point.  A statistic's
+    own formula takes no ``reuse``: its slots would then share names where
+    two of them are one operation (``x3, x2, x2, x8 = got`` for ``z^0``'s
+    floor sweep), and a redone lane binds its value to those names.
     """
 
     __slots__ = ("t", "name", "reuse")
@@ -545,14 +539,13 @@ class _Tail:
         self.reuse = reuse
 
     def op(self, form: str, *args) -> "_Tail":
-        read = [x.name if type(x) is _Tail else f"({x!r})" for x in args]
-        text = form.format(*read)
+        text = form.format(*(x.name if type(x) is _Tail else f"({x!r})" for x in args))
         # t.tails: a line's right-hand side -> the name it first bound
         name = self.t.tails.get(text) if self.reuse else None
         if name is None:
             name = f"x{len(self.t.body)}"
             self.t.tails.setdefault(text, name)
-            self.t.write(True, f"{name} = {text}", (name,), read)
+            self.t.body.append(f"{name} = {text}")
         return _Tail(self.t, name, self.reuse)
 
     __add__, __radd__ = _binary("{} + {}")
@@ -602,9 +595,9 @@ def _formula(t: _Lanes, jet: tuple, stat: Statistic, checked: int = 0) -> list:
     if invariant:
         t.check(False, _not_finite(invariant))
     if unchecked:
-        t.check(True, _not_finite(unchecked), unchecked)
+        t.check(True, _not_finite(unchecked))
     if stat.critical is not None and not checked:
-        t.check(True, _CRITICAL_GUARD.format(*parts), parts[1:2])
+        t.check(True, _CRITICAL_GUARD.format(*parts))
     value = stat.lane(tuple(_Tail(t, x, checked > 0) for x in parts))
     return [x.name for x in (value if type(value) is tuple else (value,))]
 
@@ -717,14 +710,15 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     range and fold any other into the group's largest, noting its sample
     for an ascent.  With an ascent, the fast path's keep also keeps, as
     the tuple ``kept``, the values that the rise's lines and the ascent
-    read, named from the record of what each written line binds and reads
-    (``_Lanes.write``), and the handler runs a copy of the keep that keeps
-    None; so the ascent's start at a fast argmax runs only the rise's
-    lines.  Where a loop-invariant part fails, or n, where the
-    family uses it, is 0 or not real, the prelude raises, and a loop of
-    the handler and the keep redoes every lane, group by group, ascent
-    included, before the main loop, which then has none; where a literal
-    fails, that loop is all.
+    read, found in the lines themselves: the names that the fast path's
+    lines bind (``_TARGETS``), in that order, that a line of the rise
+    names (``_NAME``), or that name a slot of the rise; and the handler
+    runs a copy of the keep that keeps None; so the ascent's start at a
+    fast argmax runs only the rise's lines.  Where a loop-invariant part
+    fails, or n, where the family uses it, is 0 or not real, the prelude
+    raises, and a loop of the handler and the keep redoes every lane,
+    group by group, ascent included, before the main loop, which then has
+    none; where a literal fails, that loop is all.
 
     The jets are of the statistic's order, so no line of f'' or f''' of an
     order-1 statistic is emitted.  A lane is redone when a node of it
@@ -742,7 +736,7 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     # with an ascent, one walk at the rise's order: the statistic reads its
     # first parts, which are the bits of a walk at its own order
     rise = stat.ascent
-    t = _Lanes(stat.order if rise is None else rise.order, record=rise is not None)
+    t = _Lanes(stat.order if rise is None else rise.order)
     try:
         out = t.walk_lane(root)
     except _LiteralFails:  # every lane is redone
@@ -758,10 +752,11 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
             # the rise's lines follow the statistic's, at the same point, and
             # check the parts above the statistic's order; its F is the value
             rises = [*values, *_formula(t, out, rise, stat.order + 1)[1:]]
-            # the fast path's values that the rise's lines or the ascent read
-            split = len(sample)
-            read = {x for k, _, names in t.uses if k >= split for x in names}.union(rises)
-            kept = [x for k, names, _ in t.uses if k < split for x in names if x in read]
+            # the fast path's values that the rise's lines or the ascent read,
+            # in the order the fast path binds them
+            read = {x for line in t.body[len(sample):] for x in _NAME.findall(line)}.union(rises)
+            kept = [x for m in map(_TARGETS.match, sample) if m for x in m[1].split(", ")
+                    if x in read]
     best = ["best", *(f"best{k}" for k in range(1, len(stat.start)))]
     # with an ascent, the keep also names the sample of the largest first slot
     argmax = ["at"] if rise is not None else []

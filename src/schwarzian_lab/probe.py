@@ -53,7 +53,7 @@ from .codegen import Statistic, family
 from .dsl import EvalError, FamilyExpr, eval_jet, eval_jet_lanes
 from .jets import OverflowAtPoint, modulus
 from .record import Record
-from .schwarzian import _schwarzian, _schwarzian_derivatives, _spherical
+from .schwarzian import _schwarzian_derivatives, _spherical
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -273,8 +273,7 @@ def _sd_rise(j) -> tuple:
     # that no part divides by |S'|
     s, ds, dds = _schwarzian_derivatives(j)
     a = abs(ds)
-    m = abs(s)
-    f = a / (1.0 + m * m)
+    f = _spherical((s, ds))
     d = ds * dds.conjugate() - 2.0 * (a * f) * (s * ds.conjugate())
     return f, a, d.real, d.imag
 
@@ -290,7 +289,7 @@ def _floor(j) -> tuple:
     # the largest over the batch: the largest -|f'| is min |f'| negated,
     # exactly
     low, m2, m3 = -abs(j[1]), abs(j[2]), abs(j[3])
-    return low, m2, m3, abs(_schwarzian(j))
+    return low, m2, m3, abs(_schwarzian_derivatives(j)[0])
 
 
 def _floor_critical(j) -> tuple:
@@ -645,18 +644,17 @@ def local_bound_estimate(
     reports = []
     flagged = []
     for n in ns:
-        # the segment's points, streamed into one batch, one group, up to the
-        # first one past the double range, which takewhile leaves in ``past``
+        # the segment's points, streamed into one batch, one group
         points = (z0 + (k / last) * (z - z0) for k in range(segment_samples))
-        past: list = []
-        finite = itertools.takewhile(lambda p: cmath.isfinite(p) or past.append(p), points)
         try:
             # f(z0) and f(z) by the rule of the segment's samples
             v0, v1 = (eval_jet(f, n, w, order=_BOUND.order)[0] for w in (z0, z))
-            ((k_est, failed),) = eval_jet_lanes(f, n, [finite], _BOUND)
+            # the points are all finite where z - z0 is; otherwise the first,
+            # z0 + 0 (z - z0), is not
+            if not cmath.isfinite(z - z0):
+                raise ValueError("jet_var requires a finite point")
+            ((k_est, failed),) = eval_jet_lanes(f, n, [points], _BOUND)
             if not failed:
-                if past:  # once every point before it evaluated cleanly
-                    raise ValueError("jet_var requires a finite point")
                 observed = modulus(v1 - v0)
         except (EvalError, OverflowAtPoint):
             failed = True

@@ -1,8 +1,10 @@
 """Schwarzian and spherical derivative operators, with Moebius algebra.
 
 The Schwarzian derivative of f is  S_f = f'''/f' - (3/2)(f''/f')^2,
-computed here directly from an order-3 jet, and with S' and S'' from
-jets of order 4 and 5 for ``scan-sd``.  Moebius transformations
+computed here from an order-3 jet by one formula,
+``_schwarzian_derivatives``, which also gives S' and S'' from jets of
+order 4 and 5 for ``scan-sd``; Marty's f# = |f'| / (1 + |f|^2) is one
+formula too, ``_spherical``.  Moebius transformations
 (az+b)/(cz+d) are the kernel of S: applying one after f leaves S_f
 unchanged, and S of a Moebius map itself vanishes identically.  The
 checkers at the bottom verify these identities numerically at a point and
@@ -129,36 +131,37 @@ def _spherical(j) -> float:
     return abs(j[1]) / (1.0 + m * m)
 
 
-def _schwarzian(j) -> complex:
-    d1 = j[1]
-    r = j[2] / d1
-    return j[3] / d1 - 1.5 * (r * r)
-
-
 def _schwarzian_derivatives(j) -> tuple:
-    # S, and S' from a jet of order 4, and S'' from one of order 5: with
-    # q_k = f^(k) / f' (so q_k' = q_(k+1) - q_2 q_k), S = q3 - 1.5 q2^2,
-    # S' = q4 - 4 q2 q3 + 3 q2^3 and
-    # S'' = q5 - 5 q2 q4 - 4 q3^2 + 17 q2^2 q3 - 9 q2^4.  S has the bits of
-    # _schwarzian's
+    """(S,) from a jet of order 3, (S, S') from one of order 4 and
+    (S, S', S'') from one of order 5: the one formula of S, which
+    :func:`schwarzian`, the floor sweep and ``scan-sd`` all run.
+
+    With q_k = f^(k) / f' (so q_k' = q_(k+1) - q_2 q_k), S = q3 - 1.5 q2^2,
+    S' = q4 - 4 q2 q3 + 3 q2^3 and
+    S'' = q5 - 5 q2 q4 - 4 q3^2 + 17 q2^2 q3 - 9 q2^4.
+    """
     d1 = j[1]
     q2, q3 = j[2] / d1, j[3] / d1
     q22 = q2 * q2
-    out = [q3 - 1.5 * q22]
-    if len(j) > 4:
-        q4 = j[4] / d1
-        out.append(q4 - 4.0 * (q2 * q3) + 3.0 * (q22 * q2))
-    if len(j) > 5:
-        q5 = j[5] / d1
-        out.append(q5 - 5.0 * (q2 * q4) - 4.0 * (q3 * q3) + 17.0 * (q22 * q3) - 9.0 * (q22 * q22))
-    return tuple(out)
+    s = q3 - 1.5 * q22
+    if len(j) < 5:
+        return (s,)
+    q4 = j[4] / d1
+    ds = q4 - 4.0 * (q2 * q3) + 3.0 * (q22 * q2)
+    if len(j) < 6:
+        return s, ds
+    q5 = j[5] / d1
+    return s, ds, q5 - 5.0 * (q2 * q4) - 4.0 * (q3 * q3) + 17.0 * (q22 * q3) - 9.0 * (q22 * q22)
 
 
 def spherical_derivative(j: Jet) -> float:
     """Marty's statistic |f'| / (1 + |f|^2) from a jet.
 
-    Raises OverflowAtPoint where |f| or |f'| is past the double range.
+    Raises OverflowAtPoint where |f| or |f'| is past the double range, and
+    ValueError for a jet of order 0.
     """
+    if len(j) < 2:
+        raise ValueError("the spherical derivative needs a jet of order 1 or more, got order 0")
     try:
         return _spherical(j)
     except OverflowError:  # abs past the double range
@@ -176,14 +179,17 @@ def _critical(d1: complex) -> bool:
 
 
 def schwarzian(j: Jet) -> complex:
-    """Schwarzian derivative from a jet of order 3 or more."""
+    """Schwarzian derivative from a jet of order 3 or more; ValueError for
+    a jet of a lower order."""
+    if len(j) < 4:
+        raise ValueError(f"the Schwarzian needs a jet of order 3 or more, got order {len(j) - 1}")
     d1 = j[1]
     if _critical(d1):
         raise CriticalPointError(
             f"Schwarzian undefined: |f'| = {abs(d1):.3e} at or below floor "
             f"{CRITICAL_POINT_FLOOR:.3e}"
         )
-    return _schwarzian(j)
+    return _schwarzian_derivatives(j)[0]
 
 
 class Mobius(Record):

@@ -1038,6 +1038,9 @@ _PINNED_SD = {
                       GridSpec(-0.1, 0.1, -0.1, 0.1, 3, 3), range(1, 9)),
     "all-redone": (_MOEBIUS_EXAMPLE2.format("0000000000009"),
                    GridSpec(-0.02, 0.02, -0.02, 0.02, 3, 3, 0.01), range(1, 9)),
+    # a power past codegen._INLINE_POWER, one line binding every part, whose
+    # f' the rise reads from the kept values
+    "power": ("z^-9+n*z", GridSpec(0.5, 1.0, 0.5, 1.0, 3, 2), range(1, 5)),
 }
 
 

@@ -95,6 +95,13 @@ def test_spherical_derivative_of_a_jet_of_any_order(order):
     assert spherical_derivative(eval_jet(parse("exp(n*z)"), 2, 0.0, order=order)) == 1.0
 
 
+def test_spherical_derivative_of_an_order_0_jet_is_refused():
+    # f# reads f', which a jet of order 0 lacks: a ValueError naming the
+    # order it needs, not a bare IndexError
+    with pytest.raises(ValueError, match="order 1 or more, got order 0$"):
+        spherical_derivative(jet_var(0.5, 0))
+
+
 # ---------------------------------------------------------------------------
 # schwarzian from a jet
 
@@ -131,6 +138,16 @@ def test_schwarzian_of_a_jet_of_any_order(order):
     assert schwarzian(eval_jet(parse("exp(z)"), 1, 0.5, order=order)) == -0.5
     with pytest.raises(CriticalPointError):
         schwarzian(eval_jet(parse("z^2"), 1, 0.0, order=order))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_schwarzian_of_a_jet_below_order_3_is_refused(order):
+    # S reads f''', which a jet below order 3 lacks, at a critical point
+    # too: a ValueError naming the order it needs, not a bare IndexError
+    for z in (0.5, 0.0):
+        jet = eval_jet(parse("z^2"), 1, z, order=order)
+        with pytest.raises(ValueError, match=f"order 3 or more, got order {order}$"):
+            schwarzian(jet)
 
 
 def test_schwarzian_floor_is_the_module_constant():

@@ -6,7 +6,9 @@ A code line is a line that holds a token of code: blank lines, comment
 lines and the lines of docstrings (a string standing alone as a
 statement) do not count.  It prints one line per directory of ROOT (the
 checkout this script sits in, by default): its name, its line count and
-its code-line count.  Only the standard library is used.
+its code-line count; under ``src/``, one more line per module of
+``schwarzian_lab``, indented, with the same two counts.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import tokenize
 from pathlib import Path
 
 DIRECTORIES = ("src", "tests", "tools")
+PACKAGE = "src/schwarzian_lab"  # its modules get a line each
 # tokens that are not code
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -42,12 +45,13 @@ def count(source: str) -> tuple[int, int]:
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
     for name in DIRECTORIES:
-        lines = code = 0
-        for path in sorted((root / name).rglob("*.py")):
-            n, c = count(path.read_text())
-            lines += n
-            code += c
+        counts = {path: count(path.read_text()) for path in sorted((root / name).rglob("*.py"))}
+        lines = sum(n for n, _ in counts.values())
+        code = sum(c for _, c in counts.values())
         print(f"{name}/\t{lines} lines\t{code} code lines")
+        for path, (n, c) in counts.items():
+            if path.parent == root / PACKAGE:
+                print(f"  {path.stem}\t{n} lines\t{c} code lines")
     return 0
 
 

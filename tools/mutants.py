@@ -63,8 +63,9 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # ascent, then those of the ascent in the lane function, then those of the
 # forked scan processes and the ascent's kept values, then those of the one
 # lane-function cache and of the identity bound clause, then those of the
-# one jet type at every order and of the slope's log clamp; a later change
-# adds its mutants here
+# one jet type at every order and of the slope's log clamp, then that of
+# the kept names read from the generated lines; a later change adds its
+# mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -77,7 +78,7 @@ MUTANTS = (
            "            if _signed_zero(p, 1.0):", "            if _is_zero(p):",
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
     Mutant("no check before an opaque function", "codegen.py",
-           "        self.check(u.lane, cond, [u.name])", "        pass",
+           "        self.check(u.lane, cond)", "        pass",
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
     Mutant("no check at the output", "codegen.py",
            "    if unchecked:\n        t.check(True,",
@@ -122,7 +123,7 @@ MUTANTS = (
            (CLI + "test_cached_parser_gives_a_fresh_parsers_bytes",)),
     # the statistics
     Mutant("the critical guard dropped", "codegen.py",
-           "        t.check(True, _CRITICAL_GUARD.format(*parts), parts[1:2])",
+           "        t.check(True, _CRITICAL_GUARD.format(*parts))",
            "        pass",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("the critical rule tried after the lane formula", "codegen.py",
@@ -166,11 +167,11 @@ MUTANTS = (
            "_BOUND = Statistic(_slope, order=1)",
            (DSL + "test_bound_statistic_matches_the_jet_loop_bit_for_bit",)),
     Mutant("bound ignores the lane flags", "probe.py",
-           "            ((k_est, failed),) = eval_jet_lanes(f, n, [finite], _BOUND)",
-           "            ((k_est, _),), failed = eval_jet_lanes(f, n, [finite], _BOUND), set()",
+           "            ((k_est, failed),) = eval_jet_lanes(f, n, [points], _BOUND)",
+           "            ((k_est, _),), failed = eval_jet_lanes(f, n, [points], _BOUND), set()",
            (PROBE + "test_local_bound_streams_its_segment_into_one_batch",)),
     Mutant("a segment past the double range not refused", "probe.py",
-           "                if past:", "                if False:",
+           "            if not cmath.isfinite(z - z0):", "            if False:",
            (PROBE + "test_local_bound_segment_past_the_double_range",)),
     # blocks of grid points, one lane-function call per (n, block), each
     # point one group
@@ -370,8 +371,8 @@ MUTANTS = (
            "            plan.append((m, float(math.factorial(k) // den + (k == 4 and m == 2)), p))",
            (JETS + "test_order_k_jets_of_the_catalog_match_mpmath",)),
     Mutant("the 4 q2 q3 term of S'", "schwarzian.py",
-           "        out.append(q4 - 4.0 * (q2 * q3) + 3.0 * (q22 * q2))",
-           "        out.append(q4 - 3.0 * (q2 * q3) + 3.0 * (q22 * q2))",
+           "    ds = q4 - 4.0 * (q2 * q3) + 3.0 * (q22 * q2)",
+           "    ds = q4 - 3.0 * (q2 * q3) + 3.0 * (q22 * q2)",
            (JETS + "test_schwarzian_derivatives_of_example2_match_the_closed_form",
             DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
     Mutant("the ascent accepts a candidate whose F only ties", "codegen.py",
@@ -468,8 +469,7 @@ MUTANTS = (
            'point = ["if step is not None or kept is None:"', 'point = ["if kept is None:"',
            (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",)),
     Mutant("a name the rise reads left out of the kept ones", "codegen.py",
-           "if k < split for x in names if x in read]",
-           "if k < split for x in names if x in read][1:]",
+           '            if x in read]', '            if x in read][1:]',
            (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",)),
     # the one lane-function cache, and the identity verdict's bound clause
     Mutant("the cache's tree compared by identity only", "codegen.py",
@@ -516,6 +516,11 @@ MUTANTS = (
            "    ys = [math.log(max(per_n[n], _LOG_CLAMP)) for n in usable]",
            "    ys = [math.log(per_n[n] or _LOG_CLAMP) for n in usable]",
            (PROBE + "test_a_statistic_below_the_log_clamp_is_fitted_at_the_clamp",)),
+    # the kept names read from the generated lines
+    Mutant("the bound names of a tuple target taken as its first alone", "codegen.py",
+           '_TARGETS = re.compile(r"(\\w+(?:, \\w+)*) = ")',
+           '_TARGETS = re.compile(r"(\\w+)(?:, \\w+)* = ")',
+           (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits[power]",)),
 )
 
 SURVIVORS = (
@@ -532,6 +537,12 @@ SURVIVORS = (
            "the Leibniz product's sums are associated symmetrically, so swapping its "
            "operands gives the same bits; the reciprocal is computed, and checked, first "
            "either way"),
+    Mutant("classify's bounded branch without sup_stat < cap", "probe.py",
+           "        elif p.growth_slope <= decay_threshold and p.sup_stat < cap:",
+           "        elif p.growth_slope <= decay_threshold:",
+           (PROBE + "test_classify_decision_table", PROBE + "test_classify_custom_thresholds"),
+           "the divergent branch before it already takes every sup at or above the cap, "
+           "and a sup is never nan, so every sup that reaches this branch is below the cap"),
 )
 
 # recorded mutations whose code is gone, and the commit that deleted it
