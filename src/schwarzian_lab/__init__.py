@@ -1,22 +1,25 @@
 """Numerical toolkit for Schwarzian derivatives and normal-family probes.
 
-The package is layered: ``ball`` encloses rounded complex arithmetic in
-midpoint-radius balls, ``jets`` propagates derivative jets of any order
-up to 5, one type at every order, through complex or ball arithmetic,
-``dsl`` parses and evaluates one-parameter family expressions in z and
-n, a batch of points by the lane function ``codegen`` generates for each
-family and a single point by a tree walk, ``schwarzian`` provides the
-Schwarzian and spherical derivatives with their Mobius algebra and
-identity checks, and ``probe`` runs grid scans and bound checks on top.
-``cli`` exposes it all as the ``schwarzian-lab`` command.
+The package is layered, each module importing only those before it and
+``record``, the base of its records: ``ball`` encloses rounded complex
+arithmetic in midpoint-radius balls, ``jets`` propagates derivative jets
+of any order up to 5, one type at every order, through complex or ball
+arithmetic, ``dsl`` parses one-parameter family expressions in z and n
+and evaluates them at a point by a tree walk, ``schwarzian`` provides
+the Schwarzian and spherical derivatives with their Mobius algebra and
+identity checks, ``codegen`` evaluates a statistic over a batch of
+points by the lane function it generates for each family from the tree
+and the ``jets`` formulas, handing failed samples back to the walk, and
+``probe`` runs grid scans and bound checks on top. ``cli`` exposes it
+all as the ``schwarzian-lab`` command.
 """
 
+from .codegen import eval_jet_lanes
 from .dsl import (
     EvalError,
     FamilyExpr,
     ParseError,
     eval_jet,
-    eval_jet_lanes,
     eval_jet_seeded,
     parse,
     pretty_print,

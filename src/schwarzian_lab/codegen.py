@@ -1,12 +1,12 @@
-"""Python source generated per family and statistic: the lane function behind ``dsl``.
+"""The batch path: a statistic over groups of samples, by Python source generated per family.
 
 The lane function evaluates f_n at groups of samples of one family, one
 lane per sample, in one loop of straight-line code, as sympy's
 ``lambdify`` compiles an expression, and :func:`family` keeps the last
-one made in this process.  ``dsl.eval_jet_lanes`` runs it on every
-batch, a family's first included; ``dsl`` walks the tree for the
-single-point calls (one point, another seed, a ball) and for every
-sample the lane function hands back.  It returns a statistic, never
+one made in this process.  :func:`eval_jet_lanes` runs it on every
+batch, a family's first included, and hands every sample it redoes to
+the tree walk of ``dsl``, which also serves the single-point calls (one
+point, another seed, a ball).  It returns a statistic, never
 jets: a lane is one sample, one point, walked once at the statistic's
 order (1 to 5), and the lane function runs the statistic's formula
 inline on the sample's jet.  A call covers groups of samples, a grid
@@ -20,7 +20,9 @@ from the sample that gave it, so a ``scan-sd`` family has one lane
 function.
 
 It runs the jet formulas of ``jets`` on symbolic values
-(``_Sym``) to write straight-line source.  A symbolic value knows, per
+(``_Sym``) to write straight-line source, and a statistic's formula on
+the inputs of ``jets``' trace (``_Trace``), one line per traced
+operation, folding nothing.  A symbolic value knows, per
 float part, either the part exactly (a float) or what little is certain
 of it before run time (a ``_Part``).  An operation whose result is then
 exactly known, or is exactly an existing value, emits no code; any other
@@ -38,6 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .dsl import (
@@ -56,6 +59,7 @@ from .dsl import (
     PowInt,
     Sub,
     Var,
+    eval_jet,
 )
 from .jets import (
     DIVISION_FLOOR,
@@ -65,6 +69,7 @@ from .jets import (
     JetError,
     OverflowAtPoint,
     _Hot,
+    _Trace,
     _chain,
     _difference,
     _exponential,
@@ -266,7 +271,7 @@ class _Lanes:
         self.invariants: list[_Sym] = []  # written loop-invariant values
         self.memo: dict = {}  # (op, operands) -> result
         self.values: dict = {}  # exactly known parts -> existing value
-        self.tails: dict = {}  # a statistic's formula's lines -> the name they bind
+        self.tails: dict = {}  # a formula's line's right-hand side -> the name it first bound
         self.invariants_checked = 0  # invariants whose check is written
         self.count = 0
         self.n_used = False
@@ -512,65 +517,6 @@ class Statistic(NamedTuple):
             return "Overflow"
 
 
-def _binary(form: str) -> tuple:
-    # an operator and its reflection on _Tail values
-    return (lambda a, b: a.op(form, a, b)), (lambda a, b: a.op(form, b, a))
-
-
-class _Tail:
-    """A run-time value of a statistic's formula.
-
-    Each operation writes one line, in the order Python evaluates the
-    formula, and folds nothing, so the lines compute what the formula
-    computes on numbers.  With ``reuse``, an operation that a formula
-    written before into the same lines made already, on the same operands,
-    takes that formula's value, as the rise statistic of an ascent reuses
-    what the statistic itself computed at the same point.  A statistic's
-    own formula takes no ``reuse``: its slots would then share names where
-    two of them are one operation (``x3, x2, x2, x8 = got`` for ``z^0``'s
-    floor sweep), and a redone lane binds its value to those names.
-    """
-
-    __slots__ = ("t", "name", "reuse")
-
-    def __init__(self, t: _Lanes, name: str, reuse: bool = False):
-        self.t = t  # the writer, whose body takes the lines
-        self.name = name
-        self.reuse = reuse
-
-    def op(self, form: str, *args) -> "_Tail":
-        text = form.format(*(x.name if type(x) is _Tail else f"({x!r})" for x in args))
-        # t.tails: a line's right-hand side -> the name it first bound
-        name = self.t.tails.get(text) if self.reuse else None
-        if name is None:
-            name = f"x{len(self.t.body)}"
-            self.t.tails.setdefault(text, name)
-            self.t.body.append(f"{name} = {text}")
-        return _Tail(self.t, name, self.reuse)
-
-    __add__, __radd__ = _binary("{} + {}")
-    __sub__, __rsub__ = _binary("{} - {}")
-    __mul__, __rmul__ = _binary("{} * {}")
-    __truediv__, __rtruediv__ = _binary("{} / {}")
-
-    def __neg__(self):
-        return self.op("-{}", self)
-
-    def __abs__(self):
-        return self.op("abs({})", self)
-
-    @property
-    def real(self):
-        return self.op("{}.real", self)
-
-    @property
-    def imag(self):
-        return self.op("{}.imag", self)
-
-    def conjugate(self):
-        return self.op("{}.conjugate()", self)
-
-
 def _indent(lines, depth: int = 1) -> list:
     return ["    " * depth + line for line in lines]
 
@@ -586,8 +532,19 @@ def _formula(t: _Lanes, jet: tuple, stat: Statistic, checked: int = 0) -> list:
     """Write a statistic's formula on ``jet``, the parts of a lane's jet at
     ``zv``, into ``t``'s body, after the checks of its parts from
     ``checked`` on and of the invariants written since the last such
-    check, and return the names of its value's slots.  A formula that
-    follows another (``checked`` above 0) reuses its values."""
+    check, and return the names of its value's slots.
+
+    The formula runs on ``jets._Trace`` inputs named for the parts, and
+    each operation of its trace becomes one line, in the order the trace
+    made them, which is the order Python evaluates the formula: nothing is
+    folded, so the lines compute what the formula computes on numbers.  A
+    formula that follows another (``checked`` above 0, the rise of an
+    ascent) takes the name of an earlier line with the same right-hand
+    side, so it reuses what the statistic computed at the same point.  A
+    statistic's own formula reuses nothing: its slots would then share
+    names where two of them are one operation (``x3, x2, x2, x8 = got``
+    for ``z^0``'s floor sweep), and a redone lane binds its value to
+    those names."""
     parts = list(map(t.text, jet))
     unchecked = [x.name for x in t.unchecked(jet[checked:])]
     invariant = [x.name for x in t.invariants[t.invariants_checked:] if not x.finite()]
@@ -598,7 +555,16 @@ def _formula(t: _Lanes, jet: tuple, stat: Statistic, checked: int = 0) -> list:
         t.check(True, _not_finite(unchecked))
     if stat.critical is not None and not checked:
         t.check(True, _CRITICAL_GUARD.format(*parts))
-    value = stat.lane(tuple(_Tail(t, x, checked > 0) for x in parts))
+    made: list = []
+    value = stat.lane(tuple(_Trace(made, "", name=x) for x in parts))
+    for x in made:
+        if x.name is None:
+            text = x.form.format(*(a.name if type(a) is _Trace else f"({a!r})" for a in x.args))
+            x.name = t.tails.get(text) if checked else None
+            if x.name is None:
+                x.name = f"x{len(t.body)}"
+                t.tails.setdefault(text, x.name)
+                t.body.append(f"{x.name} = {text}")
     return [x.name for x in (value if type(value) is tuple else (value,))]
 
 
@@ -837,3 +803,42 @@ def family(expr: FamilyExpr, stat: Statistic):
             fn = _lanes_function(expr.root, stat)
         _last = (expr.root, stat, fn)
     return fn
+
+
+def _redo(expr: FamilyExpr, n: float, stat):
+    # a sample's value or flag by eval_jet at its point, of the
+    # statistic's order
+    jet_const(n)  # refuses an n that is not finite, before any lane runs
+    return partial(stat.walked, partial(eval_jet, expr, n, order=stat.order))
+
+
+def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat, radius: float | None = None):
+    """Evaluate a statistic of f_n over groups of samples, by the family's lane function.
+
+    ``stat`` is a :class:`Statistic`.  ``points`` is an iterable of
+    groups, each an iterable of samples, all read once, so either may be a
+    generator; a sample is a finite complex point, and a point that is
+    not finite is the caller's to refuse.  One call of the lane function
+    covers every group, and returns one result per group, in order:
+    ``(best, flags)``, the largest statistic over the group's samples,
+    -1.0 if none has one, and the frozenset of the flags of its samples
+    that failed; for several slots, ``(best, best1, ..., flags)``, each
+    from the slot's start value.  A group's result depends on its own
+    samples alone, and each sample's value is the one its jet from
+    :func:`eval_jet` at ``stat.order`` gives, bit for bit.  The lane
+    function's one handler redoes a sample by ``redo``: ``stat.walked``
+    walks the tree from ``jet_var`` at the sample's point, of order
+    ``stat.order``, whose every part is checked, as the lane function
+    checks them, and gives the sample's value, or the flag of its failure.
+
+    For a statistic with an ascent, each group is a sequence whose first
+    sample is the centre of a disk of radius ``radius``, and the same call
+    refines each group's ``best`` by ascent inside its disk; an ascent
+    candidate that fails is redone by the walk of its own statistic.
+    """
+    redo = _redo(expr, n, stat)
+    # the lane function takes n real, so that N's imaginary part is +0
+    N = complex(n) if isinstance(n, (int, float)) else None
+    if stat.ascent is None:
+        return family(expr, stat)(N, points, redo)
+    return family(expr, stat)(N, points, redo, _redo(expr, n, stat.ascent), radius)

@@ -25,33 +25,19 @@ can exhaust the stack or run unbounded work: at most :data:`MAX_DEPTH`
 levels of nesting, number literals within the double range, and integer
 exponents of magnitude at most :data:`MAX_EXPONENT`.
 
-Evaluation takes one of two paths, chosen by the call, which give the
-same bits:
-
-- :func:`eval_jet_lanes` evaluates a statistic (a ``codegen.Statistic``)
-  over groups of samples, one lane per sample, each sample a finite
-  point whose jet is of the statistic's order, from 1 to 5 (4 for
-  ``scan-sd``'s S', 5 for its ascent's S'').  It runs the lane function
-  that ``codegen`` generates once per family, statistic and process, as
-  sympy's ``lambdify`` does, from the family's first batch on: one loop
-  of straight-line code that inlines each node's jet formula and folds
-  only what is exactly known before run time.  It returns per group (a
-  grid point's samples, or a segment's) the statistic's maximum (of each
-  slot, for the ``hypotheses`` floor sweep), the flags of its failed
-  samples and, for ``scan-sd``, the sample that gave the maximum, never
-  jets.
-- The single-point calls, :func:`eval_jet` and :func:`eval_jet_seeded`,
-  walk the tree, one ``jet_*`` operation per node, so a one-off
-  evaluation generates no lane function.  The walk also redoes, from
-  ``jets.jet_var`` at its points, every sample the lane function hands
-  back: any sample that failed, or might have, with jets of the
-  statistic's order.  It then fails only where a part of that jet leaves
-  the double range, as the lane function does
-  (``codegen.Statistic.order``).  At a
-  :class:`~.ball.Ball` point, or from a seed of balls, the same walk runs
-  the same operations on balls; it differs only in that each number
-  literal is a ball of half an ulp, so the result encloses the exact jet
-  of the expression as written.
+Evaluation here is a walk of the tree, one ``jet_*`` operation per
+node: :func:`eval_jet` at a point, and :func:`eval_jet_seeded` from a
+seed jet.  A batch of samples takes another path, which gives the same
+bits: ``codegen.eval_jet_lanes`` runs the lane function that ``codegen``
+generates from the tree once per family, statistic and process, and
+hands each sample that failed, or might have, back to this walk, from
+``jets.jet_var`` at its point, with a jet of the statistic's order
+(``codegen.Statistic.order``).  The walk then fails only where a part of
+that jet leaves the double range, as the lane function does.  At a
+:class:`~.ball.Ball` point, or from a seed of balls, the same walk runs
+the same operations on balls; it differs only in that each number
+literal is a ball of half an ulp, so the result encloses the exact jet
+of the expression as written.
 
 A failed walk raises the :class:`EvalError` of its first failure, the one
 a recursive evaluation would raise: a node's left operand before its
@@ -62,8 +48,8 @@ values bit-identical, and every path gives the same bits.
 
 from __future__ import annotations
 
+import cmath
 import math
-from functools import partial
 from typing import Tuple
 
 from .ball import Ball, literal
@@ -109,7 +95,6 @@ __all__ = [
     "pretty_print",
     "eval_jet",
     "eval_jet_seeded",
-    "eval_jet_lanes",
     "lex_number",
 ]
 
@@ -347,6 +332,9 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 # recursive-descent parser
 
 _PRIMARY_EXPECTED = "a number, 'z', 'n', 'i', 'exp(', 'log(', '(' or unary '-'"
+# the binary operators of each level, loosest first: an expression's, then a term's
+_SUMS = {"+": Add, "-": Sub}
+_PRODUCTS = {"*": Mul, "/": Div}
 
 
 class _Parser:
@@ -381,33 +369,19 @@ class _Parser:
 
     def expression(self) -> Node:
         left = self.term()
-        while True:
-            kind = self.peek()[0]
-            if kind == "+":
-                self.advance()
-                right = self.term()
-                left = Add(left, right, span=(left.span[0], right.span[1]))
-            elif kind == "-":
-                self.advance()
-                right = self.term()
-                left = Sub(left, right, span=(left.span[0], right.span[1]))
-            else:
-                return left
+        while (kind := _SUMS.get(self.peek()[0])) is not None:
+            self.advance()
+            right = self.term()
+            left = kind(left, right, span=(left.span[0], right.span[1]))
+        return left
 
     def term(self) -> Node:
         left = self.factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "*":
-                self.advance()
-                right = self.factor()
-                left = Mul(left, right, span=(left.span[0], right.span[1]))
-            elif kind == "/":
-                self.advance()
-                right = self.factor()
-                left = Div(left, right, span=(left.span[0], right.span[1]))
-            else:
-                return left
+        while (kind := _PRODUCTS.get(self.peek()[0])) is not None:
+            self.advance()
+            right = self.factor()
+            left = kind(left, right, span=(left.span[0], right.span[1]))
+        return left
 
     def factor(self) -> Node:
         kind, _, pos = self.peek()
@@ -508,6 +482,13 @@ _LEVEL_PRODUCT = 2
 _LEVEL_UNARY = 3
 _LEVEL_POWER = 4
 _LEVEL_ATOM = 9
+# each binary node's symbol and level, from the parser's tables: a right
+# operand binds one level tighter, as the operators are left-associative
+_BINARY = {
+    kind: (symbol, level)
+    for level, table in ((_LEVEL_SUM, _SUMS), (_LEVEL_PRODUCT, _PRODUCTS))
+    for symbol, kind in table.items()
+}
 
 
 def _format_number(value: complex) -> str:
@@ -539,18 +520,9 @@ def _pp(node: Node, ctx: int) -> str:
         return f"exp({_pp(node.arg, 0)})"
     if isinstance(node, Log):
         return f"log({_pp(node.arg, 0)})"
-    if isinstance(node, Add):
-        text = f"{_pp(node.lhs, _LEVEL_SUM)}+{_pp(node.rhs, _LEVEL_PRODUCT)}"
-        level = _LEVEL_SUM
-    elif isinstance(node, Sub):
-        text = f"{_pp(node.lhs, _LEVEL_SUM)}-{_pp(node.rhs, _LEVEL_PRODUCT)}"
-        level = _LEVEL_SUM
-    elif isinstance(node, Mul):
-        text = f"{_pp(node.lhs, _LEVEL_PRODUCT)}*{_pp(node.rhs, _LEVEL_UNARY)}"
-        level = _LEVEL_PRODUCT
-    elif isinstance(node, Div):
-        text = f"{_pp(node.lhs, _LEVEL_PRODUCT)}/{_pp(node.rhs, _LEVEL_UNARY)}"
-        level = _LEVEL_PRODUCT
+    if type(node) in _BINARY:
+        symbol, level = _BINARY[type(node)]
+        text = f"{_pp(node.lhs, level)}{symbol}{_pp(node.rhs, level + 1)}"
     elif isinstance(node, Neg):
         text = f"-{_pp(node.operand, _LEVEL_UNARY)}"
         level = _LEVEL_UNARY
@@ -575,7 +547,7 @@ def pretty_print(expr: FamilyExpr | Node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: a tree walk, or the lane function ``codegen`` generates
+# evaluation: a tree walk
 
 # the operation the walk calls per node, at any jet length; a literal
 # takes its seed's order
@@ -619,45 +591,6 @@ def _walk(node: Node, ops: dict, leaves: dict, point):
         raise EvalError(node.span, str(exc), point) from exc
 
 
-def _redo(expr: FamilyExpr, n: float, stat):
-    # a sample's value or flag by eval_jet at its point, of the
-    # statistic's order
-    jet_const(n)  # refuses an n that is not finite, before any lane runs
-    return partial(stat.walked, partial(eval_jet, expr, n, order=stat.order))
-
-
-def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat, radius: float | None = None):
-    """Evaluate a statistic of f_n over groups of samples, by the family's lane function.
-
-    ``stat`` is a ``codegen.Statistic``.  ``points`` is an iterable of
-    groups, each an iterable of samples, all read once, so either may be a
-    generator; a sample is a finite complex point, and a point that is
-    not finite is the caller's to refuse.  One call of the lane function
-    covers every group, and returns one result per group, in order:
-    ``(best, flags)``, the largest statistic over the group's samples,
-    -1.0 if none has one, and the frozenset of the flags of its samples
-    that failed; for several slots, ``(best, best1, ..., flags)``, each
-    from the slot's start value.  A group's result depends on its own
-    samples alone, and each sample's value is the one its jet from
-    :func:`eval_jet` at ``stat.order`` gives, bit for bit.  The lane
-    function's one handler redoes a sample by ``redo``: ``stat.walked``
-    walks the tree from ``jet_var`` at the sample's point, of order
-    ``stat.order``, whose every part is checked, as the lane function
-    checks them, and gives the sample's value, or the flag of its failure.
-
-    For a statistic with an ascent, each group is a sequence whose first
-    sample is the centre of a disk of radius ``radius``, and the same call
-    refines each group's ``best`` by ascent inside its disk; an ascent
-    candidate that fails is redone by the walk of its own statistic.
-    """
-    redo = _redo(expr, n, stat)
-    # the lane function takes n real, so that N's imaginary part is +0
-    N = complex(n) if isinstance(n, (int, float)) else None
-    if stat.ascent is None:
-        return _family(expr, stat)(N, points, redo)
-    return _family(expr, stat)(N, points, redo, _redo(expr, n, stat.ascent), radius)
-
-
 def _walked(expr: FamilyExpr, n: float, seed: Jet, point) -> Jet:
     # one evaluation by the walk, of the seed's order, on balls where the
     # seed's value is a ball, raising the EvalError of its first failure,
@@ -694,13 +627,14 @@ def eval_jet_seeded(expr: FamilyExpr, n: float, seed: Jet, point: complex | None
     composition f_n(g(z)) by the chain rule; ``point`` only labels errors.
     The result is of the seed's order, which runs from 0 to
     ``jets.MAX_ORDER`` (ValueError otherwise).  A seed whose value is a
-    ball evaluates on balls, as :func:`eval_jet`.
+    ball evaluates on balls, as :func:`eval_jet`.  A seed with a part that
+    is not finite, a ball's by its midpoint, raises ValueError, as
+    ``jets.jet_var`` refuses such a point: no jet holds one.
     """
     if not 1 <= len(seed) <= MAX_ORDER + 1:  # the seed's order is first read here
         raise ValueError(f"a jet's order runs from 0 to {MAX_ORDER}, not {len(seed) - 1}")
+    if not all(map(cmath.isfinite, seed)):
+        raise ValueError("eval_jet_seeded requires a seed of finite parts")
     seed = _as_jet(seed)
     return _walked(expr, n, seed, seed[0] if point is None else point)
 
-
-# codegen reads the node classes above
-from .codegen import family as _family  # noqa: E402

@@ -32,9 +32,11 @@ the same float operations in the same order.  A formula that the walk
 or codegen calls often at one jet length is compiled, once, from a trace
 of itself into straight-line code that makes the same operations on the
 same operands in the same order (``_Hot``), once the calls have cost
-about what compiling does.  The trace is not codegen's, which folds the
-float parts it knows before run time on a lane's finite operands: a
-formula's code keeps every operation, for any operands, balls included.
+about what compiling does.  A formula's code keeps every operation, for
+any operands, balls included: it folds nothing, unlike codegen's
+symbolic values, which fold the float parts they know before run time
+on a lane's finite operands.  Codegen runs the same trace on a
+statistic's formula, whose lines fold nothing either.
 
 The ``jet_*`` operations run unchanged on jets whose parts are balls
 (:class:`~schwarzian_lab.ball.Ball`), as ``dsl.eval_jet`` at a ball
@@ -205,8 +207,9 @@ _HOT = 200
 
 
 class _Trace:
-    """A value of a formula's trace (:func:`_compiled`): an input, or one
-    operation on earlier values."""
+    """A value of a formula's trace (:func:`_compiled`, and
+    ``codegen._formula`` for a statistic's): an input, or one operation on
+    earlier values."""
 
     __slots__ = ("made", "form", "args", "uses", "name")
 
@@ -230,9 +233,14 @@ class _Trace:
     def op(self, form: str, *args) -> "_Trace":
         return _Trace(self.made, form, args)
 
-    # the formulas add and subtract parts, and multiply by coefficients
+    # the formulas add and subtract parts, and multiply by coefficients;
+    # codegen's statistics also divide, and take moduli, halves and
+    # conjugates
     def __add__(self, other):
         return self.op("{} + {}", self, other)
+
+    def __radd__(self, other):
+        return self.op("{} + {}", other, self)
 
     def __sub__(self, other):
         return self.op("{} - {}", self, other)
@@ -243,8 +251,25 @@ class _Trace:
     def __rmul__(self, other):
         return self.op("{} * {}", other, self)
 
+    def __truediv__(self, other):
+        return self.op("{} / {}", self, other)
+
     def __neg__(self):
         return self.op("-{}", self)
+
+    def __abs__(self):
+        return self.op("abs({})", self)
+
+    @property
+    def real(self):
+        return self.op("{}.real", self)
+
+    @property
+    def imag(self):
+        return self.op("{}.imag", self)
+
+    def conjugate(self):
+        return self.op("{}.conjugate()", self)
 
 
 def _compiled(formula, args, checked: bool = False):

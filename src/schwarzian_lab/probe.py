@@ -49,8 +49,8 @@ import random
 import warnings
 from enum import Enum
 
-from .codegen import Statistic, family
-from .dsl import EvalError, FamilyExpr, eval_jet, eval_jet_lanes
+from .codegen import Statistic, eval_jet_lanes, family
+from .dsl import EvalError, FamilyExpr, eval_jet
 from .jets import OverflowAtPoint, modulus
 from .record import Record
 from .schwarzian import _schwarzian_derivatives, _spherical
@@ -346,8 +346,8 @@ def _sweep(stat: Statistic, expr: FamilyExpr, grid: GridSpec, n_values, offset: 
                 raise ValueError("jet_var requires a finite point")
             zs.append(z)
             groups.append(points)
-        # by the module-level name, which bench/tracer.py rebinds to count
-        # calls: one per (n, block), an ascent's evaluations inside it
+        # by the module-level name, which tests rebind to count calls: one
+        # per (n, block), an ascent's evaluations inside it
         per_n = [eval_jet_lanes(expr, n, groups, stat, radius) for n in n_values]
         yield from zip(zs, zip(*per_n))
 

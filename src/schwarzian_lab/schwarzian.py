@@ -206,6 +206,8 @@ class Mobius(Record):
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex):
         a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        if not all(map(cmath.isfinite, (a, b, c, d))):
+            raise ValueError(f"Mobius coefficients must be finite: {(a, b, c, d)!r}")
         det = a * d - b * c
         # ad - bc cancels catastrophically when |ad| + |bc| dwarfs it.
         scale = modulus(a * d) + modulus(b * c)

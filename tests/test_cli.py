@@ -9,6 +9,7 @@ of families whose samples fail, flags and refusals included.  One test
 exercises the installed console script end to end.
 """
 
+import ast
 import json
 import os
 import random
@@ -34,7 +35,8 @@ from schwarzian_lab import (
     parse,
     schwarzian,
 )
-from schwarzian_lab import cli, probe
+import schwarzian_lab
+from schwarzian_lab import cli, codegen, probe
 from schwarzian_lab.cli import (
     CATALOG,
     SEED_ENV_VAR,
@@ -278,6 +280,17 @@ def test_identity_conjugation_with_n_in_phi(capsys):
     row = json.loads(out)
     assert row["passed"] is True
     assert parse_complex(row["lhs"]) == pytest.approx(-8 + 0j)
+
+
+@pytest.mark.parametrize("n", ["inf", "nan"])
+@pytest.mark.parametrize("kind,flags", [
+    ("mobius-invariance", ("--family", "z", "--mobius", "n,0,0,1")),
+    ("conjugation", ("--family", "z", "--family", "z", "--phi", "n,0,0,1")),
+])
+def test_a_map_with_a_coefficient_that_is_not_finite_is_refused(capsys, kind, flags, n):
+    code, out, err = run_cli(capsys, "identity", kind, *flags, "--n", n, "--z", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Mobius coefficients must be finite: ")
 
 
 def test_identity_csv_header(capsys):
@@ -1338,6 +1351,32 @@ def test_importing_the_cli_imports_no_process_pool():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == "0 [] True"
     assert len(proc.stdout.splitlines()) == 4  # the header and two rows, printed once
+
+
+def test_the_package_imports_form_no_cycle():
+    # each module's relative imports, as its source states them, anywhere in
+    # it: dsl is the language and its walk, and codegen, which generates
+    # code from dsl's trees and owns the batch, imports dsl, never the reverse
+    imports = {}
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        nodes = ast.walk(ast.parse(path.read_text()))
+        imports[path.stem] = {
+            target for node in nodes if isinstance(node, ast.ImportFrom) and node.level == 1
+            for target in ([node.module] if node.module else [a.name for a in node.names])
+        }
+    assert "codegen" in imports["probe"]
+
+    def reached(module):
+        seen, stack = set(), list(imports[module])
+        while stack:
+            m = stack.pop()
+            if m not in seen:
+                seen.add(m)
+                stack.extend(imports.get(m, ()))
+        return seen
+
+    assert [m for m in sorted(imports) if m in reached(m)] == []
+    assert schwarzian_lab.eval_jet_lanes is codegen.eval_jet_lanes
 
 
 def _dying_child(how):

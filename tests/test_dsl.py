@@ -28,11 +28,11 @@ from schwarzian_lab.dsl import (
     Sub,
     Var,
     eval_jet,
-    eval_jet_lanes,
     eval_jet_seeded,
     parse,
     pretty_print,
 )
+from schwarzian_lab.codegen import eval_jet_lanes
 from schwarzian_lab.ball import Ball, literal, radius
 from schwarzian_lab.record import Record
 from schwarzian_lab.jets import (
@@ -353,6 +353,22 @@ def test_seeded_evaluation_defaults_point_to_seed_value():
     with pytest.raises(EvalError) as info:
         eval_jet_seeded(g, 1.0, jet_var(0j))
     assert info.value.point == 0j
+
+
+@pytest.mark.parametrize("text", ["z", "z+1", "exp(z)"])
+@pytest.mark.parametrize("place", [0, 1, 3])
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0.0, float("inf"))])
+def test_a_seed_with_a_part_that_is_not_finite_is_refused(text, place, bad):
+    # no jet holds such a part, so the seed is refused as jet_var refuses
+    # its point; a ball part is judged by its midpoint, a huge radius kept
+    parts = [0.5 + 0j, 1 + 0j, 0j, 0j]
+    parts[place] = bad
+    with pytest.raises(ValueError, match="finite"):
+        eval_jet_seeded(parse(text), 1.0, tuple(parts))
+    with pytest.raises(ValueError, match="finite"):
+        eval_jet_seeded(parse(text), 1.0, tuple(map(Ball, parts)))
+    wide = (Ball(0.5 + 0j, math.inf), Ball(1 + 0j), Ball(0j), Ball(0j))
+    assert complex(eval_jet_seeded(parse(text), 1.0, wide)[0]) == eval_jet(parse(text), 1.0, 0.5)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from schwarzian_lab import (
     value_bound_check,
 )
 import schwarzian_lab
-from schwarzian_lab import codegen, dsl, probe
+from schwarzian_lab import codegen, probe
 from schwarzian_lab.probe import (
     DEFAULT_RADIUS,
     DEFAULT_SAMPLES,
@@ -1056,9 +1056,9 @@ def _redone_samples(f, grid, ns, offset):
     fn = codegen.family(f, probe._SD)
     out = []
     for n in ns:
-        redone, redo = [], dsl._redo(f, n, probe._SD)
+        redone, redo = [], codegen._redo(f, n, probe._SD)
         fn(complex(n), groups, lambda w: redone.append(w) or redo(w),
-           dsl._redo(f, n, probe._SD_RISE), radius)
+           codegen._redo(f, n, probe._SD_RISE), radius)
         for samples in groups:
             at = sd_keep(f, n, samples)[2]
             climbs = at is not None and walked(f, n, probe._SD_RISE)(at) is not None

@@ -194,6 +194,17 @@ def test_mobius_degenerate_relative_to_scale():
         Mobius(1e8, 1e8, 1e8, 1e8 + 1e-5)
 
 
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
+@pytest.mark.parametrize("place", range(4))
+def test_mobius_coefficient_that_is_not_finite_is_refused(bad, place):
+    # refused for what it is, before ad - bc reads it
+    coefficients = [1, 0, 0, 1]
+    coefficients[place] = bad
+    with pytest.raises(ValueError, match="must be finite") as info:
+        Mobius(*coefficients)
+    assert type(info.value) is ValueError
+
+
 def test_mobius_extreme_diagonal_is_fine():
     m = Mobius(1e8, 0, 0, 1e-8)
     assert mobius_apply(m, 2.0) == pytest.approx(2e16, rel=1e-12)

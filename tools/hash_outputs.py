@@ -3,6 +3,8 @@
     python tools/hash_outputs.py SRC_DIR > before.txt
     python tools/hash_outputs.py --diff before.txt after.txt
     python tools/hash_outputs.py --against REV
+    python tools/hash_outputs.py --lanes SRC_DIR
+    python tools/hash_outputs.py --lanes --against REV
 
 The first form runs ``schwarzian_lab.cli.main(argv)`` in this process,
 from ``SRC_DIR/schwarzian_lab``, once per command of the corpus below, and
@@ -16,6 +18,15 @@ with ``git archive`` into a temporary directory, hashes the corpus on
 that tree and on the working tree's ``src/``, each in its own child
 process, and prints both totals, then the argv of each command whose
 hashes differ; it exits 1 if any do, and 2 if either run fails.
+
+``--lanes`` hashes generated code in place of output: for each family
+that the corpus passes as ``--family`` and that parses, each once, the
+SHA-256 of the lane function's source (``codegen._lanes_source``) under
+each of the statistics ``probe._MARTY``, ``_SD``, ``_FLOOR`` and
+``_BOUND``, one line each, the digest, a tab and ``[family, statistic]``
+as JSON, then the total.  ``--lanes --against REV`` compares the lane
+sources of REV's ``src/`` and of the working tree's, as ``--against``
+compares their output.
 
 The corpus:
 
@@ -330,13 +341,20 @@ def corpus() -> list[list[str]]:
     return out + [["eval", f"--family={text}", "--n=1", "--z=0.5+0i"] for text in _REFUSED]
 
 
-def run(src: Path) -> None:
+def _import(src: Path) -> None:
+    """Import the package from ``src``, never from elsewhere on the path."""
     sys.path.insert(0, str(src))
-    from schwarzian_lab import cli
+    import schwarzian_lab
 
-    where = Path(cli.__file__).resolve().parent
+    where = Path(schwarzian_lab.__file__).resolve().parent
     if where != src.resolve() / "schwarzian_lab":
         sys.exit(f"hash_outputs: imported schwarzian_lab from {where}, not {src}")
+
+
+def run(src: Path) -> None:
+    _import(src)
+    from schwarzian_lab import cli
+
     os.environ.pop(cli.SEED_ENV_VAR, None)
     warnings.simplefilter("always")
     total = hashlib.sha256()
@@ -356,6 +374,43 @@ def run(src: Path) -> None:
     print(f"total {total.hexdigest()} over {len(commands)} commands")
 
 
+# the statistics whose lane functions --lanes hashes, by their names in probe
+_STATISTICS = ("_MARTY", "_SD", "_FLOOR", "_BOUND")
+
+
+def families() -> list[str]:
+    """The texts the corpus passes as ``--family``, each once, in order."""
+    out: dict = {}
+    for argv in corpus():
+        for k, arg in enumerate(argv):
+            if arg.startswith("--family="):
+                out.setdefault(arg[len("--family="):])
+            elif arg == "--family":
+                out.setdefault(argv[k + 1])
+    return list(out)
+
+
+def run_lanes(src: Path) -> None:
+    _import(src)
+    from schwarzian_lab import codegen, probe
+    from schwarzian_lab.dsl import ParseError, parse
+
+    total = hashlib.sha256()
+    count = 0
+    for text in families():
+        try:
+            root = parse(text).root
+        except ParseError:
+            continue
+        for name in _STATISTICS:
+            source, _ = codegen._lanes_source(root, getattr(probe, name))
+            digest = hashlib.sha256(source.encode()).hexdigest()
+            total.update(digest.encode())
+            count += 1
+            print(f"{digest}\t{json.dumps([text, name])}")
+    print(f"total {total.hexdigest()} over {count} lane sources")
+
+
 def _lines(text: str) -> list[tuple[str, str]]:
     rows = []
     for line in text.splitlines():
@@ -365,7 +420,7 @@ def _lines(text: str) -> list[tuple[str, str]]:
     return rows
 
 
-def _compare(a: str, b: str) -> int:
+def _compare(a: str, b: str, what: str = "commands") -> int:
     # a and b are the output of two runs
     left, right = _lines(a), _lines(b)
     if [argv for argv, _ in left] != [argv for argv, _ in right]:
@@ -374,7 +429,7 @@ def _compare(a: str, b: str) -> int:
     differ = [argv for (argv, x), (_, y) in zip(left, right) if x != y]
     for argv in differ:
         print(argv)
-    print(f"{len(differ)} of {len(left)} commands differ")
+    print(f"{len(differ)} of {len(left)} {what} differ")
     return 1 if differ else 0
 
 
@@ -382,8 +437,9 @@ def diff(a: str, b: str) -> int:
     return _compare(Path(a).read_text(), Path(b).read_text())
 
 
-def against(rev: str) -> int:
-    """Hash the corpus on REV's ``src/`` and on the working tree's, and compare."""
+def against(rev: str, lanes: bool = False) -> int:
+    """Hash the corpus, or its lane sources, on REV's ``src/`` and on the
+    working tree's, and compare."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True)
     if archive.returncode:
         print(archive.stderr.decode(), end="", file=sys.stderr)
@@ -392,8 +448,8 @@ def against(rev: str) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, filter="data")
         runs = [
-            subprocess.Popen([sys.executable, __file__, str(src)], stdout=subprocess.PIPE,
-                             stderr=subprocess.PIPE, text=True)
+            subprocess.Popen([sys.executable, __file__, *["--lanes"] * lanes, str(src)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
             for src in (Path(tmp) / "src", ROOT / "src")
         ]
         outs = [run.communicate() for run in runs]
@@ -402,16 +458,19 @@ def against(rev: str) -> int:
             print(f"hash_outputs: the run on {name} failed\n{err}", end="", file=sys.stderr)
             return 2
         print(f"{name}: {out.splitlines()[-1]}")
-    return _compare(*(out for out, _ in outs))
+    return _compare(*(out for out, _ in outs), "lane sources" if lanes else "commands")
 
 
 def main(argv: list[str]) -> int:
+    lanes = argv[:1] == ["--lanes"]
+    if lanes:
+        argv = argv[1:]
     if len(argv) == 3 and argv[0] == "--diff":
         return diff(argv[1], argv[2])
     if len(argv) == 2 and argv[0] == "--against":
-        return against(argv[1])
+        return against(argv[1], lanes)
     if len(argv) == 1 and not argv[0].startswith("-"):
-        run(Path(argv[0]))
+        (run_lanes if lanes else run)(Path(argv[0]))
         return 0
     print(__doc__.split("\n\n")[1], file=sys.stderr)
     return 2

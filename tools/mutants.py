@@ -64,8 +64,9 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # forked scan processes and the ascent's kept values, then those of the one
 # lane-function cache and of the identity bound clause, then those of the
 # one jet type at every order and of the slope's log clamp, then that of
-# the kept names read from the generated lines; a later change adds its
-# mutants here
+# the kept names read from the generated lines, then those of the one
+# formula tracer, of the operator tables and of the finite seeds and Mobius
+# coefficients; a later change adds its mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -315,7 +316,8 @@ MUTANTS = (
            "import warnings\n", "import pickle\nimport warnings\n",
            (CLI + "test_importing_the_cli_imports_no_process_pool",)),
     # one batch contract: a redone sample's walk raises, and stops at its
-    # first failed or critical point; the jets reach a test by _Tail's halves
+    # first failed or critical point; the jets reach a test by the traced
+    # halves of a statistic's formula
     Mutant("the redo walk flags every failure Pole", "codegen.py",
            '                return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"',
            '                return "Pole"',
@@ -327,7 +329,7 @@ MUTANTS = (
            "            return self.lane(j)",
            (DSL + "test_fused_sd_statistic_on_each_rule",
             DSL + "test_fused_floor_sweep_on_each_rule")),
-    Mutant("_Tail's imaginary half writes the real half", "codegen.py",
+    Mutant("a traced imaginary half writes the real half", "jets.py",
            '        return self.op("{}.imag", self)', '        return self.op("{}.real", self)',
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",
             DSL + "test_n_times_z_makes_no_product_with_the_derivatives_of_n")),
@@ -521,6 +523,29 @@ MUTANTS = (
            '_TARGETS = re.compile(r"(\\w+(?:, \\w+)*) = ")',
            '_TARGETS = re.compile(r"(\\w+)(?:, \\w+)* = ")',
            (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits[power]",)),
+    # one formula tracer for the jets and codegen, and one table per level
+    # of binary operators, which the parser and the printer read
+    Mutant("a statistic's own formula reuses a line it wrote", "codegen.py",
+           "            x.name = t.tails.get(text) if checked else None",
+           "            x.name = t.tails.get(text)",
+           (DSL + "test_n_times_z_makes_no_product_with_the_derivatives_of_n",)),
+    Mutant("- parsed as +", "dsl.py",
+           '_SUMS = {"+": Add, "-": Sub}', '_SUMS = {"+": Add, "-": Add}',
+           (DSL + "test_precedence_and_associativity",)),
+    Mutant("/ parsed as *", "dsl.py",
+           '_PRODUCTS = {"*": Mul, "/": Div}', '_PRODUCTS = {"*": Mul, "/": Mul}',
+           (DSL + "test_precedence_and_associativity",)),
+    Mutant("a right operand printed at its own level, so z-(z-z) prints as z-z-z", "dsl.py",
+           "{_pp(node.rhs, level + 1)}", "{_pp(node.rhs, level)}",
+           (DSL + "test_pretty_print_keeps_needed_parens_only",
+            DSL + "test_pretty_print_round_trip")),
+    # no jet holds a part that is not finite, nor does a Mobius map
+    Mutant("a seed with a part that is not finite taken", "dsl.py",
+           "    if not all(map(cmath.isfinite, seed)):", "    if False:",
+           (DSL + "test_a_seed_with_a_part_that_is_not_finite_is_refused",)),
+    Mutant("a Mobius coefficient that is not finite taken", "schwarzian.py",
+           "        if not all(map(cmath.isfinite, (a, b, c, d))):", "        if False:",
+           (SCHWARZIAN + "test_mobius_coefficient_that_is_not_finite_is_refused",)),
 )
 
 SURVIVORS = (
