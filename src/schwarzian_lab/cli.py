@@ -278,6 +278,18 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _finite_arg(text: str) -> float:
+    # the family index of a single point: the walk seeds n as a constant,
+    # which must be finite
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _grid_arg(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 6:
@@ -453,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one family member's jet at a point")
     _add_family_options(p_eval, "exactly one")
-    p_eval.add_argument("--n", type=float, required=True, help="family index")
+    p_eval.add_argument("--n", type=_finite_arg, required=True, help="family index")
     p_eval.add_argument("--z", type=_complex_arg, required=True, help="evaluation point, a+bi")
     _add_output_options(p_eval, "json")
     p_eval.set_defaults(handler=_cmd_eval)
@@ -464,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("mobius-invariance", "composition", "reciprocal", "conjugation"),
     )
     _add_family_options(p_id, "one, or two for composition/conjugation (f first)")
-    p_id.add_argument("--n", type=float, required=True)
+    p_id.add_argument("--n", type=_finite_arg, required=True)
     p_id.add_argument("--z", type=_complex_arg, required=True)
     p_id.add_argument("--mobius", metavar="a,b,c,d", default=None, help="map for mobius-invariance")
     p_id.add_argument("--phi", metavar="a,b,c,d", default=None, help="conjugating map for conjugation")

@@ -60,6 +60,7 @@ from .dsl import (
     Sub,
     Var,
     eval_jet,
+    eval_jet_seeded,
 )
 from .jets import (
     DIVISION_FLOOR,
@@ -81,7 +82,7 @@ from .jets import (
     jet_pow_int,
     modulus,
 )
-from .schwarzian import CRITICAL_POINT_FLOOR, _critical
+from .schwarzian import CRITICAL_POINT_FLOOR, _S_AFFINE, _critical, _peel
 
 # an integer power up to this exponent is written out as products; a
 # larger one calls jet_pow_int
@@ -262,8 +263,6 @@ class _Lanes:
 
     def __init__(self, order: int = 3):
         self.order = order
-        # the zero parts above f of a constant
-        self.zeros = (ZERO,) * order
         self.consts: dict = {}  # bound name -> constant
         self.names: dict = {}  # constant bits -> bound name
         self.prelude: list[str] = []  # loop-invariant lines
@@ -380,26 +379,26 @@ class _Lanes:
     # -- nodes ---------------------------------------------------------
 
     def walk_lane(self, root: Node) -> tuple:
-        """The root's jet at the lane's point ``zv``."""
+        """The root's jet at the lane's point ``zv``, of the writer's order."""
         zv = self.sym(_Part(finite=True), _Part(finite=True), True, name="zv")
-        self.var = (zv, VAR_D1, *self.zeros[1:])
-        return self.walk(root)
+        return self.walk(root, (zv, VAR_D1, *(ZERO,) * (self.order - 1)))
 
-    def walk(self, node: Node) -> tuple:
-        """A node's jet: its operands left before right, then the node."""
+    def walk(self, node: Node, var: tuple) -> tuple:
+        """A node's jet where its variable's is ``var``, of that jet's
+        order: its operands left before right, then the node."""
         kind = type(node)
         if kind is Var:
-            return self.var
+            return var
         if kind is Param:
             self.n_used = True
-            return (self.n, *self.zeros)
+            return (self.n, *(ZERO,) * (len(var) - 1))
         if kind is ImagUnit:
-            return jet_const(1j, self.order)
+            return jet_const(1j, len(var) - 1)
         if kind is ConstNum:
-            return jet_const(node.value, self.order)
+            return jet_const(node.value, len(var) - 1)
         # the node's fields but its span, in order: children, and PowInt's exponent
         fields = node._key(node)
-        return self.apply(node, *(self.walk(v) if isinstance(v, Node) else v for v in fields))
+        return self.apply(node, *(self.walk(v, var) if isinstance(v, Node) else v for v in fields))
 
     def reciprocal(self, b: tuple) -> tuple:
         self.guard(b[0], f"abs({{}}) <= {DIVISION_FLOOR!r}", _below_floor)
@@ -433,14 +432,14 @@ class _Lanes:
             parts = [self.text(x) for x in self.unchecked(u)]
             if parts:
                 self.check(True, _not_finite(parts))
-            return jet_const(1.0, self.order)
+            return jet_const(1.0, len(u) - 1)
         if abs(k) > _INLINE_POWER:
             return self.power_call(u, k)
         acc = u
         for _ in range(abs(k) - 1):
             acc = self.node(_PRODUCT[len(u)](acc, u))
         if k < 0:
-            acc = self.node(_PRODUCT[len(u)](jet_const(1.0, self.order), self.reciprocal(acc)))
+            acc = self.node(_PRODUCT[len(u)](jet_const(1.0, len(u) - 1), self.reciprocal(acc)))
         return acc
 
     def power_call(self, u: tuple, k: int) -> tuple:
@@ -489,7 +488,14 @@ class Statistic(NamedTuple):
     a statistic of one slot, by ascent inside the group's disk
     (:func:`_ascent`): ``ascent`` is the rise statistic, of a higher
     order, whose four slots are F (this statistic's value, bit for bit),
-    a and the two parts of D.  The fields are module-level functions and
+    a and the two parts of D.  With ``peel`` (``scan-sd``'s S), the root
+    is split by the peel rule, ``schwarzian._peel``, into an outer map F
+    and its inner tree g, and the sample's jet is g's: the formula reads
+    it and S_F's coefficients, ``lane(jet, outer)``, and the critical test
+    reads f' of F's walk at order 1 from g's first two parts, as the
+    root's walk computes it.  So no part of f above f' is computed,
+    checked or flagged, and a root with nothing to peel is the identity
+    case, F the variable.  The fields are module-level functions and
     numbers, so that a pickled copy is equal, and :func:`family` gives it
     the lane function of the statistic it copies.
     """
@@ -499,20 +505,26 @@ class Statistic(NamedTuple):
     start: tuple = (-1.0,)
     order: int = 3
     ascent: "Statistic | None" = None
+    peel: bool = False
 
-    def walked(self, walk, w):
+    def walked(self, walk, w, outer=_S_AFFINE):
         """A redone sample's value from ``walk(w)``, its jet, or its flag:
         that of the EvalError the walk raises ("Pole" or "Overflow"),
         ``critical(jet)`` where f' is critical, and "Overflow" for a
-        modulus past the double range."""
+        modulus past the double range.  With ``peel``, ``walk(w)`` gives
+        f's jet of order 1, whose f' the critical test reads, and g's jet,
+        which the formula reads with ``outer``, S_F's coefficients."""
         try:
             try:
                 j = walk(w)
             except EvalError as err:
                 return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"
-            if self.critical is not None and _critical(j[1]):
+            head = j
+            if self.peel:
+                head, j = j
+            if self.critical is not None and _critical(head[1]):
                 return self.critical(j)
-            return self.lane(j)
+            return self.lane(j, outer) if self.peel else self.lane(j)
         except OverflowError:
             return "Overflow"
 
@@ -528,11 +540,17 @@ def _lanes_function(root: Node, stat: Statistic):
     return namespace["lanes"]
 
 
-def _formula(t: _Lanes, jet: tuple, stat: Statistic, checked: int = 0) -> list:
+def _formula(t: _Lanes, jet: tuple, stat: Statistic, checked: int = 0, head: tuple = (),
+             outer: tuple = _S_AFFINE) -> list:
     """Write a statistic's formula on ``jet``, the parts of a lane's jet at
-    ``zv``, into ``t``'s body, after the checks of its parts from
-    ``checked`` on and of the invariants written since the last such
-    check, and return the names of its value's slots.
+    ``zv``, into ``t``'s body, after the checks of the parts of ``head``
+    and of ``jet`` from ``checked`` on, of the invariants written since
+    the last such check, and of a critical f', ``head[1]``, and return the
+    names of its value's slots.  For a statistic that ``peel``s, ``jet``
+    is the inner tree's, ``head`` the root's of order 1, and the formula
+    reads S_F's coefficients ``outer`` too; otherwise ``head`` is the
+    first two parts of ``jet``, or, for a formula that follows another,
+    empty.
 
     The formula runs on ``jets._Trace`` inputs named for the parts, and
     each operation of its trace becomes one line, in the order the trace
@@ -546,7 +564,10 @@ def _formula(t: _Lanes, jet: tuple, stat: Statistic, checked: int = 0) -> list:
     for ``z^0``'s floor sweep), and a redone lane binds its value to
     those names."""
     parts = list(map(t.text, jet))
-    unchecked = [x.name for x in t.unchecked(jet[checked:])]
+    critical = list(map(t.text, head))
+    # a peeled root's f and f', which are no parts of g's jet
+    own = [x for x in head if not any(x is y for y in jet)]
+    unchecked = [x.name for x in t.unchecked([*own, *jet[checked:]])]
     invariant = [x.name for x in t.invariants[t.invariants_checked:] if not x.finite()]
     t.invariants_checked = len(t.invariants)
     if invariant:
@@ -554,9 +575,10 @@ def _formula(t: _Lanes, jet: tuple, stat: Statistic, checked: int = 0) -> list:
     if unchecked:
         t.check(True, _not_finite(unchecked))
     if stat.critical is not None and not checked:
-        t.check(True, _CRITICAL_GUARD.format(*parts))
+        t.check(True, _CRITICAL_GUARD.format(*critical))
     made: list = []
-    value = stat.lane(tuple(_Trace(made, "", name=x) for x in parts))
+    traced = tuple(_Trace(made, "", name=x) for x in parts)
+    value = stat.lane(traced, outer) if stat.peel else stat.lane(traced)
     for x in made:
         if x.name is None:
             text = x.form.format(*(a.name if type(a) is _Trace else f"({a!r})" for a in x.args))
@@ -669,6 +691,15 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     parts above the statistic's order too, so a sample is redone where
     one of those leaves the finite range, and the walk gives its value.
 
+    For a statistic that peels its root (``Statistic.peel``), the tree
+    walked at the statistic's order is the inner tree g, and "the root's
+    jet" above is g's; then the outer map F is walked from g's first two
+    parts, at order 1, which writes F's guards (exp's, the reciprocal's
+    and log's floors) and the lines of f and f', which are checked with
+    g's parts and read by the critical guard.  So the lane function of
+    ``exp(z/(n*z+1))`` writes no line of exp's chain but exp(g) and
+    exp(g) g'.
+
     Each lane runs in one ``try``, whose every check raises JetError, so a
     lane is redone in one place, the ``except`` handler.  The handler
     binds the redone value to the names of the fast path's value, and
@@ -703,21 +734,24 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     # first parts, which are the bits of a walk at its own order
     rise = stat.ascent
     t = _Lanes(stat.order if rise is None else rise.order)
+    outer_tree, inner, outer, _ = _peel(root) if stat.peel else (Var(), root, _S_AFFINE, ())
     try:
-        out = t.walk_lane(root)
+        out = t.walk_lane(inner)
+        # f's jet of order 1: the outer map's nodes on the first two parts of g's
+        head = t.walk(outer_tree, out[:2])
     except _LiteralFails:  # every lane is redone
         out = None
     if out is None:
         values = [f"g{k}" for k in range(len(stat.start))]
         rises = [*values, *(f"h{k}" for k in range(1, len(rise.start)))] if rise else []
     else:
-        values = _formula(t, out[: stat.order + 1], stat)
+        values = _formula(t, out[: stat.order + 1], stat, head=head, outer=outer)
         sample = t.body[:]
         rises = []
         if rise is not None:
             # the rise's lines follow the statistic's, at the same point, and
             # check the parts above the statistic's order; its F is the value
-            rises = [*values, *_formula(t, out, rise, stat.order + 1)[1:]]
+            rises = [*values, *_formula(t, out, rise, stat.order + 1, outer=outer)[1:]]
             # the fast path's values that the rise's lines or the ascent read,
             # in the order the fast path binds them
             read = {x for line in t.body[len(sample):] for x in _NAME.findall(line)}.union(rises)
@@ -809,7 +843,22 @@ def _redo(expr: FamilyExpr, n: float, stat):
     # a sample's value or flag by eval_jet at its point, of the
     # statistic's order
     jet_const(n)  # refuses an n that is not finite, before any lane runs
-    return partial(stat.walked, partial(eval_jet, expr, n, order=stat.order))
+    if not stat.peel:
+        return partial(stat.walked, partial(eval_jet, expr, n, order=stat.order))
+    outer_tree, inner, outer, left = _peel(expr.root)
+    trees = (FamilyExpr(outer_tree), FamilyExpr(inner), tuple(map(FamilyExpr, left)))
+    return partial(stat.walked, partial(_walk_peeled, *trees, n, stat.order), outer=outer)
+
+
+def _walk_peeled(outer_tree, inner, left, n: float, order: int, w):
+    # a peeled root's walk at w, f's jet of order 1 and g's of ``order``:
+    # the operands free of z that the root's walk takes before g, then g,
+    # then F from g's first two parts, so that it fails first where the
+    # root's walk does, but on a part of f above f', which it never computes
+    for tree in left:
+        eval_jet(tree, n, w, order=0)
+    g = eval_jet(inner, n, w, order=order)
+    return eval_jet_seeded(outer_tree, n, g[:2], point=w), g
 
 
 def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat, radius: float | None = None):

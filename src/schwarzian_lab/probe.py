@@ -6,8 +6,10 @@ family index n over a grid of base points, sample a small neighborhood of
 each point, and record how the statistic grows with n.  ``marty_scan``
 uses f# of the family itself; ``sd_family_scan`` applies the same
 machinery to the map z -> S_{f_n}(z), whose spherical derivative
-|S'| / (1 + |S|^2) it takes from one order-4 jet per sample: with
-q_k = f^(k)/f', S = q3 - 1.5 q2^2 and S' = q4 - 4 q2 q3 + 3 q2^3.  A
+|S'| / (1 + |S|^2) it takes from one order-4 jet per sample, by the
+composition law at the root: f_n = F o g for an outer map F (exp, log, an
+integer power or an affine map, or none), S = (S_F o g) g'^2 + S_g, and
+S_g and S_g' come from g's jet (``schwarzian._peel``).  A
 sup over a few fixed samples depends on where they fall, so
 ``sd_family_scan`` refines each (point, n)'s best sample by a few
 deterministic steps of ascent of the statistic inside the point's disk,
@@ -53,7 +55,7 @@ from .codegen import Statistic, eval_jet_lanes, family
 from .dsl import EvalError, FamilyExpr, eval_jet
 from .jets import OverflowAtPoint, modulus
 from .record import Record
-from .schwarzian import _schwarzian_derivatives, _spherical
+from .schwarzian import _S_AFFINE, _peeled_derivatives, _schwarzian_derivatives, _spherical
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -259,19 +261,19 @@ def _critical_point(j) -> str:
 _MARTY = Statistic(_spherical, order=1)
 
 
-def _sd(j) -> float:
+def _sd(j, outer=_S_AFFINE) -> float:
     # the spherical derivative of z -> S_{f_n}(z), |S'| / (1 + |S|^2), from
-    # an order-4 jet
-    s, ds = _schwarzian_derivatives(j)
+    # the order-4 jet of the root's inner tree and its outer map's S
+    s, ds = _peeled_derivatives(j, outer)
     return _spherical((s, ds))
 
 
-def _sd_rise(j) -> tuple:
-    # from an order-5 jet: F = |S'| / (1 + |S|^2), |S'|, and the real and
-    # imaginary parts of D = S' conj(S'') - 2 |S'| F S conj(S'), the
-    # gradient of F (d/dx + i d/dy) times the positive |S'| (1 + |S|^2), so
-    # that no part divides by |S'|
-    s, ds, dds = _schwarzian_derivatives(j)
+def _sd_rise(j, outer=_S_AFFINE) -> tuple:
+    # from the inner tree's order-5 jet: F = |S'| / (1 + |S|^2), |S'|, and
+    # the real and imaginary parts of D = S' conj(S'') - 2 |S'| F S conj(S'),
+    # the gradient of F (d/dx + i d/dy) times the positive |S'| (1 + |S|^2),
+    # so that no part divides by |S'|
+    s, ds, dds = _peeled_derivatives(j, outer)
     a = abs(ds)
     f = _spherical((s, ds))
     d = ds * dds.conjugate() - 2.0 * (a * f) * (s * ds.conjugate())
@@ -280,8 +282,9 @@ def _sd_rise(j) -> tuple:
 
 # the ascent's rise statistic, whose lines _SD's lane function runs after
 # _SD's at each point of a group's ascent
-_SD_RISE = Statistic(_sd_rise, _critical_point, (-1.0, -1.0, -math.inf, -math.inf), order=5)
-_SD = Statistic(_sd, _critical_point, order=4, ascent=_SD_RISE)
+_SD_RISE = Statistic(_sd_rise, _critical_point, (-1.0, -1.0, -math.inf, -math.inf), order=5,
+                     peel=True)
+_SD = Statistic(_sd, _critical_point, order=4, ascent=_SD_RISE, peel=True)
 
 
 def _floor(j) -> tuple:

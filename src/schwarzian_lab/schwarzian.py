@@ -3,9 +3,13 @@
 The Schwarzian derivative of f is  S_f = f'''/f' - (3/2)(f''/f')^2,
 computed here from an order-3 jet by one formula,
 ``_schwarzian_derivatives``, which also gives S' and S'' from jets of
-order 4 and 5 for ``scan-sd``; Marty's f# = |f'| / (1 + |f|^2) is one
-formula too, ``_spherical``.  Moebius transformations
-(az+b)/(cz+d) are the kernel of S: applying one after f leaves S_f
+order 4 and 5.  ``scan-sd`` takes them by the composition law
+S_{F o g} = (S_F o g) g'^2 + S_g instead: the peel rule, ``_peel``,
+splits a tree into an outer map F and its inner tree g, and
+``_peeled_derivatives`` adds F's chain terms to that formula's S of g's
+jet, so that no part of F o g above f' is computed.  Marty's
+f# = |f'| / (1 + |f|^2) is one formula too, ``_spherical``.  Moebius
+transformations (az+b)/(cz+d) are the kernel of S: applying one after f leaves S_f
 unchanged, and S of a Moebius map itself vanishes identically.  The
 checkers at the bottom verify these identities numerically at a point and
 return an :class:`IdentityReport` rather than a bare boolean, so callers
@@ -23,7 +27,21 @@ import math
 from typing import Callable
 
 from .ball import Ball, radius
-from .dsl import FamilyExpr, eval_jet, eval_jet_seeded
+from .dsl import (
+    Add,
+    Div,
+    Exp,
+    FamilyExpr,
+    Log,
+    Mul,
+    Neg,
+    Node,
+    PowInt,
+    Sub,
+    Var,
+    eval_jet,
+    eval_jet_seeded,
+)
 from .jets import (
     DivisionByZeroAtPoint,
     Jet,
@@ -154,6 +172,105 @@ def _schwarzian_derivatives(j) -> tuple:
     return s, ds, q5 - 5.0 * (q2 * q4) - 4.0 * (q3 * q3) + 17.0 * (q22 * q3) - 9.0 * (q22 * q22)
 
 
+# S_F(w) = a + c / (2 w^2) of an outer map that the peel rule takes off a
+# root, as (a, c): (0, 0) for an affine map and the identity, exp's
+# constant a = -1/2, and log's and an integer power k's c, 1 and 1 - k^2
+_S_AFFINE = (0.0, 0.0)
+_S_EXP = -0.5
+_C_LOG = 1.0
+
+
+def _free_of_z(node: Node) -> bool:
+    return type(node) is not Var and all(
+        _free_of_z(v) for v in node._key(node) if isinstance(v, Node)
+    )
+
+
+def _peel(root: Node) -> tuple:
+    """The peel rule's split of a tree into an outer map F and its inner
+    tree g, root = F o g, as ``(F, g, outer, left)``.
+
+    Affine wrappers, -g, g + b, b + g, g - b, b - g, a g, g a and g / a
+    for a and b free of z, come off first, any number of them, and then
+    one exp, log or integer power k other than 0.  F is the outer map as a
+    tree whose ``Var`` stands where g stood: ``Var`` itself where nothing
+    comes off, the identity case, with g the root.  ``outer`` is S_F's
+    (a, c) for :func:`_peeled_derivatives`, and ``left`` the operands free
+    of z that the root's walk takes before g, in that order.
+    """
+    path, left, outer = [], [], _S_AFFINE
+    node = root
+    while True:
+        kind = type(node)
+        if kind is Exp or kind is Log or kind is PowInt and node.exponent:
+            if kind is Exp:
+                outer = (_S_EXP, 0.0)
+            else:
+                outer = (0.0, _C_LOG if kind is Log else 1.0 - node.exponent**2)
+            inner = node._key(node)[0]
+            path.append((node, inner))
+            node = inner
+            break
+        if kind is Neg:
+            inner = node.operand
+        elif kind in (Add, Sub, Mul, Div):
+            lhs_free, rhs_free = _free_of_z(node.lhs), _free_of_z(node.rhs)
+            if rhs_free and not lhs_free:
+                inner = node.lhs
+            elif lhs_free and not rhs_free and kind is not Div:
+                inner = node.rhs
+                left.append(node.lhs)
+            else:
+                break
+        else:
+            break
+        path.append((node, inner))
+        node = inner
+    outer_tree = Var()
+    for parent, child in reversed(path):
+        outer_tree = type(parent)(
+            *(outer_tree if v is child else v for v in parent._values(parent))
+        )
+    return outer_tree, node, outer, tuple(left)
+
+
+def _peeled_derivatives(j, outer=_S_AFFINE) -> tuple:
+    """S, S' and S'' of F o g from g's jet ``j``, as many as
+    :func:`_schwarzian_derivatives` gives from a jet of its order, and
+    ``outer``, the (a, c) of S_F(w) = a + c / (2 w^2) (:func:`_peel`).
+
+    By the composition law S_{F o g} = (S_F o g) g'^2 + S_g: the formula's
+    S of g, plus the chain terms whose coefficient is not 0, so that the
+    identity case, (0, 0), is S_g itself.  For a constant S_F = a (exp),
+    S = S_g + a g'^2, S' = S_g' + 2a g' g'' and
+    S'' = S_g'' + 2a (g''^2 + g' g''').  For S_F = c / (2 w^2) (log and
+    powers), with u = g'/g, v = g''/g and p = u' = v - u^2,
+    S = S_g + (c/2) u^2, S' = S_g' + c u p and
+    S'' = S_g'' + c (p^2 + u (g'''/g - u v) - 2 u^2 p).
+    """
+    s = list(_schwarzian_derivatives(j))
+    a, c = outer
+    if a:
+        g1, g2 = j[1], j[2]
+        s[0] = s[0] + a * (g1 * g1)
+        if len(s) > 1:
+            s[1] = s[1] + (2.0 * a) * (g1 * g2)
+        if len(s) > 2:
+            s[2] = s[2] + (2.0 * a) * (g2 * g2 + g1 * j[3])
+    elif c:
+        g0 = j[0]
+        u = j[1] / g0
+        uu = u * u
+        s[0] = s[0] + (0.5 * c) * uu
+        if len(s) > 1:
+            v = j[2] / g0
+            p = v - uu
+            s[1] = s[1] + c * (u * p)
+        if len(s) > 2:
+            s[2] = s[2] + c * (p * p + u * (j[3] / g0 - u * v) - 2.0 * (uu * p))
+    return tuple(s)
+
+
 def spherical_derivative(j: Jet) -> float:
     """Marty's statistic |f'| / (1 + |f|^2) from a jet.
 
@@ -180,7 +297,13 @@ def _critical(d1: complex) -> bool:
 
 def schwarzian(j: Jet) -> complex:
     """Schwarzian derivative from a jet of order 3 or more; ValueError for
-    a jet of a lower order."""
+    a jet of a lower order.
+
+    It reads f's own jet, as a caller that holds a jet alone must (``eval``
+    and the identity checks); ``scan-sd`` takes S of a tree by the peel
+    rule instead (:func:`_peel`, :func:`_peeled_derivatives`), from the
+    jet of the tree inside its outer map.
+    """
     if len(j) < 4:
         raise ValueError(f"the Schwarzian needs a jet of order 3 or more, got order {len(j) - 1}")
     d1 = j[1]

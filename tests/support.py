@@ -29,7 +29,6 @@ from schwarzian_lab.dsl import (
     PowInt,
     Sub,
     Var,
-    eval_jet,
 )
 from schwarzian_lab.schwarzian import Mobius
 
@@ -306,11 +305,13 @@ def _direction(d_re: float, d_im: float) -> tuple:
 
 
 def walked(f: FamilyExpr, n, stat):
-    """A statistic at a point by the walk at its order: its value, or None
-    where the walk fails or a slot is past the double range."""
+    """A statistic at a point by the redo walk at its order
+    (``codegen._redo``): its value, or None where the walk fails or a slot
+    is past the double range."""
+    redo = codegen._redo(f, n, stat)
 
     def value(w):
-        got = stat.walked(lambda w: eval_jet(f, n, w, order=stat.order), w)
+        got = redo(w)
         if type(got) is str or not all(map(math.isfinite, got if type(got) is tuple else (got,))):
             return None
         return got
@@ -323,8 +324,9 @@ def sd_keep(f: FamilyExpr, n, samples) -> tuple:
     by the walk: the largest value, -1.0 if none has one, the flags of its
     failed samples, and the sample of the largest, the first of equals."""
     best, flags, at = -1.0, set(), None
+    redo = codegen._redo(f, n, probe._SD)
     for w in samples:
-        got = probe._SD.walked(lambda w: eval_jet(f, n, w, order=4), w)
+        got = redo(w)
         if type(got) is str:
             flags.add(got)
         elif not math.isfinite(got):

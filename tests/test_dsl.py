@@ -53,7 +53,13 @@ from schwarzian_lab.jets import (
     jet_var,
     modulus,
 )
-from schwarzian_lab.schwarzian import CriticalPointError, schwarzian, spherical_derivative
+from schwarzian_lab.schwarzian import (
+    CRITICAL_POINT_FLOOR,
+    CriticalPointError,
+    _peel,
+    schwarzian,
+    spherical_derivative,
+)
 from support import (
     ascend,
     assert_fd_close,
@@ -698,23 +704,38 @@ def _marty_reference(f, n, points):
 
 
 def _sd_reference(f, n, points):
-    # |S'| / (1 + |S|^2) from each sample's order-4 jet, with q_k = f^(k)/f':
-    # S = q3 - 1.5 q2^2 and S' = q4 - 4 q2 q3 + 3 q2^3; the largest, its
-    # flags, and the sample that gave it
+    # |S'| / (1 + |S|^2) of each sample by the composition law at the root,
+    # split by schwarzian._peel: f's jet of order 1, for the critical test,
+    # and g's of order 4, walked after the operands free of z on g's left,
+    # and, with q_k = g^(k)/g', S_g = q3 - 1.5 q2^2 and
+    # S_g' = q4 - 4 q2 q3 + 3 q2^3, plus S_F's terms: a g'^2 and 2a g' g''
+    # for S_F = a, or (c/2) u^2 and c u (v - u^2), with u = g'/g and
+    # v = g''/g, for S_F = c / (2 w^2).  The largest, its flags, and the
+    # sample that gave it
+    outer_tree, inner, (a, c), left = _peel(f.root)
     best, flags, at = -1.0, set(), None
     for w in points:
         try:
-            j = eval_jet(f, n, w, order=4)
-            schwarzian(ComplexJet3(*j[:4]))  # raises at a critical point
+            for x in left:
+                eval_jet(FamilyExpr(x), n, w, order=0)
+            j = eval_jet(FamilyExpr(inner), n, w, order=4)
+            d1 = eval_jet_seeded(FamilyExpr(outer_tree), n, j[:2], point=w)[1]
         except EvalError as exc:
             flags.add(_flag(exc))
             continue
-        except CriticalPointError:
+        if all(abs(x) <= CRITICAL_POINT_FLOOR for x in (d1.real, d1.imag, abs(d1))):
             flags.add("CriticalPoint")
             continue
         q2, q3, q4 = j[2] / j[1], j[3] / j[1], j[4] / j[1]
         s = q3 - 1.5 * (q2 * q2)
         ds = q4 - 4.0 * (q2 * q3) + 3.0 * (q2 * q2 * q2)
+        if a:
+            s = s + a * (j[1] * j[1])
+            ds = ds + (2.0 * a) * (j[1] * j[2])
+        elif c:
+            u, v = j[1] / j[0], j[2] / j[0]
+            s = s + (0.5 * c) * (u * u)
+            ds = ds + c * (u * (v - u * u))
         try:
             m = abs(s)
             x = abs(ds) / (1.0 + m * m)
@@ -760,18 +781,16 @@ def _group_outcomes(f, n, stat, groups):
     samples = {id(w) for g in groups for w in g}
     redone = []
 
-    def redo(w):
+    def redo(w, walked=codegen._redo(f, n, stat)):
         redone.append(w)
-        return stat.walked(lambda w: eval_jet(f, n, w, order=stat.order), w)
+        return walked(w)
 
     fn = codegen.family(f, stat)
     if stat.ascent is None:
         got = fn(complex(n), map(iter, groups), redo)
         assert eval_jet_lanes(f, n, groups, stat) == got
     else:
-        rise = stat.ascent.walked
-        got = fn(complex(n), iter(groups), redo,
-                 lambda w: rise(lambda w: eval_jet(f, n, w, order=5), w), _RADIUS)
+        got = fn(complex(n), iter(groups), redo, codegen._redo(f, n, stat.ascent), _RADIUS)
         assert eval_jet_lanes(f, n, groups, stat, _RADIUS) == got
     assert len(got) == len(groups) and all(type(x[-1]) is frozenset for x in got)
     return [tuple(map(_bits, g)) for g in got], sum(id(w) in samples for w in redone)

@@ -1,8 +1,10 @@
 """Grid scans, growth classification, and the bound and hypothesis checks."""
 
+import collections
 import math
 import os
 import pickle
+import random
 import statistics
 import time
 import tracemalloc
@@ -28,6 +30,7 @@ from schwarzian_lab import (
     local_bound_estimate,
     marty_scan,
     parse,
+    pretty_print,
     schwarzian,
     sd_bound_from_hypotheses,
     sd_family_scan,
@@ -46,8 +49,9 @@ from schwarzian_lab.probe import (
     _neighborhood,
     _seed_offset,
 )
-from schwarzian_lab.schwarzian import _schwarzian_derivatives
-from support import ascend, example2_disk_sup, sd_keep, walked
+from schwarzian_lab.dsl import Add, Div, Exp, Log, Mul, Neg, PowInt, Sub
+from schwarzian_lab.schwarzian import _peeled_derivatives
+from support import ascend, example2_disk_sup, random_point, random_tree, sd_keep, walked
 
 
 def verdicts(report, **kw):
@@ -943,10 +947,12 @@ def test_floor_sweep_matches_per_sample_evaluation():
 
 
 def test_sd_statistic_matches_per_sample_jets():
-    # each (point, n)'s best sample is |S'| / (1 + |S|^2) from its order-4
-    # jet evaluated from scratch, and the ascent only raises it, within
-    # the disk's sup; the point's sup and argmax n are the refined values'
-    f = parse("exp(z/(n*z+1))")
+    # each (point, n)'s best sample is |S'| / (1 + |S|^2) by the
+    # composition law, from the order-4 jet of the inner map g = z/(n z + 1)
+    # evaluated from scratch and S_exp = -1/2, and the ascent only raises
+    # it, within the disk's sup; the point's sup and argmax n are the
+    # refined values'
+    f, inner = parse("exp(z/(n*z+1))"), parse("z/(n*z+1)")
     g = GridSpec(0.1, 0.3, -0.1, 0.1, 2, 2, neighborhood_samples=3)
     ns = (1, 2, 3, 4)
     rep = sd_family_scan(f, g, ns, seed=2)
@@ -958,7 +964,8 @@ def test_sd_statistic_matches_per_sample_jets():
             best = max(
                 abs(s1) / (1.0 + abs(s0) ** 2)
                 for s0, s1 in (
-                    _schwarzian_derivatives(eval_jet(f, n, w, order=4)) for w in samples
+                    _peeled_derivatives(eval_jet(inner, n, w, order=4), (-0.5, 0.0))
+                    for w in samples
                 )
             )
             assert sd_keep(f, n, samples)[0] == best
@@ -1041,6 +1048,20 @@ _PINNED_SD = {
     # a power past codegen._INLINE_POWER, one line binding every part, whose
     # f' the rise reads from the kept values
     "power": ("z^-9+n*z", GridSpec(0.5, 1.0, 0.5, 1.0, 3, 2), range(1, 5)),
+    # roots the peel rule splits (schwarzian._peel), one per kind: log
+    # under a factor is "log" above, exp is "example2"; a negative power
+    # past codegen._INLINE_POWER, an inline power whose f' vanishes at
+    # z = 1/n, exp under affine wrappers with operands free of z on both
+    # sides, and log under a negation, whose pole at -0.3 is near samples
+    "peel-power": ("(z^2+n)^-9", GridSpec(0.5, 1.0, 0.5, 1.0, 3, 2), range(1, 5)),
+    "peel-cube": ("(n*z-1)^3", GridSpec(-0.5, 0.5, -0.5, 0.5, 3, 3), range(1, 5)),
+    "peel-affine": ("2-n*exp(z/(n*z+1))/3", GridSpec(-0.5, 0.5, -0.5, 0.5, 4, 3), range(1, 9)),
+    "peel-neg-log": ("-log(z+0.3)", GridSpec(-0.4, 0.2, -0.1, 0.1, 3, 2, 0.1, 3), range(1, 5)),
+    # exp's guard and the critical test on the peeled path: n Re z from
+    # 702 to 708, where exp is finite but refused, and f' = n exp(n z) at
+    # most 2e-13 where g' = n is not critical
+    "peel-exp-guard": ("exp(n*z)", GridSpec(70.2, 70.8, -0.1, 0.1, 3, 1), range(10, 11)),
+    "peel-exp-critical": ("exp(n*z)", GridSpec(-30.5, -29.5, -0.1, 0.1, 3, 1), range(1, 4)),
 }
 
 
@@ -1110,6 +1131,62 @@ def test_the_fused_ascent_keeps_the_python_ascents_bits(name):
         assert [(p.sup_stat.hex(), p.argmax_n) for p in rep.points] == [
             (p.sup_stat.hex(), p.argmax_n) for p in digests]
         assert list(map(_fields, rep.points)) == list(map(_fields, digests))
+
+
+def _peelable_tree(rng):
+    # a seeded tree under an exp, log or integer power, or none, and up to
+    # two affine wrappers with operands free of z on either side
+    node = random_tree(rng, 3)
+    roll = rng.random()
+    if roll < 0.3:
+        node = rng.choice((Exp, Log))(node)
+    elif roll < 0.5:
+        node = PowInt(node, rng.choice((-12, -3, -2, -1, 1, 2, 3, 9)))
+    for _ in range(rng.randint(0, 2)):
+        b = random_tree(rng, 1)
+        node = rng.choice((Neg(node), Add(node, b), Add(b, node), Sub(node, b), Sub(b, node),
+                           Mul(b, node), Div(node, b)))
+    return parse(pretty_print(node))  # real source spans
+
+
+def test_the_peel_keeps_the_pole_and_critical_point_flags():
+    # at each sample, the redo walk of _SD, peeled, against the same
+    # statistic unpeeled, S from f's own jet of order 4: an unpeeled Pole
+    # or CriticalPoint is the peeled flag, and an unpeeled value is a
+    # peeled value.  Where they differ, the unpeeled flag is an Overflow
+    # that f's jet of order 1 does not raise: one from f's parts above f',
+    # which the peeled walk does not compute, so the sample goes on to a
+    # later failure, the critical test or a value
+    unpeeled = probe._SD._replace(peel=False, ascent=None)
+    rng = random.Random(27)
+    special = (0j, -1 + 0j, -2 + 0j, 1e-200 + 0j, 1e150 + 1e150j, 700 + 1j)
+    seen = collections.Counter()
+    for _ in range(800):
+        f = _peelable_tree(rng)
+        n = rng.choice((1, 2, 3, 6, 0.5, -1.5, 1e-170))
+        peeled, whole = codegen._redo(f, n, probe._SD), codegen._redo(f, n, unpeeled)
+        for _ in range(9):
+            w = rng.choice(special) if rng.random() < 0.3 else random_point(
+                rng, rng.choice((1.0, 3.0, 400.0)))
+            got, want = (x if type(x) is str or math.isfinite(x) else "Overflow"
+                         for x in (peeled(w), whole(w)))
+            seen[want if type(want) is str else "value", got if type(got) is str else "value"] += 1
+            if want in ("Pole", "CriticalPoint"):
+                assert got == want, (pretty_print(f), n, w)
+            elif type(want) is not str:
+                assert type(got) is not str, (pretty_print(f), n, w)
+            elif got != want:
+                try:
+                    eval_jet(f, n, w, order=1)
+                except EvalError as exc:
+                    assert not isinstance(exc.__cause__, OverflowAtPoint), (pretty_print(f), n, w)
+    # an operand free of z on g's left fails before g: exp(800) before the
+    # pole of 1/z at 0
+    f = parse("exp(100*n)*exp(1/z)")
+    assert codegen._redo(f, 8, probe._SD)(0j) == codegen._redo(f, 8, unpeeled)(0j) == "Overflow"
+    # each flag kept, and each kind of change
+    assert {("Pole", "Pole"), ("CriticalPoint", "CriticalPoint"), ("Overflow", "Overflow"),
+            ("Overflow", "value"), ("Overflow", "CriticalPoint")} <= set(seen)
 
 
 def test_sd_origin_slope_is_near_one_on_the_bench_grid():

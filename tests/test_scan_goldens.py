@@ -112,16 +112,16 @@ _GOLDEN = {
     ('scan-sd', 'exp-window', 'csv'): (
         0,
         're,im,sup_stat,argmax_n,growth_slope,flags,verdict\n'
-        '80,-1,1.3728048629887718e-15,3,0.0,,bounded\n'
-        '160,-1,1.3408514656390549e-15,3,nan,Overflow,inconclusive\n'
+        '80,-1,0.0,-1,0.0,,bounded\n'
+        '160,-1,0.0,-1,nan,Overflow,inconclusive\n'
         '240,-1,0.0,-1,nan,Overflow,inconclusive\n',
         '',
     ),
     ('scan-sd', 'exp-window', 'json'): (
         0,
         '[\n'
-        '  {\n    "re": 80.0,\n    "im": -1.0,\n    "sup_stat": 1.3728048629887718e-15,\n    "argmax_n": 3,\n    "growth_slope": 0.0,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
-        '  {\n    "re": 160.0,\n    "im": -1.0,\n    "sup_stat": 1.3408514656390549e-15,\n    "argmax_n": 3,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  },\n'
+        '  {\n    "re": 80.0,\n    "im": -1.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": 0.0,\n    "flags": "",\n    "verdict": "bounded"\n  },\n'
+        '  {\n    "re": 160.0,\n    "im": -1.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  },\n'
         '  {\n    "re": 240.0,\n    "im": -1.0,\n    "sup_stat": 0.0,\n    "argmax_n": -1,\n    "growth_slope": "nan",\n    "flags": "Overflow",\n    "verdict": "inconclusive"\n  }\n'
         ']\n',
         '',

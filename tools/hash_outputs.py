@@ -5,6 +5,8 @@
     python tools/hash_outputs.py --against REV
     python tools/hash_outputs.py --lanes SRC_DIR
     python tools/hash_outputs.py --lanes --against REV
+    python tools/hash_outputs.py --verdicts SRC_DIR
+    python tools/hash_outputs.py --verdicts --against REV
 
 The first form runs ``schwarzian_lab.cli.main(argv)`` in this process,
 from ``SRC_DIR/schwarzian_lab``, once per command of the corpus below, and
@@ -27,6 +29,14 @@ each of the statistics ``probe._MARTY``, ``_SD``, ``_FLOOR`` and
 as JSON, then the total.  ``--lanes --against REV`` compares the lane
 sources of REV's ``src/`` and of the working tree's, as ``--against``
 compares their output.
+
+``--verdicts`` hashes, per command, its exit code, its stderr and, of its
+stdout, only the cells that are no number of the computation: each row's
+``verdict``, ``flags``, ``argmax_n`` and ``passed``, where it has them, in
+CSV or JSON.  So a change that moves S by roundoff can show, with
+``--verdicts --against REV``, which commands, if any, changed a verdict,
+a flag or an argmax, where the default mode lists every command whose
+bytes moved.
 
 The corpus:
 
@@ -74,6 +84,7 @@ Warnings are printed every time, as a fresh process prints them.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -351,7 +362,22 @@ def _import(src: Path) -> None:
         sys.exit(f"hash_outputs: imported schwarzian_lab from {where}, not {src}")
 
 
-def run(src: Path) -> None:
+# the cells of a command's rows that --verdicts keeps
+_VERDICT_CELLS = ("verdict", "flags", "argmax_n", "passed")
+
+
+def _verdicts(out: str) -> list:
+    """The verdict cells of each row that a command printed, CSV or JSON."""
+    try:
+        rows = json.loads(out)
+    except ValueError:
+        rows = list(csv.DictReader(io.StringIO(out)))
+    if isinstance(rows, dict):
+        rows = [rows]
+    return [[row[k] for k in _VERDICT_CELLS if k in row] for row in rows]
+
+
+def run(src: Path, verdicts: bool = False) -> None:
     _import(src)
     from schwarzian_lab import cli
 
@@ -366,9 +392,8 @@ def run(src: Path) -> None:
                 code = cli.main(list(argv))
             except SystemExit as exc:  # argparse refusing an argv
                 code = exc.code
-        digest = hashlib.sha256(
-            json.dumps([code, out.getvalue(), err.getvalue()]).encode()
-        ).hexdigest()
+        printed = _verdicts(out.getvalue()) if verdicts else out.getvalue()
+        digest = hashlib.sha256(json.dumps([code, printed, err.getvalue()]).encode()).hexdigest()
         total.update(digest.encode())
         print(f"{digest}\t{json.dumps(argv)}")
     print(f"total {total.hexdigest()} over {len(commands)} commands")
@@ -437,9 +462,10 @@ def diff(a: str, b: str) -> int:
     return _compare(Path(a).read_text(), Path(b).read_text())
 
 
-def against(rev: str, lanes: bool = False) -> int:
-    """Hash the corpus, or its lane sources, on REV's ``src/`` and on the
-    working tree's, and compare."""
+def against(rev: str, mode: list) -> int:
+    """Hash the corpus, its verdicts or its lane sources (``mode``, the
+    run's flag, if any), on REV's ``src/`` and on the working tree's, and
+    compare."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True)
     if archive.returncode:
         print(archive.stderr.decode(), end="", file=sys.stderr)
@@ -448,7 +474,7 @@ def against(rev: str, lanes: bool = False) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, filter="data")
         runs = [
-            subprocess.Popen([sys.executable, __file__, *["--lanes"] * lanes, str(src)],
+            subprocess.Popen([sys.executable, __file__, *mode, str(src)],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
             for src in (Path(tmp) / "src", ROOT / "src")
         ]
@@ -458,19 +484,22 @@ def against(rev: str, lanes: bool = False) -> int:
             print(f"hash_outputs: the run on {name} failed\n{err}", end="", file=sys.stderr)
             return 2
         print(f"{name}: {out.splitlines()[-1]}")
-    return _compare(*(out for out, _ in outs), "lane sources" if lanes else "commands")
+    what = "lane sources" if mode == ["--lanes"] else "commands"
+    return _compare(*(out for out, _ in outs), what)
 
 
 def main(argv: list[str]) -> int:
-    lanes = argv[:1] == ["--lanes"]
-    if lanes:
-        argv = argv[1:]
+    mode = argv[:1] if argv[:1] in (["--lanes"], ["--verdicts"]) else []
+    argv = argv[len(mode):]
     if len(argv) == 3 and argv[0] == "--diff":
         return diff(argv[1], argv[2])
     if len(argv) == 2 and argv[0] == "--against":
-        return against(argv[1], lanes)
+        return against(argv[1], mode)
     if len(argv) == 1 and not argv[0].startswith("-"):
-        (run_lanes if lanes else run)(Path(argv[0]))
+        if mode == ["--lanes"]:
+            run_lanes(Path(argv[0]))
+        else:
+            run(Path(argv[0]), verdicts=bool(mode))
         return 0
     print(__doc__.split("\n\n")[1], file=sys.stderr)
     return 2

@@ -66,7 +66,8 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # one jet type at every order and of the slope's log clamp, then that of
 # the kept names read from the generated lines, then those of the one
 # formula tracer, of the operator tables and of the finite seeds and Mobius
-# coefficients; a later change adds its mutants here
+# coefficients, then those of the peel rule; a later change adds its mutants
+# here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -124,21 +125,21 @@ MUTANTS = (
            (CLI + "test_cached_parser_gives_a_fresh_parsers_bytes",)),
     # the statistics
     Mutant("the critical guard dropped", "codegen.py",
-           "        t.check(True, _CRITICAL_GUARD.format(*parts))",
+           "        t.check(True, _CRITICAL_GUARD.format(*critical))",
            "        pass",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("the critical rule tried after the lane formula", "codegen.py",
-           "            if self.critical is not None and _critical(j[1]):\n"
+           "            if self.critical is not None and _critical(head[1]):\n"
            "                return self.critical(j)\n"
-           "            return self.lane(j)",
-           "            value = self.lane(j)\n"
-           "            if self.critical is not None and _critical(j[1]):\n"
+           "            return self.lane(j, outer) if self.peel else self.lane(j)",
+           "            value = self.lane(j, outer) if self.peel else self.lane(j)\n"
+           "            if self.critical is not None and _critical(head[1]):\n"
            "                return self.critical(j)\n"
            "            return value",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("the sd statistic without its critical rule", "probe.py",
-           "_SD = Statistic(_sd, _critical_point, order=4, ascent=_SD_RISE)",
-           "_SD = Statistic(_sd, None, order=4, ascent=_SD_RISE)",
+           "_SD = Statistic(_sd, _critical_point, order=4, ascent=_SD_RISE, peel=True)",
+           "_SD = Statistic(_sd, None, order=4, ascent=_SD_RISE, peel=True)",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("a modulus past the double range not flagged, the sd statistic's among them",
            "codegen.py",
@@ -324,9 +325,9 @@ MUTANTS = (
            (DSL + "test_lanes_match_one_lane_calls_and_the_reference_walk",
             DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
     Mutant("the redo walk skips the critical check", "codegen.py",
-           "            if self.critical is not None and _critical(j[1]):\n"
-           "                return self.critical(j)\n            return self.lane(j)",
-           "            return self.lane(j)",
+           "            if self.critical is not None and _critical(head[1]):\n"
+           "                return self.critical(j)\n",
+           "",
            (DSL + "test_fused_sd_statistic_on_each_rule",
             DSL + "test_fused_floor_sweep_on_each_rule")),
     Mutant("a traced imaginary half writes the real half", "jets.py",
@@ -546,6 +547,40 @@ MUTANTS = (
     Mutant("a Mobius coefficient that is not finite taken", "schwarzian.py",
            "        if not all(map(cmath.isfinite, (a, b, c, d))):", "        if False:",
            (SCHWARZIAN + "test_mobius_coefficient_that_is_not_finite_is_refused",)),
+    # the peel rule: S of F o g from g's jet, F's flags from F's walk
+    Mutant("S_exp -1/2 made -1", "schwarzian.py", "_S_EXP = -0.5", "_S_EXP = -1.0",
+           (SCHWARZIAN + "test_the_peel_rule_gives_the_closed_forms",)),
+    Mutant("S_g dropped from an exp root's S", "schwarzian.py",
+           "        s[0] = s[0] + a * (g1 * g1)", "        s[0] = a * (g1 * g1)",
+           (SCHWARZIAN + "test_the_peel_rule_matches_mpmath",)),
+    Mutant("the g'g'' term of S' dropped", "schwarzian.py",
+           "            s[1] = s[1] + (2.0 * a) * (g1 * g2)", "            s[1] = s[1]",
+           (SCHWARZIAN + "test_the_peel_rule_gives_the_closed_forms",)),
+    Mutant("the g''^2 term of S'' dropped", "schwarzian.py",
+           "(2.0 * a) * (g2 * g2 + g1 * j[3])", "(2.0 * a) * (g1 * j[3])",
+           (SCHWARZIAN + "test_the_peel_rule_matches_mpmath",)),
+    Mutant("log's S_F 1/(2w^2) made 1/w^2", "schwarzian.py", "_C_LOG = 1.0", "_C_LOG = 2.0",
+           (SCHWARZIAN + "test_the_peel_rule_matches_mpmath",)),
+    Mutant("a power's 1 - k^2 made 1 + k^2", "schwarzian.py",
+           "1.0 - node.exponent**2", "1.0 + node.exponent**2",
+           (SCHWARZIAN + "test_the_peel_rule_matches_mpmath",)),
+    Mutant("the exp guard dropped on the peeled path, where F's walk is of order 1",
+           "codegen.py",
+           '            self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)',
+           "            if len(u) > 2:\n"
+           '                self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)',
+           (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",)),
+    Mutant("the lane function's critical test read on g' instead of f'", "codegen.py",
+           "_CRITICAL_GUARD.format(*critical)", "_CRITICAL_GUARD.format(*parts)",
+           (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",)),
+    Mutant("the redo walk's critical test read on g' instead of f'", "codegen.py",
+           "            if self.critical is not None and _critical(head[1]):",
+           "            if self.critical is not None and _critical(j[1]):",
+           (PROBE + "test_the_peel_keeps_the_pole_and_critical_point_flags",)),
+    Mutant("the redo walk takes g before the operands free of z on its left", "codegen.py",
+           "    for tree in left:\n        eval_jet(tree, n, w, order=0)\n", "",
+           (PROBE + "test_the_peel_keeps_the_pole_and_critical_point_flags",
+            DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
 )
 
 SURVIVORS = (
