@@ -12,9 +12,15 @@ points by the lane function it generates for each family from the tree
 and the ``jets`` formulas, handing failed samples back to the walk, and
 ``probe`` runs grid scans and bound checks on top. ``cli`` exposes it
 all as the ``schwarzian-lab`` command.
+
+The batch layers, ``codegen`` and ``probe``, load on first use: the names
+this package re-exports from them resolve when first read (PEP 562), and
+``cli`` imports ``probe`` only for the subcommands that run it, so ``eval``
+and ``identity`` import neither.
 """
 
-from .codegen import eval_jet_lanes
+import importlib
+
 from .dsl import (
     EvalError,
     FamilyExpr,
@@ -40,25 +46,6 @@ from .jets import (
     jet_sub,
     jet_var,
 )
-from .probe import (
-    FloorCheckReport,
-    GridSpec,
-    HypothesesReport,
-    LocalBoundReport,
-    MartyGridReport,
-    NormalityVerdict,
-    PointStats,
-    SegmentEvaluationError,
-    Verdict,
-    check_theorem_hypotheses,
-    classify,
-    derivative_floor_check,
-    local_bound_estimate,
-    marty_scan,
-    sd_family_scan,
-    sd_bound_from_hypotheses,
-    value_bound_check,
-)
 from .schwarzian import (
     ConjugacyViolated,
     CriticalPointError,
@@ -82,6 +69,47 @@ from .schwarzian import (
 )
 
 __version__ = "0.1.0"
+
+# the names re-exported from the batch layers, each by its module
+_LAZY = {
+    "eval_jet_lanes": "codegen",
+    **dict.fromkeys(
+        (
+            "FloorCheckReport",
+            "GridSpec",
+            "HypothesesReport",
+            "LocalBoundReport",
+            "MartyGridReport",
+            "NormalityVerdict",
+            "PointStats",
+            "SegmentEvaluationError",
+            "Verdict",
+            "check_theorem_hypotheses",
+            "classify",
+            "derivative_floor_check",
+            "local_bound_estimate",
+            "marty_scan",
+            "sd_family_scan",
+            "sd_bound_from_hypotheses",
+            "value_bound_check",
+        ),
+        "probe",
+    ),
+}
+
+
+def __getattr__(name: str):
+    # a batch layer's name: import its module, and keep the name here
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "__version__",

@@ -5,7 +5,10 @@ and validated here, and all numerics happen in the other modules.  Each
 handler turns its result into rows (dicts) and one writer prints them:
 ``rows_to_csv`` or ``rows_to_json``, which decide every cell's format by
 the value's type.  The writer and the row builders are public so tests can
-compare CLI output against direct library calls byte for byte.
+compare CLI output against direct library calls byte for byte.  A command
+builds the parser of its own subcommand alone, and imports ``probe`` (and
+with it ``codegen``) only for the subcommands that run it: ``scan-marty``,
+``scan-sd``, ``bound`` and ``hypotheses``.
 
 Exit codes: 0 success/pass, 1 identity or bound check failed, 2 parse or
 configuration error, 3 evaluation error, 4 I/O error.
@@ -32,26 +35,6 @@ import warnings
 
 from .dsl import EvalError, FamilyExpr, ParseError, eval_jet, lex_number, parse
 from .jets import JetError
-from .probe import (
-    DEFAULT_CAP,
-    DEFAULT_DECAY_THRESHOLD,
-    DEFAULT_RADIUS,
-    DEFAULT_SAMPLES,
-    DEFAULT_SLOPE_THRESHOLD,
-    MAX_WORKERS,
-    GridSpec,
-    HypothesesReport,
-    LocalBoundReport,
-    MartyGridReport,
-    NormalityVerdict,
-    SegmentEvaluationError,
-    check_theorem_hypotheses,
-    check_thresholds,
-    classify,
-    local_bound_estimate,
-    marty_scan,
-    sd_family_scan,
-)
 from .schwarzian import (
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
@@ -327,6 +310,8 @@ def _add_output_options(sub: argparse.ArgumentParser, default_format: str) -> No
 
 
 def _add_grid_options(sub: argparse.ArgumentParser) -> None:
+    from .probe import DEFAULT_RADIUS, DEFAULT_SAMPLES
+
     sub.add_argument("--grid", type=_grid_arg, required=True, metavar="re0,re1,im0,im1,nx,ny")
     sub.add_argument("--radius", type=float, default=DEFAULT_RADIUS, help="neighborhood radius")
     sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="samples per neighborhood")
@@ -357,6 +342,8 @@ def _resolve_seed(seed) -> int:
 
 
 def _resolve_workers(workers) -> int:
+    from .probe import MAX_WORKERS
+
     if workers is not None:
         if workers < 1:
             raise ValueError("--workers must be at least 1")
@@ -414,34 +401,40 @@ def _cmd_identity(args) -> tuple:
 
 
 def _cmd_scan(args) -> tuple:
+    from . import probe
+
     family = _resolve_families(args.family_specs, 1, "scan")[0]
-    grid = GridSpec(*args.grid, args.radius, args.samples)
-    check_thresholds(args.slope_threshold, args.decay_threshold, args.cap)  # before the scan
+    grid = probe.GridSpec(*args.grid, args.radius, args.samples)
+    probe.check_thresholds(args.slope_threshold, args.decay_threshold, args.cap)  # before the scan
     # by name at call time: the parser is built once per process, and a
-    # rebound module name (a test's monkeypatch, a tracer) must still count
-    report = globals()[args.scan](
+    # rebound name of probe's (a test's monkeypatch, a tracer) must still count
+    report = getattr(probe, args.scan)(
         family,
         grid,
         _n_range(args),
         seed=_resolve_seed(args.seed),
         workers=_resolve_workers(args.workers),
     )
-    verdicts = classify(report, args.slope_threshold, args.decay_threshold, args.cap)
+    verdicts = probe.classify(report, args.slope_threshold, args.decay_threshold, args.cap)
     return scan_rows(report, verdicts, args.format), 0
 
 
 def _cmd_bound(args) -> tuple:
+    from . import probe
+
     family = _resolve_families(args.family_specs, 1, "bound")[0]
-    reports = local_bound_estimate(
+    reports = probe.local_bound_estimate(
         family, _n_range(args), args.z0, args.z, args.segment_samples
     )
     return bound_rows(reports), 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_hypotheses(args) -> tuple:
+    from . import probe
+
     family = _resolve_families(args.family_specs, 1, "hypotheses")[0]
-    grid = GridSpec(*args.grid, args.radius, args.samples)
-    report = check_theorem_hypotheses(
+    grid = probe.GridSpec(*args.grid, args.radius, args.samples)
+    report = probe.check_theorem_hypotheses(
         family,
         _n_range(args),
         grid,
@@ -453,76 +446,103 @@ def _cmd_hypotheses(args) -> tuple:
     return hypotheses_row(report, args.format), 0 if report.passed else 1
 
 
+def _add_eval(sub: argparse.ArgumentParser) -> None:
+    _add_family_options(sub, "exactly one")
+    sub.add_argument("--n", type=_finite_arg, required=True, help="family index")
+    sub.add_argument("--z", type=_complex_arg, required=True, help="evaluation point, a+bi")
+    _add_output_options(sub, "json")
+    sub.set_defaults(handler=_cmd_eval)
+
+
+def _add_identity(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "kind",
+        choices=("mobius-invariance", "composition", "reciprocal", "conjugation"),
+    )
+    _add_family_options(sub, "one, or two for composition/conjugation (f first)")
+    sub.add_argument("--n", type=_finite_arg, required=True)
+    sub.add_argument("--z", type=_complex_arg, required=True)
+    sub.add_argument("--mobius", metavar="a,b,c,d", default=None, help="map for mobius-invariance")
+    sub.add_argument("--phi", metavar="a,b,c,d", default=None, help="conjugating map for conjugation")
+    sub.add_argument("--omit", type=_complex_arg, default=None, help="omitted value for reciprocal")
+    sub.add_argument("--tol-abs", type=float, default=DEFAULT_TOL_ABS)
+    sub.add_argument("--tol-rel", type=float, default=DEFAULT_TOL_REL)
+    _add_output_options(sub, "json")
+    sub.set_defaults(handler=_cmd_identity)
+
+
+def _add_scan(scan: str, sub: argparse.ArgumentParser) -> None:
+    from .probe import DEFAULT_CAP, DEFAULT_DECAY_THRESHOLD, DEFAULT_SLOPE_THRESHOLD
+
+    _add_family_options(sub, "exactly one")
+    _add_grid_options(sub)
+    _add_n_range(sub)
+    sub.add_argument("--slope-threshold", type=float, default=DEFAULT_SLOPE_THRESHOLD)
+    sub.add_argument("--decay-threshold", type=float, default=DEFAULT_DECAY_THRESHOLD)
+    sub.add_argument("--cap", type=float, default=DEFAULT_CAP)
+    sub.add_argument("--workers", type=int, default=None, help="scan processes (default: all cores)")
+    _add_output_options(sub, "csv")
+    sub.set_defaults(handler=_cmd_scan, scan=scan)
+
+
+def _add_bound(sub: argparse.ArgumentParser) -> None:
+    _add_family_options(sub, "exactly one")
+    _add_n_range(sub)
+    sub.add_argument("--z0", type=_complex_arg, required=True, help="segment start, a+bi")
+    sub.add_argument("--z", type=_complex_arg, required=True, help="segment end, a+bi")
+    sub.add_argument("--segment-samples", type=int, default=256)
+    _add_output_options(sub, "json")
+    sub.set_defaults(handler=_cmd_bound)
+
+
+def _add_hypotheses(sub: argparse.ArgumentParser) -> None:
+    _add_family_options(sub, "exactly one")
+    _add_grid_options(sub)
+    _add_n_range(sub)
+    sub.add_argument("--epsilon", type=float, required=True, help="derivative floor")
+    sub.add_argument("--zeta", type=_complex_arg, required=True, help="value-bound point, a+bi")
+    sub.add_argument("--L", type=float, required=True, help="value bound at zeta")
+    _add_output_options(sub, "json")
+    sub.set_defaults(handler=_cmd_hypotheses)
+
+
+# each subcommand: its help line, and the function that adds its arguments
+_SUBCOMMANDS = {
+    "eval": ("evaluate one family member's jet at a point", _add_eval),
+    "identity": ("check one pointwise Schwarzian identity", _add_identity),
+    "scan-marty": (
+        "grid scan of the spherical derivative of f_n",
+        functools.partial(_add_scan, "marty_scan"),
+    ),
+    "scan-sd": (
+        "grid scan of the spherical derivative of the Schwarzian of f_n",
+        functools.partial(_add_scan, "sd_family_scan"),
+    ),
+    "bound": ("segment mean-value bound check per family index", _add_bound),
+    "hypotheses": (
+        "derivative-floor and value-bound checks plus the derived Schwarzian bound",
+        _add_hypotheses,
+    ),
+}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process; parse_args leaves it unchanged, and every
-    # default that depends on the environment is resolved after parsing
+def _build_parser(names: tuple = tuple(_SUBCOMMANDS)) -> argparse.ArgumentParser:
+    # the parser of the subcommands ``names``, built once per process;
+    # parse_args leaves it unchanged, and every default that depends on the
+    # environment is resolved after parsing.  A parser of fewer than all
+    # names every subcommand in its usage line, as the full one's choices do
     top = argparse.ArgumentParser(
         prog="schwarzian-lab",
         description="Schwarzian derivative identities and normal-family grid probes.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate one family member's jet at a point")
-    _add_family_options(p_eval, "exactly one")
-    p_eval.add_argument("--n", type=_finite_arg, required=True, help="family index")
-    p_eval.add_argument("--z", type=_complex_arg, required=True, help="evaluation point, a+bi")
-    _add_output_options(p_eval, "json")
-    p_eval.set_defaults(handler=_cmd_eval)
-
-    p_id = sub.add_parser("identity", help="check one pointwise Schwarzian identity")
-    p_id.add_argument(
-        "kind",
-        choices=("mobius-invariance", "composition", "reciprocal", "conjugation"),
+    every = names == tuple(_SUBCOMMANDS)
+    sub = top.add_subparsers(
+        dest="command", required=True, metavar=None if every else "{" + ",".join(_SUBCOMMANDS) + "}"
     )
-    _add_family_options(p_id, "one, or two for composition/conjugation (f first)")
-    p_id.add_argument("--n", type=_finite_arg, required=True)
-    p_id.add_argument("--z", type=_complex_arg, required=True)
-    p_id.add_argument("--mobius", metavar="a,b,c,d", default=None, help="map for mobius-invariance")
-    p_id.add_argument("--phi", metavar="a,b,c,d", default=None, help="conjugating map for conjugation")
-    p_id.add_argument("--omit", type=_complex_arg, default=None, help="omitted value for reciprocal")
-    p_id.add_argument("--tol-abs", type=float, default=DEFAULT_TOL_ABS)
-    p_id.add_argument("--tol-rel", type=float, default=DEFAULT_TOL_REL)
-    _add_output_options(p_id, "json")
-    p_id.set_defaults(handler=_cmd_identity)
-
-    for name, scan, stat_help in (
-        ("scan-marty", "marty_scan", "spherical derivative of f_n"),
-        ("scan-sd", "sd_family_scan", "spherical derivative of the Schwarzian of f_n"),
-    ):
-        p_scan = sub.add_parser(name, help=f"grid scan of the {stat_help}")
-        _add_family_options(p_scan, "exactly one")
-        _add_grid_options(p_scan)
-        _add_n_range(p_scan)
-        p_scan.add_argument("--slope-threshold", type=float, default=DEFAULT_SLOPE_THRESHOLD)
-        p_scan.add_argument("--decay-threshold", type=float, default=DEFAULT_DECAY_THRESHOLD)
-        p_scan.add_argument("--cap", type=float, default=DEFAULT_CAP)
-        p_scan.add_argument("--workers", type=int, default=None, help="scan processes (default: all cores)")
-        _add_output_options(p_scan, "csv")
-        p_scan.set_defaults(handler=_cmd_scan, scan=scan)
-
-    p_bound = sub.add_parser("bound", help="segment mean-value bound check per family index")
-    _add_family_options(p_bound, "exactly one")
-    _add_n_range(p_bound)
-    p_bound.add_argument("--z0", type=_complex_arg, required=True, help="segment start, a+bi")
-    p_bound.add_argument("--z", type=_complex_arg, required=True, help="segment end, a+bi")
-    p_bound.add_argument("--segment-samples", type=int, default=256)
-    _add_output_options(p_bound, "json")
-    p_bound.set_defaults(handler=_cmd_bound)
-
-    p_hyp = sub.add_parser(
-        "hypotheses",
-        help="derivative-floor and value-bound checks plus the derived Schwarzian bound",
-    )
-    _add_family_options(p_hyp, "exactly one")
-    _add_grid_options(p_hyp)
-    _add_n_range(p_hyp)
-    p_hyp.add_argument("--epsilon", type=float, required=True, help="derivative floor")
-    p_hyp.add_argument("--zeta", type=_complex_arg, required=True, help="value-bound point, a+bi")
-    p_hyp.add_argument("--L", type=float, required=True, help="value bound at zeta")
-    _add_output_options(p_hyp, "json")
-    p_hyp.set_defaults(handler=_cmd_hypotheses)
-
+    for name in names:
+        help_text, add_arguments = _SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return top
 
 
@@ -531,8 +551,19 @@ def _warn(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _batch_errors() -> tuple:
+    # probe's evaluation error, once a command has imported probe: before,
+    # nothing can have raised it, and the tuple is read whatever escapes
+    probe = sys.modules.get(f"{__package__}.probe")
+    return (probe.SegmentEvaluationError,) if probe else ()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a subcommand's own parser alone; any other argv (-h, none, an
+    # unknown name) meets the parser of them all
+    parser = _build_parser((argv[0],)) if argv and argv[0] in _SUBCOMMANDS else _build_parser()
+    args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings():
             # a warning prints as its line, and once per place, whatever
@@ -551,8 +582,8 @@ def main(argv=None) -> int:
         PoleOfMobius,
         ConjugacyViolated,
         GuardViolation,
-        SegmentEvaluationError,
         JetError,
+        *_batch_errors(),
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -817,8 +817,9 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     return "\n".join(src) + "\n", namespace
 
 
-# the last lane function generated, with its tree and statistic
-_last: tuple = (None, None, None)
+# the last lane function generated, with its tree, its statistic and,
+# for a peeled statistic, the tree's split (``_split``)
+_last: tuple = (None, None, None, None)
 
 
 def family(expr: FamilyExpr, stat: Statistic):
@@ -830,23 +831,36 @@ def family(expr: FamilyExpr, stat: Statistic):
     A command scans one family with one statistic, so it generates one.
     An equal tree takes the entry's place, so that the calls after it find
     it by identity, with no comparison."""
+    return _entry(expr, stat)[2]
+
+
+def _entry(expr: FamilyExpr, stat: Statistic) -> tuple:
+    # the cache's entry for the family and statistic, as ``family`` says;
+    # the split is the caller's tree's, whose spans a redone walk reports
     global _last
-    root, last, fn = _last
+    root, last, fn, split = _last
     if expr.root is not root or stat is not last:
         if expr.root != root or stat != last:
             fn = _lanes_function(expr.root, stat)
-        _last = (expr.root, stat, fn)
-    return fn
+        _last = (expr.root, stat, fn, _split(expr.root) if stat.peel else None)
+    return _last
 
 
-def _redo(expr: FamilyExpr, n: float, stat):
+def _split(root) -> tuple:
+    # the peel rule's split of a root, as the redo walk takes it: F, g and
+    # the operands free of z on g's left as families, and S_F's (a, c)
+    outer_tree, inner, outer, left = _peel(root)
+    return (FamilyExpr(outer_tree), FamilyExpr(inner), tuple(map(FamilyExpr, left))), outer
+
+
+def _redo(expr: FamilyExpr, n: float, stat, split: tuple | None = None):
     # a sample's value or flag by eval_jet at its point, of the
-    # statistic's order
+    # statistic's order; a peeled statistic walks the split, the one given
+    # or the tree's own
     jet_const(n)  # refuses an n that is not finite, before any lane runs
     if not stat.peel:
         return partial(stat.walked, partial(eval_jet, expr, n, order=stat.order))
-    outer_tree, inner, outer, left = _peel(expr.root)
-    trees = (FamilyExpr(outer_tree), FamilyExpr(inner), tuple(map(FamilyExpr, left)))
+    trees, outer = split or _split(expr.root)
     return partial(stat.walked, partial(_walk_peeled, *trees, n, stat.order), outer=outer)
 
 
@@ -885,9 +899,10 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat, radius: float | Non
     refines each group's ``best`` by ascent inside its disk; an ascent
     candidate that fails is redone by the walk of its own statistic.
     """
-    redo = _redo(expr, n, stat)
+    _, _, fn, split = _entry(expr, stat)
+    redo = _redo(expr, n, stat, split)
     # the lane function takes n real, so that N's imaginary part is +0
     N = complex(n) if isinstance(n, (int, float)) else None
     if stat.ascent is None:
-        return family(expr, stat)(N, points, redo)
-    return family(expr, stat)(N, points, redo, _redo(expr, n, stat.ascent), radius)
+        return fn(N, points, redo)
+    return fn(N, points, redo, _redo(expr, n, stat.ascent, split), radius)

@@ -1095,15 +1095,17 @@ def _run_or_exit(capsys, argv):
 
 
 def test_cached_parser_gives_a_fresh_parsers_bytes(capsys):
+    # each subcommand's parser is built once per process, from the first
+    # argv that names it
     fresh = []
     for argv in _EVERY_SUBCOMMAND:
         cli._build_parser.cache_clear()
         fresh.append(_run_or_exit(capsys, argv))
-    before = cli._build_parser.cache_info().misses
     order = random.Random(5).sample(range(len(_EVERY_SUBCOMMAND)), len(_EVERY_SUBCOMMAND))
     for k in order * 2:
         assert _run_or_exit(capsys, _EVERY_SUBCOMMAND[k]) == fresh[k]
-    assert cli._build_parser.cache_info().misses == before
+    info = cli._build_parser.cache_info()
+    assert info.misses == info.currsize == len({argv[0] for argv in _EVERY_SUBCOMMAND}) == 6
 
 
 def test_cached_parser_keeps_families_apart(capsys):
@@ -1122,9 +1124,57 @@ def test_cached_parser_resolves_the_seed_and_the_scan_per_call(capsys, monkeypat
     seeded = run_cli(capsys, *argv, "--seed", "7")
     assert run_cli(capsys, *argv) == seeded != run_cli(capsys, *argv, "--seed", "0")
     seen = []
-    monkeypatch.setattr(cli, "marty_scan", lambda *a, **k: seen.append(a) or marty_scan(*a, **k))
+    # the scan is probe's, read when the command runs
+    monkeypatch.setattr(probe, "marty_scan", lambda *a, **k: seen.append(a) or marty_scan(*a, **k))
     run_cli(capsys, *argv)
     assert len(seen) == 1
+
+
+# each subcommand's required arguments, and an option of it that a type= refuses
+_REQUIRED = {
+    "eval": (["--family=z", "--n=1", "--z=0+0i"], "--n=x"),
+    "identity": (["composition", "--family=z", "--family=z", "--n=1", "--z=0+0i"], "--z=x"),
+    "scan-marty": (["--family=z", "--grid=0,1,0,1,2,1"], "--samples=many"),
+    "scan-sd": (["--family=z", "--grid=0,1,0,1,2,1"], "--grid=0,1"),
+    "bound": (["--family=z", "--z0=0+0i", "--z=1+0i"], "--segment-samples=many"),
+    "hypotheses": (["--family=z", "--grid=0,1,0,1,2,1", "--epsilon=0.5", "--zeta=0+0i",
+                    "--L=1"], "--L=x"),
+}
+
+
+def _parsed(capsys, parser, argv):
+    try:
+        args = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+    return (args, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("name", sorted(_REQUIRED))
+def test_a_subcommands_own_parser_parses_as_the_full_one(capsys, name):
+    # main builds the invoked subcommand's parser alone: its help, its
+    # namespace, and each refusal's usage and error lines (the top parser's
+    # for an unrecognized argument, which name all six subcommands) are the
+    # full parser's
+    required, bad_type = _REQUIRED[name]
+    argvs = [
+        [name, "-h"],
+        [name, *required],
+        [name, *required, "--bogus"],
+        [name],
+        [name, *required, "--format", "xml"],
+        [name, *required, bad_type],
+    ]
+    alone, full = cli._build_parser((name,)), cli._build_parser()
+    got = [_parsed(capsys, alone, argv) for argv in argvs]
+    assert got == [_parsed(capsys, full, argv) for argv in argvs]
+    assert [out[0] for k, out in enumerate(got) if k != 1] == [0, 2, 2, 2, 2]
+    assert got[0][1].startswith(f"usage: schwarzian-lab {name} [-h]")
+    assert got[1][0]["handler"] is not None
+    assert got[2][2].startswith(
+        "usage: schwarzian-lab [-h]\n"
+        "                      {eval,identity,scan-marty,scan-sd,bound,hypotheses} ...\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1371,6 +1421,49 @@ def test_importing_the_cli_imports_no_process_pool():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == "0 [] True"
     assert len(proc.stdout.splitlines()) == 4  # the header and two rows, printed once
+
+
+@pytest.mark.parametrize("argv,code,batch", [
+    (["eval", "--catalog", "example2", "--n", "1", "--z=0.1+0.1i"], 0, False),
+    (["eval", "--family=1/z", "--n=1", "--z=0+0i"], 3, False),  # an error that escapes
+    (["identity", "composition", "--family=z^2", "--family=exp(z)", "--n=1", "--z=1+0i"], 0,
+     False),
+    (["bound", "--family=z", "--z0=0+0i", "--z=1+0i"], 0, True),
+    (["scan-marty", "--family=z", "--grid=0,1,0,1,2,1", "--n-max=3", "--workers=1"], 0, True),
+], ids=["eval", "eval-error", "identity", "bound", "scan-marty"])
+def test_a_command_imports_the_batch_layers_only_if_it_runs_them(argv, code, batch):
+    # eval and identity run on dsl, jets and schwarzian: a fresh interpreter
+    # that runs one has imported neither codegen nor probe; a scan or a
+    # bound check has imported both, and, in one process, no pickle
+    script = ("import sys, schwarzian_lab.cli as cli; code = cli.main(sys.argv[1:]); "
+              "print(code, [m in sys.modules for m in "
+              "('schwarzian_lab.codegen', 'schwarzian_lab.probe', 'pickle')])")
+    proc = _fresh_python("-c", script, *argv)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == f"{code} {[batch, batch, False]}"
+
+
+def test_the_package_exports_each_name_of_its_modules():
+    # a fresh import of the package: the batch layers wait for the first
+    # name read from them, dir lists every exported name, and each is the
+    # object of the modules that hold it, the one that defines it among them
+    script = (
+        "import importlib, sys, schwarzian_lab as pkg\n"
+        "print([m in sys.modules for m in ('schwarzian_lab.codegen', 'schwarzian_lab.probe')])\n"
+        "names = set(pkg.__all__) - {'__version__'}\n"
+        "print(sorted(names - set(dir(pkg))))\n"
+        "mods = [importlib.import_module('schwarzian_lab.' + m)\n"
+        "        for m in ('jets', 'dsl', 'codegen', 'schwarzian', 'probe')]\n"
+        "print(sorted(name for name in names if {id(getattr(m, name)) for m in mods\n"
+        "             if hasattr(m, name)} != {id(getattr(pkg, name))}))\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[False, False]\n[]\n[]\n"
+    assert set(schwarzian_lab.__all__) <= set(dir(schwarzian_lab))
+    assert schwarzian_lab.marty_scan is probe.marty_scan
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        schwarzian_lab.nope
 
 
 def test_the_package_imports_form_no_cycle():

@@ -1293,7 +1293,7 @@ def test_a_family_is_generated_once_per_process(monkeypatch):
 
 def _forget(monkeypatch):
     # the lane-function cache emptied for the test, and put back after it
-    monkeypatch.setattr(codegen, "_last", (None, None, None))
+    monkeypatch.setattr(codegen, "_last", (None, None, None, None))
 
 
 def test_the_lane_function_cache_keeps_the_last_family_and_statistic(monkeypatch):
@@ -1385,7 +1385,7 @@ def test_one_lane_calls_never_run_the_lane_function(monkeypatch):
 
     f = parse("exp(z/(n*z+5))*log(z+2) - i*z")
     points = [0.25j + k / 8 for k in range(9)]
-    monkeypatch.setattr(codegen, "_last", (f.root, _PARTS, refuse))
+    monkeypatch.setattr(codegen, "_last", (f.root, _PARTS, refuse, None))
     with pytest.raises(AssertionError, match="ran the lane function"):
         eval_jet_lanes(f, 2, [[points[0]]], _PARTS)
     rng = random.Random(63)

@@ -434,7 +434,7 @@ def test_a_pooled_scan_splits_its_points_evenly_and_generates_before_the_fork(
     got = []
     for workers in (2, 5, 12, 20):
         (tmp_path / str(workers)).mkdir()
-        monkeypatch.setattr(codegen, "_last", (None, None, None))
+        monkeypatch.setattr(codegen, "_last", (None, None, None, None))
         rep = sd_family_scan(parse("exp(z/(n*z+1))"), g, ns, seed=3, workers=workers)
         got.append(list(map(_fields, rep.points)))
         w = min(workers, 12)
@@ -624,7 +624,7 @@ def test_a_call_covers_at_most_a_block_of_points(monkeypatch):
     monkeypatch.setattr(probe, "eval_jet_lanes", counted_lanes)
     made = []
     real = codegen._lanes_function
-    monkeypatch.setattr(codegen, "_last", (None, None, None))
+    monkeypatch.setattr(codegen, "_last", (None, None, None, None))
     monkeypatch.setattr(codegen, "_lanes_function",
                         lambda root, st: made.append(st) or real(root, st))
     g = GridSpec(-0.5, 0.5, 0.0, 1.0, 11, 3)
@@ -641,6 +641,28 @@ def test_a_call_covers_at_most_a_block_of_points(monkeypatch):
     derivative_floor_check(parse("exp(n*z)"), ns, g, 0.5)
     assert max(map(sum, sizes)) <= probe._BLOCK * 9
     assert sum(map(sum, sizes)) == 33 * 9 * len(ns)
+
+
+def test_a_scan_peels_its_tree_once_for_its_redo_walks(monkeypatch):
+    # scan-sd splits its root by the peel rule once for the generated lines
+    # and once for the redo walks of every call, a split held with the lane
+    # function; another tree takes a split of its own, so the second
+    # family's pole at 1 is flagged by its own walk
+    peels = []
+    real = codegen._peel
+    monkeypatch.setattr(codegen, "_peel", lambda root: peels.append(root) or real(root))
+    monkeypatch.setattr(codegen, "_last", (None, None, None, None))
+    g = GridSpec(0.0, 2.0, 0.0, 1.0, 3, 1, neighborhood_radius=1e-40)
+    ns = range(1, 5)
+    f, h = parse("exp(z/(n*z+1))"), parse("exp(1/(z-1))")
+    sd_family_scan(f, g, ns)
+    sd_family_scan(f, g, ns)
+    assert peels == [f.root, f.root]
+    got = list(map(_fields, sd_family_scan(h, g, ns).points))
+    assert peels[2:] == [h.root, h.root]
+    assert "Pole" in got[1][-1]
+    monkeypatch.setattr(codegen, "_last", (None, None, None, None))
+    assert list(map(_fields, sd_family_scan(h, g, ns).points)) == got
 
 
 # ---------------------------------------------------------------------------

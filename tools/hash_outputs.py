@@ -76,6 +76,13 @@ The corpus:
   past ``MAX_EXPONENT``, two operands with no operator, nesting past
   ``MAX_DEPTH`` (parentheses, and a flat ``z+z+...`` chain), a non-ASCII
   digit and a form feed.
+- the argparse surface: ``-h`` of the top parser and of each of the six
+  subcommands (exit 0, the help on stdout); an empty argv; an unknown
+  subcommand; an unrecognized argument after each subcommand's required
+  ones; a missing required option; a ``--format`` that is not a choice;
+  and values that a ``type=`` refuses (an integer, a complex literal, a
+  grid).  Each but ``-h`` exits 2 with argparse's usage and error lines on
+  stderr.
 
 Only the standard library and ``git`` are used; ``bench/`` is read, never written.
 Warnings are printed every time, as a fresh process prints them.
@@ -278,6 +285,33 @@ _REFUSED = (
 )
 
 
+# the argparse surface: each subcommand's required arguments, so that an
+# argument after them is one the top parser reports as unrecognized
+_REQUIRED = {
+    "eval": ["--family=z", "--n=1", "--z=0+0i"],
+    "identity": ["composition", "--family=z", "--family=z", "--n=1", "--z=0+0i"],
+    "scan-marty": ["--family=z", "--grid=0,1,0,1,2,1"],
+    "scan-sd": ["--family=z", "--grid=0,1,0,1,2,1"],
+    "bound": ["--family=z", "--z0=0+0i", "--z=1+0i"],
+    "hypotheses": ["--family=z", "--grid=0,1,0,1,2,1", *_HYPOTHESES],
+}
+
+
+def _argparse_surface() -> list[list[str]]:
+    return [
+        ["-h"],
+        *([name, "-h"] for name in _REQUIRED),
+        [],
+        ["nope"],
+        *([name, *required, "--bogus"] for name, required in _REQUIRED.items()),
+        ["eval", "--family=z", "--n=1"],
+        ["eval", "--family=z", "--n=1", "--z=0+0i", "--format", "xml"],
+        ["scan-marty", *_REQUIRED["scan-marty"], "--samples", "many"],
+        ["bound", "--family=z", "--z0=0+0i", "--z=1+j"],
+        ["scan-sd", "--family=z", "--grid=0,1,0,1,2"],
+    ]
+
+
 def corpus() -> list[list[str]]:
     """Every command, in the order they run."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -349,7 +383,8 @@ def corpus() -> list[list[str]]:
                     out.append(["bound", f"--family={family}", "--n-max", "2", f"--z0={z0}",
                                 f"--z={z}", "--segment-samples", samples, "--format", fmt])
     out += _identity_bound_checks()
-    return out + [["eval", f"--family={text}", "--n=1", "--z=0.5+0i"] for text in _REFUSED]
+    out += [["eval", f"--family={text}", "--n=1", "--z=0.5+0i"] for text in _REFUSED]
+    return out + _argparse_surface()
 
 
 def _import(src: Path) -> None:

@@ -66,8 +66,8 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # one jet type at every order and of the slope's log clamp, then that of
 # the kept names read from the generated lines, then those of the one
 # formula tracer, of the operator tables and of the finite seeds and Mobius
-# coefficients, then those of the peel rule; a later change adds its mutants
-# here
+# coefficients, then those of the peel rule, then those of the split held
+# with the lane function; a later change adds its mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -114,7 +114,7 @@ MUTANTS = (
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
     # the refusals of bad thresholds, each before the evaluation it would waste
     Mutant("a scan's thresholds refused only after the scan", "cli.py",
-           "    check_thresholds(args.slope_threshold, args.decay_threshold, args.cap)"
+           "    probe.check_thresholds(args.slope_threshold, args.decay_threshold, args.cap)"
            "  # before the scan\n", "",
            (CLI + "test_bad_thresholds_are_refused_before_any_evaluation",)),
     Mutant("a nan L refused only after the floor sweep", "probe.py",
@@ -123,6 +123,20 @@ MUTANTS = (
     Mutant("the parser rebuilt per call", "cli.py",
            "@functools.cache\ndef _build_parser", "def _build_parser",
            (CLI + "test_cached_parser_gives_a_fresh_parsers_bytes",)),
+    # the invoked subcommand's parser alone, and probe imported by the
+    # subcommands that run it
+    Mutant("a subcommand's own parser naming itself alone in the usage line", "cli.py",
+           'metavar=None if every else "{" + ",".join(_SUBCOMMANDS) + "}"', "metavar=None",
+           (CLI + "test_a_subcommands_own_parser_parses_as_the_full_one",)),
+    Mutant("every command parsed by the parser of all six", "cli.py",
+           "    parser = _build_parser((argv[0],)) if argv and argv[0] in _SUBCOMMANDS"
+           " else _build_parser()",
+           "    parser = _build_parser()",
+           (CLI + "test_a_command_imports_the_batch_layers_only_if_it_runs_them",
+            CLI + "test_cached_parser_gives_a_fresh_parsers_bytes")),
+    Mutant("probe's segment error not caught once probe is imported", "cli.py",
+           "    return (probe.SegmentEvaluationError,) if probe else ()", "    return ()",
+           (CLI + "test_bound_segment_failure_exits_3",)),
     # the statistics
     Mutant("the critical guard dropped", "codegen.py",
            "        t.check(True, _CRITICAL_GUARD.format(*critical))",
@@ -315,7 +329,8 @@ MUTANTS = (
             GOLDENS + "test_flag_heavy_grid_bytes[hypotheses-s-inf-csv]")),
     Mutant("pickle imported with the module", "probe.py",
            "import warnings\n", "import pickle\nimport warnings\n",
-           (CLI + "test_importing_the_cli_imports_no_process_pool",)),
+           (CLI + "test_importing_the_cli_imports_no_process_pool",
+            CLI + "test_a_command_imports_the_batch_layers_only_if_it_runs_them")),
     # one batch contract: a redone sample's walk raises, and stops at its
     # first failed or critical point; the jets reach a test by the traced
     # halves of a statistic's formula
@@ -486,8 +501,8 @@ MUTANTS = (
            "    if expr.root is not root:\n        if expr.root != root:",
            (DSL + "test_the_lane_function_cache_keeps_the_last_family_and_statistic",)),
     Mutant("the cache's entry not updated on an equality hit", "codegen.py",
-           "            fn = _lanes_function(expr.root, stat)\n        _last = (expr.root, stat, fn)",
-           "            fn = _lanes_function(expr.root, stat)\n            _last = (expr.root, stat, fn)",
+           "            fn = _lanes_function(expr.root, stat)\n        _last = (expr.root, stat, fn, ",
+           "            fn = _lanes_function(expr.root, stat)\n            _last = (expr.root, stat, fn, ",
            (DSL + "test_the_lane_function_cache_keeps_the_last_family_and_statistic",)),
     Mutant("the identity bound clause passes a gap within twice the bound", "schwarzian.py",
            "    passed = math.isfinite(bound) and abs_gap <= bound",
@@ -581,6 +596,15 @@ MUTANTS = (
            "    for tree in left:\n        eval_jet(tree, n, w, order=0)\n", "",
            (PROBE + "test_the_peel_keeps_the_pole_and_critical_point_flags",
             DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
+    # the peel rule's split held with the lane function
+    Mutant("the redo walks' split kept from the entry of another tree", "codegen.py",
+           "        _last = (expr.root, stat, fn, _split(expr.root) if stat.peel else None)",
+           "        _last = (expr.root, stat, fn, split or (_split(expr.root) if stat.peel else None))",
+           (PROBE + "test_a_scan_peels_its_tree_once_for_its_redo_walks",)),
+    Mutant("the split peeled again on every call", "codegen.py",
+           "    trees, outer = split or _split(expr.root)",
+           "    trees, outer = _split(expr.root)",
+           (PROBE + "test_a_scan_peels_its_tree_once_for_its_redo_walks",)),
 )
 
 SURVIVORS = (
