@@ -136,7 +136,6 @@ __all__ = [
     "pretty_print",
     "eval_jet",
     "eval_jet_seeded",
-    "eval_jet_lanes",
     # schwarzian
     "schwarzian",
     "spherical_derivative",
@@ -157,6 +156,8 @@ __all__ = [
     "GuardViolation",
     "ConjugacyViolated",
     "DegenerateMobiusError",
+    # codegen
+    "eval_jet_lanes",
     # probe
     "GridSpec",
     "PointStats",

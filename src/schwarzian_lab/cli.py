@@ -10,8 +10,9 @@ builds the parser of its own subcommand alone, and imports ``probe`` (and
 with it ``codegen``) only for the subcommands that run it: ``scan-marty``,
 ``scan-sd``, ``bound`` and ``hypotheses``.
 
-Exit codes: 0 success/pass, 1 identity or bound check failed, 2 parse or
-configuration error, 3 evaluation error, 4 I/O error.
+Exit codes: 0 success/pass, 1 identity, bound or hypothesis check
+failed, 2 parse or configuration error, 3 evaluation error, 4 I/O error,
+or a scan process that ended without its result (killed, say).
 A warning, such as a neighborhood radius that spans four or more grid
 cells, prints as one ``warning: <message>`` line on standard error, under
 any warning filter (``-W error`` too), and leaves the exit code as it is.

@@ -19,10 +19,11 @@ each group's largest by a few steps of ascent inside the group's disk,
 from the sample that gave it, so a ``scan-sd`` family has one lane
 function.
 
-It runs the jet formulas of ``jets`` on symbolic values
-(``_Sym``) to write straight-line source, and a statistic's formula on
-the inputs of ``jets``' trace (``_Trace``), one line per traced
-operation, folding nothing.  A symbolic value knows, per
+It walks the tree by ``dsl``'s one walk, whose operation per node kind
+here runs the jet formulas of ``jets`` on symbolic values (``_Sym``) to
+write straight-line source, and it runs a statistic's formula on the
+inputs of ``jets``' trace (``_Trace``), one line per traced operation,
+folding nothing.  A symbolic value knows, per
 float part, either the part exactly (a float) or what little is certain
 of it before run time (a ``_Part``).  An operation whose result is then
 exactly known, or is exactly an existing value, emits no code; any other
@@ -44,6 +45,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .dsl import (
+    _I,
     Add,
     ConstNum,
     Div,
@@ -59,30 +61,33 @@ from .dsl import (
     PowInt,
     Sub,
     Var,
+    _walk,
+    _walked,
     eval_jet,
-    eval_jet_seeded,
 )
 from .jets import (
     DIVISION_FLOOR,
     EXP_REAL_GUARD,
     VAR_D1,
     ZERO,
+    _NEGATION,
+    _RECIPROCAL,
     JetError,
     OverflowAtPoint,
     _Hot,
     _Trace,
+    _below_floor,
     _chain,
     _difference,
+    _exp_refused,
     _exponential,
-    _negation,
     _product,
-    _reciprocal,
     _sum,
     jet_const,
     jet_pow_int,
-    modulus,
+    jet_var,
 )
-from .schwarzian import CRITICAL_POINT_FLOOR, _S_AFFINE, _critical, _peel
+from .schwarzian import CRITICAL_POINT_FLOOR, _S_AFFINE, _critical, _free_of, _peel
 
 # an integer power up to this exponent is written out as products; a
 # larger one calls jet_pow_int
@@ -96,10 +101,10 @@ _TARGETS = re.compile(r"(\w+(?:, \w+)*) = ")
 _NAME = re.compile(r"\b[A-Za-z_]\w*")
 # the jets formulas per jet length, each the straight-line code of its
 # trace once it is hot (jets._Hot): the formula's operations in its order,
-# so the same source, without the loops over its plan
-_SUM, _DIFFERENCE, _NEGATION, _PRODUCT, _CHAIN, _RECIPROCAL = map(
-    _Hot, (_sum, _difference, _negation, _product, _chain, _reciprocal)
-)
+# so the same source, without the loops over its plan.  Those that jets
+# checks are unchecked copies here; negation and the reciprocal's are jets'
+_SUM, _DIFFERENCE, _PRODUCT, _CHAIN = map(_Hot, (_sum, _difference, _product, _chain))
+_FORMULAS = {Add: _SUM, Sub: _DIFFERENCE, Mul: _PRODUCT}
 
 
 class _Part:
@@ -224,10 +229,6 @@ class _Sym:
         return _is_finite(self.re) and _is_finite(self.im)
 
 
-class _LiteralFails(Exception):
-    """A subexpression of literals alone fails, so every lane fails."""
-
-
 def _inverse(w: complex) -> complex:
     return 1.0 / w
 
@@ -241,24 +242,15 @@ def _not_finite(names: list, test: str = "isfinite") -> str:
     return f"not {test}({' + '.join(names)}) and not ({each})"
 
 
-def _below_floor(w: complex) -> bool:
-    # a literal the floor check refuses; past the double range it overflows
-    try:
-        return modulus(w) <= DIVISION_FLOOR
-    except OverflowAtPoint:
-        return True
-
-
-def _exp_refused(w: complex) -> bool:
-    return abs(w.real) > EXP_REAL_GUARD
-
-
 class _Lanes:
     """Writer of the lane function: the jet formulas on symbolic values.
 
     Its values are jets of order ``order`` whose parts are complex
-    constants or ``_Sym``s.  What a line binds and reads is in its text,
-    where an ascent's start finds the names it keeps (``_lanes_source``).
+    constants or ``_Sym``s, made by ``dsl``'s walk on its ``ops``.  A
+    known value that fails, by the refusal rules of ``jets`` or past the
+    double range, raises JetError, which the walk raises as EvalError.
+    What a line binds and reads is in its text, where an ascent's start
+    finds the names it keeps (``_lanes_source``).
     """
 
     def __init__(self, order: int = 3):
@@ -273,10 +265,16 @@ class _Lanes:
         self.tails: dict = {}  # a formula's line's right-hand side -> the name it first bound
         self.invariants_checked = 0  # invariants whose check is written
         self.count = 0
-        self.n_used = False
         # n is real, so its imaginary part is +0; the prelude checks that
         # its real part is nonzero
         self.n = self.sym(_Part(finite=True, nonzero=True), 0.0, False, name="N")
+        # the operation of each node kind for dsl's walk: a literal's jet
+        # of its seed's order, as the walk's own, and each other node's lines
+        self.ops = {
+            ConstNum: jet_const, Neg: self.negation, Div: self.quotient, Exp: self.exp,
+            Log: self.log, PowInt: self.power,
+            **{kind: partial(self.formula, table) for kind, table in _FORMULAS.items()},
+        }
 
     # -- values --------------------------------------------------------
 
@@ -348,11 +346,12 @@ class _Lanes:
 
     def guard(self, u, test: str, refused) -> None:
         """The check before an opaque function of u: ``test`` in the
-        generated code, where a value that is not finite fails too, or
-        ``refused(u)`` now for a literal."""
+        generated code, where a value that is not finite fails too, or,
+        for a known u, ``refused(u)``, jets' own rule, now: a known value
+        that it refuses fails every lane."""
         if type(u) is not _Sym:
             if refused(u):
-                raise _LiteralFails
+                raise JetError("a literal is refused")
             return
         cond = test.format(self.text(u))
         if not u.finite():
@@ -373,7 +372,7 @@ class _Lanes:
         # a node's exactly known parts are its parts on every lane, so one
         # that is not finite fails every lane
         if not all(cmath.isfinite(x) for x in jet if type(x) is not _Sym):
-            raise _LiteralFails
+            raise JetError("a literal part is not finite")
         return jet
 
     # -- nodes ---------------------------------------------------------
@@ -385,48 +384,39 @@ class _Lanes:
 
     def walk(self, node: Node, var: tuple) -> tuple:
         """A node's jet where its variable's is ``var``, of that jet's
-        order: its operands left before right, then the node."""
-        kind = type(node)
-        if kind is Var:
-            return var
-        if kind is Param:
-            self.n_used = True
-            return (self.n, *(ZERO,) * (len(var) - 1))
-        if kind is ImagUnit:
-            return jet_const(1j, len(var) - 1)
-        if kind is ConstNum:
-            return jet_const(node.value, len(var) - 1)
-        # the node's fields but its span, in order: children, and PowInt's exponent
-        fields = node._key(node)
-        return self.apply(node, *(self.walk(v, var) if isinstance(v, Node) else v for v in fields))
+        order, by ``dsl``'s walk on this writer's operations (``ops``):
+        where a known value fails, the walk raises its EvalError."""
+        order = len(var) - 1
+        leaves = {Var: var, Param: (self.n, *(ZERO,) * order), ImagUnit: _I[order]}
+        return _walk(node, self.ops, leaves, None)
+
+    def negation(self, a: tuple) -> tuple:
+        return _NEGATION[len(a)](a)
+
+    def formula(self, table: _Hot, a: tuple, b: tuple) -> tuple:
+        return self.node(table[len(a)](a, b))
 
     def reciprocal(self, b: tuple) -> tuple:
         self.guard(b[0], f"abs({{}}) <= {DIVISION_FLOOR!r}", _below_floor)
         w = self.opaque("1.0 / {}", _inverse, b[0])
         return self.node(_CHAIN[len(b)](b, _RECIPROCAL[len(b)](w, len(b))))
 
-    def apply(self, node: Node, *args) -> tuple:
-        kind = type(node)
-        if kind is Neg:
-            return _NEGATION[len(args[0])](*args)
-        if kind in (Add, Sub, Mul):
-            return self.node({Add: _SUM, Sub: _DIFFERENCE, Mul: _PRODUCT}[kind][len(args[0])](*args))
-        if kind is Div:
-            a, b = args
-            return self.node(_PRODUCT[len(a)](a, self.reciprocal(b)))
-        if kind is Exp:
-            (u,) = args
-            self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)
-            e = self.opaque("exp({})", cmath.exp, u[0])
-            return self.node(_CHAIN[len(u)](u, _exponential(e, len(u))))
-        if kind is Log:
-            (u,) = args
-            self.guard(u[0], f"abs({{}}) <= {DIVISION_FLOOR!r}", _below_floor)
-            lg = self.opaque("log({})", cmath.log, u[0])
-            w = self.opaque("1.0 / {}", _inverse, u[0])
-            # log's derivatives: log u, then those of 1/x at u, one order down
-            return self.node(_CHAIN[len(u)](u, (lg, *_RECIPROCAL[len(u) - 1](w, len(u) - 1))))
-        u, k = args  # PowInt
+    def quotient(self, a: tuple, b: tuple) -> tuple:
+        return self.node(_PRODUCT[len(a)](a, self.reciprocal(b)))
+
+    def exp(self, u: tuple) -> tuple:
+        self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)
+        e = self.opaque("exp({})", cmath.exp, u[0])
+        return self.node(_CHAIN[len(u)](u, _exponential(e, len(u))))
+
+    def log(self, u: tuple) -> tuple:
+        self.guard(u[0], f"abs({{}}) <= {DIVISION_FLOOR!r}", _below_floor)
+        lg = self.opaque("log({})", cmath.log, u[0])
+        w = self.opaque("1.0 / {}", _inverse, u[0])
+        # log's derivatives: log u, then those of 1/x at u, one order down
+        return self.node(_CHAIN[len(u)](u, (lg, *_RECIPROCAL[len(u) - 1](w, len(u) - 1))))
+
+    def power(self, u: tuple, k: int) -> tuple:
         if k == 0:
             # x^0 is one, but a failed base still fails: check what is dropped
             parts = [self.text(x) for x in self.unchecked(u)]
@@ -444,10 +434,7 @@ class _Lanes:
 
     def power_call(self, u: tuple, k: int) -> tuple:
         if not any(type(x) is _Sym for x in u):
-            try:
-                return jet_pow_int(u, k)
-            except JetError:
-                raise _LiteralFails from None
+            return jet_pow_int(u, k)
         lane = any(type(x) is _Sym and x.lane for x in u)
         out = tuple(self.sym(_Part(finite=True), _Part(finite=True), lane) for _ in u)
         names, args = ", ".join(x.name for x in out), ", ".join(map(self.text, u))
@@ -712,7 +699,7 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     names (``_NAME``), or that name a slot of the rise; and the handler
     runs a copy of the keep that keeps None; so the ascent's start at a
     fast argmax runs only the rise's lines.  Where a loop-invariant part
-    fails, or n, where the family uses it, is 0 or not real, the prelude
+    fails, or n, where the tree holds it, is 0 or not real, the prelude
     raises, and a loop of the handler and the keep redoes every lane,
     group by group, ascent included, before the main loop, which then has
     none; where a literal fails, that loop is all.
@@ -739,7 +726,7 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
         out = t.walk_lane(inner)
         # f's jet of order 1: the outer map's nodes on the first two parts of g's
         head = t.walk(outer_tree, out[:2])
-    except _LiteralFails:  # every lane is redone
+    except EvalError:  # a literal fails, so every lane is redone
         out = None
     if out is None:
         values = [f"g{k}" for k in range(len(stat.start))]
@@ -791,7 +778,7 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
             "try:", "    if N is None or not N.real:", "        raise JetError('n is 0 or not real')",
             *_indent(t.prelude), "except (OverflowError, JetError):", *_indent(redo_all),
             "    Z = ()",
-        ] if t.n_used else []
+        ] if not _free_of(root, Param) else []
         redone = handler
         if argmax:
             # the argmax's kept values, set in the fold of the one slot: the
@@ -818,7 +805,7 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
 
 
 # the last lane function generated, with its tree, its statistic and,
-# for a peeled statistic, the tree's split (``_split``)
+# for a peeled statistic, the tree's split (``schwarzian._peel``)
 _last: tuple = (None, None, None, None)
 
 
@@ -836,43 +823,37 @@ def family(expr: FamilyExpr, stat: Statistic):
 
 def _entry(expr: FamilyExpr, stat: Statistic) -> tuple:
     # the cache's entry for the family and statistic, as ``family`` says;
-    # the split is the caller's tree's, whose spans a redone walk reports
+    # the split is the caller's tree's, whose nodes the redo walks take
     global _last
     root, last, fn, split = _last
     if expr.root is not root or stat is not last:
         if expr.root != root or stat != last:
             fn = _lanes_function(expr.root, stat)
-        _last = (expr.root, stat, fn, _split(expr.root) if stat.peel else None)
+        _last = (expr.root, stat, fn, _peel(expr.root) if stat.peel else None)
     return _last
-
-
-def _split(root) -> tuple:
-    # the peel rule's split of a root, as the redo walk takes it: F, g and
-    # the operands free of z on g's left as families, and S_F's (a, c)
-    outer_tree, inner, outer, left = _peel(root)
-    return (FamilyExpr(outer_tree), FamilyExpr(inner), tuple(map(FamilyExpr, left))), outer
 
 
 def _redo(expr: FamilyExpr, n: float, stat, split: tuple | None = None):
     # a sample's value or flag by eval_jet at its point, of the
-    # statistic's order; a peeled statistic walks the split, the one given
-    # or the tree's own
+    # statistic's order; a peeled statistic walks the split's nodes, the
+    # split given or the tree's own
     jet_const(n)  # refuses an n that is not finite, before any lane runs
     if not stat.peel:
         return partial(stat.walked, partial(eval_jet, expr, n, order=stat.order))
-    trees, outer = split or _split(expr.root)
-    return partial(stat.walked, partial(_walk_peeled, *trees, n, stat.order), outer=outer)
+    outer_tree, inner, outer, left = split or _peel(expr.root)
+    return partial(stat.walked, partial(_walk_peeled, outer_tree, inner, left, n, stat.order),
+                   outer=outer)
 
 
-def _walk_peeled(outer_tree, inner, left, n: float, order: int, w):
+def _walk_peeled(outer_tree: Node, inner: Node, left: tuple, n: float, order: int, w):
     # a peeled root's walk at w, f's jet of order 1 and g's of ``order``:
     # the operands free of z that the root's walk takes before g, then g,
     # then F from g's first two parts, so that it fails first where the
     # root's walk does, but on a part of f above f', which it never computes
     for tree in left:
-        eval_jet(tree, n, w, order=0)
-    g = eval_jet(inner, n, w, order=order)
-    return eval_jet_seeded(outer_tree, n, g[:2], point=w), g
+        _walked(tree, n, jet_var(w, 0), w)
+    g = _walked(inner, n, jet_var(w, order), w)
+    return _walked(outer_tree, n, g[:2], w), g
 
 
 def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat, radius: float | None = None):

@@ -27,9 +27,12 @@ exponents of magnitude at most :data:`MAX_EXPONENT`.
 
 Evaluation here is a walk of the tree, one ``jet_*`` operation per
 node: :func:`eval_jet` at a point, and :func:`eval_jet_seeded` from a
-seed jet.  A batch of samples takes another path, which gives the same
-bits: ``codegen.eval_jet_lanes`` runs the lane function that ``codegen``
-generates from the tree once per family, statistic and process, and
+seed jet.  The walk is the one function that dispatches on node kinds:
+it takes its operations as a table per kind, of complex jets, of balls,
+or of ``codegen``'s writer of lane functions.  A batch of samples takes
+another path, which gives the same bits: ``codegen.eval_jet_lanes``
+runs the lane function that ``codegen`` generates from the tree, by
+this walk, once per family, statistic and process, and
 hands each sample that failed, or might have, back to this walk, from
 ``jets.jet_var`` at its point, with a jet of the statistic's order
 (``codegen.Statistic.order``).  The walk then fails only where a part of
@@ -570,8 +573,9 @@ _BALL_OPS = {**_JET_OPS, ConstNum: lambda c, order: _ball_jet(jet_const(c, order
 
 
 def _walk(node: Node, ops: dict, leaves: dict, point):
-    # one operation per node, its operands first, the left before the
-    # right; the first failure raises its EvalError, labelled with point
+    # one operation per node, ``ops[kind]``, its operands first, the left
+    # before the right, a leaf's value from ``leaves``; the first failure,
+    # a JetError, raises its EvalError, labelled with point
     kind = type(node)
     if kind in leaves:
         return leaves[kind]
@@ -591,15 +595,15 @@ def _walk(node: Node, ops: dict, leaves: dict, point):
         raise EvalError(node.span, str(exc), point) from exc
 
 
-def _walked(expr: FamilyExpr, n: float, seed: Jet, point) -> Jet:
-    # one evaluation by the walk, of the seed's order, on balls where the
-    # seed's value is a ball, raising the EvalError of its first failure,
-    # labelled with the point (a ball's midpoint)
+def _walked(root: Node, n: float, seed: Jet, point) -> Jet:
+    # one evaluation of a tree by the walk, of the seed's order, on balls
+    # where the seed's value is a ball, raising the EvalError of its first
+    # failure, labelled with the point (a ball's midpoint)
     order = len(seed) - 1
     ops, nj, i = _JET_OPS, jet_const(n, order), _I[order]
     if type(seed[0]) is Ball:
         ops, nj, i, point = _BALL_OPS, _ball_jet(nj), _ball_jet(i), complex(point)
-    return _walk(expr.root, ops, {Var: seed, Param: nj, ImagUnit: i}, point)
+    return _walk(root, ops, {Var: seed, Param: nj, ImagUnit: i}, point)
 
 
 def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball, *, order: int = 3) -> Jet:
@@ -617,7 +621,7 @@ def eval_jet(expr: FamilyExpr, n: float, z: complex | Ball, *, order: int = 3) -
     redone.  ``bound`` takes f(z0) and f(z) at order 1 so.
     """
     seed = jet_var(z, order)
-    return _walked(expr, n, seed, seed[0])
+    return _walked(expr.root, n, seed, seed[0])
 
 
 def eval_jet_seeded(expr: FamilyExpr, n: float, seed: Jet, point: complex | None = None) -> Jet:
@@ -636,5 +640,5 @@ def eval_jet_seeded(expr: FamilyExpr, n: float, seed: Jet, point: complex | None
     if not all(map(cmath.isfinite, seed)):
         raise ValueError("eval_jet_seeded requires a seed of finite parts")
     seed = _as_jet(seed)
-    return _walked(expr, n, seed, seed[0] if point is None else point)
+    return _walked(expr.root, n, seed, seed[0] if point is None else point)
 

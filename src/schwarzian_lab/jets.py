@@ -144,6 +144,17 @@ def modulus(w: complex) -> float:
         raise OverflowAtPoint("modulus overflowed the finite range", w) from None
 
 
+def _below_floor(w) -> bool:
+    # the floor's refusal of a denominator or a log argument, for the jet
+    # operations below and codegen's literals; modulus raises past the range
+    return modulus(w) <= DIVISION_FLOOR
+
+
+def _exp_refused(w) -> bool:
+    # the exp guard's refusal, for jet_exp and codegen's literals
+    return abs(w.real) > EXP_REAL_GUARD
+
+
 # ---------------------------------------------------------------------------
 # formulas
 #
@@ -322,10 +333,10 @@ class _Hot(dict):
     the straight-line code of its trace at that length (:func:`_compiled`),
     which makes the same operations on the same operands, so the same
     bits, without the loops over its plan.  If ``checked``, it checks its
-    result, as :func:`_checked` does.  Codegen keeps its own, unchecked,
-    and runs them on symbolic values: the code makes the formula's
-    operations in the formula's order, so the source codegen writes is
-    the same either way."""
+    result, as :func:`_checked` does.  Codegen runs the unchecked ones,
+    and its own unchecked copies of the checked ones, on symbolic values:
+    the code makes the formula's operations in the formula's order, so
+    the source codegen writes is the same either way."""
 
     def __init__(self, formula, checked: bool = False):
         super().__init__()
@@ -518,7 +529,7 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 
 def _reciprocal_jet(b: Jet) -> Jet:
     bv = b[0]
-    if modulus(bv) <= DIVISION_FLOOR:
+    if _below_floor(bv):
         raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
     n = len(b)
     return _CHAIN[n](b, _RECIPROCAL[n](1.0 / bv, n))
@@ -532,7 +543,7 @@ def jet_div(a: Jet, b: Jet) -> Jet:
 def jet_exp(u: Jet) -> Jet:
     """Exponential of a jet; guards |Re u| to stay inside finite doubles."""
     uv = u[0]
-    if abs(uv.real) > EXP_REAL_GUARD:
+    if _exp_refused(uv):
         raise OverflowAtPoint("exp argument outside the overflow guard", uv)
     e = uv.exp() if type(uv) is Ball else cmath.exp(uv)
     return _CHAIN[len(u)](u, _exponential(e, len(u)))
@@ -541,7 +552,7 @@ def jet_exp(u: Jet) -> Jet:
 def jet_log(u: Jet) -> Jet:
     """Principal-branch logarithm of a jet."""
     uv = u[0]
-    if modulus(uv) <= DIVISION_FLOOR:
+    if _below_floor(uv):
         raise DivisionByZeroAtPoint("log of (near-)zero value", uv)
     if type(uv) is Ball:
         # no part of log's jet is enclosed over a ball that meets its cut
@@ -574,7 +585,7 @@ def jet_mobius(u: Jet, a: complex, b: complex, c: complex, d: complex) -> Jet:
     by a ball about 1 that holds ad - bc.
     """
     den = c * u[0] + d
-    if modulus(den) <= DIVISION_FLOOR:
+    if _below_floor(den):
         raise DivisionByZeroAtPoint("Moebius map evaluated at its pole", den)
     # as complex numbers, which the compiled formula takes as operands,
     # where it would take an int for a count

@@ -51,6 +51,7 @@ import random
 import warnings
 from enum import Enum
 
+from .ball import Ball, radius
 from .codegen import Statistic, eval_jet_lanes, family
 from .dsl import EvalError, FamilyExpr, eval_jet
 from .jets import OverflowAtPoint, modulus
@@ -632,6 +633,15 @@ def local_bound_estimate(
 ) -> list[LocalBoundReport]:
     """Check the integral mean-value bound along the straight segment.
 
+    ``passed`` takes two clauses in order.  The fixed rule passes where
+    ``observed <= bound_rhs * (1 + 1e-9) + 1e-12``.  Where it fails, the
+    identity checkers' third clause decides: f is walked at a ball of
+    radius 0 about z0 and about z, at order 0, and the n passes where
+    ``observed - bound_rhs`` is within the radius of the balls'
+    difference, f(z) - f(z0), and that radius is finite.  That radius
+    bounds the rounding of ``observed``, literals counted as known to
+    half an ulp, so a gap within it is one that roundoff can explain.
+
     Raises :class:`SegmentEvaluationError` listing the offending n when any
     sampled evaluation fails.
     """
@@ -666,6 +676,11 @@ def local_bound_estimate(
             continue
         rhs = k_est * length
         passed = observed <= rhs * (1.0 + 1e-9) + 1e-12
+        if not passed:
+            # the roundoff clause: each ball's midpoint is f's value above
+            b0, b1 = (eval_jet(f, n, Ball(w), order=0)[0] for w in (z0, z))
+            slack = radius(b1 - b0)
+            passed = math.isfinite(slack) and observed - rhs <= slack
         reports.append(LocalBoundReport(n, k_est, rhs, observed, passed, v0))
     if flagged:
         raise SegmentEvaluationError(flagged)

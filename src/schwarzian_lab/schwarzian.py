@@ -180,9 +180,10 @@ _S_EXP = -0.5
 _C_LOG = 1.0
 
 
-def _free_of_z(node: Node) -> bool:
-    return type(node) is not Var and all(
-        _free_of_z(v) for v in node._key(node) if isinstance(v, Node)
+def _free_of(node: Node, kind: type) -> bool:
+    # whether no node of the tree is a ``kind``: z's Var, or n's Param
+    return type(node) is not kind and all(
+        _free_of(v, kind) for v in node._key(node) if isinstance(v, Node)
     )
 
 
@@ -214,7 +215,7 @@ def _peel(root: Node) -> tuple:
         if kind is Neg:
             inner = node.operand
         elif kind in (Add, Sub, Mul, Div):
-            lhs_free, rhs_free = _free_of_z(node.lhs), _free_of_z(node.rhs)
+            lhs_free, rhs_free = _free_of(node.lhs, Var), _free_of(node.rhs, Var)
             if rhs_free and not lhs_free:
                 inner = node.lhs
             elif lhs_free and not rhs_free and kind is not Div:

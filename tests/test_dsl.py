@@ -884,11 +884,12 @@ def test_fused_sd_statistic_on_each_rule(text, points, want):
 
 def test_a_redone_sample_stops_at_its_first_failed_point(monkeypatch):
     # the sample at the pole of 1/z is redone by one walk, started at its
-    # point and at no other
+    # point and at no other; scan-sd's redo walks the peel rule's split,
+    # seeding each tree's walk itself
     clean = probe._sd(eval_jet(parse("1/z"), 1, 0.5, order=4))
     started = []
-    real = dsl.jet_var
-    monkeypatch.setattr(dsl, "jet_var", lambda w, order: started.append(w) or real(w, order))
+    real = codegen.jet_var
+    monkeypatch.setattr(codegen, "jet_var", lambda w, order: started.append(w) or real(w, order))
     got = eval_jet_lanes(parse("1/z"), 1, [[0j, 0.5 + 0j]], probe._SD, _RADIUS)
     assert started == [0j]
     assert got == [_sd_refined(parse("1/z"), 1, [0j, 0.5 + 0j])] and clean <= got[0][0]
@@ -1149,6 +1150,77 @@ def test_n_times_z_makes_no_product_with_the_derivatives_of_n():
     source, _ = codegen._lanes_source(parse("exp(n*z)").root, _PARTS)
     prelude, loop = source.split("\n    for G in Z:\n", 1)
     assert "= N * N" in prelude and "N * N" not in loop
+
+
+# the literal paths of the lane function: a literal subtree under each
+# node kind; each way a literal fails (an exp past its guard, a division by
+# zero, a log of 0, a zero to a negative power, a product past the double
+# range); jets whose value part is a known constant while a higher part is
+# not, the constant refused or not; and n only under the outer map that
+# scan-sd peels off, or only times 0.  A family whose literal fails has
+# every lane redone
+_LITERAL_FAILURES = (
+    "z+exp(1000)", "z+1/(1-1)", "z+log(0)", "z*0^-1", "z*(10^200)^2",
+    "exp(1000+0/(4+z))", "log(0+0/(4+z))", "z/(0+0/(4+z))",
+)
+_LITERAL_FAMILIES = (
+    "z+exp(2)", "z-log(2+i)", "z*(3-i)", "z/(2*i)", "z*-2", "z+2/(1+i)", "z+(1+i)^3",
+    "z+(1+i)^-2", "z+(1+i)^12", "z+i^0", *_LITERAL_FAILURES,
+    "z/(1+0*exp(z))", "log(0/(4+z)+3)", "log((((0/(i+2))/((4+z)+4))+3))",
+    "n*exp(z)", "0*n+z",
+)
+_LITERAL_POINTS = (0.5 - 0.25j, -4 + 0j, -8 + 0j, 0j, -3 - 1j, 1e-310 + 0j, 1e300 + 0j)
+
+
+def _parts_at(order):
+    # _PARTS at another order: each float part of the jet, f to f^(order)
+    return codegen.Statistic(_parts, start=(-math.inf,) * (2 * order + 2), order=order)
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 5])
+@pytest.mark.parametrize("text", _LITERAL_FAMILIES)
+def test_the_literal_paths_match_the_walk_bit_for_bit(text, order):
+    # the lane function's own values, where it gives one, and the public
+    # call's values and flags, against the walk at the statistic's order;
+    # a literal that fails redoes every lane, so the walk decides them all
+    f, stat = parse(text), _parts_at(order)
+    points = list(_LITERAL_POINTS)
+    fast = 0
+    for n in (2, -1.5, 1e-170):
+        want = [_outcome(_raised(lambda: eval_jet(f, n, w, order=order))) for w in points]
+        got = _lane_outcomes(codegen.family(f, stat)(complex(n), [[w] for w in points],
+                                                     lambda w: "redone"))
+        for g, w in zip(got, want):
+            assert g == ("error", "redone") or g == w
+            fast += g != ("error", "redone")
+        assert _lane_outcomes(eval_jet_lanes(f, n, ([w] for w in points), stat)) == [
+            _flagged(w) for w in want]
+    assert (fast == 0) == (text in _LITERAL_FAILURES)
+
+
+@pytest.mark.parametrize("text", _LITERAL_FAMILIES)
+def test_the_literal_paths_of_the_program_statistics(text):
+    # f#, and scan-sd's statistic, whose lane function walks the peel
+    # rule's split at the rise's order 5, against their references
+    f = parse(text)
+    groups = [[0.5 - 0.25j, -4 + 0j], [-3 - 1j, 0j, 1e-310 + 0j]]
+    for n in (2, -0.0):
+        got, _ = _group_outcomes(f, n, probe._MARTY, groups)
+        assert got == [(x.hex(), fl) for x, fl in (_marty_reference(f, n, g) for g in groups)]
+        got, _ = _group_outcomes(f, n, probe._SD, groups)
+        assert got == [tuple(map(_bits, _sd_refined(f, n, g))) for g in groups]
+
+
+@pytest.mark.parametrize(
+    "text", ["n*exp(z)", "0*n+z", "n", "z+exp(2)", "z", "exp(z/(n*z+1))", "z/(1+0*exp(z))"]
+)
+def test_the_lane_function_checks_n_exactly_where_the_tree_holds_n(text):
+    # n's check, in the prelude, is written where n is a node of the tree,
+    # in the peeled outer map or times 0 too, and nowhere else
+    check = "if N is None or not N.real:"
+    for name in ("_MARTY", "_SD", "_FLOOR", "_BOUND"):
+        source, _ = codegen._lanes_source(parse(text).root, getattr(probe, name))
+        assert (check in source) == ("n" in text), name
 
 
 def _depth(line: str) -> int:

@@ -38,6 +38,7 @@ from schwarzian_lab import (
 )
 import schwarzian_lab
 from schwarzian_lab import codegen, probe
+from schwarzian_lab.ball import Ball, radius
 from schwarzian_lab.probe import (
     DEFAULT_RADIUS,
     DEFAULT_SAMPLES,
@@ -1266,6 +1267,33 @@ def test_bound_fails_a_segment_just_past_its_tolerance():
     assert (rep.K_estimate, rep.bound_rhs) == (1.0, 1.0)
     assert 1.0 + 1e-9 < rep.observed < 1.0 + 1e-6
     assert not rep.passed
+
+
+def test_bound_passes_a_true_bound_that_roundoff_fails_by_the_fixed_rule():
+    # f is affine in z, so |f(z) - f(z0)| = K |z - z0| exactly; at n = 3
+    # f(z) and f(z0) are near -exp(exp(3)) = -5.3e8, and their difference
+    # loses about 1e-7 to cancellation, past the fixed rule's tolerance but
+    # within the radius of f(z) - f(z0) on balls, 1.0e-5
+    f = parse("(((0.32/(n+3))*(2*z))-exp(exp(n)))")
+    z0, z = 0.41 + 0.6233j, 0.3021 - 0.6876j
+    reports = local_bound_estimate(f, (1, 2, 3), z0, z)
+    assert all(r.passed for r in reports)
+    rep = reports[2]
+    assert rep.observed > rep.bound_rhs * (1.0 + 1e-9) + 1e-12
+    balls = [eval_jet(f, 3, Ball(w), order=0)[0] for w in (z0, z)]
+    assert rep.observed - rep.bound_rhs < radius(balls[1] - balls[0]) < 2e-5
+
+
+def test_bound_fails_a_segment_across_logs_cut_by_both_rules():
+    # log(z) jumps by 2 pi i across its cut, which no roundoff explains;
+    # log(z-0.1) from a point whose argument lies within the literal's half
+    # ulp of the cut has an infinite radius, which explains nothing
+    (rep,) = local_bound_estimate(parse("log(z)"), (1,), -1 + 0.1j, -1 - 0.1j)
+    assert rep.observed > 6.0 and not rep.passed
+    f, z0 = parse("log(z-0.1)"), complex(-1.0, 1e-20)
+    (rep,) = local_bound_estimate(f, (1,), z0, -1 - 0.5j)
+    assert rep.observed > 5.0 and not rep.passed
+    assert radius(eval_jet(f, 1, Ball(z0), order=0)[0]) == math.inf
 
 
 def test_hypotheses_are_not_sound_just_past_their_tolerance():

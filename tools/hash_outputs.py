@@ -76,6 +76,18 @@ The corpus:
   past ``MAX_EXPONENT``, two operands with no operator, nesting past
   ``MAX_DEPTH`` (parentheses, and a flat ``z+z+...`` chain), a non-ASCII
   digit and a form feed.
+- literal paths: a literal subtree under each node kind, each way a
+  literal fails (an exp past its guard, a division by zero, a log of 0, a
+  zero to a negative power, a product past the double range), jets whose
+  value part is a known constant while a higher part is not, and n only
+  under the outer map that ``scan-sd`` peels off, or only times 0, each
+  through ``scan-marty``, ``scan-sd`` and ``hypotheses`` on a small grid,
+  and through ``bound``; those whose literal fails exit 3 from ``bound``
+  and ``hypotheses``;
+- ``bound``'s roundoff clause: the segment of an affine f whose large
+  constant costs f(z) - f(z0) its last digits, which passes by the clause
+  where the fixed rule fails it, and one across log's cut, which fails
+  by both, in CSV and JSON;
 - the argparse surface: ``-h`` of the top parser and of each of the six
   subcommands (exit 0, the help on stdout); an empty argv; an unknown
   subcommand; an unrecognized argument after each subcommand's required
@@ -269,6 +281,24 @@ _KEPT_GRIDS = (
 )
 
 
+# literal paths of the lane function: a literal subtree under each node
+# kind, each way a literal fails, jets whose value part is a known
+# constant while a higher part is not, and n only under the peeled outer
+# map or only times 0
+_LITERAL_FAMILIES = (
+    "z+exp(2)", "z-log(2+i)", "z*(3-i)", "z/(2*i)", "z*-2", "z+2/(1+i)", "z+(1+i)^3",
+    "z+(1+i)^-2", "z+(1+i)^12", "z+i^0",
+    "z+exp(1000)", "z+1/(1-1)", "z+log(0)", "z*0^-1", "z*(10^200)^2",
+    "z/(1+0*exp(z))", "log(0/(4+z)+3)", "exp(1000+0/(4+z))", "log(0+0/(4+z))", "z/(0+0/(4+z))",
+    "n*exp(z)", "0*n+z",
+)
+# bound's roundoff clause: (family, z0, z)
+_ROUNDOFF_SEGMENTS = (
+    ("(((0.32/(n+3))*(2*z))-exp(exp(n)))", "0.4100+0.6233i", "0.3021-0.6876i"),
+    ("log(z)", "-1+0.1i", "-1-0.1i"),
+)
+
+
 # front-end errors: texts the lexer or the parser refuses
 _REFUSED = (
     "sin(z)",
@@ -382,6 +412,15 @@ def corpus() -> list[list[str]]:
                 for fmt in ("csv", "json"):
                     out.append(["bound", f"--family={family}", "--n-max", "2", f"--z0={z0}",
                                 f"--z={z}", "--segment-samples", samples, "--format", fmt])
+    for family in _LITERAL_FAMILIES:
+        common = [f"--family={family}", "--grid=-1,1,-1,1,2,2", "--samples", "3", "--n-max", "3"]
+        out += [["scan-marty", *common, "--workers", "1"], ["scan-sd", *common, "--workers", "1"],
+                ["hypotheses", *common, *_HYPOTHESES],
+                ["bound", f"--family={family}", "--n-max", "3", "--z0=0.3+0.2i", "--z=-0.7+1.1i",
+                 "--segment-samples", "16"]]
+    for family, z0, z in _ROUNDOFF_SEGMENTS:
+        out += [["bound", f"--family={family}", "--n-max", "3", f"--z0={z0}", f"--z={z}",
+                 "--format", fmt] for fmt in ("csv", "json")]
     out += _identity_bound_checks()
     out += [["eval", f"--family={text}", "--n=1", "--z=0.5+0i"] for text in _REFUSED]
     return out + _argparse_surface()

@@ -67,7 +67,8 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # the kept names read from the generated lines, then those of the one
 # formula tracer, of the operator tables and of the finite seeds and Mobius
 # coefficients, then those of the peel rule, then those of the split held
-# with the lane function; a later change adds its mutants here
+# with the lane function, then those of the one walk and of bound's
+# roundoff clause; a later change adds its mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -581,9 +582,9 @@ MUTANTS = (
            (SCHWARZIAN + "test_the_peel_rule_matches_mpmath",)),
     Mutant("the exp guard dropped on the peeled path, where F's walk is of order 1",
            "codegen.py",
+           '        self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)',
+           "        if len(u) > 2:\n"
            '            self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)',
-           "            if len(u) > 2:\n"
-           '                self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)',
            (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",)),
     Mutant("the lane function's critical test read on g' instead of f'", "codegen.py",
            "_CRITICAL_GUARD.format(*critical)", "_CRITICAL_GUARD.format(*parts)",
@@ -593,18 +594,40 @@ MUTANTS = (
            "            if self.critical is not None and _critical(j[1]):",
            (PROBE + "test_the_peel_keeps_the_pole_and_critical_point_flags",)),
     Mutant("the redo walk takes g before the operands free of z on its left", "codegen.py",
-           "    for tree in left:\n        eval_jet(tree, n, w, order=0)\n", "",
+           "    for tree in left:\n        _walked(tree, n, jet_var(w, 0), w)\n", "",
            (PROBE + "test_the_peel_keeps_the_pole_and_critical_point_flags",
             DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
     # the peel rule's split held with the lane function
     Mutant("the redo walks' split kept from the entry of another tree", "codegen.py",
-           "        _last = (expr.root, stat, fn, _split(expr.root) if stat.peel else None)",
-           "        _last = (expr.root, stat, fn, split or (_split(expr.root) if stat.peel else None))",
+           "        _last = (expr.root, stat, fn, _peel(expr.root) if stat.peel else None)",
+           "        _last = (expr.root, stat, fn, split or (_peel(expr.root) if stat.peel else None))",
            (PROBE + "test_a_scan_peels_its_tree_once_for_its_redo_walks",)),
     Mutant("the split peeled again on every call", "codegen.py",
-           "    trees, outer = split or _split(expr.root)",
-           "    trees, outer = _split(expr.root)",
+           "    outer_tree, inner, outer, left = split or _peel(expr.root)",
+           "    outer_tree, inner, outer, left = _peel(expr.root)",
            (PROBE + "test_a_scan_peels_its_tree_once_for_its_redo_walks",)),
+    # one walk for every arithmetic, each refusal rule stated once in jets,
+    # and bound's roundoff clause
+    Mutant("the literal guard's predicate ignored for a jet whose value part is a known "
+           "constant while a higher part is not", "codegen.py",
+           '        self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)',
+           '        self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}",\n'
+           "                   lambda w: all(type(x) is not _Sym for x in u) and _exp_refused(w))",
+           (DSL + "test_the_literal_paths_match_the_walk_bit_for_bit",)),
+    Mutant("the exp guard's predicate reads |u|, not |Re u|", "jets.py",
+           "    return abs(w.real) > EXP_REAL_GUARD", "    return abs(w) > EXP_REAL_GUARD",
+           (DSL + "test_generated_lane_function_on_each_rule",)),
+    Mutant("n's check read from z", "codegen.py",
+           "        ] if not _free_of(root, Param) else []", "        ] if not _free_of(root, Var) else []",
+           (DSL + "test_the_lane_function_checks_n_exactly_where_the_tree_holds_n",)),
+    Mutant("bound's roundoff clause dropped", "probe.py",
+           "        if not passed:\n            # the roundoff clause",
+           "        if False:\n            # the roundoff clause",
+           (PROBE + "test_bound_passes_a_true_bound_that_roundoff_fails_by_the_fixed_rule",)),
+    Mutant("bound's roundoff clause accepting an infinite radius", "probe.py",
+           "            passed = math.isfinite(slack) and observed - rhs <= slack",
+           "            passed = observed - rhs <= slack",
+           (PROBE + "test_bound_fails_a_segment_across_logs_cut_by_both_rules",)),
 )
 
 SURVIVORS = (
