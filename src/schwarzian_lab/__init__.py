@@ -156,24 +156,6 @@ __all__ = [
     "GuardViolation",
     "ConjugacyViolated",
     "DegenerateMobiusError",
-    # codegen
-    "eval_jet_lanes",
-    # probe
-    "GridSpec",
-    "PointStats",
-    "MartyGridReport",
-    "Verdict",
-    "NormalityVerdict",
-    "LocalBoundReport",
-    "FloorCheckReport",
-    "HypothesesReport",
-    "SegmentEvaluationError",
-    "marty_scan",
-    "sd_family_scan",
-    "classify",
-    "local_bound_estimate",
-    "derivative_floor_check",
-    "value_bound_check",
-    "sd_bound_from_hypotheses",
-    "check_theorem_hypotheses",
+    # codegen and probe, each name once
+    *_LAZY,
 ]

@@ -11,8 +11,10 @@ with it ``codegen``) only for the subcommands that run it: ``scan-marty``,
 ``scan-sd``, ``bound`` and ``hypotheses``.
 
 Exit codes: 0 success/pass, 1 identity, bound or hypothesis check
-failed, 2 parse or configuration error, 3 evaluation error, 4 I/O error,
-or a scan process that ended without its result (killed, say).
+failed, 2 parse or configuration error, 3 evaluation error (any
+arithmetic failure, an ``ArithmeticError``, or a violated identity
+guard), 4 I/O error, or a scan process that ended without its result
+(killed, say).
 A warning, such as a neighborhood radius that spans four or more grid
 cells, prints as one ``warning: <message>`` line on standard error, under
 any warning filter (``-W error`` too), and leaves the exit code as it is.
@@ -34,8 +36,7 @@ import os
 import sys
 import warnings
 
-from .dsl import EvalError, FamilyExpr, ParseError, eval_jet, lex_number, parse
-from .jets import JetError
+from .dsl import FamilyExpr, ParseError, eval_jet, lex_number, parse
 from .schwarzian import (
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
@@ -44,7 +45,6 @@ from .schwarzian import (
     GuardViolation,
     IdentityReport,
     Mobius,
-    PoleOfMobius,
     check_composition_law,
     check_conjugation,
     check_mobius_invariance,
@@ -552,13 +552,6 @@ def _warn(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _batch_errors() -> tuple:
-    # probe's evaluation error, once a command has imported probe: before,
-    # nothing can have raised it, and the tuple is read whatever escapes
-    probe = sys.modules.get(f"{__package__}.probe")
-    return (probe.SegmentEvaluationError,) if probe else ()
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a subcommand's own parser alone; any other argv (-h, none, an
@@ -577,15 +570,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        EvalError,
-        CriticalPointError,
-        PoleOfMobius,
-        ConjugacyViolated,
-        GuardViolation,
-        JetError,
-        *_batch_errors(),
-    ) as exc:
+    except (ArithmeticError, ConjugacyViolated, GuardViolation) as exc:
+        # every evaluation error is an ArithmeticError: the walk's, the
+        # jets', the identity checks', bound's segment error and Python's own
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

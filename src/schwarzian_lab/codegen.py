@@ -63,7 +63,6 @@ from .dsl import (
     Var,
     _walk,
     _walked,
-    eval_jet,
 )
 from .jets import (
     DIVISION_FLOOR,
@@ -87,7 +86,7 @@ from .jets import (
     jet_pow_int,
     jet_var,
 )
-from .schwarzian import CRITICAL_POINT_FLOOR, _S_AFFINE, _critical, _free_of, _peel
+from .schwarzian import CRITICAL_POINT_FLOOR, _critical, _free_of, _peel
 
 # an integer power up to this exponent is written out as products; a
 # larger one calls jet_pow_int
@@ -469,22 +468,23 @@ class Statistic(NamedTuple):
     sample "Overflow": a part of some node's jet past the double range, a
     modulus past it (an OverflowError), or a value that is nan or inf in
     any slot.  Such a sample counts for nothing.  A redone sample's value,
-    from :meth:`walked`, is bound to the fast path's names, so ``lane``
+    from :func:`_redo`, is bound to the fast path's names, so ``lane``
     computes each value, never handing back a part as it is.  With an
     ``ascent``, the lane function refines each group's largest value, of
     a statistic of one slot, by ascent inside the group's disk
     (:func:`_ascent`): ``ascent`` is the rise statistic, of a higher
     order, whose four slots are F (this statistic's value, bit for bit),
-    a and the two parts of D.  With ``peel`` (``scan-sd``'s S), the root
-    is split by the peel rule, ``schwarzian._peel``, into an outer map F
-    and its inner tree g, and the sample's jet is g's: the formula reads
-    it and S_F's coefficients, ``lane(jet, outer)``, and the critical test
-    reads f' of F's walk at order 1 from g's first two parts, as the
-    root's walk computes it.  So no part of f above f' is computed,
-    checked or flagged, and a root with nothing to peel is the identity
-    case, F the variable.  The fields are module-level functions and
-    numbers, so that a pickled copy is equal, and :func:`family` gives it
-    the lane function of the statistic it copies.
+    a and the two parts of D, and which takes this statistic's split.
+    The sample's jet is that of the tree's split (:func:`_split`), an
+    inner tree g under an outer map F: with ``peel`` (``scan-sd``'s S),
+    the peel rule's, ``schwarzian._peel``, and the formula reads g's jet
+    and S_F's coefficients, ``lane(jet, outer)``; otherwise the identity
+    split, F the variable and g the root, and ``lane(jet)``.  The
+    critical test reads f' of F's walk at order 1 from g's first two
+    parts, as the root's walk computes it, so no part of f above f' is
+    computed, checked or flagged.  The fields are module-level functions
+    and numbers, so that a pickled copy is equal, and :func:`family`
+    gives it the lane function of the statistic it copies.
     """
 
     lane: Callable
@@ -494,26 +494,43 @@ class Statistic(NamedTuple):
     ascent: "Statistic | None" = None
     peel: bool = False
 
-    def walked(self, walk, w, outer=_S_AFFINE):
-        """A redone sample's value from ``walk(w)``, its jet, or its flag:
-        that of the EvalError the walk raises ("Pole" or "Overflow"),
-        ``critical(jet)`` where f' is critical, and "Overflow" for a
-        modulus past the double range.  With ``peel``, ``walk(w)`` gives
-        f's jet of order 1, whose f' the critical test reads, and g's jet,
-        which the formula reads with ``outer``, S_F's coefficients."""
+
+def _split(root: Node, stat: Statistic) -> tuple:
+    """The tree's split for a statistic, ``(F, g, args, left)``, root =
+    F o g: for one that peels, the peel rule's (``schwarzian._peel``),
+    with ``args`` S_F's coefficients, ``(outer,)``; otherwise the identity
+    split, F the variable, g the root, no args and no left operands.  The
+    formula reads g's jet and ``args``, and ``left`` are the operands free
+    of z that the root's walk takes before g."""
+    if stat.peel:
+        outer_tree, inner, outer, left = _peel(root)
+        return outer_tree, inner, (outer,), left
+    return Var(), root, (), ()
+
+
+def _redo(split: tuple, n: float, stat: Statistic, w):
+    """A redone sample's value at ``w`` by the walk of the tree's split
+    (:func:`_split`), or its flag.  It walks the operands on g's left, g
+    at the statistic's order, then F from g's first two parts, f's jet of
+    order 1, so that it fails first where the root's walk does, but on a
+    part of f above f', which it never computes.  The flag is that of the
+    EvalError a walk raises ("Pole" or "Overflow"), ``critical(jet)``
+    where f' is critical, and "Overflow" for a modulus past the double
+    range; a value is the formula's on g's jet and the split's args."""
+    outer_tree, inner, args, left = split
+    try:
         try:
-            try:
-                j = walk(w)
-            except EvalError as err:
-                return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"
-            head = j
-            if self.peel:
-                head, j = j
-            if self.critical is not None and _critical(head[1]):
-                return self.critical(j)
-            return self.lane(j, outer) if self.peel else self.lane(j)
-        except OverflowError:
-            return "Overflow"
+            for tree in left:
+                _walked(tree, n, jet_var(w, 0), w)
+            j = _walked(inner, n, jet_var(w, stat.order), w)
+            head = _walked(outer_tree, n, j[:2], w)
+        except EvalError as err:
+            return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"
+        if stat.critical is not None and _critical(head[1]):
+            return stat.critical(j)
+        return stat.lane(j, *args)
+    except OverflowError:
+        return "Overflow"
 
 
 def _indent(lines, depth: int = 1) -> list:
@@ -528,16 +545,15 @@ def _lanes_function(root: Node, stat: Statistic):
 
 
 def _formula(t: _Lanes, jet: tuple, stat: Statistic, checked: int = 0, head: tuple = (),
-             outer: tuple = _S_AFFINE) -> list:
+             args: tuple = ()) -> list:
     """Write a statistic's formula on ``jet``, the parts of a lane's jet at
     ``zv``, into ``t``'s body, after the checks of the parts of ``head``
     and of ``jet`` from ``checked`` on, of the invariants written since
     the last such check, and of a critical f', ``head[1]``, and return the
-    names of its value's slots.  For a statistic that ``peel``s, ``jet``
-    is the inner tree's, ``head`` the root's of order 1, and the formula
-    reads S_F's coefficients ``outer`` too; otherwise ``head`` is the
-    first two parts of ``jet``, or, for a formula that follows another,
-    empty.
+    names of its value's slots.  ``jet`` is the inner tree's of the
+    split (:func:`_split`), ``head`` the root's of order 1, or, for a
+    formula that follows another, empty, and the formula reads the
+    split's ``args`` after ``jet``.
 
     The formula runs on ``jets._Trace`` inputs named for the parts, and
     each operation of its trace becomes one line, in the order the trace
@@ -552,7 +568,7 @@ def _formula(t: _Lanes, jet: tuple, stat: Statistic, checked: int = 0, head: tup
     those names."""
     parts = list(map(t.text, jet))
     critical = list(map(t.text, head))
-    # a peeled root's f and f', which are no parts of g's jet
+    # the root's f and f' where they are no parts of g's jet
     own = [x for x in head if not any(x is y for y in jet)]
     unchecked = [x.name for x in t.unchecked([*own, *jet[checked:]])]
     invariant = [x.name for x in t.invariants[t.invariants_checked:] if not x.finite()]
@@ -565,7 +581,7 @@ def _formula(t: _Lanes, jet: tuple, stat: Statistic, checked: int = 0, head: tup
         t.check(True, _CRITICAL_GUARD.format(*critical))
     made: list = []
     traced = tuple(_Trace(made, "", name=x) for x in parts)
-    value = stat.lane(traced, outer) if stat.peel else stat.lane(traced)
+    value = stat.lane(traced, *args)
     for x in made:
         if x.name is None:
             text = x.form.format(*(a.name if type(a) is _Trace else f"({a!r})" for a in x.args))
@@ -678,14 +694,14 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     parts above the statistic's order too, so a sample is redone where
     one of those leaves the finite range, and the walk gives its value.
 
-    For a statistic that peels its root (``Statistic.peel``), the tree
-    walked at the statistic's order is the inner tree g, and "the root's
-    jet" above is g's; then the outer map F is walked from g's first two
-    parts, at order 1, which writes F's guards (exp's, the reciprocal's
-    and log's floors) and the lines of f and f', which are checked with
-    g's parts and read by the critical guard.  So the lane function of
-    ``exp(z/(n*z+1))`` writes no line of exp's chain but exp(g) and
-    exp(g) g'.
+    The tree walked at the statistic's order is the inner tree g of the
+    statistic's split (:func:`_split`), the root itself but for a
+    statistic that peels, and "the root's jet" above is g's; then the
+    outer map F is walked from g's first two parts, at order 1, which
+    writes F's guards (exp's, the reciprocal's and log's floors) and the
+    lines of f and f', which are checked with g's parts and read by the
+    critical guard.  So the lane function of ``exp(z/(n*z+1))`` under
+    ``scan-sd``'s S writes no line of exp's chain but exp(g) and exp(g) g'.
 
     Each lane runs in one ``try``, whose every check raises JetError, so a
     lane is redone in one place, the ``except`` handler.  The handler
@@ -721,7 +737,7 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     # first parts, which are the bits of a walk at its own order
     rise = stat.ascent
     t = _Lanes(stat.order if rise is None else rise.order)
-    outer_tree, inner, outer, _ = _peel(root) if stat.peel else (Var(), root, _S_AFFINE, ())
+    outer_tree, inner, args, _ = _split(root, stat)
     try:
         out = t.walk_lane(inner)
         # f's jet of order 1: the outer map's nodes on the first two parts of g's
@@ -732,13 +748,13 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
         values = [f"g{k}" for k in range(len(stat.start))]
         rises = [*values, *(f"h{k}" for k in range(1, len(rise.start)))] if rise else []
     else:
-        values = _formula(t, out[: stat.order + 1], stat, head=head, outer=outer)
+        values = _formula(t, out[: stat.order + 1], stat, head=head, args=args)
         sample = t.body[:]
         rises = []
         if rise is not None:
             # the rise's lines follow the statistic's, at the same point, and
             # check the parts above the statistic's order; its F is the value
-            rises = [*values, *_formula(t, out, rise, stat.order + 1, outer=outer)[1:]]
+            rises = [*values, *_formula(t, out, rise, stat.order + 1, args=args)[1:]]
             # the fast path's values that the rise's lines or the ascent read,
             # in the order the fast path binds them
             read = {x for line in t.body[len(sample):] for x in _NAME.findall(line)}.union(rises)
@@ -804,8 +820,8 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     return "\n".join(src) + "\n", namespace
 
 
-# the last lane function generated, with its tree, its statistic and,
-# for a peeled statistic, the tree's split (``schwarzian._peel``)
+# the last lane function generated, with its tree, its statistic and the
+# tree's split for the statistic (``_split``)
 _last: tuple = (None, None, None, None)
 
 
@@ -829,31 +845,8 @@ def _entry(expr: FamilyExpr, stat: Statistic) -> tuple:
     if expr.root is not root or stat is not last:
         if expr.root != root or stat != last:
             fn = _lanes_function(expr.root, stat)
-        _last = (expr.root, stat, fn, _peel(expr.root) if stat.peel else None)
+        _last = (expr.root, stat, fn, _split(expr.root, stat))
     return _last
-
-
-def _redo(expr: FamilyExpr, n: float, stat, split: tuple | None = None):
-    # a sample's value or flag by eval_jet at its point, of the
-    # statistic's order; a peeled statistic walks the split's nodes, the
-    # split given or the tree's own
-    jet_const(n)  # refuses an n that is not finite, before any lane runs
-    if not stat.peel:
-        return partial(stat.walked, partial(eval_jet, expr, n, order=stat.order))
-    outer_tree, inner, outer, left = split or _peel(expr.root)
-    return partial(stat.walked, partial(_walk_peeled, outer_tree, inner, left, n, stat.order),
-                   outer=outer)
-
-
-def _walk_peeled(outer_tree: Node, inner: Node, left: tuple, n: float, order: int, w):
-    # a peeled root's walk at w, f's jet of order 1 and g's of ``order``:
-    # the operands free of z that the root's walk takes before g, then g,
-    # then F from g's first two parts, so that it fails first where the
-    # root's walk does, but on a part of f above f', which it never computes
-    for tree in left:
-        _walked(tree, n, jet_var(w, 0), w)
-    g = _walked(inner, n, jet_var(w, order), w)
-    return _walked(outer_tree, n, g[:2], w), g
 
 
 def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat, radius: float | None = None):
@@ -868,22 +861,26 @@ def eval_jet_lanes(expr: FamilyExpr, n: float, points, stat, radius: float | Non
     -1.0 if none has one, and the frozenset of the flags of its samples
     that failed; for several slots, ``(best, best1, ..., flags)``, each
     from the slot's start value.  A group's result depends on its own
-    samples alone, and each sample's value is the one its jet from
-    :func:`eval_jet` at ``stat.order`` gives, bit for bit.  The lane
-    function's one handler redoes a sample by ``redo``: ``stat.walked``
-    walks the tree from ``jet_var`` at the sample's point, of order
-    ``stat.order``, whose every part is checked, as the lane function
-    checks them, and gives the sample's value, or the flag of its failure.
+    samples alone, and each sample's value is the one the walk of the
+    tree's split for the statistic gives (:func:`_split`), bit for bit:
+    for a statistic that does not peel, that of its jet from
+    :func:`~schwarzian_lab.dsl.eval_jet` at ``stat.order``.  The lane
+    function's one handler redoes a sample by :func:`_redo`, which walks
+    the split from ``jet_var`` at the sample's point, g at ``stat.order``,
+    whose every part is checked, as the lane function checks them, and
+    gives the sample's value, or the flag of its failure.
 
     For a statistic with an ascent, each group is a sequence whose first
     sample is the centre of a disk of radius ``radius``, and the same call
     refines each group's ``best`` by ascent inside its disk; an ascent
-    candidate that fails is redone by the walk of its own statistic.
+    candidate that fails is redone by the walk of the rise statistic, on
+    the same split.
     """
     _, _, fn, split = _entry(expr, stat)
-    redo = _redo(expr, n, stat, split)
+    jet_const(n)  # refuses an n that is not finite, before any lane runs
+    redo = partial(_redo, split, n, stat)
     # the lane function takes n real, so that N's imaginary part is +0
     N = complex(n) if isinstance(n, (int, float)) else None
     if stat.ascent is None:
         return fn(N, points, redo)
-    return fn(N, points, redo, _redo(expr, n, stat.ascent, split), radius)
+    return fn(N, points, redo, partial(_redo, split, n, stat.ascent), radius)

@@ -282,9 +282,8 @@ def _sd_rise(j, outer=_S_AFFINE) -> tuple:
 
 
 # the ascent's rise statistic, whose lines _SD's lane function runs after
-# _SD's at each point of a group's ascent
-_SD_RISE = Statistic(_sd_rise, _critical_point, (-1.0, -1.0, -math.inf, -math.inf), order=5,
-                     peel=True)
+# _SD's at each point of a group's ascent, on _SD's split of the tree
+_SD_RISE = Statistic(_sd_rise, _critical_point, (-1.0, -1.0, -math.inf, -math.inf), order=5)
 _SD = Statistic(_sd, _critical_point, order=4, ascent=_SD_RISE, peel=True)
 
 
@@ -357,6 +356,10 @@ def _sweep(stat: Statistic, expr: FamilyExpr, grid: GridSpec, n_values, offset: 
 
 
 def _lsq_slope(xs: list[float], ys: list[float]) -> float:
+    if min(xs) == max(xs):
+        # the window's log n are one double, as for n close together past
+        # about 1e15: no line fits a single abscissa, so the slope is nan
+        return math.nan
     m = len(xs)
     mean_x = sum(xs) / m
     mean_y = sum(ys) / m
@@ -518,6 +521,9 @@ def _scan(
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be at most {MAX_WORKERS}")
     ns = _validate_n_values(n_values if n_values is not None else DEFAULT_N_VALUES)
+    if ns[len(ns) // 2] <= 0:
+        raise ValueError("the log-log fit of the growth slope needs every n of its window, "
+                         "the upper half of n_values, positive")
     offset = _seed_offset(seed)
     total = grid.nx * grid.ny
     indices = range(total)

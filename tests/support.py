@@ -10,6 +10,7 @@ term for analytic functions) and then Richardson-extrapolated once.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 
@@ -304,14 +305,21 @@ def _direction(d_re: float, d_im: float) -> tuple:
     return (complex(d_re, d_im) / mag if mag else 0j), mag
 
 
-def walked(f: FamilyExpr, n, stat):
-    """A statistic at a point by the redo walk at its order
-    (``codegen._redo``): its value, or None where the walk fails or a slot
-    is past the double range."""
-    redo = codegen._redo(f, n, stat)
+def redo(f: FamilyExpr, n, stat, of=None):
+    """The redo walk of a statistic (``codegen._redo``) at a point, its
+    value or flag, on the tree's split for the statistic ``of``, an
+    ascent's rise taking its statistic's, or for ``stat`` itself."""
+    return functools.partial(codegen._redo, codegen._split(f.root, of or stat), n, stat)
+
+
+def walked(f: FamilyExpr, n, stat, of=None):
+    """A statistic at a point by the redo walk at its order, on the split
+    for ``of`` or for ``stat`` (:func:`redo`): its value, or None where the
+    walk fails or a slot is past the double range."""
+    walk = redo(f, n, stat, of)
 
     def value(w):
-        got = redo(w)
+        got = walk(w)
         if type(got) is str or not all(map(math.isfinite, got if type(got) is tuple else (got,))):
             return None
         return got
@@ -324,9 +332,9 @@ def sd_keep(f: FamilyExpr, n, samples) -> tuple:
     by the walk: the largest value, -1.0 if none has one, the flags of its
     failed samples, and the sample of the largest, the first of equals."""
     best, flags, at = -1.0, set(), None
-    redo = codegen._redo(f, n, probe._SD)
+    walk = redo(f, n, probe._SD)
     for w in samples:
-        got = redo(w)
+        got = walk(w)
         if type(got) is str:
             flags.add(got)
         elif not math.isfinite(got):

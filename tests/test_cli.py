@@ -1390,6 +1390,41 @@ def test_the_value_check_reads_f_alone(capsys):
     assert not probe.value_bound_check(parse("(1/z)^9"), (1, 2), 1e-27, 1e200)
 
 
+# n close together past about 1e15, where the fit window's log n are all
+# one double: no line fits, so the slope is nan and the verdict
+# inconclusive, at every worker count
+_HUGE_N = {
+    "scan-marty": (["--family=z", "--grid=0,1,0,1,2,1", "--n-min", "1" + "0" * 24,
+                    "--n-max", "1" + "0" * 22 + "10"], 2),
+    "scan-sd": (["--catalog=example2", "--grid=-1e-20,1e-20,-1e-20,1e-20,2,2", "--radius=1e-21",
+                 "--n-min", "1" + "0" * 20, "--n-max", "1" + "0" * 18 + "10"], 4),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(_HUGE_N))
+def test_a_fit_window_of_equal_log_n_gives_a_nan_slope(capsys, command, workers):
+    argv, points = _HUGE_N[command]
+    code, out, err = run_cli(capsys, command, *argv, f"--workers={workers}")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == points
+    assert all(row[4] == "nan" and row[6] == "inconclusive" for row in rows)
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+def test_any_arithmetic_failure_exits_3_with_one_line(capsys, monkeypatch, error):
+    # an arithmetic error of Python's own, raised in a handler, keeps the
+    # exit-code contract: 3, one error line, no traceback
+    def fail(*args, **kwargs):
+        raise error("a bare arithmetic failure")
+
+    monkeypatch.setattr(cli, "eval_jet", fail)
+    code, out, err = run_cli(capsys, "eval", "--family=z", "--n=1", "--z=0+0i")
+    assert (code, out) == (3, "")
+    assert err == f"error: {error.__name__}: a bare arithmetic failure\n"
+
+
 def _fresh_python(*argv) -> subprocess.CompletedProcess:
     # a fresh interpreter that imports this checkout's package
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]

@@ -68,6 +68,7 @@ from support import (
     plain_eval,
     random_family,
     random_point,
+    redo,
     walked,
 )
 
@@ -761,7 +762,7 @@ def _sd_refined(f, n, points):
     # from the sample that gave it, inside the disk of _RADIUS about the
     # first sample, and the flags
     best, flags, at = _sd_reference(f, n, points)
-    rise, last = walked(f, n, probe._SD_RISE), walked(f, n, probe._SD)
+    rise, last = walked(f, n, probe._SD_RISE, probe._SD), walked(f, n, probe._SD)
     return ascend(best, at, points[0] if points else None, _RADIUS, rise, last), flags
 
 
@@ -781,16 +782,16 @@ def _group_outcomes(f, n, stat, groups):
     samples = {id(w) for g in groups for w in g}
     redone = []
 
-    def redo(w, walked=codegen._redo(f, n, stat)):
+    def recorded(w, walk=redo(f, n, stat)):
         redone.append(w)
-        return walked(w)
+        return walk(w)
 
     fn = codegen.family(f, stat)
     if stat.ascent is None:
-        got = fn(complex(n), map(iter, groups), redo)
+        got = fn(complex(n), map(iter, groups), recorded)
         assert eval_jet_lanes(f, n, groups, stat) == got
     else:
-        got = fn(complex(n), iter(groups), redo, codegen._redo(f, n, stat.ascent), _RADIUS)
+        got = fn(complex(n), iter(groups), recorded, redo(f, n, stat.ascent, stat), _RADIUS)
         assert eval_jet_lanes(f, n, groups, stat, _RADIUS) == got
     assert len(got) == len(groups) and all(type(x[-1]) is frozenset for x in got)
     return [tuple(map(_bits, g)) for g in got], sum(id(w) in samples for w in redone)

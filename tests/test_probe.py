@@ -52,7 +52,7 @@ from schwarzian_lab.probe import (
 )
 from schwarzian_lab.dsl import Add, Div, Exp, Log, Mul, Neg, PowInt, Sub
 from schwarzian_lab.schwarzian import _peeled_derivatives
-from support import ascend, example2_disk_sup, random_point, random_tree, sd_keep, walked
+from support import ascend, example2_disk_sup, random_point, random_tree, redo, sd_keep, walked
 
 
 def verdicts(report, **kw):
@@ -644,6 +644,25 @@ def test_a_call_covers_at_most_a_block_of_points(monkeypatch):
     assert sum(map(sum, sizes)) == 33 * 9 * len(ns)
 
 
+def test_a_scan_refuses_a_fit_window_with_n_at_or_below_0_before_any_lane(monkeypatch):
+    # the log-log fit takes log n over the upper half of n_values; an n at
+    # or below 0 there is refused before a lane function is made or run,
+    # and an n below the window is taken
+    calls = []
+    monkeypatch.setattr(codegen, "_last", (None, None, None, None))
+    monkeypatch.setattr(probe, "eval_jet_lanes", lambda *args: calls.append(args))
+    monkeypatch.setattr(codegen, "_lanes_function", lambda *args: calls.append(args))
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 2, 2)
+    for scan in (marty_scan, sd_family_scan):
+        for ns in (range(-5, 6), range(-10, 1), (-3.0, -2.0, 0.0)):
+            with pytest.raises(ValueError, match="log-log fit"):
+                scan(parse("exp(n*z)"), g, ns)
+    assert calls == []
+    monkeypatch.undo()
+    rep = marty_scan(parse("exp(n*z)"), g, range(-1, 6))
+    assert len(rep.points) == 4 and all(math.isfinite(p.growth_slope) for p in rep.points)
+
+
 def test_a_scan_peels_its_tree_once_for_its_redo_walks(monkeypatch):
     # scan-sd splits its root by the peel rule once for the generated lines
     # and once for the redo walks of every call, a split held with the lane
@@ -1100,12 +1119,12 @@ def _redone_samples(f, grid, ns, offset):
     fn = codegen.family(f, probe._SD)
     out = []
     for n in ns:
-        redone, redo = [], codegen._redo(f, n, probe._SD)
-        fn(complex(n), groups, lambda w: redone.append(w) or redo(w),
-           codegen._redo(f, n, probe._SD_RISE), radius)
+        redone, walk = [], redo(f, n, probe._SD)
+        fn(complex(n), groups, lambda w: redone.append(w) or walk(w),
+           redo(f, n, probe._SD_RISE, probe._SD), radius)
         for samples in groups:
             at = sd_keep(f, n, samples)[2]
-            climbs = at is not None and walked(f, n, probe._SD_RISE)(at) is not None
+            climbs = at is not None and walked(f, n, probe._SD_RISE, probe._SD)(at) is not None
             out.append(([w for w in samples if any(w is x for x in redone)], at, climbs, samples))
     return out
 
@@ -1140,7 +1159,8 @@ def test_the_fused_ascent_keeps_the_python_ascents_bits(name):
         rows = []
         for n in ns:
             best, flags, at = sd_keep(f, n, samples)
-            rows.append((ascend(best, at, z, radius, walked(f, n, probe._SD_RISE)), flags))
+            rows.append((ascend(best, at, z, radius, walked(f, n, probe._SD_RISE, probe._SD)),
+                         flags))
         want.append((z, rows))
     got = probe._sweep(probe._SD, f, grid, ns, offset, range(grid.nx * grid.ny))
 
@@ -1187,7 +1207,7 @@ def test_the_peel_keeps_the_pole_and_critical_point_flags():
     for _ in range(800):
         f = _peelable_tree(rng)
         n = rng.choice((1, 2, 3, 6, 0.5, -1.5, 1e-170))
-        peeled, whole = codegen._redo(f, n, probe._SD), codegen._redo(f, n, unpeeled)
+        peeled, whole = redo(f, n, probe._SD), redo(f, n, unpeeled)
         for _ in range(9):
             w = rng.choice(special) if rng.random() < 0.3 else random_point(
                 rng, rng.choice((1.0, 3.0, 400.0)))
@@ -1206,7 +1226,7 @@ def test_the_peel_keeps_the_pole_and_critical_point_flags():
     # an operand free of z on g's left fails before g: exp(800) before the
     # pole of 1/z at 0
     f = parse("exp(100*n)*exp(1/z)")
-    assert codegen._redo(f, 8, probe._SD)(0j) == codegen._redo(f, 8, unpeeled)(0j) == "Overflow"
+    assert redo(f, 8, probe._SD)(0j) == redo(f, 8, unpeeled)(0j) == "Overflow"
     # each flag kept, and each kind of change
     assert {("Pole", "Pole"), ("CriticalPoint", "CriticalPoint"), ("Overflow", "Overflow"),
             ("Overflow", "value"), ("Overflow", "CriticalPoint")} <= set(seen)

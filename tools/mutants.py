@@ -68,7 +68,9 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # formula tracer, of the operator tables and of the finite seeds and Mobius
 # coefficients, then those of the peel rule, then those of the split held
 # with the lane function, then those of the one walk and of bound's
-# roundoff clause; a later change adds its mutants here
+# roundoff clause, then those of the one redo walk over the tree's split,
+# of the fit window and of the one exit-3 rule; a later change adds its
+# mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -135,22 +137,24 @@ MUTANTS = (
            "    parser = _build_parser()",
            (CLI + "test_a_command_imports_the_batch_layers_only_if_it_runs_them",
             CLI + "test_cached_parser_gives_a_fresh_parsers_bytes")),
-    Mutant("probe's segment error not caught once probe is imported", "cli.py",
-           "    return (probe.SegmentEvaluationError,) if probe else ()", "    return ()",
-           (CLI + "test_bound_segment_failure_exits_3",)),
+    Mutant("the exit-3 ArithmeticError clause narrowed to OverflowError", "cli.py",
+           "    except (ArithmeticError, ConjugacyViolated, GuardViolation) as exc:",
+           "    except (OverflowError, ConjugacyViolated, GuardViolation) as exc:",
+           (CLI + "test_bound_segment_failure_exits_3",
+            CLI + "test_any_arithmetic_failure_exits_3_with_one_line")),
     # the statistics
     Mutant("the critical guard dropped", "codegen.py",
            "        t.check(True, _CRITICAL_GUARD.format(*critical))",
            "        pass",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("the critical rule tried after the lane formula", "codegen.py",
-           "            if self.critical is not None and _critical(head[1]):\n"
-           "                return self.critical(j)\n"
-           "            return self.lane(j, outer) if self.peel else self.lane(j)",
-           "            value = self.lane(j, outer) if self.peel else self.lane(j)\n"
-           "            if self.critical is not None and _critical(head[1]):\n"
-           "                return self.critical(j)\n"
-           "            return value",
+           "        if stat.critical is not None and _critical(head[1]):\n"
+           "            return stat.critical(j)\n"
+           "        return stat.lane(j, *args)",
+           "        value = stat.lane(j, *args)\n"
+           "        if stat.critical is not None and _critical(head[1]):\n"
+           "            return stat.critical(j)\n"
+           "        return value",
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("the sd statistic without its critical rule", "probe.py",
            "_SD = Statistic(_sd, _critical_point, order=4, ascent=_SD_RISE, peel=True)",
@@ -158,8 +162,8 @@ MUTANTS = (
            (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
     Mutant("a modulus past the double range not flagged, the sd statistic's among them",
            "codegen.py",
-           '        except OverflowError:\n            return "Overflow"',
-           "        except OverflowError:\n            return -1.0",
+           '    except OverflowError:\n        return "Overflow"',
+           "    except OverflowError:\n        return -1.0",
            (PROBE + "test_sd_statistic_past_the_double_range_is_an_overflow_flag",
             DSL + "test_fused_sd_statistic_on_each_rule")),
     Mutant("the keep's rule for a value past the double range dropped", "codegen.py",
@@ -336,13 +340,13 @@ MUTANTS = (
     # first failed or critical point; the jets reach a test by the traced
     # halves of a statistic's formula
     Mutant("the redo walk flags every failure Pole", "codegen.py",
-           '                return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"',
-           '                return "Pole"',
+           '            return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"',
+           '            return "Pole"',
            (DSL + "test_lanes_match_one_lane_calls_and_the_reference_walk",
             DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
     Mutant("the redo walk skips the critical check", "codegen.py",
-           "            if self.critical is not None and _critical(head[1]):\n"
-           "                return self.critical(j)\n",
+           "        if stat.critical is not None and _critical(head[1]):\n"
+           "            return stat.critical(j)\n",
            "",
            (DSL + "test_fused_sd_statistic_on_each_rule",
             DSL + "test_fused_floor_sweep_on_each_rule")),
@@ -590,21 +594,21 @@ MUTANTS = (
            "_CRITICAL_GUARD.format(*critical)", "_CRITICAL_GUARD.format(*parts)",
            (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",)),
     Mutant("the redo walk's critical test read on g' instead of f'", "codegen.py",
-           "            if self.critical is not None and _critical(head[1]):",
-           "            if self.critical is not None and _critical(j[1]):",
+           "        if stat.critical is not None and _critical(head[1]):",
+           "        if stat.critical is not None and _critical(j[1]):",
            (PROBE + "test_the_peel_keeps_the_pole_and_critical_point_flags",)),
     Mutant("the redo walk takes g before the operands free of z on its left", "codegen.py",
-           "    for tree in left:\n        _walked(tree, n, jet_var(w, 0), w)\n", "",
+           "            for tree in left:\n                _walked(tree, n, jet_var(w, 0), w)\n", "",
            (PROBE + "test_the_peel_keeps_the_pole_and_critical_point_flags",
             DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
     # the peel rule's split held with the lane function
     Mutant("the redo walks' split kept from the entry of another tree", "codegen.py",
-           "        _last = (expr.root, stat, fn, _peel(expr.root) if stat.peel else None)",
-           "        _last = (expr.root, stat, fn, split or (_peel(expr.root) if stat.peel else None))",
+           "        _last = (expr.root, stat, fn, _split(expr.root, stat))",
+           "        _last = (expr.root, stat, fn, split or _split(expr.root, stat))",
            (PROBE + "test_a_scan_peels_its_tree_once_for_its_redo_walks",)),
     Mutant("the split peeled again on every call", "codegen.py",
-           "    outer_tree, inner, outer, left = split or _peel(expr.root)",
-           "    outer_tree, inner, outer, left = _peel(expr.root)",
+           "    redo = partial(_redo, split, n, stat)",
+           "    redo = partial(_redo, _split(expr.root, stat), n, stat)",
            (PROBE + "test_a_scan_peels_its_tree_once_for_its_redo_walks",)),
     # one walk for every arithmetic, each refusal rule stated once in jets,
     # and bound's roundoff clause
@@ -628,6 +632,37 @@ MUTANTS = (
            "            passed = math.isfinite(slack) and observed - rhs <= slack",
            "            passed = observed - rhs <= slack",
            (PROBE + "test_bound_fails_a_segment_across_logs_cut_by_both_rules",)),
+    # one redo walk over the tree's split, the nan slope of a window of one
+    # log n, the fit window's n > 0 and the one exit-3 rule
+    Mutant("the identity split handed to a statistic that peels", "codegen.py",
+           "    if stat.peel:\n        outer_tree, inner, outer, left = _peel(root)",
+           "    if False:\n        outer_tree, inner, outer, left = _peel(root)",
+           (PROBE + "test_a_scan_peels_its_tree_once_for_its_redo_walks",
+            GOLDENS + "test_flag_heavy_grid_bytes[scan-sd-pole-csv-w1]")),
+    Mutant("the peel split handed to a statistic that does not peel", "codegen.py",
+           "    if stat.peel:\n        outer_tree, inner, outer, left = _peel(root)",
+           "    if True:\n        outer_tree, inner, outer, left = _peel(root)",
+           (DSL + "test_fused_statistics_match_the_reference_bit_for_bit",)),
+    Mutant("the rise's redo walk on its own split, not its statistic's", "codegen.py",
+           "    return fn(N, points, redo, partial(_redo, split, n, stat.ascent), radius)",
+           "    return fn(N, points, redo, partial(_redo, _split(expr.root, stat.ascent), n,"
+           " stat.ascent), radius)",
+           (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",
+            DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
+    Mutant("the redo walk skips F's walk", "codegen.py",
+           "            head = _walked(outer_tree, n, j[:2], w)",
+           "            head = j[:2]",
+           (PROBE + "test_the_peel_keeps_the_pole_and_critical_point_flags",)),
+    Mutant("the redo walk's formula call drops the split's args", "codegen.py",
+           "        return stat.lane(j, *args)", "        return stat.lane(j)",
+           (PROBE + "test_the_peel_keeps_the_pole_and_critical_point_flags",
+            DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
+    Mutant("the nan slope of a window of one log n removed", "probe.py",
+           "    if min(xs) == max(xs):", "    if False:",
+           (CLI + "test_a_fit_window_of_equal_log_n_gives_a_nan_slope",)),
+    Mutant("a fit window with n at or below 0 taken", "probe.py",
+           "    if ns[len(ns) // 2] <= 0:", "    if False:",
+           (PROBE + "test_a_scan_refuses_a_fit_window_with_n_at_or_below_0_before_any_lane",)),
 )
 
 SURVIVORS = (
@@ -691,6 +726,10 @@ DELETED = (
     ("jet_const builds 4 parts at orders below 3",
      "jet_const builds k + 1 parts with no order-3 branch ('the walk takes a literal at "
      "order 3, not at its seed's order')"),
+    ("probe's segment error not caught once probe is imported",
+     "cli's _batch_errors is deleted: the exit-3 clause catches ArithmeticError, which "
+     "SegmentEvaluationError is; re-anchored as 'the exit-3 ArithmeticError clause narrowed "
+     "to OverflowError'"),
 )
 
 
