@@ -339,7 +339,10 @@ def _resolve_seed(seed) -> int:
     if seed is not None:
         return seed
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"${SEED_ENV_VAR} must be an integer, not {env!r}") from None
 
 
 def _resolve_workers(workers) -> int:

@@ -23,9 +23,13 @@ It walks the tree by ``dsl``'s one walk, whose operation per node kind
 here runs the jet formulas of ``jets`` on symbolic values (``_Sym``) to
 write straight-line source, and it runs a statistic's formula on the
 inputs of ``jets``' trace (``_Trace``), one line per traced operation,
-folding nothing.  A symbolic value knows, per
-float part, either the part exactly (a float) or what little is certain
-of it before run time (a ``_Part``).  An operation whose result is then
+folding nothing.  The guarded node operations, the reciprocal, the
+quotient, exp, log and the integer power, are ``jets``' own
+(``jets._Jets``): the writer overrides their hooks alone, so a refusal
+rule is written from its source test in ``jets`` and stated nowhere
+here.  A symbolic value knows, per float part, either the part exactly
+(a float) or what little is certain of it before run time (a
+``_Part``).  An operation whose result is then
 exactly known, or is exactly an existing value, emits no code; any other
 operation emits one line, but only once something emitted uses it.  Every
 rule below is exact in IEEE arithmetic, signed zeros included, so the
@@ -65,21 +69,18 @@ from .dsl import (
     _walked,
 )
 from .jets import (
-    DIVISION_FLOOR,
-    EXP_REAL_GUARD,
     VAR_D1,
     ZERO,
     _NEGATION,
-    _RECIPROCAL,
     JetError,
     OverflowAtPoint,
     _Hot,
+    _Jets,
     _Trace,
-    _below_floor,
     _chain,
     _difference,
-    _exp_refused,
-    _exponential,
+    _inverse,
+    _log_inverse,
     _product,
     _sum,
     jet_const,
@@ -98,12 +99,16 @@ _ASCENT_ROUNDS = 2
 # line, which include those it reads
 _TARGETS = re.compile(r"(\w+(?:, \w+)*) = ")
 _NAME = re.compile(r"\b[A-Za-z_]\w*")
-# the jets formulas per jet length, each the straight-line code of its
-# trace once it is hot (jets._Hot): the formula's operations in its order,
-# so the same source, without the loops over its plan.  Those that jets
-# checks are unchecked copies here; negation and the reciprocal's are jets'
-_SUM, _DIFFERENCE, _PRODUCT, _CHAIN = map(_Hot, (_sum, _difference, _product, _chain))
-_FORMULAS = {Add: _SUM, Sub: _DIFFERENCE, Mul: _PRODUCT}
+# the jets formulas a node runs, per jet length, each the straight-line
+# code of its trace once it is hot (jets._Hot): the formula's operations in
+# its order, so the same source, without the loops over its plan.  They
+# are unchecked copies of those jets checks; negation and the
+# reciprocal's are jets'
+_UNCHECKED = {f: _Hot(f) for f in (_sum, _difference, _product, _chain)}
+# the line of each opaque function of a node operation
+_FORMS = {
+    cmath.exp: "exp({})", cmath.log: "log({})", _inverse: "1.0 / {}", _log_inverse: "1.0 / {}",
+}
 
 
 class _Part:
@@ -228,10 +233,6 @@ class _Sym:
         return _is_finite(self.re) and _is_finite(self.im)
 
 
-def _inverse(w: complex) -> complex:
-    return 1.0 / w
-
-
 def _not_finite(names: list, test: str = "isfinite") -> str:
     # a condition that holds where some part is not finite; a sum of finite
     # parts can overflow, so each part is tested only once the sum fails
@@ -241,16 +242,21 @@ def _not_finite(names: list, test: str = "isfinite") -> str:
     return f"not {test}({' + '.join(names)}) and not ({each})"
 
 
-class _Lanes:
+class _Lanes(_Jets):
     """Writer of the lane function: the jet formulas on symbolic values.
 
     Its values are jets of order ``order`` whose parts are complex
-    constants or ``_Sym``s, made by ``dsl``'s walk on its ``ops``.  A
-    known value that fails, by the refusal rules of ``jets`` or past the
-    double range, raises JetError, which the walk raises as EvalError.
-    What a line binds and reads is in its text, where an ascent's start
-    finds the names it keeps (``_lanes_source``).
+    constants or ``_Sym``s, made by ``dsl``'s walk on its ``ops``.  The
+    node operations are ``jets``' own (``_Jets``), and this writer
+    overrides their hooks alone: a refusal rule is a check written from
+    its source test, an opaque function a line, and x^0 checks what it
+    drops.  A known value that fails, by the refusal rules of ``jets`` or
+    past the double range, raises JetError, which the walk raises as
+    EvalError.  What a line binds and reads is in its text, where an
+    ascent's start finds the names it keeps (``_lanes_source``).
     """
+
+    inline = _INLINE_POWER
 
     def __init__(self, order: int = 3):
         self.order = order
@@ -271,8 +277,9 @@ class _Lanes:
         # of its seed's order, as the walk's own, and each other node's lines
         self.ops = {
             ConstNum: jet_const, Neg: self.negation, Div: self.quotient, Exp: self.exp,
-            Log: self.log, PowInt: self.power,
-            **{kind: partial(self.formula, table) for kind, table in _FORMULAS.items()},
+            Log: self.log, PowInt: self.power, Add: partial(self.node, _UNCHECKED[_sum]),
+            Sub: partial(self.node, _UNCHECKED[_difference]),
+            Mul: partial(self.node, _UNCHECKED[_product]),
         }
 
     # -- values --------------------------------------------------------
@@ -329,11 +336,11 @@ class _Lanes:
             hit = self.memo[key] = self.sym(_p_neg(a.re), _p_neg(a.im), a.lane, "-{}", (a,))
         return hit
 
-    def opaque(self, form: str, fn, u):
+    def apply(self, fn, u):
         """``fn(u)`` for an exp, log or 1/x whose guard passed: finite."""
         if type(u) is not _Sym:
             return fn(u)
-        return self.sym(_Part(finite=True), _Part(finite=True), u.lane, form, (u,))
+        return self.sym(_Part(finite=True), _Part(finite=True), u.lane, _FORMS[fn], (u,))
 
     # -- checks --------------------------------------------------------
 
@@ -343,15 +350,13 @@ class _Lanes:
         batch is redone."""
         self.block(lane).extend((f"if {condition}:", "    raise JetError('a check failed')"))
 
-    def guard(self, u, test: str, refused) -> None:
-        """The check before an opaque function of u: ``test`` in the
-        generated code, where a value that is not finite fails too, or,
-        for a known u, ``refused(u)``, jets' own rule, now: a known value
-        that it refuses fails every lane."""
+    def refuse(self, u, refused, test: str, error: type, message: str) -> None:
+        """The check before an opaque function of u: the rule's source
+        ``test`` in the generated code, where a value that is not finite
+        fails too, or, for a known u, the rule's predicate, now, as jets'
+        own hook: a known value that it refuses fails every lane."""
         if type(u) is not _Sym:
-            if refused(u):
-                raise JetError("a literal is refused")
-            return
+            return super().refuse(u, refused, test, error, message)
         cond = test.format(self.text(u))
         if not u.finite():
             cond = f"not isfinite({u.name}) or {cond}"
@@ -367,9 +372,10 @@ class _Lanes:
                 self.text(x)
         return [x for x in jet if type(x) is _Sym and x.lane and not x.finite()]
 
-    def node(self, jet: tuple) -> tuple:
-        # a node's exactly known parts are its parts on every lane, so one
-        # that is not finite fails every lane
+    def node(self, table: _Hot, a: tuple, b: tuple) -> tuple:
+        # the formula's unchecked copy; a node's exactly known parts are its
+        # parts on every lane, so one that is not finite fails every lane
+        jet = _UNCHECKED[table.formula][len(a)](a, b)
         if not all(cmath.isfinite(x) for x in jet if type(x) is not _Sym):
             raise JetError("a literal part is not finite")
         return jet
@@ -392,44 +398,12 @@ class _Lanes:
     def negation(self, a: tuple) -> tuple:
         return _NEGATION[len(a)](a)
 
-    def formula(self, table: _Hot, a: tuple, b: tuple) -> tuple:
-        return self.node(table[len(a)](a, b))
-
-    def reciprocal(self, b: tuple) -> tuple:
-        self.guard(b[0], f"abs({{}}) <= {DIVISION_FLOOR!r}", _below_floor)
-        w = self.opaque("1.0 / {}", _inverse, b[0])
-        return self.node(_CHAIN[len(b)](b, _RECIPROCAL[len(b)](w, len(b))))
-
-    def quotient(self, a: tuple, b: tuple) -> tuple:
-        return self.node(_PRODUCT[len(a)](a, self.reciprocal(b)))
-
-    def exp(self, u: tuple) -> tuple:
-        self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)
-        e = self.opaque("exp({})", cmath.exp, u[0])
-        return self.node(_CHAIN[len(u)](u, _exponential(e, len(u))))
-
-    def log(self, u: tuple) -> tuple:
-        self.guard(u[0], f"abs({{}}) <= {DIVISION_FLOOR!r}", _below_floor)
-        lg = self.opaque("log({})", cmath.log, u[0])
-        w = self.opaque("1.0 / {}", _inverse, u[0])
-        # log's derivatives: log u, then those of 1/x at u, one order down
-        return self.node(_CHAIN[len(u)](u, (lg, *_RECIPROCAL[len(u) - 1](w, len(u) - 1))))
-
-    def power(self, u: tuple, k: int) -> tuple:
-        if k == 0:
-            # x^0 is one, but a failed base still fails: check what is dropped
-            parts = [self.text(x) for x in self.unchecked(u)]
-            if parts:
-                self.check(True, _not_finite(parts))
-            return jet_const(1.0, len(u) - 1)
-        if abs(k) > _INLINE_POWER:
-            return self.power_call(u, k)
-        acc = u
-        for _ in range(abs(k) - 1):
-            acc = self.node(_PRODUCT[len(u)](acc, u))
-        if k < 0:
-            acc = self.node(_PRODUCT[len(u)](jet_const(1.0, len(u) - 1), self.reciprocal(acc)))
-        return acc
+    def zeroth(self, u: tuple) -> tuple:
+        # x^0 is one, but a failed base still fails: check what is dropped
+        parts = [self.text(x) for x in self.unchecked(u)]
+        if parts:
+            self.check(True, _not_finite(parts))
+        return super().zeroth(u)
 
     def power_call(self, u: tuple, k: int) -> tuple:
         if not any(type(x) is _Sym for x in u):

@@ -57,18 +57,15 @@ from typing import Tuple
 
 from .ball import Ball, literal
 from .jets import (
+    _PLAIN,
     MAX_ORDER,
     Jet,
     JetError,
     _as_jet,
     jet_add,
     jet_const,
-    jet_div,
-    jet_exp,
-    jet_log,
     jet_mul,
     jet_neg,
-    jet_pow_int,
     jet_sub,
     jet_var,
 )
@@ -552,11 +549,11 @@ def pretty_print(expr: FamilyExpr | Node) -> str:
 # ---------------------------------------------------------------------------
 # evaluation: a tree walk
 
-# the operation the walk calls per node, at any jet length; a literal
-# takes its seed's order
+# the operation the walk calls per node, at any jet length, the guarded
+# ones jets' plain node operations; a literal takes its seed's order
 _JET_OPS = {
-    ConstNum: jet_const, Add: jet_add, Sub: jet_sub, Mul: jet_mul, Div: jet_div,
-    Neg: jet_neg, Exp: jet_exp, Log: jet_log, PowInt: jet_pow_int,
+    ConstNum: jet_const, Add: jet_add, Sub: jet_sub, Mul: jet_mul, Div: _PLAIN.quotient,
+    Neg: jet_neg, Exp: _PLAIN.exp, Log: _PLAIN.log, PowInt: _PLAIN.power,
 }
 # i's jet per order
 _I = tuple(jet_const(1j, k) for k in range(MAX_ORDER + 1))

@@ -38,6 +38,18 @@ symbolic values, which fold the float parts they know before run time
 on a lane's finite operands.  Codegen runs the same trace on a
 statistic's formula, whose lines fold nothing either.
 
+The guarded node operations, the reciprocal, the quotient, exp, log and
+the integer power, are written once too, as :class:`_Jets`, whose
+operations call four hooks alone: refuse an operand by a refusal rule,
+apply an opaque function (exp, log or 1/x), run a formula as a node's
+jet, and x^0.  Each refusal rule, the division floor and the exp guard,
+is stated in this module alone, as a predicate on a value and beside it
+the same rule as a source test for generated code.  The plain hooks run
+here, for :func:`jet_div`, :func:`jet_exp`, :func:`jet_log`,
+:func:`jet_pow_int` and ``dsl``'s walk tables; ``codegen``'s lane writer
+subclasses the class and overrides the hooks alone, so it writes the
+same operations, in the same order, and restates no rule.
+
 The ``jet_*`` operations run unchanged on jets whose parts are balls
 (:class:`~schwarzian_lab.ball.Ball`), as ``dsl.eval_jet`` at a ball
 gives them, of any order.  Such a jet's midpoints are the plain jet's
@@ -50,7 +62,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import partial, reduce
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub, truediv
 
 from .ball import Ball
 
@@ -144,14 +156,24 @@ def modulus(w: complex) -> float:
         raise OverflowAtPoint("modulus overflowed the finite range", w) from None
 
 
+# each refusal rule, stated here alone, twice: its predicate on a value,
+# for the node operations (_Jets) on numbers, balls and codegen's literals,
+# and beside it its source test, the same rule in a generated line,
+# formatted with the value's name, for codegen's lanes
+_FLOOR_TEST = f"abs({{}}) <= {DIVISION_FLOOR!r}"
+
+
 def _below_floor(w) -> bool:
-    # the floor's refusal of a denominator or a log argument, for the jet
-    # operations below and codegen's literals; modulus raises past the range
+    # the floor's refusal of a denominator or a log argument; past the
+    # double range modulus raises, as the source test's abs does
     return modulus(w) <= DIVISION_FLOOR
 
 
+_EXP_TEST = f"abs({{}}.real) > {EXP_REAL_GUARD!r}"
+
+
 def _exp_refused(w) -> bool:
-    # the exp guard's refusal, for jet_exp and codegen's literals
+    # the exp guard's refusal
     return abs(w.real) > EXP_REAL_GUARD
 
 
@@ -426,11 +448,6 @@ _CHAIN = _Hot(_chain, True)
 _RECIPROCAL = _Hot(_reciprocal)
 
 
-def _exponential(e, count: int) -> tuple:
-    """exp and its first count - 1 derivatives at u, from e = exp(u)."""
-    return (e,) * count
-
-
 def _mobius(u, a, b, c, r) -> tuple:
     """(a w + b)/(c w + d) after u, for ad - bc = 1, from r = 1/(c w + d).
 
@@ -527,53 +544,109 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     return _PRODUCT[len(a)](a, b)
 
 
-def _reciprocal_jet(b: Jet) -> Jet:
-    bv = b[0]
-    if _below_floor(bv):
-        raise DivisionByZeroAtPoint("division by (near-)zero denominator", bv)
-    n = len(b)
-    return _CHAIN[n](b, _RECIPROCAL[n](1.0 / bv, n))
+# the opaque functions of the node operations, on a complex number; over a
+# ball each is the ball's own
+_inverse = partial(truediv, 1.0)
+_log_inverse = partial(truediv, 1.0)  # log's 1/x
+_ON_BALLS = {
+    cmath.exp: Ball.exp, cmath.log: Ball.log, _inverse: _inverse,
+    # no part of log's jet is enclosed over a ball that meets its cut
+    _log_inverse: lambda b: 1.0 / b.off_cut(),
+}
+
+
+class _Jets:
+    """The guarded node operations, each written once: the reciprocal,
+    the quotient, exp, log and the integer power.
+
+    They call four hooks alone: ``refuse`` an operand by a refusal rule,
+    given as its predicate and its source test; ``apply`` an opaque
+    function, exp, log or 1/x, to an operand that passed; run a formula,
+    by its table (_Hot), as a ``node``'s jet; and ``zeroth``, x^0.  A
+    power past ``inline`` is handed whole to ``power_call``, which only a
+    writer with a finite ``inline`` defines.  The hooks here are the
+    plain ones, on complex numbers and balls: a refusal raises its typed
+    JetError, a ball takes its own exp and log, and every node is checked
+    (_checked).  ``codegen``'s lane writer overrides the hooks alone, so
+    it writes the same operations, in the same order, as source.
+    """
+
+    # the plain walk writes every power out as products
+    inline = math.inf
+
+    def refuse(self, w, refused, test: str, error: type, message: str) -> None:
+        # the rule's predicate on the operand; its source test is a writer's
+        if refused(w):
+            raise error(message, w)
+
+    def apply(self, fn, w):
+        return fn(w) if type(w) is not Ball else _ON_BALLS[fn](w)
+
+    def node(self, table: _Hot, a: tuple, b: tuple) -> Jet:
+        return table[len(a)](a, b)
+
+    def zeroth(self, u: tuple) -> Jet:
+        return jet_const(1.0, len(u) - 1)  # as many parts as u
+
+    def reciprocal(self, b: tuple) -> tuple:
+        bv = b[0]
+        self.refuse(bv, _below_floor, _FLOOR_TEST, DivisionByZeroAtPoint,
+                    "division by (near-)zero denominator")
+        n = len(b)
+        return self.node(_CHAIN, b, _RECIPROCAL[n](self.apply(_inverse, bv), n))
+
+    def quotient(self, a: tuple, b: tuple) -> tuple:
+        return self.node(_PRODUCT, a, self.reciprocal(b))
+
+    def exp(self, u: tuple) -> tuple:
+        uv = u[0]
+        self.refuse(uv, _exp_refused, _EXP_TEST, OverflowAtPoint,
+                    "exp argument outside the overflow guard")
+        # exp's derivatives: exp u, every one
+        return self.node(_CHAIN, u, (self.apply(cmath.exp, uv),) * len(u))
+
+    def log(self, u: tuple) -> tuple:
+        uv = u[0]
+        self.refuse(uv, _below_floor, _FLOOR_TEST, DivisionByZeroAtPoint, "log of (near-)zero value")
+        lg, w = self.apply(cmath.log, uv), self.apply(_log_inverse, uv)
+        n = len(u)
+        # log's derivatives: log u, then those of 1/x at u, one order down
+        return self.node(_CHAIN, u, (lg, *_RECIPROCAL[n - 1](w, n - 1)))
+
+    def power(self, u: tuple, k: int) -> tuple:
+        if k == 0:
+            return self.zeroth(u)
+        if abs(k) > self.inline:
+            return self.power_call(u, k)
+        acc = u
+        for _ in range(abs(k) - 1):
+            acc = self.node(_PRODUCT, acc, u)
+        # a negative power: the reciprocal of the positive one
+        return acc if k > 0 else self.quotient(jet_const(1.0, len(u) - 1), acc)
+
+
+# the plain operations, which dsl's walk tables take as they are
+_PLAIN = _Jets()
 
 
 def jet_div(a: Jet, b: Jet) -> Jet:
     """Quotient a/b, computed as a times the reciprocal jet of b."""
-    return jet_mul(a, _reciprocal_jet(b))
+    return _PLAIN.quotient(a, b)
 
 
 def jet_exp(u: Jet) -> Jet:
     """Exponential of a jet; guards |Re u| to stay inside finite doubles."""
-    uv = u[0]
-    if _exp_refused(uv):
-        raise OverflowAtPoint("exp argument outside the overflow guard", uv)
-    e = uv.exp() if type(uv) is Ball else cmath.exp(uv)
-    return _CHAIN[len(u)](u, _exponential(e, len(u)))
+    return _PLAIN.exp(u)
 
 
 def jet_log(u: Jet) -> Jet:
     """Principal-branch logarithm of a jet."""
-    uv = u[0]
-    if _below_floor(uv):
-        raise DivisionByZeroAtPoint("log of (near-)zero value", uv)
-    if type(uv) is Ball:
-        # no part of log's jet is enclosed over a ball that meets its cut
-        uv = uv.off_cut()
-        lg = uv.log()
-    else:
-        lg = cmath.log(uv)
-    n = len(u)
-    # log's derivatives: log u, then those of 1/x at u, one order down
-    return _CHAIN[n](u, (lg, *_RECIPROCAL[n - 1](1.0 / uv, n - 1)))
+    return _PLAIN.log(u)
 
 
 def jet_pow_int(u: Jet, k: int) -> Jet:
     """Integer power by repeated multiplication; negative k via reciprocal."""
-    if k <= 0:
-        one = jet_const(1.0, len(u) - 1)  # as many parts as u
-        return one if k == 0 else jet_div(one, jet_pow_int(u, -k))
-    acc = u
-    for _ in range(k - 1):
-        acc = jet_mul(acc, u)
-    return acc
+    return _PLAIN.power(u, k)
 
 
 def jet_mobius(u: Jet, a: complex, b: complex, c: complex, d: complex) -> Jet:

@@ -420,6 +420,26 @@ def test_scan_seed_env_fallback(capsys, monkeypatch):
     assert out == _direct_scan(seed=0)
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_a_seed_env_that_is_no_integer_is_named_in_its_error(capsys, monkeypatch, value):
+    monkeypatch.setenv(SEED_ENV_VAR, value)
+    code, out, err = run_cli(
+        capsys,
+        "scan-marty", "--catalog", "example1",
+        "--grid=-0.1,0.1,-0.1,0.1,2,2",
+        "--n-min", "1", "--n-max", "8", "--workers", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: ${SEED_ENV_VAR} must be an integer, not {value!r}\n"
+
+
+def test_seed_overrides_a_seed_env_that_is_no_integer(capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "abc")
+    code, out, _ = run_cli(capsys, "scan-marty", "--catalog", "example1", *_SCAN_ARGS)
+    assert code == 0
+    assert out == _direct_scan(seed=0)
+
+
 def test_scan_json_serializes_nonfinite_slopes(capsys):
     code, out, _ = run_cli(
         capsys,

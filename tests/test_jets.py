@@ -166,6 +166,49 @@ def test_negative_power_matches_division():
     assert_jet_close(j, (0.5, -0.25, 0.25, -0.375))
 
 
+# the values at which each refusal rule's two spellings in jets, its
+# predicate and its source test, are held equal: |w| at the floor and its
+# neighbours, Re w at the exp guard's +-700 and theirs, signed zeros, values
+# that are not finite, and moduli near and past the double range
+_FLOOR, _GUARD = jets.DIVISION_FLOOR, jets.EXP_REAL_GUARD
+_RULE_POINTS = (
+    *(complex(x, 0.0) for x in (_FLOOR, math.nextafter(_FLOOR, 0.0), math.nextafter(_FLOOR, 1.0))),
+    *(complex(0.0, -x) for x in (_FLOOR, math.nextafter(_FLOOR, 0.0), math.nextafter(_FLOOR, 1.0))),
+    complex(_FLOOR / math.sqrt(2.0), _FLOOR / math.sqrt(2.0)),
+    *(complex(s * x, 3.0) for s in (1.0, -1.0)
+      for x in (_GUARD, math.nextafter(_GUARD, 0.0), math.nextafter(_GUARD, math.inf))),
+    complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0),
+    complex(1e308, 1e308), complex(-1.5e308, 1.5e308),
+)
+
+
+def _outcome(rule, w):
+    # a spelling's verdict on w, or that it fails: each raises an
+    # ArithmeticError past the double range, OverflowAtPoint or OverflowError
+    try:
+        return bool(rule(w))
+    except ArithmeticError:
+        return "fails"
+
+
+@pytest.mark.parametrize("w", _RULE_POINTS, ids=repr)
+@pytest.mark.parametrize("refused,test", [(jets._below_floor, jets._FLOOR_TEST),
+                                          (jets._exp_refused, jets._EXP_TEST)],
+                         ids=("floor", "exp guard"))
+def test_each_refusal_rules_predicate_and_source_test_agree(refused, test, w):
+    # the source test runs as a generated line does, on the value's name
+    source = compile(test.format("w"), "<rule>", "eval")
+    assert _outcome(refused, w) == _outcome(lambda w: eval(source, {}, {"w": w}), w)
+
+
+def test_a_modulus_past_the_double_range_fails_both_spellings_of_the_floor():
+    w = complex(1.5e308, 1.5e308)
+    assert _outcome(jets._below_floor, w) == "fails"
+    with pytest.raises(OverflowError):
+        eval(jets._FLOOR_TEST.format("w"), {}, {"w": w})
+
+
 def test_power_zero_is_constant_one():
     assert jet_pow_int(jet_var(3 + 2j), 0) == jet_const(1.0)
 
@@ -323,6 +366,19 @@ def test_bounded_log_is_unbounded_where_the_value_may_cross_the_cut():
     assert all(p.rad == math.inf for p in jet_log(near))
     clear = _balls(jet_var(-1.0 + 1e-3j), (1e-16, 0.0, 0.0, 0.0))
     assert math.isfinite(jet_log(clear).v.rad)
+
+
+def test_bounded_log_is_enclosed_over_a_ball_just_clear_of_the_cut():
+    # the ball's radius is just below its distance to the cut, 0.1, so log
+    # is analytic on it and every part of the jet is enclosed; 1/x taken
+    # on the ball, then off the cut, would meet the cut and give up
+    mid, rad = -1.0 + 0.1j, 0.095
+    j = jet_log(_balls(jet_var(mid), (rad, 0.0, 0.0, 0.0)))
+    assert all(math.isfinite(p.rad) for p in j)
+    for k in range(8):
+        w = mid + rad * cmath.exp(2j * math.pi * k / 8)
+        exact = (cmath.log(w), 1 / w, -1 / w**2, 2 / w**3)
+        assert all(abs(p.mid - x) <= p.rad for p, x in zip(j, exact))
 
 
 def test_mobius_jet_at_pole_raises_division_by_zero():

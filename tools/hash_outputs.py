@@ -94,7 +94,18 @@ The corpus:
   ones; a missing required option; a ``--format`` that is not a choice;
   and values that a ``type=`` refuses (an integer, a complex literal, a
   grid).  Each but ``-h`` exits 2 with argparse's usage and error lines on
-  stderr.
+  stderr;
+- code paths that no command above runs: ``scan-sd`` of a root under a
+  negation (the peel rule's ``Neg`` branch); ``z+n^9`` and
+  ``z*(n+1)^-12`` (a loop-invariant power past codegen's inline limit)
+  through both scans, ``hypotheses`` and ``bound``; a fit window of one
+  log n (a nan slope) at ``--workers`` 1 and 2; a grid wider than the
+  double range; and the CLI's refusals: an identity check without its
+  ``--mobius``, ``--omit`` or ``--phi``, a wrong family count, a
+  three-entry ``--phi``, ``--workers 0``, ``--n-min`` above ``--n-max``,
+  ``--n inf``, a malformed ``--z`` or ``--grid`` (each exit 2), and an
+  ``--out`` in a directory that does not exist (exit 4), with one
+  identity check whose Mobius map has a ``-n`` entry.
 
 Only the standard library and ``git`` are used; ``bench/`` is read, never written.
 Warnings are printed every time, as a fresh process prints them.
@@ -342,6 +353,49 @@ def _argparse_surface() -> list[list[str]]:
     ]
 
 
+# code paths that no command above runs: the peel rule's Neg branch, a
+# loop-invariant power past codegen's inline limit (pow_int in the
+# prelude), a fit window of one log n (a nan slope), a grid wider than the
+# double range, and the CLI's refusals, each exit 2 but an unwritable
+# --out, exit 4
+_IDENTITY = ["--n=1", "--z=0.5+0i"]
+_SCAN = ["--grid=-0.5,0.5,-0.5,0.5,3,3", "--samples", "3", "--n-max", "8"]
+_REFUSALS = (
+    ["identity", "mobius-invariance", "--family=z", *_IDENTITY],
+    ["identity", "reciprocal", "--family=z", *_IDENTITY],
+    ["identity", "conjugation", "--family=z", "--family=z", *_IDENTITY],
+    ["identity", "composition", "--family=z", *_IDENTITY],
+    ["identity", "conjugation", "--family=z", "--family=z", *_IDENTITY, "--phi=1,0,1"],
+    ["identity", "mobius-invariance", "--family=z^2", "--n=2", "--z=0.5+0.1i", "--mobius=-n,0,0,1"],
+    ["scan-marty", "--family=z", *_SCAN, "--workers", "0"],
+    ["scan-marty", "--family=z", "--grid=0,1,0,1,2,1", "--n-min", "3", "--n-max", "2"],
+    ["eval", "--family=z", "--n", "inf", "--z=0.5+0i"],
+    ["eval", "--family=z", "--n=1", "--z=1+2"],
+    ["scan-sd", "--family=z", "--grid=0,1,x,1,2,1"],
+    ["eval", "--family=z", "--n=1", "--z=0.5+0i", "--out", "/nonexistent-dir/x.csv"],
+)
+
+
+def _uncovered() -> list[list[str]]:
+    out = [["scan-sd", "--family=-exp(z/(n*z+1))", *_SCAN, "--workers", "1"]]
+    for family in ("z+n^9", "z*(n+1)^-12"):
+        out += [["scan-marty", f"--family={family}", *_SCAN, "--workers", "1"],
+                ["scan-sd", f"--family={family}", *_SCAN, "--workers", "1"],
+                ["hypotheses", f"--family={family}", *_SCAN, *_HYPOTHESES],
+                ["bound", f"--family={family}", "--n-max", "3", "--z0=0.3+0.2i", "--z=-0.7+1.1i",
+                 "--segment-samples", "16"]]
+    for workers in ("1", "2"):
+        out += [["scan-marty", "--family=z", "--grid=0,1,0,1,2,1", "--n-min", "1" + "0" * 24,
+                 "--n-max", "1" + "0" * 22 + "10", "--workers", workers],
+                ["scan-sd", "--catalog=example2", "--grid=-1e-20,1e-20,-1e-20,1e-20,2,2",
+                 "--radius=1e-21", "--n-min", "1" + "0" * 20, "--n-max", "1" + "0" * 18 + "10",
+                 "--workers", workers]]
+    out += [[command, "--family=z", "--grid=-1e308,1e308,0,1,3,1", "--samples", "3", "--n-max", "3",
+             *(_HYPOTHESES if command == "hypotheses" else ["--workers", "1"])]
+            for command in ("scan-marty", "scan-sd", "hypotheses")]
+    return out + [list(argv) for argv in _REFUSALS]
+
+
 def corpus() -> list[list[str]]:
     """Every command, in the order they run."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -423,7 +477,7 @@ def corpus() -> list[list[str]]:
                  "--format", fmt] for fmt in ("csv", "json")]
     out += _identity_bound_checks()
     out += [["eval", f"--family={text}", "--n=1", "--z=0.5+0i"] for text in _REFUSED]
-    return out + _argparse_surface()
+    return out + _argparse_surface() + _uncovered()
 
 
 def _import(src: Path) -> None:

@@ -16,7 +16,9 @@ bytecode is written, so a mutant is never run from a stale ``.pyc``.
 too, and one that is killed is reported, so that it can join the table.
 ``DELETED`` lists recorded mutations whose code was later deleted.  The
 run exits 1 if the copy fails, an old text does not match exactly once, or
-a mutant of the table survives.
+a mutant of the table survives; it lists every stale old text, of the
+table and of the survivors, before it runs any test, so that a change
+that moves code sees every mutant to re-anchor in one run.
 
 Only the standard library is used; pytest does not collect this file
 (``testpaths`` is ``tests``).
@@ -69,8 +71,9 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # coefficients, then those of the peel rule, then those of the split held
 # with the lane function, then those of the one walk and of bound's
 # roundoff clause, then those of the one redo walk over the tree's split,
-# of the fit window and of the one exit-3 rule; a later change adds its
-# mutants here
+# of the fit window and of the one exit-3 rule, then those of the guarded
+# node operations written once in jets; a later change adds its mutants
+# here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -90,7 +93,7 @@ MUTANTS = (
            "    if False:\n        t.check(True,",
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
     Mutant("no check before x^0", "codegen.py",
-           "            if parts:\n", "            if False:\n",
+           "        if parts:\n", "        if False:\n",
            (DSL + "test_generated_lane_function_on_each_rule",)),
     Mutant("n's zero check dropped", "codegen.py",
            '"    if N is None or not N.real:"', '"    if N is None:"',
@@ -260,7 +263,7 @@ MUTANTS = (
            (BALL + "test_log_radius_is_infinite_where_the_ball_meets_the_cut",
             JETS + "test_bounded_log_is_unbounded_where_the_value_may_cross_the_cut")),
     Mutant("log's derivatives kept finite where its ball meets the cut", "jets.py",
-           "        uv = uv.off_cut()\n", "",
+           "    _log_inverse: lambda b: 1.0 / b.off_cut(),", "    _log_inverse: lambda b: 1.0 / b,",
            (JETS + "test_bounded_log_is_unbounded_where_the_value_may_cross_the_cut",
             SCHWARZIAN + "test_composition_where_log_meets_its_cut_fails_by_an_infinite_bound")),
     Mutant("the determinant term dropped from a Moebius ball jet", "jets.py",
@@ -585,11 +588,14 @@ MUTANTS = (
            "1.0 - node.exponent**2", "1.0 + node.exponent**2",
            (SCHWARZIAN + "test_the_peel_rule_matches_mpmath",)),
     Mutant("the exp guard dropped on the peeled path, where F's walk is of order 1",
-           "codegen.py",
-           '        self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)',
+           "jets.py",
+           "        self.refuse(uv, _exp_refused, _EXP_TEST, OverflowAtPoint,\n"
+           '                    "exp argument outside the overflow guard")',
            "        if len(u) > 2:\n"
-           '            self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)',
-           (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",)),
+           "            self.refuse(uv, _exp_refused, _EXP_TEST, OverflowAtPoint,\n"
+           '                        "exp argument outside the overflow guard")',
+           (CLI + "test_bound_segment_failure_exits_3",
+            DSL + "test_fused_statistics_match_the_reference_bit_for_bit")),
     Mutant("the lane function's critical test read on g' instead of f'", "codegen.py",
            "_CRITICAL_GUARD.format(*critical)", "_CRITICAL_GUARD.format(*parts)",
            (PROBE + "test_the_fused_ascent_keeps_the_python_ascents_bits",)),
@@ -613,10 +619,10 @@ MUTANTS = (
     # one walk for every arithmetic, each refusal rule stated once in jets,
     # and bound's roundoff clause
     Mutant("the literal guard's predicate ignored for a jet whose value part is a known "
-           "constant while a higher part is not", "codegen.py",
-           '        self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}", _exp_refused)',
-           '        self.guard(u[0], f"abs({{}}.real) > {EXP_REAL_GUARD!r}",\n'
-           "                   lambda w: all(type(x) is not _Sym for x in u) and _exp_refused(w))",
+           "constant while a higher part is not", "jets.py",
+           "        self.refuse(uv, _exp_refused, _EXP_TEST,",
+           "        self.refuse(uv, lambda w: all(isinstance(x, (complex, Ball)) for x in u)\n"
+           "                    and _exp_refused(w), _EXP_TEST,",
            (DSL + "test_the_literal_paths_match_the_walk_bit_for_bit",)),
     Mutant("the exp guard's predicate reads |u|, not |Re u|", "jets.py",
            "    return abs(w.real) > EXP_REAL_GUARD", "    return abs(w) > EXP_REAL_GUARD",
@@ -663,6 +669,29 @@ MUTANTS = (
     Mutant("a fit window with n at or below 0 taken", "probe.py",
            "    if ns[len(ns) // 2] <= 0:", "    if False:",
            (PROBE + "test_a_scan_refuses_a_fit_window_with_n_at_or_below_0_before_any_lane",)),
+    # the guarded node operations written once in jets, whose hooks
+    # codegen's lane writer overrides
+    Mutant("the ball log's 1/x taken on the ball before off_cut", "jets.py",
+           "lambda b: 1.0 / b.off_cut()", "lambda b: (1.0 / b).off_cut()",
+           (JETS + "test_bounded_log_is_enclosed_over_a_ball_just_clear_of_the_cut",)),
+    Mutant("the exp operation handed the floor's source test", "jets.py",
+           "        self.refuse(uv, _exp_refused, _EXP_TEST,",
+           "        self.refuse(uv, _exp_refused, _FLOOR_TEST,",
+           (DSL + "test_generated_lane_function_on_each_rule",)),
+    Mutant("the plain class's inline lowered, so that the walk reaches power_call", "jets.py",
+           "    inline = math.inf", "    inline = 8",
+           (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",)),
+    Mutant("a negative power's reciprocal taken before its products", "jets.py",
+           "        acc = u\n        for _ in range(abs(k) - 1):\n"
+           "            acc = self.node(_PRODUCT, acc, u)\n"
+           "        # a negative power: the reciprocal of the positive one\n"
+           "        return acc if k > 0 else self.quotient(jet_const(1.0, len(u) - 1), acc)",
+           "        acc = u = u if k > 0 else self.quotient(jet_const(1.0, len(u) - 1), u)\n"
+           "        for _ in range(abs(k) - 1):\n"
+           "            acc = self.node(_PRODUCT, acc, u)\n"
+           "        return acc",
+           (CLI + "test_golden_flag_bytes[scan-marty-power-and-log]",
+            CLI + "test_golden_flag_bytes[hypotheses-power-and-log]")),
 )
 
 SURVIVORS = (
@@ -672,8 +701,8 @@ SURVIVORS = (
            "a part's zero, finite and nonzero marks are the same for -x as for x, and the "
            "emitted line keeps its product, so no fold, and no result, depends on it"),
     Mutant("division as the reciprocal times a, not a times the reciprocal", "jets.py",
-           "    return jet_mul(a, _reciprocal_jet(b))",
-           "    return jet_mul(_reciprocal_jet(b), a)",
+           "        return self.node(_PRODUCT, a, self.reciprocal(b))",
+           "        return self.node(_PRODUCT, self.reciprocal(b), a)",
            (DSL + "test_generated_lane_function_matches_the_reference_bit_for_bit",
             DSL + "test_seeded_and_bounded_evaluation_match_the_references_bit_for_bit"),
            "the Leibniz product's sums are associated symmetrically, so swapping its "
@@ -746,17 +775,15 @@ def _pytest(into: Path, tests) -> subprocess.CompletedProcess:
     return subprocess.run(argv, cwd=into, env=env, capture_output=True, text=True)
 
 
-def _source(into: Path, m) -> tuple[Path, str]:
-    path = into / "src" / "schwarzian_lab" / m.file
-    text = path.read_text()
-    count = text.count(m.old)
-    if count != 1:
-        raise SystemExit(f"mutants: {m.name!r}: its old text occurs {count} times in {m.file}")
-    return path, text
+def _stale(into: Path, m) -> str | None:
+    # why a mutant's old text is stale, or None where it occurs exactly once
+    count = (into / "src" / "schwarzian_lab" / m.file).read_text().count(m.old)
+    return None if count == 1 else f"{m.name!r}: its old text occurs {count} times in {m.file}"
 
 
 def _killed(into: Path, m) -> bool:
-    path, text = _source(into, m)
+    path = into / "src" / "schwarzian_lab" / m.file
+    text = path.read_text()
     path.write_text(text.replace(m.old, m.new))
     try:
         return _pytest(into, m.tests).returncode != 0
@@ -769,8 +796,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         into = Path(tmp)
         _copy(into)
-        for m in (*MUTANTS, *SURVIVORS):
-            _source(into, m)
+        stale = [why for m in (*MUTANTS, *SURVIVORS) if (why := _stale(into, m))]
+        if stale:
+            print(*(f"mutants: {why}" for why in stale), sep="\n", file=sys.stderr)
+            print(f"mutants: {len(stale)} stale old texts; re-anchor each", file=sys.stderr)
+            return 1
         tests = sorted({t for m in (*MUTANTS, *SURVIVORS) for t in m.tests})
         base = _pytest(into, tests)
         if base.returncode != 0:
