@@ -87,7 +87,15 @@ from .jets import (
     jet_pow_int,
     jet_var,
 )
-from .schwarzian import CRITICAL_POINT_FLOOR, _critical, _free_of, _peel
+from .schwarzian import (
+    _DEGENERATE_TEST,
+    CRITICAL_POINT_FLOOR,
+    _critical,
+    _degenerate,
+    _free_of,
+    _mobius_parts,
+    _peel,
+)
 
 # an integer power up to this exponent is written out as products; a
 # larger one calls jet_pow_int
@@ -109,6 +117,9 @@ _UNCHECKED = {f: _Hot(f) for f in (_sum, _difference, _product, _chain)}
 _FORMS = {
     cmath.exp: "exp({})", cmath.log: "log({})", _inverse: "1.0 / {}", _log_inverse: "1.0 / {}",
 }
+# the seed of a Moebius map's numerator and denominator, whose jets of
+# order 1 at 0 are its coefficients
+_AT_ZERO = jet_var(0j, 1)
 
 
 class _Part:
@@ -380,6 +391,17 @@ class _Lanes(_Jets):
             raise JetError("a literal part is not finite")
         return jet
 
+    def mobius(self, pq: tuple) -> None:
+        """Fail every lane where the Moebius map P / Q, ``pq``, is
+        degenerate at n (``schwarzian._degenerate``): its coefficients are
+        P's and Q's jets at 0, loop-invariant, so the check is the
+        prelude's, or, where they are known, made now, and raises."""
+        (b, a), (d, c) = (self.walk(x, _AT_ZERO) for x in pq)
+        if any(type(x) is _Sym for x in (a, b, c, d)):
+            self.check(False, _DEGENERATE_TEST.format(*map(self.text, (a, b, c, d))))
+        elif _degenerate(a, b, c, d):
+            raise JetError("a degenerate Moebius map")
+
     # -- nodes ---------------------------------------------------------
 
     def walk_lane(self, root: Node) -> tuple:
@@ -452,11 +474,13 @@ class Statistic(NamedTuple):
     The sample's jet is that of the tree's split (:func:`_split`), an
     inner tree g under an outer map F: with ``peel`` (``scan-sd``'s S),
     the peel rule's, ``schwarzian._peel``, and the formula reads g's jet
-    and S_F's coefficients, ``lane(jet, outer)``; otherwise the identity
-    split, F the variable and g the root, and ``lane(jet)``.  The
-    critical test reads f' of F's walk at order 1 from g's first two
-    parts, as the root's walk computes it, so no part of f above f' is
-    computed, checked or flagged.  The fields are module-level functions
+    and S_F's coefficients, ``lane(jet, outer)``, or, where g is a
+    Moebius map of z, whose S_g is 0, g's jet two orders below ``order``
+    and ``lane(jet, outer, True)``; otherwise the identity split, F the
+    variable and g the root, and ``lane(jet)``.  The critical test reads
+    f' of F's walk at order 1 from g's first two parts, as the root's walk
+    computes it, so no part of f above f' is computed, checked or
+    flagged.  The fields are module-level functions
     and numbers, so that a pickled copy is equal, and :func:`family`
     gives it the lane function of the statistic it copies.
     """
@@ -470,33 +494,61 @@ class Statistic(NamedTuple):
 
 
 def _split(root: Node, stat: Statistic) -> tuple:
-    """The tree's split for a statistic, ``(F, g, args, left)``, root =
-    F o g: for one that peels, the peel rule's (``schwarzian._peel``),
-    with ``args`` S_F's coefficients, ``(outer,)``; otherwise the identity
-    split, F the variable, g the root, no args and no left operands.  The
-    formula reads g's jet and ``args``, and ``left`` are the operands free
-    of z that the root's walk takes before g."""
+    """The tree's split for a statistic, ``(F, g, args, left, mobius)``,
+    root = F o g: for one that peels, the peel rule's
+    (``schwarzian._peel``), with ``args`` S_F's coefficients, ``(outer,)``;
+    otherwise the identity split, F the variable, g the root, no args and
+    no left operands.  The formula reads g's jet and ``args``, and
+    ``left`` are the operands free of z that the root's walk takes before
+    g.  ``mobius`` is None, or, for one that peels where g is a Moebius
+    map of z (``schwarzian._mobius_parts``), the map's numerator and
+    denominator: then S_g is 0, ``args`` end with True, and the lane
+    function and the redo walks, of the statistic and of its rise, walk g
+    two orders below the statistic's, but at an n where the map is
+    degenerate, which they test, where they walk it as a g that is no
+    Moebius map, with ``args`` without True."""
     if stat.peel:
         outer_tree, inner, outer, left = _peel(root)
-        return outer_tree, inner, (outer,), left
-    return Var(), root, (), ()
+        mobius = _mobius_parts(inner)
+        return outer_tree, inner, (outer,) if mobius is None else (outer, True), left, mobius
+    return Var(), root, (), (), None
+
+
+
+def _degenerate_at(mobius: tuple, n: float) -> bool:
+    # whether the Moebius map P / Q is degenerate at n, as the lane
+    # function's prelude tests it, from P's and Q's jets at 0; a walk that
+    # fails, or a modulus past the double range, counts as degenerate, so
+    # that g's own walk decides the flag
+    try:
+        (b, a), (d, c) = (_walked(x, n, _AT_ZERO, 0j) for x in mobius)
+        return _degenerate(a, b, c, d)
+    except ArithmeticError:
+        return True
 
 
 def _redo(split: tuple, n: float, stat: Statistic, w):
     """A redone sample's value at ``w`` by the walk of the tree's split
     (:func:`_split`), or its flag.  It walks the operands on g's left, g
-    at the statistic's order, then F from g's first two parts, f's jet of
-    order 1, so that it fails first where the root's walk does, but on a
-    part of f above f', which it never computes.  The flag is that of the
-    EvalError a walk raises ("Pole" or "Overflow"), ``critical(jet)``
-    where f' is critical, and "Overflow" for a modulus past the double
-    range; a value is the formula's on g's jet and the split's args."""
-    outer_tree, inner, args, left = split
+    at the split's order for the statistic, then F from g's first two
+    parts, f's jet of order 1, so that it fails first where the root's
+    walk does, but on a part of f above f', which it never computes.  The
+    flag is that of the EvalError a walk raises ("Pole" or "Overflow"),
+    ``critical(jet)`` where f' is critical, and "Overflow" for a modulus
+    past the double range; a value is the formula's on g's jet and the
+    split's args."""
+    outer_tree, inner, args, left, mobius = split
+    order = stat.order
+    if mobius is not None:
+        if _degenerate_at(mobius, n):
+            args = args[:-1]
+        else:
+            order -= 2
     try:
         try:
             for tree in left:
                 _walked(tree, n, jet_var(w, 0), w)
-            j = _walked(inner, n, jet_var(w, stat.order), w)
+            j = _walked(inner, n, jet_var(w, order), w)
             head = _walked(outer_tree, n, j[:2], w)
         except EvalError as err:
             return "Overflow" if isinstance(err.__cause__, OverflowAtPoint) else "Pole"
@@ -674,8 +726,14 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     outer map F is walked from g's first two parts, at order 1, which
     writes F's guards (exp's, the reciprocal's and log's floors) and the
     lines of f and f', which are checked with g's parts and read by the
-    critical guard.  So the lane function of ``exp(z/(n*z+1))`` under
-    ``scan-sd``'s S writes no line of exp's chain but exp(g) and exp(g) g'.
+    critical guard.  Where g is a Moebius map, every order here is two
+    lower, for the statistic and its rise, and the prelude first tests
+    that the map is not degenerate at n, or the test is made once, here,
+    where the map's coefficients hold no n (``_Lanes.mobius``): where it
+    fails, every lane is redone, and the redo walk takes g at the
+    statistic's own order.  So the lane function of ``exp(z/(n*z+1))``
+    under ``scan-sd``'s S walks g at order 3, and writes no line of exp's
+    chain but exp(g) and exp(g) g'.
 
     Each lane runs in one ``try``, whose every check raises JetError, so a
     lane is redone in one place, the ``except`` handler.  The handler
@@ -710,25 +768,29 @@ def _lanes_source(root: Node, stat: Statistic) -> tuple:
     # with an ascent, one walk at the rise's order: the statistic reads its
     # first parts, which are the bits of a walk at its own order
     rise = stat.ascent
-    t = _Lanes(stat.order if rise is None else rise.order)
-    outer_tree, inner, args, _ = _split(root, stat)
+    outer_tree, inner, args, _, mobius = _split(root, stat)
+    # a Moebius g is walked two orders below the statistic's
+    lower = 0 if mobius is None else 2
+    t = _Lanes((stat.order if rise is None else rise.order) - lower)
     try:
+        if mobius is not None:
+            t.mobius(mobius)
         out = t.walk_lane(inner)
         # f's jet of order 1: the outer map's nodes on the first two parts of g's
         head = t.walk(outer_tree, out[:2])
-    except EvalError:  # a literal fails, so every lane is redone
+    except (EvalError, JetError):  # a literal fails, or the map is degenerate: every lane is redone
         out = None
     if out is None:
         values = [f"g{k}" for k in range(len(stat.start))]
         rises = [*values, *(f"h{k}" for k in range(1, len(rise.start)))] if rise else []
     else:
-        values = _formula(t, out[: stat.order + 1], stat, head=head, args=args)
+        values = _formula(t, out[: stat.order - lower + 1], stat, head=head, args=args)
         sample = t.body[:]
         rises = []
         if rise is not None:
             # the rise's lines follow the statistic's, at the same point, and
             # check the parts above the statistic's order; its F is the value
-            rises = [*values, *_formula(t, out, rise, stat.order + 1, args=args)[1:]]
+            rises = [*values, *_formula(t, out, rise, stat.order - lower + 1, args=args)[1:]]
             # the fast path's values that the rise's lines or the ascent read,
             # in the order the fast path binds them
             read = {x for line in t.body[len(sample):] for x in _NAME.findall(line)}.union(rises)

@@ -9,7 +9,8 @@ machinery to the map z -> S_{f_n}(z), whose spherical derivative
 |S'| / (1 + |S|^2) it takes from one order-4 jet per sample, by the
 composition law at the root: f_n = F o g for an outer map F (exp, log, an
 integer power or an affine map, or none), S = (S_F o g) g'^2 + S_g, and
-S_g and S_g' come from g's jet (``schwarzian._peel``).  A
+S_g and S_g' come from g's jet (``schwarzian._peel``), or are 0 where g
+is a Moebius map, whose jet of order 2 then serves.  A
 sup over a few fixed samples depends on where they fall, so
 ``sd_family_scan`` refines each (point, n)'s best sample by a few
 deterministic steps of ascent of the statistic inside the point's disk,
@@ -262,19 +263,21 @@ def _critical_point(j) -> str:
 _MARTY = Statistic(_spherical, order=1)
 
 
-def _sd(j, outer=_S_AFFINE) -> float:
+def _sd(j, outer=_S_AFFINE, mobius=False) -> float:
     # the spherical derivative of z -> S_{f_n}(z), |S'| / (1 + |S|^2), from
-    # the order-4 jet of the root's inner tree and its outer map's S
-    s, ds = _peeled_derivatives(j, outer)
+    # the order-4 jet of the root's inner tree, or its order-2 jet where it
+    # is a Moebius map, and its outer map's S
+    s, ds = _peeled_derivatives(j, outer, mobius)
     return _spherical((s, ds))
 
 
-def _sd_rise(j, outer=_S_AFFINE) -> tuple:
-    # from the inner tree's order-5 jet: F = |S'| / (1 + |S|^2), |S'|, and
-    # the real and imaginary parts of D = S' conj(S'') - 2 |S'| F S conj(S'),
-    # the gradient of F (d/dx + i d/dy) times the positive |S'| (1 + |S|^2),
-    # so that no part divides by |S'|
-    s, ds, dds = _peeled_derivatives(j, outer)
+def _sd_rise(j, outer=_S_AFFINE, mobius=False) -> tuple:
+    # from the inner tree's order-5 jet, or order-3 for a Moebius map:
+    # F = |S'| / (1 + |S|^2), |S'|, and the real and imaginary parts of
+    # D = S' conj(S'') - 2 |S'| F S conj(S'), the gradient of F
+    # (d/dx + i d/dy) times the positive |S'| (1 + |S|^2), so that no part
+    # divides by |S'|
+    s, ds, dds = _peeled_derivatives(j, outer, mobius)
     a = abs(ds)
     f = _spherical((s, ds))
     d = ds * dds.conjugate() - 2.0 * (a * f) * (s * ds.conjugate())

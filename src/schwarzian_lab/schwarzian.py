@@ -7,7 +7,9 @@ order 4 and 5.  ``scan-sd`` takes them by the composition law
 S_{F o g} = (S_F o g) g'^2 + S_g instead: the peel rule, ``_peel``,
 splits a tree into an outer map F and its inner tree g, and
 ``_peeled_derivatives`` adds F's chain terms to that formula's S of g's
-jet, so that no part of F o g above f' is computed.  Marty's
+jet, so that no part of F o g above f' is computed; where g is a Moebius
+map of z (``_mobius_parts``), S_g is 0 and the chain terms alone read g's
+jet two orders lower.  Marty's
 f# = |f'| / (1 + |f|^2) is one formula too, ``_spherical``.  Moebius
 transformations (az+b)/(cz+d) are the kernel of S: applying one after f leaves S_f
 unchanged, and S of a Moebius map itself vanishes identically.  The
@@ -29,6 +31,7 @@ from typing import Callable
 from .ball import Ball, radius
 from .dsl import (
     Add,
+    ConstNum,
     Div,
     Exp,
     FamilyExpr,
@@ -187,6 +190,22 @@ def _free_of(node: Node, kind: type) -> bool:
     )
 
 
+def _wrapped(node: Node) -> tuple | None:
+    # the tree inside an affine wrapper at the node, -g, g + b, b + g, g - b,
+    # b - g, a g, g a or g / a for a and b free of z, and the wrapper's
+    # operand on g's left, or None; None where the node is no such wrapper
+    kind = type(node)
+    if kind is Neg:
+        return node.operand, None
+    if kind in (Add, Sub, Mul, Div):
+        lhs_free, rhs_free = _free_of(node.lhs, Var), _free_of(node.rhs, Var)
+        if rhs_free and not lhs_free:
+            return node.lhs, None
+        if lhs_free and not rhs_free and kind is not Div:
+            return node.rhs, node.lhs
+    return None
+
+
 def _peel(root: Node) -> tuple:
     """The peel rule's split of a tree into an outer map F and its inner
     tree g, root = F o g, as ``(F, g, outer, left)``.
@@ -197,7 +216,9 @@ def _peel(root: Node) -> tuple:
     tree whose ``Var`` stands where g stood: ``Var`` itself where nothing
     comes off, the identity case, with g the root.  ``outer`` is S_F's
     (a, c) for :func:`_peeled_derivatives`, and ``left`` the operands free
-    of z that the root's walk takes before g, in that order.
+    of z that the root's walk takes before g, in that order.  Where g is a
+    Moebius map of z (:func:`_mobius_parts`), the root's included in the
+    identity case, S_g is 0 and ``scan-sd`` walks g two orders lower.
     """
     path, left, outer = [], [], _S_AFFINE
     node = root
@@ -212,19 +233,12 @@ def _peel(root: Node) -> tuple:
             path.append((node, inner))
             node = inner
             break
-        if kind is Neg:
-            inner = node.operand
-        elif kind in (Add, Sub, Mul, Div):
-            lhs_free, rhs_free = _free_of(node.lhs, Var), _free_of(node.rhs, Var)
-            if rhs_free and not lhs_free:
-                inner = node.lhs
-            elif lhs_free and not rhs_free and kind is not Div:
-                inner = node.rhs
-                left.append(node.lhs)
-            else:
-                break
-        else:
+        wrapped = _wrapped(node)
+        if wrapped is None:
             break
+        inner, operand = wrapped
+        if operand is not None:
+            left.append(operand)
         path.append((node, inner))
         node = inner
     outer_tree = Var()
@@ -235,41 +249,101 @@ def _peel(root: Node) -> tuple:
     return outer_tree, node, outer, tuple(left)
 
 
-def _peeled_derivatives(j, outer=_S_AFFINE) -> tuple:
-    """S, S' and S'' of F o g from g's jet ``j``, as many as
-    :func:`_schwarzian_derivatives` gives from a jet of its order, and
-    ``outer``, the (a, c) of S_F(w) = a + c / (2 w^2) (:func:`_peel`).
+def _affine(node: Node) -> bool:
+    # whether a tree is affine in z: free of z, z itself, or sums,
+    # differences and negations of such trees, and their products with and
+    # quotients by trees free of z
+    kind = type(node)
+    if kind is Var or _free_of(node, Var):
+        return True
+    if kind is Neg:
+        return _affine(node.operand)
+    if kind is Add or kind is Sub:
+        return _affine(node.lhs) and _affine(node.rhs)
+    if kind is Mul:
+        return _free_of(node.lhs, Var) and _affine(node.rhs) or (
+            _affine(node.lhs) and _free_of(node.rhs, Var))
+    return kind is Div and _affine(node.lhs) and _free_of(node.rhs, Var)
+
+
+def _mobius_parts(node: Node) -> tuple | None:
+    """A tree's numerator and denominator, ``(P, Q)``, where it is a
+    Moebius map of z, and None where it is not recognised as one.
+
+    A Moebius map here is P / Q, each of P and Q affine in z or free of z,
+    under any affine wrappers (those the peel rule takes off), and an
+    affine tree is P / 1; a tree free of z is none.  Its S is 0 wherever
+    it is not constant, that is where (a, b, c, d), P = a z + b and
+    Q = c z + d, is not degenerate (:func:`_degenerate`), which depends on
+    n and is the caller's to test.
+    """
+    while (wrapped := _wrapped(node)) is not None:
+        node = wrapped[0]
+    if _free_of(node, Var):
+        return None
+    if type(node) is Div and _affine(node.lhs) and _affine(node.rhs):
+        return node.lhs, node.rhs
+    return (node, ConstNum(1 + 0j, node.span)) if _affine(node) else None
+
+
+# the test of Moebius coefficients (a, b, c, d) whose ad - bc is
+# numerically zero: it cancels catastrophically where |ad| + |bc| dwarfs
+# it.  The predicate, and the source test that codegen writes with the
+# coefficients' names, compute the same operations; both raise past the
+# double range (modulus its typed error, abs OverflowError)
+def _degenerate(a, b, c, d) -> bool:
+    ad, bc = a * d, b * c
+    return modulus(ad - bc) <= 1e-12 * max(1.0, modulus(ad) + modulus(bc))
+
+
+_DEGENERATE_TEST = "abs({0} * {3} - {1} * {2}) <= 1e-12 * max(1.0, abs({0} * {3}) + abs({1} * {2}))"
+
+
+def _plus(s, term):
+    # S_g's part plus a chain term, where None stands for S_g = 0
+    return term if s is None else s + term
+
+
+def _peeled_derivatives(j, outer=_S_AFFINE, mobius=False) -> tuple:
+    """S, S' and S'' of F o g from g's jet ``j`` and ``outer``, the (a, c)
+    of S_F(w) = a + c / (2 w^2) (:func:`_peel`): as many as
+    :func:`_schwarzian_derivatives` gives from a jet of its order, or, for
+    a Moebius g (``mobius``), from a jet two orders lower.
 
     By the composition law S_{F o g} = (S_F o g) g'^2 + S_g: the formula's
     S of g, plus the chain terms whose coefficient is not 0, so that the
-    identity case, (0, 0), is S_g itself.  For a constant S_F = a (exp),
-    S = S_g + a g'^2, S' = S_g' + 2a g' g'' and
+    identity case, (0, 0), is S_g itself.  S_g of a Moebius g is 0, so its
+    S, S' and S'' are the chain terms alone, which read g to orders 1, 2
+    and 3, and each is 0 in the identity case (0 times g').  For a
+    constant S_F = a (exp), S = S_g + a g'^2, S' = S_g' + 2a g' g'' and
     S'' = S_g'' + 2a (g''^2 + g' g''').  For S_F = c / (2 w^2) (log and
     powers), with u = g'/g, v = g''/g and p = u' = v - u^2,
     S = S_g + (c/2) u^2, S' = S_g' + c u p and
     S'' = S_g'' + c (p^2 + u (g'''/g - u v) - 2 u^2 p).
     """
-    s = list(_schwarzian_derivatives(j))
+    s = [None] * (len(j) - 1) if mobius else list(_schwarzian_derivatives(j))
     a, c = outer
     if a:
-        g1, g2 = j[1], j[2]
-        s[0] = s[0] + a * (g1 * g1)
+        g1 = j[1]
+        s[0] = _plus(s[0], a * (g1 * g1))
         if len(s) > 1:
-            s[1] = s[1] + (2.0 * a) * (g1 * g2)
+            g2 = j[2]
+            s[1] = _plus(s[1], (2.0 * a) * (g1 * g2))
         if len(s) > 2:
-            s[2] = s[2] + (2.0 * a) * (g2 * g2 + g1 * j[3])
+            s[2] = _plus(s[2], (2.0 * a) * (g2 * g2 + g1 * j[3]))
     elif c:
         g0 = j[0]
         u = j[1] / g0
         uu = u * u
-        s[0] = s[0] + (0.5 * c) * uu
+        s[0] = _plus(s[0], (0.5 * c) * uu)
         if len(s) > 1:
             v = j[2] / g0
             p = v - uu
-            s[1] = s[1] + c * (u * p)
+            s[1] = _plus(s[1], c * (u * p))
         if len(s) > 2:
-            s[2] = s[2] + c * (p * p + u * (j[3] / g0 - u * v) - 2.0 * (uu * p))
-    return tuple(s)
+            s[2] = _plus(s[2], c * (p * p + u * (j[3] / g0 - u * v) - 2.0 * (uu * p)))
+    # S_g alone, 0, as 0 times g', a value of g's jet as every other is
+    return tuple(0.0 * j[1] if x is None else x for x in s)
 
 
 def spherical_derivative(j: Jet) -> float:
@@ -333,9 +407,7 @@ class Mobius(Record):
         if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ValueError(f"Mobius coefficients must be finite: {(a, b, c, d)!r}")
         det = a * d - b * c
-        # ad - bc cancels catastrophically when |ad| + |bc| dwarfs it.
-        scale = modulus(a * d) + modulus(b * c)
-        if modulus(det) <= 1e-12 * max(1.0, scale):
+        if _degenerate(a, b, c, d):
             raise DegenerateMobiusError(
                 f"degenerate coefficients: ad - bc = {det!r}"
             )

@@ -56,6 +56,8 @@ from schwarzian_lab.jets import (
 from schwarzian_lab.schwarzian import (
     CRITICAL_POINT_FLOOR,
     CriticalPointError,
+    _degenerate,
+    _mobius_parts,
     _peel,
     schwarzian,
     spherical_derivative,
@@ -711,15 +713,25 @@ def _sd_reference(f, n, points):
     # and, with q_k = g^(k)/g', S_g = q3 - 1.5 q2^2 and
     # S_g' = q4 - 4 q2 q3 + 3 q2^3, plus S_F's terms: a g'^2 and 2a g' g''
     # for S_F = a, or (c/2) u^2 and c u (v - u^2), with u = g'/g and
-    # v = g''/g, for S_F = c / (2 w^2).  The largest, its flags, and the
+    # v = g''/g, for S_F = c / (2 w^2).  Where g is a Moebius map of z
+    # (schwarzian._mobius_parts) that is not degenerate at n, by its
+    # coefficients from its numerator's and denominator's jets at 0, S_g and
+    # S_g' are 0 and g's jet is of order 2.  The largest, its flags, and the
     # sample that gave it
     outer_tree, inner, (a, c), left = _peel(f.root)
+    mobius = _mobius_parts(inner)
+    if mobius is not None:
+        try:
+            (b0, a0), (d0, c0) = (eval_jet(FamilyExpr(x), n, 0j, order=1) for x in mobius)
+            mobius = not _degenerate(a0, b0, c0, d0)
+        except ArithmeticError:
+            mobius = False
     best, flags, at = -1.0, set(), None
     for w in points:
         try:
             for x in left:
                 eval_jet(FamilyExpr(x), n, w, order=0)
-            j = eval_jet(FamilyExpr(inner), n, w, order=4)
+            j = eval_jet(FamilyExpr(inner), n, w, order=2 if mobius else 4)
             d1 = eval_jet_seeded(FamilyExpr(outer_tree), n, j[:2], point=w)[1]
         except EvalError as exc:
             flags.add(_flag(exc))
@@ -727,9 +739,12 @@ def _sd_reference(f, n, points):
         if all(abs(x) <= CRITICAL_POINT_FLOOR for x in (d1.real, d1.imag, abs(d1))):
             flags.add("CriticalPoint")
             continue
-        q2, q3, q4 = j[2] / j[1], j[3] / j[1], j[4] / j[1]
-        s = q3 - 1.5 * (q2 * q2)
-        ds = q4 - 4.0 * (q2 * q3) + 3.0 * (q2 * q2 * q2)
+        if mobius:
+            s = ds = 0.0
+        else:
+            q2, q3, q4 = j[2] / j[1], j[3] / j[1], j[4] / j[1]
+            s = q3 - 1.5 * (q2 * q2)
+            ds = q4 - 4.0 * (q2 * q3) + 3.0 * (q2 * q2 * q2)
         if a:
             s = s + a * (j[1] * j[1])
             ds = ds + (2.0 * a) * (j[1] * j[2])

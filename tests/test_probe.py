@@ -38,6 +38,7 @@ from schwarzian_lab import (
 )
 import schwarzian_lab
 from schwarzian_lab import codegen, probe
+from schwarzian_lab.cli import main
 from schwarzian_lab.ball import Ball, radius
 from schwarzian_lab.probe import (
     DEFAULT_RADIUS,
@@ -990,8 +991,9 @@ def test_floor_sweep_matches_per_sample_evaluation():
 
 def test_sd_statistic_matches_per_sample_jets():
     # each (point, n)'s best sample is |S'| / (1 + |S|^2) by the
-    # composition law, from the order-4 jet of the inner map g = z/(n z + 1)
-    # evaluated from scratch and S_exp = -1/2, and the ascent only raises
+    # composition law, from the order-2 jet of the inner map g = z/(n z + 1),
+    # a Moebius map, so S_g = 0, evaluated from scratch and S_exp = -1/2,
+    # and the ascent only raises
     # it, within the disk's sup; the point's sup and argmax n are the
     # refined values'
     f, inner = parse("exp(z/(n*z+1))"), parse("z/(n*z+1)")
@@ -1006,7 +1008,7 @@ def test_sd_statistic_matches_per_sample_jets():
             best = max(
                 abs(s1) / (1.0 + abs(s0) ** 2)
                 for s0, s1 in (
-                    _peeled_derivatives(eval_jet(inner, n, w, order=4), (-0.5, 0.0))
+                    _peeled_derivatives(eval_jet(inner, n, w, order=2), (-0.5, 0.0), True)
                     for w in samples
                 )
             )
@@ -1192,7 +1194,7 @@ def _peelable_tree(rng):
     return parse(pretty_print(node))  # real source spans
 
 
-def test_the_peel_keeps_the_pole_and_critical_point_flags():
+def test_the_peel_keeps_the_pole_and_critical_point_flags(capsys):
     # at each sample, the redo walk of _SD, peeled, against the same
     # statistic unpeeled, S from f's own jet of order 4: an unpeeled Pole
     # or CriticalPoint is the peeled flag, and an unpeeled value is a
@@ -1230,6 +1232,70 @@ def test_the_peel_keeps_the_pole_and_critical_point_flags():
     # each flag kept, and each kind of change
     assert {("Pole", "Pole"), ("CriticalPoint", "CriticalPoint"), ("Overflow", "Overflow"),
             ("Overflow", "value"), ("Overflow", "CriticalPoint")} <= set(seen)
+    # the Moebius peel, g walked two orders lower (schwarzian._mobius_parts):
+    # a sample at the pole of g = z/(n z + 1), z = -1/n, is flagged "Pole" by
+    # the redo walk and by the lane function
+    f = parse("exp(z/(n*z+1))")
+    assert codegen._split(f.root, probe._SD)[4] is not None
+    assert redo(f, 2, probe._SD)(-0.5 + 0j) == redo(f, 2, unpeeled)(-0.5 + 0j) == "Pole"
+    assert eval_jet_lanes(f, 2, [[-0.5 + 0j, 0.25 + 0j]], probe._SD, 0.01)[0][1] == {"Pole"}
+    # a degenerate map, (n z + n)/(z + 1) = n, is a constant, whose g' is
+    # roundoff within the critical floor: every point is flagged, the
+    # command exits 0, and nothing reaches stderr
+    code = main(["scan-sd", "--family=exp((n*z+n)/(z+1))", "--grid=-0.5,0.5,-0.5,0.5,3,3",
+                 "--n-max", "8", "--workers", "1"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert len(rows) == 9 and all(row[5] == "CriticalPoint" for row in rows)
+    # a quotient whose numerator is not affine is no Moebius map
+    assert codegen._split(parse("exp(z^2/(n*z+1))").root, probe._SD)[4] is None
+
+
+def test_the_moebius_peel_walks_g_two_orders_lower(monkeypatch):
+    # scan-sd's lane function writes its statistic's formula on the parts of
+    # a Moebius g's jet of order 2, and the rise's on those of order 3, two
+    # below the statistics' orders 4 and 5, and its redo walks seed g so
+    # too; for a g that is no Moebius map, 4 and 5
+    lengths, orders = [], []
+    real_formula, real_var = codegen._formula, codegen.jet_var
+    monkeypatch.setattr(codegen, "_formula", lambda t, jet, *a, **k: (
+        lengths.append(len(jet)) or real_formula(t, jet, *a, **k)))
+    monkeypatch.setattr(codegen, "jet_var", lambda w, order: (
+        orders.append(order) or real_var(w, order)))
+    for text, lower in (("exp(z/(n*z+1))", 2), ("exp(z^2/(n*z+1))", 0)):
+        f = parse(text)
+        lengths.clear(), orders.clear()
+        codegen._lanes_source(f.root, probe._SD)
+        assert lengths == [5 - lower, 6 - lower]
+        redo(f, 2, probe._SD)(0.3 + 0.1j), redo(f, 2, probe._SD_RISE, probe._SD)(0.3 + 0.1j)
+        assert orders == [4 - lower, 5 - lower]
+
+
+def test_a_degenerate_moebius_map_is_walked_as_no_moebius_map():
+    # where ad - bc = 0 the map is a constant, whose g' is roundoff: where
+    # that is past the critical floor, a sample's value is that of g's walk
+    # at the statistic's order with S_g from g's jet, as for a g that is no
+    # Moebius map, and never the chain terms alone, about 0 here.  So in the
+    # lane function, whose prelude tests the map once per batch where it
+    # holds n, and which tests it once, when written, where it does not,
+    # and in the redo walk
+    stat = probe._SD._replace(ascent=None)
+    points = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.3j]
+    for text, n in (("exp((n*z+n)/(z+1)-n)", 1e9), ("(1000000000*z+1000000000)/(z+1)", 2.0)):
+        f = parse(text)
+        outer_tree, inner, args, left, mobius = codegen._split(f.root, stat)
+        assert mobius is not None and args[-1] is True
+        plain = (outer_tree, inner, args[:-1], left, None)
+        want = [codegen._redo(plain, n, stat, w) for w in points]
+        assert all(type(x) is float and x > 1e-3 for x in want), want
+        assert [redo(f, n, stat)(w) for w in points] == want
+        assert eval_jet_lanes(f, n, [[w] for w in points], stat) == [
+            (x, frozenset()) for x in want]
+    # at an n where it is not degenerate, the chain terms alone
+    f = parse("exp((n*z+1)/(z+1)-n)")
+    assert [x for x, _ in eval_jet_lanes(f, 3.0, [[w] for w in points], stat)] == [
+        redo(f, 3.0, stat)(w) for w in points]
 
 
 def test_sd_origin_slope_is_near_one_on_the_bench_grid():

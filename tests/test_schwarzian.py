@@ -41,7 +41,14 @@ from schwarzian_lab import (
     spherical_derivative,
 )
 from schwarzian_lab.dsl import Add, ConstNum, Mul, PowInt, Sub, Var
-from schwarzian_lab.schwarzian import CRITICAL_POINT_FLOOR, _peel, _peeled_derivatives
+from schwarzian_lab.schwarzian import (
+    _DEGENERATE_TEST,
+    CRITICAL_POINT_FLOOR,
+    _degenerate,
+    _mobius_parts,
+    _peel,
+    _peeled_derivatives,
+)
 
 import support
 
@@ -240,6 +247,122 @@ def test_the_peel_rule_gives_the_closed_forms():
                 w = n * z + 1
                 for x, y in ((s, -1 / (2 * w**4)), (ds, 2 * n / w**5)):
                     assert abs(x - y) <= 1e-9 * max(1.0, abs(y)), (z, n)
+
+
+# the Moebius peel: S_g of a Moebius map g is 0, so S, S' and S'' are S_F's
+# chain terms alone, from g's jet two orders lower
+
+# a tree's numerator and denominator where it is recognised as a Moebius
+# map of z, under any affine wrappers, or None
+_MOBIUS_PARTS = {
+    "z/(n*z+1)": ("z", "n*z+1"),
+    "3-2/(z+1)": ("2", "z+1"),
+    "(z+1)/(z/n+2)": ("z+1", "z/n+2"),
+    "-(2*z+i)/(z-1)*3": ("-(2*z+i)", "z-1"),
+    "(n*z+n)/(z+1)": ("n*z+n", "z+1"),  # degenerate: the caller's to test
+    "n*z": ("z", "1"),
+    "2*z-z/n+1": ("2*z-z/n", "1"),
+    "z": ("z", "1"),
+    "z^2/(n*z+1)": None,
+    "z*z/(z+1)": None,
+    "z/(z^2+1)": None,
+    "exp(z)/(z+1)": None,
+    "1/(1/z+1)": None,
+    "z+1/z": None,
+    "(z+1)^-1": None,
+    "n": None,
+    "(n+1)/(n-1)": None,
+}
+
+
+@pytest.mark.parametrize("text", sorted(_MOBIUS_PARTS))
+def test_the_moebius_recogniser_takes_quotients_of_affine_trees(text):
+    got = _mobius_parts(parse(text).root)
+    assert (got and tuple(map(pretty_print, got))) == _MOBIUS_PARTS[text]
+
+
+# roots whose inner tree is a Moebius map: under exp, log and integer
+# powers, with wrappers, and the identity case, whose S is 0; no pole of g
+# and no zero of a log's or a power's g in the square below
+_MOBIUS_PEELS = (
+    "exp(z/(n*z+1))", "exp((2*z-1)/(z+3))", "log((z+2)/(n*z-n-3))", "(3-z/(z+n+1))^-3",
+    "2*(n-(z+1)/(z-3))^5", "((1+i)*z+n)/(z-2)", "n-3/(z+2)", "(2*z+1)/(n*z+n+2)",
+)
+
+
+@pytest.mark.parametrize("text", _MOBIUS_PEELS)
+def test_the_moebius_peel_matches_mpmath(text):
+    # S, S' and S'' from g's jet of order 1, 2 and 3, for a statistic of
+    # order 3, 4 and 5, at seeded points of the square |Re z|, |Im z| <= 0.8
+    # and n = 1..8, within 1e-9 of mpmath's at 40 digits, relative to
+    # max(1, |mpmath's|)
+    f = parse(text)
+    _, inner, outer, _ = _peel(f.root)
+    assert _mobius_parts(inner) is not None
+    rng = random.Random(32)
+    for _ in range(20):
+        z, n = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)), rng.randint(1, 8)
+        want = _exact_schwarzian_derivatives(f, n, z)
+        for order in (3, 4, 5):
+            j = eval_jet(FamilyExpr(inner), n, z, order=order - 2)
+            got = _peeled_derivatives(j, outer, True)
+            assert len(got) == order - 2
+            for x, y in zip(got, want):
+                assert abs(x - y) <= 1e-9 * max(1.0, abs(y)), (z, n, order)
+
+
+def test_the_moebius_peel_gives_example2s_closed_forms():
+    # exp(z/(n z + 1)): S = -1/(2 (n z + 1)^4), S' = 2n/(n z + 1)^5 and
+    # S'' = -10n^2/(n z + 1)^6, each within 1e-12 of max(1, its modulus),
+    # from g's jet of order 3: in the square |Re z|, |Im z| <= 0.8 at
+    # n = 1..32, far out at z = 80 and 240, and at n = 1e20 where
+    # n z + 1 = -i, about 1 and about 1400, where S from g's own jet of
+    # order 5 is roundoff, off by orders of magnitude
+    _, inner, outer, _ = _peel(parse("exp(z/(n*z+1))").root)
+    rng = random.Random(32)
+    cases = [(complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)), rng.randint(1, 32))
+             for _ in range(50)]
+    cases += [(z, n) for z in (80 - 1j, 240 - 1j) for n in (1, 8)]
+    cases += [(z * 1e-20, 1e20) for z in (-1 - 1j, 1 - 1j, 10 + 10j, 1000 + 1000j)]
+    for z, n in cases:
+        w = n * z + 1
+        want = (-1 / (2 * w**4), 2 * n / w**5, -10 * n * n / w**6)
+        got = _peeled_derivatives(eval_jet(FamilyExpr(inner), n, z, order=3), outer, True)
+        for x, y in zip(got, want):
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), (z, n)
+    z, n = -1e-20 - 1e-20j, 1e20
+    old = _peeled_derivatives(eval_jet(FamilyExpr(inner), n, z, order=5), outer)
+    assert abs(old[1] - 2 * n / (n * z + 1) ** 5) > 1e6 * abs(2 * n / (n * z + 1) ** 5)
+
+
+def test_the_degenerate_test_and_its_source_test_agree():
+    # schwarzian._degenerate, which the Moebius constructor and the redo
+    # walk run, against the source test that the lane function's prelude
+    # runs, evaluated as a generated line, on each side of its boundary
+    def source(a, b, c, d):
+        return eval(_DEGENERATE_TEST.format("a", "b", "c", "d"), {}, dict(a=a, b=b, c=c, d=d))
+
+    edge = 1e-12 * 2.0  # |ad - bc| at the boundary, for |ad| + |bc| = 2
+    cases = [(1, 0, 0, 1), (2, 4, 1, 2), (1e9, 1e9, 1, 1), (0, 0, 1, 1), (0, 0, 0, 0),
+             (0.3, 0.1 * 3, 1, 1), (1e-13, 0, 0, 1), (1e-11, 0, 0, 1), (1j, 1, 1, -1j),
+             (1e200, 1e200, 1e-200, 1e-200), (1e308, 0, 0, 1e-308)]
+    for d in (math.nextafter(1.0 + edge, 0.0), 1.0 + edge, math.nextafter(1.0 + edge, 2.0)):
+        cases.append((1.0, 1.0, 1.0, d))
+    seen = set()
+    for a, b, c, d in cases:
+        a, b, c, d = map(complex, (a, b, c, d))
+        got = _degenerate(a, b, c, d)
+        assert source(a, b, c, d) == got, (a, b, c, d)
+        seen.add(got)
+    assert seen == {True, False}
+    # a product past the double range is inf, which both read alike; a
+    # modulus past it raises
+    assert _degenerate(1e200, 0j, 0j, 1e200) == source(1e200, 0j, 0j, 1e200)
+    for a, b, c, d in ((1.5e154 + 1.5e154j, 0, 0, 1e154), (1, 1e154, 1.5e154 + 1.5e154j, 1)):
+        with pytest.raises(OverflowAtPoint):
+            _degenerate(a, b, c, d)
+        with pytest.raises(OverflowError):
+            source(complex(a), complex(b), complex(c), complex(d))
 
 
 # ---------------------------------------------------------------------------

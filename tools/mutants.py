@@ -5,12 +5,14 @@
 Each mutant names a file under ``src/schwarzian_lab``, an old text that
 must occur there exactly once, the new text, and the test ids that should
 kill it.  The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to
-a temporary directory and runs pytest there, so the tests import the copy:
+temporary directories and runs pytest there, so the tests import a copy:
 ``pythonpath = ["src"]`` in ``pyproject.toml`` puts the checkout's own
 ``src`` first, and ``PYTHONPATH`` alone would not reach past it.  It first
 checks that the unmutated copy passes every named test, then applies each
-mutant in turn and checks that at least one of its tests fails.  No
-bytecode is written, so a mutant is never run from a stale ``.pyc``.
+mutant to a copy of its own and checks that at least one of its tests
+fails.  Up to ``min(os.cpu_count(), 4)`` mutants run at once, one per
+copy, and the report keeps the table's order.  No bytecode is written, so
+a mutant is never run from a stale ``.pyc``.
 
 ``SURVIVORS`` are mutants known to survive, each with its reason; they run
 too, and one that is killed is reported, so that it can join the table.
@@ -27,11 +29,13 @@ Only the standard library is used; pytest does not collect this file
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -72,8 +76,8 @@ SCHWARZIAN = "tests/test_schwarzian.py::"
 # with the lane function, then those of the one walk and of bound's
 # roundoff clause, then those of the one redo walk over the tree's split,
 # of the fit window and of the one exit-3 rule, then those of the guarded
-# node operations written once in jets; a later change adds its mutants
-# here
+# node operations written once in jets, then those of the Moebius peel; a
+# later change adds its mutants here
 MUTANTS = (
     # the generator's folds and checks
     Mutant("a fold drops its finiteness requirement", "codegen.py",
@@ -574,10 +578,10 @@ MUTANTS = (
     Mutant("S_exp -1/2 made -1", "schwarzian.py", "_S_EXP = -0.5", "_S_EXP = -1.0",
            (SCHWARZIAN + "test_the_peel_rule_gives_the_closed_forms",)),
     Mutant("S_g dropped from an exp root's S", "schwarzian.py",
-           "        s[0] = s[0] + a * (g1 * g1)", "        s[0] = a * (g1 * g1)",
+           "        s[0] = _plus(s[0], a * (g1 * g1))", "        s[0] = a * (g1 * g1)",
            (SCHWARZIAN + "test_the_peel_rule_matches_mpmath",)),
     Mutant("the g'g'' term of S' dropped", "schwarzian.py",
-           "            s[1] = s[1] + (2.0 * a) * (g1 * g2)", "            s[1] = s[1]",
+           "            s[1] = _plus(s[1], (2.0 * a) * (g1 * g2))", "            s[1] = s[1]",
            (SCHWARZIAN + "test_the_peel_rule_gives_the_closed_forms",)),
     Mutant("the g''^2 term of S'' dropped", "schwarzian.py",
            "(2.0 * a) * (g2 * g2 + g1 * j[3])", "(2.0 * a) * (g1 * j[3])",
@@ -692,6 +696,45 @@ MUTANTS = (
            "        return acc",
            (CLI + "test_golden_flag_bytes[scan-marty-power-and-log]",
             CLI + "test_golden_flag_bytes[hypotheses-power-and-log]")),
+    # the Moebius peel: S_g = 0 for a Moebius g, walked two orders lower,
+    # and a degenerate map walked as no Moebius map
+    Mutant("the Moebius recogniser accepting a numerator that is not affine", "schwarzian.py",
+           "    if type(node) is Div and _affine(node.lhs) and _affine(node.rhs):",
+           "    if type(node) is Div and _affine(node.rhs):",
+           (SCHWARZIAN + "test_the_moebius_recogniser_takes_quotients_of_affine_trees[z^2/(n*z+1)]",
+            PROBE + "test_the_peel_keeps_the_pole_and_critical_point_flags")),
+    Mutant("the Moebius recogniser accepting a denominator that is not affine", "schwarzian.py",
+           "    if type(node) is Div and _affine(node.lhs) and _affine(node.rhs):",
+           "    if type(node) is Div and _affine(node.lhs):",
+           (SCHWARZIAN + "test_the_moebius_recogniser_takes_quotients_of_affine_trees[z/(z^2+1)]",)),
+    Mutant("S_g dropped for a g that is not Moebius", "schwarzian.py",
+           " if mobius else list(_schwarzian_derivatives(j))",
+           " if mobius else [None] * (len(j) - 3)",
+           (SCHWARZIAN + "test_the_peel_rule_matches_mpmath",)),
+    Mutant("S_g taken from the jet of a Moebius g", "codegen.py",
+           "(outer,) if mobius is None else (outer, True)", "(outer,) if mobius is None else (outer,)",
+           (PROBE + "test_the_moebius_peel_walks_g_two_orders_lower",
+            PROBE + "test_sd_statistic_matches_per_sample_jets")),
+    Mutant("the lane function walks a Moebius g at the statistic's order", "codegen.py",
+           "    lower = 0 if mobius is None else 2", "    lower = 0",
+           (PROBE + "test_the_moebius_peel_walks_g_two_orders_lower",)),
+    Mutant("the redo walk walks a Moebius g at the statistic's order", "codegen.py",
+           "            order -= 2", "            order -= 0",
+           (PROBE + "test_the_moebius_peel_walks_g_two_orders_lower",)),
+    Mutant("the lane function's degenerate-map check removed", "codegen.py",
+           "        if mobius is not None:\n            t.mobius(mobius)\n", "",
+           (PROBE + "test_a_degenerate_moebius_map_is_walked_as_no_moebius_map",)),
+    Mutant("the prelude's degenerate-map check not written", "codegen.py",
+           "            self.check(False, _DEGENERATE_TEST.format(*map(self.text, (a, b, c, d))))",
+           "            pass",
+           (PROBE + "test_a_degenerate_moebius_map_is_walked_as_no_moebius_map",)),
+    Mutant("the redo walk's degenerate-map check removed", "codegen.py",
+           "        if _degenerate_at(mobius, n):", "        if False:",
+           (PROBE + "test_a_degenerate_moebius_map_is_walked_as_no_moebius_map",)),
+    Mutant("the degenerate test's scale dropped, so only ad - bc = 0 is degenerate",
+           "schwarzian.py", "    return modulus(ad - bc) <= 1e-12 * max(1.0, modulus(ad) + modulus(bc))",
+           "    return modulus(ad - bc) <= 0.0",
+           (SCHWARZIAN + "test_the_degenerate_test_and_its_source_test_agree",)),
 )
 
 SURVIVORS = (
@@ -793,9 +836,14 @@ def _killed(into: Path, m) -> bool:
 
 def main() -> int:
     start = time.monotonic()
+    jobs = min(os.cpu_count() or 1, 4)
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        into = Path(tmp)
-        _copy(into)
+        # one copy per concurrent mutant; a mutant takes a free copy, and
+        # puts it back restored
+        copies = [Path(tmp) / str(k) for k in range(jobs)]
+        for copy in copies:
+            _copy(copy)
+        into = copies[0]
         stale = [why for m in (*MUTANTS, *SURVIVORS) if (why := _stale(into, m))]
         if stale:
             print(*(f"mutants: {why}" for why in stale), sep="\n", file=sys.stderr)
@@ -807,15 +855,30 @@ def main() -> int:
             print(base.stdout[-3000:], base.stderr[-3000:], sep="\n")
             print("mutants: the unmutated copy fails its tests", file=sys.stderr)
             return 1
-        print(f"unmutated copy passes {len(tests)} tests")
+        print(f"unmutated copy passes {len(tests)} tests", flush=True)
+        free = queue.SimpleQueue()
+        for copy in copies:
+            free.put(copy)
+
+        def killed(m) -> bool:
+            copy = free.get()
+            try:
+                return _killed(copy, m)
+            finally:
+                free.put(copy)
+
         lived = 0
-        for m in MUTANTS:
-            killed = _killed(into, m)
-            lived += not killed
-            print(f"{'killed  ' if killed else 'SURVIVED'}  {m.name}")
-        for m in SURVIVORS:
-            verdict = "killed, so it can join the table" if _killed(into, m) else "survived"
-            print(f"survivor  {m.name}: {verdict}; {m.reason}")
+        with ThreadPoolExecutor(jobs) as pool:
+            # the verdicts in table order, each printed once it and those
+            # before it are in; zip takes a mutant before its verdict, so
+            # the survivors' loop starts at the first survivor's
+            verdicts = pool.map(killed, (*MUTANTS, *SURVIVORS))
+            for m, dead in zip(MUTANTS, verdicts):
+                lived += not dead
+                print(f"{'killed  ' if dead else 'SURVIVED'}  {m.name}", flush=True)
+            for m, dead in zip(SURVIVORS, verdicts):
+                verdict = "killed, so it can join the table" if dead else "survived"
+                print(f"survivor  {m.name}: {verdict}; {m.reason}", flush=True)
     for name, reason in DELETED:
         print(f"deleted   {name}: {reason}")
     print(f"{len(MUTANTS) - lived} of {len(MUTANTS)} mutants killed, "
